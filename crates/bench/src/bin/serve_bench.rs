@@ -152,7 +152,8 @@ fn main() {
         })
         .collect();
     drop(fleet_client);
-    let fleet_stats = fleet_node.shutdown();
+    let fleet_stats = fleet_node.reuse_plane().stats();
+    fleet_node.shutdown();
     assert_eq!(fleet_stats.network_hits as usize, PROGRAMS.len());
     assert_eq!(
         fleet_stats.cold_builds, 0,

@@ -405,7 +405,8 @@ pub fn sweep_pfail_planed(
         };
         let analysis = PwcetAnalyzer::new(cfg)
             .with_reuse_plane(Arc::clone(plane))
-            .analyze_compiled(&compiled)?;
+            .analyze_compiled(&compiled)?
+            .0;
         let r = result_of(bench.name, &analysis, target_p);
         rows.push((pfail, r.pwcet_none, r.pwcet_srb, r.pwcet_rw));
     }
@@ -461,7 +462,8 @@ pub fn sweep_geometry_cached(
         point.geometry = geometry;
         let analysis = PwcetAnalyzer::new(point)
             .with_reuse_plane(Arc::clone(plane))
-            .analyze_compiled(&compiled)?;
+            .analyze_compiled(&compiled)?
+            .0;
         let r = result_of(bench.name, &analysis, target_p);
         rows.push((geometry.ways(), r.pwcet_none, r.pwcet_srb, r.pwcet_rw));
     }

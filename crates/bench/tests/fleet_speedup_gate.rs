@@ -81,7 +81,8 @@ fn peer_fetch_meets_the_gate_on_all_runners() {
         fetch_us += us;
     }
     drop(fleet_client);
-    let fleet_stats = fleet_node.shutdown();
+    let fleet_stats = fleet_node.reuse_plane().stats();
+    fleet_node.shutdown();
     assert_eq!(fleet_stats.cold_builds, 0, "the fleet node recomputed");
     warm_node.shutdown();
 

@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "PWCX"
-//! 4       4     format version (u32, currently 2)
+//! 4       4     format version (u32, currently 3)
 //! 8       8     payload length in bytes (u64)
 //! 16      8     FNV-1a checksum of the payload (u64)
 //! 24      …     payload
@@ -48,9 +48,9 @@ use crate::pipeline::SolveArtifacts;
 
 /// File magic: "PWCX" (pWCET context).
 pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
-/// Current on-disk format version. Bump on any layout change; files
-/// older than [`MIN_VERSION`] decode to
-/// [`CodecError::UnsupportedVersion`] and are rebuilt cold.
+/// The on-disk format version. Bump on any layout change; entries at
+/// any other version decode to [`CodecError::UnsupportedVersion`] and
+/// are rebuilt cold.
 ///
 /// History: 1 = set-based abstract states (one `u64` length plus one
 /// `u32` block id per occupied age-slot entry); 2 = bit-packed states
@@ -62,10 +62,6 @@ pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
 /// nonbasic bound statuses; the `m × m` inverse is refactored on load,
 /// never shipped).
 pub(crate) const VERSION: u32 = 3;
-/// Oldest version this build still decodes. v2 entries simply lack the
-/// solver-state section: they restore as valid contexts whose first
-/// solve pays one counted cold factorization.
-pub(crate) const MIN_VERSION: u32 = 2;
 /// Header bytes before the payload.
 pub(crate) const HEADER_LEN: usize = 24;
 
@@ -169,7 +165,7 @@ pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), Code
         return Err(CodecError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
@@ -352,30 +348,6 @@ pub(crate) fn encode_context(
     mode: ClassificationMode,
     parts: &ContextParts,
 ) -> Vec<u8> {
-    encode_context_at(VERSION, key, name, geometry, mode, parts)
-}
-
-/// As [`encode_context`] at the previous format version — genuine v2
-/// bytes (no solver-state section) for the back-compat suite.
-#[cfg(test)]
-pub(crate) fn encode_context_v2(
-    key: u64,
-    name: &str,
-    geometry: CacheGeometry,
-    mode: ClassificationMode,
-    parts: &ContextParts,
-) -> Vec<u8> {
-    encode_context_at(2, key, name, geometry, mode, parts)
-}
-
-fn encode_context_at(
-    version: u32,
-    key: u64,
-    name: &str,
-    geometry: CacheGeometry,
-    mode: ClassificationMode,
-    parts: &ContextParts,
-) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u64(key);
     enc.str(name);
@@ -396,18 +368,16 @@ fn encode_context_at(
         enc.u8(ipet_flags(ipet));
         encode_artifacts(&mut enc, artifacts);
     }
-    if version >= 3 {
-        enc.u64(parts.bases.len() as u64);
-        for (ipet, snapshot) in &parts.bases {
-            enc.u8(ipet_flags(ipet));
-            encode_basis(&mut enc, snapshot);
-        }
+    enc.u64(parts.bases.len() as u64);
+    for (ipet, snapshot) in &parts.bases {
+        enc.u8(ipet_flags(ipet));
+        encode_basis(&mut enc, snapshot);
     }
 
     let payload = enc.buf;
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&Fnv1a::checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
@@ -716,7 +686,7 @@ pub(crate) fn decode_context(
         return Err(CodecError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
@@ -778,19 +748,12 @@ pub(crate) fn decode_context(
         let artifacts = decode_artifacts(&mut dec, geometry)?;
         solved.push(((timing, ipet), artifacts));
     }
-    let bases = if version >= 3 {
-        let basis_count = dec.seq_len(9)?;
-        let mut bases = Vec::with_capacity(basis_count);
-        for _ in 0..basis_count {
-            let ipet = ipet_of_flags(dec.u8()?)?;
-            bases.push((ipet, decode_basis(&mut dec)?));
-        }
-        bases
-    } else {
-        // v2: no solver-state section. The entry restores as a valid
-        // context whose first solve pays one counted cold factorization.
-        Vec::new()
-    };
+    let basis_count = dec.seq_len(9)?;
+    let mut bases = Vec::with_capacity(basis_count);
+    for _ in 0..basis_count {
+        let ipet = ipet_of_flags(dec.u8()?)?;
+        bases.push((ipet, decode_basis(&mut dec)?));
+    }
     if dec.remaining() != 0 {
         return Err(CodecError::Malformed("trailing bytes"));
     }
@@ -968,27 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_entries_decode_as_valid_with_no_bases() {
-        let (key, geometry, mode, context) = solved_entry();
-        let bytes = encode_context_v2(key, "codec", geometry, mode, &context.snapshot_parts());
-        let (name, parts) = decode_context(&bytes, context.cfg(), key, geometry, mode).unwrap();
-        assert_eq!(name, "codec");
-        assert!(
-            parts.bases.is_empty(),
-            "a v2 entry restores warm artifacts but pays a cold factorization"
-        );
-        let restored = AnalysisContext::from_parts(
-            name,
-            context.shared_cfg(),
-            geometry,
-            mode,
-            context.backend(),
-            parts,
-        );
-        assert_identical(&context, &restored);
-    }
-
-    #[test]
     fn malformed_basis_sections_are_rejected() {
         let (key, geometry, mode, context) = solved_entry();
         let parts = context.snapshot_parts();
@@ -1034,12 +976,14 @@ mod tests {
             Err(CodecError::BadMagic)
         );
 
-        let mut future = bytes.clone();
-        future[4] = 99;
-        assert_eq!(
-            decode_context(&future, cfg, key, geometry, mode),
-            Err(CodecError::UnsupportedVersion(99))
-        );
+        for version in [VERSION - 1, 99] {
+            let mut skewed = bytes.clone();
+            skewed[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_context(&skewed, cfg, key, geometry, mode),
+                Err(CodecError::UnsupportedVersion(version))
+            );
+        }
 
         assert_eq!(
             decode_context(&bytes[..bytes.len() / 2], cfg, key, geometry, mode),

@@ -810,9 +810,9 @@ pub(crate) struct ContextParts {
     pub(crate) levels: Vec<Option<ChmcMap>>,
     pub(crate) srb: Option<SrbMap>,
     pub(crate) solved: Vec<(SolveKey, SolveArtifacts)>,
-    /// Serialized factored bases per [`IpetOptions`] (PWCX v3; empty
-    /// for v2 entries) — restored into `pending_bases`, seeded into the
-    /// shared template on its first request.
+    /// Serialized factored bases per [`IpetOptions`] (the PWCX
+    /// solver-state section) — restored into `pending_bases`, seeded
+    /// into the shared template on its first request.
     pub(crate) bases: Vec<(IpetOptions, BasisSnapshot)>,
 }
 

@@ -85,13 +85,13 @@ struct Inner {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use pwcet_core::{AnalysisConfig, ContextCache, PwcetAnalyzer};
+/// use pwcet_core::{AnalysisConfig, ContextCache, PwcetAnalyzer, ReusePlane};
 /// use pwcet_progen::{stmt, Program};
 ///
 /// # fn main() -> Result<(), pwcet_core::CoreError> {
 /// let cache = Arc::new(ContextCache::new(8));
-/// let analyzer =
-///     PwcetAnalyzer::new(AnalysisConfig::paper_default()).with_cache(Arc::clone(&cache));
+/// let plane = Arc::new(ReusePlane::with_memory(Arc::clone(&cache)));
+/// let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default()).with_reuse_plane(plane);
 /// let program = Program::new("p").with_function("main", stmt::loop_(10, stmt::compute(8)));
 /// analyzer.analyze(&program)?;
 /// analyzer.analyze(&program)?; // context (CFG + classifications) reused

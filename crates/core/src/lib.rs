@@ -34,8 +34,9 @@
 //! `tests/parallel_equivalence.rs`. Use
 //! [`PwcetAnalyzer::analyze_batch`] to parallelize across whole programs,
 //! [`PwcetAnalyzer::analyze_with_context`] to reuse a context across
-//! fault-model sweeps, and [`PwcetAnalyzer::with_cache`] to share a
-//! content-addressed [`ContextCache`] of contexts across programs,
+//! fault-model sweeps, and [`PwcetAnalyzer::with_reuse_plane`] to share
+//! a [`ReusePlane`] — a content-addressed [`ContextCache`] of contexts
+//! plus optional disk, derivation and network tiers — across programs,
 //! sweeps, and repeated suite runs.
 //!
 //! # Example

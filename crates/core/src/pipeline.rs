@@ -27,7 +27,6 @@ use pwcet_progen::{CompiledProgram, Program};
 
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;
-use crate::context_cache::ContextCache;
 use crate::error::CoreError;
 use crate::estimate::{Protection, PwcetEstimate};
 use crate::fmm::FaultMissMap;
@@ -73,32 +72,16 @@ impl PwcetAnalyzer {
         }
     }
 
-    /// Attaches a shared [`ContextCache`] as a memory-only reuse plane:
-    /// analyses of programs whose content fingerprint is already cached
-    /// reuse the stored context — CFG and every memoized classification
-    /// level — instead of rebuilding them, and narrower-way sibling
-    /// geometries are derived from cached wider ones. Sweeps and repeated
-    /// suite runs become nearly free; results are bit-identical either
-    /// way. For cross-*process* reuse attach a full [`ReusePlane`] with a
-    /// disk tier via [`with_reuse_plane`](Self::with_reuse_plane).
-    #[must_use]
-    pub fn with_cache(self, cache: Arc<ContextCache>) -> Self {
-        self.with_reuse_plane(Arc::new(ReusePlane::with_memory(cache)))
-    }
-
     /// Attaches a [`ReusePlane`]: every analysis resolves its context
     /// through the plane's tiers (memory, disk, cross-geometry
     /// derivation) and writes newly computed artifacts through to the
-    /// disk tier when one is attached.
+    /// disk tier when one is attached. A memory-only plane over a
+    /// caller-owned [`ContextCache`](crate::ContextCache) is
+    /// `ReusePlane::with_memory(cache)`.
     #[must_use]
     pub fn with_reuse_plane(mut self, plane: Arc<ReusePlane>) -> Self {
         self.reuse = Some(plane);
         self
-    }
-
-    /// The memory tier of the attached reuse plane, if any.
-    pub fn cache(&self) -> Option<&Arc<ContextCache>> {
-        self.reuse.as_ref().map(|plane| plane.memory())
     }
 
     /// The attached reuse plane, if any.
@@ -119,47 +102,22 @@ impl PwcetAnalyzer {
     /// [`CoreError`] wrapping compilation, reconstruction, or ILP
     /// failures.
     pub fn analyze(&self, program: &Program) -> Result<ProgramAnalysis, CoreError> {
-        Ok(self.analyze_traced(program)?.0)
-    }
-
-    /// As [`analyze`](Self::analyze), additionally reporting the
-    /// [`ReuseTier`] that provided the analysis context — `Cold` when no
-    /// reuse plane is attached.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze`](Self::analyze).
-    pub fn analyze_traced(
-        &self,
-        program: &Program,
-    ) -> Result<(ProgramAnalysis, ReuseTier), CoreError> {
         let compiled = program.compile(self.config.code_base)?;
-        self.analyze_compiled_traced(&compiled)
+        Ok(self.analyze_compiled(&compiled)?.0)
     }
 
-    /// As [`analyze`](Self::analyze) for an already-compiled program.
+    /// As [`analyze`](Self::analyze) for an already-compiled program,
+    /// additionally reporting the [`ReuseTier`] that provided the
+    /// context. Analyzers without a plane always build (and report)
+    /// `Cold`; with one, the tier is exactly what
+    /// [`ReusePlane::get_or_build_traced`] observed for this request, so
+    /// a service can answer `served_from` per response without
+    /// re-deriving it from plane-wide stats.
     ///
     /// # Errors
     ///
     /// [`CoreError`] wrapping reconstruction or ILP failures.
     pub fn analyze_compiled(
-        &self,
-        compiled: &CompiledProgram,
-    ) -> Result<ProgramAnalysis, CoreError> {
-        Ok(self.analyze_compiled_traced(compiled)?.0)
-    }
-
-    /// As [`analyze_compiled`](Self::analyze_compiled), additionally
-    /// reporting the [`ReuseTier`] that provided the context. Analyzers
-    /// without a plane always build (and report) `Cold`; with one, the
-    /// tier is exactly what [`ReusePlane::get_or_build_traced`] observed
-    /// for this request, so a service can answer `served_from` per
-    /// response without re-deriving it from plane-wide stats.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] wrapping reconstruction or ILP failures.
-    pub fn analyze_compiled_traced(
         &self,
         compiled: &CompiledProgram,
     ) -> Result<(ProgramAnalysis, ReuseTier), CoreError> {
@@ -222,7 +180,7 @@ impl PwcetAnalyzer {
                 solve_protection_independent(context, &self.config)
             })?;
         // Solver behavior is observable per context (tests) and per
-        // plane (the service stats response). Stats come back only for
+        // plane (the service metrics table). Stats come back only for
         // the computation that was actually installed, so memoized
         // re-requests — and discarded racing duplicates — record
         // nothing.
@@ -246,13 +204,13 @@ impl PwcetAnalyzer {
 
     /// Analyzes a batch of programs, parallelizing **across** programs.
     ///
-    /// Without an attached [`ContextCache`] each program gets an
+    /// Without an attached [`ReusePlane`] each program gets an
     /// independent context and nothing but the configuration is shared;
-    /// with one ([`with_cache`](Self::with_cache)) the worker threads
-    /// share it, so duplicate images inside the batch — and across
-    /// repeated batch runs — reuse one context. With more than one
-    /// program the inner per-program fan-out runs sequentially so the
-    /// workers are not oversubscribed; the per-program results are
+    /// with one ([`with_reuse_plane`](Self::with_reuse_plane)) the worker
+    /// threads share it, so duplicate images inside the batch — and
+    /// across repeated batch runs — reuse one context. With more than
+    /// one program the inner per-program fan-out runs sequentially so
+    /// the workers are not oversubscribed; the per-program results are
     /// bit-identical to one-by-one [`analyze`](Self::analyze) calls
     /// either way.
     ///
@@ -260,30 +218,6 @@ impl PwcetAnalyzer {
     ///
     /// The first [`CoreError`] in program order, if any analysis fails.
     pub fn analyze_batch(&self, programs: &[Program]) -> Result<Vec<ProgramAnalysis>, CoreError> {
-        Ok(self
-            .analyze_batch_traced(programs)?
-            .into_iter()
-            .map(|(analysis, _)| analysis)
-            .collect())
-    }
-
-    /// As [`analyze_batch`](Self::analyze_batch), additionally reporting
-    /// per program the [`ReuseTier`] its context came from. Duplicate
-    /// images inside one batch race on the plane's memory tier: when
-    /// their analyses overlap in time, each racer reports the tier *it*
-    /// was answered by — possibly `Cold` for both (the cache's insert
-    /// race still converges on one shared context, but the tier is
-    /// observed at lookup time). Callers that need the second copy to
-    /// deterministically report `Memory` must serialize duplicates, as
-    /// `pwcet-serve` does by hashing requests onto single-worker shards.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CoreError`] in program order, if any analysis fails.
-    pub fn analyze_batch_traced(
-        &self,
-        programs: &[Program],
-    ) -> Result<Vec<(ProgramAnalysis, ReuseTier)>, CoreError> {
         let inner = if programs.len() > 1 {
             Parallelism::Sequential
         } else {
@@ -292,49 +226,19 @@ impl PwcetAnalyzer {
         let mut program_analyzer = Self::new(self.config.with_parallelism(inner));
         program_analyzer.reuse = self.reuse.clone();
         par_map(self.config.parallelism, programs, |program| {
-            program_analyzer.analyze_traced(program)
+            program_analyzer.analyze(program)
         })
         .into_iter()
         .map(|result| {
-            result.map(|(mut analysis, tier)| {
+            result.map(|mut analysis| {
                 // The sequential override is batch-internal scheduling; the
                 // analysis must carry (and later estimate with) the
                 // caller's configuration.
                 analysis.config = self.config;
-                (analysis, tier)
+                analysis
             })
         })
         .collect()
-    }
-
-    /// Compiles `program` and builds a shared [`AnalysisContext`] from
-    /// this analyzer's configuration (code base and cache geometry),
-    /// guaranteeing the context matches
-    /// [`analyze_with_context`](Self::analyze_with_context).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] wrapping compilation or reconstruction failures.
-    pub fn build_context(&self, program: &Program) -> Result<AnalysisContext, CoreError> {
-        let compiled = program.compile(self.config.code_base)?;
-        Ok(AnalysisContext::build_with_mode(
-            &compiled,
-            self.config.geometry,
-            self.config.classification,
-        )?)
-    }
-
-    /// Convenience: analyze and immediately estimate one protection level.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze`](Self::analyze).
-    pub fn estimate(
-        &self,
-        program: &Program,
-        protection: Protection,
-    ) -> Result<PwcetEstimate, CoreError> {
-        Ok(self.analyze(program)?.estimate(protection))
     }
 }
 
@@ -835,19 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_convenience_matches_two_step() {
-        let program = small_loop();
-        let one = analyzer()
-            .estimate(&program, Protection::ReliableWay)
-            .unwrap();
-        let two = analyzer()
-            .analyze(&program)
-            .unwrap()
-            .estimate(Protection::ReliableWay);
-        assert_eq!(one, two);
-    }
-
-    #[test]
     fn shared_context_reuse_matches_fresh_analysis() {
         let program = small_loop();
         let compiled = program.compile(0x0040_0000).unwrap();
@@ -945,29 +836,26 @@ mod tests {
     }
 
     #[test]
-    fn traced_analyses_report_tier_provenance() {
+    fn compiled_analyses_report_tier_provenance() {
+        let compiled = small_loop().compile(0x0040_0000).unwrap();
         let plane = Arc::new(crate::ReusePlane::in_memory());
         let planed = analyzer().with_reuse_plane(Arc::clone(&plane));
-        let (first, tier) = planed.analyze_traced(&small_loop()).unwrap();
+        let (first, tier) = planed.analyze_compiled(&compiled).unwrap();
         assert_eq!(tier, ReuseTier::Cold);
-        let (second, tier) = planed.analyze_traced(&small_loop()).unwrap();
+        let (second, tier) = planed.analyze_compiled(&compiled).unwrap();
         assert_eq!(tier, ReuseTier::Memory);
         assert_eq!(first.fmm(), second.fmm(), "tier must not change results");
 
         // Without a plane every analysis is (and reports) a cold build.
-        let (_, tier) = analyzer().analyze_traced(&streaming()).unwrap();
+        let (_, tier) = analyzer().analyze_compiled(&compiled).unwrap();
         assert_eq!(tier, ReuseTier::Cold);
 
-        // A later batch over the shared plane is answered from memory.
-        let traced = planed
-            .analyze_batch_traced(&[small_loop(), streaming()])
-            .unwrap();
-        assert_eq!(traced[0].1, ReuseTier::Memory);
-        assert_eq!(traced[1].1, ReuseTier::Cold);
-        let plain = planed.analyze_batch(&[small_loop(), streaming()]).unwrap();
-        for ((batched, _), direct) in traced.iter().zip(&plain) {
-            assert_eq!(batched.fmm(), direct.fmm());
-        }
+        // A later batch over the shared plane is answered from memory
+        // for the program it already holds, bit-identically.
+        let batch = planed.analyze_batch(&[small_loop(), streaming()]).unwrap();
+        assert_eq!(batch[0].fmm(), first.fmm());
+        assert_eq!(plane.stats().memory.hits, 2);
+        assert_eq!(plane.stats().cold_builds, 2);
     }
 
     #[test]

@@ -182,10 +182,14 @@ pub struct ReusePlaneStats {
 }
 
 impl ReusePlaneStats {
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim, memory-tier counters under a `memory_` prefix). This
-    /// is what telemetry exposition serializes, so a new counter added
-    /// here reaches the wire with no protocol change.
+    /// The plane's own counters as a self-describing name→value table
+    /// (field names verbatim, memory-tier counters under a `memory_`
+    /// prefix). This is what telemetry exposition serializes, so a new
+    /// counter added here reaches the wire with no protocol change. The
+    /// template-registry fields mirrored above (`template_hits`,
+    /// `basis_*`, `objective_hits`) are left to
+    /// [`TemplateCounters::entries`](pwcet_ipet::TemplateCounters::entries),
+    /// their home, so a metrics table writes each name once.
     pub fn entries(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("memory_hits", self.memory.hits),
@@ -204,10 +208,6 @@ impl ReusePlaneStats {
             ("network_corrupt", self.network_corrupt),
             ("network_offers", self.network_offers),
             ("cold_builds", self.cold_builds),
-            ("template_hits", self.template_hits),
-            ("basis_restores", self.basis_restores),
-            ("basis_rejects", self.basis_rejects),
-            ("objective_hits", self.objective_hits),
         ]
     }
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use pwcet_analysis::ClassificationMode;
 use pwcet_cache::CacheGeometry;
-use pwcet_core::{AnalysisConfig, ContextCache, Protection, PwcetAnalyzer};
+use pwcet_core::{AnalysisConfig, ContextCache, Protection, PwcetAnalyzer, ReusePlane};
 use pwcet_progen::{stmt, CompiledProgram, Program};
 
 fn program() -> Program {
@@ -90,7 +90,8 @@ fn pfail_sweep_shares_one_entry() {
     let mut quantiles = Vec::new();
     for pfail in [1e-6, 1e-5, 1e-4, 1e-3] {
         let config = base.with_pfail(pfail).unwrap();
-        let analyzer = PwcetAnalyzer::new(config).with_cache(Arc::clone(&cache));
+        let analyzer = PwcetAnalyzer::new(config)
+            .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
         let analysis = analyzer.analyze(&program).unwrap();
         quantiles.push(analysis.estimate(Protection::None).pwcet_at(1e-15));
     }
@@ -110,8 +111,8 @@ fn cache_hit_reports_the_callers_program_name() {
     // programs share one context — but each analysis must still carry
     // its own program's name.
     let cache = Arc::new(ContextCache::new(4));
-    let analyzer =
-        PwcetAnalyzer::new(AnalysisConfig::paper_default()).with_cache(Arc::clone(&cache));
+    let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default())
+        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
     let shape = stmt::loop_(25, stmt::compute(30));
     let first = Program::new("first").with_function("main", shape.clone());
     let second = Program::new("second").with_function("main", shape);

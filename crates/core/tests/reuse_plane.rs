@@ -24,7 +24,11 @@ fn program() -> Program {
 }
 
 fn analyzer(plane: &Arc<ReusePlane>) -> PwcetAnalyzer {
-    PwcetAnalyzer::new(AnalysisConfig::paper_default()).with_reuse_plane(Arc::clone(plane))
+    analyzer_with(AnalysisConfig::paper_default(), plane)
+}
+
+fn analyzer_with(config: AnalysisConfig, plane: &Arc<ReusePlane>) -> PwcetAnalyzer {
+    PwcetAnalyzer::new(config).with_reuse_plane(Arc::clone(plane))
 }
 
 fn assert_same_results(a: &ProgramAnalysis, b: &ProgramAnalysis) {
@@ -42,9 +46,13 @@ fn assert_same_results(a: &ProgramAnalysis, b: &ProgramAnalysis) {
 /// Analyzes once against a fresh store and returns the reference result
 /// plus the store directory (left populated).
 fn populate(tag: &str) -> (ProgramAnalysis, PathBuf) {
+    populate_with(tag, AnalysisConfig::paper_default())
+}
+
+fn populate_with(tag: &str, config: AnalysisConfig) -> (ProgramAnalysis, PathBuf) {
     let dir = scratch_dir(tag);
     let plane = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let reference = analyzer(&plane).analyze(&program()).unwrap();
+    let reference = analyzer_with(config, &plane).analyze(&program()).unwrap();
     let stats = plane.stats();
     assert_eq!(stats.cold_builds, 1);
     assert!(stats.disk_writes >= 1, "analysis must write through");
@@ -85,22 +93,34 @@ fn second_plane_instance_reads_the_store() {
 /// Every corruption flavor must degrade to a counted cold rebuild with
 /// bit-identical results — never a panic, an error, or a wrong answer.
 fn assert_falls_back_cold(tag: &str, corrupt: impl FnOnce(&PathBuf)) {
-    let (reference, dir) = populate(tag);
+    assert_falls_back_cold_with(tag, AnalysisConfig::paper_default(), corrupt);
+}
+
+fn assert_falls_back_cold_with(tag: &str, config: AnalysisConfig, corrupt: impl FnOnce(&PathBuf)) {
+    let (reference, dir) = populate_with(tag, config);
     let entries = entry_paths(&dir);
     assert_eq!(entries.len(), 1, "one program, one entry");
     corrupt(&entries[0]);
 
     let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let rebuilt = analyzer(&fresh).analyze(&program()).unwrap();
+    let rebuilt = analyzer_with(config, &fresh).analyze(&program()).unwrap();
     assert_same_results(&reference, &rebuilt);
     let stats = fresh.stats();
     assert_eq!(stats.disk_hits, 0, "{tag}: corrupt entries must not hit");
     assert_eq!(stats.disk_corrupt, 1, "{tag}: the fallback is counted");
     assert_eq!(stats.cold_builds, 1, "{tag}: rebuilt cold");
-    // The poisoned file is discarded and the rebuild re-persisted: a
-    // third instance is warm again.
+    // The poisoned file is discarded and the rebuild re-persisted at the
+    // current version: a third instance is warm again.
+    let entries = entry_paths(&dir);
+    assert_eq!(entries.len(), 1, "{tag}: the rebuild replaced the entry");
+    let rewritten = fs::read(&entries[0]).unwrap();
+    assert_eq!(
+        u32::from_le_bytes(rewritten[4..8].try_into().unwrap()),
+        3,
+        "{tag}: the rebuild is written at the current version"
+    );
     let healed = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let warm = analyzer(&healed).analyze(&program()).unwrap();
+    let warm = analyzer_with(config, &healed).analyze(&program()).unwrap();
     assert_same_results(&reference, &warm);
     assert_eq!(healed.stats().disk_hits, 1, "{tag}: store self-heals");
     let _ = fs::remove_dir_all(&dir);
@@ -129,6 +149,28 @@ fn wrong_version_falls_back_cold() {
         let mut bytes = fs::read(path).unwrap();
         bytes[4] = 0xfe; // version field, little-endian u32 at offset 4
         fs::write(path, bytes).unwrap();
+    });
+    // A genuine v2 entry is a retired version, not a hit. A
+    // dense-reference analysis persists no solver state, so its v3 entry
+    // is exactly a v2 entry plus an empty (all-zero, 8-byte) basis
+    // section: drop the trailing count, stamp version 2, and fix the
+    // length and checksum.
+    let mut dense = AnalysisConfig::paper_default();
+    dense.ipet.solver = pwcet_core::SolverBackend::DenseReference;
+    assert_falls_back_cold_with("v2", dense, |path| {
+        let bytes = fs::read(path).unwrap();
+        assert_eq!(
+            &bytes[bytes.len() - 8..],
+            &[0u8; 8],
+            "a dense-reference entry has an empty basis section"
+        );
+        let mut v2 = bytes[..bytes.len() - 8].to_vec();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let payload_len = (v2.len() - 24) as u64;
+        v2[8..16].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = pwcet_core::fnv1a_checksum(&v2[24..]);
+        v2[16..24].copy_from_slice(&checksum.to_le_bytes());
+        fs::write(path, v2).unwrap();
     });
 }
 
@@ -198,56 +240,6 @@ fn restart_restores_factored_bases_warm() {
         ilp.cold_starts, 0,
         "every solve starts from the restored factored basis"
     );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn downgraded_v2_entry_decodes_valid_without_bases() {
-    // A dense-reference analysis persists no solver state, so its v3
-    // entry is exactly a v2 entry plus an empty (all-zero, 8-byte) basis
-    // section. Downgrading the file in place — drop the trailing count,
-    // stamp version 2, fix the length and checksum — must decode as a
-    // first-class hit: pre-solver-state stores survive the upgrade.
-    let dir = scratch_dir("v2-downgrade");
-    let mut dense = AnalysisConfig::paper_default();
-    dense.ipet.solver = pwcet_core::SolverBackend::DenseReference;
-    let plane = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let reference = PwcetAnalyzer::new(dense)
-        .with_reuse_plane(Arc::clone(&plane))
-        .analyze(&program())
-        .unwrap();
-    assert_eq!(plane.stats().cold_builds, 1);
-
-    let path = &entry_paths(&dir)[0];
-    let bytes = fs::read(path).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        3,
-        "the store writes the current version"
-    );
-    assert_eq!(
-        &bytes[bytes.len() - 8..],
-        &[0u8; 8],
-        "a dense-reference entry has an empty basis section"
-    );
-    let mut v2 = bytes[..bytes.len() - 8].to_vec();
-    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let payload_len = (v2.len() - 24) as u64;
-    v2[8..16].copy_from_slice(&payload_len.to_le_bytes());
-    let checksum = pwcet_core::fnv1a_checksum(&v2[24..]);
-    v2[16..24].copy_from_slice(&checksum.to_le_bytes());
-    fs::write(path, v2).unwrap();
-
-    let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let warm = PwcetAnalyzer::new(dense)
-        .with_reuse_plane(Arc::clone(&fresh))
-        .analyze(&program())
-        .unwrap();
-    assert_same_results(&reference, &warm);
-    let stats = fresh.stats();
-    assert_eq!(stats.disk_hits, 1, "a v2 entry is a valid hit");
-    assert_eq!(stats.cold_builds, 0);
-    assert_eq!(stats.basis_restores, 0, "v2 carries no solver state");
     let _ = fs::remove_dir_all(&dir);
 }
 

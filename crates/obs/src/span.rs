@@ -60,7 +60,7 @@ impl fmt::Display for TraceId {
 }
 
 /// The fixed span taxonomy. Tags are wire-stable: they appear in `PWCQ`
-/// v6 stage-timing breakdowns and in JSONL sinks.
+/// stage-timing breakdowns and in JSONL sinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Stage {

@@ -5,7 +5,7 @@
 //! pwcet-client <SERVERS> analyze NAME [-n K]   analyze one benchmark K times (default 1)
 //! pwcet-client <SERVERS> program FILE          submit a request frame exported to FILE
 //! pwcet-client <SERVERS> export NAME FILE      write NAME's analyze-request frame to FILE
-//! pwcet-client <SERVERS> stats [--json]        print the service counters
+//! pwcet-client <SERVERS> stats [--json]        print the metrics table's counters and gauges
 //! pwcet-client <SERVERS> metrics [--json]      print the full metrics table (exact quantiles)
 //! pwcet-client <SERVERS> shutdown              ask the server to drain and exit
 //! ```
@@ -25,7 +25,9 @@
 //! timing breakdown. `metrics` dumps the self-describing name→value
 //! table in Prometheus text exposition style (or, with `--json`, as the
 //! flat one-pair-per-line JSON object the bench tooling uses — with the
-//! client's own attempt counters appended as `client_*` rows).
+//! client's own attempt counters appended as `client_*` rows). `stats`
+//! is a view of the same table without the histogram rows, printed as
+//! `name: value` lines (or the same `--json` object).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -122,6 +124,18 @@ fn print_percentiles(mut latencies: Vec<u64>) {
     );
 }
 
+/// The rows a histogram expands to in the metrics table.
+const HISTOGRAM_SUFFIXES: [&str; 7] = ["_count", "_sum", "_mean", "_p50", "_p95", "_p99", "_max"];
+
+/// The metrics table's counters and gauges: every row except the
+/// histogram expansions.
+fn counter_rows(entries: Vec<(String, u64)>) -> Vec<(String, u64)> {
+    entries
+        .into_iter()
+        .filter(|(name, _)| !HISTOGRAM_SUFFIXES.iter().any(|s| name.ends_with(s)))
+        .collect()
+}
+
 /// The client's own attempt accounting as `client_*` rows, appended to
 /// `--json` tables so a chaos or failover run shows how hard the client
 /// had to work alongside what the server saw.
@@ -213,55 +227,6 @@ fn submit(
                 );
             }
             print_stages(trace, &stages);
-            Ok(true)
-        }
-        Response::Stats(stats) => {
-            println!("{stats:#?}");
-            // Solver behavior at a glance, next to the reuse-tier
-            // counters above.
-            if stats.ilp_bb_nodes > 0 {
-                println!(
-                    "ilp: {} pivots ({} dual), {} B&B nodes, {} warm starts, \
-                     {} cold starts, {} trivial prunes",
-                    stats.ilp_pivots,
-                    stats.ilp_dual_pivots,
-                    stats.ilp_bb_nodes,
-                    stats.ilp_warm_starts,
-                    stats.ilp_cold_starts,
-                    stats.ilp_trivial_prunes,
-                );
-            }
-            if stats.template_hits + stats.basis_restores + stats.basis_rejects > 0 {
-                println!(
-                    "templates: {} registry hits, {} bases restored, {} bases rejected",
-                    stats.template_hits, stats.basis_restores, stats.basis_rejects,
-                );
-            }
-            if stats.classify_passes > 0 {
-                println!(
-                    "classify: {} passes, {} words touched, {} sets skipped",
-                    stats.classify_passes,
-                    stats.classify_words_touched,
-                    stats.classify_sets_skipped,
-                );
-            }
-            if stats.store_bytes > 0 {
-                println!("store: {} bytes on disk", stats.store_bytes);
-            }
-            if stats.peers > 0 {
-                println!(
-                    "fleet: {} peers ({} unhealthy), network hits/misses/corrupt = {}/{}/{}, \
-                     {} offers out, {} peer fetches served, {} peer offers stored",
-                    stats.peers,
-                    stats.peers_unhealthy,
-                    stats.network_hits,
-                    stats.network_misses,
-                    stats.network_corrupt,
-                    stats.network_offers,
-                    stats.peer_fetches_served,
-                    stats.peer_offers_stored,
-                );
-            }
             Ok(true)
         }
         Response::Entry { key, entry } => {
@@ -420,19 +385,18 @@ fn run() -> Result<ExitCode, ExitCode> {
             all_ok &= submit(&mut client, &request, &mut latencies)?;
         }
         "stats" => {
+            let mut entries = counter_rows(
+                client
+                    .metrics()
+                    .map_err(|e| fail(format!("request failed: {e}")))?,
+            );
             if args.get(1).map(String::as_str) == Some("--json") {
-                let stats = client
-                    .stats()
-                    .map_err(|e| fail(format!("request failed: {e}")))?;
-                let mut entries: Vec<(String, u64)> = stats
-                    .entries()
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), value))
-                    .collect();
                 entries.extend(attempt_entries(client.retry_stats()));
                 print_json(&entries);
             } else {
-                all_ok &= submit(&mut client, &Request::Stats, &mut latencies)?;
+                for (name, value) in &entries {
+                    println!("{name}: {value}");
+                }
             }
         }
         "metrics" => {

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use pwcet_progen::Program;
 
-use crate::protocol::{self, ErrorCode, ProtocolError, Request, Response, ServiceStats, WireError};
+use crate::protocol::{self, ErrorCode, ProtocolError, Request, Response, WireError};
 use crate::server::FRAME_DEADLINE;
 
 /// Socket deadlines of a [`Client`]. Every phase of a request — connect,
@@ -198,25 +198,9 @@ impl Client {
         }
     }
 
-    /// Fetches the service counters.
-    ///
-    /// # Errors
-    ///
-    /// As for [`request`](Self::request); also
-    /// [`WireError::Protocol`] when the server answers something other
-    /// than stats.
-    pub fn stats(&mut self) -> Result<ServiceStats, WireError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(stats) => Ok(*stats),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
-                "expected a stats response",
-            ))),
-        }
-    }
-
-    /// Fetches the full self-describing metrics table: legacy counters
-    /// by their frozen names plus every registry instrument, histograms
-    /// expanded to exact `_count/_sum/_mean/_p50/_p95/_p99/_max` rows.
+    /// Fetches the full self-describing metrics table: every counter
+    /// and gauge by its stable name, histograms expanded to exact
+    /// `_count/_sum/_mean/_p50/_p95/_p99/_max` rows.
     ///
     /// # Errors
     ///
@@ -397,8 +381,7 @@ impl FleetClient {
     }
 
     /// Everything except shutdown is safe to repeat: the analysis verbs
-    /// are pure functions of the request, stats/metrics reads are
-    /// snapshots, and re-offering an entry the fleet already stored is a
+    /// are pure functions of the request, metrics reads are snapshots, and re-offering an entry the fleet already stored is a
     /// no-op by content key.
     fn is_idempotent(request: &Request) -> bool {
         !matches!(request, Request::Shutdown)
@@ -532,21 +515,6 @@ impl FleetClient {
         })
     }
 
-    /// Fetches the service counters with retry/failover.
-    ///
-    /// # Errors
-    ///
-    /// As for [`request`](Self::request); also [`WireError::Protocol`]
-    /// when the server answers something other than stats.
-    pub fn stats(&mut self) -> Result<ServiceStats, WireError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(stats) => Ok(*stats),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
-                "expected a stats response",
-            ))),
-        }
-    }
-
     /// Fetches the full metrics table with retry/failover.
     ///
     /// # Errors
@@ -617,7 +585,6 @@ mod tests {
     #[test]
     fn shutdown_is_not_idempotent() {
         assert!(!FleetClient::is_idempotent(&Request::Shutdown));
-        assert!(FleetClient::is_idempotent(&Request::Stats));
         assert!(FleetClient::is_idempotent(&Request::Metrics));
     }
 

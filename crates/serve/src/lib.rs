@@ -7,9 +7,9 @@
 //! invocation; this crate keeps one long-lived process warm instead:
 //!
 //! * a **wire protocol** ([`protocol`]) — length-prefixed, versioned,
-//!   checksummed `PWCQ` frames carrying analysis, batch, sweep, stats,
-//!   and shutdown requests, with paranoid decoding that degrades every
-//!   corruption class to a clean error response;
+//!   checksummed `PWCQ` frames carrying analysis, batch, sweep,
+//!   metrics, and shutdown requests, with paranoid decoding that
+//!   degrades every corruption class to a clean error response;
 //! * a **sharded work queue** ([`shard`]) — requests hash by program
 //!   content fingerprint onto single-worker shards with bounded queues
 //!   and explicit overload responses, so duplicate work serializes (one
@@ -64,7 +64,7 @@ pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryStats};
 pub use peer::{FleetConfig, FleetStats, PeerFleet, PeerRing};
 pub use protocol::{
     AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response, ServedFrom,
-    ServiceStats, StageTiming, WireError,
+    StageTiming, WireError,
 };
-pub use server::{Server, ServerConfig, FRAME_DEADLINE};
+pub use server::{Server, ServerConfig, ServiceStats, FRAME_DEADLINE};
 pub use shard::{ShardPool, SubmitError};

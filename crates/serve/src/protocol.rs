@@ -38,34 +38,20 @@ use pwcet_progen::{Program, Stmt};
 
 /// Frame magic: "PWCQ" (pWCET query).
 pub const MAGIC: [u8; 4] = *b"PWCQ";
-/// Current protocol version. Bump on any layout change; mismatched peers
-/// then fail cleanly with [`ProtocolError::UnsupportedVersion`].
-/// Version history: 1 = initial; 2 = `ilp_*` solver counters appended to
-/// the stats response; 3 = classification-kernel counters (`classify_*`)
-/// and the on-disk store size appended to the stats response; 4 = fleet
-/// verbs ([`Request::FetchEntry`] / [`Request::OfferEntry`], the
-/// `network` served-from tier) and the `network_*` / peer counters
-/// appended to the stats response; 5 = template-registry and
-/// basis-persistence counters (`template_hits`, `basis_restores`,
-/// `basis_rejects`, `ilp_cold_starts`) appended to the stats response;
-/// 6 = telemetry — a client-minted trace ID on every work-carrying
-/// request (and on [`Request::FetchEntry`], so fleet peer hops join the
+/// The protocol version. Bump on any layout change; a frame at any
+/// other version fails cleanly with [`ProtocolError::UnsupportedVersion`].
+/// Version history: 1 = initial; 2, 3 and 5 = counters appended to the
+/// since-retired stats response; 4 = fleet verbs ([`Request::FetchEntry`]
+/// / [`Request::OfferEntry`], the `network` served-from tier); 6 =
+/// telemetry — a client-minted trace ID on every work-carrying request
+/// (and on [`Request::FetchEntry`], so fleet peer hops join the
 /// originating trace), per-response stage-timing breakdowns
 /// ([`StageTiming`]), and the [`Request::Metrics`] verb answering a
-/// self-describing name→value registry snapshot
-/// ([`Response::Metrics`]) — the last stats layout change: new
-/// instruments ride the table, not the struct;
-/// 7 = a structured `retry_after_ms` hint carried as an *optional
-/// trailing field* of [`Response::Error`] (set on `Overloaded`
-/// refusals, derived from the refusing shard's queue depth). The
-/// field is payload-level optional, so v6 frames decode unchanged and
-/// v6 clients simply never read the hint — peers at
-/// [`MIN_VERSION`]..=[`VERSION`] interoperate.
-pub const VERSION: u32 = 7;
-/// Oldest protocol version this build still accepts. v6 differs from
-/// v7 only by the absence of the optional `retry_after_ms` tail on
-/// error payloads, which the decoder treats as `None`.
-pub const MIN_VERSION: u32 = 6;
+/// self-describing name→value table ([`Response::Metrics`]); 7 = a
+/// structured `retry_after_ms` hint on [`Response::Error`]; 8 = the
+/// stats verb (tag 5) retired in favour of [`Request::Metrics`], and the
+/// retry hint carried as a presence-flagged field.
+pub const VERSION: u32 = 8;
 /// Header bytes before the payload.
 pub const HEADER_LEN: usize = 24;
 /// Upper bound on a frame payload. Far above any real request (a whole
@@ -226,9 +212,6 @@ pub enum Request {
         /// Client-minted trace ID (0 = untraced).
         trace: u64,
     },
-    /// Service health: shard/queue occupancy and reuse-plane tier
-    /// counters.
-    Stats,
     /// Ask the server to stop accepting work, drain its queues, and exit.
     Shutdown,
     /// Fleet verb: fetch the serialized reuse-plane entry for one
@@ -254,11 +237,11 @@ pub enum Request {
         /// Complete `PWCX` entry bytes (header + payload).
         entry: Vec<u8>,
     },
-    /// Telemetry scrape: the server's full metrics registry — every
-    /// legacy counter plus the latency histograms — as a
+    /// Telemetry scrape: every service, reuse-plane, solver and
+    /// classifier counter plus the latency histograms, as a
     /// self-describing name→value table with histogram quantiles
-    /// computed exactly from the buckets. Served inline, like
-    /// [`Request::Stats`].
+    /// computed exactly from the buckets. Served inline on the
+    /// connection thread.
     Metrics,
 }
 
@@ -328,150 +311,6 @@ pub struct GeometryRow {
     pub pwcet_srb: u64,
     /// pWCET with the Reliable Way.
     pub pwcet_rw: u64,
-}
-
-/// Service-side counters answered by [`Request::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceStats {
-    /// Number of worker shards.
-    pub shards: u32,
-    /// Bounded queue capacity per shard.
-    pub queue_capacity: u32,
-    /// Jobs currently queued across all shards.
-    pub queued: u64,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Jobs completed since start.
-    pub served: u64,
-    /// Submissions rejected with an overload response.
-    pub overloads: u64,
-    /// Frames rejected as malformed/corrupt.
-    pub protocol_errors: u64,
-    /// Responses served from the memory tier.
-    pub served_memory: u64,
-    /// Responses served from the disk tier.
-    pub served_disk: u64,
-    /// Responses served by cross-geometry derivation.
-    pub served_derived: u64,
-    /// Responses that required a cold build.
-    pub served_cold: u64,
-    /// Reuse-plane memory-tier hits (includes intra-request reuse).
-    pub memory_hits: u64,
-    /// Reuse-plane memory-tier misses.
-    pub memory_misses: u64,
-    /// Reuse-plane disk-tier hits.
-    pub disk_hits: u64,
-    /// Entries written through to the disk tier.
-    pub disk_writes: u64,
-    /// Corrupt disk entries that degraded to a lower tier.
-    pub disk_corrupt: u64,
-    /// Contexts derived from a wider lattice sibling.
-    pub derived: u64,
-    /// Contexts built cold by the plane.
-    pub cold_builds: u64,
-    /// ILP solver: primal simplex pivots across every solve stage.
-    pub ilp_pivots: u64,
-    /// ILP solver: dual simplex pivots (warm bound-change re-solves).
-    pub ilp_dual_pivots: u64,
-    /// ILP solver: branch-and-bound nodes whose relaxation was solved.
-    pub ilp_bb_nodes: u64,
-    /// ILP solver: solves answered from an existing factored basis.
-    pub ilp_warm_starts: u64,
-    /// ILP solver: branch-and-bound children pruned without an LP solve.
-    pub ilp_trivial_prunes: u64,
-    /// Classification kernel: worklist node evaluations (pops) across
-    /// every fresh fixpoint.
-    pub classify_passes: u64,
-    /// Classification kernel: packed slot words read or written.
-    pub classify_words_touched: u64,
-    /// Classification kernel: per-node set propagations skipped because
-    /// the set's dirty words were clean.
-    pub classify_sets_skipped: u64,
-    /// Total bytes of the on-disk context store (0 without a disk tier).
-    pub store_bytes: u64,
-    /// Responses served from the network tier (a peer's entry).
-    pub served_network: u64,
-    /// Network tier: fetches a peer answered with a decodable entry.
-    pub network_hits: u64,
-    /// Network tier: fetches no peer could answer.
-    pub network_misses: u64,
-    /// Fetched or offered entries rejected as corrupt (each degraded to
-    /// a cold rebuild or a refused offer, never a wrong result).
-    pub network_corrupt: u64,
-    /// Freshly built entries offered to their ring owner.
-    pub network_offers: u64,
-    /// `FetchEntry` requests this node answered with an entry.
-    pub peer_fetches_served: u64,
-    /// `OfferEntry` requests this node accepted and stored.
-    pub peer_offers_stored: u64,
-    /// IPET template registry: lookups answered by an existing
-    /// cross-geometry template (shared factored basis pool).
-    pub template_hits: u64,
-    /// Persisted factored bases successfully restored into a template's
-    /// workspace pool (disk- or network-tier hits of v3 entries).
-    pub basis_restores: u64,
-    /// Persisted bases that failed live-model validation and degraded to
-    /// a counted cold factorization (never a wrong bound).
-    pub basis_rejects: u64,
-    /// ILP solver: solves that had to factor a basis from scratch
-    /// (phase-1). Zero after a warm restore.
-    pub ilp_cold_starts: u64,
-    /// Configured fleet peers (0 = single-node).
-    pub peers: u32,
-    /// Fleet peers currently in failure backoff.
-    pub peers_unhealthy: u32,
-}
-
-impl ServiceStats {
-    /// Every counter as a self-describing name→value table (field names
-    /// verbatim). This struct's *layout* is frozen at v6 — new
-    /// instruments reach the wire through [`Response::Metrics`], whose
-    /// table starts from these legacy rows, so existing names stay
-    /// stable for scrapers.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("shards", u64::from(self.shards)),
-            ("queue_capacity", u64::from(self.queue_capacity)),
-            ("queued", self.queued),
-            ("connections", self.connections),
-            ("served", self.served),
-            ("overloads", self.overloads),
-            ("protocol_errors", self.protocol_errors),
-            ("served_memory", self.served_memory),
-            ("served_disk", self.served_disk),
-            ("served_derived", self.served_derived),
-            ("served_network", self.served_network),
-            ("served_cold", self.served_cold),
-            ("memory_hits", self.memory_hits),
-            ("memory_misses", self.memory_misses),
-            ("disk_hits", self.disk_hits),
-            ("disk_writes", self.disk_writes),
-            ("disk_corrupt", self.disk_corrupt),
-            ("derived", self.derived),
-            ("cold_builds", self.cold_builds),
-            ("network_hits", self.network_hits),
-            ("network_misses", self.network_misses),
-            ("network_corrupt", self.network_corrupt),
-            ("network_offers", self.network_offers),
-            ("peer_fetches_served", self.peer_fetches_served),
-            ("peer_offers_stored", self.peer_offers_stored),
-            ("peers", u64::from(self.peers)),
-            ("peers_unhealthy", u64::from(self.peers_unhealthy)),
-            ("ilp_pivots", self.ilp_pivots),
-            ("ilp_dual_pivots", self.ilp_dual_pivots),
-            ("ilp_bb_nodes", self.ilp_bb_nodes),
-            ("ilp_warm_starts", self.ilp_warm_starts),
-            ("ilp_cold_starts", self.ilp_cold_starts),
-            ("ilp_trivial_prunes", self.ilp_trivial_prunes),
-            ("template_hits", self.template_hits),
-            ("basis_restores", self.basis_restores),
-            ("basis_rejects", self.basis_rejects),
-            ("classify_passes", self.classify_passes),
-            ("classify_words_touched", self.classify_words_touched),
-            ("classify_sets_skipped", self.classify_sets_skipped),
-            ("store_bytes", self.store_bytes),
-        ]
-    }
 }
 
 /// Why the server rejected a request.
@@ -568,9 +407,6 @@ pub enum Response {
         /// Per-stage timing breakdown of this request.
         stages: Vec<StageTiming>,
     },
-    /// Answer to [`Request::Stats`] (boxed: the counter block is far
-    /// larger than any other variant).
-    Stats(Box<ServiceStats>),
     /// The request was rejected; see the code for whether a retry can
     /// succeed.
     Error {
@@ -578,11 +414,9 @@ pub enum Response {
         code: ErrorCode,
         /// Human-readable detail.
         message: String,
-        /// Structured backoff hint (v7+): how long the client should
-        /// wait before retrying. Set on `Overloaded` refusals, derived
-        /// from the refusing shard's queue depth. Encoded as an
-        /// optional trailing field, so v6 peers interoperate (they
-        /// neither send nor read it).
+        /// Structured backoff hint: how long the client should wait
+        /// before retrying. Set on `Overloaded` refusals, derived from
+        /// the refusing shard's queue depth.
         retry_after_ms: Option<u64>,
     },
     /// Answer to [`Request::Shutdown`]: the server stopped accepting
@@ -650,6 +484,17 @@ impl Enc {
     fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
+    }
+
+    /// A presence flag (0 = absent, 1 = present) followed by the value.
+    fn opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        match value {
+            Some(v) => {
+                self.u8(1);
+                write(self, v);
+            }
+            None => self.u8(0),
+        }
     }
 }
 
@@ -733,53 +578,6 @@ fn encode_analysis_row(enc: &mut Enc, row: &AnalysisRow) {
     enc.u8(tier_tag(row.served_from));
 }
 
-fn encode_stats(enc: &mut Enc, stats: &ServiceStats) {
-    enc.u32(stats.shards);
-    enc.u32(stats.queue_capacity);
-    for v in [
-        stats.queued,
-        stats.connections,
-        stats.served,
-        stats.overloads,
-        stats.protocol_errors,
-        stats.served_memory,
-        stats.served_disk,
-        stats.served_derived,
-        stats.served_cold,
-        stats.memory_hits,
-        stats.memory_misses,
-        stats.disk_hits,
-        stats.disk_writes,
-        stats.disk_corrupt,
-        stats.derived,
-        stats.cold_builds,
-        stats.ilp_pivots,
-        stats.ilp_dual_pivots,
-        stats.ilp_bb_nodes,
-        stats.ilp_warm_starts,
-        stats.ilp_trivial_prunes,
-        stats.classify_passes,
-        stats.classify_words_touched,
-        stats.classify_sets_skipped,
-        stats.store_bytes,
-        stats.served_network,
-        stats.network_hits,
-        stats.network_misses,
-        stats.network_corrupt,
-        stats.network_offers,
-        stats.peer_fetches_served,
-        stats.peer_offers_stored,
-        stats.template_hits,
-        stats.basis_restores,
-        stats.basis_rejects,
-        stats.ilp_cold_starts,
-    ] {
-        enc.u64(v);
-    }
-    enc.u32(stats.peers);
-    enc.u32(stats.peers_unhealthy);
-}
-
 /// Wraps a finished payload in the `PWCQ` header.
 fn frame(payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -856,7 +654,6 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             enc.f64(*target_p);
             enc.u64(*trace);
         }
-        Request::Stats => enc.u8(5),
         Request::Shutdown => enc.u8(6),
         Request::FetchEntry { key, trace } => {
             enc.u8(7);
@@ -948,10 +745,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             enc.u64(*trace);
             encode_stage_timings(&mut enc, stages);
         }
-        Response::Stats(stats) => {
-            enc.u8(5);
-            encode_stats(&mut enc, stats);
-        }
         Response::Error {
             code,
             message,
@@ -960,23 +753,13 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             enc.u8(6);
             enc.u8(error_code_tag(*code));
             enc.str(message);
-            // v7: optional trailing hint. Omitted entirely when absent,
-            // which is exactly the v6 layout.
-            if let Some(ms) = retry_after_ms {
-                enc.u64(*ms);
-            }
+            enc.opt(*retry_after_ms, Enc::u64);
         }
         Response::ShutdownStarted => enc.u8(7),
         Response::Entry { key, entry } => {
             enc.u8(8);
             enc.u64(*key);
-            match entry {
-                Some(bytes) => {
-                    enc.u8(1);
-                    enc.bytes(bytes);
-                }
-                None => enc.u8(0),
-            }
+            enc.opt(entry.as_deref(), Enc::bytes);
         }
         Response::OfferAck { stored } => {
             enc.u8(9);
@@ -1053,6 +836,24 @@ impl<'a> Dec<'a> {
         let len = self.seq_len(1)?;
         String::from_utf8(self.take(len)?.to_vec())
             .map_err(|_| ProtocolError::Malformed("non-UTF-8 string"))
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>, ProtocolError> {
+        let len = self.seq_len(1)?;
+        Ok(self.take(len)?.to_vec())
+    }
+
+    /// Reads the presence flag written by `Enc::opt`, then the value.
+    fn opt<T>(
+        &mut self,
+        what: &'static str,
+        read: impl FnOnce(&mut Self) -> Result<T, ProtocolError>,
+    ) -> Result<Option<T>, ProtocolError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            _ => Err(ProtocolError::Malformed(what)),
+        }
     }
 }
 
@@ -1146,51 +947,6 @@ fn decode_analysis_row(dec: &mut Dec<'_>) -> Result<AnalysisRow, ProtocolError> 
     })
 }
 
-fn decode_stats(dec: &mut Dec<'_>) -> Result<ServiceStats, ProtocolError> {
-    Ok(ServiceStats {
-        shards: dec.u32()?,
-        queue_capacity: dec.u32()?,
-        queued: dec.u64()?,
-        connections: dec.u64()?,
-        served: dec.u64()?,
-        overloads: dec.u64()?,
-        protocol_errors: dec.u64()?,
-        served_memory: dec.u64()?,
-        served_disk: dec.u64()?,
-        served_derived: dec.u64()?,
-        served_cold: dec.u64()?,
-        memory_hits: dec.u64()?,
-        memory_misses: dec.u64()?,
-        disk_hits: dec.u64()?,
-        disk_writes: dec.u64()?,
-        disk_corrupt: dec.u64()?,
-        derived: dec.u64()?,
-        cold_builds: dec.u64()?,
-        ilp_pivots: dec.u64()?,
-        ilp_dual_pivots: dec.u64()?,
-        ilp_bb_nodes: dec.u64()?,
-        ilp_warm_starts: dec.u64()?,
-        ilp_trivial_prunes: dec.u64()?,
-        classify_passes: dec.u64()?,
-        classify_words_touched: dec.u64()?,
-        classify_sets_skipped: dec.u64()?,
-        store_bytes: dec.u64()?,
-        served_network: dec.u64()?,
-        network_hits: dec.u64()?,
-        network_misses: dec.u64()?,
-        network_corrupt: dec.u64()?,
-        network_offers: dec.u64()?,
-        peer_fetches_served: dec.u64()?,
-        peer_offers_stored: dec.u64()?,
-        template_hits: dec.u64()?,
-        basis_restores: dec.u64()?,
-        basis_rejects: dec.u64()?,
-        ilp_cold_starts: dec.u64()?,
-        peers: dec.u32()?,
-        peers_unhealthy: dec.u32()?,
-    })
-}
-
 /// Validates a raw header and returns `(payload_len, checksum)`.
 ///
 /// # Errors
@@ -1202,7 +958,7 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u64, u64), ProtocolErr
         return Err(ProtocolError::BadMagic);
     }
     let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(ProtocolError::UnsupportedVersion(version));
     }
     let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
@@ -1301,20 +1057,15 @@ pub fn decode_request_payload(payload: &[u8]) -> Result<Request, ProtocolError> 
                 trace: dec.u64()?,
             }
         }
-        5 => Request::Stats,
         6 => Request::Shutdown,
         7 => Request::FetchEntry {
             key: dec.u64()?,
             trace: dec.u64()?,
         },
-        8 => {
-            let key = dec.u64()?;
-            let len = dec.seq_len(1)?;
-            Request::OfferEntry {
-                key,
-                entry: dec.take(len)?.to_vec(),
-            }
-        }
+        8 => Request::OfferEntry {
+            key: dec.u64()?,
+            entry: dec.bytes()?,
+        },
         9 => Request::Metrics,
         _ => return Err(ProtocolError::Malformed("request tag")),
     };
@@ -1395,35 +1146,16 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError
                 stages: decode_stage_timings(&mut dec)?,
             }
         }
-        5 => Response::Stats(Box::new(decode_stats(&mut dec)?)),
-        6 => {
-            let code = decode_error_code(&mut dec)?;
-            let message = dec.str()?;
-            // v7 appends the hint; a v6 payload simply ends here.
-            let retry_after_ms = if dec.remaining() > 0 {
-                Some(dec.u64()?)
-            } else {
-                None
-            };
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            }
-        }
+        6 => Response::Error {
+            code: decode_error_code(&mut dec)?,
+            message: dec.str()?,
+            retry_after_ms: dec.opt("retry hint presence flag", Dec::u64)?,
+        },
         7 => Response::ShutdownStarted,
-        8 => {
-            let key = dec.u64()?;
-            let entry = match dec.u8()? {
-                0 => None,
-                1 => {
-                    let len = dec.seq_len(1)?;
-                    Some(dec.take(len)?.to_vec())
-                }
-                _ => return Err(ProtocolError::Malformed("entry presence flag")),
-            };
-            Response::Entry { key, entry }
-        }
+        8 => Response::Entry {
+            key: dec.u64()?,
+            entry: dec.opt("entry presence flag", Dec::bytes)?,
+        },
         9 => Response::OfferAck {
             stored: match dec.u8()? {
                 0 => false,
@@ -1560,7 +1292,6 @@ mod tests {
                 target_p: 1e-15,
                 trace: u64::MAX,
             },
-            Request::Stats,
             Request::Shutdown,
             Request::Metrics,
             Request::FetchEntry {
@@ -1653,48 +1384,6 @@ mod tests {
                 trace: 4,
                 stages,
             },
-            Response::Stats(Box::new(ServiceStats {
-                shards: 4,
-                queue_capacity: 64,
-                queued: 1,
-                connections: 9,
-                served: 100,
-                overloads: 2,
-                protocol_errors: 3,
-                served_memory: 60,
-                served_disk: 20,
-                served_derived: 5,
-                served_cold: 15,
-                memory_hits: 80,
-                memory_misses: 40,
-                disk_hits: 20,
-                disk_writes: 25,
-                disk_corrupt: 0,
-                derived: 5,
-                cold_builds: 15,
-                ilp_pivots: 420,
-                ilp_dual_pivots: 17,
-                ilp_bb_nodes: 96,
-                ilp_warm_starts: 90,
-                ilp_trivial_prunes: 2,
-                classify_passes: 310,
-                classify_words_touched: 88_000,
-                classify_sets_skipped: 1200,
-                store_bytes: 73_728,
-                served_network: 7,
-                network_hits: 7,
-                network_misses: 3,
-                network_corrupt: 1,
-                network_offers: 12,
-                peer_fetches_served: 9,
-                peer_offers_stored: 6,
-                template_hits: 11,
-                basis_restores: 4,
-                basis_rejects: 1,
-                ilp_cold_starts: 2,
-                peers: 3,
-                peers_unhealthy: 1,
-            })),
             Response::Error {
                 code: ErrorCode::Overloaded,
                 message: "shard 2 queue full (depth 64)".into(),
@@ -1733,45 +1422,6 @@ mod tests {
         }
     }
 
-    /// A v6 peer's frame — version 6 header, error payload with no
-    /// trailing hint — still decodes on this build, with
-    /// `retry_after_ms = None`; and a v7 frame carrying the hint
-    /// round-trips it. This is the `MIN_VERSION` interop contract.
-    #[test]
-    fn v6_error_frames_decode_without_the_retry_hint() {
-        // Hand-build the v6 layout: tag 6, code tag, message string.
-        let mut enc = Enc::new();
-        enc.u8(6);
-        enc.u8(error_code_tag(ErrorCode::Overloaded));
-        enc.str("shard 1 queue full (depth 64); retry later");
-        let payload = enc.buf;
-        let mut framed = Vec::with_capacity(HEADER_LEN + payload.len());
-        framed.extend_from_slice(&MAGIC);
-        framed.extend_from_slice(&6u32.to_le_bytes());
-        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&checksum(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-
-        let decoded = decode_response(&framed).expect("v6 frame decodes");
-        assert_eq!(
-            decoded,
-            Response::Error {
-                code: ErrorCode::Overloaded,
-                message: "shard 1 queue full (depth 64); retry later".into(),
-                retry_after_ms: None,
-            }
-        );
-
-        // The v7 encoding of the same refusal carries the hint through.
-        let v7 = Response::Error {
-            code: ErrorCode::Overloaded,
-            message: "shard 1 queue full (depth 64); retry later".into(),
-            retry_after_ms: Some(640),
-        };
-        let bytes = encode_response(&v7);
-        assert_eq!(decode_response(&bytes).expect("v7 frame decodes"), v7);
-    }
-
     #[test]
     fn header_corruptions_are_detected() {
         let bytes = encode_request(&sample_request());
@@ -1780,12 +1430,14 @@ mod tests {
         bad_magic[0] ^= 0xff;
         assert_eq!(decode_request(&bad_magic), Err(ProtocolError::BadMagic));
 
-        let mut future = bytes.clone();
-        future[4] = 99;
-        assert_eq!(
-            decode_request(&future),
-            Err(ProtocolError::UnsupportedVersion(99))
-        );
+        for version in [VERSION - 1, 99] {
+            let mut skewed = bytes.clone();
+            skewed[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_request(&skewed),
+                Err(ProtocolError::UnsupportedVersion(version))
+            );
+        }
 
         let mut oversized = bytes.clone();
         oversized[8..16].copy_from_slice(&(MAX_PAYLOAD_BYTES + 1).to_le_bytes());
@@ -1869,7 +1521,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut enc = Enc::new();
-        enc.u8(5);
+        enc.u8(9);
         enc.u8(0xaa);
         let framed = frame(enc.buf);
         assert_eq!(
@@ -1880,10 +1532,10 @@ mod tests {
 
     #[test]
     fn read_frame_distinguishes_clean_eof_from_truncation() {
-        let bytes = encode_request(&Request::Stats);
+        let bytes = encode_request(&Request::Metrics);
         let mut cursor = std::io::Cursor::new(bytes.clone());
         let payload = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(decode_request_payload(&payload).unwrap(), Request::Stats);
+        assert_eq!(decode_request_payload(&payload).unwrap(), Request::Metrics);
         // Clean EOF: no bytes at all.
         assert!(matches!(read_frame(&mut cursor), Ok(None)));
         // Truncation: a few header bytes then EOF.
@@ -1892,7 +1544,7 @@ mod tests {
             read_frame(&mut partial),
             Err(WireError::Protocol(ProtocolError::Truncated))
         ));
-        // Mid-payload EOF surfaces as an IO error (a Stats frame's
+        // Mid-payload EOF surfaces as an IO error (a Metrics frame's
         // payload is a single byte, so use a request with a real body).
         let long = encode_request(&sample_request());
         let mut mid = std::io::Cursor::new(long[..long.len() - 2].to_vec());

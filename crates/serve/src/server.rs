@@ -9,7 +9,7 @@
 //!                        │ ShardPool: key % N shards, one worker and │
 //!                        │ a bounded queue each (overload ⇒ refusal) │
 //!                        └───────┬───────────────────────────────────┘
-//!                                │ analyze_compiled_traced
+//!                                │ analyze_compiled
 //!                        ┌───────▼───────────────────────────────────┐
 //!                        │ shared Arc<ReusePlane>: memory / disk /   │
 //!                        │ derivation tiers + write-through persist  │
@@ -37,11 +37,12 @@
 //! connections, and the accept loop are joined and the reuse plane is
 //! flushed to its disk tier.
 
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,7 +61,7 @@ use pwcet_progen::{CompiledProgram, Program};
 use crate::peer::{FleetConfig, PeerFleet};
 use crate::protocol::{
     self, AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response,
-    ServiceStats, StageTiming, WireError,
+    StageTiming, WireError,
 };
 use crate::shard::{ShardPool, SubmitError};
 
@@ -145,6 +146,53 @@ impl ServerConfig {
     }
 }
 
+/// The server's own counters and gauges, as returned by
+/// [`Server::stats`] and [`Server::shutdown`]. Reuse-plane, solver and
+/// classifier counters live with their owners
+/// ([`ReusePlane::stats`], [`ReusePlane::ilp_stats`],
+/// [`ReusePlane::kernel_stats`]); the metrics table carries them all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServiceStats {
+    /// Number of worker shards.
+    pub shards: u32,
+    /// Bounded queue capacity per shard.
+    pub queue_capacity: u32,
+    /// Jobs currently queued across all shards.
+    pub queued: u64,
+    /// Connections accepted since start.
+    pub connections: u64,
+    /// Jobs completed since start.
+    pub served: u64,
+    /// Submissions rejected with an overload response.
+    pub overloads: u64,
+    /// Frames rejected as malformed/corrupt.
+    pub protocol_errors: u64,
+    /// Responses served from the memory tier.
+    pub served_memory: u64,
+    /// Responses served from the disk tier.
+    pub served_disk: u64,
+    /// Responses served by cross-geometry derivation.
+    pub served_derived: u64,
+    /// Responses served from the network tier (a peer's entry).
+    pub served_network: u64,
+    /// Responses that required a cold build.
+    pub served_cold: u64,
+    /// `FetchEntry` requests this node answered with an entry.
+    pub peer_fetches_served: u64,
+    /// `OfferEntry` requests this node accepted and stored.
+    pub peer_offers_stored: u64,
+    /// Configured fleet peers (0 = single-node).
+    pub peers: u32,
+    /// Fleet peers currently in failure backoff.
+    pub peers_unhealthy: u32,
+    /// Total bytes of the on-disk context store (0 without a disk tier).
+    pub store_bytes: u64,
+    /// Entries the reuse plane wrote to its disk tier. Read after the
+    /// drain's final flush in [`Server::shutdown`], whose caller no
+    /// longer holds the plane.
+    pub disk_writes: u64,
+}
+
 /// What the shard workers execute.
 enum Work {
     Analyze {
@@ -180,6 +228,17 @@ enum Outcome {
     },
 }
 
+impl Outcome {
+    fn served_from(&self) -> ReuseTier {
+        match self {
+            Outcome::Row(row) => row.served_from,
+            Outcome::Pfail { served_from, .. } | Outcome::Geometry { served_from, .. } => {
+                *served_from
+            }
+        }
+    }
+}
+
 /// What a shard worker sends back: the outcome plus the `(stage,
 /// dur_us)` spans its trace scope collected (queue wait and service
 /// time included), from which the connection thread builds the
@@ -198,7 +257,8 @@ struct Job {
 
 /// The server's telemetry plane: the span collector shared with every
 /// layer below (core pipeline, reuse plane, peer fleet) plus the
-/// metrics registry with the hot-path instruments resolved once.
+/// metrics registry — the one home of every server-owned counter —
+/// with the hot-path instruments resolved once.
 struct Telemetry {
     tracer: Arc<Tracer>,
     registry: Registry,
@@ -213,6 +273,20 @@ struct Telemetry {
     /// stalled past the deadline, or an injected disconnect) — the
     /// work was done but the answer never made it out.
     response_write_failures: Arc<Counter>,
+    connections: Arc<Counter>,
+    /// Jobs completed by the shard workers.
+    served: Arc<Counter>,
+    overloads: Arc<Counter>,
+    protocol_errors: Arc<Counter>,
+    served_memory: Arc<Counter>,
+    served_disk: Arc<Counter>,
+    served_derived: Arc<Counter>,
+    served_network: Arc<Counter>,
+    served_cold: Arc<Counter>,
+    /// `FetchEntry` requests this node answered with an entry.
+    peer_fetches_served: Arc<Counter>,
+    /// `OfferEntry` requests this node accepted and stored.
+    peer_offers_stored: Arc<Counter>,
 }
 
 impl Telemetry {
@@ -222,22 +296,38 @@ impl Telemetry {
             None => Tracer::new(DEFAULT_RING_CAPACITY),
         });
         let registry = Registry::new();
-        let requests = registry.counter("requests");
-        let request_latency_us = registry.histogram("request_latency_us");
-        let queue_wait_us = registry.histogram("queue_wait_us");
-        let service_us = registry.histogram("service_us");
-        let worker_panics = registry.counter("worker_panics");
-        let response_write_failures = registry.counter("response_write_failures");
         Ok(Self {
+            requests: registry.counter("requests"),
+            request_latency_us: registry.histogram("request_latency_us"),
+            queue_wait_us: registry.histogram("queue_wait_us"),
+            service_us: registry.histogram("service_us"),
+            worker_panics: registry.counter("worker_panics"),
+            response_write_failures: registry.counter("response_write_failures"),
+            connections: registry.counter("connections"),
+            served: registry.counter("served"),
+            overloads: registry.counter("overloads"),
+            protocol_errors: registry.counter("protocol_errors"),
+            served_memory: registry.counter("served_memory"),
+            served_disk: registry.counter("served_disk"),
+            served_derived: registry.counter("served_derived"),
+            served_network: registry.counter("served_network"),
+            served_cold: registry.counter("served_cold"),
+            peer_fetches_served: registry.counter("peer_fetches_served"),
+            peer_offers_stored: registry.counter("peer_offers_stored"),
             tracer,
             registry,
-            requests,
-            request_latency_us,
-            queue_wait_us,
-            service_us,
-            worker_panics,
-            response_write_failures,
         })
+    }
+
+    /// The `served_{tier}` counter of a completed job's tier.
+    fn served_from(&self, tier: ReuseTier) -> &Counter {
+        match tier {
+            ReuseTier::Memory => &self.served_memory,
+            ReuseTier::Disk => &self.served_disk,
+            ReuseTier::Derived => &self.served_derived,
+            ReuseTier::Network => &self.served_network,
+            ReuseTier::Cold => &self.served_cold,
+        }
     }
 
     /// Records a span that was timed outside any [`trace_scope`] (queue
@@ -258,40 +348,11 @@ impl Telemetry {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    connections: AtomicU64,
-    served: AtomicU64,
-    overloads: AtomicU64,
-    protocol_errors: AtomicU64,
-    served_memory: AtomicU64,
-    served_disk: AtomicU64,
-    served_derived: AtomicU64,
-    served_network: AtomicU64,
-    served_cold: AtomicU64,
-    peer_fetches_served: AtomicU64,
-    peer_offers_stored: AtomicU64,
-}
-
-impl Counters {
-    fn count_tier(&self, tier: ReuseTier) {
-        let counter = match tier {
-            ReuseTier::Memory => &self.served_memory,
-            ReuseTier::Disk => &self.served_disk,
-            ReuseTier::Derived => &self.served_derived,
-            ReuseTier::Network => &self.served_network,
-            ReuseTier::Cold => &self.served_cold,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Everything a shard worker touches: the shared plane, the per-shard
-/// analysis configuration, and the service counters.
+/// Everything a shard worker touches: the shared plane and the
+/// per-shard analysis configuration.
 struct Engine {
     plane: Arc<ReusePlane>,
     config: AnalysisConfig,
-    counters: Arc<Counters>,
 }
 
 impl Engine {
@@ -309,9 +370,8 @@ impl Engine {
                 let config = self.config.with_pfail(pfail).map_err(|e| e.to_string())?;
                 let (analysis, tier) = self
                     .analyzer(config)
-                    .analyze_compiled_traced(&compiled)
+                    .analyze_compiled(&compiled)
                     .map_err(|e| e.to_string())?;
-                self.counters.count_tier(tier);
                 Ok(Outcome::Row(row_of(&analysis, tier, target_p)))
             }
             Work::SweepPfail {
@@ -325,7 +385,7 @@ impl Engine {
                     let config = self.config.with_pfail(pfail).map_err(|e| e.to_string())?;
                     let (analysis, tier) = self
                         .analyzer(config)
-                        .analyze_compiled_traced(&compiled)
+                        .analyze_compiled(&compiled)
                         .map_err(|e| e.to_string())?;
                     served.get_or_insert(tier);
                     rows.push(PfailRow {
@@ -335,11 +395,9 @@ impl Engine {
                         pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p),
                     });
                 }
-                let served_from = served.expect("sweeps are validated non-empty");
-                self.counters.count_tier(served_from);
                 Ok(Outcome::Pfail {
                     name: compiled.name().to_string(),
-                    served_from,
+                    served_from: served.expect("sweeps are validated non-empty"),
                     rows,
                 })
             }
@@ -355,7 +413,7 @@ impl Engine {
                     config.geometry = geometry;
                     let (analysis, tier) = self
                         .analyzer(config)
-                        .analyze_compiled_traced(&compiled)
+                        .analyze_compiled(&compiled)
                         .map_err(|e| e.to_string())?;
                     served.get_or_insert(tier);
                     rows.push(GeometryRow {
@@ -365,11 +423,9 @@ impl Engine {
                         pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p),
                     });
                 }
-                let served_from = served.expect("lattices are validated non-empty");
-                self.counters.count_tier(served_from);
                 Ok(Outcome::Geometry {
                     name: compiled.name().to_string(),
-                    served_from,
+                    served_from: served.expect("lattices are validated non-empty"),
                     rows,
                 })
             }
@@ -396,7 +452,6 @@ struct Shared {
     pool: ShardPool<Job>,
     engine: Arc<Engine>,
     stop: AtomicBool,
-    counters: Arc<Counters>,
     connections: Mutex<Vec<JoinHandle<()>>>,
     poll: Duration,
     queue_capacity: usize,
@@ -407,94 +462,80 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> ServiceStats {
-        let plane = self.engine.plane.stats();
-        let ilp = self.engine.plane.ilp_stats();
-        let kernel = self.engine.plane.kernel_stats();
+        let t = &self.telemetry;
         ServiceStats {
             shards: self.pool.shard_count() as u32,
             queue_capacity: self.queue_capacity as u32,
             queued: self.pool.queued() as u64,
-            connections: self.counters.connections.load(Ordering::Relaxed),
-            served: self.counters.served.load(Ordering::Relaxed),
-            overloads: self.counters.overloads.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            served_memory: self.counters.served_memory.load(Ordering::Relaxed),
-            served_disk: self.counters.served_disk.load(Ordering::Relaxed),
-            served_derived: self.counters.served_derived.load(Ordering::Relaxed),
-            served_network: self.counters.served_network.load(Ordering::Relaxed),
-            served_cold: self.counters.served_cold.load(Ordering::Relaxed),
-            memory_hits: plane.memory.hits,
-            memory_misses: plane.memory.misses,
-            disk_hits: plane.disk_hits,
-            disk_writes: plane.disk_writes,
-            disk_corrupt: plane.disk_corrupt,
-            derived: plane.derived,
-            cold_builds: plane.cold_builds,
-            network_hits: plane.network_hits,
-            network_misses: plane.network_misses,
-            network_corrupt: plane.network_corrupt,
-            network_offers: plane.network_offers,
-            peer_fetches_served: self.counters.peer_fetches_served.load(Ordering::Relaxed),
-            peer_offers_stored: self.counters.peer_offers_stored.load(Ordering::Relaxed),
+            connections: t.connections.get(),
+            served: t.served.get(),
+            overloads: t.overloads.get(),
+            protocol_errors: t.protocol_errors.get(),
+            served_memory: t.served_memory.get(),
+            served_disk: t.served_disk.get(),
+            served_derived: t.served_derived.get(),
+            served_network: t.served_network.get(),
+            served_cold: t.served_cold.get(),
+            peer_fetches_served: t.peer_fetches_served.get(),
+            peer_offers_stored: t.peer_offers_stored.get(),
             peers: self.fleet.as_ref().map_or(0, |f| f.peer_count() as u32),
             peers_unhealthy: self
                 .fleet
                 .as_ref()
                 .map_or(0, |f| f.unhealthy_count() as u32),
-            ilp_pivots: ilp.pivots,
-            ilp_dual_pivots: ilp.dual_pivots,
-            ilp_bb_nodes: ilp.bb_nodes,
-            ilp_warm_starts: ilp.warm_starts,
-            ilp_trivial_prunes: ilp.trivial_prunes,
-            ilp_cold_starts: ilp.cold_starts,
-            template_hits: plane.template_hits,
-            basis_restores: plane.basis_restores,
-            basis_rejects: plane.basis_rejects,
-            classify_passes: kernel.passes,
-            classify_words_touched: kernel.words_touched,
-            classify_sets_skipped: kernel.sets_skipped,
             store_bytes: self.engine.plane.disk_store_bytes().unwrap_or(0),
+            disk_writes: self.engine.plane.stats().disk_writes,
         }
     }
 
     /// The full self-describing metrics table answered by
-    /// [`Request::Metrics`]: every legacy [`ServiceStats`] counter by
-    /// its frozen name, the lower layers' own `entries()` enumerations
-    /// (which may grow without protocol changes), tracer health, and
-    /// the registry's instruments — histograms expanded to exact
-    /// `_count/_sum/_mean/_p50/_p95/_p99/_max` rows.
+    /// [`Request::Metrics`], sorted by name: the registry's instruments
+    /// (the server-owned counters, histograms expanded to exact
+    /// `_count/_sum/_mean/_p50/_p95/_p99/_max` rows), the service
+    /// gauges, the lower layers' own `entries()` enumerations (which may
+    /// grow without protocol changes), tracer health, and the fleet and
+    /// chaos counters when present. Every name is written exactly once.
     fn metrics_table(&self) -> Vec<(String, u64)> {
-        let mut table: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for (name, value) in self.stats().entries() {
-            table.insert(name.to_string(), value);
+        let mut table = BTreeMap::new();
+        let mut put = |name: String, value: u64| {
+            debug_assert!(!table.contains_key(&name), "metric {name} written twice");
+            table.insert(name, value);
+        };
+        for (name, value) in self.telemetry.registry.snapshot().table() {
+            put(name, value);
         }
-        // Lower-layer enumerators: overlapping names carry the same
-        // values as the legacy rows (both read the same counters);
-        // names only they know (eviction counts, bound flips, template
-        // builds…) are the growth path.
-        for (name, value) in self.engine.plane.stats().entries() {
-            table.insert(name.to_string(), value);
+        let stats = self.stats();
+        for (name, value) in [
+            ("shards", u64::from(stats.shards)),
+            ("queue_capacity", u64::from(stats.queue_capacity)),
+            ("queued", stats.queued),
+            ("peers", u64::from(stats.peers)),
+            ("peers_unhealthy", u64::from(stats.peers_unhealthy)),
+            ("store_bytes", stats.store_bytes),
+        ] {
+            put(name.to_string(), value);
         }
-        for (name, value) in self.engine.plane.ilp_stats().entries() {
-            table.insert(format!("ilp_{name}"), value);
+        let plane = &self.engine.plane;
+        for (name, value) in plane.stats().entries() {
+            put(name.to_string(), value);
         }
-        for (name, value) in self.engine.plane.kernel_stats().entries() {
-            table.insert(format!("classify_{name}"), value);
+        for (name, value) in plane.ilp_stats().entries() {
+            put(format!("ilp_{name}"), value);
         }
-        for (name, value) in self.engine.plane.template_registry().counters().entries() {
-            table.insert(name.to_string(), value);
+        for (name, value) in plane.kernel_stats().entries() {
+            put(format!("classify_{name}"), value);
         }
-        table.insert(
+        for (name, value) in plane.template_registry().counters().entries() {
+            put(name.to_string(), value);
+        }
+        put(
             "trace_spans_dropped".to_string(),
             self.telemetry.tracer.dropped(),
         );
-        for (name, value) in self.telemetry.registry.snapshot().table() {
-            table.insert(name, value);
-        }
-        // Fleet transport counters under a `fleet_` prefix — the legacy
-        // stats rows carry hits/misses/corrupt, these add the failure
-        // half (errors, failed and dropped offers) the chaos suite
-        // reconciles injected peer faults against.
+        // Fleet transport counters under a `fleet_` prefix — the plane
+        // rows carry hits/misses/corrupt, these add the failure half
+        // (errors, failed and dropped offers) the chaos suite reconciles
+        // injected peer faults against.
         if let Some(fleet) = &self.fleet {
             let fleet_stats = fleet.stats();
             for (name, value) in [
@@ -505,7 +546,7 @@ impl Shared {
                 ("fleet_offers_failed", fleet_stats.offers_failed),
                 ("fleet_offers_dropped", fleet_stats.offers_dropped),
             ] {
-                table.insert(name.to_string(), value);
+                put(name.to_string(), value);
             }
         }
         // The active fault plan's per-point fired counters
@@ -514,7 +555,7 @@ impl Shared {
         #[cfg(feature = "chaos")]
         if let Some(plan) = pwcet_chaos::active() {
             for (name, value) in plan.entries() {
-                table.insert(name, value);
+                put(name, value);
             }
         }
         table.into_iter().collect()
@@ -569,15 +610,12 @@ impl Server {
                 .unwrap_or(1);
             shard_analysis.parallelism = Parallelism::threads((total / shards).max(1));
         }
-        let counters = Arc::new(Counters::default());
         let telemetry = Arc::new(Telemetry::new(config.trace_out.as_ref())?);
         let engine = Arc::new(Engine {
             plane,
             config: shard_analysis,
-            counters: Arc::clone(&counters),
         });
         let worker_engine = Arc::clone(&engine);
-        let worker_counters = Arc::clone(&counters);
         let worker_telemetry = Arc::clone(&telemetry);
         let pool = ShardPool::new(shards, config.queue_capacity, move |_, job: Job| {
             let Job {
@@ -616,7 +654,10 @@ impl Server {
             worker_telemetry.record_span(trace, Stage::Service, service_us);
             spans.insert(0, (Stage::QueueWait, queue_us));
             spans.push((Stage::Service, service_us));
-            worker_counters.served.fetch_add(1, Ordering::Relaxed);
+            if let Ok(outcome) = &result {
+                worker_telemetry.served_from(outcome.served_from()).inc();
+            }
+            worker_telemetry.served.inc();
             // The requester may have given up (connection died); a failed
             // send is not an error.
             let _ = reply.send((result, spans));
@@ -641,7 +682,6 @@ impl Server {
             pool,
             engine,
             stop: AtomicBool::new(false),
-            counters,
             connections: Mutex::new(Vec::new()),
             poll: config.poll,
             queue_capacity: config.queue_capacity,
@@ -669,14 +709,15 @@ impl Server {
         &self.shared.engine.plane
     }
 
-    /// Current service counters (what [`Request::Stats`] answers).
+    /// Current service counters and gauges.
     pub fn stats(&self) -> ServiceStats {
         self.shared.stats()
     }
 
     /// The full self-describing metrics table (what [`Request::Metrics`]
-    /// answers): legacy counters by their frozen names plus every
-    /// registry instrument, histograms expanded to exact quantile rows.
+    /// answers): every service, reuse-plane, solver and classifier
+    /// counter by its stable name, histograms expanded to exact
+    /// quantile rows.
     pub fn metrics_table(&self) -> Vec<(String, u64)> {
         self.shared.metrics_table()
     }
@@ -760,7 +801,7 @@ impl Server {
                 stats.served,
                 stats.overloads,
                 stats.protocol_errors,
-                stats.cold_builds,
+                self.shared.engine.plane.stats().cold_builds,
                 stats.store_bytes
             );
         }
@@ -783,7 +824,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.stop.load(Ordering::Relaxed) {
                     return;
                 }
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.connections.inc();
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || serve_connection(stream, &conn_shared));
                 let mut connections = shared.connections.lock().expect("conn list");
@@ -925,7 +966,7 @@ fn error_response(code: ErrorCode, message: impl Into<String>) -> Response {
 /// rough drain estimate from the refusing shard's queue depth, floored
 /// so a hint is never zero and capped so a deep queue cannot park
 /// clients for ages. Carried as the structured `retry_after_ms` field
-/// of the v7 error payload.
+/// of the error payload.
 fn retry_after_hint(depth: usize) -> u64 {
     (depth as u64).saturating_mul(50).clamp(50, 5_000)
 }
@@ -956,10 +997,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let request = match protocol::decode_request_payload(&payload) {
                     Ok(request) => request,
                     Err(e) => {
-                        shared
-                            .counters
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.telemetry.protocol_errors.inc();
                         let _ = respond(
                             &mut stream,
                             &error_response(ErrorCode::Malformed, e.to_string()),
@@ -985,10 +1023,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // mismatch, truncation: answer once, then drop the
                 // connection — resynchronizing a corrupt stream is not
                 // worth guessing at frame boundaries.
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.protocol_errors.inc();
                 let _ = respond(
                     &mut stream,
                     &error_response(ErrorCode::Malformed, e.to_string()),
@@ -1043,10 +1078,6 @@ fn dispatch(
 ) -> std::io::Result<bool> {
     let started = Instant::now();
     match request {
-        Request::Stats => {
-            respond(stream, &Response::Stats(Box::new(shared.stats())))?;
-            Ok(true)
-        }
         Request::Metrics => {
             respond(
                 stream,
@@ -1077,10 +1108,7 @@ fn dispatch(
                 started.elapsed().as_micros() as u64,
             );
             if entry.is_some() {
-                shared
-                    .counters
-                    .peer_fetches_served
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.peer_fetches_served.inc();
             }
             respond(stream, &Response::Entry { key, entry })?;
             Ok(true)
@@ -1088,10 +1116,7 @@ fn dispatch(
         Request::OfferEntry { key, entry } => {
             let stored = shared.engine.plane.import_entry(key, entry);
             if stored {
-                shared
-                    .counters
-                    .peer_offers_stored
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.peer_offers_stored.inc();
             }
             respond(stream, &Response::OfferAck { stored })?;
             Ok(true)
@@ -1318,7 +1343,7 @@ fn run_job(
     match shared.pool.submit(key, job) {
         Ok(_) => {}
         Err(SubmitError::Overloaded { shard, depth, .. }) => {
-            shared.counters.overloads.fetch_add(1, Ordering::Relaxed);
+            shared.telemetry.overloads.inc();
             return overloaded_response(
                 format!("shard {shard} queue full (depth {depth}); retry later"),
                 depth,
@@ -1410,7 +1435,7 @@ fn run_batch(
             Err(SubmitError::Overloaded { shard, depth, .. }) => {
                 // Jobs already submitted still run (and warm the plane);
                 // their replies are dropped with the receivers.
-                shared.counters.overloads.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.overloads.inc();
                 return overloaded_response(
                     format!(
                         "shard {shard} queue full (depth {depth}) at batch item {}; retry later",

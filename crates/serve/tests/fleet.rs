@@ -4,6 +4,7 @@
 
 use std::io::Write;
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pwcet_core::ReuseTier;
@@ -63,10 +64,11 @@ fn peer_answers_the_duplicate_from_the_network_tier() {
         }
     );
 
+    let plane_b = Arc::clone(node_b.reuse_plane());
     let stats_b = node_b.shutdown();
     assert_eq!(stats_b.served_network, 1);
-    assert_eq!(stats_b.network_hits, 1);
-    assert_eq!(stats_b.cold_builds, 0, "B must not recompute");
+    assert_eq!(plane_b.stats().network_hits, 1);
+    assert_eq!(plane_b.stats().cold_builds, 0, "B must not recompute");
     assert_eq!(stats_b.peers, 1);
 
     let stats_a = node_a.shutdown();
@@ -173,7 +175,7 @@ fn cold_build_offers_the_entry_back_to_the_owner() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut client_b = Client::connect(node_b.local_addr()).expect("connect B");
     loop {
-        let stats = client_b.stats().expect("stats");
+        let stats = node_b.stats();
         if stats.peer_offers_stored >= 1 {
             break;
         }
@@ -195,9 +197,10 @@ fn cold_build_offers_the_entry_back_to_the_owner() {
             ..cold_row
         }
     );
+    let plane_b = Arc::clone(node_b.reuse_plane());
     let stats_b = node_b.shutdown();
     assert_eq!(stats_b.peer_offers_stored, 1);
-    assert_eq!(stats_b.cold_builds, 0);
+    assert_eq!(plane_b.stats().cold_builds, 0);
     node_a.shutdown();
 }
 
@@ -264,7 +267,8 @@ fn poisoned_peer_entry_degrades_to_a_counted_cold_build() {
     );
     standalone.shutdown();
 
-    let stats = node.shutdown();
+    let stats = node.reuse_plane().stats();
+    node.shutdown();
     assert_eq!(stats.cold_builds, 1);
     assert!(
         stats.network_corrupt >= 1,

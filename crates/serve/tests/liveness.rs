@@ -92,7 +92,7 @@ fn client_request_against_a_silent_server_times_out() {
     let mut client =
         Client::connect_with(addr, ClientConfig::with_deadline(deadline)).expect("connect");
     let started = Instant::now();
-    let result = client.request(&Request::Stats);
+    let result = client.request(&Request::Metrics);
     let elapsed = started.elapsed();
     assert!(
         matches!(result, Err(WireError::Timeout)),

@@ -73,8 +73,10 @@ fn header(magic: [u8; 4], version: u32, len: u64, checksum: u64) -> Vec<u8> {
 /// earlier abuse poisoned nothing.
 fn assert_still_serving(server: &Server) {
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let stats = client.stats().expect("stats after abuse");
-    assert!(stats.shards > 0);
+    let table = client.metrics().expect("metrics after abuse");
+    assert!(table
+        .iter()
+        .any(|(name, value)| name == "shards" && *value > 0));
 }
 
 #[test]
@@ -92,16 +94,17 @@ fn corruption_classes_degrade_cleanly() {
     }
     assert_still_serving(&server);
 
-    // --- wrong version ---------------------------------------------------
-    {
+    // --- wrong version (a future one, and the retired previous one) ------
+    // The frame is otherwise well-formed, so only the version gate can
+    // refuse it.
+    for version in [VERSION + 7, VERSION - 1] {
+        let mut frame = protocol::encode_request(&Request::Metrics);
+        frame[4..8].copy_from_slice(&version.to_le_bytes());
         let mut stream = raw_connection(&server);
-        stream
-            .write_all(&header(MAGIC, VERSION + 7, 4, 0))
-            .expect("write");
-        stream.write_all(&[0u8; 4]).expect("write");
-        expect_malformed_error(&mut stream, "wrong version");
+        stream.write_all(&frame).expect("write");
+        expect_malformed_error(&mut stream, &format!("wrong version {version}"));
+        assert_still_serving(&server);
     }
-    assert_still_serving(&server);
 
     // --- oversized length prefix ----------------------------------------
     {
@@ -117,7 +120,7 @@ fn corruption_classes_degrade_cleanly() {
 
     // --- checksum mismatch (payload bit flip) ----------------------------
     {
-        let mut frame = protocol::encode_request(&Request::Stats);
+        let mut frame = protocol::encode_request(&Request::Metrics);
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
         let mut stream = raw_connection(&server);
@@ -127,17 +130,17 @@ fn corruption_classes_degrade_cleanly() {
     assert_still_serving(&server);
 
     // --- garbage payload (valid frame, unknown request tag) --------------
-    {
-        let payload = [0xEEu8, 1, 2, 3];
-        let sum = pwcet_core::fnv1a_checksum(&payload);
+    // 0xEE was never a tag; 5 is the retired stats verb.
+    for payload in [&[0xEEu8, 1, 2, 3][..], &[5u8][..]] {
+        let sum = pwcet_core::fnv1a_checksum(payload);
         let mut stream = raw_connection(&server);
         stream
             .write_all(&header(MAGIC, VERSION, payload.len() as u64, sum))
             .expect("write");
-        stream.write_all(&payload).expect("write");
-        expect_malformed_error(&mut stream, "unknown tag");
+        stream.write_all(payload).expect("write");
+        expect_malformed_error(&mut stream, &format!("unknown tag {}", payload[0]));
+        assert_still_serving(&server);
     }
-    assert_still_serving(&server);
 
     // --- truncated frame: header promises more than ever arrives ---------
     {
@@ -161,13 +164,13 @@ fn corruption_classes_degrade_cleanly() {
 
     // --- mid-frame disconnect of a previously valid stream ---------------
     {
-        let frame = protocol::encode_request(&Request::Stats);
+        let frame = protocol::encode_request(&Request::Metrics);
         let mut stream = raw_connection(&server);
         // One complete request…
         stream.write_all(&frame).expect("write");
         assert!(matches!(
             read_response(&mut stream),
-            Some(Response::Stats(_))
+            Some(Response::Metrics { .. })
         ));
         // …then half a second one, then vanish.
         stream.write_all(&frame[..frame.len() / 2]).expect("write");

@@ -1,7 +1,7 @@
 //! Property: `decode(encode(m)) == m` for every request and response
 //! variant of the `PWCQ` protocol, over randomly generated programs,
-//! sweeps, rows, and stats — the wire format loses nothing and invents
-//! nothing.
+//! sweeps, rows, and metrics tables — the wire format loses nothing and
+//! invents nothing.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -12,7 +12,7 @@ use pwcet_obs::Stage;
 use pwcet_progen::{stmt, Program, Stmt};
 use pwcet_serve::protocol::{
     decode_request, decode_response, encode_request, encode_response, AnalysisRow, GeometryRow,
-    PfailRow, Request, Response, ServedFrom, ServiceStats, StageTiming,
+    PfailRow, Request, Response, ServedFrom, StageTiming,
 };
 use pwcet_serve::ErrorCode;
 
@@ -153,7 +153,6 @@ fn request_strategy() -> BoxedStrategy<Request> {
         (any::<u64>(), any::<u64>()).prop_map(|(key, trace)| Request::FetchEntry { key, trace }),
         (any::<u64>(), vec(any::<u8>(), 0..512))
             .prop_map(|(key, entry)| Request::OfferEntry { key, entry }),
-        Just(Request::Stats),
         Just(Request::Shutdown),
         Just(Request::Metrics),
     ]
@@ -208,105 +207,6 @@ fn analysis_row_strategy() -> BoxedStrategy<AnalysisRow> {
                 served_from,
             },
         )
-        .boxed()
-}
-
-fn stats_strategy() -> BoxedStrategy<ServiceStats> {
-    (
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            (
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u32>(),
-                any::<u32>(),
-            ),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        ),
-    )
-        .prop_map(|(a, b, c, d, e, (f, g))| ServiceStats {
-            shards: a.0,
-            queue_capacity: a.1,
-            queued: a.2,
-            connections: a.3,
-            served: a.4,
-            overloads: a.5,
-            protocol_errors: b.0,
-            served_memory: b.1,
-            served_disk: b.2,
-            served_derived: b.3,
-            served_network: b.4,
-            served_cold: b.5,
-            memory_hits: c.0,
-            memory_misses: c.1,
-            disk_hits: c.2,
-            disk_writes: c.3,
-            disk_corrupt: c.4,
-            derived: c.5,
-            cold_builds: d.0,
-            network_hits: d.1,
-            network_misses: d.2,
-            network_corrupt: d.3,
-            network_offers: d.4,
-            ilp_pivots: d.5,
-            ilp_dual_pivots: e.0,
-            ilp_bb_nodes: e.1,
-            ilp_warm_starts: e.2,
-            ilp_trivial_prunes: e.3,
-            classify_passes: e.4,
-            classify_words_touched: e.5,
-            classify_sets_skipped: f.0,
-            store_bytes: f.1,
-            peer_fetches_served: f.2,
-            peer_offers_stored: f.3,
-            peers: f.4,
-            peers_unhealthy: f.5,
-            template_hits: g.0,
-            basis_restores: g.1,
-            basis_rejects: g.2,
-            ilp_cold_starts: g.3,
-        })
         .boxed()
 }
 
@@ -398,7 +298,6 @@ fn response_strategy() -> BoxedStrategy<Response> {
                     stages,
                 }
             }),
-        stats_strategy().prop_map(|s| Response::Stats(Box::new(s))),
         vec((name_strategy(), any::<u64>()), 0..12)
             .prop_map(|entries| Response::Metrics { entries }),
         (any::<u64>(), proptest::option::of(vec(any::<u8>(), 0..512)))

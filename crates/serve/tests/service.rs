@@ -2,12 +2,59 @@
 //! restarts, bit-identical warm answers, deterministic backpressure, and
 //! draining shutdown.
 
+use std::collections::BTreeMap;
 use std::thread;
 
 use pwcet_core::{AnalysisConfig, Protection, PwcetAnalyzer, ReuseTier};
 use pwcet_progen::{stmt, Program};
 use pwcet_serve::protocol::{ErrorCode, Request, Response};
 use pwcet_serve::{AnalysisRow, Client, Server, ServerConfig};
+
+/// The 40 counter and gauge names the retired stats verb answered.
+/// Scrapers built against it keep finding every one of them in the
+/// metrics table.
+const LEGACY_STATS_NAMES: [&str; 40] = [
+    "shards",
+    "queue_capacity",
+    "queued",
+    "connections",
+    "served",
+    "overloads",
+    "protocol_errors",
+    "served_memory",
+    "served_disk",
+    "served_derived",
+    "served_network",
+    "served_cold",
+    "memory_hits",
+    "memory_misses",
+    "disk_hits",
+    "disk_writes",
+    "disk_corrupt",
+    "derived",
+    "cold_builds",
+    "network_hits",
+    "network_misses",
+    "network_corrupt",
+    "network_offers",
+    "peer_fetches_served",
+    "peer_offers_stored",
+    "peers",
+    "peers_unhealthy",
+    "ilp_pivots",
+    "ilp_dual_pivots",
+    "ilp_bb_nodes",
+    "ilp_warm_starts",
+    "ilp_cold_starts",
+    "ilp_trivial_prunes",
+    "template_hits",
+    "basis_restores",
+    "basis_rejects",
+    "classify_passes",
+    "classify_words_touched",
+    "classify_sets_skipped",
+    "store_bytes",
+];
 
 fn bench(name: &str) -> Program {
     pwcet_benchsuite::by_name(name)
@@ -69,19 +116,20 @@ fn second_client_is_served_bit_identically_from_the_memory_tier() {
         analysis.estimate(Protection::ReliableWay).pwcet_at(1e-15)
     );
 
+    // The cold analysis ran the ILP stage through the plane, so the
+    // plane reports solver behavior; the memory-tier duplicate reused
+    // its memoized artifacts and added nothing.
+    let ilp = server.reuse_plane().ilp_stats();
+    assert!(ilp.bb_nodes > 0, "solver counters reach the service");
+    assert!(
+        ilp.warm_starts > 0,
+        "the per-(set, fault) fan-out reuses the factored template basis"
+    );
+    assert!(ilp.pivots > 0);
     let stats = server.shutdown();
     assert_eq!(stats.served, 2);
     assert_eq!(stats.served_cold, 1);
     assert_eq!(stats.served_memory, 1);
-    // The cold analysis ran the ILP stage through the plane, so the
-    // stats response reports solver behavior; the memory-tier duplicate
-    // reused its memoized artifacts and added nothing.
-    assert!(stats.ilp_bb_nodes > 0, "solver counters reach the service");
-    assert!(
-        stats.ilp_warm_starts > 0,
-        "the per-(set, fault) fan-out reuses the factored template basis"
-    );
-    assert!(stats.ilp_pivots > 0);
 }
 
 #[test]
@@ -369,8 +417,9 @@ fn shutdown_drains_in_flight_work() {
     let mut controller = Client::connect(addr).expect("connect");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        let stats = controller.stats().expect("stats");
-        if stats.memory_misses > 0 || stats.queued > 0 || stats.served > 0 {
+        let stats = server.stats();
+        let memory_misses = server.reuse_plane().stats().memory.misses;
+        if memory_misses > 0 || stats.queued > 0 || stats.served > 0 {
             break;
         }
         assert!(
@@ -433,12 +482,10 @@ fn metrics_table_covers_legacy_stats_and_exact_quantiles() {
     assert!(stages.iter().any(|t| t.stage == pwcet_obs::Stage::Service));
 
     let table = client.metrics().expect("metrics verb");
-    let names: std::collections::BTreeMap<&str, u64> =
-        table.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    let names: BTreeMap<&str, u64> = table.iter().map(|(n, v)| (n.as_str(), *v)).collect();
 
-    // Every legacy ServiceStats counter appears under its frozen name —
-    // scrapers built against the struct keep working off the table.
-    for (legacy, _) in pwcet_serve::ServiceStats::default().entries() {
+    // The scrape over the wire carries every legacy stats name too.
+    for legacy in LEGACY_STATS_NAMES {
         assert!(
             names.contains_key(legacy),
             "metrics table is missing legacy counter {legacy:?}"
@@ -469,17 +516,53 @@ fn metrics_table_covers_legacy_stats_and_exact_quantiles() {
 fn stats_expose_tier_hit_counts() {
     let server = server_with(2, 8);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let before = client.stats().expect("stats");
-    assert_eq!(before.served, 0);
+    assert_eq!(server.stats().served, 0);
     analyze(&mut client, bench("fibcall"));
     analyze(&mut client, bench("fibcall"));
-    let after = client.stats().expect("stats");
+    let after = server.stats();
     assert_eq!(after.served, 2);
     assert_eq!(after.served_cold, 1);
     assert_eq!(after.served_memory, 1);
-    assert!(after.memory_hits >= 1);
+    assert!(server.reuse_plane().stats().memory.hits >= 1);
     assert_eq!(after.shards, 2);
     assert_eq!(after.queue_capacity, 8);
     assert!(after.connections >= 1);
+    server.shutdown();
+}
+
+#[test]
+fn metrics_table_keeps_every_legacy_stats_name() {
+    let server = server_with(2, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    assert_eq!(
+        analyze(&mut client, bench("fibcall")).0.served_from,
+        ReuseTier::Cold
+    );
+    assert_eq!(
+        analyze(&mut client, bench("fibcall")).0.served_from,
+        ReuseTier::Memory
+    );
+
+    let table: BTreeMap<String, u64> = server.metrics_table().into_iter().collect();
+    for name in LEGACY_STATS_NAMES {
+        assert!(
+            table.contains_key(name),
+            "metrics table is missing {name:?}"
+        );
+    }
+    // Plane, solver, classifier and template rows come from their
+    // owners' typed snapshots, not from a copy that could drift.
+    let plane = server.reuse_plane();
+    let reuse = plane.stats();
+    let ilp = plane.ilp_stats();
+    let kernel = plane.kernel_stats();
+    let templates = plane.template_registry().counters();
+    assert_eq!(table["memory_hits"], reuse.memory.hits);
+    assert_eq!(table["cold_builds"], reuse.cold_builds);
+    assert_eq!(table["ilp_pivots"], ilp.pivots);
+    assert_eq!(table["classify_passes"], kernel.passes);
+    assert_eq!(table["template_hits"], templates.template_hits);
+    assert_eq!((reuse.memory.hits, reuse.cold_builds), (1, 1));
+    assert!(ilp.pivots > 0 && kernel.passes > 0);
     server.shutdown();
 }

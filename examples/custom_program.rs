@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stage 4: the fault-aware estimate.
     let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default());
-    let analysis = analyzer.analyze_compiled(&compiled)?;
+    let (analysis, _) = analyzer.analyze_compiled(&compiled)?;
     for protection in Protection::all() {
         println!(
             "pWCET@1e-15 [{protection:>13}]: {} cycles",

@@ -10,7 +10,7 @@
 //! ```
 
 use fault_aware_pwcet::benchsuite;
-use fault_aware_pwcet::core::{AnalysisConfig, Protection, PwcetAnalyzer};
+use fault_aware_pwcet::core::{AnalysisConfig, AnalysisContext, Protection, PwcetAnalyzer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = benchsuite::by_name("crc").expect("crc is in the suite");
@@ -25,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // so the whole sweep shares one analysis context: the expanded CFG and
     // every CHMC level are built exactly once.
     let base = AnalysisConfig::paper_default();
-    let context = PwcetAnalyzer::new(base).build_context(&bench.program)?;
+    let compiled = bench.program.compile(base.code_base)?;
+    let context = AnalysisContext::build_with_mode(&compiled, base.geometry, base.classification)?;
     for pfail in [1e-13, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3] {
         let config = base.with_pfail(pfail)?;
         let analysis = PwcetAnalyzer::new(config).analyze_with_context(&context)?;

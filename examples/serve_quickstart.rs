@@ -8,7 +8,7 @@
 //!    tier, bit-identically;
 //! 3. a **pfail sweep** and a **geometry sweep** riding the same warm
 //!    contexts;
-//! 4. the service stats: per-tier served counts and plane counters;
+//! 4. the service's per-tier served counts and the plane's own counters;
 //! 5. graceful shutdown (in-flight work drains first).
 //!
 //! ```text
@@ -158,7 +158,8 @@ fn main() {
         other => panic!("unexpected response: {other:?}"),
     }
 
-    let stats = client.stats().expect("stats");
+    let stats = server.stats();
+    let plane = server.reuse_plane().stats();
     println!(
         "\nserved={} | served_from memory/disk/derived/cold = {}/{}/{}/{} | \
          plane: {} memory hits, {} disk writes, {} derived",
@@ -167,9 +168,9 @@ fn main() {
         stats.served_disk,
         stats.served_derived,
         stats.served_cold,
-        stats.memory_hits,
-        stats.disk_writes,
-        stats.derived,
+        plane.memory.hits,
+        plane.disk_writes,
+        plane.derived,
     );
 
     let final_stats = server.shutdown();

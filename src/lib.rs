@@ -37,7 +37,7 @@
 //! let bench = benchsuite::by_name("matmult").expect("benchmark exists");
 //! let config = AnalysisConfig::paper_default();
 //! let analyzer = PwcetAnalyzer::new(config);
-//! let estimate = analyzer.estimate(&bench.program, Protection::ReliableWay)?;
+//! let estimate = analyzer.analyze(&bench.program)?.estimate(Protection::ReliableWay);
 //! let pwcet = estimate.pwcet_at(1e-15);
 //! assert!(pwcet >= estimate.fault_free_wcet());
 //! # Ok(())

@@ -76,8 +76,9 @@ fn facade_reexports_compose() {
     let bench = benchsuite::by_name("matmult").expect("matmult exists");
     let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default());
     let estimate = analyzer
-        .estimate(&bench.program, Protection::ReliableWay)
-        .expect("analyzes");
+        .analyze(&bench.program)
+        .expect("analyzes")
+        .estimate(Protection::ReliableWay);
     assert!(estimate.pwcet_at(TARGET) >= estimate.fault_free_wcet());
 }
 

@@ -131,7 +131,8 @@ fn classification_is_parallelism_invariant_under_warm_start() {
 fn full_pipeline_warm_matches_cold_on_spanning_subset() {
     let cache = Arc::new(ContextCache::default());
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
-    let warm_analyzer = PwcetAnalyzer::new(warm_config()).with_cache(Arc::clone(&cache));
+    let warm_analyzer = PwcetAnalyzer::new(warm_config())
+        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
     for name in SPAN {
         let bench = benchsuite::by_name(name).unwrap();
         let cold = cold_analyzer.analyze(&bench.program).unwrap();
@@ -154,7 +155,7 @@ fn batch_with_cache_matches_cold_individual_analyses() {
         .collect();
     let cache = Arc::new(ContextCache::default());
     let batch = PwcetAnalyzer::new(warm_config())
-        .with_cache(Arc::clone(&cache))
+        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))))
         .analyze_batch(&programs)
         .unwrap();
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
@@ -179,13 +180,15 @@ fn assert_geometry_derivation_matches_cold(name: &str, plane: &Arc<ReusePlane>) 
         let derived = PwcetAnalyzer::new(warm_point)
             .with_reuse_plane(Arc::clone(plane))
             .analyze_compiled(&compiled)
-            .unwrap();
+            .unwrap()
+            .0;
 
         let mut cold_point = cold_config();
         cold_point.geometry = geometry;
         let cold = PwcetAnalyzer::new(cold_point)
             .analyze_compiled(&compiled)
-            .unwrap();
+            .unwrap()
+            .0;
         assert_analyses_identical(&format!("{name}@{}ways", geometry.ways()), &cold, &derived);
 
         // Classification levels of the derived context, against direct
@@ -332,7 +335,8 @@ fn packed_backend_matches_reference_across_the_entire_suite() {
 fn full_pipeline_warm_matches_cold_across_the_entire_suite() {
     let cache = Arc::new(ContextCache::default());
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
-    let warm_analyzer = PwcetAnalyzer::new(warm_config()).with_cache(Arc::clone(&cache));
+    let warm_analyzer = PwcetAnalyzer::new(warm_config())
+        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
     for bench in benchsuite::all() {
         let cold = cold_analyzer.analyze(&bench.program).unwrap();
         let warm = warm_analyzer.analyze(&bench.program).unwrap();

@@ -34,9 +34,10 @@ fn analyze_warm(name: &str, config: &AnalysisConfig) -> (ProgramAnalysis, FetchT
     let cache = Arc::new(ContextCache::default());
     let compiled = bench.program.compile(config.code_base).expect("compiles");
     let analysis = PwcetAnalyzer::new(*config)
-        .with_cache(Arc::clone(&cache))
+        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))))
         .analyze_compiled(&compiled)
-        .expect("analyzes");
+        .expect("analyzes")
+        .0;
     let trace = simulate(&compiled, FETCH_LIMIT).expect("simulates");
     (analysis, trace)
 }
@@ -89,7 +90,8 @@ fn derived_geometry_bounds_hold_against_simulation() {
             let analysis = PwcetAnalyzer::new(config)
                 .with_reuse_plane(Arc::clone(&plane))
                 .analyze_compiled(&compiled)
-                .expect("analyzes");
+                .expect("analyzes")
+                .0;
             let mut rng = StdRng::seed_from_u64(0x0DAC_2E00 + u64::from(geometry.ways()));
             for pbf in [0.1, 0.6] {
                 for _ in 0..15 {
