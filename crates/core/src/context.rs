@@ -34,10 +34,12 @@ use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
 use pwcet_ilp::{SolveStats, SolveStatsCell};
 use pwcet_ipet::{BasisSnapshot, IpetOptions, IpetTemplate, TemplateRegistry};
 use pwcet_par::{par_for_each_index, par_join, Parallelism};
+use pwcet_prob::{ConvolutionParams, DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::Fnv1a;
 use crate::error::CoreError;
+use crate::estimate::Protection;
 use crate::pipeline::{expand_compiled, SolveArtifacts};
 
 /// Per-set reference buckets: `index[s]` lists the `(node, reference
@@ -50,6 +52,114 @@ pub type SetRefIndex = Vec<Vec<(NodeId, usize)>>;
 /// parallelism are deliberately absent: they don't change the FMM, the
 /// SRB columns, or the fault-free WCET.
 pub(crate) type SolveKey = (CacheTiming, IpetOptions);
+
+/// Retention cap on one solve entry's penalty memo, counting first-seen
+/// markers and stored distributions alike: sixteen fault-model and
+/// convolution settings under each of the three protections. Repeat
+/// traffic touches a few; the cap bounds what a long-lived context keeps
+/// when a client sweeps many distinct settings over it.
+const PENALTY_MEMO_CAP: usize = 48;
+
+/// What a penalty distribution depends on beyond its solve entry, which
+/// already fixes the geometry, the timing and the fault miss map. Floats
+/// are compared by bit pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PenaltyKey {
+    pfail: u64,
+    prune_epsilon: u64,
+    max_support: usize,
+    protection: Protection,
+}
+
+impl PenaltyKey {
+    pub(crate) fn new(
+        fault_model: &FaultModel,
+        params: &ConvolutionParams,
+        protection: Protection,
+    ) -> Self {
+        Self {
+            pfail: fault_model.pfail().to_bits(),
+            prune_epsilon: params.prune_epsilon.to_bits(),
+            max_support: params.max_support,
+            protection,
+        }
+    }
+}
+
+/// Fault-penalty distributions memoized beside one solve entry's
+/// artifacts, in memory only: the disk tier persists the artifacts and
+/// never sees these.
+///
+/// A key's first computation leaves only a marker; its second stores the
+/// distribution. One-shot traffic (a sweep whose every point is new, a
+/// restarted server answering each key once) therefore retains nothing,
+/// while a repeated request pays the convolution twice and then never
+/// again.
+#[derive(Debug, Default)]
+pub(crate) struct PenaltyMemo {
+    /// `None` marks a key computed once. Bounded by [`PENALTY_MEMO_CAP`].
+    entries: Mutex<Vec<(PenaltyKey, Option<Arc<DiscreteDistribution>>)>>,
+}
+
+impl PenaltyMemo {
+    /// The distribution of `key`: the stored one, or what `compute`
+    /// returns. The convolution runs outside the lock; when two threads
+    /// race the first insert wins and the loser adopts it.
+    pub(crate) fn get_or_compute(
+        &self,
+        key: PenaltyKey,
+        compute: impl FnOnce() -> DiscreteDistribution,
+    ) -> Arc<DiscreteDistribution> {
+        {
+            let entries = self.entries.lock().expect("penalty memo lock");
+            if let Some((_, Some(stored))) = entries.iter().find(|(k, _)| *k == key) {
+                return Arc::clone(stored);
+            }
+        }
+        let computed = Arc::new(compute());
+        let mut entries = self.entries.lock().expect("penalty memo lock");
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, Some(stored))) => Arc::clone(stored),
+            Some((_, slot)) => {
+                *slot = Some(Arc::clone(&computed));
+                computed
+            }
+            None => {
+                if entries.len() < PENALTY_MEMO_CAP {
+                    entries.push((key, None));
+                }
+                computed
+            }
+        }
+    }
+
+    /// Number of stored distributions (markers excluded).
+    #[cfg(test)]
+    pub(crate) fn stored_count(&self) -> usize {
+        let entries = self.entries.lock().expect("penalty memo lock");
+        entries
+            .iter()
+            .filter(|(_, stored)| stored.is_some())
+            .count()
+    }
+}
+
+/// One memoized solve: the artifacts the disk tier persists and, beside
+/// them, the penalty memo derived from them.
+#[derive(Debug)]
+pub(crate) struct Solved {
+    pub(crate) artifacts: SolveArtifacts,
+    pub(crate) penalties: PenaltyMemo,
+}
+
+impl Solved {
+    fn new(artifacts: SolveArtifacts) -> Self {
+        Self {
+            artifacts,
+            penalties: PenaltyMemo::default(),
+        }
+    }
+}
 
 /// Immutable per-program analysis state, shared by all pipeline stages.
 ///
@@ -92,9 +202,10 @@ pub struct AnalysisContext {
     /// Incremental mode only; cold mode uses `levels[W]`.
     full: OnceLock<ClassifiedLevel>,
     srb: OnceLock<SrbMap>,
-    /// Solve-stage products per `(timing, IPET)` configuration. A plain
-    /// linear scan: real workloads touch one or two keys per context.
-    solved: Mutex<Vec<(SolveKey, Arc<SolveArtifacts>)>>,
+    /// Solve-stage products per `(timing, IPET)` configuration, each with
+    /// its penalty memo. A plain linear scan: real workloads touch one or
+    /// two keys per context.
+    solved: Mutex<Vec<(SolveKey, Arc<Solved>)>>,
     /// Per-context memo of registry-obtained IPET templates per
     /// [`IpetOptions`] — the shared constraint matrix every
     /// `(set, fault)` delta ILP, SRB column ILP, and fault-free WCET
@@ -407,11 +518,12 @@ impl AnalysisContext {
             + usize::from(self.full.get().is_some())
     }
 
-    /// The memoized solve-stage artifacts for `key`, running `compute` on
-    /// the first request. The (expensive, ILP-heavy) computation runs
-    /// outside the lock; when two threads race on the same key the first
-    /// insert wins and the loser adopts it, so every caller observes one
-    /// shared value. Failures are not cached.
+    /// The memoized solve-stage artifacts for `key` with their penalty
+    /// memo, running `compute` on the first request. The (expensive,
+    /// ILP-heavy) computation runs outside the lock; when two threads
+    /// race on the same key the first insert wins and the loser adopts
+    /// it, so every caller observes one shared value. Failures are not
+    /// cached.
     ///
     /// `compute` returns its solver counters alongside the artifacts;
     /// they are handed back (`Some`) only when *this* call's computation
@@ -421,21 +533,21 @@ impl AnalysisContext {
         &self,
         key: SolveKey,
         compute: impl FnOnce() -> Result<(SolveArtifacts, SolveStats), CoreError>,
-    ) -> Result<(Arc<SolveArtifacts>, Option<SolveStats>), CoreError> {
+    ) -> Result<(Arc<Solved>, Option<SolveStats>), CoreError> {
         {
             let solved = self.solved.lock().expect("solve memo lock");
-            if let Some((_, artifacts)) = solved.iter().find(|(k, _)| *k == key) {
-                return Ok((Arc::clone(artifacts), None));
+            if let Some((_, entry)) = solved.iter().find(|(k, _)| *k == key) {
+                return Ok((Arc::clone(entry), None));
             }
         }
         let (artifacts, stats) = compute()?;
-        let artifacts = Arc::new(artifacts);
+        let entry = Arc::new(Solved::new(artifacts));
         let mut solved = self.solved.lock().expect("solve memo lock");
         if let Some((_, existing)) = solved.iter().find(|(k, _)| *k == key) {
             return Ok((Arc::clone(existing), None));
         }
-        solved.push((key, Arc::clone(&artifacts)));
-        Ok((artifacts, Some(stats)))
+        solved.push((key, Arc::clone(&entry)));
+        Ok((entry, Some(stats)))
     }
 
     /// Number of distinct `(timing, IPET)` configurations whose solve
@@ -673,7 +785,7 @@ impl AnalysisContext {
                 .lock()
                 .expect("solve memo lock")
                 .iter()
-                .map(|(key, artifacts)| (*key, artifacts.as_ref().clone()))
+                .map(|(key, entry)| (*key, entry.artifacts.clone()))
                 .collect(),
             bases: self.collect_bases(),
         }
@@ -714,7 +826,7 @@ impl AnalysisContext {
         *context.solved.lock().expect("solve memo lock") = parts
             .solved
             .into_iter()
-            .map(|(key, artifacts)| (key, Arc::new(artifacts)))
+            .map(|(key, artifacts)| (key, Arc::new(Solved::new(artifacts))))
             .collect();
         *context.pending_bases.lock().expect("pending bases lock") = parts.bases;
         context
@@ -1040,6 +1152,57 @@ mod tests {
         // The template still answers — cold, and correctly.
         assert_eq!(template.bound(&costs).unwrap(), expected);
         assert_eq!(template.stats().cold_starts, 1);
+    }
+
+    /// Stored penalty distributions of the context's one solve entry.
+    fn stored_penalties(ctx: &AnalysisContext) -> usize {
+        let solved = ctx.solved.lock().unwrap();
+        assert_eq!(solved.len(), 1);
+        solved[0].1.penalties.stored_count()
+    }
+
+    #[test]
+    fn penalty_memo_admits_a_key_on_its_second_computation() {
+        use crate::{AnalysisConfig, Protection, PwcetAnalyzer};
+        let ctx = context();
+        let analysis = PwcetAnalyzer::new(AnalysisConfig::paper_default())
+            .analyze_with_context(&ctx)
+            .unwrap();
+        let first = analysis.penalty_distribution(Protection::None);
+        assert_eq!(
+            stored_penalties(&ctx),
+            0,
+            "a key computed once retains nothing"
+        );
+        let second = analysis.penalty_distribution(Protection::None);
+        assert_eq!(
+            stored_penalties(&ctx),
+            1,
+            "the second computation is stored"
+        );
+        let third = analysis.penalty_distribution(Protection::None);
+        assert!(Arc::ptr_eq(&second, &third), "the third request shares it");
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(first, third);
+    }
+
+    #[test]
+    fn penalty_memo_stays_at_its_cap_under_a_repeated_sweep() {
+        use crate::{AnalysisConfig, Protection, PwcetAnalyzer};
+        let ctx = context();
+        let pfails: Vec<f64> = (1..=64).map(|i| f64::from(i) * 1e-6).collect();
+        for _ in 0..2 {
+            for &pfail in &pfails {
+                let config = AnalysisConfig::paper_default().with_pfail(pfail).unwrap();
+                let analysis = PwcetAnalyzer::new(config)
+                    .analyze_with_context(&ctx)
+                    .unwrap();
+                for protection in Protection::all() {
+                    let _ = analysis.estimate(protection);
+                }
+            }
+        }
+        assert_eq!(stored_penalties(&ctx), PENALTY_MEMO_CAP);
     }
 
     #[test]

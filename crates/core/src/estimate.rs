@@ -1,6 +1,7 @@
 //! Protection levels and pWCET estimates.
 
 use std::fmt;
+use std::sync::Arc;
 
 use pwcet_prob::{DiscreteDistribution, ExceedancePoint};
 
@@ -48,15 +49,16 @@ impl fmt::Display for Protection {
 pub struct PwcetEstimate {
     protection: Protection,
     fault_free_wcet: u64,
-    /// Penalty distribution in cycles.
-    penalty: DiscreteDistribution,
+    /// Penalty distribution in cycles, shared with the context's penalty
+    /// memo when the distribution was retained there.
+    penalty: Arc<DiscreteDistribution>,
 }
 
 impl PwcetEstimate {
     pub(crate) fn new(
         protection: Protection,
         fault_free_wcet: u64,
-        penalty: DiscreteDistribution,
+        penalty: Arc<DiscreteDistribution>,
     ) -> Self {
         Self {
             protection,
@@ -147,7 +149,7 @@ mod tests {
         PwcetEstimate::new(
             Protection::None,
             wcet,
-            DiscreteDistribution::from_points(points.iter().copied()).unwrap(),
+            Arc::new(DiscreteDistribution::from_points(points.iter().copied()).unwrap()),
         )
     }
 

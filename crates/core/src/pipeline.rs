@@ -8,7 +8,10 @@
 //! 3. **Solve** — fan the per-`(set, fault)` delta ILPs (§II-C) and the
 //!    per-set SRB column ILPs (§III-B2) out across workers;
 //! 4. **Convolve** — combine per-set penalty distributions with the
-//!    balanced reduction tree of [`DiscreteDistribution::convolve_all`].
+//!    balanced reduction tree of [`DiscreteDistribution::convolve_all`],
+//!    on the calling thread. The result is memoized beside the solve
+//!    artifacts per (fault model, convolution parameters, protection)
+//!    from that key's second computation on.
 //!
 //! The sequential mode ([`Parallelism::Sequential`]) runs the identical
 //! stages on the calling thread and produces bit-identical results — the
@@ -26,7 +29,7 @@ use pwcet_prob::DiscreteDistribution;
 use pwcet_progen::{CompiledProgram, Program};
 
 use crate::config::AnalysisConfig;
-use crate::context::AnalysisContext;
+use crate::context::{AnalysisContext, PenaltyKey, Solved};
 use crate::error::CoreError;
 use crate::estimate::{Protection, PwcetEstimate};
 use crate::fmm::FaultMissMap;
@@ -175,7 +178,7 @@ impl PwcetAnalyzer {
             "context geometry must match the analyzer configuration"
         );
         let kernel_before = context.kernel_stats();
-        let (artifacts, stats) = context
+        let (solved, stats) = context
             .solve_artifacts((self.config.timing, self.config.ipet), || {
                 solve_protection_independent(context, &self.config)
             })?;
@@ -198,7 +201,7 @@ impl PwcetAnalyzer {
         Ok(ProgramAnalysis {
             config: self.config,
             name: context.name().to_string(),
-            artifacts,
+            solved,
         })
     }
 
@@ -244,8 +247,9 @@ impl PwcetAnalyzer {
 
 /// The protection-independent products of the ILP solve stage: everything
 /// an estimate needs that does not depend on the fault model. Memoized
-/// inside [`AnalysisContext`] per `(timing, IPET)` configuration and
-/// shared by every [`ProgramAnalysis`] derived from the same context.
+/// inside [`AnalysisContext`] per `(timing, IPET)` configuration, beside
+/// the penalty memo derived from them, and shared by every
+/// [`ProgramAnalysis`] derived from the same context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SolveArtifacts {
     pub(crate) fault_free_wcet: u64,
@@ -412,7 +416,7 @@ fn solve_protection_independent(
 pub struct ProgramAnalysis {
     config: AnalysisConfig,
     name: String,
-    artifacts: Arc<SolveArtifacts>,
+    solved: Arc<Solved>,
 }
 
 impl ProgramAnalysis {
@@ -423,17 +427,17 @@ impl ProgramAnalysis {
 
     /// The deterministic fault-free WCET in cycles.
     pub fn fault_free_wcet(&self) -> u64 {
-        self.artifacts.fault_free_wcet
+        self.solved.artifacts.fault_free_wcet
     }
 
     /// The fault miss map (unprotected columns `f = 1..=W`).
     pub fn fmm(&self) -> &FaultMissMap {
-        &self.artifacts.fmm
+        &self.solved.artifacts.fmm
     }
 
     /// The recomputed `f = W` column under the SRB, per set.
     pub fn srb_last_column(&self) -> &[u64] {
-        &self.artifacts.srb_last_column
+        &self.solved.artifacts.srb_last_column
     }
 
     /// The configuration the analysis ran with.
@@ -445,11 +449,29 @@ impl ProgramAnalysis {
     /// level: per-set binomial mixtures over the fault miss map, convolved
     /// across independent sets (§II-C) and scaled by the miss penalty.
     ///
-    /// The per-set distributions are combined by the balanced reduction
+    /// The context memoizes the result per (fault model, convolution
+    /// parameters, protection): a key's first computation leaves a
+    /// marker, its second stores the distribution, and later requests on
+    /// the same resident context share that copy instead of convolving.
+    pub fn penalty_distribution(&self, protection: Protection) -> Arc<DiscreteDistribution> {
+        // Memo hits stay inside the span, so the stage breakdown still
+        // reports the convolve stage of every estimate.
+        let _span = pwcet_obs::stage_span(pwcet_obs::Stage::Convolve);
+        let key = PenaltyKey::new(
+            &self.config.fault_model,
+            &self.config.convolution,
+            protection,
+        );
+        self.solved
+            .penalties
+            .get_or_compute(key, || self.convolve(protection))
+    }
+
+    /// Computes [`penalty_distribution`](Self::penalty_distribution):
+    /// the per-set distributions are combined by the balanced reduction
     /// tree of [`DiscreteDistribution::convolve_all`] — `O(n log n)`
     /// support growth instead of the quadratic left fold.
-    pub fn penalty_distribution(&self, protection: Protection) -> DiscreteDistribution {
-        let _span = pwcet_obs::stage_span(pwcet_obs::Stage::Convolve);
+    fn convolve(&self, protection: Protection) -> DiscreteDistribution {
         let geometry = self.config.geometry;
         let ways = geometry.ways();
         let pbf = self
@@ -495,12 +517,8 @@ impl ProgramAnalysis {
             })
             .collect();
 
-        DiscreteDistribution::convolve_all_parallel(
-            &per_set,
-            &self.config.convolution,
-            self.config.parallelism,
-        )
-        .scale_values(self.config.timing.miss_penalty_cycles())
+        DiscreteDistribution::convolve_all(&per_set, &self.config.convolution)
+            .scale_values(self.config.timing.miss_penalty_cycles())
     }
 
     /// Assembles the pWCET estimate for one protection level.

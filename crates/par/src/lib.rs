@@ -9,7 +9,7 @@
 //! [`Parallelism`] is the user-facing knob carried in the analysis
 //! configuration: `Sequential` (the reference mode), `Auto` (one worker
 //! per available core, overridable with the `PWCET_THREADS` environment
-//! variable), or an explicit thread count.
+//! variable; resolved once per process), or an explicit thread count.
 //!
 //! # Example
 //!
@@ -24,7 +24,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// How a fan-out stage schedules its work items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,8 @@ pub enum Parallelism {
     /// property tests compare against).
     Sequential,
     /// One worker per available core; the `PWCET_THREADS` environment
-    /// variable overrides the count when set to a positive integer.
+    /// variable overrides the count when set to a positive integer. Both
+    /// are read once, on the first `Auto` resolution of the process.
     Auto,
     /// Exactly this many workers.
     Threads(NonZeroUsize),
@@ -52,17 +53,26 @@ impl Parallelism {
     pub fn worker_count(self, items: usize) -> usize {
         let configured = match self {
             Self::Sequential => 1,
-            Self::Auto => std::env::var("PWCET_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-                }),
+            Self::Auto => auto_workers(),
             Self::Threads(n) => n.get(),
         };
         configured.min(items).max(1)
     }
+}
+
+/// The worker count of [`Parallelism::Auto`]: `PWCET_THREADS` when it
+/// holds a positive integer, else the available core count. Resolved once
+/// per process: `available_parallelism` reads cgroup limits, which costs
+/// more than a small fan-out it would schedule.
+fn auto_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::env::var("PWCET_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    })
 }
 
 impl Default for Parallelism {
@@ -290,6 +300,15 @@ mod tests {
         assert_eq!(Parallelism::threads(8).worker_count(0), 1);
         assert_eq!(Parallelism::Sequential.worker_count(100), 1);
         assert!(Parallelism::Auto.worker_count(100) >= 1);
+    }
+
+    #[test]
+    fn auto_resolution_is_stable() {
+        let first = Parallelism::Auto.worker_count(usize::MAX);
+        assert!(first >= 1);
+        for _ in 0..4 {
+            assert_eq!(Parallelism::Auto.worker_count(usize::MAX), first);
+        }
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use pwcet_par::{par_map, Parallelism};
-
 use crate::error::{check_probability, ProbError};
 
 /// Tolerance applied when checking that total probability mass does not
@@ -387,32 +385,19 @@ impl DiscreteDistribution {
     /// ```
     #[must_use]
     pub fn convolve_all(parts: &[Self], params: &ConvolutionParams) -> Self {
-        Self::convolve_all_parallel(parts, params, Parallelism::Sequential)
-    }
-
-    /// As [`convolve_all`](Self::convolve_all), fanning each tree level's
-    /// independent pairwise convolutions out across worker threads.
-    ///
-    /// The pairing is fixed by index, so the result is **bit-identical**
-    /// for every [`Parallelism`] mode.
-    #[must_use]
-    pub fn convolve_all_parallel(
-        parts: &[Self],
-        params: &ConvolutionParams,
-        parallelism: Parallelism,
-    ) -> Self {
         // One tree level: convolve neighbor pairs, carry an odd leftover.
         fn reduce_level(
             level: &[DiscreteDistribution],
             params: &ConvolutionParams,
-            parallelism: Parallelism,
         ) -> Vec<DiscreteDistribution> {
-            let pairs: Vec<&[DiscreteDistribution]> = level.chunks(2).collect();
-            par_map(parallelism, &pairs, |chunk| match *chunk {
-                [ref a, ref b] => a.convolve_with(b, params),
-                [ref odd] => odd.clone(),
-                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-            })
+            level
+                .chunks(2)
+                .map(|chunk| match chunk {
+                    [a, b] => a.convolve_with(b, params),
+                    [odd] => odd.clone(),
+                    _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
+                })
+                .collect()
         }
 
         match parts {
@@ -422,9 +407,9 @@ impl DiscreteDistribution {
             _ => {
                 // The first level borrows `parts` directly — no upfront
                 // clone of the whole input.
-                let mut level = reduce_level(parts, params, parallelism);
+                let mut level = reduce_level(parts, params);
                 while level.len() > 1 {
-                    level = reduce_level(&level, params, parallelism);
+                    level = reduce_level(&level, params);
                 }
                 level.pop().expect("non-empty input leaves one root")
             }
@@ -748,24 +733,6 @@ mod tests {
         for (&(vt, pt), &(vf, pf)) in tree.points().iter().zip(fold.points()) {
             assert_eq!(vt, vf);
             assert!((pt - pf).abs() < 1e-12, "probability at {vt} diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_tree_is_bit_identical_to_sequential_tree() {
-        let parts: Vec<DiscreteDistribution> = (0..16u64)
-            .map(|s| dist(&[(0, 0.95), (10 + s, 0.04), (100 + 7 * s, 0.01)]))
-            .collect();
-        let params = ConvolutionParams::default();
-        let sequential =
-            DiscreteDistribution::convolve_all_parallel(&parts, &params, Parallelism::Sequential);
-        for threads in [2, 5, 16] {
-            let parallel = DiscreteDistribution::convolve_all_parallel(
-                &parts,
-                &params,
-                Parallelism::threads(threads),
-            );
-            assert_eq!(sequential, parallel, "{threads} threads diverged");
         }
     }
 

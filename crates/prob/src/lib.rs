@@ -42,4 +42,3 @@ pub use binomial::{binomial_coefficient, binomial_pmf};
 pub use distribution::{ConvolutionParams, DiscreteDistribution, ExceedancePoint};
 pub use error::ProbError;
 pub use model::FaultModel;
-pub use pwcet_par::Parallelism;

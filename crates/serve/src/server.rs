@@ -372,7 +372,7 @@ impl Engine {
                     .analyzer(config)
                     .analyze_compiled(&compiled)
                     .map_err(|e| e.to_string())?;
-                Ok(Outcome::Row(row_of(&analysis, tier, target_p)))
+                Ok(Outcome::Row(row_of(&analysis, tier, target_p)?))
             }
             Work::SweepPfail {
                 compiled,
@@ -390,9 +390,9 @@ impl Engine {
                     served.get_or_insert(tier);
                     rows.push(PfailRow {
                         pfail,
-                        pwcet_none: pwcet_at(&analysis, Protection::None, target_p),
-                        pwcet_srb: pwcet_at(&analysis, Protection::SharedReliableBuffer, target_p),
-                        pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p),
+                        pwcet_none: pwcet_at(&analysis, Protection::None, target_p)?,
+                        pwcet_srb: pwcet_at(&analysis, Protection::SharedReliableBuffer, target_p)?,
+                        pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p)?,
                     });
                 }
                 Ok(Outcome::Pfail {
@@ -418,9 +418,9 @@ impl Engine {
                     served.get_or_insert(tier);
                     rows.push(GeometryRow {
                         ways: geometry.ways(),
-                        pwcet_none: pwcet_at(&analysis, Protection::None, target_p),
-                        pwcet_srb: pwcet_at(&analysis, Protection::SharedReliableBuffer, target_p),
-                        pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p),
+                        pwcet_none: pwcet_at(&analysis, Protection::None, target_p)?,
+                        pwcet_srb: pwcet_at(&analysis, Protection::SharedReliableBuffer, target_p)?,
+                        pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p)?,
                     });
                 }
                 Ok(Outcome::Geometry {
@@ -433,19 +433,38 @@ impl Engine {
     }
 }
 
-fn pwcet_at(analysis: &ProgramAnalysis, protection: Protection, target_p: f64) -> u64 {
-    analysis.estimate(protection).pwcet_at(target_p)
+/// The pWCET at `target_p`, or an error when the convolution's pruning
+/// tail alone exceeds `target_p`: the quantile is then unbounded, and the
+/// request's probability is valid, so this is an analysis refusal rather
+/// than a malformed request.
+fn pwcet_at(
+    analysis: &ProgramAnalysis,
+    protection: Protection,
+    target_p: f64,
+) -> Result<u64, String> {
+    let estimate = analysis.estimate(protection);
+    estimate.try_pwcet_at(target_p).ok_or_else(|| {
+        format!(
+            "target_p {target_p:e} is below the pruning tail mass {:e} of the \
+             penalty distribution ({protection}): the pWCET at target_p is unbounded",
+            estimate.penalty_distribution().tail_mass()
+        )
+    })
 }
 
-fn row_of(analysis: &ProgramAnalysis, tier: ReuseTier, target_p: f64) -> AnalysisRow {
-    AnalysisRow {
+fn row_of(
+    analysis: &ProgramAnalysis,
+    tier: ReuseTier,
+    target_p: f64,
+) -> Result<AnalysisRow, String> {
+    Ok(AnalysisRow {
         name: analysis.name().to_string(),
         fault_free_wcet: analysis.fault_free_wcet(),
-        pwcet_none: pwcet_at(analysis, Protection::None, target_p),
-        pwcet_srb: pwcet_at(analysis, Protection::SharedReliableBuffer, target_p),
-        pwcet_rw: pwcet_at(analysis, Protection::ReliableWay, target_p),
+        pwcet_none: pwcet_at(analysis, Protection::None, target_p)?,
+        pwcet_srb: pwcet_at(analysis, Protection::SharedReliableBuffer, target_p)?,
+        pwcet_rw: pwcet_at(analysis, Protection::ReliableWay, target_p)?,
         served_from: tier,
-    }
+    })
 }
 
 struct Shared {

@@ -351,6 +351,34 @@ fn invalid_requests_are_refused_not_crashed() {
 }
 
 #[test]
+fn target_below_the_pruning_tail_is_refused_without_a_panic() {
+    let server = server_with(1, 4);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // adpcm's penalty distributions fold a nonzero mass into the pruning
+    // tail, so no finite pWCET is exceeded with probability 1e-40 or
+    // less. The probability itself is valid: an analysis refusal.
+    let response = client
+        .analyze(bench("adpcm"), 1e-4, 1e-40)
+        .expect("transport ok");
+    let Response::Error { code, message, .. } = response else {
+        panic!("expected a refusal, got {response:?}");
+    };
+    assert_eq!(code, ErrorCode::Analysis);
+    assert!(
+        message.contains("target_p") && message.contains("tail mass"),
+        "the refusal names the target and the tail: {message:?}"
+    );
+    let table: BTreeMap<String, u64> = server.metrics_table().into_iter().collect();
+    assert_eq!(table["worker_panics"], 0, "the worker never panicked");
+
+    // The connection and the shard both survived.
+    let (row, _) = analyze(&mut client, bench("adpcm"));
+    assert_eq!(row.served_from, ReuseTier::Memory);
+    server.shutdown();
+}
+
+#[test]
 fn full_shard_queue_answers_overloaded() {
     // One shard, queue capacity 1, and a burst of six concurrent heavy
     // requests: at most one runs and one queues, so at least one client

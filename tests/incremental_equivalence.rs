@@ -13,7 +13,10 @@
 //!   (`#[ignore]`d, exercised by the nightly CI `--include-ignored` step);
 //! * the bit-packed word-parallel classification kernel against the frozen
 //!   set-based reference backend (`packed_backend_*` tests — spanning
-//!   subset always on, complete suite nightly).
+//!   subset always on, complete suite nightly);
+//! * the per-context penalty-distribution memo against plane-less fresh
+//!   convolutions (`penalty_memo_*` tests — spanning subset always on,
+//!   complete suite nightly).
 
 use std::sync::Arc;
 
@@ -21,11 +24,13 @@ use fault_aware_pwcet::analysis::{
     classify, classify_level_from_with, classify_level_with, classify_srb_with, ClassifierBackend,
 };
 use fault_aware_pwcet::benchsuite;
-use fault_aware_pwcet::cache::GeometryLattice;
+use fault_aware_pwcet::cache::{CacheGeometry, GeometryLattice};
 use fault_aware_pwcet::core::{
     expand_compiled, AnalysisConfig, AnalysisContext, ClassificationMode, ContextCache,
-    Parallelism, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane,
+    Parallelism, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
 };
+use fault_aware_pwcet::prob::{ConvolutionParams, DiscreteDistribution};
+use fault_aware_pwcet::progen::CompiledProgram;
 
 const TARGET_PROBABILITIES: [f64; 4] = [1e-3, 1e-9, 1e-15, 1.0];
 
@@ -343,4 +348,217 @@ fn full_pipeline_warm_matches_cold_across_the_entire_suite() {
         assert_analyses_identical(bench.name, &cold, &warm);
     }
     assert_eq!(cache.stats().misses as usize, benchsuite::all().len());
+}
+
+/// The `pfail` points of the penalty-memo tests.
+const MEMO_PFAILS: [f64; 3] = [1e-5, 1e-4, 1e-3];
+
+/// A penalty distribution as exact bits: support values with their
+/// probabilities' bit patterns, and the pruning tail's bit pattern.
+fn distribution_bits(distribution: &DiscreteDistribution) -> (Vec<(u64, u64)>, u64) {
+    (
+        distribution
+            .points()
+            .iter()
+            .map(|&(value, p)| (value, p.to_bits()))
+            .collect(),
+        distribution.tail_mass().to_bits(),
+    )
+}
+
+/// Serves every `(pfail, protection)` three times through `plane` at
+/// `geometry`: the first computation leaves a memo marker, the second
+/// stores the distribution, the third is a memo hit. Every answer must
+/// match a plane-less fresh analysis bit for bit, and the first request
+/// must come from `first_tier`.
+fn assert_served_penalties_match_fresh(
+    what: &str,
+    compiled: &CompiledProgram,
+    plane: &Arc<ReusePlane>,
+    geometry: CacheGeometry,
+    first_tier: ReuseTier,
+) {
+    let mut tiers = Vec::new();
+    for pfail in MEMO_PFAILS {
+        let mut config = warm_config().with_pfail(pfail).unwrap();
+        config.geometry = geometry;
+        let fresh = PwcetAnalyzer::new(config)
+            .analyze_compiled(compiled)
+            .unwrap()
+            .0;
+        for protection in Protection::all() {
+            let expected = distribution_bits(&fresh.penalty_distribution(protection));
+            let served: Vec<_> = (0..3)
+                .map(|_| {
+                    let (analysis, tier) = PwcetAnalyzer::new(config)
+                        .with_reuse_plane(Arc::clone(plane))
+                        .analyze_compiled(compiled)
+                        .unwrap();
+                    tiers.push(tier);
+                    assert_eq!(analysis.fault_free_wcet(), fresh.fault_free_wcet());
+                    analysis.estimate(protection)
+                })
+                .collect();
+            for (i, estimate) in served.iter().enumerate() {
+                assert_eq!(
+                    distribution_bits(estimate.penalty_distribution()),
+                    expected,
+                    "{what}/{protection}/pfail {pfail}: estimate {}",
+                    i + 1
+                );
+            }
+            let [first, second, third] = [0, 1, 2].map(|i| served[i].penalty_distribution());
+            assert!(
+                !std::ptr::eq(first, second) && std::ptr::eq(second, third),
+                "{what}/{protection}/pfail {pfail}: the second computation is \
+                 stored and the third shares it"
+            );
+        }
+    }
+    assert_eq!(tiers[0], first_tier, "{what}: first request's tier");
+    assert!(
+        tiers[1..].iter().all(|&tier| tier == ReuseTier::Memory),
+        "{what}: later requests hit the memory tier"
+    );
+}
+
+/// Penalty-memo identity of one benchmark on four kinds of context: a
+/// cold build, a resident memory-tier context, a disk restore in a second
+/// plane over the first plane's store, and a derived narrower sibling.
+fn assert_penalty_memo_matches_fresh(name: &str) {
+    let bench = benchsuite::by_name(name).unwrap();
+    let compiled = bench.program.compile(warm_config().code_base).unwrap();
+    let lattice = GeometryLattice::paper_default();
+    let wide = lattice.widest();
+    let narrow = lattice.members().last().unwrap();
+    let warm_plane = |plane: &Arc<ReusePlane>, geometry: CacheGeometry| {
+        let mut config = warm_config();
+        config.geometry = geometry;
+        PwcetAnalyzer::new(config)
+            .with_reuse_plane(Arc::clone(plane))
+            .analyze_compiled(&compiled)
+            .unwrap();
+    };
+
+    let cold = Arc::new(ReusePlane::in_memory());
+    assert_served_penalties_match_fresh(
+        &format!("{name} cold"),
+        &compiled,
+        &cold,
+        wide,
+        ReuseTier::Cold,
+    );
+
+    let resident = Arc::new(ReusePlane::in_memory());
+    warm_plane(&resident, wide);
+    assert_served_penalties_match_fresh(
+        &format!("{name} memory"),
+        &compiled,
+        &resident,
+        wide,
+        ReuseTier::Memory,
+    );
+
+    let store =
+        std::env::temp_dir().join(format!("pwcet-penalty-memo-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let writer = Arc::new(ReusePlane::in_memory().with_disk_tier(&store).unwrap());
+    warm_plane(&writer, wide);
+    let restarted = Arc::new(ReusePlane::in_memory().with_disk_tier(&store).unwrap());
+    assert_served_penalties_match_fresh(
+        &format!("{name} disk"),
+        &compiled,
+        &restarted,
+        wide,
+        ReuseTier::Disk,
+    );
+    let _ = std::fs::remove_dir_all(&store);
+
+    let family = Arc::new(ReusePlane::in_memory());
+    warm_plane(&family, wide);
+    assert_served_penalties_match_fresh(
+        &format!("{name} derived"),
+        &compiled,
+        &family,
+        narrow,
+        ReuseTier::Derived,
+    );
+}
+
+#[test]
+fn penalty_memo_matches_fresh_convolution_on_spanning_subset() {
+    for name in SPAN {
+        assert_penalty_memo_matches_fresh(name);
+    }
+}
+
+#[test]
+#[ignore = "runs the penalty-memo identity across the complete 25-benchmark suite (~minutes); nightly CI runs it via --include-ignored"]
+fn penalty_memo_matches_fresh_convolution_across_the_entire_suite() {
+    for bench in benchsuite::all() {
+        assert_penalty_memo_matches_fresh(bench.name);
+    }
+}
+
+#[test]
+fn penalty_memo_keys_every_component() {
+    // One resident context answers two fault models under three
+    // convolution settings in alternation; the settings differ from the
+    // default in one parameter each. A memo key that dropped the fault
+    // model or either parameter would hand a setting the distribution
+    // stored for another one.
+    let program = benchsuite::by_name("crc").unwrap().program;
+    let default = ConvolutionParams::default();
+    let convolutions = [
+        default,
+        ConvolutionParams {
+            prune_epsilon: 1e-12,
+            ..default
+        },
+        ConvolutionParams {
+            max_support: 64,
+            ..default
+        },
+    ];
+    let settings: Vec<AnalysisConfig> = [1e-5, 1e-3]
+        .into_iter()
+        .flat_map(|pfail| {
+            convolutions.map(|convolution| AnalysisConfig {
+                convolution,
+                ..warm_config().with_pfail(pfail).unwrap()
+            })
+        })
+        .collect();
+    let fresh: Vec<_> = settings
+        .iter()
+        .map(|config| {
+            let analysis = PwcetAnalyzer::new(*config).analyze(&program).unwrap();
+            Protection::all().map(|p| distribution_bits(&analysis.penalty_distribution(p)))
+        })
+        .collect();
+    for (i, a) in fresh.iter().enumerate() {
+        for b in &fresh[i + 1..] {
+            assert_ne!(a[0], b[0], "the settings must yield distinct distributions");
+        }
+    }
+
+    let plane = Arc::new(ReusePlane::in_memory());
+    for round in 0..3 {
+        for (config, expected) in settings.iter().zip(&fresh) {
+            let served = PwcetAnalyzer::new(*config)
+                .with_reuse_plane(Arc::clone(&plane))
+                .analyze(&program)
+                .unwrap();
+            for (protection, expected) in Protection::all().into_iter().zip(expected) {
+                assert_eq!(
+                    &distribution_bits(served.estimate(protection).penalty_distribution()),
+                    expected,
+                    "round {round}, pfail {}, {:?}, {protection}",
+                    config.fault_model.pfail(),
+                    config.convolution
+                );
+            }
+        }
+    }
+    assert_eq!(plane.stats().cold_builds, 1, "one resident context");
 }
