@@ -2,12 +2,11 @@
 
 use std::sync::Arc;
 
-use pwcet_cache::CacheGeometry;
+use pwcet_cache::{CacheGeometry, MemBlock};
 use pwcet_cfg::{ExpandedCfg, NodeId};
 
 use crate::acs::{Acs, AnalysisKind};
 use crate::chmc::{Chmc, ChmcMap, Scope};
-use crate::fixpoint::{analyze, analyze_seeded};
 use crate::packed::{
     analyze_packed, analyze_packed_seeded, BlockInterner, KernelStatsCell, PackedAcs,
 };
@@ -28,33 +27,14 @@ pub enum ClassificationMode {
     Incremental,
 }
 
-/// Which abstract-domain representation runs the Must/May fixpoints.
-///
-/// Both backends produce **bit-identical** [`ClassifiedLevel`]s — the
-/// packed kernel is pinned against the set-based oracle by the proptest
-/// suite of `tests/packed_equivalence.rs` and the pipeline-level
-/// differential tests, the same oracle-plus-differential pattern the ILP
-/// solver's `SolverBackend` uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ClassifierBackend {
-    /// The bit-packed word-parallel kernel with dirty-set worklist
-    /// tracking (`crate::packed` — the production path).
-    #[default]
-    Packed,
-    /// The frozen `BTreeSet`-based [`Acs`] domain — the oracle the
-    /// equivalence suites compare against. Deliberately uninstrumented:
-    /// it records no [`KernelStats`](crate::KernelStats).
-    SetReference,
-}
-
 /// The converged analysis artifacts of one associativity level: the CHMC
 /// classification plus the packed Must/May fixpoint states it was read
 /// off, kept so lower levels can be warm-started from them.
 ///
-/// States are stored packed regardless of the backend that computed them
-/// (the set-based reference converts on the way out); the interner is
-/// deterministic for a given CFG and `(sets, block_bytes)`, so equality
-/// of levels is bit-equality of their slot words.
+/// States are stored packed (the set-based oracle of [`crate::reference`]
+/// converts on the way out); the interner is deterministic for a given
+/// CFG and `(sets, block_bytes)`, so equality of levels is bit-equality
+/// of their slot words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassifiedLevel {
     assoc: u32,
@@ -132,9 +112,9 @@ impl ClassifiedLevel {
 /// over always-miss (May absence) over not-classified. With `assoc == 0`
 /// every fetch is always-miss — the behavior of a fully disabled set.
 ///
-/// This is the cold path under the default packed backend; see
+/// This is the cold path of the packed kernel; see
 /// [`classify_level_from`] for the warm-started incremental variant and
-/// [`classify_level_with`] for backend selection.
+/// [`crate::reference`] for the set-based oracle.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 pub fn classify(cfg: &ExpandedCfg, geometry: &CacheGeometry, assoc: u32) -> ChmcMap {
@@ -144,33 +124,28 @@ pub fn classify(cfg: &ExpandedCfg, geometry: &CacheGeometry, assoc: u32) -> Chmc
 /// As [`classify`], additionally returning the converged Must/May states
 /// so the next-lower level can be warm-started from them.
 pub fn classify_level(cfg: &ExpandedCfg, geometry: &CacheGeometry, assoc: u32) -> ClassifiedLevel {
-    classify_level_with(cfg, geometry, assoc, ClassifierBackend::default(), None)
+    classify_level_with(cfg, geometry, assoc, None)
 }
 
-/// [`classify_level`] with an explicit backend and optional kernel
-/// counters (recorded by the packed backend only).
+/// [`classify_level`] recording the kernel's counters into `stats`.
 pub fn classify_level_with(
     cfg: &ExpandedCfg,
     geometry: &CacheGeometry,
     assoc: u32,
-    backend: ClassifierBackend,
     stats: Option<&KernelStatsCell>,
 ) -> ClassifiedLevel {
     let interner = Arc::new(BlockInterner::build(cfg, geometry));
     if assoc == 0 {
         return zero_level(cfg, interner);
     }
-    match backend {
-        ClassifierBackend::Packed => {
-            let must = analyze_packed(cfg, geometry, assoc, AnalysisKind::Must, &interner, stats);
-            let may = analyze_packed(cfg, geometry, assoc, AnalysisKind::May, &interner, stats);
-            combine_packed(cfg, geometry, assoc, interner, must, may)
-        }
-        ClassifierBackend::SetReference => {
-            let must = analyze(cfg, geometry, assoc, AnalysisKind::Must);
-            let may = analyze(cfg, geometry, assoc, AnalysisKind::May);
-            combine_reference(cfg, geometry, assoc, interner, must, may)
-        }
+    let must = analyze_packed(cfg, geometry, assoc, AnalysisKind::Must, &interner, stats);
+    let may = analyze_packed(cfg, geometry, assoc, AnalysisKind::May, &interner, stats);
+    ClassifiedLevel {
+        assoc,
+        chmc: read_chmc(cfg, geometry, assoc, &must, &may),
+        interner,
+        must,
+        may,
     }
 }
 
@@ -213,26 +188,46 @@ pub fn classify_level_from(
     warmer: &ClassifiedLevel,
     assoc: u32,
 ) -> ClassifiedLevel {
-    classify_level_from_with(
-        cfg,
-        geometry,
-        warmer,
-        assoc,
-        ClassifierBackend::default(),
-        None,
-    )
+    classify_level_from_with(cfg, geometry, warmer, assoc, None)
 }
 
-/// [`classify_level_from`] with an explicit backend and optional kernel
-/// counters (recorded by the packed backend only).
+/// [`classify_level_from`] recording the kernel's counters into `stats`.
+///
+/// # Panics
+///
+/// As for [`classify_level_from`].
 pub fn classify_level_from_with(
     cfg: &ExpandedCfg,
     geometry: &CacheGeometry,
     warmer: &ClassifiedLevel,
     assoc: u32,
-    backend: ClassifierBackend,
     stats: Option<&KernelStatsCell>,
 ) -> ClassifiedLevel {
+    check_warm_start(geometry, warmer, assoc);
+    let interner = Arc::clone(&warmer.interner);
+    if assoc == 0 {
+        return zero_level(cfg, interner);
+    }
+    let truncate_all = |states: &[Option<PackedAcs>]| -> Vec<Option<PackedAcs>> {
+        states
+            .iter()
+            .map(|s| s.as_ref().map(|acs| acs.truncate(assoc)))
+            .collect()
+    };
+    let must = analyze_packed_seeded(cfg, geometry, truncate_all(&warmer.must), stats);
+    let may = analyze_packed_seeded(cfg, geometry, truncate_all(&warmer.may), stats);
+    ClassifiedLevel {
+        assoc,
+        chmc: read_chmc(cfg, geometry, assoc, &must, &may),
+        interner,
+        must,
+        may,
+    }
+}
+
+/// The preconditions of a warm start from `warmer` to `assoc` under
+/// `geometry` (see [`classify_level_from`]).
+pub(crate) fn check_warm_start(geometry: &CacheGeometry, warmer: &ClassifiedLevel, assoc: u32) {
     assert!(
         assoc < warmer.assoc,
         "warm start requires a strictly wider source level \
@@ -251,38 +246,10 @@ pub fn classify_level_from_with(
             "warm start requires matching block sizes"
         );
     }
-    let interner = Arc::clone(&warmer.interner);
-    if assoc == 0 {
-        return zero_level(cfg, interner);
-    }
-    match backend {
-        ClassifierBackend::Packed => {
-            let truncate_all = |states: &[Option<PackedAcs>]| -> Vec<Option<PackedAcs>> {
-                states
-                    .iter()
-                    .map(|s| s.as_ref().map(|acs| acs.truncate(assoc)))
-                    .collect()
-            };
-            let must = analyze_packed_seeded(cfg, geometry, truncate_all(&warmer.must), stats);
-            let may = analyze_packed_seeded(cfg, geometry, truncate_all(&warmer.may), stats);
-            combine_packed(cfg, geometry, assoc, interner, must, may)
-        }
-        ClassifierBackend::SetReference => {
-            let truncate_all = |states: &[Option<PackedAcs>]| -> Vec<Option<Acs>> {
-                states
-                    .iter()
-                    .map(|s| s.as_ref().map(|acs| acs.truncate(assoc).to_acs()))
-                    .collect()
-            };
-            let must = analyze_seeded(cfg, geometry, truncate_all(&warmer.must));
-            let may = analyze_seeded(cfg, geometry, truncate_all(&warmer.may));
-            combine_reference(cfg, geometry, assoc, interner, must, may)
-        }
-    }
 }
 
 /// The trivial level of a fully disabled set: every fetch always misses.
-fn zero_level(cfg: &ExpandedCfg, interner: Arc<BlockInterner>) -> ClassifiedLevel {
+pub(crate) fn zero_level(cfg: &ExpandedCfg, interner: Arc<BlockInterner>) -> ClassifiedLevel {
     ClassifiedLevel {
         assoc: 0,
         chmc: ChmcMap::new(
@@ -297,70 +264,43 @@ fn zero_level(cfg: &ExpandedCfg, interner: Arc<BlockInterner>) -> ClassifiedLeve
     }
 }
 
-/// Reads the classification off converged packed Must/May states
-/// (§II-B1 precedence: Must > Persistence > May-absence >
-/// not-classified).
-fn combine_packed(
-    cfg: &ExpandedCfg,
-    geometry: &CacheGeometry,
-    assoc: u32,
-    interner: Arc<BlockInterner>,
-    must: Vec<Option<PackedAcs>>,
-    may: Vec<Option<PackedAcs>>,
-) -> ClassifiedLevel {
-    let persistence: Vec<Vec<Option<Scope>>> = persistent_scopes(cfg, geometry, assoc);
-    let per_node = cfg
-        .nodes()
-        .iter()
-        .map(|node| {
-            let id: NodeId = node.id();
-            let (Some(must_state), Some(may_state)) = (&must[id], &may[id]) else {
-                // Unreachable node: classify conservatively.
-                return vec![Chmc::NotClassified; node.addrs().len()];
-            };
-            let mut must_state = must_state.clone();
-            let mut may_state = may_state.clone();
-            node.addrs()
-                .iter()
-                .enumerate()
-                .map(|(i, &addr)| {
-                    let block = geometry.block_of(addr);
-                    let class = if must_state.contains(block) {
-                        Chmc::AlwaysHit
-                    } else if let Some(scope) = persistence[id][i] {
-                        Chmc::FirstMiss(scope)
-                    } else if !may_state.contains(block) {
-                        Chmc::AlwaysMiss
-                    } else {
-                        Chmc::NotClassified
-                    };
-                    must_state.update(block);
-                    may_state.update(block);
-                    class
-                })
-                .collect()
-        })
-        .collect();
-    ClassifiedLevel {
-        assoc,
-        chmc: ChmcMap::new(per_node),
-        interner,
-        must,
-        may,
+/// What the CHMC and SRB readouts need of a converged abstract state —
+/// the packed production domain and the set-based oracle alike.
+pub(crate) trait CacheState: Clone {
+    fn contains(&self, block: MemBlock) -> bool;
+    fn update(&mut self, block: MemBlock);
+}
+
+impl CacheState for PackedAcs {
+    fn contains(&self, block: MemBlock) -> bool {
+        PackedAcs::contains(self, block)
+    }
+
+    fn update(&mut self, block: MemBlock) {
+        PackedAcs::update(self, block);
     }
 }
 
-/// As [`combine_packed`], over the set-based oracle states; the final
-/// states are converted to the packed representation on the way out so
-/// both backends store (and serialize) identical levels.
-fn combine_reference(
+impl CacheState for Acs {
+    fn contains(&self, block: MemBlock) -> bool {
+        Acs::contains(self, block)
+    }
+
+    fn update(&mut self, block: MemBlock) {
+        Acs::update(self, block);
+    }
+}
+
+/// Reads the classification off converged Must/May node-entry states
+/// (§II-B1 precedence: Must > Persistence > May-absence >
+/// not-classified).
+pub(crate) fn read_chmc<S: CacheState>(
     cfg: &ExpandedCfg,
     geometry: &CacheGeometry,
     assoc: u32,
-    interner: Arc<BlockInterner>,
-    must: Vec<Option<Acs>>,
-    may: Vec<Option<Acs>>,
-) -> ClassifiedLevel {
+    must: &[Option<S>],
+    may: &[Option<S>],
+) -> ChmcMap {
     let persistence: Vec<Vec<Option<Scope>>> = persistent_scopes(cfg, geometry, assoc);
     let per_node = cfg
         .nodes()
@@ -394,20 +334,7 @@ fn combine_reference(
                 .collect()
         })
         .collect();
-    let pack_all = |states: Vec<Option<Acs>>| -> Vec<Option<PackedAcs>> {
-        states
-            .into_iter()
-            .map(|s| s.map(|acs| PackedAcs::from_acs(&acs, &interner)))
-            .collect()
-    };
-    let (must, may) = (pack_all(must), pack_all(may));
-    ClassifiedLevel {
-        assoc,
-        chmc: ChmcMap::new(per_node),
-        interner,
-        must,
-        may,
-    }
+    ChmcMap::new(per_node)
 }
 
 /// Which references are guaranteed hits in the Shared Reliable Buffer.
@@ -462,64 +389,52 @@ impl SrbMap {
 /// all paths) touches the same memory block — the buffer then provably
 /// holds the block even if the reference's own set is fully faulty.
 pub fn classify_srb(cfg: &ExpandedCfg, geometry: &CacheGeometry) -> SrbMap {
-    classify_srb_with(cfg, geometry, ClassifierBackend::default(), None)
+    classify_srb_with(cfg, geometry, None)
 }
 
-/// [`classify_srb`] with an explicit backend and optional kernel
-/// counters (recorded by the packed backend only).
+/// [`classify_srb`] recording the kernel's counters into `stats`.
 pub fn classify_srb_with(
     cfg: &ExpandedCfg,
     geometry: &CacheGeometry,
-    backend: ClassifierBackend,
     stats: Option<&KernelStatsCell>,
 ) -> SrbMap {
-    // One set, one way, same block size: the SRB as a cache.
-    let srb_geometry = CacheGeometry::new(1, 1, geometry.block_bytes());
-    let per_node = match backend {
-        ClassifierBackend::Packed => {
-            let interner = Arc::new(BlockInterner::build(cfg, &srb_geometry));
-            let must = analyze_packed(cfg, &srb_geometry, 1, AnalysisKind::Must, &interner, stats);
-            cfg.nodes()
+    let srb_geometry = srb_geometry(geometry);
+    let interner = Arc::new(BlockInterner::build(cfg, &srb_geometry));
+    let must = analyze_packed(cfg, &srb_geometry, 1, AnalysisKind::Must, &interner, stats);
+    read_srb(cfg, &srb_geometry, &must)
+}
+
+/// One set, one way, same block size: the SRB as a cache.
+pub(crate) fn srb_geometry(geometry: &CacheGeometry) -> CacheGeometry {
+    CacheGeometry::new(1, 1, geometry.block_bytes())
+}
+
+/// Reads the SRB hit map off converged Must node-entry states of the
+/// SRB pseudo-geometry.
+pub(crate) fn read_srb<S: CacheState>(
+    cfg: &ExpandedCfg,
+    srb_geometry: &CacheGeometry,
+    must: &[Option<S>],
+) -> SrbMap {
+    let per_node = cfg
+        .nodes()
+        .iter()
+        .map(|node| {
+            let Some(state) = &must[node.id()] else {
+                return vec![false; node.addrs().len()];
+            };
+            let mut state = state.clone();
+            node.addrs()
                 .iter()
-                .map(|node| {
-                    let Some(state) = &must[node.id()] else {
-                        return vec![false; node.addrs().len()];
-                    };
-                    let mut state = state.clone();
-                    node.addrs()
-                        .iter()
-                        .map(|&addr| {
-                            let block = srb_geometry.block_of(addr);
-                            let hit = state.contains(block);
-                            state.update(block);
-                            hit
-                        })
-                        .collect()
+                .map(|&addr| {
+                    let block = srb_geometry.block_of(addr);
+                    let hit = state.contains(block);
+                    state.update(block);
+                    hit
                 })
                 .collect()
-        }
-        ClassifierBackend::SetReference => {
-            let must = analyze(cfg, &srb_geometry, 1, AnalysisKind::Must);
-            cfg.nodes()
-                .iter()
-                .map(|node| {
-                    let Some(state) = &must[node.id()] else {
-                        return vec![false; node.addrs().len()];
-                    };
-                    let mut state = state.clone();
-                    node.addrs()
-                        .iter()
-                        .map(|&addr| {
-                            let block = srb_geometry.block_of(addr);
-                            let hit = state.contains(block);
-                            state.update(block);
-                            hit
-                        })
-                        .collect()
-                })
-                .collect()
-        }
-    };
+        })
+        .collect();
     SrbMap { per_node }
 }
 
@@ -527,6 +442,7 @@ pub fn classify_srb_with(
 mod tests {
     use super::*;
     use crate::chmc::Scope;
+    use crate::reference;
     use pwcet_cfg::FunctionExtent;
     use pwcet_progen::{stmt, Program};
 
@@ -626,9 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn backends_produce_bit_identical_levels() {
-        // The tentpole guarantee at the unit level: packed and set-based
-        // backends agree on every level — CHMC, states, cold and warm.
+    fn packed_kernel_matches_the_set_based_oracle() {
+        // Unit-level identity: the packed kernel and the set-based oracle
+        // agree on every level — CHMC, states, cold and warm.
         let cfg = build(
             Program::new("bk")
                 .with_function(
@@ -646,61 +562,37 @@ mod tests {
         );
         let g = geometry();
         for assoc in 0..=4u32 {
-            let packed = classify_level_with(&cfg, &g, assoc, ClassifierBackend::Packed, None);
-            let reference =
-                classify_level_with(&cfg, &g, assoc, ClassifierBackend::SetReference, None);
-            assert_eq!(packed, reference, "cold level {assoc}");
+            assert_eq!(
+                classify_level(&cfg, &g, assoc),
+                reference::classify_level(&cfg, &g, assoc),
+                "cold level {assoc}"
+            );
         }
-        let packed_full = classify_level_with(&cfg, &g, 4, ClassifierBackend::Packed, None);
+        let full = classify_level(&cfg, &g, 4);
         for assoc in 0..4u32 {
-            let packed = classify_level_from_with(
-                &cfg,
-                &g,
-                &packed_full,
-                assoc,
-                ClassifierBackend::Packed,
-                None,
+            assert_eq!(
+                classify_level_from(&cfg, &g, &full, assoc),
+                reference::classify_level_from(&cfg, &g, &full, assoc),
+                "warm level {assoc}"
             );
-            let reference = classify_level_from_with(
-                &cfg,
-                &g,
-                &packed_full,
-                assoc,
-                ClassifierBackend::SetReference,
-                None,
-            );
-            assert_eq!(packed, reference, "warm level {assoc}");
         }
         assert_eq!(
-            classify_srb_with(&cfg, &g, ClassifierBackend::Packed, None),
-            classify_srb_with(&cfg, &g, ClassifierBackend::SetReference, None),
+            classify_srb(&cfg, &g),
+            reference::classify_srb(&cfg, &g),
             "SRB map"
         );
     }
 
     #[test]
-    fn packed_backend_records_kernel_stats() {
+    fn packed_kernel_records_kernel_stats() {
         let cfg =
             build(Program::new("ks").with_function("main", stmt::loop_(8, stmt::compute(40))));
         let g = geometry();
         let cell = KernelStatsCell::default();
-        let _ = classify_level_with(&cfg, &g, 4, ClassifierBackend::Packed, Some(&cell));
+        let _ = classify_level_with(&cfg, &g, 4, Some(&cell));
         let snapshot = cell.snapshot();
         assert!(snapshot.passes > 0);
         assert!(snapshot.words_touched > 0);
-        let reference_cell = KernelStatsCell::default();
-        let _ = classify_level_with(
-            &cfg,
-            &g,
-            4,
-            ClassifierBackend::SetReference,
-            Some(&reference_cell),
-        );
-        assert_eq!(
-            reference_cell.snapshot(),
-            crate::KernelStats::default(),
-            "the reference backend is deliberately uninstrumented"
-        );
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! geometry with a single one-way set (the shared reliable buffer),
 //! conservatively routing *every* reference through the buffer.
 //!
+//! The fixpoints run on a bit-packed word-parallel domain. The original
+//! set-based domain ([`Acs`]) stays as the oracle: [`reference`] holds
+//! the classification entry points built on it, which the equivalence
+//! suites compare the packed kernel against.
+//!
 //! # Example
 //!
 //! ```
@@ -54,13 +59,13 @@ mod classify;
 mod fixpoint;
 mod packed;
 mod persistence;
+pub mod reference;
 
 pub use acs::{Acs, AnalysisKind};
 pub use chmc::{Chmc, ChmcMap, ChmcStats, Scope};
 pub use classify::{
     classify, classify_level, classify_level_from, classify_level_from_with, classify_level_with,
-    classify_srb, classify_srb_with, ClassificationMode, ClassifiedLevel, ClassifierBackend,
-    SrbMap,
+    classify_srb, classify_srb_with, ClassificationMode, ClassifiedLevel, SrbMap,
 };
 pub use fixpoint::{analyze, analyze_seeded};
 pub use packed::{

@@ -517,9 +517,7 @@ fn join_region_in_place(
 /// behaved.
 ///
 /// Recorded by [`analyze_packed`] / [`analyze_packed_seeded`] into a
-/// [`KernelStatsCell`]; zeroes for the set-based reference backend,
-/// which is deliberately uninstrumented (like the ILP solver's dense
-/// reference).
+/// [`KernelStatsCell`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
     /// Worklist pops — node re-evaluations across all fixpoints.

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pwcet_analysis::classify;
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_core::expand_compiled;
-use pwcet_ipet::{ipet_bound, tree_bound, CostModel, IpetOptions};
+use pwcet_ipet::{ipet_bound, tree_bound, CostModel};
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines");
@@ -26,26 +26,7 @@ fn bench_engines(c: &mut Criterion) {
         let costs = CostModel::from_chmc(&cfg, &chmc, &CacheTiming::paper_default());
 
         group.bench_with_input(BenchmarkId::new("ipet_ilp", name), &(), |b, ()| {
-            b.iter(|| {
-                std::hint::black_box(
-                    ipet_bound(&cfg, &costs, &IpetOptions::default()).expect("solves"),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("ipet_lp_relaxed", name), &(), |b, ()| {
-            b.iter(|| {
-                std::hint::black_box(
-                    ipet_bound(
-                        &cfg,
-                        &costs,
-                        &IpetOptions {
-                            require_integral: false,
-                            ..Default::default()
-                        },
-                    )
-                    .expect("solves"),
-                )
-            })
+            b.iter(|| std::hint::black_box(ipet_bound(&cfg, &costs).expect("solves")))
         });
         group.bench_with_input(BenchmarkId::new("tree", name), &(), |b, ()| {
             b.iter(|| std::hint::black_box(tree_bound(&compiled, &cfg, &costs)))

@@ -223,7 +223,6 @@ fn bench_geometry_sweep(c: &mut Criterion) {
     // time) vs. warm objective re-solves against the one cross-geometry
     // template the registry shares across siblings. This is the stage the
     // template registry accelerates inside the ways4321 rows above.
-    let options = warm_config.ipet;
     let plane = Arc::new(ReusePlane::in_memory());
     let ilp_points: Vec<_> = lattice
         .members()
@@ -240,7 +239,7 @@ fn bench_geometry_sweep(c: &mut Criterion) {
             // Untimed: build (or hit) the shared template and factor its
             // prototype basis once, so the warm row times only the
             // objective re-solves — the steady state of a sweep.
-            let template = context.ipet_template(options);
+            let template = context.ipet_template();
             template.bound(&costs).expect("solves");
             (context, costs, template)
         })
@@ -248,9 +247,7 @@ fn bench_geometry_sweep(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("ilp4321", "cold"), |b| {
         b.iter(|| {
             for (context, costs, _) in &ilp_points {
-                criterion::black_box(
-                    pwcet_ipet::ipet_bound(context.cfg(), costs, &options).expect("solves"),
-                );
+                criterion::black_box(pwcet_ipet::ipet_bound(context.cfg(), costs).expect("solves"));
             }
         })
     });

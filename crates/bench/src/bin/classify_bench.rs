@@ -4,12 +4,12 @@
 //! Reproduces the exact classification workload of one context build on
 //! `nsichneu` — the cold full-associativity Must/May fixpoint, every
 //! narrower level warm-started from it by age truncation, and the SRB
-//! replay — and times it under both [`ClassifierBackend`]s:
+//! replay — and times it on both kernels:
 //!
-//! * **cold** — `SetReference`: per-set `BTreeSet` age slots, the frozen
-//!   pre-packing oracle;
-//! * **packed** — `Packed`: interned dense block indices, one `u64`
-//!   bitset lane group per age, shift/AND/OR transfer and join.
+//! * **cold** — `reference_chain`: per-set `BTreeSet` age slots, the
+//!   frozen pre-packing oracle;
+//! * **packed** — `classify_chain`: interned dense block indices, one
+//!   `u64` bitset lane group per age, shift/AND/OR transfer and join.
 //!
 //! Both chains are asserted bit-identical before any number is
 //! recorded. Results are upserted as `classify_*` rows of
@@ -21,13 +21,14 @@
 
 use std::time::Instant;
 
-use pwcet_analysis::ClassifierBackend;
 use pwcet_bench::bench_json::{json_str, upsert};
-use pwcet_bench::classify_workload::{classify_chain, expanded_cfg};
+use pwcet_bench::classify_workload::{classify_chain, expanded_cfg, reference_chain, Chain};
+use pwcet_cache::CacheGeometry;
+use pwcet_cfg::ExpandedCfg;
 use pwcet_core::AnalysisConfig;
 
 const PROGRAM: &str = "nsichneu";
-/// Timed repetitions per backend — the chain is deterministic, repeats
+/// Timed repetitions per kernel — the chain is deterministic, repeats
 /// only average out scheduler noise.
 const REPS: u32 = 3;
 
@@ -43,31 +44,30 @@ fn main() {
         geometry.ways(),
     );
 
-    // Untimed warm-up of both backends (lazy statics, allocator growth)
+    // Untimed warm-up of both kernels (lazy statics, allocator growth)
     // doubling as the bit-identity check: the packed kernel must agree
     // with the reference on every level and the SRB map before its
     // timing means anything.
-    let packed_chain = classify_chain(&cfg, &geometry, ClassifierBackend::Packed);
-    let reference_chain = classify_chain(&cfg, &geometry, ClassifierBackend::SetReference);
+    let packed = classify_chain(&cfg, &geometry);
+    let reference = reference_chain(&cfg, &geometry);
     assert_eq!(
-        packed_chain.0, reference_chain.0,
+        packed.0, reference.0,
         "packed levels must be bit-identical to the reference"
     );
     assert_eq!(
-        packed_chain.1, reference_chain.1,
+        packed.1, reference.1,
         "packed SRB map must be identical to the reference"
     );
 
-    let time = |backend: ClassifierBackend| -> u64 {
+    let time = |run: fn(&ExpandedCfg, &CacheGeometry) -> Chain| -> u64 {
         let start = Instant::now();
         for _ in 0..REPS {
-            let chain = classify_chain(&cfg, &geometry, backend);
-            std::hint::black_box(&chain);
+            std::hint::black_box(run(&cfg, &geometry));
         }
         start.elapsed().as_nanos() as u64 / u64::from(REPS)
     };
-    let cold_ns = time(ClassifierBackend::SetReference);
-    let packed_ns = time(ClassifierBackend::Packed);
+    let cold_ns = time(reference_chain);
+    let packed_ns = time(classify_chain);
 
     let speedup = cold_ns as f64 / packed_ns.max(1) as f64;
     eprintln!(

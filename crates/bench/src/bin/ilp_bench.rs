@@ -27,9 +27,9 @@ use std::time::Instant;
 
 use pwcet_bench::bench_json::{json_str, upsert};
 use pwcet_bench::ilp_workload::{hard_knapsack, solve_stage_models};
-use pwcet_core::{AnalysisConfig, SolverBackend};
+use pwcet_core::AnalysisConfig;
 use pwcet_ilp::BranchAndBoundOptions;
-use pwcet_ipet::ipet_bound;
+use pwcet_ipet::{ipet_bound, ipet_bound_reference};
 
 const PROGRAM: &str = "nsichneu";
 
@@ -40,12 +40,10 @@ fn main() {
     eprintln!("{PROGRAM}: {jobs} solve-stage ILPs");
 
     // Dense reference: fresh tableau per job.
-    let mut dense_options = config.ipet;
-    dense_options.solver = SolverBackend::DenseReference;
     let start = Instant::now();
     let dense_bounds: Vec<u64> = models
         .iter()
-        .map(|m| ipet_bound(context.cfg(), m, &dense_options).expect("dense solves"))
+        .map(|m| ipet_bound_reference(context.cfg(), m).expect("dense solves"))
         .collect();
     let dense_ns = start.elapsed().as_nanos() as u64;
 
@@ -53,14 +51,14 @@ fn main() {
     let start = Instant::now();
     let cold_bounds: Vec<u64> = models
         .iter()
-        .map(|m| ipet_bound(context.cfg(), m, &config.ipet).expect("cold solves"))
+        .map(|m| ipet_bound(context.cfg(), m).expect("cold solves"))
         .collect();
     let cold_ns = start.elapsed().as_nanos() as u64;
 
     // Template warm: one factored matrix, objective-only re-solves
     // (template construction included — it is part of the warm path).
     let start = Instant::now();
-    let template = context.ipet_template(config.ipet);
+    let template = context.ipet_template();
     let warm_bounds: Vec<u64> = models
         .iter()
         .map(|m| template.bound(m).expect("warm solves"))

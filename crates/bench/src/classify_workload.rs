@@ -4,18 +4,22 @@
 //! A context materializes one cold fixpoint at full associativity,
 //! warm-starts every narrower level from it by age truncation, and runs
 //! the SRB pseudo-geometry replay. This module rebuilds that exact
-//! chain behind an explicit [`ClassifierBackend`] so `classify_bench`
-//! and the `classify_speedup_gate` time the packed word-parallel kernel
-//! against the frozen set-based reference on the real workload — one
-//! definition, so the gate measures exactly what the bench records.
+//! chain twice — on the packed production kernel ([`classify_chain`])
+//! and on the frozen set-based oracle ([`reference_chain`]) — so
+//! `classify_bench` and the `classify_speedup_gate` time one against
+//! the other on the real workload: one definition, so the gate measures
+//! exactly what the bench records.
 
 use pwcet_analysis::{
-    classify_level_from_with, classify_level_with, classify_srb_with, ClassifiedLevel,
-    ClassifierBackend, SrbMap,
+    classify_level, classify_level_from, classify_srb, reference, ClassifiedLevel, SrbMap,
 };
 use pwcet_cache::CacheGeometry;
 use pwcet_cfg::ExpandedCfg;
 use pwcet_core::{expand_compiled, AnalysisConfig};
+
+/// The classification levels of one chain (widest first) and its SRB
+/// map.
+pub type Chain = (Vec<ClassifiedLevel>, SrbMap);
 
 /// The expanded CFG of benchmark `name` under `config`.
 ///
@@ -29,26 +33,45 @@ pub fn expanded_cfg(name: &str, config: &AnalysisConfig) -> ExpandedCfg {
     expand_compiled(&compiled).expect("CFG builds")
 }
 
-/// Runs the full classification chain of one context build under
-/// `backend`: the cold full-associativity fixpoint, every narrower
+/// Runs the full classification chain of one context build on the
+/// packed kernel: the cold full-associativity fixpoint, every narrower
 /// level (`ways-1` down to `0`) warm-started from it, and the SRB map.
-/// Levels are returned widest first.
-pub fn classify_chain(
+pub fn classify_chain(cfg: &ExpandedCfg, geometry: &CacheGeometry) -> Chain {
+    chain(
+        cfg,
+        geometry,
+        classify_level,
+        classify_level_from,
+        classify_srb,
+    )
+}
+
+/// [`classify_chain`] on the frozen set-based oracle.
+pub fn reference_chain(cfg: &ExpandedCfg, geometry: &CacheGeometry) -> Chain {
+    chain(
+        cfg,
+        geometry,
+        reference::classify_level,
+        reference::classify_level_from,
+        reference::classify_srb,
+    )
+}
+
+fn chain(
     cfg: &ExpandedCfg,
     geometry: &CacheGeometry,
-    backend: ClassifierBackend,
-) -> (Vec<ClassifiedLevel>, SrbMap) {
+    level: fn(&ExpandedCfg, &CacheGeometry, u32) -> ClassifiedLevel,
+    level_from: fn(&ExpandedCfg, &CacheGeometry, &ClassifiedLevel, u32) -> ClassifiedLevel,
+    srb: fn(&ExpandedCfg, &CacheGeometry) -> SrbMap,
+) -> Chain {
     let ways = geometry.ways();
-    let full = classify_level_with(cfg, geometry, ways, backend, None);
+    let full = level(cfg, geometry, ways);
     let mut levels = Vec::with_capacity(ways as usize + 1);
     for assoc in (0..ways).rev() {
-        levels.push(classify_level_from_with(
-            cfg, geometry, &full, assoc, backend, None,
-        ));
+        levels.push(level_from(cfg, geometry, &full, assoc));
     }
     levels.insert(0, full);
-    let srb = classify_srb_with(cfg, geometry, backend, None);
-    (levels, srb)
+    (levels, srb(cfg, geometry))
 }
 
 #[cfg(test)]
@@ -56,11 +79,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chain_is_backend_invariant() {
+    fn chain_matches_the_reference() {
         let config = AnalysisConfig::paper_default();
         let cfg = expanded_cfg("fibcall", &config);
-        let packed = classify_chain(&cfg, &config.geometry, ClassifierBackend::Packed);
-        let reference = classify_chain(&cfg, &config.geometry, ClassifierBackend::SetReference);
+        let packed = classify_chain(&cfg, &config.geometry);
+        let reference = reference_chain(&cfg, &config.geometry);
         assert_eq!(packed.0, reference.0, "levels must be bit-identical");
         assert_eq!(packed.1, reference.1, "SRB maps must be identical");
         assert_eq!(

@@ -105,11 +105,11 @@ mod tests {
         let config = AnalysisConfig::paper_default();
         let (context, models) = solve_stage_models("fibcall", &config);
         assert!(models.len() > 1, "WCET model plus at least one delta");
-        let template = context.ipet_template(config.ipet);
+        let template = context.ipet_template();
         for (i, model) in models.iter().enumerate() {
             assert_eq!(
                 template.bound(model).expect("warm solve"),
-                ipet_bound(context.cfg(), model, &config.ipet).expect("cold solve"),
+                ipet_bound(context.cfg(), model).expect("cold solve"),
                 "model {i}"
             );
         }

@@ -15,8 +15,7 @@
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use pwcet_analysis::ClassifierBackend;
-use pwcet_bench::classify_workload::{classify_chain, expanded_cfg};
+use pwcet_bench::classify_workload::{classify_chain, expanded_cfg, reference_chain};
 use pwcet_core::AnalysisConfig;
 
 const PROGRAM: &str = "nsichneu";
@@ -31,11 +30,11 @@ fn packed_kernel_meets_the_gate_on_all_runners() {
     let geometry = config.geometry;
     let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
-    // Untimed warm-up of both backends, doubling as the bit-identity
+    // Untimed warm-up of both kernels, doubling as the bit-identity
     // check: a fast kernel that disagrees with the reference gates
     // nothing.
-    let packed = classify_chain(&cfg, &geometry, ClassifierBackend::Packed);
-    let reference = classify_chain(&cfg, &geometry, ClassifierBackend::SetReference);
+    let packed = classify_chain(&cfg, &geometry);
+    let reference = reference_chain(&cfg, &geometry);
     assert_eq!(
         packed.0, reference.0,
         "packed levels must be bit-identical to the reference"
@@ -46,12 +45,12 @@ fn packed_kernel_meets_the_gate_on_all_runners() {
     );
 
     let start = Instant::now();
-    let cold = classify_chain(&cfg, &geometry, ClassifierBackend::SetReference);
+    let cold = reference_chain(&cfg, &geometry);
     let cold_s = start.elapsed().as_secs_f64();
     std::hint::black_box(&cold);
 
     let start = Instant::now();
-    let fast = classify_chain(&cfg, &geometry, ClassifierBackend::Packed);
+    let fast = classify_chain(&cfg, &geometry);
     let fast_s = start.elapsed().as_secs_f64();
     std::hint::black_box(&fast);
 

@@ -40,17 +40,17 @@ fn template_warm_start_meets_the_gate_on_all_runners() {
     let (context, models) = solve_stage_models(PROGRAM, &config);
 
     // Untimed warm-up (lazy statics, allocator growth).
-    let _ = ipet_bound(context.cfg(), &models[0], &config.ipet).expect("solves");
+    let _ = ipet_bound(context.cfg(), &models[0]).expect("solves");
 
     let start = Instant::now();
     let cold: Vec<u64> = models
         .iter()
-        .map(|m| ipet_bound(context.cfg(), m, &config.ipet).expect("cold solves"))
+        .map(|m| ipet_bound(context.cfg(), m).expect("cold solves"))
         .collect();
     let cold_s = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let template = context.ipet_template(config.ipet);
+    let template = context.ipet_template();
     let warm: Vec<u64> = models
         .iter()
         .map(|m| template.bound(m).expect("warm solves"))

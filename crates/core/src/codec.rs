@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "PWCX"
-//! 4       4     format version (u32, currently 3)
+//! 4       4     format version (u32, currently 4)
 //! 8       8     payload length in bytes (u64)
 //! 16      8     FNV-1a checksum of the payload (u64)
 //! 24      …     payload
@@ -27,9 +27,11 @@
 //!
 //! The CFG itself is *not* serialized: entries are keyed by the content
 //! fingerprint of the program image and CFG metadata, so the loader
-//! re-expands the graph from the compiled program it already holds (cheap
-//! next to the fixpoints) and only the expensive converged artifacts ride
-//! on disk.
+//! re-expands the graph from the compiled program it already holds and
+//! only the converged artifacts ride on disk. Re-expansion is not free —
+//! on a disk hit it costs a sizable share of the lookup, beside the file
+//! read and the decode — but it keeps entries small and gives every
+//! decoded table a live graph to be cross-checked against.
 
 use std::fmt;
 use std::sync::Arc;
@@ -40,7 +42,7 @@ use pwcet_analysis::{
 };
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::ExpandedCfg;
-use pwcet_ipet::{BasisSnapshot, IpetOptions, SolverBackend};
+use pwcet_ipet::BasisSnapshot;
 
 use crate::context::ContextParts;
 use crate::fmm::FaultMissMap;
@@ -58,10 +60,12 @@ pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
 /// from the kernel representation — no per-block overhead, and decoding
 /// is a bounds-checked `memcpy` instead of `BTreeSet` rebuilds); 3 = v2
 /// plus a trailing solver-state section (one compact factored-basis
-/// snapshot per solved `IpetOptions` — basic-variable index set and
+/// snapshot per solved IPET configuration — basic-variable index set and
 /// nonbasic bound statuses; the `m × m` inverse is refactored on load,
-/// never shipped).
-pub(crate) const VERSION: u32 = 3;
+/// never shipped); 4 = one IPET configuration: solved entries are keyed
+/// by cache timing alone (no IPET flag byte) and the solver-state
+/// section is one optional snapshot.
+pub(crate) const VERSION: u32 = 4;
 /// Header bytes before the payload.
 pub(crate) const HEADER_LEN: usize = 24;
 
@@ -304,28 +308,6 @@ fn encode_artifacts(enc: &mut Enc, artifacts: &SolveArtifacts) {
     }
 }
 
-/// Flags byte of one [`IpetOptions`]: bit 0 = integral, bit 1 =
-/// dense-reference solver. Pre-solver-switch entries carry 0/1 and
-/// decode unchanged.
-fn ipet_flags(ipet: &IpetOptions) -> u8 {
-    u8::from(ipet.require_integral)
-        | (u8::from(matches!(ipet.solver, SolverBackend::DenseReference)) << 1)
-}
-
-fn ipet_of_flags(flags: u8) -> Result<IpetOptions, CodecError> {
-    if flags > 3 {
-        return Err(CodecError::Malformed("IPET flag"));
-    }
-    Ok(IpetOptions {
-        require_integral: flags & 1 == 1,
-        solver: if flags & 2 == 2 {
-            SolverBackend::DenseReference
-        } else {
-            SolverBackend::Sparse
-        },
-    })
-}
-
 /// Serializes one factored-basis snapshot: the basic-variable index set
 /// and the nonbasic bound statuses only — the `m × m` basis inverse is
 /// refactored from them on load, so it never rides on disk or the wire.
@@ -362,25 +344,24 @@ pub(crate) fn encode_context(
     }
     enc.opt(parts.srb.as_ref(), encode_srb);
     enc.u64(parts.solved.len() as u64);
-    for ((timing, ipet), artifacts) in &parts.solved {
+    for (timing, artifacts) in &parts.solved {
         enc.u64(timing.hit_cycles());
         enc.u64(timing.miss_penalty_cycles());
-        enc.u8(ipet_flags(ipet));
         encode_artifacts(&mut enc, artifacts);
     }
-    enc.u64(parts.bases.len() as u64);
-    for (ipet, snapshot) in &parts.bases {
-        enc.u8(ipet_flags(ipet));
-        encode_basis(&mut enc, snapshot);
-    }
+    enc.opt(parts.basis.as_ref(), encode_basis);
+    seal(&enc.buf)
+}
 
-    let payload = enc.buf;
+/// Puts `payload` behind the entry header: magic, version, length and
+/// checksum.
+fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&Fnv1a::checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&Fnv1a::checksum(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -740,20 +721,17 @@ pub(crate) fn decode_context(
     } else {
         None
     };
-    let solved_count = dec.seq_len(17)?;
+    let solved_count = dec.seq_len(16)?;
     let mut solved = Vec::with_capacity(solved_count);
     for _ in 0..solved_count {
         let timing = CacheTiming::new(dec.u64()?, dec.u64()?);
-        let ipet = ipet_of_flags(dec.u8()?)?;
-        let artifacts = decode_artifacts(&mut dec, geometry)?;
-        solved.push(((timing, ipet), artifacts));
+        solved.push((timing, decode_artifacts(&mut dec, geometry)?));
     }
-    let basis_count = dec.seq_len(9)?;
-    let mut bases = Vec::with_capacity(basis_count);
-    for _ in 0..basis_count {
-        let ipet = ipet_of_flags(dec.u8()?)?;
-        bases.push((ipet, decode_basis(&mut dec)?));
-    }
+    let basis = if dec.present()? {
+        Some(decode_basis(&mut dec)?)
+    } else {
+        None
+    };
     if dec.remaining() != 0 {
         return Err(CodecError::Malformed("trailing bytes"));
     }
@@ -764,7 +742,7 @@ pub(crate) fn decode_context(
             levels,
             srb,
             solved,
-            bases,
+            basis,
         },
     ))
 }
@@ -853,14 +831,8 @@ mod tests {
         );
         let (name, parts) = decode_context(&bytes, context.cfg(), key, geometry, mode).unwrap();
         assert_eq!(name, "codec");
-        let restored = AnalysisContext::from_parts(
-            name,
-            context.shared_cfg(),
-            geometry,
-            mode,
-            context.backend(),
-            parts,
-        );
+        let restored =
+            AnalysisContext::from_parts(name, context.shared_cfg(), geometry, mode, parts);
         assert_identical(&context, &restored);
     }
 
@@ -906,28 +878,30 @@ mod tests {
         assert!(parts.srb.is_none());
         assert!(parts.levels.iter().all(Option::is_none));
         assert!(parts.solved.is_empty());
-        assert!(parts.bases.is_empty());
+        assert!(parts.basis.is_none());
     }
 
-    /// A context whose template has been solved once, so
-    /// `snapshot_parts` carries a factored basis.
+    /// A context the analyzer has solved once, so `snapshot_parts`
+    /// carries every section: levels, SRB map, solve artifacts and a
+    /// factored basis.
     fn solved_entry() -> (u64, CacheGeometry, ClassificationMode, AnalysisContext) {
-        use pwcet_ipet::{CostModel, IpetOptions};
+        use crate::{AnalysisConfig, PwcetAnalyzer};
         let (key, geometry, mode, context) = warmed_entry();
-        let template = context.ipet_template(IpetOptions::default());
-        let costs = CostModel::uniform(context.cfg(), 2);
-        template.bound(&costs).unwrap();
+        let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential);
+        PwcetAnalyzer::new(config)
+            .analyze_with_context(&context)
+            .unwrap();
         (key, geometry, mode, context)
     }
 
     #[test]
-    fn bases_round_trip_bit_identically() {
+    fn basis_round_trips_bit_identically() {
         let (key, geometry, mode, context) = solved_entry();
         let parts = context.snapshot_parts();
-        assert_eq!(parts.bases.len(), 1, "one solved IpetOptions exports");
+        assert!(parts.basis.is_some(), "the solved template exports");
         let bytes = encode_context(key, "codec", geometry, mode, &parts);
         let (_, restored) = decode_context(&bytes, context.cfg(), key, geometry, mode).unwrap();
-        assert_eq!(restored.bases, parts.bases);
+        assert_eq!(restored, parts);
     }
 
     #[test]
@@ -937,7 +911,7 @@ mod tests {
         let cfg = context.cfg();
         let check = |tamper: fn(&mut BasisSnapshot), expect: &'static str| {
             let mut parts = parts.clone();
-            tamper(&mut parts.bases[0].1);
+            tamper(parts.basis.as_mut().expect("the solved template exports"));
             let bytes = encode_context(key, "codec", geometry, mode, &parts);
             assert_eq!(
                 decode_context(&bytes, cfg, key, geometry, mode),
@@ -960,6 +934,51 @@ mod tests {
         check(
             |snapshot| snapshot.basis[0] = BasisSnapshot::ARTIFICIAL - 1,
             "basis entry",
+        );
+    }
+
+    #[test]
+    fn resealed_mutations_fail_or_decode_canonically() {
+        // Every truncation and every byte XOR 0x01/0x80/0xff of a full
+        // entry's payload, re-sealed with a correct length and checksum
+        // so the mutation reaches the structural decoder. Each must be
+        // refused, or decode to parts that re-encode to the same bytes;
+        // none may panic.
+        let (key, geometry, mode, context) = solved_entry();
+        let bytes = encode_context(key, "codec", geometry, mode, &context.snapshot_parts());
+        let payload = &bytes[HEADER_LEN..];
+        let cfg = context.cfg();
+        let mut canonical = 0usize;
+        let mut check = |label: &str, mutated: &[u8]| {
+            let entry = seal(mutated);
+            let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                decode_context(&entry, cfg, key, geometry, mode)
+            }))
+            .unwrap_or_else(|_| panic!("{label}: the decoder panicked"));
+            if let Ok((name, parts)) = decoded {
+                assert_eq!(
+                    encode_context(key, &name, geometry, mode, &parts),
+                    entry,
+                    "{label}: a decoded entry must re-encode to its own bytes"
+                );
+                canonical += 1;
+            }
+        };
+        check("unmutated", payload);
+        for len in 0..payload.len() {
+            check(&format!("truncated to {len}"), &payload[..len]);
+        }
+        let mut mutated = payload.to_vec();
+        for pos in 0..payload.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                mutated[pos] ^= mask;
+                check(&format!("byte {pos} ^ {mask:#04x}"), &mutated);
+                mutated[pos] ^= mask;
+            }
+        }
+        assert!(
+            canonical > 1,
+            "some flips (name, timing, bounds) decode to another valid entry"
         );
     }
 

@@ -2,7 +2,6 @@
 
 use pwcet_analysis::ClassificationMode;
 use pwcet_cache::{CacheGeometry, CacheTiming};
-use pwcet_ipet::IpetOptions;
 use pwcet_par::Parallelism;
 use pwcet_prob::{ConvolutionParams, FaultModel};
 
@@ -21,8 +20,6 @@ pub struct AnalysisConfig {
     pub fault_model: FaultModel,
     /// Convolution pruning parameters.
     pub convolution: ConvolutionParams,
-    /// Path-analysis options (integral vs LP-relaxed).
-    pub ipet: IpetOptions,
     /// Base address programs are compiled at.
     pub code_base: u32,
     /// How fan-out stages (classification levels, per-`(set, fault)` ILP
@@ -44,7 +41,6 @@ impl AnalysisConfig {
             timing: CacheTiming::paper_default(),
             fault_model: FaultModel::new(1e-4).expect("1e-4 is a valid probability"),
             convolution: ConvolutionParams::default(),
-            ipet: IpetOptions::default(),
             code_base: 0x0040_0000,
             parallelism: Parallelism::Auto,
             classification: ClassificationMode::Incremental,

@@ -26,13 +26,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use pwcet_analysis::{
     classify_level_from_with, classify_level_with, classify_srb_with, Chmc, ChmcMap,
-    ClassificationMode, ClassifiedLevel, ClassifierBackend, KernelStats, KernelStatsCell, Scope,
-    SrbMap,
+    ClassificationMode, ClassifiedLevel, KernelStats, KernelStatsCell, Scope, SrbMap,
 };
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
 use pwcet_ilp::{SolveStats, SolveStatsCell};
-use pwcet_ipet::{BasisSnapshot, IpetOptions, IpetTemplate, TemplateRegistry};
+use pwcet_ipet::{BasisSnapshot, IpetTemplate, TemplateRegistry};
 use pwcet_par::{par_for_each_index, par_join, Parallelism};
 use pwcet_prob::{ConvolutionParams, DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
@@ -46,12 +45,6 @@ use crate::pipeline::{expand_compiled, SolveArtifacts};
 /// index)` pairs whose address maps to cache set `s`, in graph order
 /// (see [`AnalysisContext::set_refs`]).
 pub type SetRefIndex = Vec<Vec<(NodeId, usize)>>;
-
-/// The configuration slice the protection-independent solve stage
-/// actually depends on. The fault model, convolution parameters, and
-/// parallelism are deliberately absent: they don't change the FMM, the
-/// SRB columns, or the fault-free WCET.
-pub(crate) type SolveKey = (CacheTiming, IpetOptions);
 
 /// Retention cap on one solve entry's penalty memo, counting first-seen
 /// markers and stored distributions alike: sixteen fault-model and
@@ -189,7 +182,6 @@ pub struct AnalysisContext {
     cfg: Arc<ExpandedCfg>,
     geometry: CacheGeometry,
     mode: ClassificationMode,
-    backend: ClassifierBackend,
     /// `levels[a]` holds the classification at effective associativity
     /// `a`. Only the map is retained per level; the converged Must/May
     /// states live in [`full`](Self::full) alone.
@@ -202,26 +194,26 @@ pub struct AnalysisContext {
     /// Incremental mode only; cold mode uses `levels[W]`.
     full: OnceLock<ClassifiedLevel>,
     srb: OnceLock<SrbMap>,
-    /// Solve-stage products per `(timing, IPET)` configuration, each with
-    /// its penalty memo. A plain linear scan: real workloads touch one or
-    /// two keys per context.
-    solved: Mutex<Vec<(SolveKey, Arc<Solved>)>>,
-    /// Per-context memo of registry-obtained IPET templates per
-    /// [`IpetOptions`] — the shared constraint matrix every
-    /// `(set, fault)` delta ILP, SRB column ILP, and fault-free WCET
-    /// solve of this program reuses (timing only changes objectives, so
-    /// it is not part of the key). Linear scan like `solved`; the
-    /// templates themselves live in (and are deduplicated by) the
+    /// Solve-stage products per cache timing — the only configuration
+    /// the fault-free WCET, the FMM and the SRB columns depend on beyond
+    /// the context itself — each with its penalty memo. A plain linear
+    /// scan: real workloads touch one or two timings per context.
+    solved: Mutex<Vec<(CacheTiming, Arc<Solved>)>>,
+    /// The registry-obtained IPET template — the shared constraint
+    /// matrix every `(set, fault)` delta ILP, SRB column ILP, and
+    /// fault-free WCET solve of this program reuses (timing only changes
+    /// objectives). The template lives in (and is deduplicated by) the
     /// attached [`TemplateRegistry`], so sibling geometries of one CFG
-    /// memoize the *same* `Arc`.
-    templates: Mutex<Vec<(IpetOptions, Arc<IpetTemplate>)>>,
+    /// memoize the *same* `Arc`; holding it here is also what keeps it
+    /// registered.
+    template: OnceLock<Arc<IpetTemplate>>,
     /// The cross-geometry template registry, attached set-once by the
     /// reuse plane (a plane-less context lazily creates a private one).
     registry: OnceLock<Arc<TemplateRegistry>>,
-    /// Serialized factored bases restored from a disk/network entry,
+    /// A serialized factored basis restored from a disk/network entry,
     /// waiting for the first [`ipet_template`](Self::ipet_template)
-    /// request of their options to seed the template's workspace pool.
-    pending_bases: Mutex<Vec<(IpetOptions, BasisSnapshot)>>,
+    /// request to seed the template's workspace pool.
+    pending_basis: Mutex<Option<BasisSnapshot>>,
     /// Structural fingerprint of `cfg` — the registry key — computed
     /// once on first template request (or inherited by derivation).
     cfg_fp: OnceLock<u64>,
@@ -236,8 +228,7 @@ pub struct AnalysisContext {
     ilp_stats: SolveStatsCell,
     /// Cumulative classification-kernel counters (worklist passes, slot
     /// words touched, dirty-skipped sets) of every fixpoint run over this
-    /// context. The packed backend records; the set-based reference is
-    /// deliberately uninstrumented.
+    /// context.
     kernel_stats: KernelStatsCell,
 }
 
@@ -263,30 +254,12 @@ impl AnalysisContext {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Result<Self, CfgError> {
-        Self::build_with_backend(compiled, geometry, mode, ClassifierBackend::default())
-    }
-
-    /// As [`build_with_mode`](Self::build_with_mode) with an explicit
-    /// classification-kernel backend. [`ClassifierBackend::SetReference`]
-    /// is the frozen oracle the differential suites compare the default
-    /// packed kernel against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CfgError`] from CFG reconstruction.
-    pub fn build_with_backend(
-        compiled: &CompiledProgram,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-        backend: ClassifierBackend,
-    ) -> Result<Self, CfgError> {
         let cfg = expand_compiled(compiled)?;
         Ok(Self::from_shared_cfg(
             compiled.name(),
             Arc::new(cfg),
             geometry,
             mode,
-            backend,
         ))
     }
 
@@ -302,13 +275,7 @@ impl AnalysisContext {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Self {
-        Self::from_shared_cfg(
-            name,
-            Arc::new(cfg),
-            geometry,
-            mode,
-            ClassifierBackend::default(),
-        )
+        Self::from_shared_cfg(name, Arc::new(cfg), geometry, mode)
     }
 
     /// As [`from_cfg_with_mode`](Self::from_cfg_with_mode) over an
@@ -318,7 +285,6 @@ impl AnalysisContext {
         cfg: Arc<ExpandedCfg>,
         geometry: CacheGeometry,
         mode: ClassificationMode,
-        backend: ClassifierBackend,
     ) -> Self {
         let levels = geometry.ways() as usize + 1;
         Self {
@@ -326,14 +292,13 @@ impl AnalysisContext {
             cfg,
             geometry,
             mode,
-            backend,
             levels: (0..levels).map(|_| OnceLock::new()).collect(),
             full: OnceLock::new(),
             srb: OnceLock::new(),
             solved: Mutex::new(Vec::new()),
-            templates: Mutex::new(Vec::new()),
+            template: OnceLock::new(),
             registry: OnceLock::new(),
-            pending_bases: Mutex::new(Vec::new()),
+            pending_basis: Mutex::new(None),
             cfg_fp: OnceLock::new(),
             set_refs: OnceLock::new(),
             ilp_stats: SolveStatsCell::default(),
@@ -361,11 +326,6 @@ impl AnalysisContext {
         self.mode
     }
 
-    /// Which abstract-domain kernel runs the classification fixpoints.
-    pub fn backend(&self) -> ClassifierBackend {
-        self.backend
-    }
-
     /// The full-associativity level — the single cold fixpoint of the
     /// incremental mode, retained with its states as the warm-start
     /// source for every lower level.
@@ -375,7 +335,6 @@ impl AnalysisContext {
                 &self.cfg,
                 &self.geometry,
                 self.geometry.ways(),
-                self.backend,
                 Some(&self.kernel_stats),
             )
         })
@@ -395,28 +354,16 @@ impl AnalysisContext {
             .unwrap_or_else(|| panic!("associativity {assoc} out of range"));
         match self.mode {
             ClassificationMode::Cold => lock.get_or_init(|| {
-                classify_level_with(
-                    &self.cfg,
-                    &self.geometry,
-                    assoc,
-                    self.backend,
-                    Some(&self.kernel_stats),
-                )
-                .into_chmc()
+                classify_level_with(&self.cfg, &self.geometry, assoc, Some(&self.kernel_stats))
+                    .into_chmc()
             }),
             // The full level keeps its states; answer from it directly.
             ClassificationMode::Incremental if assoc == ways => self.full_level().chmc(),
             ClassificationMode::Incremental => lock.get_or_init(|| {
                 if assoc == 0 {
                     // Trivial: a fully disabled set always misses.
-                    classify_level_with(
-                        &self.cfg,
-                        &self.geometry,
-                        0,
-                        self.backend,
-                        Some(&self.kernel_stats),
-                    )
-                    .into_chmc()
+                    classify_level_with(&self.cfg, &self.geometry, 0, Some(&self.kernel_stats))
+                        .into_chmc()
                 } else {
                     // Warm start straight from level W (materializing it
                     // first if needed — a different OnceLock, so the
@@ -426,7 +373,6 @@ impl AnalysisContext {
                         &self.geometry,
                         self.full_level(),
                         assoc,
-                        self.backend,
                         Some(&self.kernel_stats),
                     )
                     .into_chmc()
@@ -437,14 +383,8 @@ impl AnalysisContext {
 
     /// The SRB hit map (§III-B2), computed and cached on first use.
     pub fn srb(&self) -> &SrbMap {
-        self.srb.get_or_init(|| {
-            classify_srb_with(
-                &self.cfg,
-                &self.geometry,
-                self.backend,
-                Some(&self.kernel_stats),
-            )
-        })
+        self.srb
+            .get_or_init(|| classify_srb_with(&self.cfg, &self.geometry, Some(&self.kernel_stats)))
     }
 
     /// The per-set reference index, built on first use: `index[s]` lists
@@ -531,7 +471,7 @@ impl AnalysisContext {
     /// work is discarded — record no stats.
     pub(crate) fn solve_artifacts(
         &self,
-        key: SolveKey,
+        key: CacheTiming,
         compute: impl FnOnce() -> Result<(SolveArtifacts, SolveStats), CoreError>,
     ) -> Result<(Arc<Solved>, Option<SolveStats>), CoreError> {
         {
@@ -550,8 +490,8 @@ impl AnalysisContext {
         Ok((entry, Some(stats)))
     }
 
-    /// Number of distinct `(timing, IPET)` configurations whose solve
-    /// artifacts are memoized (test/debug introspection).
+    /// Number of distinct cache timings whose solve artifacts are
+    /// memoized (test/debug introspection).
     pub fn solved_configurations(&self) -> usize {
         self.solved.lock().expect("solve memo lock").len()
     }
@@ -576,7 +516,7 @@ impl AnalysisContext {
     /// the registry key. Derived siblings share the graph `Arc` and
     /// inherit the computed value; a restored context re-expands the
     /// identical graph from the same image, so equal programs always
-    /// present equal fingerprints and land on one shared template.
+    /// present equal fingerprints and land on the same registry slot.
     pub(crate) fn cfg_fingerprint(&self) -> u64 {
         *self.cfg_fp.get_or_init(|| {
             let cfg = &self.cfg;
@@ -608,69 +548,50 @@ impl AnalysisContext {
         })
     }
 
-    /// The factored [`IpetTemplate`] of this program for `options`,
-    /// resolved through the attached [`TemplateRegistry`] on first
-    /// request and memoized per context after that. The registry keys
-    /// by CFG fingerprint, so every sibling geometry of a lattice sweep
-    /// — and every restored copy of this program — shares one template
-    /// and its factored basis pool. The template carries the union of
-    /// first-extra groups over every classification level `0..=W` of
-    /// the *widest geometry that asked*, so it can solve the WCET cost
-    /// model, every `(set, fault)` delta model, and every SRB column
-    /// model of any covered sibling; a lookup needing more groups
-    /// triggers a counted merged-union rebuild in the registry, never a
-    /// wrong bound.
+    /// The factored [`IpetTemplate`] of this program, resolved through
+    /// the attached [`TemplateRegistry`] on first request and memoized
+    /// per context after that. The registry keys by CFG fingerprint, so
+    /// every sibling geometry of a lattice sweep — and a restored copy
+    /// of this program while another context still holds the template —
+    /// shares one template and its factored basis pool. The template
+    /// carries the union of first-extra groups over every classification
+    /// level `0..=W` of the *widest geometry that asked*, so it can solve
+    /// the WCET cost model, every `(set, fault)` delta model, and every
+    /// SRB column model of any covered sibling; a lookup needing more
+    /// groups triggers a counted merged-union rebuild in the registry,
+    /// never a wrong bound.
     ///
     /// Building it materializes every classification level (they define
     /// the group union); under [`prewarm`](Self::prewarm) that work has
     /// already happened.
-    pub fn ipet_template(&self, options: IpetOptions) -> Arc<IpetTemplate> {
-        {
-            let templates = self.templates.lock().expect("template memo lock");
-            if let Some((_, template)) = templates.iter().find(|(o, _)| *o == options) {
-                return Arc::clone(template);
-            }
+    pub fn ipet_template(&self) -> Arc<IpetTemplate> {
+        if let Some(template) = self.template.get() {
+            return Arc::clone(template);
         }
-        // Resolved outside the memo lock (level materialization and
-        // model building can be expensive); the registry deduplicates
-        // racing builds globally, so the memo insert below is a single
-        // critical section with latest-wins overwrite — both racers end
-        // up memoizing the same registry-owned template.
+        // Resolved outside any lock (level materialization and model
+        // building can be expensive); the registry deduplicates racing
+        // builds globally, so racers memoize the same registry-owned
+        // template and the first one wins the slot.
         let groups = self.first_extra_group_union();
         let template = self
             .registry()
-            .obtain(self.cfg_fingerprint(), &self.cfg, &groups, options);
-        self.seed_pending_bases(&template, options);
-        let mut templates = self.templates.lock().expect("template memo lock");
-        match templates.iter_mut().find(|(o, _)| *o == options) {
-            Some(entry) => entry.1 = Arc::clone(&template),
-            None => templates.push((options, Arc::clone(&template))),
-        }
-        drop(templates);
-        template
+            .obtain(self.cfg_fingerprint(), &self.cfg, &groups);
+        self.seed_pending_basis(&template);
+        Arc::clone(self.template.get_or_init(|| template))
     }
 
-    /// Drains restored bases matching `options` into `template`'s
-    /// workspace pool, counting each restore or rejection on the
-    /// registry. A rejected basis leaves the template cold — it costs
-    /// one counted factorization on the first solve, never a wrong
-    /// bound.
-    fn seed_pending_bases(&self, template: &IpetTemplate, options: IpetOptions) {
-        let matching: Vec<BasisSnapshot> = {
-            let mut pending = self.pending_bases.lock().expect("pending bases lock");
-            let mut taken = Vec::new();
-            pending.retain(|(o, snapshot)| {
-                if *o == options {
-                    taken.push(snapshot.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            taken
-        };
-        for snapshot in &matching {
-            if template.seed_basis(snapshot) {
+    /// Seeds a restored basis into `template`'s workspace pool, counting
+    /// the restore or rejection on the registry. A rejected basis leaves
+    /// the template cold — it costs one counted factorization on the
+    /// first solve, never a wrong bound.
+    fn seed_pending_basis(&self, template: &IpetTemplate) {
+        let pending = self
+            .pending_basis
+            .lock()
+            .expect("pending basis lock")
+            .take();
+        if let Some(snapshot) = pending {
+            if template.seed_basis(&snapshot) {
                 self.registry().record_basis_restore();
             } else {
                 self.registry().record_basis_reject();
@@ -678,48 +599,32 @@ impl AnalysisContext {
         }
     }
 
-    /// Every exportable factored basis of this context: one per
-    /// memoized template that has solved (or been seeded), plus any
-    /// restored bases still pending because their options were never
-    /// requested again — dropping those would lose persistence across a
+    /// The factored basis to persist: the memoized template's, or a
+    /// restored one still pending because no solve asked for the
+    /// template again — dropping it would lose persistence across a
     /// chain of restarts that only prewarm.
-    pub(crate) fn collect_bases(&self) -> Vec<(IpetOptions, BasisSnapshot)> {
-        let mut bases: Vec<(IpetOptions, BasisSnapshot)> = {
-            let templates = self.templates.lock().expect("template memo lock");
-            templates
-                .iter()
-                .filter_map(|(options, template)| {
-                    template.export_basis().map(|basis| (*options, basis))
-                })
-                .collect()
-        };
-        let pending = self.pending_bases.lock().expect("pending bases lock");
-        for (options, snapshot) in pending.iter() {
-            if !bases.iter().any(|(o, _)| o == options) {
-                bases.push((*options, snapshot.clone()));
-            }
-        }
-        bases
+    pub(crate) fn export_basis(&self) -> Option<BasisSnapshot> {
+        self.template
+            .get()
+            .and_then(|template| template.export_basis())
+            .or_else(|| {
+                self.pending_basis
+                    .lock()
+                    .expect("pending basis lock")
+                    .clone()
+            })
     }
 
-    /// Number of factored bases [`collect_bases`](Self::collect_bases)
-    /// would export — presence counting only, no snapshot clones (this
-    /// feeds the reuse plane's per-persist richness gate).
-    pub(crate) fn basis_count(&self) -> usize {
-        let with_basis = {
-            let templates = self.templates.lock().expect("template memo lock");
-            templates
-                .iter()
-                .filter(|(_, template)| template.has_basis())
-                .map(|(options, _)| *options)
-                .collect::<Vec<_>>()
-        };
-        let pending = self.pending_bases.lock().expect("pending bases lock");
-        with_basis.len()
-            + pending
-                .iter()
-                .filter(|(o, _)| !with_basis.contains(o))
-                .count()
+    /// Whether [`export_basis`](Self::export_basis) would return a basis
+    /// — presence only, no snapshot clone (this feeds the reuse plane's
+    /// per-persist richness gate).
+    pub(crate) fn has_basis(&self) -> bool {
+        self.template.get().is_some_and(|t| t.has_basis())
+            || self
+                .pending_basis
+                .lock()
+                .expect("pending basis lock")
+                .is_some()
     }
 
     /// Every `(node, scope)` first-extra group any classification level
@@ -755,7 +660,7 @@ impl AnalysisContext {
 
     /// Cumulative classification-kernel counters (worklist passes, slot
     /// words touched, dirty-skipped sets) over every fixpoint run on this
-    /// context. Zero under [`ClassifierBackend::SetReference`].
+    /// context.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel_stats.snapshot()
     }
@@ -787,7 +692,7 @@ impl AnalysisContext {
                 .iter()
                 .map(|(key, entry)| (*key, entry.artifacts.clone()))
                 .collect(),
-            bases: self.collect_bases(),
+            basis: self.export_basis(),
         }
     }
 
@@ -803,10 +708,9 @@ impl AnalysisContext {
         cfg: Arc<ExpandedCfg>,
         geometry: CacheGeometry,
         mode: ClassificationMode,
-        backend: ClassifierBackend,
         parts: ContextParts,
     ) -> Self {
-        let context = Self::from_shared_cfg(name, cfg, geometry, mode, backend);
+        let context = Self::from_shared_cfg(name, cfg, geometry, mode);
         assert_eq!(
             parts.levels.len(),
             context.levels.len(),
@@ -828,7 +732,7 @@ impl AnalysisContext {
             .into_iter()
             .map(|(key, artifacts)| (key, Arc::new(Solved::new(artifacts))))
             .collect();
-        *context.pending_bases.lock().expect("pending bases lock") = parts.bases;
+        *context.pending_basis.lock().expect("pending basis lock") = parts.basis;
         context
     }
 
@@ -866,7 +770,6 @@ impl AnalysisContext {
             &geometry,
             self.full_level(),
             geometry.ways(),
-            self.backend,
             Some(&self.kernel_stats),
         );
         // Lower levels are geometry-portable: a classification at
@@ -885,7 +788,6 @@ impl AnalysisContext {
             Arc::clone(&self.cfg),
             geometry,
             self.mode,
-            self.backend,
             ContextParts {
                 full: Some(derived_full),
                 levels,
@@ -893,10 +795,10 @@ impl AnalysisContext {
                 // on the block size, which siblings share.
                 srb: self.srb.get().cloned(),
                 solved: Vec::new(),
-                // No pending bases: the sibling shares this context's
-                // registry and fingerprint, so its template requests land
+                // No pending basis: the sibling shares this context's
+                // registry and fingerprint, so its template request lands
                 // on the already-warm shared pool directly.
-                bases: Vec::new(),
+                basis: None,
             },
         );
         // Same graph, same registry: the sibling's template lookups hit
@@ -921,11 +823,11 @@ pub(crate) struct ContextParts {
     pub(crate) full: Option<ClassifiedLevel>,
     pub(crate) levels: Vec<Option<ChmcMap>>,
     pub(crate) srb: Option<SrbMap>,
-    pub(crate) solved: Vec<(SolveKey, SolveArtifacts)>,
-    /// Serialized factored bases per [`IpetOptions`] (the PWCX
-    /// solver-state section) — restored into `pending_bases`, seeded
-    /// into the shared template on its first request.
-    pub(crate) bases: Vec<(IpetOptions, BasisSnapshot)>,
+    pub(crate) solved: Vec<(CacheTiming, SolveArtifacts)>,
+    /// The serialized factored basis (the PWCX solver-state section) —
+    /// restored into `pending_basis`, seeded into the shared template on
+    /// its first request.
+    pub(crate) basis: Option<BasisSnapshot>,
 }
 
 #[cfg(test)]
@@ -1024,7 +926,6 @@ mod tests {
             ctx.shared_cfg(),
             *ctx.geometry(),
             ctx.mode(),
-            ctx.backend(),
             ctx.snapshot_parts(),
         );
         assert_eq!(restored.warmed_levels(), ctx.warmed_levels());
@@ -1059,8 +960,8 @@ mod tests {
         let ctx = context();
         let registry = Arc::new(TemplateRegistry::new());
         ctx.attach_registry(Arc::clone(&registry));
-        let first = ctx.ipet_template(IpetOptions::default());
-        let second = ctx.ipet_template(IpetOptions::default());
+        let first = ctx.ipet_template();
+        let second = ctx.ipet_template();
         assert!(Arc::ptr_eq(&first, &second));
         let counters = registry.counters();
         assert_eq!(
@@ -1075,9 +976,9 @@ mod tests {
         let ctx = context();
         let registry = Arc::new(TemplateRegistry::new());
         ctx.attach_registry(Arc::clone(&registry));
-        let wide = ctx.ipet_template(IpetOptions::default());
+        let wide = ctx.ipet_template();
         let sibling = ctx.derive_narrower(CacheGeometry::paper_default().with_ways(2));
-        let narrow = sibling.ipet_template(IpetOptions::default());
+        let narrow = sibling.ipet_template();
         // The narrower sibling's group union is a subset of the wide
         // one's (level `a` is geometry-portable across siblings), so the
         // registry answers with the *same* template — asserted, not
@@ -1091,13 +992,12 @@ mod tests {
     #[test]
     fn restored_bases_answer_the_first_solve_warm() {
         use pwcet_ipet::CostModel;
-        let options = IpetOptions::default();
         let ctx = context();
-        let template = ctx.ipet_template(options);
+        let template = ctx.ipet_template();
         let costs = CostModel::uniform(ctx.cfg(), 2);
         let expected = template.bound(&costs).unwrap();
         let parts = ctx.snapshot_parts();
-        assert_eq!(parts.bases.len(), 1, "the solved template exports");
+        assert!(parts.basis.is_some(), "the solved template exports");
 
         // A "restarted process": fresh context, fresh registry, bases
         // restored from the serialized parts.
@@ -1107,11 +1007,10 @@ mod tests {
             ctx.shared_cfg(),
             *ctx.geometry(),
             ctx.mode(),
-            ctx.backend(),
             parts,
         );
         restored.attach_registry(Arc::clone(&registry));
-        let template = restored.ipet_template(options);
+        let template = restored.ipet_template();
         assert_eq!(registry.counters().basis_restores, 1);
         assert_eq!(template.bound(&costs).unwrap(), expected);
         let stats = template.stats();
@@ -1122,15 +1021,14 @@ mod tests {
     #[test]
     fn rejected_basis_degrades_to_a_counted_cold_factorization() {
         use pwcet_ipet::CostModel;
-        let options = IpetOptions::default();
         let ctx = context();
-        let template = ctx.ipet_template(options);
+        let template = ctx.ipet_template();
         let costs = CostModel::uniform(ctx.cfg(), 2);
         let expected = template.bound(&costs).unwrap();
         let mut parts = ctx.snapshot_parts();
         // Structurally valid, semantically wrong: claim one more basic
         // column than rows — decode would pass, hydration must not.
-        let snapshot = &mut parts.bases[0].1;
+        let snapshot = parts.basis.as_mut().expect("the solved template exports");
         if let Some(tag) = snapshot.statuses.iter_mut().find(|tag| **tag != 0) {
             *tag = 0;
         }
@@ -1141,11 +1039,10 @@ mod tests {
             ctx.shared_cfg(),
             *ctx.geometry(),
             ctx.mode(),
-            ctx.backend(),
             parts,
         );
         restored.attach_registry(Arc::clone(&registry));
-        let template = restored.ipet_template(options);
+        let template = restored.ipet_template();
         let counters = registry.counters();
         assert_eq!(counters.basis_rejects, 1);
         assert_eq!(counters.basis_restores, 0);

@@ -13,7 +13,7 @@
 //! already memoized inside the context.
 //!
 //! Knobs that *don't* affect the CFG or the classification — the fault
-//! model (`pfail`), protection level, IPET options, convolution pruning,
+//! model (`pfail`), protection level, cache timing, convolution pruning,
 //! parallelism — are deliberately **excluded** from the key: analyses
 //! that only vary those share one entry, which is the entire point.
 //! `crates/core/tests/context_cache.rs` pins both directions (distinct

@@ -76,9 +76,9 @@ pub use error::CoreError;
 pub use estimate::{Protection, PwcetEstimate};
 pub use fmm::FaultMissMap;
 pub use pipeline::{delta_cost_model, expand_compiled, ProgramAnalysis, PwcetAnalyzer};
-pub use pwcet_analysis::{ClassificationMode, ClassifierBackend, KernelStats};
-pub use pwcet_ilp::{BasisSnapshot, SolveStats, SolverBackend};
-pub use pwcet_ipet::{IpetOptions, IpetTemplate, TemplateCounters, TemplateRegistry};
+pub use pwcet_analysis::{ClassificationMode, KernelStats};
+pub use pwcet_ilp::{BasisSnapshot, SolveStats};
+pub use pwcet_ipet::{IpetTemplate, TemplateCounters, TemplateRegistry};
 pub use pwcet_par::Parallelism;
 pub use reuse_plane::{
     NetworkTier, ReusePlane, ReusePlaneStats, ReuseTier, DEFAULT_DISK_CAPACITY_BYTES,

@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use pwcet_analysis::{Chmc, ChmcMap, SrbMap};
 use pwcet_cfg::{CfgError, ExpandedCfg, FunctionExtent};
-use pwcet_ilp::{IlpError, SolveStats, SolverBackend};
-use pwcet_ipet::{ipet_bound, CostModel, RefCost};
+use pwcet_ilp::SolveStats;
+use pwcet_ipet::{CostModel, RefCost};
 use pwcet_par::{par_map, Parallelism};
 use pwcet_prob::DiscreteDistribution;
 use pwcet_progen::{CompiledProgram, Program};
@@ -158,8 +158,8 @@ impl PwcetAnalyzer {
     /// the same program — e.g. configuration sweeps that only vary the
     /// fault model — reuse every memoized classification level **and**
     /// the protection-independent solve artifacts (fault-free WCET, FMM,
-    /// SRB columns), which the context memoizes per `(timing, IPET)`
-    /// configuration: a `pfail` sweep pays the ILP stage exactly once.
+    /// SRB columns), which the context memoizes per cache timing: a
+    /// `pfail` sweep pays the ILP stage exactly once.
     ///
     /// # Errors
     ///
@@ -178,10 +178,9 @@ impl PwcetAnalyzer {
             "context geometry must match the analyzer configuration"
         );
         let kernel_before = context.kernel_stats();
-        let (solved, stats) = context
-            .solve_artifacts((self.config.timing, self.config.ipet), || {
-                solve_protection_independent(context, &self.config)
-            })?;
+        let (solved, stats) = context.solve_artifacts(self.config.timing, || {
+            solve_protection_independent(context, &self.config)
+        })?;
         // Solver behavior is observable per context (tests) and per
         // plane (the service metrics table). Stats come back only for
         // the computation that was actually installed, so memoized
@@ -247,7 +246,7 @@ impl PwcetAnalyzer {
 
 /// The protection-independent products of the ILP solve stage: everything
 /// an estimate needs that does not depend on the fault model. Memoized
-/// inside [`AnalysisContext`] per `(timing, IPET)` configuration, beside
+/// inside [`AnalysisContext`] per cache timing, beside
 /// the penalty memo derived from them, and shared by every
 /// [`ProgramAnalysis`] derived from the same context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,15 +260,12 @@ pub(crate) struct SolveArtifacts {
 /// WCET, the per-`(set, fault)` delta ILPs of the fault miss map, and the
 /// per-set SRB column ILPs.
 ///
-/// With the default sparse backend every ILP of the stage — one big
-/// WCET instance plus `S×W + S` small delta instances — is an
-/// objective-only variant of the context's factored [`IpetTemplate`]:
-/// the constraint matrix is built and factored once, the fan-out
-/// re-solves against pooled warm bases, and the WCET instance may split
-/// its branch-and-bound subtrees across the stage's workers. Under
-/// [`SolverBackend::DenseReference`] every job builds and solves a
-/// fresh dense model — the frozen reference path the solver-equivalence
-/// suite compares against. Bounds are identical either way.
+/// Every ILP of the stage — one big WCET instance plus `S×W + S` small
+/// delta instances — is an objective-only variant of the context's
+/// factored [`IpetTemplate`](pwcet_ipet::IpetTemplate): the constraint
+/// matrix is built and factored once, the fan-out re-solves against
+/// pooled warm bases, and the WCET instance may split its
+/// branch-and-bound subtrees across the stage's workers.
 fn solve_protection_independent(
     context: &AnalysisContext,
     config: &AnalysisConfig,
@@ -290,24 +286,11 @@ fn solve_protection_independent(
     // columns — one span covering the whole solve stage.
     let _ilp_span = pwcet_obs::stage_span(pwcet_obs::Stage::IlpSolve);
 
-    let template = match config.ipet.solver {
-        SolverBackend::Sparse => {
-            let template = context.ipet_template(config.ipet);
-            // Cap the warm-workspace pool at the configured solve
-            // parallelism: more pooled bases than workers can never be
-            // checked out concurrently, they would only hold memory.
-            template.set_pool_cap(parallelism.worker_count(usize::MAX).max(1));
-            Some(template)
-        }
-        SolverBackend::DenseReference => None,
-    };
-    let bound_of = |costs: &CostModel, workers: usize| -> Result<(u64, SolveStats), IlpError> {
-        match &template {
-            Some(template) => template.bound_with_workers(costs, workers),
-            // The dense reference is deliberately uninstrumented.
-            None => ipet_bound(cfg, costs, &config.ipet).map(|b| (b, SolveStats::default())),
-        }
-    };
+    let template = context.ipet_template();
+    // Cap the warm-workspace pool at the configured solve parallelism:
+    // more pooled bases than workers can never be checked out
+    // concurrently, they would only hold memory.
+    template.set_pool_cap(parallelism.worker_count(usize::MAX).max(1));
     let mut stats = SolveStats::default();
 
     // Fault-free WCET (§II-B): the one big instance of the stage — the
@@ -316,7 +299,7 @@ fn solve_protection_independent(
     let chmc_full = context.chmc(ways);
     let wcet_costs = CostModel::from_chmc(cfg, chmc_full, &config.timing);
     let (fault_free_wcet, wcet_stats) =
-        bound_of(&wcet_costs, parallelism.worker_count(usize::MAX))?;
+        template.bound_with_workers(&wcet_costs, parallelism.worker_count(usize::MAX))?;
     stats.merge(&wcet_stats);
 
     // Stage 3 (solve): fault miss map (§II-C). Every `(set, fault)`
@@ -339,7 +322,7 @@ fn solve_protection_independent(
                 None,
             );
             if has_delta {
-                Ok(bound_of(&costs, 1)?)
+                Ok(template.bound_with_workers(&costs, 1)?)
             } else {
                 Ok((0, SolveStats::default()))
             }
@@ -384,7 +367,7 @@ fn solve_protection_independent(
                 Some(srb_map),
             );
             if has_delta {
-                Ok(bound_of(&costs, 1)?)
+                Ok(template.bound_with_workers(&costs, 1)?)
             } else {
                 Ok((0, SolveStats::default()))
             }

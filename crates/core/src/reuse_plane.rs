@@ -49,7 +49,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pwcet_analysis::{ClassificationMode, ClassifierBackend, KernelStats, KernelStatsCell};
+use pwcet_analysis::{ClassificationMode, KernelStats, KernelStatsCell};
 use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
 use pwcet_ilp::{SolveStats, SolveStatsCell};
@@ -245,8 +245,8 @@ struct Richness {
     levels: usize,
     solved: usize,
     srb: bool,
-    /// Exportable factored bases (PWCX v3 solver-state section).
-    bases: usize,
+    /// An exportable factored basis (the PWCX solver-state section).
+    basis: bool,
 }
 
 impl Richness {
@@ -258,7 +258,7 @@ impl Richness {
             levels: context.warmed_levels(),
             solved: context.solved_configurations(),
             srb: context.srb_warmed(),
-            bases: context.basis_count(),
+            basis: context.has_basis(),
         }
     }
 }
@@ -359,8 +359,9 @@ pub struct ReusePlane {
     families: Mutex<HashMap<u64, BTreeMap<u32, u64>>>,
     counters: Mutex<Counters>,
     /// The cross-geometry IPET template registry, attached to every
-    /// context this plane hands out (whatever tier answered) so sibling
-    /// geometries and restored entries share one factored basis pool.
+    /// context this plane hands out (whatever tier answered) so the
+    /// resident contexts of one CFG — sibling geometries, restored
+    /// entries — share one factored basis pool.
     registry: Arc<TemplateRegistry>,
     /// Solver counters of every solve stage run through this plane
     /// (recorded by the analyzer; survives context eviction).
@@ -403,8 +404,7 @@ impl ReusePlane {
     }
 
     /// The plane's cross-geometry IPET template registry — one factored
-    /// basis pool per `(CFG, IpetOptions)` shared by every context this
-    /// plane serves.
+    /// basis pool per CFG, shared by every resident context of it.
     pub fn template_registry(&self) -> &Arc<TemplateRegistry> {
         &self.registry
     }
@@ -713,7 +713,6 @@ impl ReusePlane {
                 Arc::new(cfg),
                 geometry,
                 mode,
-                ClassifierBackend::default(),
                 parts,
             )),
             Err(err) => Err(EntryDecodeFailure::Corrupt(err.to_string())),

@@ -1,6 +1,7 @@
 //! Disk-tier integration tests: persistence across plane instances (the
 //! in-process equivalent of separate processes — same encode/decode
-//! path), corruption robustness, and the size-capped GC.
+//! path), corruption robustness, and the size-capped GC — plus the
+//! template registry's release of programs the memory tier evicted.
 //!
 //! The acceptance bar for the corruption suite: a damaged entry may cost
 //! a cold rebuild, but it must never panic, never error the analysis,
@@ -8,9 +9,12 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use pwcet_core::{AnalysisConfig, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane};
+use pwcet_core::{
+    AnalysisConfig, ContextCache, IpetTemplate, ProgramAnalysis, Protection, PwcetAnalyzer,
+    ReusePlane,
+};
 use pwcet_progen::{stmt, Program};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -46,13 +50,9 @@ fn assert_same_results(a: &ProgramAnalysis, b: &ProgramAnalysis) {
 /// Analyzes once against a fresh store and returns the reference result
 /// plus the store directory (left populated).
 fn populate(tag: &str) -> (ProgramAnalysis, PathBuf) {
-    populate_with(tag, AnalysisConfig::paper_default())
-}
-
-fn populate_with(tag: &str, config: AnalysisConfig) -> (ProgramAnalysis, PathBuf) {
     let dir = scratch_dir(tag);
     let plane = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let reference = analyzer_with(config, &plane).analyze(&program()).unwrap();
+    let reference = analyzer(&plane).analyze(&program()).unwrap();
     let stats = plane.stats();
     assert_eq!(stats.cold_builds, 1);
     assert!(stats.disk_writes >= 1, "analysis must write through");
@@ -93,17 +93,13 @@ fn second_plane_instance_reads_the_store() {
 /// Every corruption flavor must degrade to a counted cold rebuild with
 /// bit-identical results — never a panic, an error, or a wrong answer.
 fn assert_falls_back_cold(tag: &str, corrupt: impl FnOnce(&PathBuf)) {
-    assert_falls_back_cold_with(tag, AnalysisConfig::paper_default(), corrupt);
-}
-
-fn assert_falls_back_cold_with(tag: &str, config: AnalysisConfig, corrupt: impl FnOnce(&PathBuf)) {
-    let (reference, dir) = populate_with(tag, config);
+    let (reference, dir) = populate(tag);
     let entries = entry_paths(&dir);
     assert_eq!(entries.len(), 1, "one program, one entry");
     corrupt(&entries[0]);
 
     let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let rebuilt = analyzer_with(config, &fresh).analyze(&program()).unwrap();
+    let rebuilt = analyzer(&fresh).analyze(&program()).unwrap();
     assert_same_results(&reference, &rebuilt);
     let stats = fresh.stats();
     assert_eq!(stats.disk_hits, 0, "{tag}: corrupt entries must not hit");
@@ -116,11 +112,11 @@ fn assert_falls_back_cold_with(tag: &str, config: AnalysisConfig, corrupt: impl 
     let rewritten = fs::read(&entries[0]).unwrap();
     assert_eq!(
         u32::from_le_bytes(rewritten[4..8].try_into().unwrap()),
-        3,
+        4,
         "{tag}: the rebuild is written at the current version"
     );
     let healed = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let warm = analyzer_with(config, &healed).analyze(&program()).unwrap();
+    let warm = analyzer(&healed).analyze(&program()).unwrap();
     assert_same_results(&reference, &warm);
     assert_eq!(healed.stats().disk_hits, 1, "{tag}: store self-heals");
     let _ = fs::remove_dir_all(&dir);
@@ -145,33 +141,16 @@ fn bad_magic_falls_back_cold() {
 
 #[test]
 fn wrong_version_falls_back_cold() {
-    assert_falls_back_cold("wrong-version", |path| {
-        let mut bytes = fs::read(path).unwrap();
-        bytes[4] = 0xfe; // version field, little-endian u32 at offset 4
-        fs::write(path, bytes).unwrap();
-    });
-    // A genuine v2 entry is a retired version, not a hit. A
-    // dense-reference analysis persists no solver state, so its v3 entry
-    // is exactly a v2 entry plus an empty (all-zero, 8-byte) basis
-    // section: drop the trailing count, stamp version 2, and fix the
-    // length and checksum.
-    let mut dense = AnalysisConfig::paper_default();
-    dense.ipet.solver = pwcet_core::SolverBackend::DenseReference;
-    assert_falls_back_cold_with("v2", dense, |path| {
-        let bytes = fs::read(path).unwrap();
-        assert_eq!(
-            &bytes[bytes.len() - 8..],
-            &[0u8; 8],
-            "a dense-reference entry has an empty basis section"
-        );
-        let mut v2 = bytes[..bytes.len() - 8].to_vec();
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let payload_len = (v2.len() - 24) as u64;
-        v2[8..16].copy_from_slice(&payload_len.to_le_bytes());
-        let checksum = pwcet_core::fnv1a_checksum(&v2[24..]);
-        v2[16..24].copy_from_slice(&checksum.to_le_bytes());
-        fs::write(path, v2).unwrap();
-    });
+    // An unknown future version, and the retired versions 2 and 3
+    // stamped on a current entry. The checksum covers the payload only,
+    // so each entry is refused for its version alone.
+    for version in [0xfe_u32, 2, 3] {
+        assert_falls_back_cold(&format!("version-{version}"), |path| {
+            let mut bytes = fs::read(path).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            fs::write(path, bytes).unwrap();
+        });
+    }
 }
 
 #[test]
@@ -346,4 +325,31 @@ fn analysis_survives_an_unwritable_store() {
     );
 
     let _ = fs::remove_file(&dir);
+}
+
+#[test]
+fn evicted_programs_release_their_ipet_templates() {
+    // A long-lived plane must not keep every program's IPET template
+    // (model, workspace pool, objective memo) after its memory tier has
+    // evicted the program: with one resident context, at most that
+    // context's template may survive the suite.
+    let plane = Arc::new(ReusePlane::with_memory(Arc::new(ContextCache::new(1))));
+    let config = AnalysisConfig::paper_default();
+    let templates: Vec<Weak<IpetTemplate>> = pwcet_benchsuite::all()
+        .into_iter()
+        .map(|bench| {
+            let compiled = bench.program.compile(config.code_base).unwrap();
+            let context = plane
+                .get_or_build(&compiled, config.geometry, config.classification)
+                .unwrap();
+            analyzer(&plane).analyze_with_context(&context).unwrap();
+            Arc::downgrade(&context.ipet_template())
+        })
+        .collect();
+    let live = templates.iter().filter(|t| t.upgrade().is_some()).count();
+    assert!(
+        live <= 1,
+        "{live} of {} templates outlived their evicted programs",
+        templates.len()
+    );
 }

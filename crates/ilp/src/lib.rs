@@ -20,14 +20,15 @@
 //!   materialized as rows) and clone-per-node branch and bound, frozen
 //!   as the equivalence oracle ([`Model::solve_lp_reference`],
 //!   [`Model::solve_ilp_reference`]). The property suite in
-//!   `tests/properties.rs` pins the two backends to identical objectives
+//!   `tests/properties.rs` pins the two solvers to identical objectives
 //!   and feasibility classes on random instances.
 //!
 //! IPET instances are small network-flow-like problems whose LP relaxations
 //! are usually integral, so branch and bound rarely branches; it exists to
 //! *guarantee* integral optima. For maximization problems the LP relaxation
-//! optimum is itself a sound upper bound, which the WCET use-case can fall
-//! back on.
+//! optimum is itself a sound (if looser) upper bound — the property the
+//! random-instance suite pins — but the WCET pipeline always solves the
+//! integral program.
 //!
 //! # Example
 //!
@@ -76,8 +77,7 @@ mod sparse;
 
 pub use error::IlpError;
 pub use model::{
-    BranchAndBoundOptions, ConstraintOp, Model, Solution, SolveStats, SolveStatsCell,
-    SolverBackend, VarId,
+    BranchAndBoundOptions, ConstraintOp, Model, Solution, SolveStats, SolveStatsCell, VarId,
 };
 pub use sparse::{BasisSnapshot, LpWorkspace};
 

@@ -53,24 +53,10 @@ impl Solution {
     }
 }
 
-/// Which solver implementation answers a solve request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverBackend {
-    /// The sparse bounded-variable revised simplex with warm-started,
-    /// clone-free branch and bound (the production path).
-    #[default]
-    Sparse,
-    /// The frozen dense tableau + clone-per-node branch and bound kept
-    /// in [`crate::reference`] — the oracle the equivalence suites
-    /// compare against.
-    DenseReference,
-}
-
 /// Counters describing how a solve (or a batch of solves) behaved.
 ///
 /// Returned by the workspace entry points and aggregated by
-/// [`SolveStatsCell`]; zeroes for the dense reference backend, which is
-/// deliberately uninstrumented.
+/// [`SolveStatsCell`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
     /// Primal simplex pivots (phase 1 and 2, all branch-and-bound

@@ -4,31 +4,9 @@ use std::collections::HashMap;
 
 use pwcet_analysis::Scope;
 use pwcet_cfg::{ExpandedCfg, NodeId};
-use pwcet_ilp::{BranchAndBoundOptions, ConstraintOp, IlpError, Model, SolverBackend, VarId};
+use pwcet_ilp::{BranchAndBoundOptions, ConstraintOp, IlpError, Model, Solution, VarId};
 
 use crate::cost::CostModel;
-
-/// Options for [`ipet_bound`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IpetOptions {
-    /// Require integral execution counts (branch and bound). When `false`
-    /// only the LP relaxation is solved — faster, and still a sound upper
-    /// bound for maximization.
-    pub require_integral: bool,
-    /// Which solver backend answers the ILP: the sparse warm-started
-    /// production solver (default) or the frozen dense reference the
-    /// equivalence suites compare against.
-    pub solver: SolverBackend,
-}
-
-impl Default for IpetOptions {
-    fn default() -> Self {
-        Self {
-            require_integral: true,
-            solver: SolverBackend::default(),
-        }
-    }
-}
 
 /// The structural IPET model of one CFG: variables and constraints
 /// without an objective. Shared by the one-shot [`ipet_bound`] and the
@@ -45,12 +23,9 @@ pub(crate) struct IpetModel {
 
 /// Builds the structural model: flow conservation, loop bounds, and one
 /// bounded group variable per `(node, scope)` in `groups` (sorted and
-/// deduplicated by the caller via [`sort_groups`]).
-pub(crate) fn build_ipet_model(
-    cfg: &ExpandedCfg,
-    groups: &[(NodeId, Scope)],
-    options: &IpetOptions,
-) -> IpetModel {
+/// deduplicated by the caller via [`sort_groups`]). Every variable is an
+/// integral execution count.
+pub(crate) fn build_ipet_model(cfg: &ExpandedCfg, groups: &[(NodeId, Scope)]) -> IpetModel {
     let mut model = Model::new();
 
     // Node variables (objective coefficients are set per cost model).
@@ -59,9 +34,7 @@ pub(crate) fn build_ipet_model(
         .iter()
         .map(|n| {
             let var = model.add_var(format!("x_n{}", n.id()), 0.0);
-            if options.require_integral {
-                model.mark_integer(var);
-            }
+            model.mark_integer(var);
             var
         })
         .collect();
@@ -71,9 +44,7 @@ pub(crate) fn build_ipet_model(
     let mut edge_vars: HashMap<(NodeId, NodeId), VarId> = HashMap::new();
     for &(u, v) in &edges {
         let var = model.add_var(format!("x_e{u}_{v}"), 0.0);
-        if options.require_integral {
-            model.mark_integer(var);
-        }
+        model.mark_integer(var);
         edge_vars.insert((u, v), var);
     }
 
@@ -116,9 +87,7 @@ pub(crate) fn build_ipet_model(
     let mut group_vars = Vec::with_capacity(groups.len());
     for &(node, scope) in groups {
         let y = model.add_var(format!("y_n{node}"), 0.0);
-        if options.require_integral {
-            model.mark_integer(y);
-        }
+        model.mark_integer(y);
         model.add_constraint([(y, 1.0), (node_vars[node], -1.0)], ConstraintOp::Le, 0.0);
         match scope {
             Scope::Program => {
@@ -226,29 +195,44 @@ pub(crate) fn objective_for(ipet: &IpetModel, costs: &CostModel) -> Vec<f64> {
 ///
 /// Propagates [`IlpError`] from the solver. Structurally valid graphs with
 /// finite loop bounds are always feasible and bounded.
-pub fn ipet_bound(
-    cfg: &ExpandedCfg,
-    costs: &CostModel,
-    options: &IpetOptions,
-) -> Result<u64, IlpError> {
+pub fn ipet_bound(cfg: &ExpandedCfg, costs: &CostModel) -> Result<u64, IlpError> {
+    // Costs are u64 and every variable is integer-marked, so the
+    // objective is integral at integral points — branch and bound may
+    // prune against floored relaxations.
+    let solution = one_shot_model(cfg, costs).solve_ilp_with(&BranchAndBoundOptions {
+        integral_objective: true,
+        ..Default::default()
+    })?;
+    Ok(integral_bound(&solution))
+}
+
+/// [`ipet_bound`] on the frozen dense tableau and clone-per-node branch
+/// and bound ([`Model::solve_ilp_reference`]) — the oracle the
+/// equivalence suites compare the production solver against, over the
+/// identical model.
+///
+/// # Errors
+///
+/// As for [`ipet_bound`].
+pub fn ipet_bound_reference(cfg: &ExpandedCfg, costs: &CostModel) -> Result<u64, IlpError> {
+    Ok(integral_bound(
+        &one_shot_model(cfg, costs).solve_ilp_reference()?,
+    ))
+}
+
+/// The structural model of `cfg` with exactly the groups `costs`
+/// charges, its objective set to `costs`.
+fn one_shot_model(cfg: &ExpandedCfg, costs: &CostModel) -> Model {
     let groups = groups_of(costs);
-    let mut ipet = build_ipet_model(cfg, &groups, options);
+    let mut ipet = build_ipet_model(cfg, &groups);
+    let objective = objective_for(&ipet, costs);
+    ipet.model.set_objective_vector(&objective);
     ipet.model
-        .set_objective_vector(&objective_for(&ipet, costs));
-    let solution = match (options.require_integral, options.solver) {
-        // Costs are u64 and every variable is integer-marked, so the
-        // objective is integral at integral points — branch and bound
-        // may prune against floored relaxations.
-        (true, SolverBackend::Sparse) => ipet.model.solve_ilp_with(&BranchAndBoundOptions {
-            integral_objective: true,
-            ..Default::default()
-        })?,
-        (true, SolverBackend::DenseReference) => ipet.model.solve_ilp_reference()?,
-        (false, SolverBackend::Sparse) => ipet.model.solve_lp()?,
-        (false, SolverBackend::DenseReference) => ipet.model.solve_lp_reference()?,
-    };
-    // Costs are integral, so the optimum is integral up to float noise.
-    Ok(solution.objective.round().max(0.0) as u64)
+}
+
+/// Costs are integral, so the optimum is integral up to float noise.
+pub(crate) fn integral_bound(solution: &Solution) -> u64 {
+    solution.objective.round().max(0.0) as u64
 }
 
 fn scope_key(scope: Scope) -> usize {
@@ -285,7 +269,7 @@ mod tests {
     fn straight_line_counts_every_fetch() {
         let (compiled, cfg) = build(Program::new("s").with_function("main", stmt::compute(7)));
         let unit = CostModel::uniform(&cfg, 1);
-        let bound = ipet_bound(&cfg, &unit, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &unit).unwrap();
         assert_eq!(bound, compiled.max_fetches());
         assert_eq!(bound, 11); // 3 prologue + 7 compute + 1 break
     }
@@ -295,7 +279,7 @@ mod tests {
         let (compiled, cfg) =
             build(Program::new("l").with_function("main", stmt::loop_(10, stmt::compute(2))));
         let unit = CostModel::uniform(&cfg, 1);
-        let bound = ipet_bound(&cfg, &unit, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &unit).unwrap();
         assert_eq!(bound, compiled.max_fetches());
     }
 
@@ -306,7 +290,7 @@ mod tests {
                 .with_function("main", stmt::if_else(stmt::compute(2), stmt::compute(10))),
         );
         let unit = CostModel::uniform(&cfg, 1);
-        let bound = ipet_bound(&cfg, &unit, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &unit).unwrap();
         // prologue 3 + xori + beq + else(10) + break = 16: else branch
         // (10 + 0) beats then (2 + 1 jump).
         assert_eq!(bound, 16);
@@ -319,7 +303,7 @@ mod tests {
                 .with_function("main", stmt::loop_(4, stmt::loop_(6, stmt::compute(1)))),
         );
         let unit = CostModel::uniform(&cfg, 1);
-        let bound = ipet_bound(&cfg, &unit, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &unit).unwrap();
         assert_eq!(bound, compiled.max_fetches());
     }
 
@@ -334,7 +318,7 @@ mod tests {
                 .with_function("f", stmt::compute(3)),
         );
         let unit = CostModel::uniform(&cfg, 1);
-        let bound = ipet_bound(&cfg, &unit, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &unit).unwrap();
         assert_eq!(bound, compiled.max_fetches());
     }
 
@@ -351,7 +335,7 @@ mod tests {
             0,
             RefCost::with_first_extra(1, 100, Scope::Loop(l.id)),
         );
-        let bound = ipet_bound(&cfg, &costs, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &costs).unwrap();
         // 10 executions × 1 + 100 once.
         assert_eq!(bound, 110);
     }
@@ -363,7 +347,7 @@ mod tests {
         let l = &cfg.loops()[0];
         let mut costs = CostModel::zero(&cfg);
         costs.set(l.header, 0, RefCost::with_first_extra(0, 7, Scope::Program));
-        let bound = ipet_bound(&cfg, &costs, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &costs).unwrap();
         assert_eq!(bound, 7);
     }
 
@@ -382,32 +366,12 @@ mod tests {
             0,
             RefCost::with_first_extra(0, 10, Scope::Loop(inner.id)),
         );
-        let bound = ipet_bound(&cfg, &costs, &IpetOptions::default()).unwrap();
+        let bound = ipet_bound(&cfg, &costs).unwrap();
         assert_eq!(bound, 30);
     }
 
     #[test]
-    fn lp_relaxation_dominates_ilp() {
-        let (_, cfg) = build(Program::new("lp").with_function(
-            "main",
-            stmt::loop_(7, stmt::if_else(stmt::compute(5), stmt::compute(2))),
-        ));
-        let unit = CostModel::uniform(&cfg, 1);
-        let ilp = ipet_bound(&cfg, &unit, &IpetOptions::default()).unwrap();
-        let lp = ipet_bound(
-            &cfg,
-            &unit,
-            &IpetOptions {
-                require_integral: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(lp >= ilp);
-    }
-
-    #[test]
-    fn dense_reference_backend_matches_sparse_default() {
+    fn dense_reference_matches_ipet_bound() {
         let (_, cfg) = build(Program::new("eq").with_function(
             "main",
             stmt::loop_(9, stmt::if_else(stmt::compute(6), stmt::compute(3))),
@@ -419,26 +383,9 @@ mod tests {
             0,
             RefCost::with_first_extra(1, 50, Scope::Loop(l.id)),
         );
-        for require_integral in [true, false] {
-            let sparse = ipet_bound(
-                &cfg,
-                &costs,
-                &IpetOptions {
-                    require_integral,
-                    solver: SolverBackend::Sparse,
-                },
-            )
-            .unwrap();
-            let dense = ipet_bound(
-                &cfg,
-                &costs,
-                &IpetOptions {
-                    require_integral,
-                    solver: SolverBackend::DenseReference,
-                },
-            )
-            .unwrap();
-            assert_eq!(sparse, dense, "integral={require_integral}");
-        }
+        assert_eq!(
+            ipet_bound(&cfg, &costs).unwrap(),
+            ipet_bound_reference(&cfg, &costs).unwrap()
+        );
     }
 }

@@ -10,6 +10,8 @@
 //!   bounded by their persistence scope's entry count. This is the
 //!   engine the paper uses, both for WCETs and for the fault-miss-map
 //!   objectives ("an ILP system close to IPET", §II-C).
+//!   [`ipet_bound_reference`] solves the identical model on the frozen
+//!   dense tableau, the oracle the equivalence suites compare against.
 //! * [`tree_bound`] — Heptane's original bottom-up timing-schema engine
 //!   \[14\] over the structure tree emitted by `pwcet-progen`. It serves
 //!   as an independent oracle: on the structured programs of this
@@ -25,7 +27,7 @@
 //! use pwcet_analysis::classify;
 //! use pwcet_cache::{CacheGeometry, CacheTiming};
 //! use pwcet_cfg::{ExpandedCfg, FunctionExtent};
-//! use pwcet_ipet::{ipet_bound, tree_bound, CostModel, IpetOptions};
+//! use pwcet_ipet::{ipet_bound, tree_bound, CostModel};
 //! use pwcet_progen::{stmt, Program};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +43,7 @@
 //! let geometry = CacheGeometry::paper_default();
 //! let chmc = classify(&cfg, &geometry, geometry.ways());
 //! let costs = CostModel::from_chmc(&cfg, &chmc, &CacheTiming::paper_default());
-//! let wcet_ilp = ipet_bound(&cfg, &costs, &IpetOptions::default())?;
+//! let wcet_ilp = ipet_bound(&cfg, &costs)?;
 //! let wcet_tree = tree_bound(&compiled, &cfg, &costs);
 //! assert!(wcet_ilp <= wcet_tree);
 //! # Ok(())
@@ -55,8 +57,8 @@ mod template;
 mod tree_engine;
 
 pub use cost::{CostModel, RefCost};
-pub use ilp_engine::{ipet_bound, IpetOptions};
-pub use pwcet_ilp::{BasisSnapshot, SolverBackend};
+pub use ilp_engine::{ipet_bound, ipet_bound_reference};
+pub use pwcet_ilp::BasisSnapshot;
 pub use registry::{TemplateCounters, TemplateRegistry};
 pub use template::IpetTemplate;
 pub use tree_engine::tree_bound;

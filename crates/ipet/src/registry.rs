@@ -6,9 +6,9 @@
 //! cache geometry or the cost model. Keying templates per analysis
 //! context therefore rebuilds and refactors the *same* matrix once per
 //! way count in a geometry sweep. A [`TemplateRegistry`] instead keys by
-//! `(CFG fingerprint, IpetOptions)` and hands every sibling geometry the
-//! same [`IpetTemplate`], so each sweep point re-solves objectives
-//! against an already-factored basis.
+//! CFG fingerprint and hands every sibling geometry the same
+//! [`IpetTemplate`], so each sweep point re-solves objectives against an
+//! already-factored basis.
 //!
 //! The group dimension is handled by *coverage*, not equality: a lookup
 //! whose groups are a subset of the registered template's union is a hit
@@ -18,14 +18,21 @@
 //! needing groups the template lacks triggers a counted rebuild with the
 //! merged union — asserted by construction, never assumed — replacing
 //! the registered template so both old and new cost models stay covered.
+//!
+//! The registry shares templates; it does not keep them alive. Each
+//! [`obtain`](TemplateRegistry::obtain) first drops every template that
+//! nothing outside the registry holds any more (every context that
+//! memoized it is gone), so a long-lived process keeps one template per
+//! resident program rather than one per program it ever analyzed.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pwcet_analysis::Scope;
 use pwcet_cfg::{ExpandedCfg, NodeId};
 
-use crate::ilp_engine::{sort_groups, IpetOptions};
+use crate::ilp_engine::sort_groups;
 use crate::template::IpetTemplate;
 
 /// Monotonic counters of a [`TemplateRegistry`].
@@ -61,17 +68,39 @@ impl TemplateCounters {
     }
 }
 
-/// One registry slot: a template keyed by CFG fingerprint and options.
-type TemplateSlot = ((u64, IpetOptions), Arc<IpetTemplate>);
+/// The registered templates, guarded by one lock.
+#[derive(Debug, Default)]
+struct Slots {
+    by_fingerprint: HashMap<u64, Arc<IpetTemplate>>,
+    /// Objective-memo hits of templates that have left the registry
+    /// (dropped or replaced), up to the moment they left — so the
+    /// reported total never goes down.
+    retired_objective_hits: u64,
+}
 
-/// A registry of [`IpetTemplate`]s keyed by CFG fingerprint and
-/// [`IpetOptions`], with restore/reject accounting for persisted bases.
+impl Slots {
+    /// Drops every template only the registry still holds. The caller
+    /// holds the registry lock, so no other holder can appear while the
+    /// count is read: an `Arc` at count 1 can only be cloned through
+    /// this map.
+    fn prune(&mut self) {
+        let mut retired = 0;
+        self.by_fingerprint.retain(|_, template| {
+            let orphaned = Arc::strong_count(template) == 1;
+            if orphaned {
+                retired += template.objective_hits();
+            }
+            !orphaned
+        });
+        self.retired_objective_hits += retired;
+    }
+}
+
+/// A registry of [`IpetTemplate`]s keyed by CFG fingerprint, with
+/// restore/reject accounting for persisted bases.
 #[derive(Debug, Default)]
 pub struct TemplateRegistry {
-    /// Linear scan: one entry per `(CFG, options)` pair actually
-    /// analyzed — a handful per process, and `IpetOptions` is not
-    /// hashable by design (it carries the solver backend choice).
-    templates: Mutex<Vec<TemplateSlot>>,
+    slots: Mutex<Slots>,
     /// Pool cap applied to every template built through this registry.
     pool_cap: AtomicUsize,
     template_hits: AtomicU64,
@@ -93,35 +122,35 @@ impl TemplateRegistry {
     /// at `cap` — callers pass the configured solve parallelism.
     pub fn set_pool_cap(&self, cap: usize) {
         self.pool_cap.store(cap.max(1), Ordering::Relaxed);
-        let templates = self.templates.lock().expect("template registry");
-        for (_, template) in templates.iter() {
+        let slots = self.slots.lock().expect("template registry");
+        for template in slots.by_fingerprint.values() {
             template.set_pool_cap(cap);
         }
     }
 
-    /// Returns the registered template for `(cfg_fingerprint, options)`
-    /// covering `groups`, building (or rebuilding with the merged group
-    /// union) when none does. `cfg_fingerprint` must be a collision-free
+    /// Returns the registered template for `cfg_fingerprint` covering
+    /// `groups`, building (or rebuilding with the merged group union)
+    /// when none does. `cfg_fingerprint` must be a collision-free
     /// identity for `cfg`'s structure — callers derive it from the CFG
     /// itself, and every sibling geometry of one program presents the
     /// same fingerprint, which is exactly what makes a sweep share one
     /// factored basis pool.
+    ///
+    /// The caller keeps the template alive by holding the returned
+    /// `Arc`; once every holder has dropped it, a later `obtain` drops
+    /// it from the registry too.
     pub fn obtain(
         &self,
         cfg_fingerprint: u64,
         cfg: &ExpandedCfg,
         groups: &[(NodeId, Scope)],
-        options: IpetOptions,
     ) -> Arc<IpetTemplate> {
-        let key = (cfg_fingerprint, options);
         let mut needed = groups.to_vec();
         sort_groups(&mut needed);
         let existing = {
-            let templates = self.templates.lock().expect("template registry");
-            templates
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, t)| Arc::clone(t))
+            let mut slots = self.slots.lock().expect("template registry");
+            slots.prune();
+            slots.by_fingerprint.get(&cfg_fingerprint).map(Arc::clone)
         };
         if let Some(template) = existing.as_ref() {
             if template.covers(&needed) {
@@ -137,43 +166,24 @@ impl TemplateRegistry {
             union.extend(template.groups().iter().copied());
             sort_groups(&mut union);
         }
-        let built = Arc::new(IpetTemplate::new(cfg, union, options));
+        let built = Arc::new(IpetTemplate::new(cfg, union));
         built.set_pool_cap(self.pool_cap.load(Ordering::Relaxed));
-        let mut templates = self.templates.lock().expect("template registry");
+        let mut slots = self.slots.lock().expect("template registry");
         // Another thread may have raced a covering build in meanwhile.
-        if let Some((_, raced)) = templates.iter().find(|(k, _)| *k == key) {
+        if let Some(raced) = slots.by_fingerprint.get(&cfg_fingerprint) {
             if raced.covers(&needed) {
                 self.template_hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(raced);
             }
         }
         self.template_builds.fetch_add(1, Ordering::Relaxed);
-        match templates.iter_mut().find(|(k, _)| *k == key) {
-            Some(entry) => entry.1 = Arc::clone(&built),
-            None => templates.push((key, Arc::clone(&built))),
+        if let Some(replaced) = slots
+            .by_fingerprint
+            .insert(cfg_fingerprint, Arc::clone(&built))
+        {
+            slots.retired_objective_hits += replaced.objective_hits();
         }
         built
-    }
-
-    /// The registered template for `(cfg_fingerprint, options)`, if any
-    /// — a read-only probe (no build, no hit accounting).
-    pub fn peek(&self, cfg_fingerprint: u64, options: IpetOptions) -> Option<Arc<IpetTemplate>> {
-        let templates = self.templates.lock().expect("template registry");
-        templates
-            .iter()
-            .find(|(k, _)| *k == (cfg_fingerprint, options))
-            .map(|(_, t)| Arc::clone(t))
-    }
-
-    /// Every `(options, template)` registered for `cfg_fingerprint` —
-    /// the persistence walk that exports bases alongside a context.
-    pub fn templates_for(&self, cfg_fingerprint: u64) -> Vec<(IpetOptions, Arc<IpetTemplate>)> {
-        let templates = self.templates.lock().expect("template registry");
-        templates
-            .iter()
-            .filter(|((fp, _), _)| *fp == cfg_fingerprint)
-            .map(|((_, options), t)| (*options, Arc::clone(t)))
-            .collect()
     }
 
     /// Counts one successful basis restore.
@@ -187,12 +197,16 @@ impl TemplateRegistry {
     }
 
     /// A snapshot of the registry's counters. `objective_hits` sums over
-    /// the currently registered templates (hits recorded by a template
-    /// replaced on a coverage miss are not carried over).
+    /// the registered templates plus those that have left the registry.
     pub fn counters(&self) -> TemplateCounters {
         let objective_hits = {
-            let templates = self.templates.lock().expect("template registry");
-            templates.iter().map(|(_, t)| t.objective_hits()).sum()
+            let slots = self.slots.lock().expect("template registry");
+            slots.retired_objective_hits
+                + slots
+                    .by_fingerprint
+                    .values()
+                    .map(|t| t.objective_hits())
+                    .sum::<u64>()
         };
         TemplateCounters {
             template_hits: self.template_hits.load(Ordering::Relaxed),
@@ -234,12 +248,11 @@ mod tests {
     #[test]
     fn same_key_covering_lookup_is_a_hit() {
         let cfg = looped_cfg();
-        let options = IpetOptions::default();
         let l = &cfg.loops()[0];
         let registry = TemplateRegistry::new();
-        let wide = registry.obtain(7, &cfg, &[(l.header, Scope::Loop(l.id))], options);
+        let wide = registry.obtain(7, &cfg, &[(l.header, Scope::Loop(l.id))]);
         // A sibling needing a subset (here: nothing) shares the template.
-        let narrow = registry.obtain(7, &cfg, &[], options);
+        let narrow = registry.obtain(7, &cfg, &[]);
         assert!(Arc::ptr_eq(&wide, &narrow));
         let counters = registry.counters();
         assert_eq!(counters.template_builds, 1);
@@ -249,11 +262,10 @@ mod tests {
     #[test]
     fn coverage_miss_rebuilds_with_merged_union() {
         let cfg = looped_cfg();
-        let options = IpetOptions::default();
         let l = &cfg.loops()[0];
         let registry = TemplateRegistry::new();
-        let first = registry.obtain(7, &cfg, &[(l.header, Scope::Loop(l.id))], options);
-        let second = registry.obtain(7, &cfg, &[(cfg.entry(), Scope::Program)], options);
+        let first = registry.obtain(7, &cfg, &[(l.header, Scope::Loop(l.id))]);
+        let second = registry.obtain(7, &cfg, &[(cfg.entry(), Scope::Program)]);
         assert!(!Arc::ptr_eq(&first, &second), "coverage miss rebuilds");
         // The replacement covers both requirements.
         assert!(second.covers(&[(l.header, Scope::Loop(l.id))]));
@@ -268,27 +280,59 @@ mod tests {
         );
         assert_eq!(
             second.bound(&costs).unwrap(),
-            ipet_bound(&cfg, &costs, &options).unwrap()
+            ipet_bound(&cfg, &costs).unwrap()
         );
     }
 
     #[test]
     fn different_fingerprints_do_not_share() {
         let cfg = looped_cfg();
-        let options = IpetOptions::default();
         let registry = TemplateRegistry::new();
-        let a = registry.obtain(1, &cfg, &[], options);
-        let b = registry.obtain(2, &cfg, &[], options);
+        let a = registry.obtain(1, &cfg, &[]);
+        let b = registry.obtain(2, &cfg, &[]);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(registry.counters().template_builds, 2);
     }
 
     #[test]
+    fn templates_no_one_holds_are_dropped_on_the_next_obtain() {
+        let cfg = looped_cfg();
+        let registry = TemplateRegistry::new();
+        let held = registry.obtain(1, &cfg, &[]);
+        let released = Arc::downgrade(&registry.obtain(2, &cfg, &[]));
+        assert!(released.upgrade().is_some(), "kept until the next obtain");
+        let _ = registry.obtain(3, &cfg, &[]);
+        assert!(
+            released.upgrade().is_none(),
+            "an unheld template is dropped"
+        );
+        // A held template survives, and a repeat lookup still shares it.
+        assert!(Arc::ptr_eq(&held, &registry.obtain(1, &cfg, &[])));
+    }
+
+    #[test]
+    fn objective_hits_outlive_dropped_templates() {
+        let cfg = looped_cfg();
+        let registry = TemplateRegistry::new();
+        let template = registry.obtain(1, &cfg, &[]);
+        let costs = CostModel::uniform(&cfg, 2);
+        template.bound(&costs).unwrap();
+        template.bound(&costs).unwrap();
+        assert_eq!(registry.counters().objective_hits, 1);
+        drop(template);
+        let _ = registry.obtain(2, &cfg, &[]);
+        assert_eq!(
+            registry.counters().objective_hits,
+            1,
+            "a dropped template's hits stay counted"
+        );
+    }
+
+    #[test]
     fn basis_round_trips_through_snapshot_into_a_fresh_registry() {
         let cfg = looped_cfg();
-        let options = IpetOptions::default();
         let registry = TemplateRegistry::new();
-        let template = registry.obtain(7, &cfg, &[], options);
+        let template = registry.obtain(7, &cfg, &[]);
         let costs = CostModel::uniform(&cfg, 3);
         let expected = template.bound(&costs).unwrap();
         let basis = template.export_basis().expect("solved template exports");
@@ -296,7 +340,7 @@ mod tests {
         // A "restarted process": fresh registry, fresh template, seeded
         // from the serialized basis — the first solve is warm.
         let restarted = TemplateRegistry::new();
-        let template2 = restarted.obtain(7, &cfg, &[], options);
+        let template2 = restarted.obtain(7, &cfg, &[]);
         assert!(template2.seed_basis(&basis), "snapshot hydrates");
         assert_eq!(template2.bound(&costs).unwrap(), expected);
         let stats = template2.stats();
@@ -307,9 +351,8 @@ mod tests {
     #[test]
     fn corrupt_snapshot_is_rejected_and_degrades_to_cold() {
         let cfg = looped_cfg();
-        let options = IpetOptions::default();
         let registry = TemplateRegistry::new();
-        let template = registry.obtain(7, &cfg, &[], options);
+        let template = registry.obtain(7, &cfg, &[]);
         let costs = CostModel::uniform(&cfg, 3);
         let expected = template.bound(&costs).unwrap();
         let good = template.export_basis().expect("solved template exports");
@@ -328,7 +371,7 @@ mod tests {
             ("duplicate", dup),
             ("truncated", truncated),
         ] {
-            let fresh = registry.obtain(100, &cfg, &[], options);
+            let fresh = registry.obtain(100, &cfg, &[]);
             assert!(!fresh.seed_basis(&bad), "{label} snapshot must be rejected");
             // The template still answers — cold, and correctly.
             assert_eq!(fresh.bound(&costs).unwrap(), expected, "{label}");
@@ -340,7 +383,7 @@ mod tests {
         let cfg = looped_cfg();
         let registry = TemplateRegistry::new();
         registry.set_pool_cap(1);
-        let template = registry.obtain(7, &cfg, &[], IpetOptions::default());
+        let template = registry.obtain(7, &cfg, &[]);
         let costs = CostModel::uniform(&cfg, 1);
         for _ in 0..4 {
             template.bound(&costs).unwrap();

@@ -30,13 +30,12 @@ use pwcet_ilp::{
 };
 
 use crate::cost::CostModel;
-use crate::ilp_engine::{build_ipet_model, objective_for, sort_groups, IpetModel, IpetOptions};
+use crate::ilp_engine::{build_ipet_model, integral_bound, objective_for, sort_groups, IpetModel};
 
 /// A factored IPET instance answering many cost models over one CFG.
 #[derive(Debug)]
 pub struct IpetTemplate {
     ipet: IpetModel,
-    options: IpetOptions,
     /// The `(node, scope)` group union the template was built with, in
     /// canonical sorted order — the coverage contract of
     /// [`covers`](Self::covers).
@@ -50,7 +49,7 @@ pub struct IpetTemplate {
     /// pool never outgrows the configured solve parallelism.
     pool_cap: AtomicUsize,
     /// Solved bounds keyed by exact cost-model content. Identical CFG +
-    /// options + objective determine the bound, so a repeat — common in
+    /// objective determine the bound, so a repeat — common in
     /// geometry sweeps, where a sibling's `(assoc, assoc − f)` delta
     /// model coincides with an already-solved pair whenever the
     /// classifications agree on the set — is answered without touching
@@ -70,21 +69,12 @@ impl IpetTemplate {
     /// `(node, scope)` in `groups` — the union over every cost model
     /// this template will solve. Groups are deduplicated and put in
     /// canonical order internally.
-    ///
-    /// `options.solver` is ignored: a template is inherently the sparse
-    /// warm-started path (the dense reference rebuilds from scratch by
-    /// design and is served by [`ipet_bound`](crate::ipet_bound)).
-    pub fn new(
-        cfg: &ExpandedCfg,
-        groups: impl IntoIterator<Item = (NodeId, Scope)>,
-        options: IpetOptions,
-    ) -> Self {
+    pub fn new(cfg: &ExpandedCfg, groups: impl IntoIterator<Item = (NodeId, Scope)>) -> Self {
         let mut groups: Vec<(NodeId, Scope)> = groups.into_iter().collect();
         sort_groups(&mut groups);
-        let ipet = build_ipet_model(cfg, &groups, &options);
+        let ipet = build_ipet_model(cfg, &groups);
         Self {
             ipet,
-            options,
             groups,
             pool: Mutex::new(Vec::new()),
             proto: Mutex::new(None),
@@ -97,18 +87,13 @@ impl IpetTemplate {
 
     /// As [`new`](Self::new) for cost models with no first-extra
     /// charges (or callers that will only use such models).
-    pub fn without_groups(cfg: &ExpandedCfg, options: IpetOptions) -> Self {
-        Self::new(cfg, std::iter::empty(), options)
+    pub fn without_groups(cfg: &ExpandedCfg) -> Self {
+        Self::new(cfg, std::iter::empty())
     }
 
     /// The number of first-extra group variables the template carries.
     pub fn group_count(&self) -> usize {
         self.ipet.group_vars.len()
-    }
-
-    /// The options the template was built with.
-    pub fn options(&self) -> &IpetOptions {
-        &self.options
     }
 
     /// The `(node, scope)` group union the template was built with, in
@@ -198,8 +183,8 @@ impl IpetTemplate {
     }
 
     /// The IPET bound of `costs` — identical to
-    /// [`ipet_bound`](crate::ipet_bound) on the same CFG and options,
-    /// but warm-started from the template's factored basis.
+    /// [`ipet_bound`](crate::ipet_bound) on the same CFG, but
+    /// warm-started from the template's factored basis.
     ///
     /// # Errors
     ///
@@ -241,24 +226,22 @@ impl IpetTemplate {
         // (a wrong bound is never produced).
         let objective = objective_for(&self.ipet, costs);
         let mut ws = self.checkout();
-        let result = if self.options.require_integral {
-            let bb = BranchAndBoundOptions {
-                workers: workers.max(1),
-                // IPET objectives are u64 costs over integer-marked
-                // variables: integral at every integral point.
-                integral_objective: true,
-                ..Default::default()
-            };
-            self.ipet.model.solve_ilp_in(Some(&objective), &mut ws, &bb)
-        } else {
-            self.ipet.model.solve_lp_in(Some(&objective), &mut ws)
+        let bb = BranchAndBoundOptions {
+            workers: workers.max(1),
+            // IPET objectives are u64 costs over integer-marked
+            // variables: integral at every integral point.
+            integral_objective: true,
+            ..Default::default()
         };
         // A failed workspace may hold inconsistent state; drop it
         // rather than filing it back into the pool.
-        let (solution, stats) = result?;
+        let (solution, stats) = self
+            .ipet
+            .model
+            .solve_ilp_in(Some(&objective), &mut ws, &bb)?;
         self.stats.record(&stats);
         self.checkin(ws);
-        let bound = solution.objective.round().max(0.0) as u64;
+        let bound = integral_bound(&solution);
         let mut memo = self.memo.lock().expect("template memo");
         if memo.len() < MEMO_CAP {
             memo.insert(costs.clone(), bound);
@@ -323,13 +306,11 @@ mod tests {
     #[test]
     fn template_matches_one_shot_bounds_across_objectives() {
         let cfg = looped_cfg();
-        let options = IpetOptions::default();
         let l = &cfg.loops()[0];
         // Union: one loop-scoped group and one program-scoped group.
         let template = IpetTemplate::new(
             &cfg,
             [(l.header, Scope::Loop(l.id)), (cfg.entry(), Scope::Program)],
-            options,
         );
         let mut variants = Vec::new();
         // Plain unit costs (no groups charged).
@@ -353,7 +334,7 @@ mod tests {
 
         for (i, costs) in variants.iter().enumerate() {
             let warm = template.bound(costs).unwrap();
-            let cold = ipet_bound(&cfg, costs, &options).unwrap();
+            let cold = ipet_bound(&cfg, costs).unwrap();
             assert_eq!(warm, cold, "variant {i}");
         }
         let stats = template.stats();
@@ -362,27 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn template_matches_lp_relaxation_mode() {
-        let cfg = looped_cfg();
-        let options = IpetOptions {
-            require_integral: false,
-            ..Default::default()
-        };
-        let template = IpetTemplate::without_groups(&cfg, options);
-        for cost in [1, 7] {
-            let costs = CostModel::uniform(&cfg, cost);
-            assert_eq!(
-                template.bound(&costs).unwrap(),
-                ipet_bound(&cfg, &costs, &options).unwrap(),
-                "unit cost {cost}"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_workers_agree_with_sequential_bound() {
         let cfg = looped_cfg();
-        let template = IpetTemplate::without_groups(&cfg, IpetOptions::default());
+        let template = IpetTemplate::without_groups(&cfg);
         let costs = CostModel::uniform(&cfg, 2);
         let (sequential, _) = template.bound_with_workers(&costs, 1).unwrap();
         let (parallel, _) = template.bound_with_workers(&costs, 4).unwrap();
@@ -393,7 +356,7 @@ mod tests {
     #[should_panic(expected = "absent from the IPET model")]
     fn unknown_group_is_rejected_loudly() {
         let cfg = looped_cfg();
-        let template = IpetTemplate::without_groups(&cfg, IpetOptions::default());
+        let template = IpetTemplate::without_groups(&cfg);
         let l = &cfg.loops()[0];
         let mut costs = CostModel::zero(&cfg);
         costs.set(

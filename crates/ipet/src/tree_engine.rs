@@ -166,7 +166,7 @@ fn merge(into: &mut HashMap<Scope, u64>, from: HashMap<Scope, u64>) {
 mod tests {
     use super::*;
     use crate::cost::{CostModel, RefCost};
-    use crate::ilp_engine::{ipet_bound, IpetOptions};
+    use crate::ilp_engine::ipet_bound;
     use pwcet_cfg::FunctionExtent;
     use pwcet_progen::{stmt, GeneratorConfig, Program, ProgramGenerator};
 
@@ -249,7 +249,7 @@ mod tests {
             costs.set(n, 0, RefCost::with_first_extra(1, 50, Scope::Loop(l.id)));
         }
         let tree = tree_bound(&compiled, &cfg, &costs);
-        let ilp = ipet_bound(&cfg, &costs, &IpetOptions::default()).unwrap();
+        let ilp = ipet_bound(&cfg, &costs).unwrap();
         // Both engines charge both 50s once (both branches run at least
         // once over 4 iterations in the worst case).
         assert!(tree >= ilp);
@@ -265,8 +265,7 @@ mod tests {
             let (compiled, cfg) = build(program);
             let unit = CostModel::uniform(&cfg, 1);
             let tree = tree_bound(&compiled, &cfg, &unit);
-            let ilp = ipet_bound(&cfg, &unit, &IpetOptions::default())
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let ilp = ipet_bound(&cfg, &unit).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(
                 tree, ilp,
                 "seed {seed}: unit-cost engines must agree (tree={tree} ilp={ilp})"
@@ -294,8 +293,7 @@ mod tests {
             let chmc = classify(&cfg, &geometry, geometry.ways());
             let costs = CostModel::from_chmc(&cfg, &chmc, &CacheTiming::paper_default());
             let tree = tree_bound(&compiled, &cfg, &costs);
-            let ilp = ipet_bound(&cfg, &costs, &IpetOptions::default())
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let ilp = ipet_bound(&cfg, &costs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(
                 tree >= ilp,
                 "seed {seed}: tree ({tree}) must dominate IPET ({ilp})"

@@ -13,7 +13,7 @@
 use fault_aware_pwcet::analysis::classify;
 use fault_aware_pwcet::cache::{CacheGeometry, CacheTiming};
 use fault_aware_pwcet::core::{expand_compiled, AnalysisConfig, Protection, PwcetAnalyzer};
-use fault_aware_pwcet::ipet::{ipet_bound, tree_bound, CostModel, IpetOptions};
+use fault_aware_pwcet::ipet::{ipet_bound, tree_bound, CostModel};
 use fault_aware_pwcet::progen::{stmt, Program};
 use fault_aware_pwcet::sim::{monte_carlo, simulate, MonteCarloConfig};
 
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.always_hit, stats.first_miss, stats.always_miss, stats.not_classified
     );
     let costs = CostModel::from_chmc(&cfg, &chmc, &CacheTiming::paper_default());
-    let wcet_ilp = ipet_bound(&cfg, &costs, &IpetOptions::default())?;
+    let wcet_ilp = ipet_bound(&cfg, &costs)?;
     let wcet_tree = tree_bound(&compiled, &cfg, &costs);
     println!("fault-free WCET: IPET {wcet_ilp} cycles, tree engine {wcet_tree} cycles");
 

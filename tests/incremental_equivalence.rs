@@ -12,16 +12,19 @@
 //!   on a category-spanning subset (always on) and on the complete suite
 //!   (`#[ignore]`d, exercised by the nightly CI `--include-ignored` step);
 //! * the bit-packed word-parallel classification kernel against the frozen
-//!   set-based reference backend (`packed_backend_*` tests — spanning
-//!   subset always on, complete suite nightly);
+//!   set-based oracle, level by level, and the full pipeline against the
+//!   oracle pipeline of `tests/oracle/mod.rs` (`packed_backend_*` tests —
+//!   spanning subset always on, complete suite nightly);
 //! * the per-context penalty-distribution memo against plane-less fresh
 //!   convolutions (`penalty_memo_*` tests — spanning subset always on,
 //!   complete suite nightly).
 
+mod oracle;
+
 use std::sync::Arc;
 
 use fault_aware_pwcet::analysis::{
-    classify, classify_level_from_with, classify_level_with, classify_srb_with, ClassifierBackend,
+    classify, classify_level, classify_level_from, classify_srb, reference,
 };
 use fault_aware_pwcet::benchsuite;
 use fault_aware_pwcet::cache::{CacheGeometry, GeometryLattice};
@@ -243,13 +246,13 @@ fn geometry_derivation_matches_cold_across_the_entire_suite() {
     assert_eq!(plane.stats().cold_builds as usize, benchsuite::all().len());
 }
 
-/// Packed-vs-reference identity of one benchmark: every CHMC level both
-/// cold and truncation-warm-started, the SRB map, and the full pipeline
-/// (FMM, SRB columns, exceedance curves, quantiles) driven through a
-/// reference-backed context. The `SetReference` backend replays the
-/// pre-packing set-based fixpoints, so any packed-kernel bug — a
-/// mis-shifted age lane, a stray bit past the interned universe, a wrong
-/// prefix-OR in the join — shows up as a diff here.
+/// Packed-vs-oracle identity of one benchmark: every CHMC level both
+/// cold and truncation-warm-started against the set-based oracle, the
+/// SRB map, and the full pipeline's bounds against the oracle pipeline.
+/// The set-based oracle replays the pre-packing fixpoints, so any
+/// packed-kernel bug — a mis-shifted age lane, a stray bit past the
+/// interned universe, a wrong prefix-OR in the join — shows up as a diff
+/// here.
 fn assert_packed_matches_reference(name: &str) {
     let config = warm_config();
     let bench = benchsuite::by_name(name).unwrap();
@@ -260,64 +263,34 @@ fn assert_packed_matches_reference(name: &str) {
 
     // Classification levels: cold at every associativity, plus the
     // truncation warm starts the incremental chain actually takes.
-    let packed_full = classify_level_with(&cfg, &geometry, ways, ClassifierBackend::Packed, None);
-    let reference_full =
-        classify_level_with(&cfg, &geometry, ways, ClassifierBackend::SetReference, None);
+    let packed_full = classify_level(&cfg, &geometry, ways);
+    let reference_full = reference::classify_level(&cfg, &geometry, ways);
     assert_eq!(packed_full, reference_full, "{name}: full level");
     for assoc in 0..ways {
-        let packed = classify_level_with(&cfg, &geometry, assoc, ClassifierBackend::Packed, None);
-        let reference = classify_level_with(
-            &cfg,
-            &geometry,
-            assoc,
-            ClassifierBackend::SetReference,
-            None,
-        );
-        assert_eq!(packed, reference, "{name}: cold level {assoc}");
-        let warm_packed = classify_level_from_with(
-            &cfg,
-            &geometry,
-            &packed_full,
-            assoc,
-            ClassifierBackend::Packed,
-            None,
-        );
-        let warm_reference = classify_level_from_with(
-            &cfg,
-            &geometry,
-            &reference_full,
-            assoc,
-            ClassifierBackend::SetReference,
-            None,
-        );
+        let packed = classify_level(&cfg, &geometry, assoc);
+        let cold_reference = reference::classify_level(&cfg, &geometry, assoc);
+        assert_eq!(packed, cold_reference, "{name}: cold level {assoc}");
+        let warm_packed = classify_level_from(&cfg, &geometry, &packed_full, assoc);
+        let warm_reference =
+            reference::classify_level_from(&cfg, &geometry, &reference_full, assoc);
         assert_eq!(warm_packed, warm_reference, "{name}: warm level {assoc}");
         assert_eq!(warm_packed, packed, "{name}: warm level {assoc} vs cold");
     }
     assert_eq!(
-        classify_srb_with(&cfg, &geometry, ClassifierBackend::Packed, None),
-        classify_srb_with(&cfg, &geometry, ClassifierBackend::SetReference, None),
+        classify_srb(&cfg, &geometry),
+        reference::classify_srb(&cfg, &geometry),
         "{name}: SRB map"
     );
 
-    // Full pipeline behind each backend's context.
-    let analyzer = PwcetAnalyzer::new(config);
-    let packed_context = AnalysisContext::build_with_backend(
-        &compiled,
-        geometry,
-        ClassificationMode::Incremental,
-        ClassifierBackend::Packed,
-    )
-    .unwrap();
-    let reference_context = AnalysisContext::build_with_backend(
-        &compiled,
-        geometry,
-        ClassificationMode::Incremental,
-        ClassifierBackend::SetReference,
-    )
-    .unwrap();
-    let packed = analyzer.analyze_with_context(&packed_context).unwrap();
-    let reference = analyzer.analyze_with_context(&reference_context).unwrap();
-    assert_analyses_identical(name, &reference, &packed);
+    // The full pipeline against the oracle pipeline.
+    let (analysis, _) = PwcetAnalyzer::new(config)
+        .analyze_compiled(&compiled)
+        .unwrap();
+    oracle::assert_matches(
+        name,
+        &analysis,
+        &oracle::reference_bounds(&compiled, &config),
+    );
 }
 
 #[test]
@@ -328,7 +301,7 @@ fn packed_backend_matches_reference_on_spanning_subset() {
 }
 
 #[test]
-#[ignore = "replays the set-based reference kernel across the complete 25-benchmark suite (~minutes); nightly CI runs it via --include-ignored"]
+#[ignore = "replays the set-based oracle and the oracle pipeline across the complete 25-benchmark suite (~minutes); nightly CI runs it via --include-ignored"]
 fn packed_backend_matches_reference_across_the_entire_suite() {
     for bench in benchsuite::all() {
         assert_packed_matches_reference(bench.name);

@@ -1,75 +1,51 @@
-//! Differential suite: the sparse warm-started solver stack is
-//! bound-identical to the frozen dense reference.
+//! Differential suite: production bounds equal the oracle pipeline's.
 //!
-//! The production ILP path (sparse bounded-variable revised simplex +
-//! clone-free warm-started branch and bound + per-context
-//! `IpetTemplate` objective fan-out) must reproduce, bit for bit, every
-//! bound the original dense tableau + clone-per-node solver computed:
-//! fault-free WCETs, every fault-miss-map cell, every SRB column, and
-//! therefore every pWCET quantile. `AnalysisConfig.ipet.solver =
-//! SolverBackend::DenseReference` re-runs the pipeline on the frozen
-//! reference (`crates/ilp/src/reference.rs`); this suite compares the
-//! two end to end — a category-spanning subset always on, the complete
-//! 25-benchmark suite `#[ignore]`d for the nightly CI
-//! `--include-ignored` step. The solver-level random-instance
-//! equivalence lives in `crates/ilp/tests/properties.rs`.
+//! The production path — packed warm-started classification, the sparse
+//! warm-started solver behind the per-context `IpetTemplate` objective
+//! fan-out, worker fan-out, and the cross-geometry reuse plane — must
+//! reproduce, bit for bit, every bound of a pipeline built only from the
+//! frozen oracles (`tests/oracle/mod.rs`: set-based cold fixpoints and
+//! one dense tableau per ILP): fault-free WCETs, every fault-miss-map
+//! cell, and every SRB column, hence every pWCET quantile. A
+//! category-spanning subset and eight small seeded random programs run
+//! always on; the complete 25-benchmark suite and eight default-size
+//! random programs are `#[ignore]`d for the nightly CI
+//! `--include-ignored` step.
+//! The solver-level random-instance equivalence lives in
+//! `crates/ilp/tests/properties.rs`.
+
+mod oracle;
 
 use std::sync::Arc;
 
 use fault_aware_pwcet::benchsuite;
-use fault_aware_pwcet::core::{
-    AnalysisConfig, Parallelism, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane,
-    SolverBackend,
-};
-
-const TARGET_PROBABILITIES: [f64; 3] = [1e-6, 1e-15, 1.0];
+use fault_aware_pwcet::core::{AnalysisConfig, Parallelism, PwcetAnalyzer, ReusePlane};
+use fault_aware_pwcet::progen::{GeneratorConfig, Program, ProgramGenerator};
 
 /// The category-spanning subset the always-on tests use (same population
 /// as `incremental_equivalence.rs`).
 const SPAN: [&str; 6] = ["bs", "crc", "fibcall", "fir", "matmult", "ud"];
 
-fn sparse_config() -> AnalysisConfig {
+fn config() -> AnalysisConfig {
     AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential)
 }
 
-fn reference_config() -> AnalysisConfig {
-    let mut config = sparse_config();
-    config.ipet.solver = SolverBackend::DenseReference;
-    config
-}
-
-fn assert_bounds_identical(name: &str, sparse: &ProgramAnalysis, dense: &ProgramAnalysis) {
-    assert_eq!(
-        sparse.fault_free_wcet(),
-        dense.fault_free_wcet(),
-        "{name}: fault-free WCET"
+/// Analyzes `program` under `config` and compares it with the oracle.
+fn assert_program_matches_oracle(what: &str, program: &Program, config: AnalysisConfig) {
+    let compiled = program.compile(config.code_base).expect("compiles");
+    let (analysis, _) = PwcetAnalyzer::new(config)
+        .analyze_compiled(&compiled)
+        .expect("production analysis");
+    oracle::assert_matches(
+        what,
+        &analysis,
+        &oracle::reference_bounds(&compiled, &config),
     );
-    assert_eq!(sparse.fmm(), dense.fmm(), "{name}: fault miss map");
-    assert_eq!(
-        sparse.srb_last_column(),
-        dense.srb_last_column(),
-        "{name}: SRB columns"
-    );
-    for protection in Protection::all() {
-        for p in TARGET_PROBABILITIES {
-            assert_eq!(
-                sparse.estimate(protection).pwcet_at(p),
-                dense.estimate(protection).pwcet_at(p),
-                "{name}/{protection}: quantile at {p}"
-            );
-        }
-    }
 }
 
 fn assert_benchmark_equivalent(name: &str) {
     let bench = benchsuite::by_name(name).expect("benchmark exists");
-    let sparse = PwcetAnalyzer::new(sparse_config())
-        .analyze(&bench.program)
-        .expect("sparse analysis");
-    let dense = PwcetAnalyzer::new(reference_config())
-        .analyze(&bench.program)
-        .expect("reference analysis");
-    assert_bounds_identical(name, &sparse, &dense);
+    assert_program_matches_oracle(name, &bench.program, config());
 }
 
 #[test]
@@ -85,13 +61,8 @@ fn parallel_sparse_pipeline_matches_dense_reference() {
     // bases) and the WCET instance may split branch-and-bound subtrees:
     // neither may change a single bound.
     let bench = benchsuite::by_name("crc").expect("benchmark exists");
-    let parallel = PwcetAnalyzer::new(sparse_config().with_parallelism(Parallelism::threads(4)))
-        .analyze(&bench.program)
-        .expect("parallel sparse analysis");
-    let dense = PwcetAnalyzer::new(reference_config())
-        .analyze(&bench.program)
-        .expect("reference analysis");
-    assert_bounds_identical("crc(parallel)", &parallel, &dense);
+    let parallel = config().with_parallelism(Parallelism::threads(4));
+    assert_program_matches_oracle("crc(parallel)", &bench.program, parallel);
 }
 
 #[test]
@@ -101,7 +72,7 @@ fn solve_stage_records_template_warm_starts() {
     // starts for the rest, all observable through the plane the service
     // reports from.
     let plane = Arc::new(ReusePlane::in_memory());
-    let analyzer = PwcetAnalyzer::new(sparse_config()).with_reuse_plane(Arc::clone(&plane));
+    let analyzer = PwcetAnalyzer::new(config()).with_reuse_plane(Arc::clone(&plane));
     let bench = benchsuite::by_name("crc").expect("benchmark exists");
     analyzer.analyze(&bench.program).expect("analysis");
     let stats = plane.ilp_stats();
@@ -134,28 +105,29 @@ fn derived_geometry_sweep_matches_dense_reference_per_point() {
     // narrower sibling derives its classification from the widest point
     // and re-solves its ILP objectives against the *shared*
     // cross-geometry template (same registry key, warm basis pool,
-    // objective memo). Each point's bounds must still be bit-identical
-    // to an isolated dense-reference analysis of that geometry — the
-    // sibling path may share solver state, never solver answers that
-    // differ.
+    // objective memo). Each point's bounds must still equal the oracle
+    // pipeline at that geometry — the sibling path may share solver
+    // state, never solver answers that differ.
     use fault_aware_pwcet::cache::GeometryLattice;
 
     let bench = benchsuite::by_name("crc").expect("benchmark exists");
+    let compiled = bench.program.compile(config().code_base).expect("compiles");
     let lattice = GeometryLattice::paper_default();
     let plane = Arc::new(ReusePlane::in_memory());
     for geometry in lattice.members() {
-        let mut point = sparse_config();
-        point.geometry = geometry;
-        let derived = PwcetAnalyzer::new(point)
+        let point = AnalysisConfig {
+            geometry,
+            ..config()
+        };
+        let (derived, _) = PwcetAnalyzer::new(point)
             .with_reuse_plane(Arc::clone(&plane))
-            .analyze(&bench.program)
+            .analyze_compiled(&compiled)
             .expect("derived-sweep analysis");
-        let mut reference = reference_config();
-        reference.geometry = geometry;
-        let dense = PwcetAnalyzer::new(reference)
-            .analyze(&bench.program)
-            .expect("reference analysis");
-        assert_bounds_identical(&format!("crc@{}ways", geometry.ways()), &derived, &dense);
+        oracle::assert_matches(
+            &format!("crc@{}ways", geometry.ways()),
+            &derived,
+            &oracle::reference_bounds(&compiled, &point),
+        );
     }
     // The comparison must have exercised the shared-template path, not
     // a per-point cold rebuild.
@@ -179,9 +151,37 @@ fn derived_geometry_sweep_matches_dense_reference_per_point() {
 }
 
 #[test]
-#[ignore = "runs the complete 25-benchmark suite under both solver backends (~minutes); nightly CI runs it via --include-ignored"]
+#[ignore = "runs the complete 25-benchmark suite through the oracle pipeline (~minutes); nightly CI runs it via --include-ignored"]
 fn sparse_bounds_match_dense_reference_across_the_entire_suite() {
     for bench in benchsuite::all() {
         assert_benchmark_equivalent(bench.name);
     }
+}
+
+/// Seeded random programs of `shape`, each named after its seed.
+fn assert_random_programs_match_oracle(shape: GeneratorConfig, seeds: std::ops::Range<u64>) {
+    for seed in seeds {
+        let program = ProgramGenerator::new(shape, seed).generate(format!("random_{seed}"));
+        assert_program_matches_oracle(&format!("seed {seed}"), &program, config());
+    }
+}
+
+#[test]
+fn random_programs_match_the_oracle_pipeline() {
+    // Shallow nesting keeps the dense oracle fast: it is the deep loop
+    // nests of larger shapes that make its tableaux expensive.
+    let small = GeneratorConfig {
+        helper_functions: 2,
+        max_stmt_depth: 3,
+        max_loop_bound: 8,
+        max_compute: 40,
+        max_seq_len: 3,
+    };
+    assert_random_programs_match_oracle(small, 0..8);
+}
+
+#[test]
+#[ignore = "runs default-size random programs through the oracle pipeline (~10 s); nightly CI runs it via --include-ignored"]
+fn default_size_random_programs_match_the_oracle_pipeline() {
+    assert_random_programs_match_oracle(GeneratorConfig::default(), 0..8);
 }
