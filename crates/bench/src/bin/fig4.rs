@@ -3,12 +3,16 @@
 //! the unprotected pWCET, over the 25 modelled Mälardalen benchmarks —
 //! grouped into the four behavior categories of §IV-B.
 
+use std::sync::Arc;
+
 use pwcet_bench::{figure4, run_suite, summary, TARGET_PROBABILITY};
-use pwcet_core::AnalysisConfig;
+use pwcet_core::{AnalysisConfig, ReusePlane};
 
 fn main() {
     let config = AnalysisConfig::paper_default();
-    let rows = figure4(&config, TARGET_PROBABILITY).expect("suite analyzes");
+    let plane = Arc::new(ReusePlane::in_memory());
+    let results = run_suite(&config, TARGET_PROBABILITY, &plane).expect("suite analyzes");
+    let rows = figure4(&results);
 
     println!("# Figure 4: normalized pWCET at p = 1e-15 (pfail = 1e-4)");
     println!("benchmark\tcategory\tfault_free\tRW\tSRB\tnone");
@@ -24,7 +28,6 @@ fn main() {
         );
     }
 
-    let results = run_suite(&config, TARGET_PROBABILITY).expect("suite analyzes");
     let stats = summary(&results);
     println!("#");
     println!(

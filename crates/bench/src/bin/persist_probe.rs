@@ -27,7 +27,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pwcet_bench::{run_suite_planed, TARGET_PROBABILITY};
+use pwcet_bench::{run_suite, TARGET_PROBABILITY};
 use pwcet_cache::CacheTiming;
 use pwcet_core::{AnalysisConfig, ReusePlane};
 
@@ -46,7 +46,7 @@ fn main() {
     let config = AnalysisConfig::paper_default();
 
     let start = Instant::now();
-    let results = run_suite_planed(&config, TARGET_PROBABILITY, &plane).expect("suite analyzes");
+    let results = run_suite(&config, TARGET_PROBABILITY, &plane).expect("suite analyzes");
     let elapsed = start.elapsed();
 
     // Variant timing: same contexts (the key is timing-blind), fresh
@@ -55,7 +55,7 @@ fn main() {
     let mut variant = config;
     variant.timing = CacheTiming::new(variant_hit, variant_miss);
     let start = Instant::now();
-    run_suite_planed(&variant, TARGET_PROBABILITY, &plane).expect("variant suite analyzes");
+    run_suite(&variant, TARGET_PROBABILITY, &plane).expect("variant suite analyzes");
     let variant_elapsed = start.elapsed();
 
     // Belt and braces: capture artifacts warmed after their per-analysis

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use pwcet_bench::{sweep_geometry_cached, sweep_pfail, sweep_target, TARGET_PROBABILITY};
+use pwcet_bench::{sweep_geometry, sweep_pfail, sweep_target, TARGET_PROBABILITY};
 use pwcet_cache::GeometryLattice;
 use pwcet_core::{AnalysisConfig, ReusePlane};
 
@@ -27,6 +27,7 @@ fn main() {
             &config,
             &[1e-6, 1e-5, 1e-4, 1e-3],
             TARGET_PROBABILITY,
+            &Arc::new(ReusePlane::in_memory()),
         )
         .expect("analyzes");
         for (pfail, none, srb, rw) in rows {
@@ -53,7 +54,7 @@ fn main() {
     let plane = Arc::new(ReusePlane::in_memory());
     for name in SWEPT_BENCHMARKS {
         let bench = pwcet_benchsuite::by_name(name).expect("benchmark exists");
-        let rows = sweep_geometry_cached(&bench, &config, &lattice, TARGET_PROBABILITY, &plane)
+        let rows = sweep_geometry(&bench, &config, &lattice, TARGET_PROBABILITY, &plane)
             .expect("analyzes");
         for (ways, none, srb, rw) in rows {
             println!("{name}\t{ways}\t{none}\t{srb}\t{rw}");

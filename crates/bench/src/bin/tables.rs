@@ -2,12 +2,15 @@
 //! benchmark absolute pWCETs, gains, categories, and the suite-level
 //! min/average gain statistics the paper quotes in its abstract.
 
+use std::sync::Arc;
+
 use pwcet_bench::{run_suite, summary, TARGET_PROBABILITY};
-use pwcet_core::AnalysisConfig;
+use pwcet_core::{AnalysisConfig, ReusePlane};
 
 fn main() {
     let config = AnalysisConfig::paper_default();
-    let results = run_suite(&config, TARGET_PROBABILITY).expect("suite analyzes");
+    let plane = Arc::new(ReusePlane::in_memory());
+    let results = run_suite(&config, TARGET_PROBABILITY, &plane).expect("suite analyzes");
 
     println!("# Table A: absolute pWCET estimates at p = 1e-15 (cycles)");
     println!("benchmark\twcet_ff\tpwcet_none\tpwcet_srb\tpwcet_rw\tgain_srb%\tgain_rw%\tcategory");

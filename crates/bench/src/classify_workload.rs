@@ -1,14 +1,13 @@
 //! The exact classification workload of one benchmark's context build,
-//! reproduced for kernel benchmarks and gates.
+//! reproduced for the kernel gate.
 //!
 //! A context materializes one cold fixpoint at full associativity,
 //! warm-starts every narrower level from it by age truncation, and runs
 //! the SRB pseudo-geometry replay. This module rebuilds that exact
 //! chain twice — on the packed production kernel ([`classify_chain`])
-//! and on the frozen set-based oracle ([`reference_chain`]) — so
-//! `classify_bench` and the `classify_speedup_gate` time one against
-//! the other on the real workload: one definition, so the gate measures
-//! exactly what the bench records.
+//! and on the frozen set-based oracle ([`reference_chain`]) — so the
+//! `classify_speedup_gate` times one against the other on the real
+//! workload.
 
 use pwcet_analysis::{
     classify_level, classify_level_from, classify_srb, reference, ClassifiedLevel, SrbMap,

@@ -1,11 +1,11 @@
 //! The exact ILP workload of one benchmark's solve stage, reproduced
-//! for solver benchmarks and gates.
+//! for the solver gates.
 //!
 //! The pipeline's stage 3 solves one fault-free WCET instance plus one
 //! delta instance per `(set, fault)` pair and per SRB set — all
 //! objective-only variants of one constraint matrix. This module
-//! rebuilds that exact list of cost models so `ilp_bench` and the
-//! `ilp_speedup_gate` measure the real workload, not a synthetic proxy.
+//! rebuilds that exact list of cost models so the `ilp_speedup_gate`
+//! measures the real workload, not a synthetic proxy.
 
 use pwcet_core::{delta_cost_model, AnalysisConfig, AnalysisContext};
 use pwcet_ilp::{ConstraintOp, Model};
@@ -68,9 +68,7 @@ pub fn solve_stage_models(
 
 /// A 0/1 knapsack with correlated weights and values — fractional at
 /// almost every node, so branch and bound genuinely explores a tree.
-/// The shared instance family of the `ilp_bench` parallel-B&B probe and
-/// the `ilp_speedup_gate` parallel gate (one definition, so the gate
-/// measures exactly what the bench records).
+/// The instance family of the `ilp_speedup_gate` parallel-B&B half.
 pub fn hard_knapsack(items: usize) -> Model {
     let mut model = Model::new();
     let mut capacity = 0.0;

@@ -5,24 +5,30 @@
 //! | Artifact | Regenerator | Library API |
 //! |---|---|---|
 //! | Figure 3 (exceedance curves, `adpcm`) | `cargo run --release -p pwcet-bench --bin fig3` | [`figure3`] |
-//! | Figure 4 (normalized pWCETs, 25 benchmarks) | `… --bin fig4` | [`figure4`] |
+//! | Figure 4 (normalized pWCETs, 25 benchmarks) | `… --bin fig4` | [`run_suite`], [`figure4`] |
 //! | In-text gain summary (min/avg per mechanism) | `… --bin tables` | [`summary`] |
 //! | Sensitivity sweeps (pfail, target probability, geometry) | `… --bin sweep` | [`sweep_pfail`], [`sweep_target`], [`sweep_geometry`] |
-//! | Cross-process persistence probe (disk tier) | `… --bin persist_probe <dir>` | [`run_suite_planed`] |
+//! | Cross-process persistence probe (disk tier) | `… --bin persist_probe <dir>` | [`run_suite`] |
 //!
 //! All numbers derive from [`run_benchmark`]/[`run_suite`]; binaries only
 //! format them as TSV.
+//!
+//! The speed of the analysis service is measured by the repository
+//! benchmark in `perfbench/`. The timing gates under `tests/` hold the
+//! algorithmic speedups to their floors; they share the workloads of
+//! [`classify_workload`] and [`ilp_workload`] and one timer,
+//! [`best_of_interleaved`].
 
-pub mod bench_json;
 pub mod classify_workload;
 pub mod ilp_workload;
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use pwcet_benchsuite::Benchmark;
 use pwcet_cache::GeometryLattice;
 use pwcet_core::{
-    AnalysisConfig, ContextCache, CoreError, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane,
+    AnalysisConfig, CoreError, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane,
 };
 use pwcet_prob::ExceedancePoint;
 
@@ -151,50 +157,20 @@ fn result_of(name: &str, analysis: &ProgramAnalysis, target_p: f64) -> Benchmark
 }
 
 /// Runs the whole suite (Figure 4's population) through
-/// [`PwcetAnalyzer::analyze_batch`], parallelizing across benchmarks
-/// according to `config.parallelism`.
+/// [`PwcetAnalyzer::analyze_batch`] over a caller-owned [`ReusePlane`],
+/// parallelizing across benchmarks according to `config.parallelism`.
+///
+/// Pass a fresh `ReusePlane::in_memory()` for a plain run. A plane kept
+/// across runs (another target probability, another `pfail`, a re-run)
+/// reuses one context per benchmark, skipping CFG reconstruction and
+/// every classification fixpoint; a plane with a disk tier makes the
+/// suite warm **across processes** too. Results are bit-identical
+/// either way.
 ///
 /// # Errors
 ///
 /// Fails on the first benchmark whose analysis fails.
 pub fn run_suite(
-    config: &AnalysisConfig,
-    target_p: f64,
-) -> Result<Vec<BenchmarkResult>, CoreError> {
-    run_suite_cached(config, target_p, &Arc::new(ContextCache::default()))
-}
-
-/// As [`run_suite`] over a caller-owned [`ContextCache`]: the first run
-/// populates one context per benchmark, every later run over the same
-/// cache (another target probability, another `pfail`, a re-run) reuses
-/// them — CFG reconstruction and every classification fixpoint are
-/// skipped. Results are bit-identical to the uncached path.
-///
-/// # Errors
-///
-/// Fails on the first benchmark whose analysis fails.
-pub fn run_suite_cached(
-    config: &AnalysisConfig,
-    target_p: f64,
-    cache: &Arc<ContextCache>,
-) -> Result<Vec<BenchmarkResult>, CoreError> {
-    run_suite_planed(
-        config,
-        target_p,
-        &Arc::new(ReusePlane::with_memory(Arc::clone(cache))),
-    )
-}
-
-/// As [`run_suite`] over a caller-owned [`ReusePlane`]: besides the
-/// memory-tier reuse of [`run_suite_cached`], a plane with a disk tier
-/// makes the suite warm **across processes** — the first run persists
-/// every context, later runs decode instead of re-converging fixpoints.
-/// Results are bit-identical to the uncached path.
-///
-/// # Errors
-///
-/// Fails on the first benchmark whose analysis fails.
-pub fn run_suite_planed(
     config: &AnalysisConfig,
     target_p: f64,
     plane: &Arc<ReusePlane>,
@@ -260,37 +236,27 @@ pub struct Figure4Row {
     pub category: usize,
 }
 
-/// Computes Figure 4: per-benchmark normalized pWCETs at the target
-/// probability, grouped by category as in the paper.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from the pipeline.
-pub fn figure4(config: &AnalysisConfig, target_p: f64) -> Result<Vec<Figure4Row>, CoreError> {
-    let mut rows: Vec<(Category, Figure4Row)> = run_suite(config, target_p)?
-        .into_iter()
-        .map(|r| {
-            let category = r.category();
-            (
-                category,
-                Figure4Row {
-                    name: r.name.clone(),
-                    fault_free: r.normalized(r.fault_free_wcet),
-                    rw: r.normalized(r.pwcet_rw),
-                    srb: r.normalized(r.pwcet_srb),
-                    category: category.index(),
-                },
-            )
+/// Computes Figure 4 from suite results (see [`run_suite`]): per-benchmark
+/// normalized pWCETs, grouped by category as in the paper.
+pub fn figure4(results: &[BenchmarkResult]) -> Vec<Figure4Row> {
+    let mut rows: Vec<Figure4Row> = results
+        .iter()
+        .map(|r| Figure4Row {
+            name: r.name.clone(),
+            fault_free: r.normalized(r.fault_free_wcet),
+            rw: r.normalized(r.pwcet_rw),
+            srb: r.normalized(r.pwcet_srb),
+            category: r.category().index(),
         })
         .collect();
     // The paper groups benchmarks with similar behavior (categories 1–4
     // left to right), alphabetical within a category.
     rows.sort_by(|a, b| {
-        a.0.index()
-            .cmp(&b.0.index())
-            .then_with(|| a.1.name.cmp(&b.1.name))
+        a.category
+            .cmp(&b.category)
+            .then_with(|| a.name.cmp(&b.name))
     });
-    Ok(rows.into_iter().map(|(_, row)| row).collect())
+    rows
 }
 
 /// The in-text gain summary (§IV-B): min/average gains and their argmins.
@@ -337,7 +303,13 @@ pub fn summary(results: &[BenchmarkResult]) -> GainSummary {
 }
 
 /// pWCET of one benchmark as a function of `pfail` (the sensitivity study
-/// of the base paper \[1\]).
+/// of the base paper \[1\]), over a caller-owned [`ReusePlane`].
+///
+/// The fault model affects neither the CFG nor the classifications, so
+/// every point after the first reuses one shared context and every
+/// memoized CHMC level. A plane kept across calls makes even the first
+/// point of later sweeps free; attach a disk tier and the sweep is warm
+/// across processes too.
 ///
 /// Returns `(pfail, pwcet_none, pwcet_srb, pwcet_rw)` rows.
 ///
@@ -349,73 +321,24 @@ pub fn sweep_pfail(
     config: &AnalysisConfig,
     pfails: &[f64],
     target_p: f64,
-) -> Result<Vec<(f64, u64, u64, u64)>, CoreError> {
-    sweep_pfail_cached(
-        bench,
-        config,
-        pfails,
-        target_p,
-        &Arc::new(ContextCache::default()),
-    )
-}
-
-/// As [`sweep_pfail`] over a caller-owned [`ContextCache`]. The fault
-/// model does not affect the CFG or the classifications, so every sweep
-/// point after the first is a cache hit that reuses one shared context
-/// and every memoized CHMC level; a cache shared across calls makes even
-/// the first point of later sweeps free.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`]; invalid `pfail` values are skipped.
-pub fn sweep_pfail_cached(
-    bench: &Benchmark,
-    config: &AnalysisConfig,
-    pfails: &[f64],
-    target_p: f64,
-    cache: &Arc<ContextCache>,
-) -> Result<Vec<(f64, u64, u64, u64)>, CoreError> {
-    sweep_pfail_planed(
-        bench,
-        config,
-        pfails,
-        target_p,
-        &Arc::new(ReusePlane::with_memory(Arc::clone(cache))),
-    )
-}
-
-/// As [`sweep_pfail_cached`] over a caller-owned [`ReusePlane`] — attach
-/// a disk tier and the sweep is warm across processes too.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`]; invalid `pfail` values are skipped.
-pub fn sweep_pfail_planed(
-    bench: &Benchmark,
-    config: &AnalysisConfig,
-    pfails: &[f64],
-    target_p: f64,
     plane: &Arc<ReusePlane>,
 ) -> Result<Vec<(f64, u64, u64, u64)>, CoreError> {
-    let compiled = bench.program.compile(config.code_base)?;
-    let mut rows = Vec::with_capacity(pfails.len());
-    for &pfail in pfails {
-        let Ok(cfg) = config.with_pfail(pfail) else {
-            continue;
-        };
-        let analysis = PwcetAnalyzer::new(cfg)
-            .with_reuse_plane(Arc::clone(plane))
-            .analyze_compiled(&compiled)?
-            .0;
-        let r = result_of(bench.name, &analysis, target_p);
-        rows.push((pfail, r.pwcet_none, r.pwcet_srb, r.pwcet_rw));
-    }
-    Ok(rows)
+    let points = pfails
+        .iter()
+        .filter_map(|&pfail| Some((pfail, config.with_pfail(pfail).ok()?)));
+    sweep(bench, config, points, target_p, plane)
 }
 
 /// pWCET of one benchmark as a function of cache associativity at fixed
 /// sets and block size (a design-stage exploration sweep over a
-/// [`GeometryLattice`]).
+/// [`GeometryLattice`]), over a caller-owned [`ReusePlane`].
+///
+/// The sweep visits the lattice widest-first, so the plane's derivation
+/// tier turns every narrower-way point into an age-truncation warm start
+/// of the one cold fixpoint the widest point ran, and a plane with a
+/// disk tier carries the whole lattice across processes. Results are
+/// bit-identical to per-geometry cold analyses
+/// (`tests/incremental_equivalence.rs` pins every way count).
 ///
 /// Returns `(ways, pwcet_none, pwcet_srb, pwcet_rw)` rows, widest first.
 ///
@@ -427,47 +350,60 @@ pub fn sweep_geometry(
     config: &AnalysisConfig,
     lattice: &GeometryLattice,
     target_p: f64,
-) -> Result<Vec<(u32, u64, u64, u64)>, CoreError> {
-    sweep_geometry_cached(
-        bench,
-        config,
-        lattice,
-        target_p,
-        &Arc::new(ReusePlane::in_memory()),
-    )
-}
-
-/// As [`sweep_geometry`] over a caller-owned [`ReusePlane`]. The sweep
-/// visits the lattice widest-first, so the plane's derivation tier turns
-/// every narrower-way point into an age-truncation warm start of the one
-/// cold fixpoint the widest point ran — and a plane with a disk tier
-/// carries the whole lattice across processes. Results are bit-identical
-/// to per-geometry cold analyses
-/// (`tests/incremental_equivalence.rs` pins every way count).
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from the pipeline.
-pub fn sweep_geometry_cached(
-    bench: &Benchmark,
-    config: &AnalysisConfig,
-    lattice: &GeometryLattice,
-    target_p: f64,
     plane: &Arc<ReusePlane>,
 ) -> Result<Vec<(u32, u64, u64, u64)>, CoreError> {
-    let compiled = bench.program.compile(config.code_base)?;
-    let mut rows = Vec::with_capacity(lattice.len());
-    for geometry in lattice.members() {
+    let points = lattice.members().map(|geometry| {
         let mut point = *config;
         point.geometry = geometry;
-        let analysis = PwcetAnalyzer::new(point)
-            .with_reuse_plane(Arc::clone(plane))
-            .analyze_compiled(&compiled)?
-            .0;
-        let r = result_of(bench.name, &analysis, target_p);
-        rows.push((geometry.ways(), r.pwcet_none, r.pwcet_srb, r.pwcet_rw));
+        (geometry.ways(), point)
+    });
+    sweep(bench, config, points, target_p, plane)
+}
+
+/// Analyzes `bench` once per `(key, config)` point through `plane` and
+/// evaluates each point at `target_p`.
+fn sweep<K>(
+    bench: &Benchmark,
+    config: &AnalysisConfig,
+    points: impl Iterator<Item = (K, AnalysisConfig)>,
+    target_p: f64,
+    plane: &Arc<ReusePlane>,
+) -> Result<Vec<(K, u64, u64, u64)>, CoreError> {
+    let compiled = bench.program.compile(config.code_base)?;
+    points
+        .map(|(key, point)| {
+            let analysis = PwcetAnalyzer::new(point)
+                .with_reuse_plane(Arc::clone(plane))
+                .analyze_compiled(&compiled)?
+                .0;
+            let r = result_of(bench.name, &analysis, target_p);
+            Ok((key, r.pwcet_none, r.pwcet_srb, r.pwcet_rw))
+        })
+        .collect()
+}
+
+/// Times `first` against `second` for the timing gates: one untimed run
+/// of each (lazy statics, allocator growth), then `rounds` alternating
+/// timed runs, so frequency drift hits both sides alike. Returns each
+/// side's best time in seconds: noise only ever adds time, so the
+/// minimum is the faithful estimate of the algorithmic cost.
+pub fn best_of_interleaved<A, B>(
+    rounds: usize,
+    mut first: impl FnMut() -> A,
+    mut second: impl FnMut() -> B,
+) -> (f64, f64) {
+    std::hint::black_box(first());
+    std::hint::black_box(second());
+    let (mut first_best, mut second_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        let start = Instant::now();
+        std::hint::black_box(first());
+        first_best = first_best.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        std::hint::black_box(second());
+        second_best = second_best.min(start.elapsed().as_secs_f64());
     }
-    Ok(rows)
+    (first_best, second_best)
 }
 
 /// pWCET of one benchmark as a function of the target probability.
@@ -534,24 +470,41 @@ mod tests {
 
     #[test]
     fn figure3_curves_are_ordered() {
+        // RW ≤ SRB ≤ none pointwise: each mechanism only removes or
+        // lowers penalties. Checked over the range `fig3` prints, with
+        // relative round-off allowed; deeper in the tail pruning can
+        // break the order.
+        const PRINTED_FLOOR: f64 = 1e-18;
+        const ROUND_OFF: f64 = 1e-12;
         let bench = pwcet_benchsuite::by_name("crc").unwrap();
-        let fig = figure3(&bench, &fast_config()).unwrap();
+        let config = fast_config();
+        let fig = figure3(&bench, &config).unwrap();
         assert_eq!(fig.name, "crc");
-        // Pointwise: exceedance of RW at any value ≤ exceedance without
-        // protection (fewer/lower penalties).
-        for point in &fig.rw {
-            let none_exceedance = fig
-                .none
-                .iter()
-                .filter(|p| p.value > point.value)
-                .map(|p| p.exceedance)
-                .next_back()
-                .unwrap_or(0.0);
-            let _ = none_exceedance; // curves share no support in general;
+        let (analysis, _) = run_benchmark(&bench, &config, TARGET_PROBABILITY).unwrap();
+        let [none, srb, rw] = Protection::all().map(|p| analysis.estimate(p));
+        assert_eq!(fig.none, none.exceedance_curve());
+        assert_eq!(fig.srb, srb.exceedance_curve());
+        assert_eq!(fig.rw, rw.exceedance_curve());
+        for curve in [&fig.none, &fig.srb, &fig.rw] {
+            assert!(curve.iter().any(|p| p.exceedance >= PRINTED_FLOOR));
         }
-        assert!(!fig.none.is_empty());
-        assert!(!fig.srb.is_empty());
-        assert!(!fig.rw.is_empty());
+
+        let ordered = |low: f64, high: f64| low < PRINTED_FLOOR || low <= high * (1.0 + ROUND_OFF);
+        for value in fig
+            .none
+            .iter()
+            .chain(&fig.srb)
+            .chain(&fig.rw)
+            .map(|p| p.value)
+        {
+            let (n, s, r) = (
+                none.exceedance_of(value),
+                srb.exceedance_of(value),
+                rw.exceedance_of(value),
+            );
+            assert!(ordered(r, s), "RW above SRB at {value}: {r:e} > {s:e}");
+            assert!(ordered(s, n), "SRB above none at {value}: {s:e} > {n:e}");
+        }
     }
 
     #[test]
@@ -584,23 +537,43 @@ mod tests {
         let bench = pwcet_benchsuite::by_name("fibcall").unwrap();
         let config = fast_config();
         let pfails = [1e-5, 1e-4, 1e-3];
-        let plain = sweep_pfail(&bench, &config, &pfails, TARGET_PROBABILITY).unwrap();
-        let cache = Arc::new(ContextCache::default());
-        let cached =
-            sweep_pfail_cached(&bench, &config, &pfails, TARGET_PROBABILITY, &cache).unwrap();
-        assert_eq!(plain, cached, "cache must not change a single row");
-        let stats = cache.stats();
+        let sweep = |plane: &Arc<ReusePlane>| {
+            sweep_pfail(&bench, &config, &pfails, TARGET_PROBABILITY, plane).unwrap()
+        };
+        let plain = sweep(&Arc::new(ReusePlane::in_memory()));
+        let plane = Arc::new(ReusePlane::in_memory());
+        let cached = sweep(&plane);
+        assert_eq!(plain, cached, "a shared plane must not change a single row");
+        let memory = plane.stats().memory;
         assert_eq!(
-            (stats.misses, stats.hits),
+            (memory.misses, memory.hits),
             (1, 2),
             "three points share one context"
         );
-        // A second sweep over the same cache is answered entirely from it.
-        let again =
-            sweep_pfail_cached(&bench, &config, &pfails, TARGET_PROBABILITY, &cache).unwrap();
+        // A second sweep over the same plane is answered entirely from it.
+        let again = sweep(&plane);
         assert_eq!(cached, again);
-        assert_eq!(cache.stats().hits, 5);
-        assert_eq!(cache.stats().misses, 1);
+        let memory = plane.stats().memory;
+        assert_eq!((memory.misses, memory.hits), (1, 5));
+
+        // A fresh memory tier over a populated store (the second
+        // process): the first point decodes from disk, the rest share it.
+        let dir = std::env::temp_dir().join(format!("pwcet-bench-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk_plane = || Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+        let writer = disk_plane();
+        assert_eq!(sweep(&writer), cached);
+        writer.flush();
+        drop(writer);
+        let reader = disk_plane();
+        let restored = sweep(&reader);
+        let stats = reader.stats();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            restored, cached,
+            "the disk tier must not change a single row"
+        );
+        assert_eq!((stats.disk_hits, stats.cold_builds), (1, 0));
     }
 
     #[test]
@@ -608,21 +581,22 @@ mod tests {
         let bench = pwcet_benchsuite::by_name("fibcall").unwrap();
         let config = fast_config();
         let lattice = GeometryLattice::new(16, 16, &[4, 2, 1]);
-        let plain = sweep_geometry(&bench, &config, &lattice, TARGET_PROBABILITY).unwrap();
+        let sweep = |plane: &Arc<ReusePlane>| {
+            sweep_geometry(&bench, &config, &lattice, TARGET_PROBABILITY, plane).unwrap()
+        };
+        let plain = sweep(&Arc::new(ReusePlane::in_memory()));
         assert_eq!(plain.len(), 3);
         assert_eq!(plain[0].0, 4, "widest first");
 
         let plane = Arc::new(ReusePlane::in_memory());
-        let cached =
-            sweep_geometry_cached(&bench, &config, &lattice, TARGET_PROBABILITY, &plane).unwrap();
-        assert_eq!(plain, cached, "the plane must not change a single row");
+        let cached = sweep(&plane);
+        assert_eq!(plain, cached, "a shared plane must not change a single row");
         let stats = plane.stats();
         assert_eq!(stats.cold_builds, 1, "only the widest point builds cold");
         assert_eq!(stats.derived, 2, "narrower points are derived");
 
         // A second sweep over the same plane is answered from memory.
-        let again =
-            sweep_geometry_cached(&bench, &config, &lattice, TARGET_PROBABILITY, &plane).unwrap();
+        let again = sweep(&plane);
         assert_eq!(cached, again);
         assert_eq!(plane.stats().derived, 2, "no new derivations");
         assert_eq!(plane.stats().memory.hits, 3);
@@ -635,7 +609,9 @@ mod tests {
         // the unprotected pWCET is monotone as ways shrink.
         let bench = pwcet_benchsuite::by_name("bs").unwrap();
         let lattice = GeometryLattice::paper_default();
-        let rows = sweep_geometry(&bench, &fast_config(), &lattice, TARGET_PROBABILITY).unwrap();
+        let plane = Arc::new(ReusePlane::in_memory());
+        let rows =
+            sweep_geometry(&bench, &fast_config(), &lattice, TARGET_PROBABILITY, &plane).unwrap();
         for pair in rows.windows(2) {
             assert!(
                 pair[1].1 >= pair[0].1,

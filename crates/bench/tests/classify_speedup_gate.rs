@@ -5,16 +5,15 @@
 //! constant-factor word-parallel transfer/join — so, like the ILP
 //! template warm-start gate, it is enforced on every runner regardless
 //! of core count. The floor is deliberately below the measured speedup
-//! (`BENCH_pipeline.json`, `classify_packed_speedup`) so scheduler
-//! noise cannot flake the gate.
+//! so scheduler noise cannot flake the gate.
 //!
 //! `#[ignore]`d by default (wall-clock measurement); the main CI runs
 //! it explicitly as the `classify` smoke and the nightly job picks it
 //! up via `--include-ignored`.
 
 use std::num::NonZeroUsize;
-use std::time::Instant;
 
+use pwcet_bench::best_of_interleaved;
 use pwcet_bench::classify_workload::{classify_chain, expanded_cfg, reference_chain};
 use pwcet_core::AnalysisConfig;
 
@@ -30,9 +29,8 @@ fn packed_kernel_meets_the_gate_on_all_runners() {
     let geometry = config.geometry;
     let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
-    // Untimed warm-up of both kernels, doubling as the bit-identity
-    // check: a fast kernel that disagrees with the reference gates
-    // nothing.
+    // Bit-identity first: a fast kernel that disagrees with the
+    // reference gates nothing.
     let packed = classify_chain(&cfg, &geometry);
     let reference = reference_chain(&cfg, &geometry);
     assert_eq!(
@@ -44,15 +42,11 @@ fn packed_kernel_meets_the_gate_on_all_runners() {
         "packed SRB map must be identical to the reference"
     );
 
-    let start = Instant::now();
-    let cold = reference_chain(&cfg, &geometry);
-    let cold_s = start.elapsed().as_secs_f64();
-    std::hint::black_box(&cold);
-
-    let start = Instant::now();
-    let fast = classify_chain(&cfg, &geometry);
-    let fast_s = start.elapsed().as_secs_f64();
-    std::hint::black_box(&fast);
+    let (cold_s, fast_s) = best_of_interleaved(
+        5,
+        || reference_chain(&cfg, &geometry),
+        || classify_chain(&cfg, &geometry),
+    );
 
     let speedup = cold_s / fast_s.max(f64::EPSILON);
     println!(

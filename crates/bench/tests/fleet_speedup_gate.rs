@@ -7,8 +7,7 @@
 //! algorithmic — microseconds of wire and decode versus milliseconds of
 //! analysis — so, like the ILP and classification gates, it is enforced
 //! on every runner regardless of core count, with the floor well below
-//! the measured speedup (`BENCH_pipeline.json`,
-//! `fleet_peer_fetch_speedup`) so scheduler noise cannot flake it.
+//! the measured speedup so scheduler noise cannot flake it.
 //!
 //! `#[ignore]`d by default (wall-clock measurement); the main CI runs it
 //! explicitly as the `fleet` smoke and the nightly job picks it up via
@@ -46,6 +45,7 @@ fn analyze(client: &mut Client, name: &str) -> (u64, ReuseTier) {
 #[test]
 #[ignore = "wall-clock comparison; run by the CI fleet smoke and the nightly --include-ignored step"]
 fn peer_fetch_meets_the_gate_on_all_runners() {
+    // Single pass: a program builds cold only once per server.
     // Warm node: pays every cold build once.
     let warm_node = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind warm node");
     let mut warm_client = Client::connect(warm_node.local_addr()).expect("connect warm node");

@@ -7,18 +7,16 @@
 //! ILP objectives against the widest point's factored basis pool instead
 //! of refactoring per geometry. Both effects are *algorithmic* — they
 //! show up on any machine — so the gate is enforced on every runner. The
-//! floor is deliberately below the measured speedup
-//! (`BENCH_pipeline.json`, `sweep_geometry_derived_speedup`) so
-//! scheduler noise cannot flake it.
+//! floor is deliberately below the measured speedup so scheduler noise
+//! cannot flake it.
 //!
 //! `#[ignore]`d by default (wall-clock measurement); the main CI runs it
 //! explicitly as the `geometry` smoke and the nightly job picks it up
 //! via `--include-ignored`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use pwcet_bench::{sweep_geometry_cached, TARGET_PROBABILITY};
+use pwcet_bench::{best_of_interleaved, sweep_geometry, TARGET_PROBABILITY};
 use pwcet_cache::GeometryLattice;
 use pwcet_core::{
     AnalysisConfig, ClassificationMode, Parallelism, Protection, PwcetAnalyzer, ReusePlane,
@@ -63,9 +61,8 @@ fn derived_geometry_sweep_meets_the_gate_on_all_runners() {
         // genuine derivations and template-registry hits — not
         // memory-tier hits of an already-warm plane.
         let plane = Arc::new(ReusePlane::in_memory());
-        let rows =
-            sweep_geometry_cached(&bench, &warm_config, &lattice, TARGET_PROBABILITY, &plane)
-                .expect("sweeps");
+        let rows = sweep_geometry(&bench, &warm_config, &lattice, TARGET_PROBABILITY, &plane)
+            .expect("sweeps");
         let stats = plane.stats();
         assert_eq!(stats.derived as usize, lattice.len() - 1);
         assert!(
@@ -77,31 +74,16 @@ fn derived_geometry_sweep_meets_the_gate_on_all_runners() {
         rows
     };
 
-    // Untimed warm-up (lazy statics, allocator growth).
-    let cold = cold_sweep();
-    let derived = derived_sweep();
     assert_eq!(
-        cold, derived,
+        cold_sweep(),
+        derived_sweep(),
         "derived sweep rows must be bit-identical to per-geometry cold"
     );
 
     // One sweep is a few milliseconds — single-shot timing is scheduler
-    // noise. Interleave the two sides (so frequency drift hits both
-    // equally) and compare the best observed time of each: noise only
-    // ever adds time, so the per-side minimum is the faithful estimate
-    // of the algorithmic cost.
+    // noise, so compare the best of many interleaved runs.
     const ITERS: usize = 12;
-    let mut cold_best = f64::INFINITY;
-    let mut derived_best = f64::INFINITY;
-    for _ in 0..ITERS {
-        let start = Instant::now();
-        let _ = cold_sweep();
-        cold_best = cold_best.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        let _ = derived_sweep();
-        derived_best = derived_best.min(start.elapsed().as_secs_f64());
-    }
+    let (cold_best, derived_best) = best_of_interleaved(ITERS, cold_sweep, derived_sweep);
 
     let speedup = cold_best / derived_best.max(f64::EPSILON);
     println!(

@@ -11,8 +11,8 @@
 //! runs it via `--include-ignored`.
 
 use std::num::NonZeroUsize;
-use std::time::Instant;
 
+use pwcet_bench::best_of_interleaved;
 use pwcet_core::{AnalysisConfig, Parallelism, PwcetAnalyzer};
 
 /// Cores needed before the gate enforces (4 workers leave headroom for
@@ -25,29 +25,24 @@ const ENFORCED_SPEEDUP: f64 = 1.3;
 
 const PROGRAM: &str = "adpcm";
 
-fn timed_analysis(config: AnalysisConfig) -> f64 {
-    let bench = pwcet_benchsuite::by_name(PROGRAM).expect("benchmark exists");
-    let analyzer = PwcetAnalyzer::new(config);
-    // Fresh contexts per run: the parallel win is in the classification
-    // and ILP fan-out, which caching would hide.
-    let start = Instant::now();
-    for _ in 0..3 {
-        std::hint::black_box(analyzer.analyze(&bench.program).expect("analyzes"));
-    }
-    start.elapsed().as_secs_f64()
-}
-
 #[test]
 #[ignore = "wall-clock comparison; run by the nightly CI --include-ignored step"]
 fn parallel_speedup_meets_the_gate_on_multicore_runners() {
     let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let bench = pwcet_benchsuite::by_name(PROGRAM).expect("benchmark exists");
     let base = AnalysisConfig::paper_default();
-
-    // Untimed warm-up (lazy statics, allocator growth).
-    timed_analysis(base.with_parallelism(Parallelism::Sequential));
-
-    let sequential = timed_analysis(base.with_parallelism(Parallelism::Sequential));
-    let parallel = timed_analysis(base.with_parallelism(Parallelism::Auto));
+    // Fresh contexts per run: the parallel win is in the classification
+    // and ILP fan-out, which caching would hide.
+    let analyze = |parallelism| {
+        PwcetAnalyzer::new(base.with_parallelism(parallelism))
+            .analyze(&bench.program)
+            .expect("analyzes")
+    };
+    let (sequential, parallel) = best_of_interleaved(
+        12,
+        || analyze(Parallelism::Sequential),
+        || analyze(Parallelism::Auto),
+    );
     let speedup = sequential / parallel.max(f64::EPSILON);
     println!(
         "cores={cores} sequential={sequential:.3}s parallel={parallel:.3}s speedup={speedup:.2}x"

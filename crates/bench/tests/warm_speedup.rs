@@ -7,10 +7,9 @@
 //! runs it via `--include-ignored`).
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use pwcet_bench::{sweep_pfail_cached, TARGET_PROBABILITY};
-use pwcet_core::{AnalysisConfig, ClassificationMode, ContextCache, Protection, PwcetAnalyzer};
+use pwcet_bench::{best_of_interleaved, sweep_pfail, TARGET_PROBABILITY};
+use pwcet_core::{AnalysisConfig, ClassificationMode, Protection, PwcetAnalyzer, ReusePlane};
 
 const PROGRAM: &str = "crc";
 const PFAILS: [f64; 3] = [1e-5, 1e-4, 1e-3];
@@ -33,53 +32,50 @@ fn sweep_cold(bench: &pwcet_benchsuite::Benchmark) {
     }
 }
 
-#[test]
-fn warm_sweep_reuses_one_context() {
-    let bench = pwcet_benchsuite::by_name(PROGRAM).expect("benchmark exists");
-    let cache = Arc::new(ContextCache::default());
-    let rows = sweep_pfail_cached(
-        &bench,
+/// The warm sweep over `plane`: one shared, incrementally classified
+/// context across all points.
+fn sweep_warm(
+    bench: &pwcet_benchsuite::Benchmark,
+    plane: &Arc<ReusePlane>,
+) -> Vec<(f64, u64, u64, u64)> {
+    sweep_pfail(
+        bench,
         &AnalysisConfig::paper_default(),
         &PFAILS,
         TARGET_PROBABILITY,
-        &cache,
+        plane,
     )
-    .expect("sweeps");
+    .expect("sweeps")
+}
+
+#[test]
+fn warm_sweep_reuses_one_context() {
+    let bench = pwcet_benchsuite::by_name(PROGRAM).expect("benchmark exists");
+    let plane = Arc::new(ReusePlane::in_memory());
+    let rows = sweep_warm(&bench, &plane);
     assert_eq!(rows.len(), PFAILS.len());
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 1, "only the first point builds a context");
-    assert_eq!(stats.hits as usize, PFAILS.len() - 1);
+    let memory = plane.stats().memory;
+    assert_eq!(memory.misses, 1, "only the first point builds a context");
+    assert_eq!(memory.hits as usize, PFAILS.len() - 1);
 }
 
 #[test]
 #[ignore = "wall-clock comparison; run by the nightly CI --include-ignored step"]
 fn warm_sweep_is_not_slower_than_cold() {
     let bench = pwcet_benchsuite::by_name(PROGRAM).expect("benchmark exists");
-    // Untimed warm-up so neither side pays one-time costs (lazy statics,
-    // allocator growth, branch predictors).
-    sweep_cold(&bench);
-
-    let cold_start = Instant::now();
-    sweep_cold(&bench);
-    let cold = cold_start.elapsed();
-
-    let cache = Arc::new(ContextCache::default());
-    let warm_start = Instant::now();
-    sweep_pfail_cached(
-        &bench,
-        &AnalysisConfig::paper_default(),
-        &PFAILS,
-        TARGET_PROBABILITY,
-        &cache,
-    )
-    .expect("sweeps");
-    let warm = warm_start.elapsed();
+    // A fresh plane per warm run, so every run pays its first point's
+    // context build instead of hitting a plane an earlier round warmed.
+    let (cold, warm) = best_of_interleaved(
+        12,
+        || sweep_cold(&bench),
+        || sweep_warm(&bench, &Arc::new(ReusePlane::in_memory())),
+    );
 
     // The warm sweep shares one incrementally-classified context across
     // all points; the cold sweep rebuilds everything per point. A 10%
     // grace bound absorbs scheduler noise without masking regressions.
     assert!(
-        warm.as_secs_f64() <= cold.as_secs_f64() * 1.10,
-        "warm sweep ({warm:?}) must not be slower than cold sweep ({cold:?})"
+        warm <= cold * 1.10,
+        "warm sweep ({warm:.4}s) must not be slower than cold sweep ({cold:.4}s)"
     );
 }

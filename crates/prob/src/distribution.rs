@@ -418,7 +418,7 @@ impl DiscreteDistribution {
 
     /// The quadratic left-fold reference implementation of
     /// [`convolve_all`](Self::convolve_all) (kept for the equivalence
-    /// property tests and the convolution ablation bench).
+    /// property tests).
     #[must_use]
     pub fn convolve_all_sequential(parts: &[Self], params: &ConvolutionParams) -> Self {
         let mut acc = Self::zero();

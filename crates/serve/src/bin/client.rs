@@ -65,8 +65,8 @@ fn print_stages(trace: u64, stages: &[StageTiming]) {
 }
 
 /// Prints a name→value table as flat JSON: one `"key": value` pair per
-/// line, no nesting — the same restricted shape `BENCH_pipeline.json`
-/// uses, so the output pipes straight into the bench tooling.
+/// line, no nesting, so line-oriented tools can read it without a JSON
+/// parser.
 fn print_json(entries: &[(String, u64)]) {
     println!("{{");
     for (index, (name, value)) in entries.iter().enumerate() {

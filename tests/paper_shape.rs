@@ -1,7 +1,9 @@
 //! Reproduction-shape assertions: the qualitative claims of §IV hold on
 //! the modelled suite.
 
-use fault_aware_pwcet::core::AnalysisConfig;
+use std::sync::Arc;
+
+use fault_aware_pwcet::core::{AnalysisConfig, ReusePlane};
 use pwcet_bench::{run_benchmark, run_suite, summary, Category, TARGET_PROBABILITY};
 
 #[test]
@@ -42,7 +44,8 @@ fn tiny_resident_code_is_rw_masked() {
 #[ignore = "runs the full 25-benchmark suite (~minutes); exercised by the fig4 binary"]
 fn full_suite_reproduces_figure4_shape() {
     let config = AnalysisConfig::paper_default();
-    let results = run_suite(&config, TARGET_PROBABILITY).expect("suite analyzes");
+    let plane = Arc::new(ReusePlane::in_memory());
+    let results = run_suite(&config, TARGET_PROBABILITY, &plane).expect("suite analyzes");
     assert_eq!(results.len(), 25);
     for r in &results {
         assert!(r.gain_srb() > 0.0, "{}: SRB gain positive", r.name);
