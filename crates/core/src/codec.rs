@@ -1,37 +1,62 @@
 //! Hand-rolled versioned binary codec for the on-disk context tier.
 //!
 //! The build image is offline, so no serde: every artifact of an
-//! [`AnalysisContext`](crate::AnalysisContext) — the classified CHMC
-//! levels, the converged full-associativity Must/May states, the SRB map,
-//! and the memoized solve products — is written with explicit
-//! little-endian fields behind a fixed header:
+//! [`AnalysisContext`](crate::AnalysisContext) — the memoized solve
+//! products, the classified CHMC levels, the converged full-associativity
+//! Must/May states, the SRB map and the factored basis — is written with
+//! explicit little-endian fields behind a fixed header:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "PWCX"
-//! 4       4     format version (u32, currently 4)
+//! 4       4     format version (u32, currently 5)
 //! 8       8     payload length in bytes (u64)
-//! 16      8     FNV-1a checksum of the payload (u64)
+//! 16      8     lane checksum of the payload (u64)
 //! 24      …     payload
 //! ```
+//!
+//! The payload carries, in this order:
+//!
+//! ```text
+//! content key            u64   the cache key the entry is filed under
+//! expander fingerprint   u64   a second, independent hash of the CFG
+//!                              expander inputs (image, extents, loop
+//!                              bounds, geometry, mode)
+//! presence summary             full-level flag, one flag per CHMC level
+//!                              0..=W, SRB flag, basis flag
+//! solve section                per cache timing: WCET_ff, the fault miss
+//!                              map and the SRB column
+//! tail length            u64   then the classification tail: full level
+//!                              (CHMC + Must/May states), the flagged
+//!                              CHMC levels, SRB map and basis
+//! ```
+//!
+//! A solved answer reads only the solve section — a few hundred bytes of
+//! a ~35 KB entry whose tail is mostly Must/May states. So a hit
+//! ([`decode_context`]) verifies the checksum over every payload byte,
+//! checks both fingerprints, and decodes the presence summary and the
+//! solve section; the tail stays raw, verified bytes until the restored
+//! context first needs it ([`decode_tail`]).
 //!
 //! Decoding is **paranoid by construction**: every length is bounds-checked
 //! against the remaining bytes before any allocation, every enum tag is
 //! validated, and every shape (node counts, per-node reference counts,
 //! abstract-state dimensions, FMM dimensions) is cross-checked against the
-//! live CFG and requested geometry. Any mismatch — truncation, bit flips,
-//! stale versions, or a content-hash collision — surfaces as a
-//! [`CodecError`], which the reuse plane treats as a cache miss: it falls
-//! back to a cold build and counts the event. A corrupted file can cost
-//! time, never correctness.
+//! requested geometry and, for the tail, the live CFG. Any mismatch —
+//! truncation, bit flips, stale versions, or a content-hash collision —
+//! surfaces as a [`CodecError`], which the reuse plane treats as a cache
+//! miss at read, or as a counted late corruption when a tail fails at
+//! first use: both recompute cold. A corrupted file can cost time, never
+//! correctness.
 //!
 //! The CFG itself is *not* serialized: entries are keyed by the content
-//! fingerprint of the program image and CFG metadata, so the loader
-//! re-expands the graph from the compiled program it already holds and
-//! only the converged artifacts ride on disk. Re-expansion is not free —
-//! on a disk hit it costs a sizable share of the lookup, beside the file
-//! read and the decode — but it keeps entries small and gives every
-//! decoded table a live graph to be cross-checked against.
+//! fingerprint of the program image and CFG metadata, and a restored
+//! context keeps the expander inputs and expands the graph only when
+//! something needs it — a new cache timing, a derivation, a template
+//! request. Expansion costs more than the rest of a solved hit, so the hit
+//! path never pays it; the expander fingerprint takes over from the CFG
+//! shape checks as the guard against a content-key collision there, and
+//! the tail is still cross-checked against the live graph when decoded.
 
 use std::fmt;
 use std::sync::Arc;
@@ -43,8 +68,9 @@ use pwcet_analysis::{
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::ExpandedCfg;
 use pwcet_ipet::BasisSnapshot;
+use pwcet_progen::CompiledProgram;
 
-use crate::context::ContextParts;
+use crate::context::TailParts;
 use crate::fmm::FaultMissMap;
 use crate::pipeline::SolveArtifacts;
 
@@ -64,8 +90,12 @@ pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
 /// nonbasic bound statuses; the `m × m` inverse is refactored on load,
 /// never shipped); 4 = one IPET configuration: solved entries are keyed
 /// by cache timing alone (no IPET flag byte) and the solver-state
-/// section is one optional snapshot.
-pub(crate) const VERSION: u32 = 4;
+/// section is one optional snapshot; 5 = a word-wise lane checksum
+/// instead of byte-serial FNV-1a, an expander fingerprint instead of the
+/// name, geometry and mode fields, and a presence summary plus the solve
+/// section ahead of a length-prefixed classification tail that is
+/// decoded on first use.
+pub(crate) const VERSION: u32 = 5;
 /// Header bytes before the payload.
 pub(crate) const HEADER_LEN: usize = 24;
 
@@ -100,8 +130,9 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Minimal 64-bit FNV-1a — deterministic across platforms and processes,
-/// unlike `DefaultHasher`, which randomizes per process. Used both for
-/// content fingerprints and for the payload checksum.
+/// unlike `DefaultHasher`, which randomizes per process. Used for the
+/// content keys of the context cache and the CFG fingerprint of the
+/// template registry.
 pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -130,38 +161,173 @@ impl Fnv1a {
     pub(crate) fn finish(&self) -> u64 {
         self.0
     }
+}
 
-    /// One-shot checksum of a raw buffer (no length prefix — the length
-    /// is covered by the header field).
-    fn checksum(bytes: &[u8]) -> u64 {
-        let mut h = Self::OFFSET;
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(Self::PRIME);
+/// One-shot 64-bit FNV-1a of a raw buffer (no length prefix). The `PWCQ`
+/// service protocol checksums its frames with it and the peer ring
+/// places nodes and keys with it; `PWCX` entries use
+/// [`entry_checksum`] instead.
+pub fn fnv1a_checksum(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::OFFSET;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
+    }
+    h
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// Seeds of the two hashes built on [`LaneHash`], so the payload
+/// checksum and the expander fingerprint never coincide by construction.
+const CHECKSUM_SEED: u64 = 0x5057_4358_0000_0005;
+const FINGERPRINT_SEED: u64 = 0x5057_4358_4650_0005;
+
+/// One lane step: `acc ← rotl(acc + word·P2, 31)·P1`. For a fixed `acc`
+/// it is a bijection of `word`, and for a fixed `word` a bijection of
+/// `acc`.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// A word-wise 64-bit hash with four independent lanes: word `i` feeds
+/// lane `i mod 4`, so the four multiply chains run in parallel instead
+/// of one byte-serial chain.
+///
+/// Every step — each [`round`], each lane's fold into the result and the
+/// final avalanche — is a bijection of the value that changed, so two
+/// inputs of equal word count that differ in one word always hash
+/// differently. A single-bit flip anywhere in a payload is therefore
+/// always detected.
+struct LaneHash {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+impl LaneHash {
+    fn new(seed: u64) -> Self {
+        Self {
+            lanes: [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ],
+            words: 0,
         }
-        h
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let lane = (self.words % 4) as usize;
+        self.lanes[lane] = round(self.lanes[lane], word);
+        self.words += 1;
+    }
+
+    /// Absorbs `bytes` as little-endian words, the last one zero-padded
+    /// (callers hash the length separately). Whole 32-byte stripes run
+    /// with the four lanes in registers when the hash is at lane 0.
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let mut rest = bytes;
+        if self.words.is_multiple_of(4) {
+            let stripes = bytes.chunks_exact(32);
+            rest = stripes.remainder();
+            let [mut a, mut b, mut c, mut d] = self.lanes;
+            for stripe in stripes {
+                a = round(a, word(&stripe[0..8]));
+                b = round(b, word(&stripe[8..16]));
+                c = round(c, word(&stripe[16..24]));
+                d = round(d, word(&stripe[24..32]));
+            }
+            self.lanes = [a, b, c, d];
+            self.words += (bytes.len() / 32 * 4) as u64;
+        }
+        let mut words = rest.chunks_exact(8);
+        for chunk in &mut words {
+            self.write_u64(word(chunk));
+        }
+        let last = words.remainder();
+        if !last.is_empty() {
+            let mut padded = [0u8; 8];
+            padded[..last.len()].copy_from_slice(last);
+            self.write_u64(u64::from_le_bytes(padded));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.words.wrapping_mul(P5);
+        for &lane in &self.lanes {
+            h = (h ^ round(0, lane)).rotate_left(27).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 }
 
-/// One-shot 64-bit FNV-1a of a raw buffer — the exact payload checksum
-/// of the `PWCX` disk-tier entries, exported so sibling wire codecs
-/// (e.g. the `PWCQ` service protocol) cannot drift from it.
-pub fn fnv1a_checksum(bytes: &[u8]) -> u64 {
-    Fnv1a::checksum(bytes)
+/// The payload checksum of `PWCX` entries: a four-lane word-wise hash
+/// ([`LaneHash`]) of the payload and its length. Every single-bit flip
+/// of a payload changes it. Exported so tests can re-seal a tampered
+/// entry and reach the structural decoder behind the checksum gate.
+pub fn entry_checksum(payload: &[u8]) -> u64 {
+    let mut h = LaneHash::new(CHECKSUM_SEED);
+    h.write_bytes(payload);
+    h.write_u64(payload.len() as u64);
+    h.finish()
 }
 
-/// Validates the *envelope* of a serialized entry — magic, version,
-/// declared length, payload checksum, and the embedded content key —
-/// without decoding the artifacts (which needs the live CFG). This is
-/// the gate a service node applies to entries arriving over the network
-/// before storing or relaying them: cheap and sufficient to reject
-/// corrupt or mis-keyed entries at the door. Full semantic validation
-/// still happens at decode time, against the CFG.
-///
-/// # Errors
-///
-/// The same header-level [`CodecError`]s `decode_context` would raise,
-/// plus a key mismatch for an entry stored under the wrong fingerprint.
-pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), CodecError> {
+/// The second fingerprint of a `(program, geometry, mode)` triple: the
+/// same expander inputs [`ContextCache::key_of`](crate::ContextCache::key_of)
+/// hashes — image base and words, function extents, loop bounds, the
+/// geometry and the classification mode — through an independent hash
+/// ([`LaneHash`], not FNV-1a). An entry must match both the content key
+/// and this fingerprint to be restored, which guards the hit path
+/// against a content-key collision without expanding the CFG.
+pub(crate) fn expander_fingerprint(
+    compiled: &CompiledProgram,
+    geometry: CacheGeometry,
+    mode: ClassificationMode,
+) -> u64 {
+    let mut h = LaneHash::new(FINGERPRINT_SEED);
+    let image = compiled.image();
+    h.write_u64(u64::from(image.base()));
+    h.write_u64(image.words().len() as u64);
+    for pair in image.words().chunks(2) {
+        let high = pair.get(1).copied().unwrap_or(0);
+        h.write_u64(u64::from(pair[0]) | (u64::from(high) << 32));
+    }
+    h.write_u64(compiled.functions().len() as u64);
+    for function in compiled.functions() {
+        h.write_u64(function.name().len() as u64);
+        h.write_bytes(function.name().as_bytes());
+        h.write_u64(u64::from(function.entry()) | (u64::from(function.end()) << 32));
+    }
+    h.write_u64(compiled.loop_bounds().len() as u64);
+    for bound in compiled.loop_bounds() {
+        h.write_u64(u64::from(bound.header) | (u64::from(bound.bound) << 32));
+    }
+    h.write_u64(u64::from(geometry.sets()) | (u64::from(geometry.ways()) << 32));
+    h.write_u64(u64::from(geometry.block_bytes()));
+    h.write_u64(mode_tag(mode));
+    h.finish()
+}
+
+fn mode_tag(mode: ClassificationMode) -> u64 {
+    match mode {
+        ClassificationMode::Cold => 0,
+        ClassificationMode::Incremental => 1,
+    }
+}
+
+/// Checks an entry's envelope — magic, version, declared length and the
+/// checksum over every payload byte — and returns the payload.
+fn open(bytes: &[u8]) -> Result<&[u8], CodecError> {
     if bytes.len() < HEADER_LEN {
         return Err(CodecError::Truncated);
     }
@@ -175,17 +341,94 @@ pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), Code
     let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
     let payload = &bytes[HEADER_LEN..];
-    if payload_len != payload.len() as u64 || payload.len() < 8 {
+    if payload_len != payload.len() as u64 {
         return Err(CodecError::Truncated);
     }
-    if Fnv1a::checksum(payload) != checksum {
+    if entry_checksum(payload) != checksum {
         return Err(CodecError::ChecksumMismatch);
     }
-    let key = u64::from_le_bytes(payload[..8].try_into().unwrap());
-    if key != expected_key {
+    Ok(payload)
+}
+
+/// Validates the *envelope* of a serialized entry — magic, version,
+/// declared length, payload checksum, and the embedded content key —
+/// without decoding anything. This is the gate a service node applies to
+/// entries arriving over the network before storing or relaying them:
+/// cheap and sufficient to reject corrupt or mis-keyed entries at the
+/// door. The fingerprint and the sections are checked when a lookup
+/// restores the entry.
+///
+/// # Errors
+///
+/// The same envelope-level [`CodecError`]s [`decode_context`] would
+/// raise, plus a key mismatch for an entry stored under the wrong
+/// fingerprint.
+pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), CodecError> {
+    let mut dec = Dec::new(open(bytes)?);
+    if dec.u64()? != expected_key {
         return Err(CodecError::Malformed("content key mismatch"));
     }
     Ok(())
+}
+
+/// Which artifacts an entry's classification tail holds — what the
+/// reuse plane's write-through gate reads, available without decoding
+/// the tail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Presence {
+    pub(crate) full: bool,
+    /// One flag per CHMC level `0..=W`.
+    pub(crate) levels: Vec<bool>,
+    pub(crate) srb: bool,
+    pub(crate) basis: bool,
+}
+
+impl Presence {
+    /// Classification levels the tail holds, counted as
+    /// [`AnalysisContext::warmed_levels`](crate::AnalysisContext::warmed_levels)
+    /// counts them.
+    pub(crate) fn warmed_levels(&self) -> usize {
+        usize::from(self.full) + self.levels.iter().filter(|&&present| present).count()
+    }
+}
+
+/// A classification tail as an entry carries it: its presence summary
+/// and its encoded bytes — checksum-verified, not decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RawTail {
+    pub(crate) presence: Presence,
+    /// The buffer holding the tail: the whole entry on a hit (no copy),
+    /// the tail alone when freshly encoded.
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl RawTail {
+    /// The tail of an entry that [`decode_context`] accepted, left in
+    /// the entry's own buffer.
+    pub(crate) fn in_entry(entry: Vec<u8>, presence: Presence, tail_at: usize) -> Self {
+        Self {
+            presence,
+            buf: entry,
+            start: tail_at,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
+/// The memoized solve products of one entry, per cache timing.
+pub(crate) type SolvedEntries = Vec<(CacheTiming, SolveArtifacts)>;
+
+/// What a hit decodes: the solve section, the presence summary, and
+/// where the raw tail starts in the entry.
+#[derive(Debug)]
+pub(crate) struct Hit {
+    pub(crate) solved: SolvedEntries,
+    pub(crate) presence: Presence,
+    pub(crate) tail_at: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -213,9 +456,8 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+    fn flag(&mut self, present: bool) {
+        self.u8(u8::from(present));
     }
 
     fn opt<T>(&mut self, value: Option<T>, mut write: impl FnMut(&mut Self, T)) {
@@ -322,34 +564,61 @@ fn encode_basis(enc: &mut Enc, snapshot: &BasisSnapshot) {
     }
 }
 
+/// Encodes a context's decoded classification tail. Absent parts are
+/// recorded in the presence summary only.
+pub(crate) fn encode_tail(parts: &TailParts) -> RawTail {
+    let mut enc = Enc::new();
+    if let Some(full) = &parts.full {
+        encode_level(&mut enc, full);
+    }
+    for map in parts.levels.iter().flatten() {
+        encode_chmc(&mut enc, map);
+    }
+    if let Some(srb) = &parts.srb {
+        encode_srb(&mut enc, srb);
+    }
+    if let Some(basis) = &parts.basis {
+        encode_basis(&mut enc, basis);
+    }
+    RawTail {
+        presence: Presence {
+            full: parts.full.is_some(),
+            levels: parts.levels.iter().map(Option::is_some).collect(),
+            srb: parts.srb.is_some(),
+            basis: parts.basis.is_some(),
+        },
+        buf: enc.buf,
+        start: 0,
+    }
+}
+
 /// Serializes one context entry (header + payload) for the disk tier.
 pub(crate) fn encode_context(
     key: u64,
-    name: &str,
-    geometry: CacheGeometry,
-    mode: ClassificationMode,
-    parts: &ContextParts,
+    fingerprint: u64,
+    solved: &[(CacheTiming, &SolveArtifacts)],
+    tail: &RawTail,
 ) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u64(key);
-    enc.str(name);
-    enc.u32(geometry.sets());
-    enc.u32(geometry.ways());
-    enc.u32(geometry.block_bytes());
-    enc.u8(mode_tag(mode));
-    enc.opt(parts.full.as_ref(), encode_level);
-    enc.u64(parts.levels.len() as u64);
-    for level in &parts.levels {
-        enc.opt(level.as_ref(), encode_chmc);
+    enc.u64(fingerprint);
+    let presence = &tail.presence;
+    enc.flag(presence.full);
+    enc.u64(presence.levels.len() as u64);
+    for &level in &presence.levels {
+        enc.flag(level);
     }
-    enc.opt(parts.srb.as_ref(), encode_srb);
-    enc.u64(parts.solved.len() as u64);
-    for (timing, artifacts) in &parts.solved {
+    enc.flag(presence.srb);
+    enc.flag(presence.basis);
+    enc.u64(solved.len() as u64);
+    for (timing, artifacts) in solved {
         enc.u64(timing.hit_cycles());
         enc.u64(timing.miss_penalty_cycles());
         encode_artifacts(&mut enc, artifacts);
     }
-    enc.opt(parts.basis.as_ref(), encode_basis);
+    let body = tail.bytes();
+    enc.u64(body.len() as u64);
+    enc.buf.extend_from_slice(body);
     seal(&enc.buf)
 }
 
@@ -360,16 +629,9 @@ fn seal(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&Fnv1a::checksum(payload).to_le_bytes());
+    out.extend_from_slice(&entry_checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-fn mode_tag(mode: ClassificationMode) -> u8 {
-    match mode {
-        ClassificationMode::Cold => 0,
-        ClassificationMode::Incremental => 1,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -644,82 +906,44 @@ fn decode_artifacts(
     })
 }
 
-/// Decodes and validates one entry against the caller's expectations: the
-/// content `key` the entry was filed under, the live `cfg` rebuilt from
-/// the same compiled program, and the requested `geometry`/`mode`.
-/// Returns the stored program name and the restored artifact parts.
+/// The hit path: checks the envelope (every payload byte is covered by
+/// the checksum), the content `key` and the expander `fingerprint` the
+/// caller computed from its own program, then decodes the presence
+/// summary and the solve section against the requested `geometry`. The
+/// classification tail is only located, never decoded: hand the entry
+/// and the returned [`Hit`]'s summary and offset to [`RawTail::in_entry`],
+/// and the tail to [`decode_tail`] on first use.
 ///
 /// # Errors
 ///
-/// Any header, checksum, structural, or cross-check failure — the caller
-/// falls back to a cold build.
+/// Any envelope, fingerprint or structural failure of the read part —
+/// the caller falls back to the next tier.
 pub(crate) fn decode_context(
     bytes: &[u8],
-    cfg: &ExpandedCfg,
     key: u64,
+    fingerprint: u64,
     geometry: CacheGeometry,
-    mode: ClassificationMode,
-) -> Result<(String, ContextParts), CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload = &bytes[HEADER_LEN..];
-    if payload_len != payload.len() as u64 {
-        return Err(CodecError::Truncated);
-    }
-    if Fnv1a::checksum(payload) != checksum {
-        return Err(CodecError::ChecksumMismatch);
-    }
-
-    let mut dec = Dec::new(payload);
+) -> Result<Hit, CodecError> {
+    let mut dec = Dec::new(open(bytes)?);
     if dec.u64()? != key {
         return Err(CodecError::Malformed("content key mismatch"));
     }
-    let name_len = dec.seq_len(1)?;
-    let name = String::from_utf8(dec.take(name_len)?.to_vec())
-        .map_err(|_| CodecError::Malformed("program name"))?;
-    let (sets, ways, block_bytes) = (dec.u32()?, dec.u32()?, dec.u32()?);
-    if (sets, ways, block_bytes) != (geometry.sets(), geometry.ways(), geometry.block_bytes()) {
-        return Err(CodecError::Malformed("geometry mismatch"));
+    if dec.u64()? != fingerprint {
+        return Err(CodecError::Malformed("expander fingerprint mismatch"));
     }
-    if dec.u8()? != mode_tag(mode) {
-        return Err(CodecError::Malformed("classification mode mismatch"));
-    }
-
-    let shape = ref_shape(cfg);
-    // One interner serves every state of the entry: it is a deterministic
-    // function of the live CFG and the geometry's (sets, block size).
-    let interner = Arc::new(BlockInterner::build(cfg, &geometry));
-    let full = if dec.present()? {
-        Some(decode_level(&mut dec, geometry, &interner, &shape)?)
-    } else {
-        None
-    };
+    let full = dec.present()?;
     let level_count = dec.seq_len(1)?;
     if level_count != geometry.ways() as usize + 1 {
         return Err(CodecError::Malformed("level count"));
     }
-    let mut levels = Vec::with_capacity(level_count);
-    for _ in 0..level_count {
-        levels.push(if dec.present()? {
-            Some(decode_chmc(&mut dec, &shape)?)
-        } else {
-            None
-        });
-    }
-    let srb = if dec.present()? {
-        Some(decode_srb(&mut dec, &shape)?)
-    } else {
-        None
+    let levels = (0..level_count)
+        .map(|_| dec.present())
+        .collect::<Result<Vec<_>, _>>()?;
+    let presence = Presence {
+        full,
+        levels,
+        srb: dec.present()?,
+        basis: dec.present()?,
     };
     let solved_count = dec.seq_len(16)?;
     let mut solved = Vec::with_capacity(solved_count);
@@ -727,7 +951,56 @@ pub(crate) fn decode_context(
         let timing = CacheTiming::new(dec.u64()?, dec.u64()?);
         solved.push((timing, decode_artifacts(&mut dec, geometry)?));
     }
-    let basis = if dec.present()? {
+    if dec.seq_len(1)? != dec.remaining() {
+        return Err(CodecError::Malformed("tail length"));
+    }
+    Ok(Hit {
+        solved,
+        presence,
+        tail_at: HEADER_LEN + dec.pos,
+    })
+}
+
+/// Decodes a classification tail against the live `cfg` and `geometry`:
+/// the deferred half of a hit, run when the restored context first needs
+/// a level, the SRB map or the basis. The tail passed the checksum at
+/// read, so a failure here means a checksum-consistent forgery (or a
+/// collision the expander fingerprint missed).
+///
+/// # Errors
+///
+/// Any structural or cross-check failure against the live CFG.
+pub(crate) fn decode_tail(
+    tail: &RawTail,
+    cfg: &ExpandedCfg,
+    geometry: CacheGeometry,
+) -> Result<TailParts, CodecError> {
+    let presence = &tail.presence;
+    let mut dec = Dec::new(tail.bytes());
+    let shape = ref_shape(cfg);
+    let full = if presence.full {
+        // One interner serves every state of the level: it is a
+        // deterministic function of the live CFG and the geometry's
+        // (sets, block size).
+        let interner = Arc::new(BlockInterner::build(cfg, &geometry));
+        Some(decode_level(&mut dec, geometry, &interner, &shape)?)
+    } else {
+        None
+    };
+    let mut levels = Vec::with_capacity(presence.levels.len());
+    for &present in &presence.levels {
+        levels.push(if present {
+            Some(decode_chmc(&mut dec, &shape)?)
+        } else {
+            None
+        });
+    }
+    let srb = if presence.srb {
+        Some(decode_srb(&mut dec, &shape)?)
+    } else {
+        None
+    };
+    let basis = if presence.basis {
         Some(decode_basis(&mut dec)?)
     } else {
         None
@@ -735,16 +1008,12 @@ pub(crate) fn decode_context(
     if dec.remaining() != 0 {
         return Err(CodecError::Malformed("trailing bytes"));
     }
-    Ok((
-        name,
-        ContextParts {
-            full,
-            levels,
-            srb,
-            solved,
-            basis,
-        },
-    ))
+    Ok(TailParts {
+        full,
+        levels,
+        srb,
+        basis,
+    })
 }
 
 /// Decodes one factored-basis snapshot, validating its internal shape:
@@ -789,12 +1058,22 @@ fn decode_basis(dec: &mut Dec<'_>) -> Result<BasisSnapshot, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::AnalysisContext;
+    use crate::context::{AnalysisContext, ContextParts};
     use crate::context_cache::ContextCache;
+    use crate::{AnalysisConfig, PwcetAnalyzer};
     use pwcet_par::Parallelism;
     use pwcet_progen::{stmt, Program};
 
-    fn warmed_entry() -> (u64, CacheGeometry, ClassificationMode, AnalysisContext) {
+    /// The content key and expander fingerprint of one entry, and the
+    /// geometry it is read under.
+    #[derive(Clone, Copy)]
+    struct Ids {
+        key: u64,
+        fingerprint: u64,
+        geometry: CacheGeometry,
+    }
+
+    fn warmed_entry() -> (Ids, AnalysisContext) {
         let compiled = Program::new("codec")
             .with_function("main", stmt::loop_(25, stmt::compute(30)))
             .compile(0x0040_0000)
@@ -803,13 +1082,62 @@ mod tests {
         let mode = ClassificationMode::Incremental;
         let context = AnalysisContext::build_with_mode(&compiled, geometry, mode).unwrap();
         context.prewarm(Parallelism::Sequential);
-        let key = ContextCache::key_of(&compiled, geometry, mode);
-        (key, geometry, mode, context)
+        let ids = Ids {
+            key: ContextCache::key_of(&compiled, geometry, mode),
+            fingerprint: expander_fingerprint(&compiled, geometry, mode),
+            geometry,
+        };
+        (ids, context)
     }
 
-    fn assert_identical(context: &AnalysisContext, restored: &AnalysisContext) {
+    /// A context the analyzer has solved once, so its parts carry every
+    /// section: levels, SRB map, solve artifacts and a factored basis.
+    fn solved_entry() -> (Ids, AnalysisContext) {
+        let (ids, context) = warmed_entry();
+        let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential);
+        PwcetAnalyzer::new(config)
+            .analyze_with_context(&context)
+            .unwrap();
+        (ids, context)
+    }
+
+    fn encode_parts(ids: Ids, parts: &ContextParts) -> Vec<u8> {
+        let solved: Vec<(CacheTiming, &SolveArtifacts)> =
+            parts.solved.iter().map(|(t, a)| (*t, a)).collect();
+        encode_context(ids.key, ids.fingerprint, &solved, &encode_tail(&parts.tail))
+    }
+
+    /// Reads an entry as a hit and then its first use do: the solve
+    /// section, then the tail against `cfg`.
+    fn read_fully(bytes: &[u8], ids: Ids, cfg: &ExpandedCfg) -> Result<ContextParts, CodecError> {
+        let hit = decode_context(bytes, ids.key, ids.fingerprint, ids.geometry)?;
+        let tail = RawTail::in_entry(bytes.to_vec(), hit.presence, hit.tail_at);
+        Ok(ContextParts {
+            solved: hit.solved,
+            tail: decode_tail(&tail, cfg, ids.geometry)?,
+        })
+    }
+
+    #[test]
+    fn round_trip_restores_every_artifact() {
+        let (ids, context) = solved_entry();
+        let parts = context.snapshot_parts();
+        let bytes = encode_parts(ids, &parts);
+        // The hit alone yields the solve section and the tail's summary.
+        let hit = decode_context(&bytes, ids.key, ids.fingerprint, ids.geometry).unwrap();
+        assert_eq!(hit.solved, parts.solved);
+        assert_eq!(hit.presence, encode_tail(&parts.tail).presence);
+        let restored = read_fully(&bytes, ids, context.cfg()).unwrap();
+        assert_eq!(restored, parts);
+        let restored = AnalysisContext::from_parts(
+            "codec",
+            context.shared_cfg(),
+            ids.geometry,
+            context.mode(),
+            restored,
+        );
         assert_eq!(restored.warmed_levels(), context.warmed_levels());
-        for assoc in 0..=context.geometry().ways() {
+        for assoc in 0..=ids.geometry.ways() {
             assert_eq!(restored.chmc(assoc), context.chmc(assoc), "level {assoc}");
         }
         assert_eq!(restored.srb(), context.srb());
@@ -817,23 +1145,8 @@ mod tests {
             restored.solved_configurations(),
             context.solved_configurations()
         );
-    }
-
-    #[test]
-    fn round_trip_restores_every_artifact() {
-        let (key, geometry, mode, context) = warmed_entry();
-        let bytes = encode_context(
-            key,
-            context.name(),
-            geometry,
-            mode,
-            &context.snapshot_parts(),
-        );
-        let (name, parts) = decode_context(&bytes, context.cfg(), key, geometry, mode).unwrap();
-        assert_eq!(name, "codec");
-        let restored =
-            AnalysisContext::from_parts(name, context.shared_cfg(), geometry, mode, parts);
-        assert_identical(&context, &restored);
+        // A context re-encodes its own entry byte for byte.
+        assert_eq!(context.encode_entry(ids.key).unwrap(), bytes);
     }
 
     #[test]
@@ -841,9 +1154,9 @@ mod tests {
         // The v1 format spent one u64 length per age slot plus one u32
         // per stored block; v2 writes the raw slot words. Recompute the
         // v1 size of the full level's states inline and pin the shrink.
-        let (_, _, _, context) = warmed_entry();
+        let (_, context) = warmed_entry();
         let parts = context.snapshot_parts();
-        let full = parts.full.as_ref().expect("prewarmed");
+        let full = parts.tail.full.as_ref().expect("prewarmed");
         let mut legacy = 0usize;
         let mut packed = 0usize;
         for state in full.must_states().iter().chain(full.may_states()) {
@@ -866,55 +1179,55 @@ mod tests {
 
     #[test]
     fn unwarmed_entry_round_trips_to_lazy_slots() {
-        let (key, geometry, mode, _) = warmed_entry();
+        let (ids, _) = warmed_entry();
         let compiled = Program::new("lazy")
             .with_function("main", stmt::compute(10))
             .compile(0x0040_0000)
             .unwrap();
-        let cold = AnalysisContext::build_with_mode(&compiled, geometry, mode).unwrap();
-        let bytes = encode_context(key, "lazy", geometry, mode, &cold.snapshot_parts());
-        let (_, parts) = decode_context(&bytes, cold.cfg(), key, geometry, mode).unwrap();
-        assert!(parts.full.is_none());
-        assert!(parts.srb.is_none());
-        assert!(parts.levels.iter().all(Option::is_none));
-        assert!(parts.solved.is_empty());
-        assert!(parts.basis.is_none());
-    }
-
-    /// A context the analyzer has solved once, so `snapshot_parts`
-    /// carries every section: levels, SRB map, solve artifacts and a
-    /// factored basis.
-    fn solved_entry() -> (u64, CacheGeometry, ClassificationMode, AnalysisContext) {
-        use crate::{AnalysisConfig, PwcetAnalyzer};
-        let (key, geometry, mode, context) = warmed_entry();
-        let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential);
-        PwcetAnalyzer::new(config)
-            .analyze_with_context(&context)
-            .unwrap();
-        (key, geometry, mode, context)
+        let cold = AnalysisContext::build_with_mode(
+            &compiled,
+            ids.geometry,
+            ClassificationMode::Incremental,
+        )
+        .unwrap();
+        let bytes = encode_parts(ids, &cold.snapshot_parts());
+        let hit = decode_context(&bytes, ids.key, ids.fingerprint, ids.geometry).unwrap();
+        assert!(hit.solved.is_empty());
+        assert_eq!(hit.presence.warmed_levels(), 0);
+        assert!(!hit.presence.srb && !hit.presence.basis);
+        let parts = read_fully(&bytes, ids, cold.cfg()).unwrap();
+        assert!(parts.tail.full.is_none());
+        assert!(parts.tail.srb.is_none());
+        assert!(parts.tail.levels.iter().all(Option::is_none));
+        assert!(parts.tail.basis.is_none());
     }
 
     #[test]
     fn basis_round_trips_bit_identically() {
-        let (key, geometry, mode, context) = solved_entry();
+        let (ids, context) = solved_entry();
         let parts = context.snapshot_parts();
-        assert!(parts.basis.is_some(), "the solved template exports");
-        let bytes = encode_context(key, "codec", geometry, mode, &parts);
-        let (_, restored) = decode_context(&bytes, context.cfg(), key, geometry, mode).unwrap();
-        assert_eq!(restored, parts);
+        assert!(parts.tail.basis.is_some(), "the solved template exports");
+        let bytes = encode_parts(ids, &parts);
+        assert_eq!(read_fully(&bytes, ids, context.cfg()).unwrap(), parts);
     }
 
     #[test]
     fn malformed_basis_sections_are_rejected() {
-        let (key, geometry, mode, context) = solved_entry();
+        let (ids, context) = solved_entry();
         let parts = context.snapshot_parts();
         let cfg = context.cfg();
         let check = |tamper: fn(&mut BasisSnapshot), expect: &'static str| {
             let mut parts = parts.clone();
-            tamper(parts.basis.as_mut().expect("the solved template exports"));
-            let bytes = encode_context(key, "codec", geometry, mode, &parts);
+            tamper(
+                parts
+                    .tail
+                    .basis
+                    .as_mut()
+                    .expect("the solved template exports"),
+            );
+            let bytes = encode_parts(ids, &parts);
             assert_eq!(
-                decode_context(&bytes, cfg, key, geometry, mode),
+                read_fully(&bytes, ids, cfg),
                 Err(CodecError::Malformed(expect))
             );
         };
@@ -941,27 +1254,35 @@ mod tests {
     fn resealed_mutations_fail_or_decode_canonically() {
         // Every truncation and every byte XOR 0x01/0x80/0xff of a full
         // entry's payload, re-sealed with a correct length and checksum
-        // so the mutation reaches the structural decoder. Each must be
-        // refused, or decode to parts that re-encode to the same bytes;
-        // none may panic.
-        let (key, geometry, mode, context) = solved_entry();
-        let bytes = encode_context(key, "codec", geometry, mode, &context.snapshot_parts());
+        // so the mutation reaches the structural decoders. Every lazy
+        // part is materialized: each mutation must be refused at read,
+        // refused when its tail is decoded against the live CFG, or
+        // decode to parts that re-encode to the same bytes; none may
+        // panic.
+        let (ids, context) = solved_entry();
+        let bytes = encode_parts(ids, &context.snapshot_parts());
         let payload = &bytes[HEADER_LEN..];
         let cfg = context.cfg();
-        let mut canonical = 0usize;
+        let (mut canonical, mut refused_late) = (0usize, 0usize);
         let mut check = |label: &str, mutated: &[u8]| {
             let entry = seal(mutated);
-            let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                decode_context(&entry, cfg, key, geometry, mode)
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let hit = decode_context(&entry, ids.key, ids.fingerprint, ids.geometry)?;
+                let tail = RawTail::in_entry(entry.clone(), hit.presence, hit.tail_at);
+                Ok((hit.solved, decode_tail(&tail, cfg, ids.geometry)))
             }))
             .unwrap_or_else(|_| panic!("{label}: the decoder panicked"));
-            if let Ok((name, parts)) = decoded {
-                assert_eq!(
-                    encode_context(key, &name, geometry, mode, &parts),
-                    entry,
-                    "{label}: a decoded entry must re-encode to its own bytes"
-                );
-                canonical += 1;
+            match read {
+                Err::<_, CodecError>(_) => {}
+                Ok((_, Err(_))) => refused_late += 1,
+                Ok((solved, Ok(tail))) => {
+                    assert_eq!(
+                        encode_parts(ids, &ContextParts { solved, tail }),
+                        entry,
+                        "{label}: a decoded entry must re-encode to its own bytes"
+                    );
+                    canonical += 1;
+                }
             }
         };
         check("unmutated", payload);
@@ -978,53 +1299,49 @@ mod tests {
         }
         assert!(
             canonical > 1,
-            "some flips (name, timing, bounds) decode to another valid entry"
+            "some flips (timing, bounds) decode to another valid entry"
+        );
+        assert!(
+            refused_late > 0,
+            "some tail flips pass the hit and fail at materialization"
         );
     }
 
     #[test]
     fn header_corruptions_are_detected() {
-        let (key, geometry, mode, context) = warmed_entry();
-        let bytes = encode_context(key, "codec", geometry, mode, &context.snapshot_parts());
-        let cfg = context.cfg();
+        let (ids, context) = warmed_entry();
+        let bytes = encode_parts(ids, &context.snapshot_parts());
+        let read = |bytes: &[u8]| {
+            decode_context(bytes, ids.key, ids.fingerprint, ids.geometry).map(|_| ())
+        };
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
-        assert_eq!(
-            decode_context(&bad_magic, cfg, key, geometry, mode),
-            Err(CodecError::BadMagic)
-        );
+        assert_eq!(read(&bad_magic), Err(CodecError::BadMagic));
 
+        // Version 4 is the retired layout; no shim reads it.
         for version in [VERSION - 1, 99] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
-            assert_eq!(
-                decode_context(&skewed, cfg, key, geometry, mode),
-                Err(CodecError::UnsupportedVersion(version))
-            );
+            assert_eq!(read(&skewed), Err(CodecError::UnsupportedVersion(version)));
         }
 
-        assert_eq!(
-            decode_context(&bytes[..bytes.len() / 2], cfg, key, geometry, mode),
-            Err(CodecError::Truncated)
-        );
-        assert_eq!(
-            decode_context(&bytes[..10], cfg, key, geometry, mode),
-            Err(CodecError::Truncated)
-        );
+        assert_eq!(read(&bytes[..bytes.len() / 2]), Err(CodecError::Truncated));
+        assert_eq!(read(&bytes[..10]), Err(CodecError::Truncated));
     }
 
     #[test]
     fn payload_bit_flips_fail_the_checksum() {
-        let (key, geometry, mode, context) = warmed_entry();
-        let bytes = encode_context(key, "codec", geometry, mode, &context.snapshot_parts());
-        // Flip one bit in every byte position of the payload in turn is
-        // excessive; a spread of positions catches offset-dependent bugs.
+        let (ids, context) = warmed_entry();
+        let bytes = encode_parts(ids, &context.snapshot_parts());
+        let read = |bytes: &[u8]| {
+            decode_context(bytes, ids.key, ids.fingerprint, ids.geometry).map(|_| ())
+        };
         for pos in [HEADER_LEN, HEADER_LEN + 7, bytes.len() / 2, bytes.len() - 1] {
             let mut flipped = bytes.clone();
             flipped[pos] ^= 0x01;
             assert_eq!(
-                decode_context(&flipped, context.cfg(), key, geometry, mode),
+                read(&flipped),
                 Err(CodecError::ChecksumMismatch),
                 "flip at {pos}"
             );
@@ -1032,38 +1349,115 @@ mod tests {
         // Flipping a checksum byte itself must also be caught.
         let mut bad_sum = bytes.clone();
         bad_sum[16] ^= 0x01;
-        assert_eq!(
-            decode_context(&bad_sum, context.cfg(), key, geometry, mode),
-            Err(CodecError::ChecksumMismatch)
-        );
+        assert_eq!(read(&bad_sum), Err(CodecError::ChecksumMismatch));
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_suite_entry_fails_the_checksum() {
+        // A real suite entry, solved once: levels, states, SRB map, solve
+        // section and basis. Every one of its payload bits, flipped alone,
+        // must change the checksum — and every header bit must be refused
+        // by the envelope too.
+        let bench = pwcet_benchsuite::all()
+            .into_iter()
+            .find(|bench| bench.name == "crc")
+            .expect("crc is in the suite");
+        let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential);
+        let compiled = bench.program.compile(config.code_base).unwrap();
+        let context =
+            AnalysisContext::build_with_mode(&compiled, config.geometry, config.classification)
+                .unwrap();
+        PwcetAnalyzer::new(config)
+            .analyze_with_context(&context)
+            .unwrap();
+        let mut entry = context.encode_entry(1).unwrap();
+        assert!(entry.len() > 4_000, "a full entry ({} bytes)", entry.len());
+        for bit in 0..entry.len() * 8 {
+            let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+            entry[byte] ^= mask;
+            let refused = open(&entry);
+            if byte >= HEADER_LEN || (16..24).contains(&byte) {
+                assert_eq!(refused, Err(CodecError::ChecksumMismatch), "bit {bit}");
+            } else {
+                assert!(refused.is_err(), "header bit {bit}");
+            }
+            entry[byte] ^= mask;
+        }
+        assert!(open(&entry).is_ok());
     }
 
     #[test]
     fn expectation_mismatches_are_rejected() {
-        let (key, geometry, mode, context) = warmed_entry();
-        let bytes = encode_context(key, "codec", geometry, mode, &context.snapshot_parts());
-        let cfg = context.cfg();
+        let (ids, context) = warmed_entry();
+        let bytes = encode_parts(ids, &context.snapshot_parts());
+        let read = |key: u64, fingerprint: u64, geometry: CacheGeometry| {
+            decode_context(&bytes, key, fingerprint, geometry).map(|_| ())
+        };
         assert_eq!(
-            decode_context(&bytes, cfg, key ^ 1, geometry, mode),
+            read(ids.key ^ 1, ids.fingerprint, ids.geometry),
             Err(CodecError::Malformed("content key mismatch"))
         );
         assert_eq!(
-            decode_context(&bytes, cfg, key, geometry.with_ways(2), mode),
-            Err(CodecError::Malformed("geometry mismatch"))
+            read(ids.key, ids.fingerprint ^ 1, ids.geometry),
+            Err(CodecError::Malformed("expander fingerprint mismatch"))
         );
         assert_eq!(
-            decode_context(&bytes, cfg, key, geometry, ClassificationMode::Cold),
-            Err(CodecError::Malformed("classification mode mismatch"))
+            read(ids.key, ids.fingerprint, ids.geometry.with_ways(2)),
+            Err(CodecError::Malformed("level count"))
         );
-        // A CFG of a different shape (hash collision scenario) is refused.
+        // The fingerprint covers the geometry and the mode as well as the
+        // program's expander inputs.
+        let compiled = Program::new("codec")
+            .with_function("main", stmt::loop_(25, stmt::compute(30)))
+            .compile(0x0040_0000)
+            .unwrap();
+        for (geometry, mode) in [
+            (ids.geometry.with_ways(2), ClassificationMode::Incremental),
+            (ids.geometry, ClassificationMode::Cold),
+        ] {
+            assert_ne!(
+                expander_fingerprint(&compiled, geometry, mode),
+                ids.fingerprint
+            );
+        }
+        // A program of a different CFG shape under a colliding content
+        // key: the hit path refuses it on the expander fingerprint, and
+        // its tail never decodes against the other graph either.
         let other = Program::new("other")
             .with_function("main", stmt::compute(5))
             .compile(0x0040_0000)
             .unwrap();
-        let other_ctx = AnalysisContext::build_with_mode(&other, geometry, mode).unwrap();
+        let other_fingerprint =
+            expander_fingerprint(&other, ids.geometry, ClassificationMode::Incremental);
+        assert_eq!(
+            read(ids.key, other_fingerprint, ids.geometry),
+            Err(CodecError::Malformed("expander fingerprint mismatch"))
+        );
+        let other_ctx =
+            AnalysisContext::build_with_mode(&other, ids.geometry, ClassificationMode::Incremental)
+                .unwrap();
         assert!(matches!(
-            decode_context(&bytes, other_ctx.cfg(), key, geometry, mode),
+            read_fully(&bytes, ids, other_ctx.cfg()),
             Err(CodecError::Malformed(_) | CodecError::Truncated)
         ));
+    }
+
+    #[test]
+    fn lane_hash_detects_every_word_change_at_any_length() {
+        // Lengths around the 32-byte stripe and the 8-byte word, so the
+        // stripe loop, the word tail and the padded last word all run.
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100] {
+            let base: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let sum = entry_checksum(&base);
+            for byte in 0..len {
+                let mut flipped = base.clone();
+                flipped[byte] ^= 0x80;
+                assert_ne!(entry_checksum(&flipped), sum, "len {len} byte {byte}");
+            }
+            // Appending a zero byte is a different payload.
+            let mut longer = base.clone();
+            longer.push(0);
+            assert_ne!(entry_checksum(&longer), sum, "len {len} padded");
+        }
     }
 }

@@ -21,7 +21,14 @@
 //!
 //! The context is `Send + Sync`: worker threads of the per-`(set, fault)`
 //! ILP fan-out borrow it freely.
+//!
+//! A context restored from a disk or peer entry starts with its solve
+//! memo only. It keeps the program's expander inputs and the entry's
+//! classification tail as raw, checksum-verified bytes, and expands the
+//! CFG and decodes the tail on first use: a new cache timing, a
+//! derivation, a template request. A solved request never pays either.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pwcet_analysis::{
@@ -36,10 +43,14 @@ use pwcet_par::{par_for_each_index, par_join, Parallelism};
 use pwcet_prob::{ConvolutionParams, DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
-use crate::codec::Fnv1a;
+use crate::codec::{
+    decode_tail, encode_context, encode_tail, expander_fingerprint, CodecError, Fnv1a, Presence,
+    RawTail, SolvedEntries,
+};
 use crate::error::CoreError;
 use crate::estimate::Protection;
-use crate::pipeline::{expand_compiled, SolveArtifacts};
+use crate::pipeline::{expand_compiled, ExpanderInputs, SolveArtifacts};
+use crate::reuse_plane::LateCorruption;
 
 /// Per-set reference buckets: `index[s]` lists the `(node, reference
 /// index)` pairs whose address maps to cache set `s`, in graph order
@@ -154,6 +165,14 @@ impl Solved {
     }
 }
 
+/// A restored entry's classification tail, still undecoded, and where
+/// to report it if it fails its decode.
+#[derive(Debug)]
+struct PendingTail {
+    raw: RawTail,
+    sink: LateCorruption,
+}
+
 /// Immutable per-program analysis state, shared by all pipeline stages.
 ///
 /// # Example
@@ -178,8 +197,23 @@ impl Solved {
 pub struct AnalysisContext {
     name: String,
     /// Shared: derived sibling contexts of a geometry lattice reuse one
-    /// expanded graph instead of cloning it per associativity.
-    cfg: Arc<ExpandedCfg>,
+    /// expanded graph instead of cloning it per associativity. Set at
+    /// construction, except in a restored context, which expands it from
+    /// [`source`](Self::source) on first use.
+    cfg: OnceLock<Arc<ExpandedCfg>>,
+    /// What a restored context's graph expands from.
+    source: Option<ExpanderInputs>,
+    /// The expander fingerprint its disk entries carry (see
+    /// [`expander_fingerprint`]): set by builds from a compiled program
+    /// and by the reuse plane. A context without one is never persisted.
+    fingerprint: OnceLock<u64>,
+    /// A restored entry's classification tail, decoded into `full`,
+    /// `levels`, `srb` and `pending_basis` before anything reads or
+    /// fills them.
+    tail: Mutex<Option<PendingTail>>,
+    /// Whether `tail` may still hold a tail: the lock-free fast path of
+    /// every level read.
+    tail_pending: AtomicBool,
     geometry: CacheGeometry,
     mode: ClassificationMode,
     /// `levels[a]` holds the classification at effective associativity
@@ -255,12 +289,36 @@ impl AnalysisContext {
         mode: ClassificationMode,
     ) -> Result<Self, CfgError> {
         let cfg = expand_compiled(compiled)?;
-        Ok(Self::from_shared_cfg(
+        let context = Self::from_shared_cfg(compiled.name(), Arc::new(cfg), geometry, mode);
+        context.set_fingerprint(expander_fingerprint(compiled, geometry, mode));
+        Ok(context)
+    }
+
+    /// A context restored from an entry the reuse plane accepted: the
+    /// solve memo is installed, the graph and the classification `tail`
+    /// wait for first use, and a tail that then fails to decode is
+    /// reported to `sink` and recomputed cold.
+    pub(crate) fn restored(
+        compiled: &CompiledProgram,
+        geometry: CacheGeometry,
+        mode: ClassificationMode,
+        fingerprint: u64,
+        solved: SolvedEntries,
+        tail: RawTail,
+        sink: LateCorruption,
+    ) -> Self {
+        let context = Self::empty(
             compiled.name(),
-            Arc::new(cfg),
+            OnceLock::new(),
+            Some(ExpanderInputs::of(compiled)),
             geometry,
             mode,
-        ))
+        );
+        context.set_fingerprint(fingerprint);
+        context.install_solved(solved);
+        *context.tail.lock().expect("tail lock") = Some(PendingTail { raw: tail, sink });
+        context.tail_pending.store(true, Ordering::Release);
+        context
     }
 
     /// Wraps an already-expanded CFG (incremental mode).
@@ -286,10 +344,24 @@ impl AnalysisContext {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Self {
+        Self::empty(name, OnceLock::from(cfg), None, geometry, mode)
+    }
+
+    fn empty(
+        name: impl Into<String>,
+        cfg: OnceLock<Arc<ExpandedCfg>>,
+        source: Option<ExpanderInputs>,
+        geometry: CacheGeometry,
+        mode: ClassificationMode,
+    ) -> Self {
         let levels = geometry.ways() as usize + 1;
         Self {
             name: name.into(),
             cfg,
+            source,
+            fingerprint: OnceLock::new(),
+            tail: Mutex::new(None),
+            tail_pending: AtomicBool::new(false),
             geometry,
             mode,
             levels: (0..levels).map(|_| OnceLock::new()).collect(),
@@ -311,9 +383,80 @@ impl AnalysisContext {
         &self.name
     }
 
-    /// The expanded control-flow graph.
+    /// The expanded control-flow graph — expanded here on first use by a
+    /// restored context.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a restored context's program does not expand. Its
+    /// entry matched the program's expander fingerprint, so the writer
+    /// expanded the same inputs; only a forged entry gets here, and the
+    /// analyzer turns that into [`CoreError::Cfg`] before any stage asks.
     pub fn cfg(&self) -> &ExpandedCfg {
-        &self.cfg
+        self.graph()
+            .expect("the program of a restored entry expanded when the entry was written")
+    }
+
+    /// The shared expanded graph, expanding a restored context's program
+    /// on first use (the expansion records its `cfg_expand` span).
+    pub(crate) fn graph(&self) -> Result<&Arc<ExpandedCfg>, CfgError> {
+        if let Some(cfg) = self.cfg.get() {
+            return Ok(cfg);
+        }
+        let source = self
+            .source
+            .as_ref()
+            .expect("a context without a graph keeps its expander inputs");
+        let expanded = source.expand()?;
+        Ok(self.cfg.get_or_init(|| Arc::new(expanded)))
+    }
+
+    /// The expander fingerprint this context's entries are written with.
+    pub(crate) fn fingerprint(&self) -> Option<u64> {
+        self.fingerprint.get().copied()
+    }
+
+    /// Sets the expander fingerprint (set-once; later calls are ignored).
+    pub(crate) fn set_fingerprint(&self, fingerprint: u64) {
+        let _ = self.fingerprint.set(fingerprint);
+    }
+
+    /// Decodes a restored context's pending classification tail into the
+    /// memo slots — once, before anything reads or fills them, so no
+    /// level is recomputed that the tail holds. Other threads wait on the
+    /// tail lock until the parts are installed. A tail that fails its
+    /// decode (a checksum-consistent forgery) is reported to its sink and
+    /// dropped: only the parts it held are then recomputed cold, and the
+    /// solve memo stays.
+    fn settle_tail(&self) {
+        if !self.tail_pending.load(Ordering::Acquire) {
+            return;
+        }
+        let mut slot = self.tail.lock().expect("tail lock");
+        if let Some(pending) = slot.take() {
+            let decoded = self
+                .graph()
+                .map_err(|_| CodecError::Malformed("program does not expand"));
+            let decoded = decoded.and_then(|cfg| {
+                let _span = pwcet_obs::stage_span(pwcet_obs::Stage::CodecDecode);
+                decode_tail(&pending.raw, cfg, self.geometry)
+            });
+            match decoded {
+                Ok(parts) => self.install_tail(parts),
+                Err(err) => pending.sink.report(&err),
+            }
+        }
+        self.tail_pending.store(false, Ordering::Release);
+    }
+
+    /// Reads the presence summary of a tail still waiting for its first
+    /// use (`None` once it is decoded, or for a context without one).
+    fn pending_presence<T>(&self, read: impl FnOnce(&Presence) -> T) -> Option<T> {
+        if !self.tail_pending.load(Ordering::Acquire) {
+            return None;
+        }
+        let slot = self.tail.lock().expect("tail lock");
+        slot.as_ref().map(|pending| read(&pending.raw.presence))
     }
 
     /// The cache geometry the classifications are computed for.
@@ -330,9 +473,10 @@ impl AnalysisContext {
     /// incremental mode, retained with its states as the warm-start
     /// source for every lower level.
     fn full_level(&self) -> &ClassifiedLevel {
+        self.settle_tail();
         self.full.get_or_init(|| {
             classify_level_with(
-                &self.cfg,
+                self.cfg(),
                 &self.geometry,
                 self.geometry.ways(),
                 Some(&self.kernel_stats),
@@ -347,6 +491,7 @@ impl AnalysisContext {
     ///
     /// Panics when `assoc` exceeds the geometry's associativity.
     pub fn chmc(&self, assoc: u32) -> &ChmcMap {
+        self.settle_tail();
         let ways = self.geometry.ways();
         let lock = self
             .levels
@@ -354,7 +499,7 @@ impl AnalysisContext {
             .unwrap_or_else(|| panic!("associativity {assoc} out of range"));
         match self.mode {
             ClassificationMode::Cold => lock.get_or_init(|| {
-                classify_level_with(&self.cfg, &self.geometry, assoc, Some(&self.kernel_stats))
+                classify_level_with(self.cfg(), &self.geometry, assoc, Some(&self.kernel_stats))
                     .into_chmc()
             }),
             // The full level keeps its states; answer from it directly.
@@ -362,14 +507,14 @@ impl AnalysisContext {
             ClassificationMode::Incremental => lock.get_or_init(|| {
                 if assoc == 0 {
                     // Trivial: a fully disabled set always misses.
-                    classify_level_with(&self.cfg, &self.geometry, 0, Some(&self.kernel_stats))
+                    classify_level_with(self.cfg(), &self.geometry, 0, Some(&self.kernel_stats))
                         .into_chmc()
                 } else {
                     // Warm start straight from level W (materializing it
                     // first if needed — a different OnceLock, so the
                     // nested init cannot deadlock).
                     classify_level_from_with(
-                        &self.cfg,
+                        self.cfg(),
                         &self.geometry,
                         self.full_level(),
                         assoc,
@@ -383,8 +528,9 @@ impl AnalysisContext {
 
     /// The SRB hit map (§III-B2), computed and cached on first use.
     pub fn srb(&self) -> &SrbMap {
+        self.settle_tail();
         self.srb
-            .get_or_init(|| classify_srb_with(&self.cfg, &self.geometry, Some(&self.kernel_stats)))
+            .get_or_init(|| classify_srb_with(self.cfg(), &self.geometry, Some(&self.kernel_stats)))
     }
 
     /// The per-set reference index, built on first use: `index[s]` lists
@@ -395,7 +541,7 @@ impl AnalysisContext {
     pub fn set_refs(&self) -> &Arc<SetRefIndex> {
         self.set_refs.get_or_init(|| {
             let mut by_set = vec![Vec::new(); self.geometry.sets() as usize];
-            for node in self.cfg.nodes() {
+            for node in self.cfg().nodes() {
                 for (i, &addr) in node.addrs().iter().enumerate() {
                     by_set[self.geometry.set_of(addr) as usize].push((node.id(), i));
                 }
@@ -411,12 +557,19 @@ impl AnalysisContext {
     /// cold and seeds every lower level, which runs as one job alongside
     /// the independent SRB fixpoint via [`par_join`].
     ///
-    /// Levels already computed are skipped; the call is idempotent.
+    /// Levels already computed are skipped; the call is idempotent. A
+    /// restored context whose undecoded tail holds every level and the
+    /// SRB map counts as prewarmed: nothing is decoded.
     pub fn prewarm(&self, parallelism: Parallelism) {
         // One span covers the whole classify stage, recorded on the
         // calling thread (the fixpoint jobs themselves may run on
         // untraced workers).
         let _span = pwcet_obs::stage_span(pwcet_obs::Stage::Classify);
+        let covered =
+            |presence: &Presence| presence.srb && presence.warmed_levels() >= self.levels.len();
+        if self.pending_presence(covered) == Some(true) {
+            return;
+        }
         match self.mode {
             ClassificationMode::Cold => {
                 let levels = self.levels.len();
@@ -446,16 +599,19 @@ impl AnalysisContext {
         }
     }
 
-    /// Number of classification levels already materialized (test/debug
-    /// introspection).
+    /// Number of classification levels already materialized, counting
+    /// those an undecoded restored tail holds (test/debug introspection,
+    /// and the reuse plane's write-through gate).
     pub fn warmed_levels(&self) -> usize {
         // In incremental mode level W lives in `full`, not in `levels`;
         // the two stores are disjoint across modes, so the sum is exact.
+        // A pending tail's levels are not in the slots yet.
         self.levels
             .iter()
             .filter(|lock| lock.get().is_some())
             .count()
             + usize::from(self.full.get().is_some())
+            + self.pending_presence(Presence::warmed_levels).unwrap_or(0)
     }
 
     /// The memoized solve-stage artifacts for `key` with their penalty
@@ -519,7 +675,7 @@ impl AnalysisContext {
     /// present equal fingerprints and land on the same registry slot.
     pub(crate) fn cfg_fingerprint(&self) -> u64 {
         *self.cfg_fp.get_or_init(|| {
-            let cfg = &self.cfg;
+            let cfg = self.cfg();
             let mut h = Fnv1a::new();
             h.write_u32(cfg.nodes().len() as u32);
             for node in cfg.nodes() {
@@ -568,6 +724,8 @@ impl AnalysisContext {
         if let Some(template) = self.template.get() {
             return Arc::clone(template);
         }
+        // A restored tail carries the basis to seed.
+        self.settle_tail();
         // Resolved outside any lock (level materialization and model
         // building can be expensive); the registry deduplicates racing
         // builds globally, so racers memoize the same registry-owned
@@ -575,7 +733,7 @@ impl AnalysisContext {
         let groups = self.first_extra_group_union();
         let template = self
             .registry()
-            .obtain(self.cfg_fingerprint(), &self.cfg, &groups);
+            .obtain(self.cfg_fingerprint(), self.cfg(), &groups);
         self.seed_pending_basis(&template);
         Arc::clone(self.template.get_or_init(|| template))
     }
@@ -615,11 +773,12 @@ impl AnalysisContext {
             })
     }
 
-    /// Whether [`export_basis`](Self::export_basis) would return a basis
-    /// — presence only, no snapshot clone (this feeds the reuse plane's
-    /// per-persist richness gate).
+    /// Whether the context has a basis to persist — presence only, no
+    /// snapshot clone (this feeds the reuse plane's per-persist richness
+    /// gate). An undecoded restored tail answers from its summary.
     pub(crate) fn has_basis(&self) -> bool {
-        self.template.get().is_some_and(|t| t.has_basis())
+        self.pending_presence(|presence| presence.basis) == Some(true)
+            || self.template.get().is_some_and(|t| t.has_basis())
             || self
                 .pending_basis
                 .lock()
@@ -636,7 +795,7 @@ impl AnalysisContext {
         let mut groups = Vec::new();
         for assoc in 0..=self.geometry.ways() {
             let chmc = self.chmc(assoc);
-            for node in self.cfg.nodes() {
+            for node in self.cfg().nodes() {
                 for index in 0..node.addrs().len() {
                     if let Chmc::FirstMiss(scope) = chmc.get(node.id(), index) {
                         groups.push((node.id(), scope));
@@ -665,26 +824,35 @@ impl AnalysisContext {
         self.kernel_stats.snapshot()
     }
 
-    /// Whether the SRB map has been materialized.
+    /// Whether the SRB map has been materialized, or is held by an
+    /// undecoded restored tail.
     pub fn srb_warmed(&self) -> bool {
-        self.srb.get().is_some()
+        self.srb.get().is_some() || self.pending_presence(|presence| presence.srb) == Some(true)
     }
 
     /// The shared expanded graph handle (test-only: codec round-trips
     /// restore against the original graph without re-expanding).
     #[cfg(test)]
     pub(crate) fn shared_cfg(&self) -> Arc<ExpandedCfg> {
-        Arc::clone(&self.cfg)
+        Arc::clone(self.graph().expect("expands"))
     }
 
-    /// A clone of every memoized artifact — what the on-disk tier of the
-    /// reuse plane serializes. Unwarmed slots stay `None`/empty and cost
-    /// nothing on disk.
-    pub(crate) fn snapshot_parts(&self) -> ContextParts {
-        ContextParts {
+    /// The decoded classification tail: every memoized level, the SRB
+    /// map and the basis to persist. Unwarmed slots stay `None`.
+    fn tail_parts(&self) -> TailParts {
+        TailParts {
             full: self.full.get().cloned(),
             levels: self.levels.iter().map(|l| l.get().cloned()).collect(),
             srb: self.srb.get().cloned(),
+            basis: self.export_basis(),
+        }
+    }
+
+    /// A clone of every memoized artifact, decoding a pending tail first.
+    #[cfg(test)]
+    pub(crate) fn snapshot_parts(&self) -> ContextParts {
+        self.settle_tail();
+        ContextParts {
             solved: self
                 .solved
                 .lock()
@@ -692,17 +860,71 @@ impl AnalysisContext {
                 .iter()
                 .map(|(key, entry)| (*key, entry.artifacts.clone()))
                 .collect(),
-            basis: self.export_basis(),
+            tail: self.tail_parts(),
         }
     }
 
-    /// Rebuilds a context around restored artifacts (the decode side of
-    /// the on-disk tier). Slots absent from `parts` stay lazy and are
-    /// recomputed on demand exactly as in a fresh context.
+    /// This context's disk-tier entry under `key`: the solve memo plus
+    /// the classification tail. A tail still waiting for its first use is
+    /// spliced in verbatim, so an unchanged restored context re-encodes
+    /// byte-identically without expanding or decoding anything. `None`
+    /// for a context without an expander fingerprint.
+    pub(crate) fn encode_entry(&self, key: u64) -> Option<Vec<u8>> {
+        let fingerprint = self.fingerprint()?;
+        let solved = self.solved.lock().expect("solve memo lock");
+        let solved: Vec<(CacheTiming, &SolveArtifacts)> = solved
+            .iter()
+            .map(|(timing, entry)| (*timing, &entry.artifacts))
+            .collect();
+        let pending = self.tail.lock().expect("tail lock");
+        Some(match pending.as_ref() {
+            Some(pending) => encode_context(key, fingerprint, &solved, &pending.raw),
+            None => encode_context(key, fingerprint, &solved, &encode_tail(&self.tail_parts())),
+        })
+    }
+
+    fn install_solved(&self, solved: SolvedEntries) {
+        *self.solved.lock().expect("solve memo lock") = solved
+            .into_iter()
+            .map(|(key, artifacts)| (key, Arc::new(Solved::new(artifacts))))
+            .collect();
+    }
+
+    /// Fills the memo slots from decoded tail parts; the basis waits for
+    /// the first template request.
     ///
     /// # Panics
     ///
-    /// Panics when `parts.levels` does not cover `0..=W` of `geometry`.
+    /// Panics when `parts.levels` does not cover `0..=W` of the geometry.
+    fn install_tail(&self, parts: TailParts) {
+        assert_eq!(
+            parts.levels.len(),
+            self.levels.len(),
+            "restored parts must cover levels 0..=W"
+        );
+        if let Some(full) = parts.full {
+            let _ = self.full.set(full);
+        }
+        for (lock, level) in self.levels.iter().zip(parts.levels) {
+            if let Some(map) = level {
+                let _ = lock.set(map);
+            }
+        }
+        if let Some(srb) = parts.srb {
+            let _ = self.srb.set(srb);
+        }
+        *self.pending_basis.lock().expect("pending basis lock") = parts.basis;
+    }
+
+    /// Rebuilds a context around decoded artifacts over an expanded
+    /// graph (derivation, and the codec tests). Slots absent from
+    /// `parts` stay lazy and are recomputed on demand exactly as in a
+    /// fresh context.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts.tail.levels` does not cover `0..=W` of
+    /// `geometry`.
     pub(crate) fn from_parts(
         name: impl Into<String>,
         cfg: Arc<ExpandedCfg>,
@@ -711,28 +933,8 @@ impl AnalysisContext {
         parts: ContextParts,
     ) -> Self {
         let context = Self::from_shared_cfg(name, cfg, geometry, mode);
-        assert_eq!(
-            parts.levels.len(),
-            context.levels.len(),
-            "restored parts must cover levels 0..=W"
-        );
-        if let Some(full) = parts.full {
-            let _ = context.full.set(full);
-        }
-        for (lock, level) in context.levels.iter().zip(parts.levels) {
-            if let Some(map) = level {
-                let _ = lock.set(map);
-            }
-        }
-        if let Some(srb) = parts.srb {
-            let _ = context.srb.set(srb);
-        }
-        *context.solved.lock().expect("solve memo lock") = parts
-            .solved
-            .into_iter()
-            .map(|(key, artifacts)| (key, Arc::new(Solved::new(artifacts))))
-            .collect();
-        *context.pending_basis.lock().expect("pending basis lock") = parts.basis;
+        context.install_tail(parts.tail);
+        context.install_solved(parts.solved);
         context
     }
 
@@ -766,7 +968,7 @@ impl AnalysisContext {
             "cold mode is the from-scratch reference; deriving would defeat it"
         );
         let derived_full = classify_level_from_with(
-            &self.cfg,
+            self.cfg(),
             &geometry,
             self.full_level(),
             geometry.ways(),
@@ -785,20 +987,22 @@ impl AnalysisContext {
         }
         let sibling = Self::from_parts(
             self.name.clone(),
-            Arc::clone(&self.cfg),
+            Arc::clone(self.graph().expect("expanded for the full level")),
             geometry,
             self.mode,
             ContextParts {
-                full: Some(derived_full),
-                levels,
-                // The SRB pseudo-geometry (one set, one way) only depends
-                // on the block size, which siblings share.
-                srb: self.srb.get().cloned(),
                 solved: Vec::new(),
-                // No pending basis: the sibling shares this context's
-                // registry and fingerprint, so its template request lands
-                // on the already-warm shared pool directly.
-                basis: None,
+                tail: TailParts {
+                    full: Some(derived_full),
+                    levels,
+                    // The SRB pseudo-geometry (one set, one way) only
+                    // depends on the block size, which siblings share.
+                    srb: self.srb.get().cloned(),
+                    // No pending basis: the sibling shares this context's
+                    // registry and fingerprint, so its template request
+                    // lands on the already-warm shared pool directly.
+                    basis: None,
+                },
             },
         );
         // Same graph, same registry: the sibling's template lookups hit
@@ -816,18 +1020,24 @@ impl AnalysisContext {
     }
 }
 
-/// The serializable artifact slots of one context (see
-/// [`AnalysisContext::snapshot_parts`]).
+/// The classification tail of one context: everything it memoizes
+/// beside the solve products.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ContextParts {
+pub(crate) struct TailParts {
     pub(crate) full: Option<ClassifiedLevel>,
     pub(crate) levels: Vec<Option<ChmcMap>>,
     pub(crate) srb: Option<SrbMap>,
-    pub(crate) solved: Vec<(CacheTiming, SolveArtifacts)>,
-    /// The serialized factored basis (the PWCX solver-state section) —
-    /// restored into `pending_basis`, seeded into the shared template on
-    /// its first request.
+    /// The serialized factored basis — restored into `pending_basis`,
+    /// seeded into the shared template on its first request.
     pub(crate) basis: Option<BasisSnapshot>,
+}
+
+/// The decoded artifact slots of one context: the solve memo and the
+/// classification tail.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ContextParts {
+    pub(crate) solved: SolvedEntries,
+    pub(crate) tail: TailParts,
 }
 
 #[cfg(test)]
@@ -997,7 +1207,7 @@ mod tests {
         let costs = CostModel::uniform(ctx.cfg(), 2);
         let expected = template.bound(&costs).unwrap();
         let parts = ctx.snapshot_parts();
-        assert!(parts.basis.is_some(), "the solved template exports");
+        assert!(parts.tail.basis.is_some(), "the solved template exports");
 
         // A "restarted process": fresh context, fresh registry, bases
         // restored from the serialized parts.
@@ -1028,7 +1238,11 @@ mod tests {
         let mut parts = ctx.snapshot_parts();
         // Structurally valid, semantically wrong: claim one more basic
         // column than rows — decode would pass, hydration must not.
-        let snapshot = parts.basis.as_mut().expect("the solved template exports");
+        let snapshot = parts
+            .tail
+            .basis
+            .as_mut()
+            .expect("the solved template exports");
         if let Some(tag) = snapshot.statuses.iter_mut().find(|tag| **tag != 0) {
             *tag = 0;
         }

@@ -68,7 +68,7 @@ mod fmm;
 mod pipeline;
 mod reuse_plane;
 
-pub use codec::{fnv1a_checksum, CodecError};
+pub use codec::{entry_checksum, fnv1a_checksum, CodecError};
 pub use config::AnalysisConfig;
 pub use context::AnalysisContext;
 pub use context_cache::{ContextCache, ContextCacheStats, DEFAULT_CONTEXT_CAPACITY};

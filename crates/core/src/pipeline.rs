@@ -24,6 +24,7 @@ use pwcet_analysis::{Chmc, ChmcMap, SrbMap};
 use pwcet_cfg::{CfgError, ExpandedCfg, FunctionExtent};
 use pwcet_ilp::SolveStats;
 use pwcet_ipet::{CostModel, RefCost};
+use pwcet_mips::BinaryImage;
 use pwcet_par::{par_map, Parallelism};
 use pwcet_prob::DiscreteDistribution;
 use pwcet_progen::{CompiledProgram, Program};
@@ -42,18 +43,59 @@ use crate::reuse_plane::{ReusePlane, ReuseTier};
 ///
 /// Propagates [`CfgError`] from reconstruction.
 pub fn expand_compiled(compiled: &CompiledProgram) -> Result<ExpandedCfg, CfgError> {
-    let _span = pwcet_obs::stage_span(pwcet_obs::Stage::CfgExpand);
-    let extents: Vec<FunctionExtent> = compiled
+    let (extents, bounds) = expander_metadata(compiled);
+    expand(compiled.image(), &extents, &bounds)
+}
+
+/// The function extents and loop bounds the CFG expander reads beside
+/// the image.
+fn expander_metadata(compiled: &CompiledProgram) -> (Vec<FunctionExtent>, Vec<(u32, u32)>) {
+    let extents = compiled
         .functions()
         .iter()
         .map(|f| FunctionExtent::new(f.name(), f.entry(), f.end()))
         .collect();
-    let bounds: Vec<(u32, u32)> = compiled
+    let bounds = compiled
         .loop_bounds()
         .iter()
         .map(|lb| (lb.header, lb.bound))
         .collect();
-    ExpandedCfg::build(compiled.image(), &extents, &bounds)
+    (extents, bounds)
+}
+
+fn expand(
+    image: &BinaryImage,
+    extents: &[FunctionExtent],
+    bounds: &[(u32, u32)],
+) -> Result<ExpandedCfg, CfgError> {
+    let _span = pwcet_obs::stage_span(pwcet_obs::Stage::CfgExpand);
+    ExpandedCfg::build(image, extents, bounds)
+}
+
+/// What the CFG expander reads from a compiled program: the image, the
+/// function extents and the loop bounds. A restored context keeps these
+/// instead of the whole program and expands its graph on first use.
+#[derive(Debug, Clone)]
+pub(crate) struct ExpanderInputs {
+    image: BinaryImage,
+    extents: Vec<FunctionExtent>,
+    bounds: Vec<(u32, u32)>,
+}
+
+impl ExpanderInputs {
+    pub(crate) fn of(compiled: &CompiledProgram) -> Self {
+        let (extents, bounds) = expander_metadata(compiled);
+        Self {
+            image: compiled.image().clone(),
+            extents,
+            bounds,
+        }
+    }
+
+    /// Expands the graph, recording a `cfg_expand` span.
+    pub(crate) fn expand(&self) -> Result<ExpandedCfg, CfgError> {
+        expand(&self.image, &self.extents, &self.bounds)
+    }
 }
 
 /// The fault-aware pWCET analyzer (the paper's tool).
@@ -271,7 +313,9 @@ fn solve_protection_independent(
     config: &AnalysisConfig,
 ) -> Result<(SolveArtifacts, SolveStats), CoreError> {
     let parallelism = config.parallelism;
-    let cfg = context.cfg();
+    // A restored context expands its graph here, on its first solve; the
+    // error is the one a cold build of the same program would raise.
+    let cfg = context.graph()?;
     let geometry = config.geometry;
     let ways = geometry.ways();
     let sets = geometry.sets();

@@ -34,14 +34,20 @@
 //! to their owner so the fleet converges on one warm store with no
 //! shared filesystem.
 //!
+//! A disk or peer hit decodes only what a solved answer reads (see the
+//! [codec](crate::codec) layout): the restored context expands its CFG
+//! and decodes its classification tail on first use.
+//!
 //! **Failure containment**: any unreadable, truncated, corrupted, or
 //! version-skewed disk entry is counted
 //! ([`ReusePlaneStats::disk_corrupt`]), logged to stderr, deleted, and
 //! answered by the next tier; a fetched peer entry that fails strict
 //! decode validation is counted ([`ReusePlaneStats::network_corrupt`])
-//! and degrades to a cold build. The disk and network tiers can cost
-//! time, never correctness — `crates/core/tests/reuse_plane.rs` pins
-//! every corruption class.
+//! and degrades to a cold build. A tail that passed the checksum but
+//! fails its deferred decode is counted the same way, its store file is
+//! deleted, and only the parts it held are recomputed cold. The disk and
+//! network tiers can cost time, never correctness —
+//! `crates/core/tests/reuse_plane.rs` pins every corruption class.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
@@ -56,10 +62,11 @@ use pwcet_ilp::{SolveStats, SolveStatsCell};
 use pwcet_ipet::TemplateRegistry;
 use pwcet_progen::CompiledProgram;
 
-use crate::codec::{decode_context, encode_context, validate_entry};
+use crate::codec::{
+    decode_context, expander_fingerprint, validate_entry, CodecError, Hit, RawTail,
+};
 use crate::context::AnalysisContext;
 use crate::context_cache::{ContextCache, ContextCacheStats};
-use crate::pipeline::expand_compiled;
 
 /// Default on-disk budget: far above a full benchmark-suite store (a few
 /// hundred KB) while bounding runaway sweeps.
@@ -294,14 +301,19 @@ impl StagedEntries {
     }
 }
 
+/// The disk tier's write-through index: what this process knows to be
+/// on disk, by key.
+type WriteIndex = Arc<Mutex<HashMap<u64, Richness>>>;
+
 #[derive(Debug)]
 struct DiskTier {
     dir: PathBuf,
     max_bytes: u64,
     /// What this process knows to be on disk, by key: skip rewrites that
     /// would not add artifacts. Kept coherent with the GC, which removes
-    /// the keys of the entries it evicts.
-    written: Mutex<HashMap<u64, Richness>>,
+    /// the keys of the entries it evicts, and with late corruption, which
+    /// removes the key of the entry it deletes.
+    written: WriteIndex,
 }
 
 impl DiskTier {
@@ -349,7 +361,7 @@ pub struct ReusePlane {
     /// Raw peer-offered entries staged in memory when no disk tier is
     /// attached, consulted by the local-entry probe exactly like a disk
     /// file. Bounded FIFO ([`MAX_STAGED_ENTRIES`]).
-    staged: Mutex<StagedEntries>,
+    staged: Arc<Mutex<StagedEntries>>,
     /// Richness already offered to the network per key: skip re-offers
     /// that would not add artifacts, mirroring the disk tier's
     /// write-through index.
@@ -357,7 +369,8 @@ pub struct ReusePlane {
     /// Family fingerprint → way count → full key, for the derivation
     /// tier. Only records what passed through this plane.
     families: Mutex<HashMap<u64, BTreeMap<u32, u64>>>,
-    counters: Mutex<Counters>,
+    /// Shared with the [`LateCorruption`] sinks of restored contexts.
+    counters: Arc<Mutex<Counters>>,
     /// The cross-geometry IPET template registry, attached to every
     /// context this plane hands out (whatever tier answered) so the
     /// resident contexts of one CFG — sibling geometries, restored
@@ -393,10 +406,10 @@ impl ReusePlane {
             memory,
             disk: None,
             network: OnceLock::new(),
-            staged: Mutex::new(StagedEntries::default()),
+            staged: Arc::new(Mutex::new(StagedEntries::default())),
             offered: Mutex::new(HashMap::new()),
             families: Mutex::new(HashMap::new()),
-            counters: Mutex::new(Counters::default()),
+            counters: Arc::new(Mutex::new(Counters::default())),
             registry: Arc::new(TemplateRegistry::new()),
             ilp: SolveStatsCell::default(),
             kernel: KernelStatsCell::default(),
@@ -518,7 +531,7 @@ impl ReusePlane {
         self.disk = Some(DiskTier {
             dir,
             max_bytes,
-            written: Mutex::new(HashMap::new()),
+            written: Arc::new(Mutex::new(HashMap::new())),
         });
         Ok(self)
     }
@@ -597,11 +610,23 @@ impl ReusePlane {
             return Ok((context, ReuseTier::Memory));
         }
 
-        let (context, tier) = match self.load_local(compiled, key, geometry, mode) {
+        // Every tier below the memory tier files or checks entries under
+        // a second fingerprint of the expander inputs.
+        let at = Lookup {
+            compiled,
+            key,
+            fingerprint: expander_fingerprint(compiled, geometry, mode),
+            geometry,
+            mode,
+        };
+        let (context, tier) = match self.load_local(&at) {
             Some((restored, local_tier)) => (Arc::new(restored), local_tier),
             None => match self.derive_from_family(family, geometry, mode) {
-                Some(derived) => (derived, ReuseTier::Derived),
-                None => match self.fetch_from_network(compiled, key, geometry, mode) {
+                Some(derived) => {
+                    derived.set_fingerprint(at.fingerprint);
+                    (derived, ReuseTier::Derived)
+                }
+                None => match self.fetch_from_network(&at) {
                     Some(fetched) => (Arc::new(fetched), ReuseTier::Network),
                     None => {
                         let built =
@@ -631,7 +656,11 @@ impl ReusePlane {
     /// written. IO failures are logged and counted, never raised —
     /// persistence is an optimization.
     pub fn persist(&self, compiled: &CompiledProgram, context: &AnalysisContext) -> bool {
-        let key = ContextCache::key_of(compiled, *context.geometry(), context.mode());
+        let (geometry, mode) = (*context.geometry(), context.mode());
+        if context.fingerprint().is_none() {
+            context.set_fingerprint(expander_fingerprint(compiled, geometry, mode));
+        }
+        let key = ContextCache::key_of(compiled, geometry, mode);
         self.persist_keyed(key, context)
     }
 
@@ -684,7 +713,13 @@ impl ReusePlane {
         for wider_key in candidates {
             // The sibling may have been LRU-evicted since it was
             // registered; peek (uncounted) and fall through when gone.
-            if let Some(wider) = self.memory.peek(wider_key) {
+            // A restored sibling expands its graph here; one whose
+            // program does not expand (a forged entry) cannot derive.
+            if let Some(wider) = self
+                .memory
+                .peek(wider_key)
+                .filter(|wider| wider.graph().is_ok())
+            {
                 let derived = Arc::new(wider.derive_narrower(geometry));
                 self.counters.lock().expect("reuse plane counters").derived += 1;
                 return Some(derived);
@@ -693,30 +728,43 @@ impl ReusePlane {
         None
     }
 
-    /// Expands the CFG and decodes one serialized entry into a restored
-    /// context. CFG-expansion failure is a [`EntryDecodeFailure::Cfg`]
-    /// (the cold path will surface the same error with context); every
-    /// decode failure is [`EntryDecodeFailure::Corrupt`].
-    fn decode_entry(
+    /// Restores a context from serialized entry bytes: the hit path of
+    /// [`decode_context`] — envelope, both fingerprints, the presence
+    /// summary and the solve section — with the classification tail left
+    /// in `bytes` for first use. A tail that later fails its decode is
+    /// reported as corruption of `tier`'s bytes.
+    fn restore(
         &self,
-        compiled: &CompiledProgram,
-        bytes: &[u8],
-        key: u64,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> Result<AnalysisContext, EntryDecodeFailure> {
-        let cfg = expand_compiled(compiled).map_err(|_| EntryDecodeFailure::Cfg)?;
+        at: &Lookup<'_>,
+        bytes: Vec<u8>,
+        tier: ReuseTier,
+    ) -> Result<AnalysisContext, CodecError> {
         let _span = pwcet_obs::stage_span(pwcet_obs::Stage::CodecDecode);
-        match decode_context(bytes, &cfg, key, geometry, mode) {
-            Ok((name, parts)) => Ok(AnalysisContext::from_parts(
-                name,
-                Arc::new(cfg),
-                geometry,
-                mode,
-                parts,
-            )),
-            Err(err) => Err(EntryDecodeFailure::Corrupt(err.to_string())),
-        }
+        let Hit {
+            solved,
+            presence,
+            tail_at,
+        } = decode_context(&bytes, at.key, at.fingerprint, at.geometry)?;
+        let key = at.key;
+        let sink = LateCorruption {
+            key,
+            tier,
+            counters: Arc::clone(&self.counters),
+            staged: Arc::clone(&self.staged),
+            disk: self
+                .disk
+                .as_ref()
+                .map(|disk| (disk.entry_path(key), Arc::clone(&disk.written))),
+        };
+        Ok(AnalysisContext::restored(
+            at.compiled,
+            at.geometry,
+            at.mode,
+            at.fingerprint,
+            solved,
+            RawTail::in_entry(bytes, presence, tail_at),
+            sink,
+        ))
     }
 
     /// Local-entry probe — the disk tier plus the staged peer offers:
@@ -725,13 +773,8 @@ impl ReusePlane {
     /// staged peer offer ([`ReuseTier::Network`]). Every failure degrades
     /// to `None` with a counted stat; a corrupt store file is
     /// additionally deleted so it cannot fail again.
-    fn load_local(
-        &self,
-        compiled: &CompiledProgram,
-        key: u64,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> Option<(AnalysisContext, ReuseTier)> {
+    fn load_local(&self, at: &Lookup<'_>) -> Option<(AnalysisContext, ReuseTier)> {
+        let key = at.key;
         let disk_bytes = self
             .disk
             .as_ref()
@@ -763,7 +806,7 @@ impl ReusePlane {
                 (staged, ReuseTier::Network)
             }
         };
-        match self.decode_entry(compiled, &bytes, key, geometry, mode) {
+        match self.restore(at, bytes, tier) {
             Ok(context) => {
                 let richness = Richness::of(&context);
                 if tier == ReuseTier::Disk {
@@ -788,14 +831,7 @@ impl ReusePlane {
                 drop(counters);
                 Some((context, tier))
             }
-            Err(EntryDecodeFailure::Cfg) => {
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .disk_misses += 1;
-                None
-            }
-            Err(EntryDecodeFailure::Corrupt(err)) => {
+            Err(err) => {
                 let mut counters = self.counters.lock().expect("reuse plane counters");
                 if tier == ReuseTier::Disk {
                     let disk = self.disk.as_ref().expect("disk bytes imply a disk tier");
@@ -825,13 +861,8 @@ impl ReusePlane {
     /// stays warm without re-fetching. An undecodable fetch is counted
     /// ([`ReusePlaneStats::network_corrupt`]) and degrades to a cold
     /// build — a bad peer costs time, never correctness.
-    fn fetch_from_network(
-        &self,
-        compiled: &CompiledProgram,
-        key: u64,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> Option<AnalysisContext> {
+    fn fetch_from_network(&self, at: &Lookup<'_>) -> Option<AnalysisContext> {
+        let key = at.key;
         let network = self.network.get()?;
         let fetched = {
             let _span = pwcet_obs::stage_span(pwcet_obs::Stage::PeerFetch);
@@ -844,7 +875,9 @@ impl ReusePlane {
                 .network_misses += 1;
             return None;
         };
-        match self.decode_entry(compiled, &bytes, key, geometry, mode) {
+        // The restored context keeps its own copy: the fetched bytes are
+        // also written through as they came.
+        match self.restore(at, bytes.clone(), ReuseTier::Network) {
             Ok(context) => {
                 let richness = Richness::of(&context);
                 self.store_entry_bytes(key, &bytes, richness);
@@ -860,14 +893,7 @@ impl ReusePlane {
                     .network_hits += 1;
                 Some(context)
             }
-            Err(EntryDecodeFailure::Cfg) => {
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .network_misses += 1;
-                None
-            }
-            Err(EntryDecodeFailure::Corrupt(err)) => {
+            Err(err) => {
                 eprintln!(
                     "pwcet-core: discarding corrupt peer entry for key {key:016x} ({err}); \
                      rebuilding cold"
@@ -917,13 +943,9 @@ impl ReusePlane {
     pub fn export_entry(&self, key: u64) -> Option<Vec<u8>> {
         if let Some(context) = self.memory.peek(key) {
             if Richness::of(&context) != Richness::default() {
-                return Some(encode_context(
-                    key,
-                    context.name(),
-                    *context.geometry(),
-                    context.mode(),
-                    &context.snapshot_parts(),
-                ));
+                if let Some(bytes) = context.encode_entry(key) {
+                    return Some(bytes);
+                }
             }
         }
         if let Some(disk) = self.disk.as_ref() {
@@ -1008,13 +1030,9 @@ impl ReusePlane {
         if !disk_wants && !net_wants {
             return false;
         }
-        let bytes = encode_context(
-            key,
-            context.name(),
-            *context.geometry(),
-            context.mode(),
-            &context.snapshot_parts(),
-        );
+        let Some(bytes) = context.encode_entry(key) else {
+            return false; // no expander fingerprint to file it under
+        };
         if net_wants {
             let network = network.expect("net_wants implies a network tier");
             network.offer(key, &bytes);
@@ -1123,12 +1141,54 @@ impl ReusePlane {
     }
 }
 
-/// Why a serialized entry failed to restore: the program's CFG would not
-/// expand (not the entry's fault), or the entry itself did not survive
-/// strict decode validation.
-enum EntryDecodeFailure {
-    Cfg,
-    Corrupt(String),
+/// One request's identity below the memory tier: the program, the
+/// content key and expander fingerprint its entries are filed and checked
+/// under, and the geometry and mode it is analyzed for.
+struct Lookup<'a> {
+    compiled: &'a CompiledProgram,
+    key: u64,
+    fingerprint: u64,
+    geometry: CacheGeometry,
+    mode: ClassificationMode,
+}
+
+/// Where a restored context reports a classification tail that passed
+/// the checksum at read but failed its deferred decode: the plane's
+/// counters and the stores holding the entry's bytes. The entry is
+/// discarded — store file, write-through index entry, staged copy — so
+/// the next persist writes a healthy one.
+#[derive(Debug)]
+pub(crate) struct LateCorruption {
+    key: u64,
+    /// Where the bytes came from: [`ReuseTier::Disk`] counts
+    /// `disk_corrupt`, a fetched or staged peer entry `network_corrupt`.
+    tier: ReuseTier,
+    counters: Arc<Mutex<Counters>>,
+    staged: Arc<Mutex<StagedEntries>>,
+    /// The store file of the key and the disk tier's write-through index,
+    /// when a disk tier is attached (a fetched entry is written through
+    /// to it too).
+    disk: Option<(PathBuf, WriteIndex)>,
+}
+
+impl LateCorruption {
+    pub(crate) fn report(&self, err: &CodecError) {
+        eprintln!(
+            "pwcet-core: discarding context entry {:016x} whose classification tail failed \
+             at first use ({err}); recomputing it cold",
+            self.key
+        );
+        if let Some((path, written)) = &self.disk {
+            let _ = fs::remove_file(path);
+            written.lock().expect("disk tier index").remove(&self.key);
+        }
+        self.staged.lock().expect("staged entries").remove(self.key);
+        let mut counters = self.counters.lock().expect("reuse plane counters");
+        match self.tier {
+            ReuseTier::Disk => counters.disk_corrupt += 1,
+            _ => counters.network_corrupt += 1,
+        }
+    }
 }
 
 /// Temp files older than this are crashed-writer orphans the GC removes.

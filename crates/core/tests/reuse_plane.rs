@@ -6,15 +6,22 @@
 //! The acceptance bar for the corruption suite: a damaged entry may cost
 //! a cold rebuild, but it must never panic, never error the analysis,
 //! and never change a result. Every case asserts all three.
+//!
+//! A hit decodes only the solve section, so the suite also pins the
+//! laziness — a solved answer expands no CFG and decodes no tail — and
+//! the late path: a tail that passes the checksum but fails its decode
+//! at first use is counted, discarded and recomputed cold.
 
+use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::{Arc, Weak};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, Weak};
 
 use pwcet_core::{
-    AnalysisConfig, ContextCache, IpetTemplate, ProgramAnalysis, Protection, PwcetAnalyzer,
-    ReusePlane,
+    entry_checksum, AnalysisConfig, ContextCache, IpetTemplate, NetworkTier, ProgramAnalysis,
+    Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
 };
+use pwcet_obs::{trace_scope, Stage, TraceId, Tracer};
 use pwcet_progen::{stmt, Program};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -112,7 +119,7 @@ fn assert_falls_back_cold(tag: &str, corrupt: impl FnOnce(&PathBuf)) {
     let rewritten = fs::read(&entries[0]).unwrap();
     assert_eq!(
         u32::from_le_bytes(rewritten[4..8].try_into().unwrap()),
-        4,
+        5,
         "{tag}: the rebuild is written at the current version"
     );
     let healed = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
@@ -141,10 +148,10 @@ fn bad_magic_falls_back_cold() {
 
 #[test]
 fn wrong_version_falls_back_cold() {
-    // An unknown future version, and the retired versions 2 and 3
+    // An unknown future version, and the retired versions 2, 3 and 4
     // stamped on a current entry. The checksum covers the payload only,
     // so each entry is refused for its version alone.
-    for version in [0xfe_u32, 2, 3] {
+    for version in [0xfe_u32, 2, 3, 4] {
         assert_falls_back_cold(&format!("version-{version}"), |path| {
             let mut bytes = fs::read(path).unwrap();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -191,9 +198,9 @@ fn variant_config() -> AnalysisConfig {
 #[test]
 fn restart_restores_factored_bases_warm() {
     // A restarted process (fresh plane, same store) whose request misses
-    // the solved-artifact memo must still never cold-factorize: the v3
-    // entry carries the factored basis, which seeds the template pool on
-    // the disk hit.
+    // the solved-artifact memo must still never cold-factorize: the
+    // entry's tail carries the factored basis, which seeds the template
+    // pool when the new timing first asks for the template.
     let (_, dir) = populate("basis-restore");
     let reference = PwcetAnalyzer::new(variant_config())
         .analyze(&program())
@@ -222,27 +229,35 @@ fn restart_restores_factored_bases_warm() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Flips `mask` into the last byte of a stored entry — the end of the
+/// classification tail's basis section — and re-seals the payload with
+/// the entry checksum, so the forgery passes every read-time check and
+/// reaches the tail's own validation.
+fn forge_basis_tail(path: &Path, mask: u8) {
+    let mut bytes = fs::read(path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= mask;
+    let checksum = entry_checksum(&bytes[24..]);
+    bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+    fs::write(path, bytes).unwrap();
+}
+
 #[test]
 fn checksum_consistent_basis_flip_never_changes_a_bound() {
     // Flip a byte inside the trailing solver-state section and *repair
     // the envelope checksum*, so corruption reaches the strict basis
-    // validation itself rather than the checksum gate. Whatever tier the
-    // entry then lands in — rejected snapshot, corrupt entry, or even a
-    // surviving-but-different warm basis — the bounds must be
-    // bit-identical to a plane-less analysis: warm starts change where
-    // the simplex starts, never where it ends.
+    // validation itself rather than the checksum gate. The hit reads the
+    // solve section only, so the entry always hits; the variant timing
+    // then decodes the tail, which may fail (a counted late corruption),
+    // reject the snapshot, or even yield a surviving-but-different warm
+    // basis. The bounds must be bit-identical to a plane-less analysis
+    // whichever happens: warm starts change where the simplex starts,
+    // never where it ends.
     let (_, dir) = populate("basis-flip");
     let reference = PwcetAnalyzer::new(variant_config())
         .analyze(&program())
         .unwrap();
-
-    let path = &entry_paths(&dir)[0];
-    let mut bytes = fs::read(path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x20;
-    let checksum = pwcet_core::fnv1a_checksum(&bytes[24..]);
-    bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
-    fs::write(path, bytes).unwrap();
+    forge_basis_tail(&entry_paths(&dir)[0], 0x20);
 
     let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
     let analyzed = PwcetAnalyzer::new(variant_config())
@@ -251,12 +266,158 @@ fn checksum_consistent_basis_flip_never_changes_a_bound() {
         .unwrap();
     assert_same_results(&reference, &analyzed);
     let stats = fresh.stats();
-    assert_eq!(
-        stats.disk_hits + stats.disk_corrupt,
-        1,
-        "the entry is either decoded or counted corrupt, never dropped \
-         silently"
+    assert_eq!(stats.disk_hits, 1, "the checksum-consistent entry hits");
+    assert!(
+        stats.disk_corrupt <= 1,
+        "a tail that fails at first use is counted once"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn late_tail_corruption_is_counted_discarded_and_recomputed_cold() {
+    // A basis entry pushed past every column index: the read passes, the
+    // tail decode at first use fails.
+    let (solved_reference, dir) = populate("late-corrupt");
+    let reference = PwcetAnalyzer::new(variant_config())
+        .analyze(&program())
+        .unwrap();
+    let path = entry_paths(&dir)[0].clone();
+    forge_basis_tail(&path, 0x80);
+    let forged = fs::read(&path).unwrap();
+
+    // A solved request never decodes the tail, so nothing is noticed.
+    let solved_only = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    let answer = analyzer(&solved_only).analyze(&program()).unwrap();
+    assert_same_results(&solved_reference, &answer);
+    let stats = solved_only.stats();
+    assert_eq!((stats.disk_hits, stats.disk_corrupt), (1, 0));
+    assert_eq!(stats.disk_writes, 0);
+
+    // A template request decodes it: one counted corruption, and the
+    // file and its write-through index entry dropped — so a persist that
+    // adds nothing new (no solve ran) still writes the entry back.
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    let context = fresh
+        .get_or_build(&compiled, config.geometry, config.classification)
+        .unwrap();
+    let _ = context.ipet_template();
+    let stats = fresh.stats();
+    assert_eq!((stats.disk_hits, stats.disk_corrupt), (1, 1));
+    assert!(!path.exists(), "the forged entry is deleted");
+    assert!(fresh.persist(&compiled, &context), "the entry is rewritten");
+    assert_eq!(fresh.stats().disk_writes, 1);
+
+    // The classification is recomputed cold; the solve section stays in
+    // use, and a new timing over the same context matches a plane-less
+    // analysis.
+    let analyzed = PwcetAnalyzer::new(variant_config())
+        .with_reuse_plane(Arc::clone(&fresh))
+        .analyze_with_context(&context)
+        .unwrap();
+    assert_same_results(&reference, &analyzed);
+    let stats = fresh.stats();
+    assert_eq!(stats.disk_corrupt, 1, "the late failure is counted once");
+    assert_eq!(stats.cold_builds, 0, "the solve section stays in use");
+    assert!(context.kernel_stats().passes > 0, "the levels ran cold");
+    fresh.flush();
+    assert_ne!(fs::read(&path).unwrap(), forged);
+
+    // The rewritten entry is healthy: both timings hit and decode.
+    let healed = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    let again = PwcetAnalyzer::new(variant_config())
+        .with_reuse_plane(Arc::clone(&healed))
+        .analyze(&program())
+        .unwrap();
+    assert_same_results(&reference, &again);
+    let stats = healed.stats();
+    assert_eq!((stats.disk_hits, stats.disk_corrupt), (1, 0));
+    assert_eq!(stats.basis_rejects, 0);
+
+    // The same forgery offered by a peer is counted as network
+    // corruption when its tail fails.
+    let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
+    let staged = Arc::new(ReusePlane::in_memory());
+    assert!(staged.import_entry(key, forged), "the envelope is valid");
+    let (analysis, tier) = PwcetAnalyzer::new(variant_config())
+        .with_reuse_plane(Arc::clone(&staged))
+        .analyze_compiled(&compiled)
+        .unwrap();
+    assert_eq!(tier, ReuseTier::Network);
+    assert_same_results(&reference, &analysis);
+    let stats = staged.stats();
+    assert_eq!((stats.network_hits, stats.network_corrupt), (1, 1));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// In-process stand-in for a peer fleet: a shared map of entries.
+#[derive(Debug, Default)]
+struct FakeNetwork {
+    entries: Mutex<HashMap<u64, Vec<u8>>>,
+}
+
+impl NetworkTier for FakeNetwork {
+    fn fetch(&self, key: u64) -> Option<Vec<u8>> {
+        self.entries.lock().unwrap().get(&key).cloned()
+    }
+
+    fn offer(&self, key: u64, bytes: &[u8]) {
+        self.entries.lock().unwrap().insert(key, bytes.to_vec());
+    }
+}
+
+/// Serves one solved request the way a server shard and the benchmark's
+/// traced replay do — lookup, prewarm, analyze, persist, flush — inside
+/// a trace scope, and returns the tier and how many `cfg_expand` and
+/// `codec_decode` spans it recorded.
+fn traced_request(plane: &Arc<ReusePlane>) -> (ReuseTier, usize, usize) {
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    let tracer = Arc::new(Tracer::new(64));
+    let (tier, spans) = trace_scope(&tracer, TraceId::NONE, || {
+        let (context, tier) = plane
+            .get_or_build_traced(&compiled, config.geometry, config.classification)
+            .unwrap();
+        context.prewarm(config.parallelism);
+        analyzer(plane).analyze_with_context(&context).unwrap();
+        plane.persist(&compiled, &context);
+        plane.flush();
+        tier
+    });
+    let count = |stage| spans.iter().filter(|(s, _)| *s == stage).count();
+    (tier, count(Stage::CfgExpand), count(Stage::CodecDecode))
+}
+
+#[test]
+fn solved_hits_expand_no_cfg_and_decode_no_tail() {
+    // One `codec_decode` span is the hit itself; a tail decode would
+    // record a second, and an expansion a `cfg_expand` span.
+    let (_, dir) = populate("lazy");
+    let entry = fs::read(&entry_paths(&dir)[0]).unwrap();
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
+
+    let disk = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    assert_eq!(traced_request(&disk), (ReuseTier::Disk, 0, 1));
+    assert_eq!(disk.stats().disk_writes, 0, "nothing new to write");
+
+    let staged = Arc::new(ReusePlane::in_memory());
+    assert!(staged.import_entry(key, entry.clone()));
+    assert_eq!(traced_request(&staged), (ReuseTier::Network, 0, 1));
+
+    let network = Arc::new(FakeNetwork::default());
+    network.entries.lock().unwrap().insert(key, entry);
+    let fetched = Arc::new(ReusePlane::in_memory());
+    fetched.set_network_tier(Arc::clone(&network) as Arc<dyn NetworkTier>);
+    assert_eq!(traced_request(&fetched), (ReuseTier::Network, 0, 1));
+    assert_eq!(fetched.stats().network_offers, 0, "never offered back");
+
+    // An unchanged restored context re-exports its entry byte for byte.
+    let store = fs::read(&entry_paths(&dir)[0]).unwrap();
+    assert_eq!(disk.export_entry(key), Some(store));
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -286,41 +286,55 @@ impl DiscreteDistribution {
         // cross terms with the finite parts; equivalently:
         let tail = self.tail * (finite_b + other.tail) + other.tail * finite_a;
 
-        let mut result = match self.dense_products(other, params) {
-            Some(points) => Self { points, tail },
-            None => {
-                let mut sums: Vec<(u64, f64)> =
-                    Vec::with_capacity(self.points.len() * other.points.len());
-                for &(va, pa) in &self.points {
-                    for &(vb, pb) in &other.points {
-                        sums.push((va.saturating_add(vb), pa * pb));
-                    }
-                }
-                sums.sort_by_key(|&(v, _)| v);
-                let mut result = Self { points: sums, tail };
-                result.merge_duplicates();
-                result
-            }
+        let mut result = Self {
+            points: Vec::new(),
+            tail,
         };
-        result.prune(params);
+        if let Some(points) = self.dense_products(other, params, &mut result.tail) {
+            result.points = points;
+        } else {
+            let mut sums: Vec<(u64, f64)> =
+                Vec::with_capacity(self.points.len() * other.points.len());
+            for &(va, pa) in &self.points {
+                for &(vb, pb) in &other.points {
+                    sums.push((va.saturating_add(vb), pa * pb));
+                }
+            }
+            sums.sort_by_key(|&(v, _)| v);
+            result.points = sums;
+            result.merge_duplicates();
+            result.prune_epsilon(params);
+        }
+        result.compact(params);
         result
     }
 
-    /// All pairwise sums of two supports, sorted with equal sums merged —
-    /// computed through a dense accumulator array when the sum span is
-    /// compact, instead of materializing and sorting every product.
+    /// All pairwise sums of two supports, sorted with equal sums merged
+    /// and ε-pruned — computed through a dense accumulator array when the
+    /// sum span is compact, instead of materializing and sorting every
+    /// product.
     ///
-    /// **Bit-identical** to the sort-and-merge path: the stable sort keeps
-    /// equal sums in (left index, right index) lexicographic generation
-    /// order, and the dense accumulation adds each slot's products in that
-    /// exact order. Returns `None` when the span is too wide relative to
-    /// the product count (sorting is cheaper), when a sum overflows (the
-    /// sparse path saturates), or when `prune_epsilon` is zero — an
-    /// exact-zero product (possible only by underflow) is dropped by the
-    /// dense scan but kept as an explicit point by the sparse path, and
-    /// only a positive pruning threshold makes those two agree (both fold
-    /// it into the tail).
-    fn dense_products(&self, other: &Self, params: &ConvolutionParams) -> Option<Vec<(u64, f64)>> {
+    /// **Bit-identical** to the sort, merge and [`prune_epsilon`] path:
+    /// the stable sort keeps equal sums in (left index, right index)
+    /// lexicographic generation order, and the dense accumulation adds
+    /// each slot's products in that exact order. The slot scan prunes as
+    /// it goes: a slot below `prune_epsilon` is added to `tail` in
+    /// ascending value order, exactly as [`prune_epsilon`] folds it, so
+    /// only the survivors are ever collected. Returns `None` when the span
+    /// is too wide relative to the product count (sorting is cheaper),
+    /// when a sum overflows (the sparse path saturates), or when
+    /// `prune_epsilon` is zero — an exact-zero product (possible only by
+    /// underflow) is dropped by the dense scan but kept as an explicit
+    /// point by the sparse path, and only a positive pruning threshold
+    /// makes those two agree (both fold it into the tail).
+    ///
+    /// [`prune_epsilon`]: Self::prune_epsilon
+    fn dense_products(
+        &self,
+        other: &Self,
+        params: &ConvolutionParams,
+        tail: &mut f64,
+    ) -> Option<Vec<(u64, f64)>> {
         if params.prune_epsilon <= 0.0 {
             return None;
         }
@@ -344,13 +358,18 @@ impl DiscreteDistribution {
                 acc[(va + vb - base) as usize] += pa * pb;
             }
         }
-        Some(
-            acc.iter()
-                .enumerate()
-                .filter(|&(_, &p)| p != 0.0)
-                .map(|(i, &p)| (base + i as u64, p))
-                .collect(),
-        )
+        let mut kept = Vec::new();
+        for (i, &p) in acc.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            if p < params.prune_epsilon {
+                *tail += p;
+            } else {
+                kept.push((base + i as u64, p));
+            }
+        }
+        Some(kept)
     }
 
     /// Convolves a sequence of independent distributions with a balanced
@@ -461,10 +480,10 @@ impl DiscreteDistribution {
         self.points = merged;
     }
 
-    /// Applies the conservative pruning strategy described in
-    /// [`ConvolutionParams`].
-    fn prune(&mut self, params: &ConvolutionParams) {
-        // 1. Fold sub-epsilon probabilities into the unbounded tail.
+    /// Step 1 of the conservative pruning strategy described in
+    /// [`ConvolutionParams`]: folds sub-epsilon probabilities into the
+    /// unbounded tail, in ascending value order.
+    fn prune_epsilon(&mut self, params: &ConvolutionParams) {
         if params.prune_epsilon > 0.0 {
             let mut kept = Vec::with_capacity(self.points.len());
             for &(value, prob) in &self.points {
@@ -476,8 +495,12 @@ impl DiscreteDistribution {
             }
             self.points = kept;
         }
-        // 2. Compact oversized supports by merging runs of adjacent points;
-        //    each run's mass moves to the run's *largest* value.
+    }
+
+    /// Step 2 of the pruning strategy: compacts an oversized support by
+    /// merging runs of adjacent points; each run's mass moves to the
+    /// run's *largest* value.
+    fn compact(&mut self, params: &ConvolutionParams) {
         let len = self.points.len();
         let max = params.max_support.max(2);
         if len > max {
@@ -737,13 +760,17 @@ mod tests {
     }
 
     /// The sort-and-merge reference `convolve_with` (the pre-dense-path
-    /// algorithm, reproduced verbatim) — the dense accumulator must match
-    /// it bit for bit whenever it engages.
+    /// algorithm, reproduced verbatim) — the dense accumulator, with its
+    /// fused ε-prune, must match it bit for bit in points and tail
+    /// whenever it engages.
     fn reference_convolve(
         a: &DiscreteDistribution,
         b: &DiscreteDistribution,
         params: &ConvolutionParams,
-    ) -> Vec<(u64, f64)> {
+    ) -> (Vec<(u64, f64)>, f64) {
+        let finite_a: f64 = a.points().iter().map(|&(_, p)| p).sum();
+        let finite_b: f64 = b.points().iter().map(|&(_, p)| p).sum();
+        let mut tail = a.tail_mass() * (finite_b + b.tail_mass()) + b.tail_mass() * finite_a;
         let mut sums: Vec<(u64, f64)> = Vec::new();
         for &(va, pa) in a.points() {
             for &(vb, pb) in b.points() {
@@ -758,9 +785,17 @@ mod tests {
                 _ => merged.push((value, prob)),
             }
         }
-        // Mirror `prune` step 1 (no compaction: supports stay tiny here).
-        merged.retain(|&(_, p)| p >= params.prune_epsilon);
-        merged
+        // Mirror pruning step 1, folding in ascending value order (no
+        // compaction: supports stay tiny here).
+        let mut kept = Vec::new();
+        for (value, prob) in merged {
+            if prob < params.prune_epsilon {
+                tail += prob;
+            } else {
+                kept.push((value, prob));
+            }
+        }
+        (kept, tail)
     }
 
     #[test]
@@ -768,26 +803,44 @@ mod tests {
         let params = ConvolutionParams::default();
         // Mixed shapes: overlapping sums (exercises per-slot accumulation
         // order), tiny probabilities (exercises epsilon pruning), strided
-        // values (exercises sparse slot skipping).
+        // values (exercises sparse slot skipping). The last two put dense
+        // slots below `prune_epsilon` (1e-40 and 1e-34 products, several
+        // per product set, some sharing a slot), so the fused scan folds
+        // them into the tail in slot order; one carries a tail already.
+        let mut tailed = dist(&[(0, 0.5), (3, 0.25), (5, 0.25 - 1e-20)]);
+        tailed.tail = 1e-20;
         let cases = [
             dist(&[(0, 0.9), (7, 0.06), (164, 0.04)]),
             dist(&[(0, 0.5), (1, 0.25), (2, 0.125), (3, 0.125)]),
             dist(&[(10, 0.3), (157, 0.3), (164, 0.4)]),
             dist(&[(0, 1.0 - 1e-12), (1000, 1e-12)]),
+            dist(&[(0, 1.0 - 3e-20), (2, 1e-20), (3, 1e-20), (9, 1e-20)]),
+            tailed,
         ];
+        let mut pruned_tails = 0;
         for a in &cases {
             for b in &cases {
                 let got = a.convolve_with(b, &params);
-                let expect = reference_convolve(a, b, &params);
-                assert_eq!(got.points(), &expect[..], "diverged for {a} x {b}");
+                let (points, tail) = reference_convolve(a, b, &params);
+                assert_eq!(got.points(), &points[..], "diverged for {a} x {b}");
+                assert_eq!(
+                    got.tail_mass().to_bits(),
+                    tail.to_bits(),
+                    "tail of {a} x {b}"
+                );
+                if tail > 0.0 {
+                    pruned_tails += 1;
+                }
             }
         }
+        assert!(pruned_tails > 0, "some products fell below prune_epsilon");
         // A span too wide for the dense path must still be correct (falls
         // back to the sort) and identical to the reference.
         let wide = dist(&[(0, 0.5), (u64::MAX / 2, 0.5)]);
         let got = wide.convolve_with(&cases[0], &params);
-        let expect = reference_convolve(&wide, &cases[0], &params);
-        assert_eq!(got.points(), &expect[..]);
+        let (points, tail) = reference_convolve(&wide, &cases[0], &params);
+        assert_eq!(got.points(), &points[..]);
+        assert_eq!(got.tail_mass().to_bits(), tail.to_bits());
     }
 
     #[test]
