@@ -5,6 +5,14 @@ use std::collections::{HashMap, HashSet};
 use crate::codegen::{self, CompiledProgram};
 use crate::error::ProgenError;
 
+/// Cap on [`Program::expanded_instruction_bound`]. The 25 suite programs
+/// expand to at most 2,577 instructions (nsichneu) and default-shaped
+/// generator programs to about 5k, so the cap leaves an order of
+/// magnitude of headroom; without it a few request bytes
+/// (`compute(u32::MAX)`, or a chain of functions each calling the next
+/// twice) ask compilation or context expansion for gigabytes.
+pub const MAX_EXPANDED_INSTRUCTIONS: u64 = 1 << 16;
+
 /// A statement of the structured DSL.
 ///
 /// Statements are deliberately minimal: they capture exactly the control
@@ -208,6 +216,9 @@ impl Program {
     ///   — a loop bound is 0 or above `i16::MAX`.
     /// * [`ProgenError::LoopTooDeep`] — more than
     ///   [`MAX_LOOP_DEPTH`](crate::MAX_LOOP_DEPTH) nested loops.
+    /// * [`ProgenError::ProgramTooLarge`] — the
+    ///   [`expanded_instruction_bound`](Self::expanded_instruction_bound)
+    ///   exceeds [`MAX_EXPANDED_INSTRUCTIONS`].
     pub fn validate(&self) -> Result<(), ProgenError> {
         let mut names = HashSet::new();
         for f in &self.functions {
@@ -226,8 +237,23 @@ impl Program {
                 }
             }
         }
-        self.check_acyclic()?;
+        let bound = self.bound_in(&self.call_order()?);
+        if bound > MAX_EXPANDED_INSTRUCTIONS {
+            return Err(ProgenError::ProgramTooLarge(bound));
+        }
         Ok(())
+    }
+
+    /// An upper bound on the instructions of the context-expanded CFG:
+    /// `main` with every call replaced by the callee's own expansion, plus
+    /// every other function's code once (the image holds it whether or
+    /// not it is called). Every statement counts at least one, so the
+    /// bound caps the statement count too. Arithmetic saturates, and a
+    /// recursive call graph reads `u64::MAX`; an undefined callee counts
+    /// as empty.
+    pub fn expanded_instruction_bound(&self) -> u64 {
+        self.call_order()
+            .map_or(u64::MAX, |order| self.bound_in(&order))
     }
 
     /// Compiles the program to machine code at `base`.
@@ -242,44 +268,119 @@ impl Program {
         codegen::compile(self, base)
     }
 
-    fn check_acyclic(&self) -> Result<(), ProgenError> {
-        // Three-color depth-first search over the call graph.
+    /// The functions with every function after all of its callees: the
+    /// finishing order of a three-color depth-first search over the call
+    /// graph. The search keeps its own stack, so a long call chain cannot
+    /// overflow the thread's.
+    ///
+    /// # Errors
+    ///
+    /// [`ProgenError::RecursiveCall`] naming the function a cycle
+    /// re-enters.
+    fn call_order(&self) -> Result<Vec<&Function>, ProgenError> {
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
             Gray,
             Black,
         }
-        let graph: HashMap<&str, Vec<&str>> = self
+        let graph: HashMap<&str, (&Function, Vec<&str>)> = self
             .functions
             .iter()
-            .map(|f| (f.name(), f.body().callees()))
+            .map(|f| (f.name(), (f, f.body().callees())))
             .collect();
         let mut color: HashMap<&str, Color> = graph.keys().map(|&k| (k, Color::White)).collect();
-
-        fn visit<'a>(
-            node: &'a str,
-            graph: &HashMap<&'a str, Vec<&'a str>>,
-            color: &mut HashMap<&'a str, Color>,
-        ) -> Result<(), ProgenError> {
-            color.insert(node, Color::Gray);
-            for &next in graph.get(node).into_iter().flatten() {
-                match color.get(next) {
-                    Some(Color::Gray) => return Err(ProgenError::RecursiveCall(next.to_string())),
-                    Some(Color::White) => visit(next, graph, color)?,
-                    _ => {}
+        let mut order = Vec::with_capacity(graph.len());
+        for f in &self.functions {
+            if color[f.name()] != Color::White {
+                continue;
+            }
+            color.insert(f.name(), Color::Gray);
+            // Each frame: a function being visited and its next call.
+            let mut stack = vec![(f.name(), 0usize)];
+            while let Some(top) = stack.last_mut() {
+                let (node, call) = *top;
+                let (function, callees) = &graph[node];
+                match callees.get(call) {
+                    Some(&callee) => {
+                        top.1 += 1;
+                        match color.get(callee) {
+                            Some(Color::Gray) => {
+                                return Err(ProgenError::RecursiveCall(callee.to_string()))
+                            }
+                            Some(Color::White) => {
+                                color.insert(callee, Color::Gray);
+                                stack.push((callee, 0));
+                            }
+                            _ => {}
+                        }
+                    }
+                    None => {
+                        color.insert(node, Color::Black);
+                        order.push(*function);
+                        stack.pop();
+                    }
                 }
             }
-            color.insert(node, Color::Black);
-            Ok(())
         }
+        Ok(order)
+    }
 
-        for f in &self.functions {
-            if color[f.name()] == Color::White {
-                visit(f.name(), &graph, &mut color)?;
-            }
+    /// [`expanded_instruction_bound`](Self::expanded_instruction_bound)
+    /// over a [`call_order`](Self::call_order): each function's expansion
+    /// is computed once, after its callees'.
+    fn bound_in(&self, order: &[&Function]) -> u64 {
+        let mut expanded: HashMap<&str, u64> = HashMap::with_capacity(order.len());
+        for f in order {
+            let calls = instruction_bound(f.body(), &mut |callee| {
+                expanded.get(callee).copied().unwrap_or(0)
+            });
+            expanded.insert(f.name(), calls.saturating_add(frame_instructions(f)));
         }
-        Ok(())
+        self.functions
+            .iter()
+            .filter(|f| f.name() != "main")
+            .map(|f| instruction_bound(f.body(), &mut |_| 0).saturating_add(frame_instructions(f)))
+            .fold(
+                expanded.get("main").copied().unwrap_or(0),
+                u64::saturating_add,
+            )
+    }
+}
+
+/// Instructions a function spends outside its body, as the code
+/// generator emits them: `main`'s stack and toggle set-up plus `break`;
+/// a callee's two stack adjustments, `$ra` and each saved loop counter
+/// stored and restored, plus `jr`.
+fn frame_instructions(function: &Function) -> u64 {
+    if function.name() == "main" {
+        4
+    } else {
+        5 + 2 * function.body().loop_depth() as u64
+    }
+}
+
+/// The bound on the instructions `s` emits, each call costing its `jal`
+/// plus what `callee` returns for the target. Mirrors the code
+/// generator: a loop adds its counter set-up, decrement and back branch,
+/// a branch its toggle, test and jump.
+fn instruction_bound<'a>(s: &'a Stmt, callee: &mut impl FnMut(&'a str) -> u64) -> u64 {
+    match s {
+        Stmt::Compute(count) => u64::from(*count).max(1),
+        Stmt::Seq(items) => items
+            .iter()
+            .fold(0u64, |sum, item| {
+                sum.saturating_add(instruction_bound(item, callee))
+            })
+            .max(1),
+        Stmt::Loop { body, .. } => instruction_bound(body, callee).saturating_add(3),
+        Stmt::IfElse {
+            then_branch,
+            else_branch,
+        } => instruction_bound(then_branch, callee)
+            .saturating_add(instruction_bound(else_branch, callee))
+            .saturating_add(3),
+        Stmt::Call(name) => callee(name).saturating_add(1),
     }
 }
 
@@ -386,6 +487,82 @@ mod tests {
         }
         let p = Program::new("deep").with_function("main", body);
         assert_eq!(p.validate(), Err(ProgenError::LoopTooDeep(9)));
+    }
+
+    /// A chain of `depth` functions below `main`, each calling the next
+    /// twice: 2^depth call contexts of the innermost one.
+    fn doubling_chain(depth: usize) -> Program {
+        let mut p = Program::new("chain").with_function("main", call("f0"));
+        for i in 0..depth {
+            let next = format!("f{}", i + 1);
+            p = p.with_function(format!("f{i}"), seq([call(next.clone()), call(next)]));
+        }
+        p.with_function(format!("f{depth}"), compute(1))
+    }
+
+    #[test]
+    fn validate_rejects_programs_that_expand_past_the_cap() {
+        let p = Program::new("wide").with_function("main", compute(u32::MAX));
+        assert_eq!(
+            p.validate(),
+            Err(ProgenError::ProgramTooLarge(u64::from(u32::MAX) + 4))
+        );
+        let bound = doubling_chain(40).expanded_instruction_bound();
+        assert!(bound > 1 << 40, "the bound follows every context: {bound}");
+        assert_eq!(
+            doubling_chain(40).validate(),
+            Err(ProgenError::ProgramTooLarge(bound))
+        );
+        // A thousand doublings saturate instead of overflowing.
+        assert_eq!(doubling_chain(1000).expanded_instruction_bound(), u64::MAX);
+        assert_eq!(doubling_chain(4).validate(), Ok(()));
+    }
+
+    #[test]
+    fn long_call_chains_validate_without_deep_recursion() {
+        // The call-graph walks keep their own stacks: a chain as long as
+        // the cap admits validates, and a 100k-deep one is refused, both
+        // on a thread with the default 2 MiB stack, as a connection's.
+        let chain = |n: usize| {
+            let mut p = Program::new("deep").with_function("main", call("f0"));
+            for i in 0..n {
+                p = p.with_function(format!("f{i}"), call(format!("f{}", i + 1)));
+            }
+            p.with_function(format!("f{n}"), compute(1))
+        };
+        let validate_on_a_thread = |program: Program| {
+            std::thread::spawn(move || program.validate())
+                .join()
+                .expect("validation returns")
+        };
+        assert_eq!(validate_on_a_thread(chain(5_000)), Ok(()));
+        assert!(matches!(
+            validate_on_a_thread(chain(100_000)),
+            Err(ProgenError::ProgramTooLarge(_))
+        ));
+    }
+
+    #[test]
+    fn expanded_bound_counts_each_context_and_each_function_once() {
+        // main: 4 of frame + two `jal`s, each into a context of f; f: 5
+        // of frame + 2 for the saved `$s0` + the loop (init, 2, decrement,
+        // `bne`); g, never called, once for the image.
+        let p = Program::new("b")
+            .with_function("main", seq([call("f"), call("f")]))
+            .with_function("f", loop_(9, compute(2)))
+            .with_function("g", compute(1));
+        let f = 7 + 5;
+        let g = 5 + 1;
+        assert_eq!(p.expanded_instruction_bound(), (4 + 2 * (1 + f)) + f + g);
+        let image = p
+            .compile(0x0040_0000)
+            .expect("compiles")
+            .image()
+            .len_words();
+        assert_eq!(image as u64, (4 + 2) + f + g, "the frames are exact");
+        // Empty statements still count, so the statement count is capped.
+        let empty = Program::new("e").with_function("main", seq([compute(0), seq([])]));
+        assert_eq!(empty.expanded_instruction_bound(), 4 + 2);
     }
 
     #[test]

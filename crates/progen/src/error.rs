@@ -23,6 +23,11 @@ pub enum ProgenError {
     LoopBoundTooLarge(u32),
     /// Loops nest deeper than the register discipline supports.
     LoopTooDeep(usize),
+    /// The program's
+    /// [`expanded_instruction_bound`](crate::Program::expanded_instruction_bound)
+    /// (carried) exceeds
+    /// [`MAX_EXPANDED_INSTRUCTIONS`](crate::MAX_EXPANDED_INSTRUCTIONS).
+    ProgramTooLarge(u64),
     /// The assembler rejected the generated code (internal error).
     Assembler(MipsError),
 }
@@ -46,6 +51,11 @@ impl fmt::Display for ProgenError {
                     "loop nesting depth {d} exceeds the supported maximum of 8"
                 )
             }
+            ProgenError::ProgramTooLarge(bound) => write!(
+                f,
+                "program may expand to {bound} instructions, above the supported maximum of {}",
+                crate::MAX_EXPANDED_INSTRUCTIONS
+            ),
             ProgenError::Assembler(e) => write!(f, "generated code failed to assemble: {e}"),
         }
     }

@@ -44,7 +44,7 @@ mod error;
 mod generator;
 mod tree;
 
-pub use ast::{stmt, Function, Program, Stmt};
+pub use ast::{stmt, Function, Program, Stmt, MAX_EXPANDED_INSTRUCTIONS};
 pub use codegen::{CompiledProgram, FunctionInfo, LoopBound, MAX_LOOP_DEPTH};
 pub use error::ProgenError;
 pub use generator::{GeneratorConfig, ProgramGenerator};

@@ -55,6 +55,7 @@
 //! ```
 
 pub mod client;
+mod compile_memo;
 pub mod peer;
 pub mod protocol;
 pub mod server;

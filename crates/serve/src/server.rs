@@ -3,6 +3,7 @@
 //! ```text
 //!                        ┌───────────────────────────────────────────┐
 //!  TCP accept loop ────▶ │ connection threads (frame decode/encode)  │
+//!                        │ + compile memo: Arc<CompiledProgram>, key │
 //!                        └───────┬───────────────────────────────────┘
 //!                                │ submit(key = content fingerprint)
 //!                        ┌───────▼───────────────────────────────────┐
@@ -25,6 +26,13 @@
 //! duplicate is answered from the plane's memory tier. Distinct programs
 //! hash across shards and proceed concurrently, each worker using its
 //! slice of the machine's threads for the intra-analysis fan-out.
+//!
+//! **Compile memo**: the connection thread takes a request's compiled
+//! program and content key from the server's compile memo, keyed by
+//! the decoded [`Program`] itself. A program seen twice is compiled and
+//! fingerprinted twice, then never again while it stays among the
+//! memo's most recently used; the shard receives the shared
+//! `Arc<CompiledProgram>`.
 //!
 //! **Backpressure**: queues are bounded; a submission to a full shard is
 //! answered immediately with [`ErrorCode::Overloaded`] (connection stays
@@ -58,6 +66,7 @@ use pwcet_obs::{
 };
 use pwcet_progen::{CompiledProgram, Program};
 
+use crate::compile_memo::{CompileMemo, Prepared};
 use crate::peer::{FleetConfig, PeerFleet};
 use crate::protocol::{
     self, AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response,
@@ -193,20 +202,21 @@ pub struct ServiceStats {
     pub disk_writes: u64,
 }
 
-/// What the shard workers execute.
+/// What the shard workers execute. The compiled program is shared with
+/// the compile memo, so finishing a job drops a reference, not an image.
 enum Work {
     Analyze {
-        compiled: CompiledProgram,
+        compiled: Arc<CompiledProgram>,
         pfail: f64,
         target_p: f64,
     },
     SweepPfail {
-        compiled: CompiledProgram,
+        compiled: Arc<CompiledProgram>,
         pfails: Vec<f64>,
         target_p: f64,
     },
     SweepGeometry {
-        compiled: CompiledProgram,
+        compiled: Arc<CompiledProgram>,
         lattice: GeometryLattice,
         target_p: f64,
     },
@@ -470,6 +480,7 @@ fn row_of(
 struct Shared {
     pool: ShardPool<Job>,
     engine: Arc<Engine>,
+    programs: CompileMemo,
     stop: AtomicBool,
     connections: Mutex<Vec<JoinHandle<()>>>,
     poll: Duration,
@@ -699,6 +710,7 @@ impl Server {
 
         let shared = Arc::new(Shared {
             pool,
+            programs: CompileMemo::new(engine.config, &telemetry.registry),
             engine,
             stop: AtomicBool::new(false),
             connections: Mutex::new(Vec::new()),
@@ -1057,10 +1069,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Compiles a submitted program, mapping failures to an invalid-request
-/// response.
-fn compile(program: &Program, config: &AnalysisConfig) -> Result<CompiledProgram, Box<Response>> {
-    program.compile(config.code_base).map_err(|e| {
+/// A submitted program's compiled image and content key from the compile
+/// memo, mapping a build failure to an invalid-request response.
+fn compile(shared: &Shared, program: &Program) -> Result<Prepared, Box<Response>> {
+    shared.programs.get(program).map_err(|e| {
         Box::new(error_response(
             ErrorCode::InvalidRequest,
             format!("program {:?} does not build: {e}", program.name()),
@@ -1246,9 +1258,7 @@ fn prepare_analyze(
 ) -> Result<(u64, Work), Box<Response>> {
     validate_pfail(pfail)?;
     validate_probability(target_p, "target_p")?;
-    let config = &shared.engine.config;
-    let compiled = compile(program, config)?;
-    let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
+    let (compiled, key) = compile(shared, program)?;
     Ok((
         key,
         Work::Analyze {
@@ -1278,9 +1288,7 @@ fn prepare_pfail_sweep(
         validate_pfail(pfail)?;
     }
     validate_probability(target_p, "target_p")?;
-    let config = &shared.engine.config;
-    let compiled = compile(program, config)?;
-    let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
+    let (compiled, key) = compile(shared, program)?;
     Ok((
         key,
         Work::SweepPfail {
@@ -1330,11 +1338,14 @@ fn prepare_geometry_sweep(
         )));
     }
     let lattice = GeometryLattice::new(sets, block_bytes, way_counts);
-    let config = &shared.engine.config;
-    let compiled = compile(program, config)?;
+    let (compiled, _) = compile(shared, program)?;
     // Route by the widest requested geometry, so every request over one
     // program-and-lattice family serializes onto one shard.
-    let key = ContextCache::key_of(&compiled, lattice.widest(), config.classification);
+    let key = ContextCache::key_of(
+        &compiled,
+        lattice.widest(),
+        shared.engine.config.classification,
+    );
     Ok((
         key,
         Work::SweepGeometry {

@@ -1,9 +1,10 @@
 //! End-to-end service tests: tier provenance across clients and
-//! restarts, bit-identical warm answers, deterministic backpressure, and
-//! draining shutdown.
+//! restarts, bit-identical warm answers, the compile memo, deterministic
+//! backpressure, and draining shutdown.
 
 use std::collections::BTreeMap;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use pwcet_core::{AnalysisConfig, Protection, PwcetAnalyzer, ReuseTier};
 use pwcet_progen::{stmt, Program};
@@ -79,6 +80,156 @@ fn analyze(client: &mut Client, program: Program) -> (AnalysisRow, u64) {
         Response::Analysis { row, micros, .. } => (row, micros),
         other => panic!("expected an analysis response, got {other:?}"),
     }
+}
+
+fn metric(server: &Server, name: &str) -> u64 {
+    server
+        .metrics_table()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("metrics table has no {name:?}"))
+        .1
+}
+
+/// The row a fresh server answers first for `program` (cold, compiled
+/// once, no memo entry), with the tier blanked for comparison.
+fn fresh_row(program: Program) -> AnalysisRow {
+    let server = server_with(1, 4);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (row, _) = analyze(&mut client, program);
+    assert_eq!(row.served_from, ReuseTier::Cold);
+    drop(client);
+    server.shutdown();
+    AnalysisRow {
+        served_from: ReuseTier::Cold,
+        ..row
+    }
+}
+
+fn assert_invalid(response: Response) {
+    assert!(
+        matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::InvalidRequest,
+                ..
+            }
+        ),
+        "expected an invalid-request refusal, got {response:?}"
+    );
+}
+
+#[test]
+fn repeated_program_is_compiled_twice_then_served_from_the_compile_memo() {
+    let expected = fresh_row(bench("crc"));
+    let server = server_with(2, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for sent in 1..=4 {
+        let (row, _) = analyze(&mut client, bench("crc"));
+        assert_eq!(
+            AnalysisRow {
+                served_from: ReuseTier::Cold,
+                ..row
+            },
+            expected,
+            "request {sent}"
+        );
+    }
+    // The first sighting leaves a marker, the second stores the compiled
+    // program, the third and fourth reuse it.
+    assert_eq!(metric(&server, "compile_memo_misses"), 2);
+    assert_eq!(metric(&server, "compile_memo_hits"), 2);
+    assert_eq!(metric(&server, "compile_us_count"), 4);
+    server.shutdown();
+}
+
+#[test]
+fn compile_memo_tells_same_named_programs_apart() {
+    // Same name, same shape; only one loop bound differs, so a memo keyed
+    // by name (or trusting a hash) would answer one with the other.
+    let twin = |bound: u32| {
+        Program::new("twin")
+            .with_function(
+                "main",
+                stmt::seq([
+                    stmt::compute(6),
+                    stmt::loop_(bound, stmt::seq([stmt::compute(12), stmt::call("leaf")])),
+                ]),
+            )
+            .with_function("leaf", stmt::compute(4))
+    };
+    let expected = [fresh_row(twin(10)), fresh_row(twin(11))];
+    assert_ne!(
+        expected[0], expected[1],
+        "the bounds must change the answer"
+    );
+    let server = server_with(2, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for round in 0..3 {
+        for (i, bound) in [10, 11].into_iter().enumerate() {
+            let (row, _) = analyze(&mut client, twin(bound));
+            assert_eq!(
+                AnalysisRow {
+                    served_from: ReuseTier::Cold,
+                    ..row
+                },
+                expected[i],
+                "round {round}, bound {bound}"
+            );
+        }
+    }
+    assert_eq!(metric(&server, "compile_memo_misses"), 4);
+    assert_eq!(metric(&server, "compile_memo_hits"), 2);
+    server.shutdown();
+}
+
+#[test]
+fn uncompilable_program_is_refused_every_time_and_never_memoized() {
+    let server = server_with(1, 4);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let broken = Program::new("broken").with_function("main", stmt::call("ghost"));
+    for _ in 0..3 {
+        assert_invalid(
+            client
+                .analyze(broken.clone(), 1e-4, 1e-15)
+                .expect("transport ok"),
+        );
+    }
+    assert_eq!(metric(&server, "compile_memo_hits"), 0);
+    assert_eq!(metric(&server, "compile_memo_misses"), 3);
+    server.shutdown();
+}
+
+#[test]
+fn programs_that_expand_past_the_cap_are_refused_quickly() {
+    let server = server_with(1, 4);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // Five bytes of statement asking for 4 Gi instructions.
+    let wide = Program::new("wide").with_function("main", stmt::compute(u32::MAX));
+    // 40 functions, each calling the next twice: 2^40 call contexts.
+    let mut chain = Program::new("chain").with_function("main", stmt::call("f0"));
+    for i in 0..40 {
+        let next = format!("f{}", i + 1);
+        chain = chain.with_function(
+            format!("f{i}"),
+            stmt::seq([stmt::call(next.clone()), stmt::call(next)]),
+        );
+    }
+    chain = chain.with_function("f40", stmt::compute(1));
+    for program in [wide, chain] {
+        let started = Instant::now();
+        let response = client.analyze(program, 1e-4, 1e-15).expect("transport ok");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "refused after {:?}",
+            started.elapsed()
+        );
+        assert_invalid(response);
+    }
+    // The server kept serving, on the same connection.
+    let (row, _) = analyze(&mut client, bench("bs"));
+    assert_eq!(row.served_from, ReuseTier::Cold);
+    server.shutdown();
 }
 
 #[test]
