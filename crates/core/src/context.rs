@@ -39,7 +39,7 @@ use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
 use pwcet_ilp::{SolveStats, SolveStatsCell};
 use pwcet_ipet::{BasisSnapshot, IpetTemplate, TemplateRegistry};
-use pwcet_par::{par_for_each_index, par_join, Parallelism};
+use pwcet_par::{par_for_each_index, par_join, Admission, Memo, Parallelism};
 use pwcet_prob::{ConvolutionParams, DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
@@ -67,7 +67,7 @@ const PENALTY_MEMO_CAP: usize = 48;
 /// What a penalty distribution depends on beyond its solve entry, which
 /// already fixes the geometry, the timing and the fault miss map. Floats
 /// are compared by bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PenaltyKey {
     pfail: u64,
     prune_epsilon: u64,
@@ -90,77 +90,26 @@ impl PenaltyKey {
     }
 }
 
-/// Fault-penalty distributions memoized beside one solve entry's
-/// artifacts, in memory only: the disk tier persists the artifacts and
-/// never sees these.
-///
-/// A key's first computation leaves only a marker; its second stores the
-/// distribution. One-shot traffic (a sweep whose every point is new, a
-/// restarted server answering each key once) therefore retains nothing,
-/// while a repeated request pays the convolution twice and then never
-/// again.
-#[derive(Debug, Default)]
-pub(crate) struct PenaltyMemo {
-    /// `None` marks a key computed once. Bounded by [`PENALTY_MEMO_CAP`].
-    entries: Mutex<Vec<(PenaltyKey, Option<Arc<DiscreteDistribution>>)>>,
-}
-
-impl PenaltyMemo {
-    /// The distribution of `key`: the stored one, or what `compute`
-    /// returns. The convolution runs outside the lock; when two threads
-    /// race the first insert wins and the loser adopts it.
-    pub(crate) fn get_or_compute(
-        &self,
-        key: PenaltyKey,
-        compute: impl FnOnce() -> DiscreteDistribution,
-    ) -> Arc<DiscreteDistribution> {
-        {
-            let entries = self.entries.lock().expect("penalty memo lock");
-            if let Some((_, Some(stored))) = entries.iter().find(|(k, _)| *k == key) {
-                return Arc::clone(stored);
-            }
-        }
-        let computed = Arc::new(compute());
-        let mut entries = self.entries.lock().expect("penalty memo lock");
-        match entries.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, Some(stored))) => Arc::clone(stored),
-            Some((_, slot)) => {
-                *slot = Some(Arc::clone(&computed));
-                computed
-            }
-            None => {
-                if entries.len() < PENALTY_MEMO_CAP {
-                    entries.push((key, None));
-                }
-                computed
-            }
-        }
-    }
-
-    /// Number of stored distributions (markers excluded).
-    #[cfg(test)]
-    pub(crate) fn stored_count(&self) -> usize {
-        let entries = self.entries.lock().expect("penalty memo lock");
-        entries
-            .iter()
-            .filter(|(_, stored)| stored.is_some())
-            .count()
-    }
-}
-
 /// One memoized solve: the artifacts the disk tier persists and, beside
-/// them, the penalty memo derived from them.
+/// them, the fault-penalty distributions derived from them, in memory
+/// only: the disk tier never sees these.
+///
+/// A penalty key's first computation leaves only a marker; its second
+/// stores the distribution. One-shot traffic (a sweep whose every point
+/// is new, a restarted server answering each key once) therefore retains
+/// nothing, while a repeated request pays the convolution twice and then
+/// never again.
 #[derive(Debug)]
 pub(crate) struct Solved {
     pub(crate) artifacts: SolveArtifacts,
-    pub(crate) penalties: PenaltyMemo,
+    pub(crate) penalties: Memo<PenaltyKey, Arc<DiscreteDistribution>>,
 }
 
 impl Solved {
     fn new(artifacts: SolveArtifacts) -> Self {
         Self {
             artifacts,
-            penalties: PenaltyMemo::default(),
+            penalties: Memo::new(PENALTY_MEMO_CAP, Admission::SecondSighting),
         }
     }
 }
@@ -321,23 +270,8 @@ impl AnalysisContext {
         context
     }
 
-    /// Wraps an already-expanded CFG (incremental mode).
-    pub fn from_cfg(name: impl Into<String>, cfg: ExpandedCfg, geometry: CacheGeometry) -> Self {
-        Self::from_cfg_with_mode(name, cfg, geometry, ClassificationMode::default())
-    }
-
-    /// Wraps an already-expanded CFG with an explicit classification mode.
-    pub fn from_cfg_with_mode(
-        name: impl Into<String>,
-        cfg: ExpandedCfg,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> Self {
-        Self::from_shared_cfg(name, Arc::new(cfg), geometry, mode)
-    }
-
-    /// As [`from_cfg_with_mode`](Self::from_cfg_with_mode) over an
-    /// already-shared graph (derived lattice siblings, disk restores).
+    /// Wraps an already-expanded, shared graph: a fresh build's, or a
+    /// wider sibling's (see [`from_parts`](Self::from_parts)).
     pub(crate) fn from_shared_cfg(
         name: impl Into<String>,
         cfg: Arc<ExpandedCfg>,
@@ -1265,11 +1199,13 @@ mod tests {
         assert_eq!(template.stats().cold_starts, 1);
     }
 
-    /// Stored penalty distributions of the context's one solve entry.
-    fn stored_penalties(ctx: &AnalysisContext) -> usize {
+    /// The penalty memo of the context's one solve entry: its counters
+    /// and occupancy, and how many distributions it stores.
+    fn penalty_memo(ctx: &AnalysisContext) -> (pwcet_par::MemoStats, usize) {
         let solved = ctx.solved.lock().unwrap();
         assert_eq!(solved.len(), 1);
-        solved[0].1.penalties.stored_count()
+        let memo = &solved[0].1.penalties;
+        (memo.stats(), memo.snapshot().len())
     }
 
     #[test]
@@ -1281,16 +1217,12 @@ mod tests {
             .unwrap();
         let first = analysis.penalty_distribution(Protection::None);
         assert_eq!(
-            stored_penalties(&ctx),
+            penalty_memo(&ctx).1,
             0,
             "a key computed once retains nothing"
         );
         let second = analysis.penalty_distribution(Protection::None);
-        assert_eq!(
-            stored_penalties(&ctx),
-            1,
-            "the second computation is stored"
-        );
+        assert_eq!(penalty_memo(&ctx).1, 1, "the second computation is stored");
         let third = analysis.penalty_distribution(Protection::None);
         assert!(Arc::ptr_eq(&second, &third), "the third request shares it");
         assert!(!Arc::ptr_eq(&first, &second));
@@ -1301,19 +1233,30 @@ mod tests {
     fn penalty_memo_stays_at_its_cap_under_a_repeated_sweep() {
         use crate::{AnalysisConfig, Protection, PwcetAnalyzer};
         let ctx = context();
-        let pfails: Vec<f64> = (1..=64).map(|i| f64::from(i) * 1e-6).collect();
-        for _ in 0..2 {
-            for &pfail in &pfails {
+        let sweep = |pfails: &[f64]| {
+            for &pfail in pfails {
                 let config = AnalysisConfig::paper_default().with_pfail(pfail).unwrap();
                 let analysis = PwcetAnalyzer::new(config)
                     .analyze_with_context(&ctx)
                     .unwrap();
                 for protection in Protection::all() {
                     let _ = analysis.estimate(protection);
+                    assert!(penalty_memo(&ctx).0.len <= PENALTY_MEMO_CAP);
                 }
             }
+        };
+        // 64 points × 3 protections: four times the cap, twice over.
+        let pfails: Vec<f64> = (1..=64).map(|i| f64::from(i) * 1e-6).collect();
+        sweep(&pfails);
+        sweep(&pfails);
+        // A full memo keeps admitting: a smaller new working set is stored
+        // on its second request and hit on its third.
+        let hits = penalty_memo(&ctx).0.hits;
+        for _ in 0..3 {
+            sweep(&[1e-3, 2e-3]);
         }
-        assert_eq!(stored_penalties(&ctx), PENALTY_MEMO_CAP);
+        assert_eq!(penalty_memo(&ctx).0.hits - hits, 6);
+        assert_eq!(penalty_memo(&ctx).1, 6);
     }
 
     #[test]

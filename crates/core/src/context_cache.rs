@@ -19,15 +19,17 @@
 //! `crates/core/tests/context_cache.rs` pins both directions (distinct
 //! keys for geometry changes, shared keys across `pfail`).
 //!
-//! Eviction is least-recently-used with a fixed capacity; hit/miss/
-//! eviction counters are exposed via [`ContextCache::stats`].
+//! The cache is a [`Memo`]: least-recently-used eviction at a fixed
+//! capacity, hit/miss/eviction counters via [`ContextCache::stats`]. Each
+//! entry also carries its [family fingerprint](ContextCache::family_key_of),
+//! which the reuse plane's derivation tier matches wider siblings by.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use pwcet_analysis::ClassificationMode;
 use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
+use pwcet_par::{Admission, Memo, MemoStats};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::Fnv1a;
@@ -38,44 +40,13 @@ use crate::context::AnalysisContext;
 pub const DEFAULT_CONTEXT_CAPACITY: usize = 64;
 
 /// Counters and occupancy of a [`ContextCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ContextCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to build a fresh context.
-    pub misses: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum number of entries.
-    pub capacity: usize,
-}
+pub type ContextCacheStats = MemoStats;
 
-impl ContextCacheStats {
-    /// Hit fraction over all lookups (0 when none were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
-#[derive(Debug)]
-struct Entry {
+/// A cached context and the family fingerprint it was filed under.
+#[derive(Debug, Clone)]
+struct Resident {
     context: Arc<AnalysisContext>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    entries: HashMap<u64, Entry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    family: u64,
 }
 
 /// A thread-safe, content-addressed, LRU-evicting store of shared
@@ -102,8 +73,8 @@ struct Inner {
 /// ```
 #[derive(Debug)]
 pub struct ContextCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
+    /// Keyed by [`key_of`](Self::key_of).
+    memo: Memo<u64, Resident>,
 }
 
 impl Default for ContextCache {
@@ -119,10 +90,8 @@ impl ContextCache {
     ///
     /// Panics when `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity cache can never hit");
         Self {
-            capacity,
-            inner: Mutex::new(Inner::default()),
+            memo: Memo::new(capacity, Admission::FirstSighting),
         }
     }
 
@@ -136,28 +105,28 @@ impl ContextCache {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> u64 {
-        let mut hash = Self::family_hash(compiled, geometry, mode);
-        hash.write_u32(geometry.ways());
-        hash.finish()
+        Self::keys_of(compiled, geometry, mode).0
     }
 
     /// The **family fingerprint**: everything [`key_of`](Self::key_of)
     /// hashes *except* the way count. Geometries that differ only in
     /// associativity share a family — the grouping the reuse plane's
-    /// cross-geometry derivation is indexed by.
+    /// cross-geometry derivation matches siblings by.
     pub fn family_key_of(
         compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> u64 {
-        Self::family_hash(compiled, geometry, mode).finish()
+        Self::keys_of(compiled, geometry, mode).1
     }
 
-    fn family_hash(
+    /// The content key and the family fingerprint, from one pass over
+    /// the image.
+    fn keys_of(
         compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
-    ) -> Fnv1a {
+    ) -> (u64, u64) {
         let mut hash = Fnv1a::new();
         hash.write_u32(compiled.image().base());
         for &word in compiled.image().words() {
@@ -181,7 +150,9 @@ impl ContextCache {
             ClassificationMode::Cold => 0,
             ClassificationMode::Incremental => 1,
         });
-        hash
+        let family = hash.finish();
+        hash.write_u32(geometry.ways());
+        (hash.finish(), family)
     }
 
     /// Returns the cached context for the triple, building (and caching)
@@ -199,127 +170,81 @@ impl ContextCache {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Result<Arc<AnalysisContext>, CfgError> {
-        let key = Self::key_of(compiled, geometry, mode);
-        if let Some(context) = self.lookup(key) {
+        if let Some(context) = self.lookup(Self::key_of(compiled, geometry, mode)) {
             return Ok(context);
         }
-        let built = Arc::new(AnalysisContext::build_with_mode(compiled, geometry, mode)?);
-        Ok(self.insert(key, built))
+        let context = Arc::new(AnalysisContext::build_with_mode(compiled, geometry, mode)?);
+        Ok(self.file(compiled, geometry, mode, context))
     }
 
     /// Looks `key` up, counting a hit or a miss. The [`ReusePlane`]
     /// probes this tier first and, on a miss, fills it through
-    /// [`insert`](Self::insert) from whichever lower tier answered.
+    /// [`file`](Self::file) from whichever lower tier answered.
     ///
     /// [`ReusePlane`]: crate::ReusePlane
     pub(crate) fn lookup(&self, key: u64) -> Option<Arc<AnalysisContext>> {
-        let mut inner = self.inner.lock().expect("context cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let context = Arc::clone(&entry.context);
-                inner.hits += 1;
-                Some(context)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.memo.get(&key).map(|resident| resident.context)
     }
 
-    /// Looks `key` up **without** touching recency or the counters — used
-    /// for derivation sources, where a probe must not distort the stats
-    /// or keep an otherwise-dead entry alive.
+    /// Looks `key` up **without** touching recency or the counters — for
+    /// serving and refusing peer entries, where a probe must not distort
+    /// the stats or keep an otherwise-dead entry alive.
     pub(crate) fn peek(&self, key: u64) -> Option<Arc<AnalysisContext>> {
-        let inner = self.inner.lock().expect("context cache lock");
-        inner.entries.get(&key).map(|e| Arc::clone(&e.context))
+        self.memo.peek(&key).map(|resident| resident.context)
     }
 
-    /// Files `context` under `key`, evicting LRU entries beyond capacity.
-    /// When a racing insert got there first, its (possibly already
-    /// warmed) context wins and is returned instead.
-    pub(crate) fn insert(&self, key: u64, context: Arc<AnalysisContext>) -> Arc<AnalysisContext> {
-        let mut inner = self.inner.lock().expect("context cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let context = match inner.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                Arc::clone(&entry.context)
-            }
-            None => {
-                inner.entries.insert(
-                    key,
-                    Entry {
-                        context: Arc::clone(&context),
-                        last_used: tick,
-                    },
-                );
-                context
-            }
-        };
-        while inner.entries.len() > self.capacity {
-            let oldest = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(&k, _)| k)
-                .expect("non-empty over-capacity cache");
-            inner.entries.remove(&oldest);
-            inner.evictions += 1;
-        }
-        context
+    /// Files `context`, the triple's context, under its content key and
+    /// its family. When a racing insert got there first, its (possibly
+    /// already warmed) context wins and is returned instead.
+    pub(crate) fn file(
+        &self,
+        compiled: &CompiledProgram,
+        geometry: CacheGeometry,
+        mode: ClassificationMode,
+        context: Arc<AnalysisContext>,
+    ) -> Arc<AnalysisContext> {
+        let (key, family) = Self::keys_of(compiled, geometry, mode);
+        self.memo.insert(key, Resident { context, family }).context
+    }
+
+    /// The resident contexts of the triple's family that are strictly
+    /// wider than `geometry`, widest first: the derivation tier's
+    /// candidate sources. Neither counts nor recency change.
+    pub(crate) fn wider_siblings(
+        &self,
+        compiled: &CompiledProgram,
+        geometry: CacheGeometry,
+        mode: ClassificationMode,
+    ) -> Vec<Arc<AnalysisContext>> {
+        let family = Self::family_key_of(compiled, geometry, mode);
+        let mut wider: Vec<Arc<AnalysisContext>> = self
+            .memo
+            .snapshot()
+            .into_iter()
+            .map(|(_, resident)| resident)
+            .filter(|resident| {
+                resident.family == family && resident.context.geometry().ways() > geometry.ways()
+            })
+            .map(|resident| resident.context)
+            .collect();
+        wider.sort_by_key(|context| std::cmp::Reverse(context.geometry().ways()));
+        wider
     }
 
     /// A snapshot of every `(key, context)` pair — what a
     /// [`ReusePlane::flush`](crate::ReusePlane::flush) walks when writing
     /// the memory tier through to disk.
     pub(crate) fn entries_snapshot(&self) -> Vec<(u64, Arc<AnalysisContext>)> {
-        let inner = self.inner.lock().expect("context cache lock");
-        inner
-            .entries
-            .iter()
-            .map(|(&k, e)| (k, Arc::clone(&e.context)))
+        self.memo
+            .snapshot()
+            .into_iter()
+            .map(|(key, resident)| (key, resident.context))
             .collect()
     }
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> ContextCacheStats {
-        let inner = self.inner.lock().expect("context cache lock");
-        ContextCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.entries.len(),
-            capacity: self.capacity,
-        }
-    }
-
-    /// Number of cached contexts.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("context cache lock").entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("context cache lock")
-            .entries
-            .clear();
+        self.memo.stats()
     }
 }
 
@@ -352,7 +277,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second lookup must share the context");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -379,6 +303,86 @@ mod tests {
         cache.get_or_build(&b, geometry(), mode).unwrap();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 2));
+    }
+
+    #[test]
+    fn peek_does_not_touch_stats_or_recency() {
+        let cache = ContextCache::new(4);
+        let program = compiled("p", 10);
+        let mode = ClassificationMode::Incremental;
+        let key = ContextCache::key_of(&program, geometry(), mode);
+        assert!(cache.peek(key).is_none());
+        let built = cache.get_or_build(&program, geometry(), mode).unwrap();
+        let peeked = cache.peek(key).unwrap();
+        assert!(Arc::ptr_eq(&built, &peeked));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1), "peeks are uncounted");
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recently_used() {
+        let cache = ContextCache::new(2);
+        let mode = ClassificationMode::Incremental;
+        let a = compiled("a", 5);
+        let b = compiled("b", 6);
+        let c = compiled("c", 7);
+        cache.get_or_build(&a, geometry(), mode).unwrap();
+        cache.get_or_build(&b, geometry(), mode).unwrap();
+        // Touch `a` so `b` is the LRU entry.
+        cache.get_or_build(&a, geometry(), mode).unwrap();
+        cache.get_or_build(&c, geometry(), mode).unwrap();
+        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.stats().evictions, 1);
+        // `a` survives (hit), `b` was evicted (miss).
+        cache.get_or_build(&a, geometry(), mode).unwrap();
+        cache.get_or_build(&b, geometry(), mode).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 2);
+        assert_eq!(stats.misses, 4);
+    }
+
+    #[test]
+    fn a_second_filing_adopts_the_first_context() {
+        let cache = ContextCache::new(4);
+        let (mode, program) = (ClassificationMode::Incremental, compiled("p", 10));
+        let build =
+            || Arc::new(AnalysisContext::build_with_mode(&program, geometry(), mode).unwrap());
+        let first = cache.file(&program, geometry(), mode, build());
+        let second = cache.file(&program, geometry(), mode, build());
+        assert!(Arc::ptr_eq(&first, &second), "a racing loser adopts it");
+        let hit = cache.get_or_build(&program, geometry(), mode).unwrap();
+        assert!(Arc::ptr_eq(&first, &hit));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-capacity")]
+    fn zero_capacity_panics() {
+        let _ = ContextCache::new(0);
+    }
+
+    #[test]
+    fn concurrent_lookups_share_one_context() {
+        let cache = Arc::new(ContextCache::new(4));
+        let program = Arc::new(compiled("p", 20));
+        let contexts: Vec<Arc<AnalysisContext>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let cache = Arc::clone(&cache);
+                    let program = Arc::clone(&program);
+                    scope.spawn(move || {
+                        cache
+                            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // All callers end up with the same entry, whatever the race.
+        assert_eq!(cache.stats().len, 1);
+        for context in &contexts[1..] {
+            assert!(Arc::ptr_eq(&contexts[0], context));
+        }
     }
 
     #[test]
@@ -423,81 +427,20 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch_stats_or_recency() {
-        let cache = ContextCache::new(4);
-        let program = compiled("p", 10);
+    fn adversarial_keys_stay_at_the_cap_and_a_new_working_set_hits() {
+        let cap = 4;
+        let cache = ContextCache::new(cap);
         let mode = ClassificationMode::Incremental;
-        let key = ContextCache::key_of(&program, geometry(), mode);
-        assert!(cache.peek(key).is_none());
-        let built = cache.get_or_build(&program, geometry(), mode).unwrap();
-        let peeked = cache.peek(key).unwrap();
-        assert!(Arc::ptr_eq(&built, &peeked));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1), "peeks are uncounted");
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used() {
-        let cache = ContextCache::new(2);
-        let mode = ClassificationMode::Incremental;
-        let a = compiled("a", 5);
-        let b = compiled("b", 6);
-        let c = compiled("c", 7);
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&b, geometry(), mode).unwrap();
-        // Touch `a` so `b` is the LRU entry.
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&c, geometry(), mode).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // `a` survives (hit), `b` was evicted (miss).
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&b, geometry(), mode).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 4);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let cache = ContextCache::new(4);
-        let mode = ClassificationMode::Incremental;
-        cache
-            .get_or_build(&compiled("p", 5), geometry(), mode)
-            .unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_panics() {
-        let _ = ContextCache::new(0);
-    }
-
-    #[test]
-    fn concurrent_lookups_share_one_context() {
-        let cache = Arc::new(ContextCache::new(4));
-        let program = Arc::new(compiled("p", 20));
-        let contexts: Vec<Arc<AnalysisContext>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let cache = Arc::clone(&cache);
-                    let program = Arc::clone(&program);
-                    scope.spawn(move || {
-                        cache
-                            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
-                            .unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // All callers end up with the same entry, whatever the race.
-        assert_eq!(cache.len(), 1);
-        for context in &contexts[1..] {
-            assert!(Arc::ptr_eq(&contexts[0], context));
+        let get = |n| cache.get_or_build(&compiled("p", n), geometry(), mode);
+        let sweep = 1..=cap as u32 + 8;
+        for iterations in sweep.clone().chain(sweep) {
+            get(iterations).unwrap();
+            assert!(cache.stats().len <= cap);
         }
+        assert_eq!(cache.stats().hits, 0, "each key was evicted first");
+        for iterations in (0..3).flat_map(|_| 100..102) {
+            get(iterations).unwrap();
+        }
+        assert_eq!(cache.stats().hits, 4, "admitted at once, then hit");
     }
 }

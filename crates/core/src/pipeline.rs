@@ -489,9 +489,13 @@ impl ProgramAnalysis {
             &self.config.convolution,
             protection,
         );
-        self.solved
-            .penalties
-            .get_or_compute(key, || self.convolve(protection))
+        let penalties = &self.solved.penalties;
+        if let Some(stored) = penalties.get(&key) {
+            return stored;
+        }
+        // The convolution runs outside the memo's lock; a racing thread's
+        // stored copy wins.
+        penalties.insert(key, Arc::new(self.convolve(protection)))
     }
 
     /// Computes [`penalty_distribution`](Self::penalty_distribution):

@@ -49,7 +49,7 @@
 //! network tiers can cost time, never correctness —
 //! `crates/core/tests/reuse_plane.rs` pins every corruption class.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -60,6 +60,7 @@ use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
 use pwcet_ilp::{SolveStats, SolveStatsCell};
 use pwcet_ipet::TemplateRegistry;
+use pwcet_par::{Admission, Memo};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{
@@ -76,8 +77,10 @@ pub const DEFAULT_DISK_CAPACITY_BYTES: u64 = 64 * 1024 * 1024;
 const ENTRY_EXT: &str = "pwctx";
 
 /// Cap on raw peer-offered entries staged in memory when no disk tier is
-/// attached (FIFO eviction; entries are tens of KB, so this bounds the
-/// staging area to a few MB).
+/// attached (entries are tens of KB, so this bounds the staging area to a
+/// few MB). Only a repeated offer of a staged key refreshes its recency
+/// (nothing looks a staged entry up through a counted `get`), so the
+/// memo's LRU eviction drops the least recently offered entry first.
 const MAX_STAGED_ENTRIES: usize = 128;
 
 /// The plane's fourth tier: fetch/offer serialized context entries (the
@@ -270,36 +273,10 @@ impl Richness {
     }
 }
 
-/// Bounded FIFO of raw serialized entries offered by peers before a
-/// local decode proved them useful — the memory-only stand-in for the
-/// disk tier's store directory.
-#[derive(Debug, Default)]
-struct StagedEntries {
-    map: HashMap<u64, Vec<u8>>,
-    order: VecDeque<u64>,
-}
-
-impl StagedEntries {
-    fn insert(&mut self, key: u64, bytes: Vec<u8>) {
-        if self.map.insert(key, bytes).is_none() {
-            self.order.push_back(key);
-        }
-        while self.map.len() > MAX_STAGED_ENTRIES {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn remove(&mut self, key: u64) -> Option<Vec<u8>> {
-        let bytes = self.map.remove(&key)?;
-        self.order.retain(|&k| k != key);
-        Some(bytes)
-    }
-}
+/// Raw serialized entries offered by peers before a local decode proved
+/// them useful — the memory-only stand-in for the disk tier's store
+/// directory.
+type StagedEntries = Arc<Memo<u64, Arc<Vec<u8>>>>;
 
 /// The disk tier's write-through index: what this process knows to be
 /// on disk, by key.
@@ -360,15 +337,14 @@ pub struct ReusePlane {
     network: OnceLock<Arc<dyn NetworkTier>>,
     /// Raw peer-offered entries staged in memory when no disk tier is
     /// attached, consulted by the local-entry probe exactly like a disk
-    /// file. Bounded FIFO ([`MAX_STAGED_ENTRIES`]).
-    staged: Arc<Mutex<StagedEntries>>,
-    /// Richness already offered to the network per key: skip re-offers
+    /// file. Capped at [`MAX_STAGED_ENTRIES`].
+    staged: StagedEntries,
+    /// Richness the network tier already holds per key: skip re-offers
     /// that would not add artifacts, mirroring the disk tier's
-    /// write-through index.
-    offered: Mutex<HashMap<u64, Richness>>,
-    /// Family fingerprint → way count → full key, for the derivation
-    /// tier. Only records what passed through this plane.
-    families: Mutex<HashMap<u64, BTreeMap<u32, u64>>>,
+    /// write-through index. Written only while a network tier is
+    /// attached, and capped at the memory tier's capacity: a forgotten
+    /// key costs one offer its owner refuses.
+    offered: Memo<u64, Richness>,
     /// Shared with the [`LateCorruption`] sinks of restored contexts.
     counters: Arc<Mutex<Counters>>,
     /// The cross-geometry IPET template registry, attached to every
@@ -403,12 +379,11 @@ impl ReusePlane {
     /// entries and counters.
     pub fn with_memory(memory: Arc<ContextCache>) -> Self {
         Self {
+            offered: Memo::new(memory.stats().capacity, Admission::FirstSighting),
             memory,
             disk: None,
             network: OnceLock::new(),
-            staged: Arc::new(Mutex::new(StagedEntries::default())),
-            offered: Mutex::new(HashMap::new()),
-            families: Mutex::new(HashMap::new()),
+            staged: Arc::new(Memo::new(MAX_STAGED_ENTRIES, Admission::FirstSighting)),
             counters: Arc::new(Mutex::new(Counters::default())),
             registry: Arc::new(TemplateRegistry::new()),
             ilp: SolveStatsCell::default(),
@@ -536,11 +511,6 @@ impl ReusePlane {
         Ok(self)
     }
 
-    /// The memory tier (shared LRU context cache).
-    pub fn memory(&self) -> &Arc<ContextCache> {
-        &self.memory
-    }
-
     /// The disk-tier directory, when one is attached.
     pub fn disk_dir(&self) -> Option<&Path> {
         self.disk.as_ref().map(|d| d.dir.as_path())
@@ -603,9 +573,7 @@ impl ReusePlane {
         mode: ClassificationMode,
     ) -> Result<(Arc<AnalysisContext>, ReuseTier), CfgError> {
         let key = ContextCache::key_of(compiled, geometry, mode);
-        let family = ContextCache::family_key_of(compiled, geometry, mode);
         if let Some(context) = self.memory.lookup(key) {
-            self.register_family(family, geometry.ways(), key);
             context.attach_registry(Arc::clone(&self.registry));
             return Ok((context, ReuseTier::Memory));
         }
@@ -621,7 +589,7 @@ impl ReusePlane {
         };
         let (context, tier) = match self.load_local(&at) {
             Some((restored, local_tier)) => (Arc::new(restored), local_tier),
-            None => match self.derive_from_family(family, geometry, mode) {
+            None => match self.derive_from_family(compiled, geometry, mode) {
                 Some(derived) => {
                     derived.set_fingerprint(at.fingerprint);
                     (derived, ReuseTier::Derived)
@@ -645,8 +613,7 @@ impl ReusePlane {
         // the plane's template registry (attach is set-once, so a derived
         // sibling that already inherited it is a no-op).
         context.attach_registry(Arc::clone(&self.registry));
-        self.register_family(family, geometry.ways(), key);
-        Ok((self.memory.insert(key, context), tier))
+        Ok((self.memory.file(compiled, geometry, mode, context), tier))
     }
 
     /// Writes `context`'s artifacts through to the disk tier (no-op
@@ -679,20 +646,11 @@ impl ReusePlane {
             .count()
     }
 
-    fn register_family(&self, family: u64, ways: u32, key: u64) {
-        self.families
-            .lock()
-            .expect("reuse plane families")
-            .entry(family)
-            .or_default()
-            .insert(ways, key);
-    }
-
-    /// Derivation tier: the widest already-cached sibling of the same
-    /// family that is strictly wider than `geometry`, if any.
+    /// Derivation tier: the widest resident sibling of the same family
+    /// that is strictly wider than `geometry`, if any.
     fn derive_from_family(
         &self,
-        family: u64,
+        compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Option<Arc<AnalysisContext>> {
@@ -701,31 +659,24 @@ impl ReusePlane {
         if mode != ClassificationMode::Incremental {
             return None;
         }
-        let candidates: Vec<u64> = {
-            let families = self.families.lock().expect("reuse plane families");
-            let members = families.get(&family)?;
-            members
-                .range(geometry.ways() + 1..)
-                .rev()
-                .map(|(_, &key)| key)
-                .collect()
-        };
-        for wider_key in candidates {
-            // The sibling may have been LRU-evicted since it was
-            // registered; peek (uncounted) and fall through when gone.
-            // A restored sibling expands its graph here; one whose
-            // program does not expand (a forged entry) cannot derive.
-            if let Some(wider) = self
-                .memory
-                .peek(wider_key)
-                .filter(|wider| wider.graph().is_ok())
-            {
-                let derived = Arc::new(wider.derive_narrower(geometry));
-                self.counters.lock().expect("reuse plane counters").derived += 1;
-                return Some(derived);
-            }
-        }
-        None
+        // A restored sibling expands its graph here; one whose program
+        // does not expand (a forged entry) cannot derive.
+        let source = self
+            .memory
+            .wider_siblings(compiled, geometry, mode)
+            .into_iter()
+            .find(|wider| wider.graph().is_ok())?;
+        let derived = Arc::new(source.derive_narrower(geometry));
+        self.counters.lock().expect("reuse plane counters").derived += 1;
+        Some(derived)
+    }
+
+    /// Records that the network tier holds `key`'s entry at `richness`
+    /// (an insert keeps the first value, so a new richness replaces the
+    /// old by removal first).
+    fn record_offer(&self, key: u64, richness: Richness) {
+        self.offered.remove(&key);
+        self.offered.insert(key, richness);
     }
 
     /// Restores a context from serialized entry bytes: the hit path of
@@ -802,8 +753,8 @@ impl ReusePlane {
                         .expect("reuse plane counters")
                         .disk_misses += 1;
                 }
-                let staged = self.staged.lock().expect("staged entries").remove(key)?;
-                (staged, ReuseTier::Network)
+                let staged = self.staged.remove(&key)?;
+                (Arc::unwrap_or_clone(staged), ReuseTier::Network)
             }
         };
         match self.restore(at, bytes, tier) {
@@ -819,10 +770,9 @@ impl ReusePlane {
                 // A restored entry is as rich as its bytes: offering it
                 // back to the fleet would hand the owner what it (or a
                 // peer) already holds.
-                self.offered
-                    .lock()
-                    .expect("offer index")
-                    .insert(key, richness);
+                if self.has_network_tier() {
+                    self.record_offer(key, richness);
+                }
                 let mut counters = self.counters.lock().expect("reuse plane counters");
                 match tier {
                     ReuseTier::Disk => counters.disk_hits += 1,
@@ -883,10 +833,7 @@ impl ReusePlane {
                 self.store_entry_bytes(key, &bytes, richness);
                 // Never offer a fetched entry back: its owner just
                 // served it to us.
-                self.offered
-                    .lock()
-                    .expect("offer index")
-                    .insert(key, richness);
+                self.record_offer(key, richness);
                 self.counters
                     .lock()
                     .expect("reuse plane counters")
@@ -926,10 +873,7 @@ impl ReusePlane {
                 }
             }
             None => {
-                self.staged
-                    .lock()
-                    .expect("staged entries")
-                    .insert(key, bytes.to_vec());
+                self.staged.insert(key, Arc::new(bytes.to_vec()));
             }
         }
     }
@@ -955,8 +899,7 @@ impl ReusePlane {
                 }
             }
         }
-        let staged = self.staged.lock().expect("staged entries");
-        staged.map.get(&key).cloned()
+        self.staged.peek(&key).map(|bytes| bytes.to_vec())
     }
 
     /// Installs a serialized entry offered by a peer. The envelope
@@ -1000,12 +943,13 @@ impl ReusePlane {
                 }
             }
             None => {
-                let mut staged = self.staged.lock().expect("staged entries");
-                if staged.map.contains_key(&key) || self.memory.peek(key).is_some() {
+                if self.memory.peek(key).is_some() {
                     return false;
                 }
-                staged.insert(key, bytes);
-                true
+                // One insert checks and stores: of two peers offering the
+                // same key at once, only the stored one reports `true`.
+                let bytes = Arc::new(bytes);
+                Arc::ptr_eq(&self.staged.insert(key, Arc::clone(&bytes)), &bytes)
             }
         }
     }
@@ -1023,10 +967,8 @@ impl ReusePlane {
             let written = disk.written.lock().expect("disk tier index");
             written.get(&key).is_none_or(|have| *have < richness)
         });
-        let net_wants = network.is_some() && {
-            let offered = self.offered.lock().expect("offer index");
-            offered.get(&key).is_none_or(|have| *have < richness)
-        };
+        let net_wants =
+            network.is_some() && self.offered.get(&key).is_none_or(|have| have < richness);
         if !disk_wants && !net_wants {
             return false;
         }
@@ -1036,10 +978,7 @@ impl ReusePlane {
         if net_wants {
             let network = network.expect("net_wants implies a network tier");
             network.offer(key, &bytes);
-            self.offered
-                .lock()
-                .expect("offer index")
-                .insert(key, richness);
+            self.record_offer(key, richness);
             self.counters
                 .lock()
                 .expect("reuse plane counters")
@@ -1164,7 +1103,7 @@ pub(crate) struct LateCorruption {
     /// `disk_corrupt`, a fetched or staged peer entry `network_corrupt`.
     tier: ReuseTier,
     counters: Arc<Mutex<Counters>>,
-    staged: Arc<Mutex<StagedEntries>>,
+    staged: StagedEntries,
     /// The store file of the key and the disk tier's write-through index,
     /// when a disk tier is attached (a fetched entry is written through
     /// to it too).
@@ -1182,7 +1121,7 @@ impl LateCorruption {
             let _ = fs::remove_file(path);
             written.lock().expect("disk tier index").remove(&self.key);
         }
-        self.staged.lock().expect("staged entries").remove(self.key);
+        self.staged.remove(&self.key);
         let mut counters = self.counters.lock().expect("reuse plane counters");
         match self.tier {
             ReuseTier::Disk => counters.disk_corrupt += 1,
@@ -1425,6 +1364,78 @@ mod tests {
             .unwrap();
         assert_eq!(tier, ReuseTier::Network);
         assert_eq!(other.stats().cold_builds, 0);
+    }
+
+    #[test]
+    fn an_offer_of_a_staged_key_is_refused() {
+        let plane = ReusePlane::in_memory();
+        let (_, context) = warm(10);
+        let bytes = context.encode_entry(7).unwrap();
+        assert!(plane.import_entry(7, bytes.clone()));
+        assert!(!plane.import_entry(7, bytes), "one copy is kept");
+        assert_eq!(plane.staged.stats().len, 1);
+    }
+
+    /// A prewarmed context of `compiled("p", iterations)`.
+    fn warm(iterations: u32) -> (CompiledProgram, AnalysisContext) {
+        let program = compiled("p", iterations);
+        let context = AnalysisContext::build(&program, geometry()).unwrap();
+        context.prewarm(pwcet_par::Parallelism::Sequential);
+        (program, context)
+    }
+
+    #[test]
+    fn a_disk_only_plane_records_no_offers() {
+        let dir = std::env::temp_dir().join(format!("pwcet-no-offers-{}", std::process::id()));
+        let writer = ReusePlane::in_memory().with_disk_tier(&dir).unwrap();
+        let reader = ReusePlane::in_memory().with_disk_tier(&dir).unwrap();
+        for (program, context) in (1..=100).map(warm) {
+            assert!(writer.persist(&program, &context));
+            let (_, tier) = reader
+                .get_or_build_traced(&program, geometry(), MODE)
+                .unwrap();
+            assert_eq!(tier, ReuseTier::Disk);
+        }
+        assert_eq!(reader.offered.stats().len, 0, "no network tier reads it");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn offer_index_stays_at_the_memory_capacity_and_keeps_admitting() {
+        let cap = 4;
+        let plane = ReusePlane::with_memory(Arc::new(ContextCache::new(cap)));
+        plane.set_network_tier(Arc::new(FakeNetwork::default()));
+        let offers = |contexts: &[(CompiledProgram, AnalysisContext)], rounds| {
+            let before = plane.stats().network_offers;
+            for (program, context) in (0..rounds).flat_map(|_| contexts) {
+                plane.persist(program, context);
+                assert!(plane.offered.stats().len <= cap);
+            }
+            plane.stats().network_offers - before
+        };
+        let sweep: Vec<_> = (1..=cap as u32 + 8).map(warm).collect();
+        assert_eq!(offers(&sweep, 2), 24, "a forgotten key is offered again");
+        let working_set: Vec<_> = (100..102).map(warm).collect();
+        assert_eq!(offers(&working_set, 3), 2, "recorded at once, then known");
+    }
+
+    #[test]
+    fn staged_entries_stay_at_their_cap_and_keep_admitting() {
+        let plane = ReusePlane::in_memory();
+        let (_, context) = warm(10);
+        let entry = |key| context.encode_entry(key).unwrap();
+        let sweep = 0..MAX_STAGED_ENTRIES as u64 + 8;
+        for key in sweep.clone().chain(sweep) {
+            plane.import_entry(key, entry(key));
+            assert!(plane.staged.stats().len <= MAX_STAGED_ENTRIES);
+        }
+        let working_set = 1000..1000 + MAX_STAGED_ENTRIES as u64 / 2;
+        for key in working_set.clone() {
+            assert!(plane.import_entry(key, entry(key)), "admitted when full");
+        }
+        for key in working_set.clone().chain(working_set) {
+            assert_eq!(plane.export_entry(key), Some(entry(key)));
+        }
     }
 
     #[test]

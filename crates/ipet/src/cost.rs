@@ -48,27 +48,6 @@ pub struct CostModel {
     per_node: Vec<Vec<RefCost>>,
 }
 
-/// Delta cost models are sparse — a handful of charged references out of
-/// hundreds — so hashing the full dense table would dominate memoized
-/// objective lookups. Hash only charged entries, keyed by position: equal
-/// models have identical charged sets, so `Hash` stays consistent with `Eq`
-/// (models differing only in the scope of an uncharged reference collide,
-/// which the table resolves by equality).
-impl std::hash::Hash for CostModel {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.per_node.len().hash(state);
-        for (node, refs) in self.per_node.iter().enumerate() {
-            for (index, cost) in refs.iter().enumerate() {
-                if cost.per_execution != 0 || cost.first_extra != 0 {
-                    node.hash(state);
-                    index.hash(state);
-                    cost.hash(state);
-                }
-            }
-        }
-    }
-}
-
 impl CostModel {
     /// All-zero costs, shaped after `cfg`.
     pub fn zero(cfg: &ExpandedCfg) -> Self {
@@ -149,16 +128,30 @@ impl CostModel {
         self.per_node[node].iter().map(|c| c.per_execution).sum()
     }
 
+    /// The charged references as `(node, index, cost)`, in graph order:
+    /// every reference with a nonzero `per_execution` or `first_extra`.
+    /// Uncharged references add nothing to an IPET objective, so over one
+    /// graph these entries determine the bound. Delta cost models charge
+    /// a handful of references out of hundreds, which makes this the
+    /// compact key of a memoized bound.
+    pub fn charged(&self) -> Box<[(NodeId, usize, RefCost)]> {
+        self.refs()
+            .filter(|(_, _, c)| c.per_execution != 0 || c.first_extra != 0)
+            .collect()
+    }
+
     /// Iterates `(node, index, cost)` over references with a positive
     /// `first_extra`.
     pub fn first_extra_refs(&self) -> impl Iterator<Item = (NodeId, usize, RefCost)> + '_ {
-        self.per_node.iter().enumerate().flat_map(|(n, costs)| {
-            costs
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.first_extra > 0)
-                .map(move |(i, &c)| (n, i, c))
-        })
+        self.refs().filter(|(_, _, c)| c.first_extra > 0)
+    }
+
+    /// Every `(node, index, cost)` in graph order.
+    fn refs(&self) -> impl Iterator<Item = (NodeId, usize, RefCost)> + '_ {
+        self.per_node
+            .iter()
+            .enumerate()
+            .flat_map(|(n, costs)| costs.iter().enumerate().map(move |(i, &c)| (n, i, c)))
     }
 }
 

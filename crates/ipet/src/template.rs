@@ -19,8 +19,7 @@
 //! basis, then to a cold build), so concurrent solves never contend on
 //! one basis.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pwcet_analysis::Scope;
@@ -28,8 +27,9 @@ use pwcet_cfg::{ExpandedCfg, NodeId};
 use pwcet_ilp::{
     BasisSnapshot, BranchAndBoundOptions, IlpError, LpWorkspace, SolveStats, SolveStatsCell,
 };
+use pwcet_par::{Admission, Memo};
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, RefCost};
 use crate::ilp_engine::{build_ipet_model, integral_bound, objective_for, sort_groups, IpetModel};
 
 /// A factored IPET instance answering many cost models over one CFG.
@@ -48,16 +48,20 @@ pub struct IpetTemplate {
     /// Retention cap on `pool`: check-ins beyond it are dropped so the
     /// pool never outgrows the configured solve parallelism.
     pool_cap: AtomicUsize,
-    /// Solved bounds keyed by exact cost-model content. Identical CFG +
-    /// objective determine the bound, so a repeat — common in
-    /// geometry sweeps, where a sibling's `(assoc, assoc − f)` delta
-    /// model coincides with an already-solved pair whenever the
-    /// classifications agree on the set — is answered without touching
-    /// the solver at all. Bounded by [`MEMO_CAP`].
-    memo: Mutex<HashMap<CostModel, u64>>,
-    memo_hits: AtomicU64,
+    /// Solved bounds keyed by a cost model's [charged
+    /// entries](CostModel::charged). Identical CFG + objective determine
+    /// the bound, so a repeat — common in geometry sweeps, where a
+    /// sibling's `(assoc, assoc − f)` delta model coincides with an
+    /// already-solved pair whenever the classifications agree on the set
+    /// — is answered without touching the solver at all. Capped at
+    /// [`MEMO_CAP`].
+    memo: Memo<ChargedEntries, u64>,
     stats: SolveStatsCell,
 }
+
+/// The objective memo's key: a cost model's charged `(node, index,
+/// cost)` entries.
+type ChargedEntries = Box<[(NodeId, usize, RefCost)]>;
 
 /// Retention cap on the objective→bound memo: one sweep solves a few
 /// hundred distinct objectives, so this covers many programs per
@@ -79,8 +83,7 @@ impl IpetTemplate {
             pool: Mutex::new(Vec::new()),
             proto: Mutex::new(None),
             pool_cap: AtomicUsize::new(usize::MAX),
-            memo: Mutex::new(HashMap::new()),
-            memo_hits: AtomicU64::new(0),
+            memo: Memo::new(MEMO_CAP, Admission::FirstSighting),
             stats: SolveStatsCell::default(),
         }
     }
@@ -89,11 +92,6 @@ impl IpetTemplate {
     /// charges (or callers that will only use such models).
     pub fn without_groups(cfg: &ExpandedCfg) -> Self {
         Self::new(cfg, std::iter::empty())
-    }
-
-    /// The number of first-extra group variables the template carries.
-    pub fn group_count(&self) -> usize {
-        self.ipet.group_vars.len()
     }
 
     /// The `(node, scope)` group union the template was built with, in
@@ -179,7 +177,7 @@ impl IpetTemplate {
     /// How many `bound` calls were answered from the objective→bound
     /// memo without touching the solver.
     pub fn objective_hits(&self) -> u64 {
-        self.memo_hits.load(Ordering::Relaxed)
+        self.memo.stats().hits
     }
 
     /// The IPET bound of `costs` — identical to
@@ -218,8 +216,8 @@ impl IpetTemplate {
         // An identical objective has an identical optimum: answer
         // repeats from the memo without solving (or even assembling the
         // objective). The returned stats are empty — nothing was solved.
-        if let Some(&bound) = self.memo.lock().expect("template memo").get(costs) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        let key = costs.charged();
+        if let Some(bound) = self.memo.get(&key) {
             return Ok((bound, SolveStats::default()));
         }
         // An unknown first-extra group panics inside `objective_for`
@@ -241,11 +239,7 @@ impl IpetTemplate {
             .solve_ilp_in(Some(&objective), &mut ws, &bb)?;
         self.stats.record(&stats);
         self.checkin(ws);
-        let bound = integral_bound(&solution);
-        let mut memo = self.memo.lock().expect("template memo");
-        if memo.len() < MEMO_CAP {
-            memo.insert(costs.clone(), bound);
-        }
+        let bound = self.memo.insert(key, integral_bound(&solution));
         Ok((bound, stats))
     }
 
@@ -276,7 +270,6 @@ impl IpetTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::RefCost;
     use crate::ipet_bound;
     use pwcet_cfg::FunctionExtent;
     use pwcet_progen::{stmt, Program};
@@ -365,6 +358,24 @@ mod tests {
             RefCost::with_first_extra(0, 5, Scope::Loop(l.id)),
         );
         let _ = template.bound(&costs);
+    }
+
+    #[test]
+    fn objective_memo_stays_at_its_cap_and_keeps_admitting() {
+        let cfg = looped_cfg();
+        let template = IpetTemplate::without_groups(&cfg);
+        let sweep = 1..=MEMO_CAP as u64 + 8;
+        for cost in sweep.clone().chain(sweep) {
+            template.bound(&CostModel::uniform(&cfg, cost)).unwrap();
+            assert!(template.memo.stats().len <= MEMO_CAP);
+        }
+        let hits = template.objective_hits();
+        for cost in (0..3).flat_map(|_| 100_000..100_004) {
+            let costs = CostModel::uniform(&cfg, cost);
+            let cold = ipet_bound(&cfg, &costs).unwrap();
+            assert_eq!(template.bound(&costs).unwrap(), cold);
+        }
+        assert_eq!(template.objective_hits() - hits, 8, "stored, then hit");
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! per available core, overridable with the `PWCET_THREADS` environment
 //! variable; resolved once per process), or an explicit thread count.
 //!
+//! [`Memo`] is the one bounded memo every in-process cache of the
+//! pipeline is built on.
+//!
 //! # Example
 //!
 //! ```
@@ -21,6 +24,10 @@
 //! let same = par_map(Parallelism::Sequential, &[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, same);
 //! ```
+
+mod memo;
+
+pub use memo::{Admission, Memo, MemoStats};
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

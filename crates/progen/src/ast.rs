@@ -18,7 +18,7 @@ pub const MAX_EXPANDED_INSTRUCTIONS: u64 = 1 << 16;
 /// Statements are deliberately minimal: they capture exactly the control
 /// structure that determines the instruction fetch stream (straight-line
 /// runs, bounded loops, two-way branches, calls) and nothing else.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Stmt {
     /// `count` straight-line ALU instructions (no memory traffic).
     Compute(u32),
@@ -130,7 +130,7 @@ impl Stmt {
 }
 
 /// A named function with a structured body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     name: String,
     body: Stmt,
@@ -166,7 +166,7 @@ impl Function {
 /// let p = Program::new("tiny").with_function("main", stmt::compute(3));
 /// assert!(p.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     name: String,
     functions: Vec<Function>,

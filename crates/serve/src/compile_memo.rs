@@ -2,30 +2,17 @@
 //! compiled image and content key instead of compiling and
 //! fingerprinting the DSL again on the connection thread.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use pwcet_core::{AnalysisConfig, ContextCache, DEFAULT_CONTEXT_CAPACITY};
 use pwcet_obs::{Counter, Histogram, Registry};
+use pwcet_par::{Admission, Memo};
 use pwcet_progen::{CompiledProgram, ProgenError, Program};
 
 /// A compiled program, shared with the shard that analyzes it, and its
 /// content key under the server's analysis geometry.
 pub(crate) type Prepared = (Arc<CompiledProgram>, u64);
-
-/// One remembered program: a marker until its second sighting, then its
-/// compiled image and key.
-struct Slot {
-    program: Program,
-    prepared: Option<Prepared>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Slots {
-    slots: Vec<Slot>,
-    tick: u64,
-}
 
 /// Compiled programs of repeated requests, for the server's lifetime.
 ///
@@ -43,7 +30,7 @@ struct Slots {
 /// admitted.
 pub(crate) struct CompileMemo {
     config: AnalysisConfig,
-    slots: Mutex<Slots>,
+    memo: Memo<Program, Prepared>,
     /// Connection-thread time to obtain a program's image and key, hit
     /// or build.
     compile_us: Arc<Histogram>,
@@ -58,7 +45,7 @@ impl CompileMemo {
     pub(crate) fn new(config: AnalysisConfig, registry: &Registry) -> Self {
         Self {
             config,
-            slots: Mutex::default(),
+            memo: Memo::new(DEFAULT_CONTEXT_CAPACITY, Admission::SecondSighting),
             compile_us: registry.histogram("compile_us"),
             hits: registry.counter("compile_memo_hits"),
             misses: registry.counter("compile_memo_misses"),
@@ -81,59 +68,14 @@ impl CompileMemo {
     }
 
     fn get_or_compile(&self, program: &Program) -> Result<Prepared, ProgenError> {
-        {
-            let mut memo = self.slots.lock().expect("compile memo lock");
-            memo.tick += 1;
-            let tick = memo.tick;
-            let hit = memo.slots.iter_mut().find(|slot| slot.program == *program);
-            if let Some(Slot {
-                prepared: Some((compiled, key)),
-                last_used,
-                ..
-            }) = hit
-            {
-                *last_used = tick;
-                self.hits.inc();
-                return Ok((Arc::clone(compiled), *key));
-            }
+        if let Some(prepared) = self.memo.get(program) {
+            self.hits.inc();
+            return Ok(prepared);
         }
         self.misses.inc();
         let compiled = Arc::new(program.compile(self.config.code_base)?);
         let key = ContextCache::key_of(&compiled, self.config.geometry, self.config.classification);
-        let mut memo = self.slots.lock().expect("compile memo lock");
-        memo.tick += 1;
-        let tick = memo.tick;
-        match memo.slots.iter_mut().find(|slot| slot.program == *program) {
-            Some(slot) => {
-                slot.last_used = tick;
-                match &slot.prepared {
-                    Some((stored, key)) => return Ok((Arc::clone(stored), *key)),
-                    None => slot.prepared = Some((Arc::clone(&compiled), key)),
-                }
-            }
-            None => {
-                if memo.slots.len() >= DEFAULT_CONTEXT_CAPACITY {
-                    let oldest = (0..memo.slots.len())
-                        .min_by_key(|&i| memo.slots[i].last_used)
-                        .expect("a full memo is non-empty");
-                    memo.slots.swap_remove(oldest);
-                }
-                memo.slots.push(Slot {
-                    program: program.clone(),
-                    prepared: None,
-                    last_used: tick,
-                });
-            }
-        }
-        Ok((compiled, key))
-    }
-
-    /// `(markers, stored entries)` currently held.
-    #[cfg(test)]
-    fn occupancy(&self) -> (usize, usize) {
-        let memo = self.slots.lock().expect("compile memo lock");
-        let stored = memo.slots.iter().filter(|s| s.prepared.is_some()).count();
-        (memo.slots.len() - stored, stored)
+        Ok(self.memo.insert(program.clone(), (compiled, key)))
     }
 }
 
@@ -147,6 +89,12 @@ mod tests {
         Program::new("p").with_function("main", stmt::loop_(bound, stmt::compute(3)))
     }
 
+    /// `(markers, stored entries)` currently held.
+    fn occupancy(memo: &CompileMemo) -> (usize, usize) {
+        let stored = memo.memo.snapshot().len();
+        (memo.memo.stats().len - stored, stored)
+    }
+
     fn memo() -> (CompileMemo, Registry) {
         let registry = Registry::new();
         let memo = CompileMemo::new(AnalysisConfig::paper_default(), &registry);
@@ -158,12 +106,12 @@ mod tests {
         let (memo, registry) = memo();
         let (first, key) = memo.get(&program(4)).expect("compiles");
         assert_eq!(
-            memo.occupancy(),
+            occupancy(&memo),
             (1, 0),
             "the first sighting leaves a marker"
         );
         let (second, _) = memo.get(&program(4)).expect("compiles");
-        assert_eq!(memo.occupancy(), (0, 1));
+        assert_eq!(occupancy(&memo), (0, 1));
         assert!(!Arc::ptr_eq(&first, &second));
         let (third, third_key) = memo.get(&program(4)).expect("compiles");
         assert!(
@@ -179,20 +127,20 @@ mod tests {
     #[test]
     fn full_memo_evicts_the_least_recently_used_and_keeps_admitting() {
         let (memo, registry) = memo();
-        let programs = DEFAULT_CONTEXT_CAPACITY as u32 + 6;
-        for bound in 1..=programs {
+        let sweep = 1..=DEFAULT_CONTEXT_CAPACITY as u32 + 8;
+        for bound in sweep.clone().chain(sweep) {
             memo.get(&program(bound)).expect("compiles");
+            assert!(memo.memo.stats().len <= DEFAULT_CONTEXT_CAPACITY);
+        }
+        let hits = || registry.counter("compile_memo_hits").get();
+        assert_eq!(hits(), 0, "each marker was evicted before its repeat");
+        // A full memo keeps admitting: a new working set is stored on its
+        // second request and hit on its third.
+        let working_set = 1000..1000 + DEFAULT_CONTEXT_CAPACITY as u32 / 2;
+        for bound in (0..3).flat_map(|_| working_set.clone()) {
             memo.get(&program(bound)).expect("compiles");
         }
-        let (markers, stored) = memo.occupancy();
-        assert!(markers + stored <= DEFAULT_CONTEXT_CAPACITY);
-        assert_eq!(registry.counter("compile_memo_hits").get(), 0);
-        // The newest program was admitted although the memo was full...
-        memo.get(&program(programs)).expect("compiles");
-        assert_eq!(registry.counter("compile_memo_hits").get(), 1);
-        // ...and the oldest made room for it.
-        memo.get(&program(1)).expect("compiles");
-        assert_eq!(registry.counter("compile_memo_hits").get(), 1);
+        assert_eq!(hits(), working_set.len() as u64);
     }
 
     #[test]
@@ -202,7 +150,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(memo.get(&broken).unwrap_err(), ProgenError::MissingMain);
         }
-        assert_eq!(memo.occupancy(), (0, 0));
+        assert_eq!(occupancy(&memo), (0, 0));
         assert_eq!(registry.counter("compile_memo_hits").get(), 0);
         assert_eq!(registry.counter("compile_memo_misses").get(), 3);
     }
