@@ -11,6 +11,7 @@
 //! computed from the result are therefore sound upper bounds of the true
 //! exceedance.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{check_probability, ProbError};
@@ -34,10 +35,12 @@ const MASS_TOLERANCE: f64 = 1e-9;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvolutionParams {
-    /// Points with probability below this threshold are folded into the
-    /// unbounded tail. The default (`1e-30`) is fifteen orders of magnitude
-    /// below the smallest target exceedance probability used in the paper
-    /// (`10⁻¹⁵`), so pruning is invisible at any probability of interest.
+    /// Pairwise products with probability below this threshold are never
+    /// formed: their mass is folded into the unbounded tail. The default
+    /// (`1e-30`) is fifteen orders of magnitude below the smallest target
+    /// exceedance probability used in the paper (`10⁻¹⁵`), so pruning is
+    /// invisible at any probability of interest. Zero (or less) prunes
+    /// nothing.
     pub prune_epsilon: f64,
     /// Maximum number of support points kept after a convolution. When the
     /// exact support is larger, adjacent points are merged by moving mass
@@ -74,7 +77,7 @@ pub struct ExceedancePoint {
 /// as "larger than every finite support point" (effectively `+∞`). Fresh
 /// distributions have zero tail; tails appear only through explicit pruning
 /// during convolution and remain below [`ConvolutionParams::prune_epsilon`]
-/// times the number of merged points.
+/// times the number of pruned products.
 ///
 /// # Example
 ///
@@ -147,19 +150,13 @@ impl DiscreteDistribution {
             return Err(ProbError::EmptySupport);
         }
         collected.sort_by_key(|&(v, _)| v);
-        let mut merged: Vec<(u64, f64)> = Vec::with_capacity(collected.len());
-        for (value, prob) in collected {
-            match merged.last_mut() {
-                Some((last_value, last_prob)) if *last_value == value => *last_prob += prob,
-                _ => merged.push((value, prob)),
-            }
-        }
-        let total: f64 = merged.iter().map(|&(_, p)| p).sum();
+        merge_equal_values(&mut collected);
+        let total: f64 = collected.iter().map(|&(_, p)| p).sum();
         if total > 1.0 + MASS_TOLERANCE {
             return Err(ProbError::MassExceedsOne(total));
         }
         Ok(Self {
-            points: merged,
+            points: collected,
             tail: 0.0,
         })
     }
@@ -236,12 +233,6 @@ impl DiscreteDistribution {
             }
             exceed += prob;
         }
-        // All mass may sit above p; then even value 0 fails... except the
-        // smallest support point always satisfies "exceedance ≤ p" only if
-        // exceed without it is ≤ p. If nothing matched, no finite quantile.
-        if answer.is_none() && exceed <= p {
-            answer = self.points.first().map(|&(v, _)| v);
-        }
         answer
     }
 
@@ -252,17 +243,16 @@ impl DiscreteDistribution {
     /// only raise penalties.
     #[must_use]
     pub fn scale_values(&self, factor: u64) -> Self {
-        let points = self
+        let mut points: Vec<(u64, f64)> = self
             .points
             .iter()
             .map(|&(v, p)| (v.saturating_mul(factor), p))
             .collect();
-        let mut scaled = Self {
+        merge_equal_values(&mut points);
+        Self {
             points,
             tail: self.tail,
-        };
-        scaled.merge_duplicates();
-        scaled
+        }
     }
 
     /// Convolution (distribution of the sum of two independent variables)
@@ -278,98 +268,39 @@ impl DiscreteDistribution {
     /// distributions because cache sets fail and are analyzed independently
     /// (§II-C). Tails combine as "either addend is unbounded". Finite sums
     /// saturate at `u64::MAX` (conservatively high).
+    ///
+    /// No product below [`ConvolutionParams::prune_epsilon`] is formed:
+    /// each left point meets the right operand's points in descending
+    /// probability order, multiplies only while the product clears ε, and
+    /// adds its probability times the right operand's remaining mass to
+    /// the tail. The surviving products are summed per value in a dense
+    /// accumulator when they fill enough of their value range, and sorted
+    /// and merged otherwise; both paths add each value's products in the
+    /// same order, so the choice never changes a bit of the result.
     #[must_use]
     pub fn convolve_with(&self, other: &Self, params: &ConvolutionParams) -> Self {
-        let finite_a: f64 = self.points.iter().map(|&(_, p)| p).sum();
-        let finite_b: f64 = other.points.iter().map(|&(_, p)| p).sum();
-        // P(result unbounded) = P(A unbounded) + P(B unbounded) − both, plus
-        // cross terms with the finite parts; equivalently:
-        let tail = self.tail * (finite_b + other.tail) + other.tail * finite_a;
-
-        let mut result = Self {
-            points: Vec::new(),
-            tail,
-        };
-        if let Some(points) = self.dense_products(other, params, &mut result.tail) {
-            result.points = points;
-        } else {
-            let mut sums: Vec<(u64, f64)> =
-                Vec::with_capacity(self.points.len() * other.points.len());
-            for &(va, pa) in &self.points {
-                for &(vb, pb) in &other.points {
-                    sums.push((va.saturating_add(vb), pa * pb));
-                }
+        let products = Products::new(self, other, params.prune_epsilon);
+        // Zeroing and scanning the range must not dwarf the
+        // `count · log(count)` sort it replaces.
+        let points = match products.span() {
+            Some((base, slots)) if slots <= products.count.saturating_mul(16).max(4096) => {
+                products.accumulate_dense(base, slots)
             }
-            sums.sort_by_key(|&(v, _)| v);
-            result.points = sums;
-            result.merge_duplicates();
-            result.prune_epsilon(params);
-        }
-        result.compact(params);
-        result
+            _ => products.sort_and_merge(),
+        };
+        Self::from_merged(points, products.tail, params)
     }
 
-    /// All pairwise sums of two supports, sorted with equal sums merged
-    /// and ε-pruned — computed through a dense accumulator array when the
-    /// sum span is compact, instead of materializing and sorting every
-    /// product.
-    ///
-    /// **Bit-identical** to the sort, merge and [`prune_epsilon`] path:
-    /// the stable sort keeps equal sums in (left index, right index)
-    /// lexicographic generation order, and the dense accumulation adds
-    /// each slot's products in that exact order. The slot scan prunes as
-    /// it goes: a slot below `prune_epsilon` is added to `tail` in
-    /// ascending value order, exactly as [`prune_epsilon`] folds it, so
-    /// only the survivors are ever collected. Returns `None` when the span
-    /// is too wide relative to the product count (sorting is cheaper),
-    /// when a sum overflows (the sparse path saturates), or when
-    /// `prune_epsilon` is zero — an exact-zero product (possible only by
-    /// underflow) is dropped by the dense scan but kept as an explicit
-    /// point by the sparse path, and only a positive pruning threshold
-    /// makes those two agree (both fold it into the tail).
-    ///
-    /// [`prune_epsilon`]: Self::prune_epsilon
-    fn dense_products(
-        &self,
-        other: &Self,
+    /// A distribution over value-sorted, merged `points` and `tail`, with
+    /// an oversized support compacted to `params.max_support` points.
+    pub(crate) fn from_merged(
+        points: Vec<(u64, f64)>,
+        tail: f64,
         params: &ConvolutionParams,
-        tail: &mut f64,
-    ) -> Option<Vec<(u64, f64)>> {
-        if params.prune_epsilon <= 0.0 {
-            return None;
-        }
-        let (&(a_lo, _), &(a_hi, _)) = (self.points.first()?, self.points.last()?);
-        let (&(b_lo, _), &(b_hi, _)) = (other.points.first()?, other.points.last()?);
-        let base = a_lo.checked_add(b_lo)?;
-        let top = a_hi.checked_add(b_hi)?;
-        let span = usize::try_from(top - base).ok()?;
-        let products = self.points.len().saturating_mul(other.points.len());
-        // Zeroing + scanning `span + 1` slots must not dwarf the
-        // `products · log(products)` sort it replaces; past 16× (or a hard
-        // cap on transient memory) fall back.
-        if span > products.saturating_mul(16).max(4096) || span >= (1 << 22) {
-            return None;
-        }
-        let mut acc = vec![0.0f64; span + 1];
-        for &(va, pa) in &self.points {
-            for &(vb, pb) in &other.points {
-                // In-range by construction: `va + vb ≤ top` and `top`
-                // did not overflow.
-                acc[(va + vb - base) as usize] += pa * pb;
-            }
-        }
-        let mut kept = Vec::new();
-        for (i, &p) in acc.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            if p < params.prune_epsilon {
-                *tail += p;
-            } else {
-                kept.push((base + i as u64, p));
-            }
-        }
-        Some(kept)
+    ) -> Self {
+        let mut result = Self { points, tail };
+        result.compact(params);
+        result
     }
 
     /// Convolves a sequence of independent distributions with a balanced
@@ -386,8 +317,8 @@ impl DiscreteDistribution {
     /// penalties, and the composition of conservative steps is
     /// conservative. Up to that pruning (and floating-point association)
     /// the result equals the left fold
-    /// ([`convolve_all_sequential`](Self::convolve_all_sequential), kept
-    /// as the reference for the property tests).
+    /// ([`reference::convolve_all_sequential`](crate::reference::convolve_all_sequential),
+    /// kept as the reference for the property tests).
     ///
     /// # Example
     ///
@@ -404,47 +335,38 @@ impl DiscreteDistribution {
     /// ```
     #[must_use]
     pub fn convolve_all(parts: &[Self], params: &ConvolutionParams) -> Self {
+        Self::reduce_tree(parts, |a, b| a.convolve_with(b, params))
+    }
+
+    /// The balanced reduction tree of [`convolve_all`](Self::convolve_all)
+    /// over any pairwise convolution `pair`.
+    pub(crate) fn reduce_tree(parts: &[Self], pair: impl Fn(&Self, &Self) -> Self) -> Self {
         // One tree level: convolve neighbor pairs, carry an odd leftover.
-        fn reduce_level(
-            level: &[DiscreteDistribution],
-            params: &ConvolutionParams,
-        ) -> Vec<DiscreteDistribution> {
+        let reduce_level = |level: &[Self]| -> Vec<Self> {
             level
                 .chunks(2)
                 .map(|chunk| match chunk {
-                    [a, b] => a.convolve_with(b, params),
+                    [a, b] => pair(a, b),
                     [odd] => odd.clone(),
                     _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
                 })
                 .collect()
-        }
+        };
 
         match parts {
             [] => Self::zero(),
             // Match the fold semantics: a single part is still pruned.
-            [only] => Self::zero().convolve_with(only, params),
+            [only] => pair(&Self::zero(), only),
             _ => {
                 // The first level borrows `parts` directly — no upfront
                 // clone of the whole input.
-                let mut level = reduce_level(parts, params);
+                let mut level = reduce_level(parts);
                 while level.len() > 1 {
-                    level = reduce_level(&level, params);
+                    level = reduce_level(&level);
                 }
                 level.pop().expect("non-empty input leaves one root")
             }
         }
-    }
-
-    /// The quadratic left-fold reference implementation of
-    /// [`convolve_all`](Self::convolve_all) (kept for the equivalence
-    /// property tests).
-    #[must_use]
-    pub fn convolve_all_sequential(parts: &[Self], params: &ConvolutionParams) -> Self {
-        let mut acc = Self::zero();
-        for part in parts {
-            acc = acc.convolve_with(part, params);
-        }
-        acc
     }
 
     /// The full complementary cumulative distribution as a step function:
@@ -468,38 +390,10 @@ impl DiscreteDistribution {
         result
     }
 
-    /// Merges equal adjacent values (requires `points` sorted by value).
-    fn merge_duplicates(&mut self) {
-        let mut merged: Vec<(u64, f64)> = Vec::with_capacity(self.points.len());
-        for &(value, prob) in &self.points {
-            match merged.last_mut() {
-                Some((last_value, last_prob)) if *last_value == value => *last_prob += prob,
-                _ => merged.push((value, prob)),
-            }
-        }
-        self.points = merged;
-    }
-
-    /// Step 1 of the conservative pruning strategy described in
-    /// [`ConvolutionParams`]: folds sub-epsilon probabilities into the
-    /// unbounded tail, in ascending value order.
-    fn prune_epsilon(&mut self, params: &ConvolutionParams) {
-        if params.prune_epsilon > 0.0 {
-            let mut kept = Vec::with_capacity(self.points.len());
-            for &(value, prob) in &self.points {
-                if prob < params.prune_epsilon {
-                    self.tail += prob;
-                } else {
-                    kept.push((value, prob));
-                }
-            }
-            self.points = kept;
-        }
-    }
-
-    /// Step 2 of the pruning strategy: compacts an oversized support by
-    /// merging runs of adjacent points; each run's mass moves to the
-    /// run's *largest* value.
+    /// The second step of the pruning strategy (after the ε cut of
+    /// [`convolve_with`](Self::convolve_with)): compacts an oversized
+    /// support by merging runs of adjacent points; each run's mass moves
+    /// to the run's *largest* value.
     fn compact(&mut self, params: &ConvolutionParams) {
         let len = self.points.len();
         let max = params.max_support.max(2);
@@ -539,6 +433,165 @@ impl fmt::Display for DiscreteDistribution {
             write!(f, "∞: {:.3e}", self.tail)?;
         }
         write!(f, "}}")
+    }
+}
+
+/// Merges runs of equal values in a value-sorted list in place, adding
+/// each run's probabilities in list order.
+pub(crate) fn merge_equal_values(points: &mut Vec<(u64, f64)>) {
+    points.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+}
+
+/// The products of one pairwise convolution that clear ε, generated left
+/// point by left point, each left point's row in the right operand's
+/// order, and the result's tail. Both accumulation paths consume this one
+/// sequence.
+struct Products<'a> {
+    left: &'a [(u64, f64)],
+    /// The right operand: in value order when every product clears ε,
+    /// else in descending probability order (equal probabilities in value
+    /// order).
+    right: Cow<'a, [(u64, f64)]>,
+    /// Per left point, how many leading right points it multiplies; `None`
+    /// when every product clears ε.
+    cuts: Option<Vec<usize>>,
+    /// How many products clear ε.
+    count: usize,
+    /// The smallest and largest sum among them; `None` when there are
+    /// none or a sum overflows.
+    range: Option<(u64, u64)>,
+    /// The result's tail: the operands' tails combined, plus the mass of
+    /// every cut product.
+    tail: f64,
+}
+
+impl<'a> Products<'a> {
+    /// Cuts each left point's row where its products fall below
+    /// `epsilon`. A non-positive (or NaN) `epsilon` cuts nothing.
+    fn new(a: &'a DiscreteDistribution, b: &'a DiscreteDistribution, epsilon: f64) -> Self {
+        let epsilon = epsilon.max(0.0);
+        let (left, right) = (&a.points[..], &b.points[..]);
+        let finite = |points: &[(u64, f64)]| points.iter().map(|&(_, p)| p).sum::<f64>();
+        // P(result unbounded) = P(A unbounded) + P(B unbounded) − both, plus
+        // cross terms with the finite parts; equivalently:
+        let mut tail = a.tail * (finite(right) + b.tail) + b.tail * finite(left);
+        let smallest =
+            |points: &[(u64, f64)]| points.iter().map(|&(_, p)| p).fold(f64::INFINITY, f64::min);
+        // When even the smallest product clears ε there is nothing to cut:
+        // skip the ordering, the suffix masses and the per-point search.
+        if smallest(left) * smallest(right) >= epsilon {
+            let range = match (left.first(), left.last(), right.first(), right.last()) {
+                (Some(&(a_lo, _)), Some(&(a_hi, _)), Some(&(b_lo, _)), Some(&(b_hi, _))) => {
+                    a_lo.checked_add(b_lo).zip(a_hi.checked_add(b_hi))
+                }
+                _ => None,
+            };
+            return Self {
+                left,
+                right: Cow::Borrowed(right),
+                cuts: None,
+                count: left.len() * right.len(),
+                range,
+                tail,
+            };
+        }
+
+        // Values are distinct, so the order is total and an unstable sort
+        // is deterministic.
+        let mut order = right.to_vec();
+        order.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        // `rest[j]`: the mass of `order[j..]`, summed from the smallest, and
+        // the smallest and largest value in `order[..j]`.
+        let mut rest = vec![(0.0, u64::MAX, 0); order.len() + 1];
+        for (j, &(v, _)) in order.iter().enumerate() {
+            let (_, lo, hi) = rest[j];
+            rest[j + 1] = (0.0, lo.min(v), hi.max(v));
+        }
+        for j in (0..order.len()).rev() {
+            rest[j].0 = rest[j + 1].0 + order[j].1;
+        }
+        let mut cuts = Vec::with_capacity(left.len());
+        let mut count = 0;
+        let mut range = Some((u64::MAX, 0));
+        for &(va, pa) in left {
+            // `pa · pb` falls monotonically along `order`.
+            let cut = order.partition_point(|&(_, pb)| pa * pb >= epsilon);
+            let (mass, lo, hi) = rest[cut];
+            tail += pa * mass;
+            if cut > 0 {
+                range = range.and_then(|(min, max)| {
+                    Some((min.min(va.checked_add(lo)?), max.max(va.checked_add(hi)?)))
+                });
+            }
+            cuts.push(cut);
+            count += cut;
+        }
+        Self {
+            left,
+            right: Cow::Owned(order),
+            cuts: Some(cuts),
+            count,
+            range: range.filter(|_| count > 0),
+            tail,
+        }
+    }
+
+    /// Calls `emit(sum, product)` for every product that clears ε, in
+    /// generation order.
+    fn for_each(&self, mut emit: impl FnMut(u64, f64)) {
+        for (i, &(va, pa)) in self.left.iter().enumerate() {
+            let cut = self.cuts.as_ref().map_or(self.right.len(), |cuts| cuts[i]);
+            for &(vb, pb) in &self.right[..cut] {
+                emit(va.saturating_add(vb), pa * pb);
+            }
+        }
+    }
+
+    /// The dense accumulator's base value and slot count: `None` when no
+    /// product survives, a sum overflows, or the range is too wide to
+    /// allocate.
+    fn span(&self) -> Option<(u64, usize)> {
+        let (lo, hi) = self.range?;
+        let slots = usize::try_from(hi - lo).ok()?.checked_add(1)?;
+        (slots <= 1 << 22).then_some((lo, slots))
+    }
+
+    /// Sums the products per value in `slots` dense slots from `base`
+    /// (taken from [`span`](Self::span)). A slot left at zero is no point.
+    fn accumulate_dense(&self, base: u64, slots: usize) -> Vec<(u64, f64)> {
+        let mut acc = vec![0.0f64; slots];
+        // In range by construction: every sum lies in `range`, so it
+        // neither saturated nor falls outside the slots.
+        self.for_each(|v, p| acc[(v - base) as usize] += p);
+        let mut points: Vec<(u64, f64)> = acc
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p > 0.0)
+            .map(|(i, &p)| (base + i as u64, p))
+            .collect();
+        points.shrink_to_fit();
+        points
+    }
+
+    /// Sorts the products by value and merges equal sums in place. The
+    /// sort is stable, so each value adds its products in generation order
+    /// — the dense path's order.
+    fn sort_and_merge(&self) -> Vec<(u64, f64)> {
+        let mut sums = Vec::with_capacity(self.count);
+        self.for_each(|v, p| sums.push((v, p)));
+        sums.sort_by_key(|&(v, _)| v);
+        merge_equal_values(&mut sums);
+        // An exact-zero product (possible only by underflow when nothing is
+        // cut) leaves no point, as in the dense path.
+        sums.retain(|&(_, p)| p > 0.0);
+        sums.shrink_to_fit();
+        sums
     }
 }
 
@@ -750,7 +803,7 @@ mod tests {
             .map(|s| dist(&[(0, 0.9), (3 * s, 0.06), (10 * s, 0.04)]))
             .collect();
         let tree = DiscreteDistribution::convolve_all(&parts, &params);
-        let fold = DiscreteDistribution::convolve_all_sequential(&parts, &params);
+        let fold = crate::reference::convolve_all_sequential(&parts, &params);
         assert_eq!(tree.support_len(), fold.support_len());
         assert!((tree.total_mass() - fold.total_mass()).abs() < 1e-12);
         for (&(vt, pt), &(vf, pf)) in tree.points().iter().zip(fold.points()) {
@@ -759,56 +812,18 @@ mod tests {
         }
     }
 
-    /// The sort-and-merge reference `convolve_with` (the pre-dense-path
-    /// algorithm, reproduced verbatim) — the dense accumulator, with its
-    /// fused ε-prune, must match it bit for bit in points and tail
-    /// whenever it engages.
-    fn reference_convolve(
-        a: &DiscreteDistribution,
-        b: &DiscreteDistribution,
-        params: &ConvolutionParams,
-    ) -> (Vec<(u64, f64)>, f64) {
-        let finite_a: f64 = a.points().iter().map(|&(_, p)| p).sum();
-        let finite_b: f64 = b.points().iter().map(|&(_, p)| p).sum();
-        let mut tail = a.tail_mass() * (finite_b + b.tail_mass()) + b.tail_mass() * finite_a;
-        let mut sums: Vec<(u64, f64)> = Vec::new();
-        for &(va, pa) in a.points() {
-            for &(vb, pb) in b.points() {
-                sums.push((va.saturating_add(vb), pa * pb));
-            }
-        }
-        sums.sort_by_key(|&(v, _)| v);
-        let mut merged: Vec<(u64, f64)> = Vec::new();
-        for (value, prob) in sums {
-            match merged.last_mut() {
-                Some((lv, lp)) if *lv == value => *lp += prob,
-                _ => merged.push((value, prob)),
-            }
-        }
-        // Mirror pruning step 1, folding in ascending value order (no
-        // compaction: supports stay tiny here).
-        let mut kept = Vec::new();
-        for (value, prob) in merged {
-            if prob < params.prune_epsilon {
-                tail += prob;
-            } else {
-                kept.push((value, prob));
-            }
-        }
-        (kept, tail)
-    }
-
     #[test]
     fn dense_accumulation_is_bit_identical_to_sorted_merge() {
-        let params = ConvolutionParams::default();
         // Mixed shapes: overlapping sums (exercises per-slot accumulation
-        // order), tiny probabilities (exercises epsilon pruning), strided
-        // values (exercises sparse slot skipping). The last two put dense
-        // slots below `prune_epsilon` (1e-40 and 1e-34 products, several
-        // per product set, some sharing a slot), so the fused scan folds
-        // them into the tail in slot order; one carries a tail already.
+        // order), tiny probabilities (exercises the ε cut), strided values
+        // (exercises sparse slot skipping). The last two cut rows (1e-40
+        // and 1e-34 products, several per row, some sharing a value) and
+        // one carries a tail already. Each pair runs at the default ε and
+        // at ε = 0, which cuts nothing.
         let mut tailed = dist(&[(0, 0.5), (3, 0.25), (5, 0.25 - 1e-20)]);
         tailed.tail = 1e-20;
+        // Its square underflows to exact-zero products when nothing is cut.
+        let underflow = dist(&[(0, 1.0 - 1e-200), (5, 1e-200)]);
         let cases = [
             dist(&[(0, 0.9), (7, 0.06), (164, 0.04)]),
             dist(&[(0, 0.5), (1, 0.25), (2, 0.125), (3, 0.125)]),
@@ -817,30 +832,61 @@ mod tests {
             dist(&[(0, 1.0 - 3e-20), (2, 1e-20), (3, 1e-20), (9, 1e-20)]),
             tailed,
         ];
-        let mut pruned_tails = 0;
-        for a in &cases {
-            for b in &cases {
-                let got = a.convolve_with(b, &params);
-                let (points, tail) = reference_convolve(a, b, &params);
-                assert_eq!(got.points(), &points[..], "diverged for {a} x {b}");
-                assert_eq!(
-                    got.tail_mass().to_bits(),
-                    tail.to_bits(),
-                    "tail of {a} x {b}"
+        let uncut = ConvolutionParams {
+            prune_epsilon: 0.0,
+            ..ConvolutionParams::default()
+        };
+        let (mut cut_calls, mut uncut_calls) = (0, 0);
+        let pairs = cases
+            .iter()
+            .flat_map(|a| cases.iter().map(move |b| (a, b)))
+            .chain([(&underflow, &underflow)]);
+        for (a, b) in pairs {
+            for params in [ConvolutionParams::default(), uncut] {
+                let products = Products::new(a, b, params.prune_epsilon);
+                let (base, slots) = products.span().expect("small spans fit");
+                let dense = DiscreteDistribution::from_merged(
+                    products.accumulate_dense(base, slots),
+                    products.tail,
+                    &params,
                 );
-                if tail > 0.0 {
-                    pruned_tails += 1;
+                let sorted = DiscreteDistribution::from_merged(
+                    products.sort_and_merge(),
+                    products.tail,
+                    &params,
+                );
+                let bits = |d: &DiscreteDistribution| {
+                    let points: Vec<(u64, u64)> =
+                        d.points().iter().map(|&(v, p)| (v, p.to_bits())).collect();
+                    (points, d.tail_mass().to_bits())
+                };
+                assert_eq!(bits(&dense), bits(&sorted), "diverged for {a} x {b}");
+                assert_eq!(a.convolve_with(b, &params), dense, "{a} x {b}");
+                if products.cuts.is_some() {
+                    cut_calls += 1;
+                } else {
+                    uncut_calls += 1;
                 }
             }
         }
-        assert!(pruned_tails > 0, "some products fell below prune_epsilon");
-        // A span too wide for the dense path must still be correct (falls
-        // back to the sort) and identical to the reference.
+        assert!(
+            cut_calls > 0 && uncut_calls > 0,
+            "both generation orders ran"
+        );
+        assert_eq!(
+            underflow.convolve_with(&underflow, &uncut).support_len(),
+            2,
+            "exact-zero products leave no point"
+        );
+        // A span too wide for the dense path sorts; nothing is cut, so it
+        // forms the oracle's products in the oracle's order.
         let wide = dist(&[(0, 0.5), (u64::MAX / 2, 0.5)]);
+        let params = ConvolutionParams::default();
+        assert_eq!(Products::new(&wide, &cases[0], 1e-30).span(), None);
         let got = wide.convolve_with(&cases[0], &params);
-        let (points, tail) = reference_convolve(&wide, &cases[0], &params);
-        assert_eq!(got.points(), &points[..]);
-        assert_eq!(got.tail_mass().to_bits(), tail.to_bits());
+        let oracle = crate::reference::convolve_with(&wide, &cases[0], &params);
+        assert_eq!(got.points(), oracle.points());
+        assert_eq!(got.tail_mass().to_bits(), oracle.tail_mass().to_bits());
     }
 
     #[test]
@@ -854,7 +900,7 @@ mod tests {
         let single = [dist(&[(5, 0.5), (9, 0.5)])];
         assert_eq!(
             DiscreteDistribution::convolve_all(&single, &params),
-            DiscreteDistribution::convolve_all_sequential(&single, &params)
+            crate::reference::convolve_all_sequential(&single, &params)
         );
     }
 }

@@ -10,9 +10,13 @@
 //! * [`DiscreteDistribution`] — sparse, integer-supported probability
 //!   distributions used for per-set fault penalties, combined across
 //!   independent sets by [`DiscreteDistribution::convolve`]. Convolution
-//!   never *drops* probability mass: points below the pruning threshold are
-//!   folded into an unbounded tail bucket, so every exceedance value computed
-//!   from the result is a sound upper bound of the true exceedance.
+//!   never *drops* probability mass: it forms no pairwise product below the
+//!   pruning threshold and folds the mass of those products into an
+//!   unbounded tail bucket, so every exceedance value computed from the
+//!   result is a sound upper bound of the true exceedance.
+//! * [`reference`] — the frozen convolution oracle (every product formed,
+//!   merged points pruned) the soundness suites compare the production
+//!   kernel against.
 //!
 //! # Example
 //!
@@ -37,6 +41,7 @@ mod binomial;
 mod distribution;
 mod error;
 mod model;
+pub mod reference;
 
 pub use binomial::{binomial_coefficient, binomial_pmf};
 pub use distribution::{ConvolutionParams, DiscreteDistribution, ExceedancePoint};

@@ -1,7 +1,7 @@
 //! Property-based tests for the probability substrate.
 
 use proptest::prelude::*;
-use pwcet_prob::{binomial_pmf, ConvolutionParams, DiscreteDistribution, FaultModel};
+use pwcet_prob::{binomial_pmf, reference, ConvolutionParams, DiscreteDistribution, FaultModel};
 
 /// Strategy: a small well-formed distribution (mass exactly 1, ≤ 6 points).
 fn arb_distribution() -> impl Strategy<Value = DiscreteDistribution> {
@@ -92,6 +92,26 @@ proptest! {
             prop_assert!(
                 pruned.exceedance(v) >= exact.exceedance(v) - 1e-12,
                 "pruned exceedance at {} dropped below exact", v
+            );
+        }
+    }
+
+    #[test]
+    fn cut_products_never_lower_exceedance_below_the_oracle(
+        a in arb_distribution(),
+        b in arb_distribution(),
+        eps in 1e-4f64..1e-1,
+    ) {
+        // Production cuts every product below ε; the frozen kernel prunes
+        // only merged points below ε, so it never moves more mass up.
+        let params = ConvolutionParams { prune_epsilon: eps, ..ConvolutionParams::default() };
+        let got = a.convolve_with(&b, &params);
+        let oracle = reference::convolve_with(&a, &b, &params);
+        prop_assert!((got.total_mass() - oracle.total_mass()).abs() < 1e-12);
+        for &(v, _) in got.points().iter().chain(oracle.points()) {
+            prop_assert!(
+                got.exceedance(v) >= oracle.exceedance(v) * (1.0 - 1e-12),
+                "exceedance at {} fell below the oracle's", v
             );
         }
     }

@@ -6,11 +6,13 @@
 //! reproduce, bit for bit, every bound of a pipeline built only from the
 //! frozen oracles (`tests/oracle/mod.rs`: set-based cold fixpoints and
 //! one dense tableau per ILP): fault-free WCETs, every fault-miss-map
-//! cell, and every SRB column, hence every pWCET quantile. A
-//! category-spanning subset and eight small seeded random programs run
-//! always on; the complete 25-benchmark suite and eight default-size
-//! random programs are `#[ignore]`d for the nightly CI
-//! `--include-ignored` step.
+//! cell, and every SRB column. Each penalty distribution must be sound
+//! against the frozen convolution's over the same bounds: its exceedance
+//! never below the oracle's. A category-spanning subset and eight small
+//! seeded random programs run always on, and so does the composition
+//! check over the whole suite (on production bounds); the complete
+//! 25-benchmark suite and eight default-size random programs are
+//! `#[ignore]`d for the nightly CI `--include-ignored` step.
 //! The solver-level random-instance equivalence lives in
 //! `crates/ilp/tests/properties.rs`.
 
@@ -19,7 +21,7 @@ mod oracle;
 use std::sync::Arc;
 
 use fault_aware_pwcet::benchsuite;
-use fault_aware_pwcet::core::{AnalysisConfig, Parallelism, PwcetAnalyzer, ReusePlane};
+use fault_aware_pwcet::core::{AnalysisConfig, Parallelism, Protection, PwcetAnalyzer, ReusePlane};
 use fault_aware_pwcet::progen::{GeneratorConfig, Program, ProgramGenerator};
 
 /// The category-spanning subset the always-on tests use (same population
@@ -155,6 +157,39 @@ fn derived_geometry_sweep_matches_dense_reference_per_point() {
 fn sparse_bounds_match_dense_reference_across_the_entire_suite() {
     for bench in benchsuite::all() {
         assert_benchmark_equivalent(bench.name);
+    }
+}
+
+#[test]
+fn suite_penalty_distributions_are_sound_against_the_convolution_oracle() {
+    // Production prunes products below ε, the oracle merged points: only
+    // mass moved up to the tail tells them apart, and none of the targets
+    // the suite answers sits within reach of it.
+    let config = config();
+    let analyzer = PwcetAnalyzer::new(config);
+    for bench in benchsuite::all() {
+        let analysis = analyzer.analyze(&bench.program).expect("analyzes");
+        let bounds = oracle::Bounds {
+            fault_free_wcet: analysis.fault_free_wcet(),
+            fmm: analysis.fmm().clone(),
+            srb_last_column: analysis.srb_last_column().to_vec(),
+        };
+        for protection in Protection::all() {
+            let what = format!("{}/{protection}", bench.name);
+            let estimate = analysis.estimate(protection);
+            let oracle = oracle::reference_penalty(&bounds, &config, protection);
+            oracle::assert_penalty_sound(&what, estimate.penalty_distribution(), &oracle);
+            for target in [1e-9, 1e-12, 1e-15, 1e-18] {
+                let quantile = oracle
+                    .quantile(target)
+                    .expect("the tail is below the target");
+                assert_eq!(
+                    estimate.pwcet_at(target),
+                    bounds.fault_free_wcet + quantile,
+                    "{what}: pWCET at {target:e}"
+                );
+            }
+        }
     }
 }
 
