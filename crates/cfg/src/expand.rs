@@ -34,11 +34,6 @@ impl Context {
         &self.call_string
     }
 
-    /// `true` for the root (`main`) context.
-    pub fn is_root(&self) -> bool {
-        self.call_string.is_empty()
-    }
-
     /// The context obtained by entering a call at `site`.
     #[must_use]
     pub fn push(&self, site: u32) -> Context {

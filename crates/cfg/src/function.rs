@@ -296,11 +296,6 @@ impl FunctionCfg {
     pub fn call_at(&self, block: BlockId) -> Option<&CallSite> {
         self.calls.iter().find(|c| c.block == block)
     }
-
-    /// The block starting at `addr`, if any.
-    pub fn block_at(&self, addr: u32) -> Option<BlockId> {
-        self.blocks.iter().find(|b| b.start() == addr).map(|b| b.id)
-    }
 }
 
 #[cfg(test)]

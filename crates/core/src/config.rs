@@ -3,7 +3,7 @@
 use pwcet_analysis::ClassificationMode;
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_par::Parallelism;
-use pwcet_prob::{ConvolutionParams, FaultModel};
+use pwcet_prob::FaultModel;
 
 /// All parameters of a pWCET analysis run.
 ///
@@ -18,8 +18,6 @@ pub struct AnalysisConfig {
     pub timing: CacheTiming,
     /// Permanent-fault model (per-bit failure probability).
     pub fault_model: FaultModel,
-    /// Convolution pruning parameters.
-    pub convolution: ConvolutionParams,
     /// Base address programs are compiled at.
     pub code_base: u32,
     /// How fan-out stages (classification levels, per-`(set, fault)` ILP
@@ -40,7 +38,6 @@ impl AnalysisConfig {
             geometry: CacheGeometry::paper_default(),
             timing: CacheTiming::paper_default(),
             fault_model: FaultModel::new(1e-4).expect("1e-4 is a valid probability"),
-            convolution: ConvolutionParams::default(),
             code_base: 0x0040_0000,
             parallelism: Parallelism::Auto,
             classification: ClassificationMode::Incremental,

@@ -37,10 +37,10 @@ use pwcet_analysis::{
 };
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
-use pwcet_ilp::{SolveStats, SolveStatsCell};
+use pwcet_ilp::SolveStats;
 use pwcet_ipet::{BasisSnapshot, IpetTemplate, TemplateRegistry};
 use pwcet_par::{par_for_each_index, par_join, Admission, Memo, Parallelism};
-use pwcet_prob::{ConvolutionParams, DiscreteDistribution, FaultModel};
+use pwcet_prob::{DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{
@@ -58,33 +58,25 @@ use crate::reuse_plane::LateCorruption;
 pub type SetRefIndex = Vec<Vec<(NodeId, usize)>>;
 
 /// Retention cap on one solve entry's penalty memo, counting first-seen
-/// markers and stored distributions alike: sixteen fault-model and
-/// convolution settings under each of the three protections. Repeat
-/// traffic touches a few; the cap bounds what a long-lived context keeps
-/// when a client sweeps many distinct settings over it.
+/// markers and stored distributions alike: sixteen fault models under
+/// each of the three protections. Repeat traffic touches a few; the cap
+/// bounds what a long-lived context keeps when a client sweeps many
+/// distinct `pfail` values over it.
 const PENALTY_MEMO_CAP: usize = 48;
 
 /// What a penalty distribution depends on beyond its solve entry, which
-/// already fixes the geometry, the timing and the fault miss map. Floats
-/// are compared by bit pattern.
+/// already fixes the geometry, the timing and the fault miss map: the
+/// fault model's `pfail` (by bit pattern) and the protection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PenaltyKey {
     pfail: u64,
-    prune_epsilon: u64,
-    max_support: usize,
     protection: Protection,
 }
 
 impl PenaltyKey {
-    pub(crate) fn new(
-        fault_model: &FaultModel,
-        params: &ConvolutionParams,
-        protection: Protection,
-    ) -> Self {
+    pub(crate) fn new(fault_model: &FaultModel, protection: Protection) -> Self {
         Self {
             pfail: fault_model.pfail().to_bits(),
-            prune_epsilon: params.prune_epsilon.to_bits(),
-            max_support: params.max_support,
             protection,
         }
     }
@@ -206,9 +198,6 @@ pub struct AnalysisContext {
     /// across a geometry lattice — so derivation hands the `Arc` to
     /// siblings instead of rebuilding.
     set_refs: OnceLock<Arc<SetRefIndex>>,
-    /// Cumulative solver counters of every solve stage run over this
-    /// context.
-    ilp_stats: SolveStatsCell,
     /// Cumulative classification-kernel counters (worklist passes, slot
     /// words touched, dirty-skipped sets) of every fixpoint run over this
     /// context.
@@ -307,7 +296,6 @@ impl AnalysisContext {
             pending_basis: Mutex::new(None),
             cfg_fp: OnceLock::new(),
             set_refs: OnceLock::new(),
-            ilp_stats: SolveStatsCell::default(),
             kernel_stats: KernelStatsCell::default(),
         }
     }
@@ -738,17 +726,6 @@ impl AnalysisContext {
             }
         }
         groups
-    }
-
-    /// Adds one solve stage's solver counters to this context's total.
-    pub fn record_ilp_stats(&self, stats: &SolveStats) {
-        self.ilp_stats.record(stats);
-    }
-
-    /// Cumulative solver counters (pivots, branch-and-bound nodes,
-    /// warm-start hits…) over every solve stage run on this context.
-    pub fn ilp_stats(&self) -> SolveStats {
-        self.ilp_stats.snapshot()
     }
 
     /// Cumulative classification-kernel counters (worklist passes, slot

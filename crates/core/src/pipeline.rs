@@ -9,8 +9,9 @@
 //!    per-set SRB column ILPs (§III-B2) out across workers;
 //! 4. **Convolve** — combine per-set penalty distributions with the
 //!    balanced reduction tree of [`DiscreteDistribution::convolve_all`],
-//!    on the calling thread. The result is memoized beside the solve
-//!    artifacts per (fault model, convolution parameters, protection)
+//!    on the calling thread, under the default
+//!    [`ConvolutionParams`](pwcet_prob::ConvolutionParams). The result is
+//!    memoized beside the solve artifacts per (fault model, protection)
 //!    from that key's second computation on.
 //!
 //! The sequential mode ([`Parallelism::Sequential`]) runs the identical
@@ -26,7 +27,7 @@ use pwcet_ilp::SolveStats;
 use pwcet_ipet::{CostModel, RefCost};
 use pwcet_mips::BinaryImage;
 use pwcet_par::{par_map, Parallelism};
-use pwcet_prob::DiscreteDistribution;
+use pwcet_prob::{ConvolutionParams, DiscreteDistribution};
 use pwcet_progen::{CompiledProgram, Program};
 
 use crate::config::AnalysisConfig;
@@ -223,21 +224,17 @@ impl PwcetAnalyzer {
         let (solved, stats) = context.solve_artifacts(self.config.timing, || {
             solve_protection_independent(context, &self.config)
         })?;
-        // Solver behavior is observable per context (tests) and per
-        // plane (the service metrics table). Stats come back only for
-        // the computation that was actually installed, so memoized
-        // re-requests — and discarded racing duplicates — record
-        // nothing.
-        if let Some(stats) = stats {
-            context.record_ilp_stats(&stats);
-            if let Some(plane) = &self.reuse {
-                plane.record_ilp_stats(&stats);
-                // Classification fixpoints recorded onto the context
-                // during this solve (the kernel counters accrue there as
-                // levels materialize); forward only the delta so a
-                // re-analyzed warm context is not double-counted.
-                plane.record_kernel_stats(&context.kernel_stats().delta_since(&kernel_before));
-            }
+        // Solver behavior is observable per plane (the service metrics
+        // table). Stats come back only for the computation that was
+        // actually installed, so memoized re-requests — and discarded
+        // racing duplicates — record nothing.
+        if let (Some(stats), Some(plane)) = (stats, &self.reuse) {
+            plane.record_ilp_stats(&stats);
+            // Classification fixpoints recorded onto the context during
+            // this solve (the kernel counters accrue there as levels
+            // materialize); forward only the delta so a re-analyzed warm
+            // context is not double-counted.
+            plane.record_kernel_stats(&context.kernel_stats().delta_since(&kernel_before));
         }
         Ok(ProgramAnalysis {
             config: self.config,
@@ -476,19 +473,15 @@ impl ProgramAnalysis {
     /// level: per-set binomial mixtures over the fault miss map, convolved
     /// across independent sets (§II-C) and scaled by the miss penalty.
     ///
-    /// The context memoizes the result per (fault model, convolution
-    /// parameters, protection): a key's first computation leaves a
-    /// marker, its second stores the distribution, and later requests on
-    /// the same resident context share that copy instead of convolving.
+    /// The context memoizes the result per (fault model, protection): a
+    /// key's first computation leaves a marker, its second stores the
+    /// distribution, and later requests on the same resident context
+    /// share that copy instead of convolving.
     pub fn penalty_distribution(&self, protection: Protection) -> Arc<DiscreteDistribution> {
         // Memo hits stay inside the span, so the stage breakdown still
         // reports the convolve stage of every estimate.
         let _span = pwcet_obs::stage_span(pwcet_obs::Stage::Convolve);
-        let key = PenaltyKey::new(
-            &self.config.fault_model,
-            &self.config.convolution,
-            protection,
-        );
+        let key = PenaltyKey::new(&self.config.fault_model, protection);
         let penalties = &self.solved.penalties;
         if let Some(stored) = penalties.get(&key) {
             return stored;
@@ -548,7 +541,7 @@ impl ProgramAnalysis {
             })
             .collect();
 
-        DiscreteDistribution::convolve_all(&per_set, &self.config.convolution)
+        DiscreteDistribution::convolve_all(&per_set, &ConvolutionParams::default())
             .scale_values(self.config.timing.miss_penalty_cycles())
     }
 

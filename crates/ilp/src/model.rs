@@ -101,11 +101,6 @@ impl SolveStats {
         self.trivial_prunes += other.trivial_prunes;
     }
 
-    /// Primal + dual pivots.
-    pub fn total_pivots(&self) -> u64 {
-        self.pivots + self.dual_pivots
-    }
-
     /// The counters as a self-describing name→value table (field names
     /// verbatim). This is what telemetry exposition serializes, so a
     /// new counter added here reaches the wire with no protocol change.

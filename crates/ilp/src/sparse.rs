@@ -90,12 +90,6 @@ impl LpWorkspace {
         Self::default()
     }
 
-    /// Whether the workspace holds a factored basis a next solve can
-    /// warm-start from.
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Exports the retained basis as a [`BasisSnapshot`], or `None`
     /// when the workspace is cold. Rows whose basic column is a retired
     /// phase-1 artificial (redundant rows) are exported as

@@ -10,7 +10,7 @@
 //!                        │ ShardPool: key % N shards, one worker and │
 //!                        │ a bounded queue each (overload ⇒ refusal) │
 //!                        └───────┬───────────────────────────────────┘
-//!                                │ analyze_compiled
+//!                                │ analyze_compiled, once per point
 //!                        ┌───────▼───────────────────────────────────┐
 //!                        │ shared Arc<ReusePlane>: memory / disk /   │
 //!                        │ derivation tiers + write-through persist  │
@@ -33,6 +33,14 @@
 //! fingerprinted twice, then never again while it stays among the
 //! memo's most recently used; the shard receives the shared
 //! `Arc<CompiledProgram>`.
+//!
+//! **One job path**: the connection thread validates each analysis verb
+//! and turns it into jobs of points, one [`AnalysisConfig`] each: one
+//! job of one point for `Analyze` and for each `Batch` program, one job
+//! of one point per `pfail` or per lattice geometry (widest first) for
+//! the sweeps. One submit path queues them, one worker loop
+//! (`Engine::execute`) answers every point with its tier and bounds, and
+//! the connection thread shapes the verb's response from the points.
 //!
 //! **Backpressure**: queues are bounded; a submission to a full shard is
 //! answered immediately with [`ErrorCode::Overloaded`] (connection stays
@@ -202,58 +210,25 @@ pub struct ServiceStats {
     pub disk_writes: u64,
 }
 
-/// What the shard workers execute. The compiled program is shared with
-/// the compile memo, so finishing a job drops a reference, not an image.
-enum Work {
-    Analyze {
-        compiled: Arc<CompiledProgram>,
-        pfail: f64,
-        target_p: f64,
-    },
-    SweepPfail {
-        compiled: Arc<CompiledProgram>,
-        pfails: Vec<f64>,
-        target_p: f64,
-    },
-    SweepGeometry {
-        compiled: Arc<CompiledProgram>,
-        lattice: GeometryLattice,
-        target_p: f64,
-    },
+/// What a shard worker executes: one compiled program analyzed at each
+/// of its points. The compiled program is shared with the compile memo,
+/// so finishing a job drops a reference, not an image.
+struct Work {
+    compiled: Arc<CompiledProgram>,
+    points: Vec<AnalysisConfig>,
+    target_p: f64,
 }
 
-/// A worker's answer, before the connection thread wraps it in a
-/// [`Response`] with the request latency.
-enum Outcome {
-    Row(AnalysisRow),
-    Pfail {
-        name: String,
-        served_from: ReuseTier,
-        rows: Vec<PfailRow>,
-    },
-    Geometry {
-        name: String,
-        served_from: ReuseTier,
-        rows: Vec<GeometryRow>,
-    },
-}
+/// One analyzed point: its configuration, the reuse tier that answered
+/// it, and `[wcet_ff, pwcet_none, pwcet_srb, pwcet_rw]` with the pWCETs
+/// at the job's `target_p`.
+type Point = (AnalysisConfig, ReuseTier, [u64; 4]);
 
-impl Outcome {
-    fn served_from(&self) -> ReuseTier {
-        match self {
-            Outcome::Row(row) => row.served_from,
-            Outcome::Pfail { served_from, .. } | Outcome::Geometry { served_from, .. } => {
-                *served_from
-            }
-        }
-    }
-}
-
-/// What a shard worker sends back: the outcome plus the `(stage,
+/// What a shard worker sends back: the job's points plus the `(stage,
 /// dur_us)` spans its trace scope collected (queue wait and service
 /// time included), from which the connection thread builds the
 /// response's stage-timing breakdown.
-type Reply = (Result<Outcome, String>, Vec<(Stage, u64)>);
+type Reply = (Result<Vec<Point>, String>, Vec<(Stage, u64)>);
 
 struct Job {
     work: Work,
@@ -358,88 +333,34 @@ impl Telemetry {
     }
 }
 
-/// Everything a shard worker touches: the shared plane and the
-/// per-shard analysis configuration.
+/// The shared plane every point is analyzed through, and the per-shard
+/// analysis configuration the connection thread derives points from.
 struct Engine {
     plane: Arc<ReusePlane>,
     config: AnalysisConfig,
 }
 
 impl Engine {
-    fn analyzer(&self, config: AnalysisConfig) -> PwcetAnalyzer {
-        PwcetAnalyzer::new(config).with_reuse_plane(Arc::clone(&self.plane))
-    }
-
-    fn execute(&self, work: Work) -> Result<Outcome, String> {
-        match work {
-            Work::Analyze {
-                compiled,
-                pfail,
-                target_p,
-            } => {
-                let config = self.config.with_pfail(pfail).map_err(|e| e.to_string())?;
-                let (analysis, tier) = self
-                    .analyzer(config)
-                    .analyze_compiled(&compiled)
+    /// Analyzes `work`'s program at each of its points, in order; the
+    /// first failing point fails the job.
+    fn execute(&self, work: Work) -> Result<Vec<Point>, String> {
+        work.points
+            .into_iter()
+            .map(|config| {
+                let (analysis, tier) = PwcetAnalyzer::new(config)
+                    .with_reuse_plane(Arc::clone(&self.plane))
+                    .analyze_compiled(&work.compiled)
                     .map_err(|e| e.to_string())?;
-                Ok(Outcome::Row(row_of(&analysis, tier, target_p)?))
-            }
-            Work::SweepPfail {
-                compiled,
-                pfails,
-                target_p,
-            } => {
-                let mut rows = Vec::with_capacity(pfails.len());
-                let mut served = None;
-                for pfail in pfails {
-                    let config = self.config.with_pfail(pfail).map_err(|e| e.to_string())?;
-                    let (analysis, tier) = self
-                        .analyzer(config)
-                        .analyze_compiled(&compiled)
-                        .map_err(|e| e.to_string())?;
-                    served.get_or_insert(tier);
-                    rows.push(PfailRow {
-                        pfail,
-                        pwcet_none: pwcet_at(&analysis, Protection::None, target_p)?,
-                        pwcet_srb: pwcet_at(&analysis, Protection::SharedReliableBuffer, target_p)?,
-                        pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p)?,
-                    });
-                }
-                Ok(Outcome::Pfail {
-                    name: compiled.name().to_string(),
-                    served_from: served.expect("sweeps are validated non-empty"),
-                    rows,
-                })
-            }
-            Work::SweepGeometry {
-                compiled,
-                lattice,
-                target_p,
-            } => {
-                let mut rows = Vec::with_capacity(lattice.len());
-                let mut served = None;
-                for geometry in lattice.members() {
-                    let mut config = self.config;
-                    config.geometry = geometry;
-                    let (analysis, tier) = self
-                        .analyzer(config)
-                        .analyze_compiled(&compiled)
-                        .map_err(|e| e.to_string())?;
-                    served.get_or_insert(tier);
-                    rows.push(GeometryRow {
-                        ways: geometry.ways(),
-                        pwcet_none: pwcet_at(&analysis, Protection::None, target_p)?,
-                        pwcet_srb: pwcet_at(&analysis, Protection::SharedReliableBuffer, target_p)?,
-                        pwcet_rw: pwcet_at(&analysis, Protection::ReliableWay, target_p)?,
-                    });
-                }
-                Ok(Outcome::Geometry {
-                    name: compiled.name().to_string(),
-                    served_from: served.expect("lattices are validated non-empty"),
-                    rows,
-                })
-            }
-        }
+                let pwcet = |protection| pwcet_at(&analysis, protection, work.target_p);
+                let bounds = [
+                    analysis.fault_free_wcet(),
+                    pwcet(Protection::None)?,
+                    pwcet(Protection::SharedReliableBuffer)?,
+                    pwcet(Protection::ReliableWay)?,
+                ];
+                Ok((config, tier, bounds))
+            })
+            .collect()
     }
 }
 
@@ -459,21 +380,6 @@ fn pwcet_at(
              penalty distribution ({protection}): the pWCET at target_p is unbounded",
             estimate.penalty_distribution().tail_mass()
         )
-    })
-}
-
-fn row_of(
-    analysis: &ProgramAnalysis,
-    tier: ReuseTier,
-    target_p: f64,
-) -> Result<AnalysisRow, String> {
-    Ok(AnalysisRow {
-        name: analysis.name().to_string(),
-        fault_free_wcet: analysis.fault_free_wcet(),
-        pwcet_none: pwcet_at(analysis, Protection::None, target_p)?,
-        pwcet_srb: pwcet_at(analysis, Protection::SharedReliableBuffer, target_p)?,
-        pwcet_rw: pwcet_at(analysis, Protection::ReliableWay, target_p)?,
-        served_from: tier,
     })
 }
 
@@ -684,8 +590,9 @@ impl Server {
             worker_telemetry.record_span(trace, Stage::Service, service_us);
             spans.insert(0, (Stage::QueueWait, queue_us));
             spans.push((Stage::Service, service_us));
-            if let Ok(outcome) = &result {
-                worker_telemetry.served_from(outcome.served_from()).inc();
+            // A job counts once, under its first point's tier.
+            if let Some((_, tier, _)) = result.as_ref().ok().and_then(|points| points.first()) {
+                worker_telemetry.served_from(*tier).inc();
             }
             worker_telemetry.served.inc();
             // The requester may have given up (connection died); a failed
@@ -1090,38 +997,39 @@ fn validate_probability(value: f64, what: &str) -> Result<(), Box<Response>> {
     Ok(())
 }
 
-fn validate_pfail(value: f64) -> Result<(), Box<Response>> {
-    if !(value.is_finite() && (0.0..=1.0).contains(&value)) {
-        return Err(Box::new(error_response(
+/// The server's analysis configuration at `pfail`: one point of an
+/// `Analyze`, `Batch` or `SweepPfail`, or the refusal of a `pfail`
+/// outside [0, 1].
+fn pfail_point(shared: &Shared, pfail: f64) -> Result<AnalysisConfig, Box<Response>> {
+    shared.engine.config.with_pfail(pfail).map_err(|_| {
+        Box::new(error_response(
             ErrorCode::InvalidRequest,
-            format!("pfail must be a probability in [0, 1], got {value}"),
-        )));
-    }
-    Ok(())
+            format!("pfail must be a probability in [0, 1], got {pfail}"),
+        ))
+    })
 }
 
 /// Runs one decoded request to completion, writing exactly one response.
 /// Returns whether the connection should stay open.
+///
+/// Every analysis verb becomes jobs of points: one job of one point for
+/// `Analyze`, one such job per program for `Batch`, one job of one point
+/// per `pfail` or per lattice geometry (widest first) for the sweeps.
+/// [`run_jobs`] runs them; the verb's response is shaped from the points.
 fn dispatch(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
     request: Request,
 ) -> std::io::Result<bool> {
     let started = Instant::now();
-    match request {
-        Request::Metrics => {
-            respond(
-                stream,
-                &Response::Metrics {
-                    entries: shared.metrics_table(),
-                },
-            )?;
-            Ok(true)
-        }
+    let response = match request {
+        Request::Metrics => Ok(Response::Metrics {
+            entries: shared.metrics_table(),
+        }),
         Request::Shutdown => {
             shared.stop.store(true, Ordering::Relaxed);
             respond(stream, &Response::ShutdownStarted)?;
-            Ok(false)
+            return Ok(false);
         }
         // Fleet verbs are answered inline on the connection thread —
         // never through the shards (they carry no analysis work) and
@@ -1141,16 +1049,14 @@ fn dispatch(
             if entry.is_some() {
                 shared.telemetry.peer_fetches_served.inc();
             }
-            respond(stream, &Response::Entry { key, entry })?;
-            Ok(true)
+            Ok(Response::Entry { key, entry })
         }
         Request::OfferEntry { key, entry } => {
             let stored = shared.engine.plane.import_entry(key, entry);
             if stored {
                 shared.telemetry.peer_offers_stored.inc();
             }
-            respond(stream, &Response::OfferAck { stored })?;
-            Ok(true)
+            Ok(Response::OfferAck { stored })
         }
         Request::Analyze {
             program,
@@ -1158,16 +1064,15 @@ fn dispatch(
             target_p,
             trace,
         } => {
-            let work = match prepare_analyze(shared, &program, pfail, target_p) {
-                Ok(work) => work,
-                Err(response) => {
-                    respond(stream, &response)?;
-                    return Ok(true);
+            let job = prepare_analyze(shared, &program, pfail, target_p);
+            run_jobs(shared, [job], trace, started, false).map(|(points, micros, stages)| {
+                Response::Analysis {
+                    row: analysis_row(&program, &points[0]),
+                    micros,
+                    trace,
+                    stages,
                 }
-            };
-            let response = run_job(shared, work, TraceId(trace), started);
-            respond(stream, &response)?;
-            Ok(true)
+            })
         }
         Request::Batch {
             programs,
@@ -1175,9 +1080,33 @@ fn dispatch(
             target_p,
             trace,
         } => {
-            let response = run_batch(shared, &programs, pfail, target_p, TraceId(trace), started);
-            respond(stream, &response)?;
-            Ok(true)
+            if programs.len() > MAX_BATCH_PROGRAMS {
+                Err(Box::new(error_response(
+                    ErrorCode::InvalidRequest,
+                    format!(
+                        "batch is capped at {MAX_BATCH_PROGRAMS} programs, got {}",
+                        programs.len()
+                    ),
+                )))
+            } else {
+                // Each program is prepared just before its submission, so
+                // a refusal stops the batch where it occurs.
+                let jobs = programs
+                    .iter()
+                    .map(|program| prepare_analyze(shared, program, pfail, target_p));
+                run_jobs(shared, jobs, trace, started, true).map(|(points, micros, stages)| {
+                    Response::Batch {
+                        rows: programs
+                            .iter()
+                            .zip(&points)
+                            .map(|(p, point)| analysis_row(p, point))
+                            .collect(),
+                        micros,
+                        trace,
+                        stages,
+                    }
+                })
+            }
         }
         Request::SweepPfail {
             program,
@@ -1185,16 +1114,27 @@ fn dispatch(
             target_p,
             trace,
         } => {
-            let work = match prepare_pfail_sweep(shared, &program, pfails, target_p) {
-                Ok(work) => work,
-                Err(response) => {
-                    respond(stream, &response)?;
-                    return Ok(true);
+            let job = prepare_pfail_sweep(shared, &program, &pfails, target_p);
+            run_jobs(shared, [job], trace, started, false).map(|(points, micros, stages)| {
+                Response::PfailSweep {
+                    name: program.name().to_string(),
+                    served_from: points[0].1,
+                    rows: points
+                        .iter()
+                        .map(
+                            |&(config, _, [_, pwcet_none, pwcet_srb, pwcet_rw])| PfailRow {
+                                pfail: config.fault_model.pfail(),
+                                pwcet_none,
+                                pwcet_srb,
+                                pwcet_rw,
+                            },
+                        )
+                        .collect(),
+                    micros,
+                    trace,
+                    stages,
                 }
-            };
-            let response = run_job(shared, work, TraceId(trace), started);
-            respond(stream, &response)?;
-            Ok(true)
+            })
         }
         Request::SweepGeometry {
             program,
@@ -1204,24 +1144,46 @@ fn dispatch(
             target_p,
             trace,
         } => {
-            let work = match prepare_geometry_sweep(
-                shared,
-                &program,
-                sets,
-                block_bytes,
-                &way_counts,
-                target_p,
-            ) {
-                Ok(work) => work,
-                Err(response) => {
-                    respond(stream, &response)?;
-                    return Ok(true);
+            let job =
+                prepare_geometry_sweep(shared, &program, sets, block_bytes, &way_counts, target_p);
+            run_jobs(shared, [job], trace, started, false).map(|(points, micros, stages)| {
+                Response::GeometrySweep {
+                    name: program.name().to_string(),
+                    served_from: points[0].1,
+                    rows: points
+                        .iter()
+                        .map(
+                            |&(config, _, [_, pwcet_none, pwcet_srb, pwcet_rw])| GeometryRow {
+                                ways: config.geometry.ways(),
+                                pwcet_none,
+                                pwcet_srb,
+                                pwcet_rw,
+                            },
+                        )
+                        .collect(),
+                    micros,
+                    trace,
+                    stages,
                 }
-            };
-            let response = run_job(shared, work, TraceId(trace), started);
-            respond(stream, &response)?;
-            Ok(true)
+            })
         }
+    };
+    respond(stream, &response.unwrap_or_else(|refusal| *refusal))?;
+    Ok(true)
+}
+
+/// The wire row of an `Analyze` or `Batch` program's one point.
+fn analysis_row(
+    program: &Program,
+    &(_, served_from, [fault_free_wcet, pwcet_none, pwcet_srb, pwcet_rw]): &Point,
+) -> AnalysisRow {
+    AnalysisRow {
+        name: program.name().to_string(),
+        fault_free_wcet,
+        pwcet_none,
+        pwcet_srb,
+        pwcet_rw,
+        served_from,
     }
 }
 
@@ -1256,14 +1218,14 @@ fn prepare_analyze(
     pfail: f64,
     target_p: f64,
 ) -> Result<(u64, Work), Box<Response>> {
-    validate_pfail(pfail)?;
+    let point = pfail_point(shared, pfail)?;
     validate_probability(target_p, "target_p")?;
     let (compiled, key) = compile(shared, program)?;
     Ok((
         key,
-        Work::Analyze {
+        Work {
             compiled,
-            pfail,
+            points: vec![point],
             target_p,
         },
     ))
@@ -1272,7 +1234,7 @@ fn prepare_analyze(
 fn prepare_pfail_sweep(
     shared: &Shared,
     program: &Program,
-    pfails: Vec<f64>,
+    pfails: &[f64],
     target_p: f64,
 ) -> Result<(u64, Work), Box<Response>> {
     if pfails.is_empty() || pfails.len() > MAX_SWEEP_POINTS {
@@ -1284,16 +1246,17 @@ fn prepare_pfail_sweep(
             ),
         )));
     }
-    for &pfail in &pfails {
-        validate_pfail(pfail)?;
-    }
+    let points = pfails
+        .iter()
+        .map(|&pfail| pfail_point(shared, pfail))
+        .collect::<Result<_, _>>()?;
     validate_probability(target_p, "target_p")?;
     let (compiled, key) = compile(shared, program)?;
     Ok((
         key,
-        Work::SweepPfail {
+        Work {
             compiled,
-            pfails,
+            points,
             target_p,
         },
     ))
@@ -1339,171 +1302,90 @@ fn prepare_geometry_sweep(
     }
     let lattice = GeometryLattice::new(sets, block_bytes, way_counts);
     let (compiled, _) = compile(shared, program)?;
+    let config = shared.engine.config;
     // Route by the widest requested geometry, so every request over one
     // program-and-lattice family serializes onto one shard.
-    let key = ContextCache::key_of(
-        &compiled,
-        lattice.widest(),
-        shared.engine.config.classification,
-    );
+    let key = ContextCache::key_of(&compiled, lattice.widest(), config.classification);
     Ok((
         key,
-        Work::SweepGeometry {
+        Work {
             compiled,
-            lattice,
+            points: lattice
+                .members()
+                .map(|geometry| AnalysisConfig { geometry, ..config })
+                .collect(),
             target_p,
         },
     ))
 }
 
-/// Submits one prepared job and blocks for its outcome.
-fn run_job(
+/// The one submit path of every analysis verb: submits each prepared job
+/// in order (a batch spreads its programs across the shards), then blocks
+/// for every reply. Returns all jobs' points in submission order, the
+/// request's latency and its stage breakdown, or the response that
+/// answers the request instead: a preparation refusal, an overload or
+/// drain refusal, or the first failed job's error. `batch` only words the
+/// overload refusal.
+fn run_jobs(
     shared: &Shared,
-    (key, work): (u64, Work),
-    trace: TraceId,
+    jobs: impl IntoIterator<Item = Result<(u64, Work), Box<Response>>>,
+    trace: u64,
     started: Instant,
-) -> Response {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        work,
-        trace,
-        submitted: Instant::now(),
-        reply: reply_tx,
-    };
-    match shared.pool.submit(key, job) {
-        Ok(_) => {}
-        Err(SubmitError::Overloaded { shard, depth, .. }) => {
-            shared.telemetry.overloads.inc();
-            return overloaded_response(
-                format!("shard {shard} queue full (depth {depth}); retry later"),
-                depth,
-            );
-        }
-        Err(SubmitError::ShuttingDown { .. }) => {
-            return error_response(ErrorCode::ShuttingDown, "server is draining");
-        }
-    }
-    match reply_rx.recv() {
-        Ok((Ok(outcome), spans)) => {
-            let micros = started.elapsed().as_micros() as u64;
-            shared.telemetry.requests.inc();
-            shared.telemetry.request_latency_us.record(micros);
-            let trace = trace.0;
-            let stages = aggregate_stages(&spans);
-            match outcome {
-                Outcome::Row(row) => Response::Analysis {
-                    row,
-                    micros,
-                    trace,
-                    stages,
-                },
-                Outcome::Pfail {
-                    name,
-                    served_from,
-                    rows,
-                } => Response::PfailSweep {
-                    name,
-                    served_from,
-                    rows,
-                    micros,
-                    trace,
-                    stages,
-                },
-                Outcome::Geometry {
-                    name,
-                    served_from,
-                    rows,
-                } => Response::GeometrySweep {
-                    name,
-                    served_from,
-                    rows,
-                    micros,
-                    trace,
-                    stages,
-                },
-            }
-        }
-        Ok((Err(message), _)) => error_response(ErrorCode::Analysis, message),
-        Err(_) => error_response(ErrorCode::Analysis, "worker dropped the request"),
-    }
-}
-
-/// Fans a batch out across the shards (one job per program) and gathers
-/// the rows back in request order.
-fn run_batch(
-    shared: &Shared,
-    programs: &[Program],
-    pfail: f64,
-    target_p: f64,
-    trace: TraceId,
-    started: Instant,
-) -> Response {
-    if programs.len() > MAX_BATCH_PROGRAMS {
-        return error_response(
-            ErrorCode::InvalidRequest,
-            format!(
-                "batch is capped at {MAX_BATCH_PROGRAMS} programs, got {}",
-                programs.len()
-            ),
-        );
-    }
-    let mut submissions = Vec::with_capacity(programs.len());
-    for program in programs {
-        let (key, work) = match prepare_analyze(shared, program, pfail, target_p) {
-            Ok(prepared) => prepared,
-            Err(response) => return *response,
-        };
-        let (reply_tx, reply_rx) = mpsc::channel();
+    batch: bool,
+) -> Result<(Vec<Point>, u64, Vec<StageTiming>), Box<Response>> {
+    let mut replies = Vec::new();
+    for job in jobs {
+        let (key, work) = job?;
+        let (reply, reply_rx) = mpsc::channel();
         let job = Job {
             work,
-            trace,
+            trace: TraceId(trace),
             submitted: Instant::now(),
-            reply: reply_tx,
+            reply,
         };
         match shared.pool.submit(key, job) {
-            Ok(_) => submissions.push(reply_rx),
+            Ok(_) => replies.push(reply_rx),
             Err(SubmitError::Overloaded { shard, depth, .. }) => {
                 // Jobs already submitted still run (and warm the plane);
                 // their replies are dropped with the receivers.
                 shared.telemetry.overloads.inc();
-                return overloaded_response(
-                    format!(
-                        "shard {shard} queue full (depth {depth}) at batch item {}; retry later",
-                        submissions.len()
-                    ),
+                let at = if batch {
+                    format!(" at batch item {}", replies.len())
+                } else {
+                    String::new()
+                };
+                return Err(Box::new(overloaded_response(
+                    format!("shard {shard} queue full (depth {depth}){at}; retry later"),
                     depth,
-                );
+                )));
             }
             Err(SubmitError::ShuttingDown { .. }) => {
-                return error_response(ErrorCode::ShuttingDown, "server is draining");
+                return Err(Box::new(error_response(
+                    ErrorCode::ShuttingDown,
+                    "server is draining",
+                )));
             }
         }
     }
-    let mut rows = Vec::with_capacity(submissions.len());
-    // Stage durations are summed across every job in the batch; since
-    // the jobs run on concurrent shards, the sums may exceed the batch's
+    let mut points = Vec::new();
+    // Stage durations are summed across every job of a batch; since the
+    // jobs run on concurrent shards, the sums may exceed the batch's
     // wall-clock `micros` (documented on the wire struct).
     let mut spans = Vec::new();
-    for reply_rx in submissions {
-        match reply_rx.recv() {
-            Ok((Ok(Outcome::Row(row)), job_spans)) => {
-                rows.push(row);
-                spans.extend(job_spans);
-            }
-            Ok((Ok(_), _)) => {
-                return error_response(ErrorCode::Analysis, "worker answered the wrong job type")
-            }
-            Ok((Err(message), _)) => return error_response(ErrorCode::Analysis, message),
-            Err(_) => return error_response(ErrorCode::Analysis, "worker dropped the request"),
-        }
+    for reply_rx in replies {
+        let (result, job_spans) = reply_rx.recv().map_err(|_| {
+            Box::new(error_response(
+                ErrorCode::Analysis,
+                "worker dropped the request",
+            ))
+        })?;
+        points.extend(
+            result.map_err(|message| Box::new(error_response(ErrorCode::Analysis, message)))?,
+        );
+        spans.extend(job_spans);
     }
     let micros = started.elapsed().as_micros() as u64;
     shared.telemetry.requests.inc();
     shared.telemetry.request_latency_us.record(micros);
-    Response::Batch {
-        rows,
-        micros,
-        trace: trace.0,
-        stages: aggregate_stages(&spans),
-    }
+    Ok((points, micros, aggregate_stages(&spans)))
 }

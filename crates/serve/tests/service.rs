@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use pwcet_cache::CacheGeometry;
 use pwcet_core::{AnalysisConfig, Protection, PwcetAnalyzer, ReuseTier};
 use pwcet_progen::{stmt, Program};
 use pwcet_serve::protocol::{ErrorCode, Request, Response};
@@ -104,6 +105,44 @@ fn fresh_row(program: Program) -> AnalysisRow {
         served_from: ReuseTier::Cold,
         ..row
     }
+}
+
+/// `[wcet_ff, pwcet_none, pwcet_srb, pwcet_rw]` of an in-process
+/// analysis of `program` under `config`, the pWCETs at 1e-15.
+fn in_process(program: &Program, config: AnalysisConfig) -> [u64; 4] {
+    let analysis = PwcetAnalyzer::new(config)
+        .analyze(program)
+        .expect("direct analysis");
+    let pwcet = |protection| analysis.estimate(protection).pwcet_at(1e-15);
+    [
+        analysis.fault_free_wcet(),
+        pwcet(Protection::None),
+        pwcet(Protection::SharedReliableBuffer),
+        pwcet(Protection::ReliableWay),
+    ]
+}
+
+/// The paper's configuration at `ways` ways, sets and block size kept.
+fn at_ways(ways: u32) -> AnalysisConfig {
+    let paper = AnalysisConfig::paper_default();
+    let geometry = paper.geometry;
+    AnalysisConfig {
+        geometry: CacheGeometry::new(geometry.sets(), ways, geometry.block_bytes()),
+        ..paper
+    }
+}
+
+/// Asserts `response` is an analysis refusal naming the target and the
+/// pruning tail.
+fn assert_below_the_tail(response: Response) {
+    let Response::Error { code, message, .. } = response else {
+        panic!("expected a refusal, got {response:?}");
+    };
+    assert_eq!(code, ErrorCode::Analysis);
+    assert!(
+        message.contains("target_p") && message.contains("tail mass"),
+        "the refusal names the target and the tail: {message:?}"
+    );
 }
 
 fn assert_invalid(response: Response) {
@@ -358,7 +397,7 @@ fn batch_and_sweeps_answer_with_provenance() {
     let programs = vec![bench("bs"), bench("fibcall"), bench("bs")];
     let response = client
         .request(&Request::Batch {
-            programs,
+            programs: programs.clone(),
             pfail: 1e-4,
             target_p: 1e-15,
             trace: 0,
@@ -373,7 +412,21 @@ fn batch_and_sweeps_answer_with_provenance() {
     // The duplicate inside the batch serializes behind the first copy on
     // its shard and is answered from the memory tier.
     assert_eq!(rows[2].served_from, ReuseTier::Memory);
-    assert_eq!(rows[2].pwcet_none, rows[0].pwcet_none);
+    // Every row is the in-process answer, bit for bit.
+    let paper = AnalysisConfig::paper_default();
+    for (row, program) in rows.iter().zip(&programs) {
+        assert_eq!(
+            [
+                row.fault_free_wcet,
+                row.pwcet_none,
+                row.pwcet_srb,
+                row.pwcet_rw
+            ],
+            in_process(program, paper),
+            "batch row {}",
+            row.name
+        );
+    }
 
     // A pfail sweep over an already-analyzed program reuses its context.
     let response = client
@@ -396,6 +449,15 @@ fn batch_and_sweeps_answer_with_provenance() {
         rows[0].pwcet_none <= rows[2].pwcet_none,
         "pWCET grows with pfail"
     );
+    for (row, pfail) in rows.iter().zip([1e-5, 1e-4, 1e-3]) {
+        assert_eq!(row.pfail, pfail);
+        let config = paper.with_pfail(pfail).expect("a probability");
+        assert_eq!(
+            [row.pwcet_none, row.pwcet_srb, row.pwcet_rw],
+            in_process(&bench("bs"), config)[1..],
+            "pfail row {pfail:e}"
+        );
+    }
 
     // A geometry sweep derives narrower points from the widest.
     let response = client
@@ -417,6 +479,14 @@ fn batch_and_sweeps_answer_with_provenance() {
         rows[2].pwcet_none >= rows[0].pwcet_none,
         "fewer ways never shrink pWCET"
     );
+    for (row, ways) in rows.iter().zip([4, 2, 1]) {
+        assert_eq!(row.ways, ways);
+        assert_eq!(
+            [row.pwcet_none, row.pwcet_srb, row.pwcet_rw],
+            in_process(&bench("bs"), at_ways(ways))[1..],
+            "geometry row {ways} ways"
+        );
+    }
 
     let plane_stats = server.reuse_plane().stats();
     assert!(
@@ -509,16 +579,34 @@ fn target_below_the_pruning_tail_is_refused_without_a_panic() {
     // adpcm's penalty distributions fold a nonzero mass into the pruning
     // tail, so no finite pWCET is exceeded with probability 1e-40 or
     // less. The probability itself is valid: an analysis refusal.
-    let response = client
-        .analyze(bench("adpcm"), 1e-4, 1e-40)
-        .expect("transport ok");
-    let Response::Error { code, message, .. } = response else {
-        panic!("expected a refusal, got {response:?}");
-    };
-    assert_eq!(code, ErrorCode::Analysis);
-    assert!(
-        message.contains("target_p") && message.contains("tail mass"),
-        "the refusal names the target and the tail: {message:?}"
+    assert_below_the_tail(
+        client
+            .analyze(bench("adpcm"), 1e-4, 1e-40)
+            .expect("transport ok"),
+    );
+    // Sweeps over the same program are refused the same way.
+    assert_below_the_tail(
+        client
+            .request(&Request::SweepPfail {
+                program: bench("adpcm"),
+                pfails: vec![1e-4, 1e-3],
+                target_p: 1e-40,
+                trace: 0,
+            })
+            .expect("transport ok"),
+    );
+    let geometry = AnalysisConfig::paper_default().geometry;
+    assert_below_the_tail(
+        client
+            .request(&Request::SweepGeometry {
+                program: bench("adpcm"),
+                sets: geometry.sets(),
+                block_bytes: geometry.block_bytes(),
+                way_counts: vec![4, 2],
+                target_p: 1e-40,
+                trace: 0,
+            })
+            .expect("transport ok"),
     );
     let table: BTreeMap<String, u64> = server.metrics_table().into_iter().collect();
     assert_eq!(table["worker_panics"], 0, "the worker never panicked");
@@ -706,6 +794,41 @@ fn stats_expose_tier_hit_counts() {
     assert_eq!(after.shards, 2);
     assert_eq!(after.queue_capacity, 8);
     assert!(after.connections >= 1);
+
+    // A sweep is one job: it counts once, under its first point's tier
+    // (the resident 4-way context), though its narrower points derive.
+    let geometry = AnalysisConfig::paper_default().geometry;
+    let response = client
+        .request(&Request::SweepGeometry {
+            program: bench("fibcall"),
+            sets: geometry.sets(),
+            block_bytes: geometry.block_bytes(),
+            way_counts: vec![4, 2, 1],
+            target_p: 1e-15,
+            trace: 0,
+        })
+        .expect("geometry sweep");
+    assert!(matches!(response, Response::GeometrySweep { .. }));
+    let swept = server.stats();
+    assert_eq!(swept.served, after.served + 1);
+    assert_eq!(swept.served_memory, after.served_memory + 1);
+    assert_eq!(swept.served_derived, 0);
+    assert!(server.reuse_plane().stats().derived >= 2);
+
+    // A batch is one job per program.
+    let response = client
+        .request(&Request::Batch {
+            programs: vec![bench("fibcall"), bench("bs")],
+            pfail: 1e-4,
+            target_p: 1e-15,
+            trace: 0,
+        })
+        .expect("batch");
+    assert!(matches!(response, Response::Batch { .. }));
+    let batched = server.stats();
+    assert_eq!(batched.served, swept.served + 2);
+    assert_eq!(batched.served_memory, swept.served_memory + 1);
+    assert_eq!(batched.served_cold, swept.served_cold + 1);
     server.shutdown();
 }
 

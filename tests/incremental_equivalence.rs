@@ -32,7 +32,7 @@ use fault_aware_pwcet::core::{
     expand_compiled, AnalysisConfig, AnalysisContext, ClassificationMode, ContextCache,
     Parallelism, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
 };
-use fault_aware_pwcet::prob::{ConvolutionParams, DiscreteDistribution};
+use fault_aware_pwcet::prob::DiscreteDistribution;
 use fault_aware_pwcet::progen::CompiledProgram;
 
 const TARGET_PROBABILITIES: [f64; 4] = [1e-3, 1e-9, 1e-15, 1.0];
@@ -475,32 +475,14 @@ fn penalty_memo_matches_fresh_convolution_across_the_entire_suite() {
 
 #[test]
 fn penalty_memo_keys_every_component() {
-    // One resident context answers two fault models under three
-    // convolution settings in alternation; the settings differ from the
-    // default in one parameter each. A memo key that dropped the fault
-    // model or either parameter would hand a setting the distribution
-    // stored for another one.
+    // One resident context answers four fault models under the three
+    // protections in alternation. A memo key that dropped the fault
+    // model or the protection would hand one point the distribution
+    // stored for another.
     let program = benchsuite::by_name("crc").unwrap().program;
-    let default = ConvolutionParams::default();
-    let convolutions = [
-        default,
-        ConvolutionParams {
-            prune_epsilon: 1e-12,
-            ..default
-        },
-        ConvolutionParams {
-            max_support: 64,
-            ..default
-        },
-    ];
-    let settings: Vec<AnalysisConfig> = [1e-5, 1e-3]
+    let settings: Vec<AnalysisConfig> = [1e-6, 1e-5, 1e-4, 1e-3]
         .into_iter()
-        .flat_map(|pfail| {
-            convolutions.map(|convolution| AnalysisConfig {
-                convolution,
-                ..warm_config().with_pfail(pfail).unwrap()
-            })
-        })
+        .map(|pfail| warm_config().with_pfail(pfail).unwrap())
         .collect();
     let fresh: Vec<_> = settings
         .iter()
@@ -509,9 +491,10 @@ fn penalty_memo_keys_every_component() {
             Protection::all().map(|p| distribution_bits(&analysis.penalty_distribution(p)))
         })
         .collect();
-    for (i, a) in fresh.iter().enumerate() {
-        for b in &fresh[i + 1..] {
-            assert_ne!(a[0], b[0], "the settings must yield distinct distributions");
+    let points: Vec<_> = fresh.iter().flatten().collect();
+    for (i, a) in points.iter().enumerate() {
+        for b in &points[i + 1..] {
+            assert_ne!(a, b, "the points must yield distinct distributions");
         }
     }
 
@@ -526,9 +509,8 @@ fn penalty_memo_keys_every_component() {
                 assert_eq!(
                     &distribution_bits(served.estimate(protection).penalty_distribution()),
                     expected,
-                    "round {round}, pfail {}, {:?}, {protection}",
-                    config.fault_model.pfail(),
-                    config.convolution
+                    "round {round}, pfail {}, {protection}",
+                    config.fault_model.pfail()
                 );
             }
         }

@@ -19,7 +19,7 @@ use fault_aware_pwcet::core::{
     delta_cost_model, expand_compiled, AnalysisConfig, FaultMissMap, ProgramAnalysis, Protection,
 };
 use fault_aware_pwcet::ipet::{ipet_bound_reference, CostModel};
-use fault_aware_pwcet::prob::{self, DiscreteDistribution};
+use fault_aware_pwcet::prob::{self, ConvolutionParams, DiscreteDistribution};
 use fault_aware_pwcet::progen::CompiledProgram;
 
 /// Relative round-off allowed when production's exceedance is compared
@@ -106,7 +106,7 @@ pub fn reference_penalty(
                 .expect("binomial weights form a distribution")
         })
         .collect();
-    prob::reference::convolve_all(&per_set, &config.convolution)
+    prob::reference::convolve_all(&per_set, &ConvolutionParams::default())
         .scale_values(config.timing.miss_penalty_cycles())
 }
 
