@@ -39,11 +39,11 @@
 //! touched, and the sets skipped.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pwcet_cache::{CacheGeometry, MemBlock};
 use pwcet_cfg::{ExpandedCfg, NodeId};
+use pwcet_obs::{Counter, Registry};
 
 use crate::acs::{Acs, AnalysisKind};
 
@@ -546,44 +546,43 @@ impl KernelStats {
             sets_skipped: self.sets_skipped.saturating_sub(earlier.sets_skipped),
         }
     }
-
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim). This is what telemetry exposition serializes, so a
-    /// new counter added here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("passes", self.passes),
-            ("words_touched", self.words_touched),
-            ("sets_skipped", self.sets_skipped),
-        ]
-    }
 }
 
 /// Thread-safe accumulator of [`KernelStats`] (plain relaxed counters —
-/// classification workers record concurrently, readers snapshot).
+/// classification workers record concurrently, readers snapshot). A
+/// [`registered`](Self::registered) cell counts straight into a metrics
+/// registry's rows.
 #[derive(Debug, Default)]
 pub struct KernelStatsCell {
-    passes: AtomicU64,
-    words_touched: AtomicU64,
-    sets_skipped: AtomicU64,
+    passes: Arc<Counter>,
+    words_touched: Arc<Counter>,
+    sets_skipped: Arc<Counter>,
 }
 
 impl KernelStatsCell {
+    /// A cell whose counters are `metrics`' `classify_*` rows, one per
+    /// [`KernelStats`] field.
+    pub fn registered(metrics: &Registry) -> Self {
+        Self {
+            passes: metrics.register_counter("classify_passes"),
+            words_touched: metrics.register_counter("classify_words_touched"),
+            sets_skipped: metrics.register_counter("classify_sets_skipped"),
+        }
+    }
+
     /// Adds one fixpoint's counters.
     pub fn record(&self, stats: &KernelStats) {
-        self.passes.fetch_add(stats.passes, Ordering::Relaxed);
-        self.words_touched
-            .fetch_add(stats.words_touched, Ordering::Relaxed);
-        self.sets_skipped
-            .fetch_add(stats.sets_skipped, Ordering::Relaxed);
+        self.passes.add(stats.passes);
+        self.words_touched.add(stats.words_touched);
+        self.sets_skipped.add(stats.sets_skipped);
     }
 
     /// The accumulated totals.
     pub fn snapshot(&self) -> KernelStats {
         KernelStats {
-            passes: self.passes.load(Ordering::Relaxed),
-            words_touched: self.words_touched.load(Ordering::Relaxed),
-            sets_skipped: self.sets_skipped.load(Ordering::Relaxed),
+            passes: self.passes.get(),
+            words_touched: self.words_touched.get(),
+            sets_skipped: self.sets_skipped.get(),
         }
     }
 }

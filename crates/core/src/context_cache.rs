@@ -28,7 +28,6 @@ use std::sync::Arc;
 
 use pwcet_analysis::ClassificationMode;
 use pwcet_cache::CacheGeometry;
-use pwcet_cfg::CfgError;
 use pwcet_par::{Admission, Memo, MemoStats};
 use pwcet_progen::CompiledProgram;
 
@@ -155,28 +154,6 @@ impl ContextCache {
         (hash.finish(), family)
     }
 
-    /// Returns the cached context for the triple, building (and caching)
-    /// it on a miss. The expensive build runs outside the lock; when two
-    /// threads race on the same key, the first insert wins and the loser
-    /// adopts the winner's context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CfgError`] from context construction (nothing is
-    /// cached on failure).
-    pub fn get_or_build(
-        &self,
-        compiled: &CompiledProgram,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> Result<Arc<AnalysisContext>, CfgError> {
-        if let Some(context) = self.lookup(Self::key_of(compiled, geometry, mode)) {
-            return Ok(context);
-        }
-        let context = Arc::new(AnalysisContext::build_with_mode(compiled, geometry, mode)?);
-        Ok(self.file(compiled, geometry, mode, context))
-    }
-
     /// Looks `key` up, counting a hit or a miss. The [`ReusePlane`]
     /// probes this tier first and, on a miss, fills it through
     /// [`file`](Self::file) from whichever lower tier answered.
@@ -194,8 +171,9 @@ impl ContextCache {
     }
 
     /// Files `context`, the triple's context, under its content key and
-    /// its family. When a racing insert got there first, its (possibly
-    /// already warmed) context wins and is returned instead.
+    /// its family. The expensive build runs outside any lock, so two
+    /// threads may race on one key: the first insert wins, and the loser
+    /// gets the winner's (possibly already warmed) context back.
     pub(crate) fn file(
         &self,
         compiled: &CompiledProgram,
@@ -251,6 +229,7 @@ impl ContextCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReusePlane;
     use pwcet_progen::{stmt, Program};
 
     fn compiled(name: &str, iterations: u32) -> CompiledProgram {
@@ -264,16 +243,27 @@ mod tests {
         CacheGeometry::paper_default()
     }
 
+    /// A plane over a fresh cache of `capacity`: the one lookup path,
+    /// which files what it builds into the cache.
+    fn plane(capacity: usize) -> (Arc<ContextCache>, ReusePlane) {
+        let cache = Arc::new(ContextCache::new(capacity));
+        (Arc::clone(&cache), ReusePlane::with_memory(cache))
+    }
+
+    fn get(plane: &ReusePlane, program: &CompiledProgram) -> Arc<AnalysisContext> {
+        let mode = ClassificationMode::Incremental;
+        plane
+            .get_or_build_traced(program, geometry(), mode)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn hit_returns_the_same_context() {
-        let cache = ContextCache::new(4);
+        let (cache, plane) = plane(4);
         let program = compiled("p", 10);
-        let a = cache
-            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
-            .unwrap();
-        let b = cache
-            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
-            .unwrap();
+        let a = get(&plane, &program);
+        let b = get(&plane, &program);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must share the context");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
@@ -281,38 +271,30 @@ mod tests {
 
     #[test]
     fn hit_preserves_memoized_levels() {
-        let cache = ContextCache::new(4);
+        let (_, plane) = plane(4);
         let program = compiled("p", 10);
-        let first = cache
-            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
-            .unwrap();
+        let first = get(&plane, &program);
         first.prewarm(pwcet_par::Parallelism::Sequential);
-        let second = cache
-            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
-            .unwrap();
+        let second = get(&plane, &program);
         assert_eq!(second.warmed_levels(), 5, "warm levels survive the hit");
     }
 
     #[test]
     fn different_content_gets_different_entries() {
-        let cache = ContextCache::new(8);
-        let mode = ClassificationMode::Incremental;
-        let a = compiled("a", 10);
-        let b = compiled("b", 11);
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&b, geometry(), mode).unwrap();
+        let (cache, plane) = plane(8);
+        get(&plane, &compiled("a", 10));
+        get(&plane, &compiled("b", 11));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 2));
     }
 
     #[test]
     fn peek_does_not_touch_stats_or_recency() {
-        let cache = ContextCache::new(4);
+        let (cache, plane) = plane(4);
         let program = compiled("p", 10);
-        let mode = ClassificationMode::Incremental;
-        let key = ContextCache::key_of(&program, geometry(), mode);
+        let key = ContextCache::key_of(&program, geometry(), ClassificationMode::Incremental);
         assert!(cache.peek(key).is_none());
-        let built = cache.get_or_build(&program, geometry(), mode).unwrap();
+        let built = get(&plane, &program);
         let peeked = cache.peek(key).unwrap();
         assert!(Arc::ptr_eq(&built, &peeked));
         let stats = cache.stats();
@@ -321,21 +303,20 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
-        let cache = ContextCache::new(2);
-        let mode = ClassificationMode::Incremental;
+        let (cache, plane) = plane(2);
         let a = compiled("a", 5);
         let b = compiled("b", 6);
         let c = compiled("c", 7);
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&b, geometry(), mode).unwrap();
+        get(&plane, &a);
+        get(&plane, &b);
         // Touch `a` so `b` is the LRU entry.
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&c, geometry(), mode).unwrap();
+        get(&plane, &a);
+        get(&plane, &c);
         assert_eq!(cache.stats().len, 2);
         assert_eq!(cache.stats().evictions, 1);
         // `a` survives (hit), `b` was evicted (miss).
-        cache.get_or_build(&a, geometry(), mode).unwrap();
-        cache.get_or_build(&b, geometry(), mode).unwrap();
+        get(&plane, &a);
+        get(&plane, &b);
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 4);
@@ -343,14 +324,14 @@ mod tests {
 
     #[test]
     fn a_second_filing_adopts_the_first_context() {
-        let cache = ContextCache::new(4);
+        let (cache, plane) = plane(4);
         let (mode, program) = (ClassificationMode::Incremental, compiled("p", 10));
         let build =
             || Arc::new(AnalysisContext::build_with_mode(&program, geometry(), mode).unwrap());
         let first = cache.file(&program, geometry(), mode, build());
         let second = cache.file(&program, geometry(), mode, build());
         assert!(Arc::ptr_eq(&first, &second), "a racing loser adopts it");
-        let hit = cache.get_or_build(&program, geometry(), mode).unwrap();
+        let hit = get(&plane, &program);
         assert!(Arc::ptr_eq(&first, &hit));
     }
 
@@ -362,19 +343,11 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_share_one_context() {
-        let cache = Arc::new(ContextCache::new(4));
-        let program = Arc::new(compiled("p", 20));
+        let (cache, plane) = plane(4);
+        let program = compiled("p", 20);
         let contexts: Vec<Arc<AnalysisContext>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let cache = Arc::clone(&cache);
-                    let program = Arc::clone(&program);
-                    scope.spawn(move || {
-                        cache
-                            .get_or_build(&program, geometry(), ClassificationMode::Incremental)
-                            .unwrap()
-                    })
-                })
+                .map(|_| scope.spawn(|| get(&plane, &program)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -429,17 +402,15 @@ mod tests {
     #[test]
     fn adversarial_keys_stay_at_the_cap_and_a_new_working_set_hits() {
         let cap = 4;
-        let cache = ContextCache::new(cap);
-        let mode = ClassificationMode::Incremental;
-        let get = |n| cache.get_or_build(&compiled("p", n), geometry(), mode);
+        let (cache, plane) = plane(cap);
         let sweep = 1..=cap as u32 + 8;
         for iterations in sweep.clone().chain(sweep) {
-            get(iterations).unwrap();
+            get(&plane, &compiled("p", iterations));
             assert!(cache.stats().len <= cap);
         }
         assert_eq!(cache.stats().hits, 0, "each key was evicted first");
         for iterations in (0..3).flat_map(|_| 100..102) {
-            get(iterations).unwrap();
+            get(&plane, &compiled("p", iterations));
         }
         assert_eq!(cache.stats().hits, 4, "admitted at once, then hit");
     }

@@ -1,5 +1,5 @@
 //! The unified reuse plane: every way one analysis can avoid redoing
-//! another's work, behind one `get_or_build` entry point.
+//! another's work, behind one `get_or_build_traced` entry point.
 //!
 //! Four tiers, probed in order:
 //!
@@ -60,6 +60,7 @@ use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
 use pwcet_ilp::{SolveStats, SolveStatsCell};
 use pwcet_ipet::TemplateRegistry;
+use pwcet_obs::{Counter, Registry};
 use pwcet_par::{Admission, Memo};
 use pwcet_progen::CompiledProgram;
 
@@ -144,7 +145,10 @@ impl std::fmt::Display for ReuseTier {
     }
 }
 
-/// Counters of a [`ReusePlane`], aggregated over all tiers.
+/// Counters of a [`ReusePlane`], aggregated over all tiers. Each field
+/// is read from the counter behind the node's metrics row of the same
+/// name (the memory tier's under a `memory_` prefix), so the two cannot
+/// drift.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReusePlaneStats {
     /// Memory-tier (LRU context cache) counters.
@@ -192,35 +196,6 @@ pub struct ReusePlaneStats {
 }
 
 impl ReusePlaneStats {
-    /// The plane's own counters as a self-describing name→value table
-    /// (field names verbatim, memory-tier counters under a `memory_`
-    /// prefix). This is what telemetry exposition serializes, so a new
-    /// counter added here reaches the wire with no protocol change. The
-    /// template-registry fields mirrored above (`template_hits`,
-    /// `basis_*`, `objective_hits`) are left to
-    /// [`TemplateCounters::entries`](pwcet_ipet::TemplateCounters::entries),
-    /// their home, so a metrics table writes each name once.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("memory_hits", self.memory.hits),
-            ("memory_misses", self.memory.misses),
-            ("memory_evictions", self.memory.evictions),
-            ("memory_len", self.memory.len as u64),
-            ("memory_capacity", self.memory.capacity as u64),
-            ("disk_hits", self.disk_hits),
-            ("disk_misses", self.disk_misses),
-            ("disk_writes", self.disk_writes),
-            ("disk_corrupt", self.disk_corrupt),
-            ("disk_gc_evictions", self.disk_gc_evictions),
-            ("derived", self.derived),
-            ("network_hits", self.network_hits),
-            ("network_misses", self.network_misses),
-            ("network_corrupt", self.network_corrupt),
-            ("network_offers", self.network_offers),
-            ("cold_builds", self.cold_builds),
-        ]
-    }
-
     /// Fraction of non-memory-tier builds avoided by the disk,
     /// derivation, and network tiers (0 when nothing was requested).
     pub fn reuse_rate(&self) -> f64 {
@@ -233,19 +208,49 @@ impl ReusePlaneStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    disk_hits: u64,
-    disk_misses: u64,
-    disk_writes: u64,
-    disk_corrupt: u64,
-    disk_gc_evictions: u64,
-    derived: u64,
-    network_hits: u64,
-    network_misses: u64,
-    network_corrupt: u64,
-    network_offers: u64,
-    cold_builds: u64,
+/// The tier counters of a [`ReusePlane`], each the row of the same name
+/// in the plane's metrics registry ([`ReusePlaneStats`] documents them).
+#[derive(Debug)]
+struct TierCounters {
+    disk_hits: Arc<Counter>,
+    disk_misses: Arc<Counter>,
+    disk_writes: Arc<Counter>,
+    disk_corrupt: Arc<Counter>,
+    disk_gc_evictions: Arc<Counter>,
+    derived: Arc<Counter>,
+    network_hits: Arc<Counter>,
+    network_misses: Arc<Counter>,
+    network_corrupt: Arc<Counter>,
+    network_offers: Arc<Counter>,
+    cold_builds: Arc<Counter>,
+}
+
+impl TierCounters {
+    fn registered(metrics: &Registry) -> Self {
+        Self {
+            disk_hits: metrics.register_counter("disk_hits"),
+            disk_misses: metrics.register_counter("disk_misses"),
+            disk_writes: metrics.register_counter("disk_writes"),
+            disk_corrupt: metrics.register_counter("disk_corrupt"),
+            disk_gc_evictions: metrics.register_counter("disk_gc_evictions"),
+            derived: metrics.register_counter("derived"),
+            network_hits: metrics.register_counter("network_hits"),
+            network_misses: metrics.register_counter("network_misses"),
+            network_corrupt: metrics.register_counter("network_corrupt"),
+            network_offers: metrics.register_counter("network_offers"),
+            cold_builds: metrics.register_counter("cold_builds"),
+        }
+    }
+
+    /// The counter a corrupt entry from `tier` counts in: `disk_corrupt`
+    /// for the store, `network_corrupt` for a fetched or staged peer
+    /// entry.
+    fn corrupt(&self, tier: ReuseTier) -> &Arc<Counter> {
+        match tier {
+            ReuseTier::Disk => &self.disk_corrupt,
+            _ => &self.network_corrupt,
+        }
+    }
 }
 
 /// How much of a context a disk entry captures — used to decide whether a
@@ -345,19 +350,22 @@ pub struct ReusePlane {
     /// attached, and capped at the memory tier's capacity: a forgotten
     /// key costs one offer its owner refuses.
     offered: Memo<u64, Richness>,
-    /// Shared with the [`LateCorruption`] sinks of restored contexts.
-    counters: Arc<Mutex<Counters>>,
+    /// See [`metrics`](Self::metrics).
+    metrics: Registry,
+    tiers: TierCounters,
     /// The cross-geometry IPET template registry, attached to every
     /// context this plane hands out (whatever tier answered) so the
     /// resident contexts of one CFG — sibling geometries, restored
     /// entries — share one factored basis pool.
     registry: Arc<TemplateRegistry>,
     /// Solver counters of every solve stage run through this plane
-    /// (recorded by the analyzer; survives context eviction).
+    /// (recorded by the analyzer; survives context eviction), the
+    /// `ilp_*` rows.
     ilp: SolveStatsCell,
     /// Classification-kernel counters of every fresh fixpoint run
     /// through this plane (recorded by the analyzer alongside the
-    /// solver counters; survives context eviction).
+    /// solver counters; survives context eviction), the `classify_*`
+    /// rows.
     kernel: KernelStatsCell,
 }
 
@@ -378,17 +386,29 @@ impl ReusePlane {
     /// with code still using it directly; both sides observe one set of
     /// entries and counters.
     pub fn with_memory(memory: Arc<ContextCache>) -> Self {
+        let metrics = Registry::new();
         Self {
             offered: Memo::new(memory.stats().capacity, Admission::FirstSighting),
             memory,
             disk: None,
             network: OnceLock::new(),
             staged: Arc::new(Memo::new(MAX_STAGED_ENTRIES, Admission::FirstSighting)),
-            counters: Arc::new(Mutex::new(Counters::default())),
-            registry: Arc::new(TemplateRegistry::new()),
-            ilp: SolveStatsCell::default(),
-            kernel: KernelStatsCell::default(),
+            tiers: TierCounters::registered(&metrics),
+            registry: Arc::new(TemplateRegistry::registered(&metrics)),
+            ilp: SolveStatsCell::registered(&metrics),
+            kernel: KernelStatsCell::registered(&metrics),
+            metrics,
         }
+    }
+
+    /// The plane's metrics registry, a service node's one registry. Every
+    /// counter a node's metrics table reports is registered here by the
+    /// code that increments it: the plane's tier counters, its `ilp_*`
+    /// and `classify_*` totals and its template registry's events, and
+    /// the server, compile-memo and peer-fleet counters of the service
+    /// above it.
+    pub fn metrics(&self) -> &Registry {
+        &self.metrics
     }
 
     /// The plane's cross-geometry IPET template registry — one factored
@@ -422,18 +442,12 @@ impl ReusePlane {
         self.ilp.snapshot()
     }
 
-    /// Adds one analysis's classification-kernel counters to the plane's
-    /// total (the analyzer calls this after every fresh solve).
+    /// Adds one analysis's classification-kernel counters (worklist
+    /// passes, slot words touched, dirty-skipped sets) to the plane's
+    /// total (the analyzer calls this after every fresh solve). Like
+    /// [`ilp_stats`](Self::ilp_stats) these survive cache eviction.
     pub fn record_kernel_stats(&self, stats: &KernelStats) {
         self.kernel.record(stats);
-    }
-
-    /// Cumulative classification-kernel counters (worklist passes, slot
-    /// words touched, dirty-skipped sets) across every analysis served
-    /// through this plane. Like [`ilp_stats`](Self::ilp_stats) these
-    /// survive cache eviction.
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.snapshot()
     }
 
     /// Total size in bytes of the on-disk store (`None` without a disk
@@ -519,20 +533,20 @@ impl ReusePlane {
     /// Aggregated counters over all tiers.
     pub fn stats(&self) -> ReusePlaneStats {
         let templates = self.registry.counters();
-        let counters = self.counters.lock().expect("reuse plane counters");
+        let tiers = &self.tiers;
         ReusePlaneStats {
             memory: self.memory.stats(),
-            disk_hits: counters.disk_hits,
-            disk_misses: counters.disk_misses,
-            disk_writes: counters.disk_writes,
-            disk_corrupt: counters.disk_corrupt,
-            disk_gc_evictions: counters.disk_gc_evictions,
-            derived: counters.derived,
-            network_hits: counters.network_hits,
-            network_misses: counters.network_misses,
-            network_corrupt: counters.network_corrupt,
-            network_offers: counters.network_offers,
-            cold_builds: counters.cold_builds,
+            disk_hits: tiers.disk_hits.get(),
+            disk_misses: tiers.disk_misses.get(),
+            disk_writes: tiers.disk_writes.get(),
+            disk_corrupt: tiers.disk_corrupt.get(),
+            disk_gc_evictions: tiers.disk_gc_evictions.get(),
+            derived: tiers.derived.get(),
+            network_hits: tiers.network_hits.get(),
+            network_misses: tiers.network_misses.get(),
+            network_corrupt: tiers.network_corrupt.get(),
+            network_offers: tiers.network_offers.get(),
+            cold_builds: tiers.cold_builds.get(),
             template_hits: templates.template_hits,
             basis_restores: templates.basis_restores,
             basis_rejects: templates.basis_rejects,
@@ -542,30 +556,16 @@ impl ReusePlane {
 
     /// The one entry point: the context for `(compiled, geometry, mode)`,
     /// answered by the cheapest tier that can — memory, disk, derivation
-    /// from a wider lattice sibling, cold build — and filed back into the
-    /// memory tier.
+    /// from a wider lattice sibling, network, cold build — and filed back
+    /// into the memory tier, with **which tier answered**: the
+    /// per-request provenance a service front-end forwards to its clients
+    /// as `served_from`.
     ///
     /// # Errors
     ///
     /// Propagates [`CfgError`] from CFG reconstruction (nothing is cached
     /// on failure). Disk-tier failures are *not* errors; they degrade to
     /// the next tier and are counted in [`stats`](Self::stats).
-    pub fn get_or_build(
-        &self,
-        compiled: &CompiledProgram,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> Result<Arc<AnalysisContext>, CfgError> {
-        Ok(self.get_or_build_traced(compiled, geometry, mode)?.0)
-    }
-
-    /// As [`get_or_build`](Self::get_or_build), additionally reporting
-    /// **which tier answered** — the per-request provenance a service
-    /// front-end forwards to its clients as `served_from`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`get_or_build`](Self::get_or_build).
     pub fn get_or_build_traced(
         &self,
         compiled: &CompiledProgram,
@@ -599,10 +599,7 @@ impl ReusePlane {
                     None => {
                         let built =
                             Arc::new(AnalysisContext::build_with_mode(compiled, geometry, mode)?);
-                        self.counters
-                            .lock()
-                            .expect("reuse plane counters")
-                            .cold_builds += 1;
+                        self.tiers.cold_builds.inc();
                         (built, ReuseTier::Cold)
                     }
                 },
@@ -623,6 +620,11 @@ impl ReusePlane {
     /// written. IO failures are logged and counted, never raised —
     /// persistence is an optimization.
     pub fn persist(&self, compiled: &CompiledProgram, context: &AnalysisContext) -> bool {
+        // Checked before keying: a plane that cannot write must not hash
+        // the image on every analysis.
+        if !self.can_persist() {
+            return false;
+        }
         let (geometry, mode) = (*context.geometry(), context.mode());
         if context.fingerprint().is_none() {
             context.set_fingerprint(expander_fingerprint(compiled, geometry, mode));
@@ -636,7 +638,7 @@ impl ReusePlane {
     /// sweep to capture lazily-warmed artifacts the per-analysis
     /// write-through may have missed.
     pub fn flush(&self) -> usize {
-        if self.disk.is_none() && self.network.get().is_none() {
+        if !self.can_persist() {
             return 0;
         }
         self.memory
@@ -667,7 +669,7 @@ impl ReusePlane {
             .into_iter()
             .find(|wider| wider.graph().is_ok())?;
         let derived = Arc::new(source.derive_narrower(geometry));
-        self.counters.lock().expect("reuse plane counters").derived += 1;
+        self.tiers.derived.inc();
         Some(derived)
     }
 
@@ -699,8 +701,7 @@ impl ReusePlane {
         let key = at.key;
         let sink = LateCorruption {
             key,
-            tier,
-            counters: Arc::clone(&self.counters),
+            corrupt: Arc::clone(self.tiers.corrupt(tier)),
             staged: Arc::clone(&self.staged),
             disk: self
                 .disk
@@ -748,10 +749,7 @@ impl ReusePlane {
             None => {
                 if self.disk.is_some() {
                     // Absent (or unreadable) entry: a plain disk miss.
-                    self.counters
-                        .lock()
-                        .expect("reuse plane counters")
-                        .disk_misses += 1;
+                    self.tiers.disk_misses.inc();
                 }
                 let staged = self.staged.remove(&key)?;
                 (Arc::unwrap_or_clone(staged), ReuseTier::Network)
@@ -773,16 +771,14 @@ impl ReusePlane {
                 if self.has_network_tier() {
                     self.record_offer(key, richness);
                 }
-                let mut counters = self.counters.lock().expect("reuse plane counters");
                 match tier {
-                    ReuseTier::Disk => counters.disk_hits += 1,
-                    _ => counters.network_hits += 1,
+                    ReuseTier::Disk => self.tiers.disk_hits.inc(),
+                    _ => self.tiers.network_hits.inc(),
                 }
-                drop(counters);
                 Some((context, tier))
             }
             Err(err) => {
-                let mut counters = self.counters.lock().expect("reuse plane counters");
+                self.tiers.corrupt(tier).inc();
                 if tier == ReuseTier::Disk {
                     let disk = self.disk.as_ref().expect("disk bytes imply a disk tier");
                     let path = disk.entry_path(key);
@@ -791,14 +787,12 @@ impl ReusePlane {
                         path.display()
                     );
                     let _ = fs::remove_file(&path);
-                    counters.disk_corrupt += 1;
-                    counters.disk_misses += 1;
+                    self.tiers.disk_misses.inc();
                 } else {
                     eprintln!(
                         "pwcet-core: discarding corrupt staged peer entry for key {key:016x} \
                          ({err}); rebuilding cold"
                     );
-                    counters.network_corrupt += 1;
                 }
                 None
             }
@@ -819,10 +813,7 @@ impl ReusePlane {
             network.fetch(key)
         };
         let Some(bytes) = fetched else {
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .network_misses += 1;
+            self.tiers.network_misses.inc();
             return None;
         };
         // The restored context keeps its own copy: the fetched bytes are
@@ -834,10 +825,7 @@ impl ReusePlane {
                 // Never offer a fetched entry back: its owner just
                 // served it to us.
                 self.record_offer(key, richness);
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .network_hits += 1;
+                self.tiers.network_hits.inc();
                 Some(context)
             }
             Err(err) => {
@@ -845,9 +833,8 @@ impl ReusePlane {
                     "pwcet-core: discarding corrupt peer entry for key {key:016x} ({err}); \
                      rebuilding cold"
                 );
-                let mut counters = self.counters.lock().expect("reuse plane counters");
-                counters.network_corrupt += 1;
-                counters.network_misses += 1;
+                self.tiers.network_corrupt.inc();
+                self.tiers.network_misses.inc();
                 None
             }
         }
@@ -865,10 +852,7 @@ impl ReusePlane {
                         .lock()
                         .expect("disk tier index")
                         .insert(key, richness);
-                    self.counters
-                        .lock()
-                        .expect("reuse plane counters")
-                        .disk_writes += 1;
+                    self.tiers.disk_writes.inc();
                     self.collect_garbage(disk, &path);
                 }
             }
@@ -912,10 +896,7 @@ impl ReusePlane {
     pub fn import_entry(&self, key: u64, bytes: Vec<u8>) -> bool {
         if let Err(err) = validate_entry(&bytes, key) {
             eprintln!("pwcet-core: refusing offered peer entry for key {key:016x} ({err})");
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .network_corrupt += 1;
+            self.tiers.network_corrupt.inc();
             return false;
         }
         match self.disk.as_ref() {
@@ -926,10 +907,7 @@ impl ReusePlane {
                 }
                 match write_atomically(&path, &bytes) {
                     Ok(()) => {
-                        self.counters
-                            .lock()
-                            .expect("reuse plane counters")
-                            .disk_writes += 1;
+                        self.tiers.disk_writes.inc();
                         self.collect_garbage(disk, &path);
                         true
                     }
@@ -954,11 +932,15 @@ impl ReusePlane {
         }
     }
 
+    /// Whether a disk or a network tier can take an entry:
+    /// [`persist`](Self::persist) and [`flush`](Self::flush) check it
+    /// before any keying or encoding.
+    fn can_persist(&self) -> bool {
+        self.disk.is_some() || self.network.get().is_some()
+    }
+
     fn persist_keyed(&self, key: u64, context: &AnalysisContext) -> bool {
         let network = self.network.get();
-        if self.disk.is_none() && network.is_none() {
-            return false;
-        }
         let richness = Richness::of(context);
         if richness == Richness::default() {
             return false; // nothing worth storing yet
@@ -979,10 +961,7 @@ impl ReusePlane {
             let network = network.expect("net_wants implies a network tier");
             network.offer(key, &bytes);
             self.record_offer(key, richness);
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .network_offers += 1;
+            self.tiers.network_offers.inc();
         }
         if !disk_wants {
             return false;
@@ -995,9 +974,7 @@ impl ReusePlane {
                     .lock()
                     .expect("disk tier index")
                     .insert(key, richness);
-                let mut counters = self.counters.lock().expect("reuse plane counters");
-                counters.disk_writes += 1;
-                drop(counters);
+                self.tiers.disk_writes.inc();
                 self.collect_garbage(disk, &path);
                 true
             }
@@ -1006,10 +983,7 @@ impl ReusePlane {
                     "pwcet-core: failed to persist context entry {} ({err})",
                     path.display()
                 );
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .disk_corrupt += 1;
+                self.tiers.disk_corrupt.inc();
                 false
             }
         }
@@ -1071,12 +1045,7 @@ impl ReusePlane {
             }
         }
         drop(written);
-        if evicted > 0 {
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .disk_gc_evictions += evicted;
-        }
+        self.tiers.disk_gc_evictions.add(evicted);
     }
 }
 
@@ -1093,16 +1062,15 @@ struct Lookup<'a> {
 
 /// Where a restored context reports a classification tail that passed
 /// the checksum at read but failed its deferred decode: the plane's
-/// counters and the stores holding the entry's bytes. The entry is
-/// discarded — store file, write-through index entry, staged copy — so
-/// the next persist writes a healthy one.
+/// corruption counter of the tier the bytes came from and the stores
+/// holding them. The entry is discarded — store file, write-through
+/// index entry, staged copy — so the next persist writes a healthy one.
 #[derive(Debug)]
 pub(crate) struct LateCorruption {
     key: u64,
-    /// Where the bytes came from: [`ReuseTier::Disk`] counts
-    /// `disk_corrupt`, a fetched or staged peer entry `network_corrupt`.
-    tier: ReuseTier,
-    counters: Arc<Mutex<Counters>>,
+    /// `disk_corrupt` for a store entry, `network_corrupt` for a fetched
+    /// or staged peer entry.
+    corrupt: Arc<Counter>,
     staged: StagedEntries,
     /// The store file of the key and the disk tier's write-through index,
     /// when a disk tier is attached (a fetched entry is written through
@@ -1122,11 +1090,7 @@ impl LateCorruption {
             written.lock().expect("disk tier index").remove(&self.key);
         }
         self.staged.remove(&self.key);
-        let mut counters = self.counters.lock().expect("reuse plane counters");
-        match self.tier {
-            ReuseTier::Disk => counters.disk_corrupt += 1,
-            _ => counters.network_corrupt += 1,
-        }
+        self.corrupt.inc();
     }
 }
 
@@ -1185,12 +1149,23 @@ mod tests {
 
     const MODE: ClassificationMode = ClassificationMode::Incremental;
 
+    fn get(
+        plane: &ReusePlane,
+        program: &CompiledProgram,
+        geometry: CacheGeometry,
+    ) -> Arc<AnalysisContext> {
+        plane
+            .get_or_build_traced(program, geometry, MODE)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn memory_tier_answers_repeats() {
         let plane = ReusePlane::in_memory();
         let program = compiled("p", 10);
-        let a = plane.get_or_build(&program, geometry(), MODE).unwrap();
-        let b = plane.get_or_build(&program, geometry(), MODE).unwrap();
+        let a = get(&plane, &program, geometry());
+        let b = get(&plane, &program, geometry());
         assert!(Arc::ptr_eq(&a, &b));
         let stats = plane.stats();
         assert_eq!((stats.memory.hits, stats.memory.misses), (1, 1));
@@ -1202,12 +1177,10 @@ mod tests {
     fn narrower_sibling_is_derived_not_built() {
         let plane = ReusePlane::in_memory();
         let program = compiled("p", 10);
-        let wide = plane.get_or_build(&program, geometry(), MODE).unwrap();
+        let wide = get(&plane, &program, geometry());
         wide.prewarm(pwcet_par::Parallelism::Sequential);
         for ways in [2u32, 1] {
-            let narrow = plane
-                .get_or_build(&program, geometry().with_ways(ways), MODE)
-                .unwrap();
+            let narrow = get(&plane, &program, geometry().with_ways(ways));
             assert_eq!(narrow.geometry().ways(), ways);
         }
         let stats = plane.stats();
@@ -1220,10 +1193,10 @@ mod tests {
         let plane = ReusePlane::in_memory();
         let program = compiled("p", 10);
         plane
-            .get_or_build(&program, geometry(), ClassificationMode::Cold)
+            .get_or_build_traced(&program, geometry(), ClassificationMode::Cold)
             .unwrap();
         plane
-            .get_or_build(&program, geometry().with_ways(2), ClassificationMode::Cold)
+            .get_or_build_traced(&program, geometry().with_ways(2), ClassificationMode::Cold)
             .unwrap();
         let stats = plane.stats();
         assert_eq!(stats.derived, 0);
@@ -1235,14 +1208,10 @@ mod tests {
         let plane = ReusePlane::in_memory();
         let program = compiled("p", 10);
         // Narrow first: the wide sibling must NOT be derived from it.
-        plane
-            .get_or_build(&program, geometry().with_ways(2), MODE)
-            .unwrap();
-        plane.get_or_build(&program, geometry(), MODE).unwrap();
+        get(&plane, &program, geometry().with_ways(2));
+        get(&plane, &program, geometry());
         // A different set count is a different family.
-        plane
-            .get_or_build(&program, CacheGeometry::new(8, 2, 16), MODE)
-            .unwrap();
+        get(&plane, &program, CacheGeometry::new(8, 2, 16));
         let stats = plane.stats();
         assert_eq!(stats.derived, 0);
         assert_eq!(stats.cold_builds, 3);
@@ -1351,7 +1320,7 @@ mod tests {
         let program = compiled("p", 10);
         let key = ContextCache::key_of(&program, geometry(), MODE);
         assert!(plane.export_entry(key).is_none(), "nothing to export yet");
-        let context = plane.get_or_build(&program, geometry(), MODE).unwrap();
+        let context = get(&plane, &program, geometry());
         context.prewarm(pwcet_par::Parallelism::Sequential);
         let bytes = plane.export_entry(key).expect("warm context exports");
 

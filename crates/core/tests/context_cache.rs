@@ -41,9 +41,12 @@ fn reliable_way_count_changes_the_key() {
     assert_ne!(keys[0], keys[2]);
     assert_ne!(keys[1], keys[2]);
 
-    let cache = ContextCache::new(8);
-    cache.get_or_build(&compiled, four_way, mode).unwrap();
-    cache.get_or_build(&compiled, two_way, mode).unwrap();
+    let cache = Arc::new(ContextCache::new(8));
+    let plane = ReusePlane::with_memory(Arc::clone(&cache));
+    plane
+        .get_or_build_traced(&compiled, four_way, mode)
+        .unwrap();
+    plane.get_or_build_traced(&compiled, two_way, mode).unwrap();
     let stats = cache.stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.len),
@@ -125,7 +128,8 @@ fn cache_hit_reports_the_callers_program_name() {
 
 #[test]
 fn different_images_get_different_entries() {
-    let cache = ContextCache::new(8);
+    let cache = Arc::new(ContextCache::new(8));
+    let plane = ReusePlane::with_memory(Arc::clone(&cache));
     let mode = ClassificationMode::Incremental;
     let geometry = CacheGeometry::paper_default();
     let a = compiled();
@@ -134,9 +138,9 @@ fn different_images_get_different_entries() {
         .compile(0x0040_0000)
         .unwrap();
     let c = program().compile(0x0050_0000).unwrap(); // same code, new base
-    cache.get_or_build(&a, geometry, mode).unwrap();
-    cache.get_or_build(&b, geometry, mode).unwrap();
-    cache.get_or_build(&c, geometry, mode).unwrap();
+    plane.get_or_build_traced(&a, geometry, mode).unwrap();
+    plane.get_or_build_traced(&b, geometry, mode).unwrap();
+    plane.get_or_build_traced(&c, geometry, mode).unwrap();
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.len), (0, 3, 3));
 }

@@ -301,8 +301,9 @@ fn late_tail_corruption_is_counted_discarded_and_recomputed_cold() {
     let compiled = program().compile(config.code_base).unwrap();
     let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
     let context = fresh
-        .get_or_build(&compiled, config.geometry, config.classification)
-        .unwrap();
+        .get_or_build_traced(&compiled, config.geometry, config.classification)
+        .unwrap()
+        .0;
     let _ = context.ipet_template();
     let stats = fresh.stats();
     assert_eq!((stats.disk_hits, stats.disk_corrupt), (1, 1));
@@ -501,8 +502,9 @@ fn evicted_programs_release_their_ipet_templates() {
         .map(|bench| {
             let compiled = bench.program.compile(config.code_base).unwrap();
             let context = plane
-                .get_or_build(&compiled, config.geometry, config.classification)
-                .unwrap();
+                .get_or_build_traced(&compiled, config.geometry, config.classification)
+                .unwrap()
+                .0;
             analyzer(&plane).analyze_with_context(&context).unwrap();
             Arc::downgrade(&context.ipet_template())
         })

@@ -1,8 +1,9 @@
 //! Problem construction and branch-and-bound.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use pwcet_obs::{Counter, Registry};
 use pwcet_par::{par_drain, Parallelism};
 
 use crate::error::IlpError;
@@ -100,68 +101,63 @@ impl SolveStats {
         self.cold_probes += other.cold_probes;
         self.trivial_prunes += other.trivial_prunes;
     }
-
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim). This is what telemetry exposition serializes, so a
-    /// new counter added here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("pivots", self.pivots),
-            ("dual_pivots", self.dual_pivots),
-            ("bound_flips", self.bound_flips),
-            ("bb_nodes", self.bb_nodes),
-            ("warm_starts", self.warm_starts),
-            ("cold_starts", self.cold_starts),
-            ("cold_probes", self.cold_probes),
-            ("trivial_prunes", self.trivial_prunes),
-        ]
-    }
 }
 
 /// Thread-safe accumulator of [`SolveStats`] (plain relaxed counters —
-/// solver workers record concurrently, readers snapshot).
+/// solver workers record concurrently, readers snapshot). A
+/// [`registered`](Self::registered) cell counts straight into a metrics
+/// registry's rows.
 #[derive(Debug, Default)]
 pub struct SolveStatsCell {
-    pivots: AtomicU64,
-    dual_pivots: AtomicU64,
-    bound_flips: AtomicU64,
-    bb_nodes: AtomicU64,
-    warm_starts: AtomicU64,
-    cold_starts: AtomicU64,
-    cold_probes: AtomicU64,
-    trivial_prunes: AtomicU64,
+    pivots: Arc<Counter>,
+    dual_pivots: Arc<Counter>,
+    bound_flips: Arc<Counter>,
+    bb_nodes: Arc<Counter>,
+    warm_starts: Arc<Counter>,
+    cold_starts: Arc<Counter>,
+    cold_probes: Arc<Counter>,
+    trivial_prunes: Arc<Counter>,
 }
 
 impl SolveStatsCell {
+    /// A cell whose counters are `metrics`' `ilp_*` rows, one per
+    /// [`SolveStats`] field.
+    pub fn registered(metrics: &Registry) -> Self {
+        Self {
+            pivots: metrics.register_counter("ilp_pivots"),
+            dual_pivots: metrics.register_counter("ilp_dual_pivots"),
+            bound_flips: metrics.register_counter("ilp_bound_flips"),
+            bb_nodes: metrics.register_counter("ilp_bb_nodes"),
+            warm_starts: metrics.register_counter("ilp_warm_starts"),
+            cold_starts: metrics.register_counter("ilp_cold_starts"),
+            cold_probes: metrics.register_counter("ilp_cold_probes"),
+            trivial_prunes: metrics.register_counter("ilp_trivial_prunes"),
+        }
+    }
+
     /// Adds one solve's counters.
     pub fn record(&self, stats: &SolveStats) {
-        self.pivots.fetch_add(stats.pivots, Ordering::Relaxed);
-        self.dual_pivots
-            .fetch_add(stats.dual_pivots, Ordering::Relaxed);
-        self.bound_flips
-            .fetch_add(stats.bound_flips, Ordering::Relaxed);
-        self.bb_nodes.fetch_add(stats.bb_nodes, Ordering::Relaxed);
-        self.warm_starts
-            .fetch_add(stats.warm_starts, Ordering::Relaxed);
-        self.cold_starts
-            .fetch_add(stats.cold_starts, Ordering::Relaxed);
-        self.cold_probes
-            .fetch_add(stats.cold_probes, Ordering::Relaxed);
-        self.trivial_prunes
-            .fetch_add(stats.trivial_prunes, Ordering::Relaxed);
+        self.pivots.add(stats.pivots);
+        self.dual_pivots.add(stats.dual_pivots);
+        self.bound_flips.add(stats.bound_flips);
+        self.bb_nodes.add(stats.bb_nodes);
+        self.warm_starts.add(stats.warm_starts);
+        self.cold_starts.add(stats.cold_starts);
+        self.cold_probes.add(stats.cold_probes);
+        self.trivial_prunes.add(stats.trivial_prunes);
     }
 
     /// The accumulated totals.
     pub fn snapshot(&self) -> SolveStats {
         SolveStats {
-            pivots: self.pivots.load(Ordering::Relaxed),
-            dual_pivots: self.dual_pivots.load(Ordering::Relaxed),
-            bound_flips: self.bound_flips.load(Ordering::Relaxed),
-            bb_nodes: self.bb_nodes.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            cold_starts: self.cold_starts.load(Ordering::Relaxed),
-            cold_probes: self.cold_probes.load(Ordering::Relaxed),
-            trivial_prunes: self.trivial_prunes.load(Ordering::Relaxed),
+            pivots: self.pivots.get(),
+            dual_pivots: self.dual_pivots.get(),
+            bound_flips: self.bound_flips.get(),
+            bb_nodes: self.bb_nodes.get(),
+            warm_starts: self.warm_starts.get(),
+            cold_starts: self.cold_starts.get(),
+            cold_probes: self.cold_probes.get(),
+            trivial_prunes: self.trivial_prunes.get(),
         }
     }
 }

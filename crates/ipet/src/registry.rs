@@ -26,11 +26,12 @@
 //! resident program rather than one per program it ever analyzed.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pwcet_analysis::Scope;
 use pwcet_cfg::{ExpandedCfg, NodeId};
+use pwcet_obs::{Counter, Registry};
 
 use crate::ilp_engine::sort_groups;
 use crate::template::IpetTemplate;
@@ -51,21 +52,6 @@ pub struct TemplateCounters {
     /// objective→bound memo — an identical cost model was already
     /// solved, typically by a sibling geometry of the same sweep.
     pub objective_hits: u64,
-}
-
-impl TemplateCounters {
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim). This is what telemetry exposition serializes, so a
-    /// new counter added here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("template_hits", self.template_hits),
-            ("template_builds", self.template_builds),
-            ("basis_restores", self.basis_restores),
-            ("basis_rejects", self.basis_rejects),
-            ("objective_hits", self.objective_hits),
-        ]
-    }
 }
 
 /// The registered templates, guarded by one lock.
@@ -103,10 +89,10 @@ pub struct TemplateRegistry {
     slots: Mutex<Slots>,
     /// Pool cap applied to every template built through this registry.
     pool_cap: AtomicUsize,
-    template_hits: AtomicU64,
-    template_builds: AtomicU64,
-    basis_restores: AtomicU64,
-    basis_rejects: AtomicU64,
+    template_hits: Arc<Counter>,
+    template_builds: Arc<Counter>,
+    basis_restores: Arc<Counter>,
+    basis_rejects: Arc<Counter>,
 }
 
 impl TemplateRegistry {
@@ -115,6 +101,18 @@ impl TemplateRegistry {
         Self {
             pool_cap: AtomicUsize::new(usize::MAX),
             ..Self::default()
+        }
+    }
+
+    /// An empty registry whose event counters are `metrics`' rows of the
+    /// same names.
+    pub fn registered(metrics: &Registry) -> Self {
+        Self {
+            template_hits: metrics.register_counter("template_hits"),
+            template_builds: metrics.register_counter("template_builds"),
+            basis_restores: metrics.register_counter("basis_restores"),
+            basis_rejects: metrics.register_counter("basis_rejects"),
+            ..Self::new()
         }
     }
 
@@ -154,7 +152,7 @@ impl TemplateRegistry {
         };
         if let Some(template) = existing.as_ref() {
             if template.covers(&needed) {
-                self.template_hits.fetch_add(1, Ordering::Relaxed);
+                self.template_hits.inc();
                 return Arc::clone(template);
             }
         }
@@ -172,11 +170,11 @@ impl TemplateRegistry {
         // Another thread may have raced a covering build in meanwhile.
         if let Some(raced) = slots.by_fingerprint.get(&cfg_fingerprint) {
             if raced.covers(&needed) {
-                self.template_hits.fetch_add(1, Ordering::Relaxed);
+                self.template_hits.inc();
                 return Arc::clone(raced);
             }
         }
-        self.template_builds.fetch_add(1, Ordering::Relaxed);
+        self.template_builds.inc();
         if let Some(replaced) = slots
             .by_fingerprint
             .insert(cfg_fingerprint, Arc::clone(&built))
@@ -188,16 +186,18 @@ impl TemplateRegistry {
 
     /// Counts one successful basis restore.
     pub fn record_basis_restore(&self) {
-        self.basis_restores.fetch_add(1, Ordering::Relaxed);
+        self.basis_restores.inc();
     }
 
     /// Counts one rejected (invalid/singular) serialized basis.
     pub fn record_basis_reject(&self) {
-        self.basis_rejects.fetch_add(1, Ordering::Relaxed);
+        self.basis_rejects.inc();
     }
 
     /// A snapshot of the registry's counters. `objective_hits` sums over
-    /// the registered templates plus those that have left the registry.
+    /// the registered templates plus those that have left the registry:
+    /// each template's objective memo counts its own hits, so the total
+    /// is read, not registered.
     pub fn counters(&self) -> TemplateCounters {
         let objective_hits = {
             let slots = self.slots.lock().expect("template registry");
@@ -209,10 +209,10 @@ impl TemplateRegistry {
                     .sum::<u64>()
         };
         TemplateCounters {
-            template_hits: self.template_hits.load(Ordering::Relaxed),
-            template_builds: self.template_builds.load(Ordering::Relaxed),
-            basis_restores: self.basis_restores.load(Ordering::Relaxed),
-            basis_rejects: self.basis_rejects.load(Ordering::Relaxed),
+            template_hits: self.template_hits.get(),
+            template_builds: self.template_builds.get(),
+            basis_restores: self.basis_restores.get(),
+            basis_rejects: self.basis_rejects.get(),
             objective_hits,
         }
     }

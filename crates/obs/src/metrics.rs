@@ -5,7 +5,8 @@
 //! surgery: the registry renders itself into a self-describing
 //! name→value table ([`RegistrySnapshot::table`]) that the service
 //! ships as `Vec<(String, u64)>`, so a new counter is one
-//! `registry.counter("x")` call away from showing up in every scrape.
+//! `registry.register_counter("x")` call away from showing up in every
+//! scrape.
 //!
 //! # Histogram bucket scheme
 //!
@@ -262,7 +263,41 @@ impl Registry {
         Self::default()
     }
 
-    /// The counter named `name`, created on first use.
+    /// Registers the counter `name` for the code that increments it,
+    /// the one owner of that row; readers look it up with
+    /// [`counter`](Self::counter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered, so two layers can never
+    /// count into one row unnoticed.
+    pub fn register_counter(&self, name: &str) -> Arc<Counter> {
+        let counter = Arc::new(Counter::default());
+        self.register(name, Instrument::Counter(Arc::clone(&counter)));
+        counter
+    }
+
+    /// As [`register_counter`](Self::register_counter) (and panicking
+    /// as it does), for a histogram.
+    pub fn register_histogram(&self, name: &str) -> Arc<Histogram> {
+        let histogram = Arc::new(Histogram::new());
+        self.register(name, Instrument::Histogram(Arc::clone(&histogram)));
+        histogram
+    }
+
+    fn register(&self, name: &str, instrument: Instrument) {
+        let mut map = self.instruments.lock().unwrap();
+        let taken = map.contains_key(name);
+        if !taken {
+            map.insert(name.to_string(), instrument);
+        }
+        drop(map);
+        assert!(!taken, "metric {name:?} is registered twice");
+    }
+
+    /// The counter named `name`, created on first use: how readers and
+    /// tests look up a row that [`register_counter`](Self::register_counter)
+    /// gave its owner.
     ///
     /// # Panics
     ///
@@ -421,6 +456,15 @@ mod tests {
         assert_eq!(get("latency_us_count"), Some(3));
         assert_eq!(get("latency_us_max"), Some(30));
         assert_eq!(get("latency_us_p50"), Some(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "\"network_hits\" is registered twice")]
+    fn a_name_is_registered_once() {
+        let reg = Registry::new();
+        reg.register_counter("network_hits").add(2);
+        assert_eq!(reg.counter("network_hits").get(), 2, "lookups share it");
+        reg.register_counter("network_hits");
     }
 
     #[test]

@@ -46,9 +46,9 @@ impl CompileMemo {
         Self {
             config,
             memo: Memo::new(DEFAULT_CONTEXT_CAPACITY, Admission::SecondSighting),
-            compile_us: registry.histogram("compile_us"),
-            hits: registry.counter("compile_memo_hits"),
-            misses: registry.counter("compile_memo_misses"),
+            compile_us: registry.register_histogram("compile_us"),
+            hits: registry.register_counter("compile_memo_hits"),
+            misses: registry.register_counter("compile_memo_misses"),
         }
     }
 

@@ -62,7 +62,7 @@ pub mod server;
 pub mod shard;
 
 pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryStats};
-pub use peer::{FleetConfig, FleetStats, PeerFleet, PeerRing};
+pub use peer::{FleetConfig, PeerFleet, PeerRing};
 pub use protocol::{
     AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response, ServedFrom,
     StageTiming, WireError,

@@ -26,12 +26,12 @@
 //!   peer degrades the request to a counted cold rebuild, never a wrong
 //!   answer. The fleet itself only moves opaque bytes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pwcet_core::{fnv1a_checksum, NetworkTier};
+use pwcet_obs::{Counter, Registry};
 
 use crate::client::{Client, ClientConfig};
 
@@ -206,39 +206,6 @@ struct Health {
     down_until: Option<Instant>,
 }
 
-/// Fleet counters (monotonic).
-#[derive(Debug, Default)]
-struct FleetCounters {
-    fetch_hits: AtomicU64,
-    fetch_misses: AtomicU64,
-    fetch_errors: AtomicU64,
-    offers_sent: AtomicU64,
-    offers_failed: AtomicU64,
-    offers_dropped: AtomicU64,
-}
-
-/// A snapshot of [`PeerFleet`] activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Peers on the ring other than this node.
-    pub peers: usize,
-    /// Of those, how many are currently backed off.
-    pub unhealthy: usize,
-    /// Fetches answered `Some` by a peer.
-    pub fetch_hits: u64,
-    /// Fetches answered `None` (authoritative miss) or with every
-    /// candidate peer skipped.
-    pub fetch_misses: u64,
-    /// Transport failures during fetches.
-    pub fetch_errors: u64,
-    /// Write-back offers delivered (whether or not the peer stored).
-    pub offers_sent: u64,
-    /// Write-back offers that failed transport.
-    pub offers_failed: u64,
-    /// Write-back offers dropped because the queue was full.
-    pub offers_dropped: u64,
-}
-
 struct FleetInner {
     ring: PeerRing,
     /// This node's index on the ring, when it is a member.
@@ -251,7 +218,20 @@ struct FleetInner {
     /// connect per fetch would pay the peer's accept path every time).
     /// The lock doubles as per-peer serialization of exchanges.
     conns: Vec<Mutex<Option<Client>>>,
-    counters: FleetCounters,
+    /// Fetches answered `Some` by a peer. This and the five counters
+    /// below are the node's metrics rows of the same names.
+    fleet_fetch_hits: Arc<Counter>,
+    /// Fetches answered `None` (authoritative miss) or with every
+    /// candidate peer skipped.
+    fleet_fetch_misses: Arc<Counter>,
+    /// Transport failures during fetches.
+    fleet_fetch_errors: Arc<Counter>,
+    /// Write-back offers delivered (whether or not the peer stored).
+    fleet_offers_sent: Arc<Counter>,
+    /// Write-back offers that failed transport.
+    fleet_offers_failed: Arc<Counter>,
+    /// Write-back offers dropped because the queue was full.
+    fleet_offers_dropped: Arc<Counter>,
 }
 
 impl FleetInner {
@@ -378,22 +358,22 @@ impl FleetInner {
                         }
                         bytes
                     };
-                    self.counters.fetch_hits.fetch_add(1, Ordering::Relaxed);
+                    self.fleet_fetch_hits.inc();
                     return Some(bytes);
                 }
                 Ok(None) => {
                     // The peer that answers is authoritative for the
                     // key; an explicit miss means the fleet does not
                     // have it and the cold build should start now.
-                    self.counters.fetch_misses.fetch_add(1, Ordering::Relaxed);
+                    self.fleet_fetch_misses.inc();
                     return None;
                 }
                 Err(()) => {
-                    self.counters.fetch_errors.fetch_add(1, Ordering::Relaxed);
+                    self.fleet_fetch_errors.inc();
                 }
             }
         }
-        self.counters.fetch_misses.fetch_add(1, Ordering::Relaxed);
+        self.fleet_fetch_misses.inc();
         None
     }
 
@@ -409,10 +389,10 @@ impl FleetInner {
             }
             match self.exchange(index, |client| client.offer_entry(key, bytes)) {
                 Ok(_stored) => {
-                    self.counters.offers_sent.fetch_add(1, Ordering::Relaxed);
+                    self.fleet_offers_sent.inc();
                 }
                 Err(()) => {
-                    self.counters.offers_failed.fetch_add(1, Ordering::Relaxed);
+                    self.fleet_offers_failed.inc();
                 }
             }
             // One delivery attempt to the best reachable owner; the
@@ -446,8 +426,9 @@ impl std::fmt::Debug for PeerFleet {
 }
 
 impl PeerFleet {
-    /// Builds the ring and starts the offer worker.
-    pub fn start(config: FleetConfig) -> Self {
+    /// Builds the ring, registers the fleet's counters in `metrics` and
+    /// starts the offer worker.
+    pub fn start(config: FleetConfig, metrics: &Registry) -> Self {
         let ring = PeerRing::new(config.peers.iter().cloned(), config.vnodes);
         let self_index = config.peers.iter().position(|p| *p == config.self_addr);
         let health = (0..ring.len())
@@ -462,7 +443,12 @@ impl PeerFleet {
             backoff_max: config.backoff_max,
             health,
             conns,
-            counters: FleetCounters::default(),
+            fleet_fetch_hits: metrics.register_counter("fleet_fetch_hits"),
+            fleet_fetch_misses: metrics.register_counter("fleet_fetch_misses"),
+            fleet_fetch_errors: metrics.register_counter("fleet_fetch_errors"),
+            fleet_offers_sent: metrics.register_counter("fleet_offers_sent"),
+            fleet_offers_failed: metrics.register_counter("fleet_offers_failed"),
+            fleet_offers_dropped: metrics.register_counter("fleet_offers_dropped"),
         });
         let (tx, rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(config.offer_queue.max(1));
         let worker_inner = Arc::clone(&inner);
@@ -491,21 +477,6 @@ impl PeerFleet {
         (0..self.inner.ring.len())
             .filter(|&i| !self.inner.is_self(i) && self.inner.backed_off(i))
             .count()
-    }
-
-    /// A snapshot of the fleet counters.
-    pub fn stats(&self) -> FleetStats {
-        let c = &self.inner.counters;
-        FleetStats {
-            peers: self.peer_count(),
-            unhealthy: self.unhealthy_count(),
-            fetch_hits: c.fetch_hits.load(Ordering::Relaxed),
-            fetch_misses: c.fetch_misses.load(Ordering::Relaxed),
-            fetch_errors: c.fetch_errors.load(Ordering::Relaxed),
-            offers_sent: c.offers_sent.load(Ordering::Relaxed),
-            offers_failed: c.offers_failed.load(Ordering::Relaxed),
-            offers_dropped: c.offers_dropped.load(Ordering::Relaxed),
-        }
     }
 
     /// Stops accepting offers, drains the queued ones, and joins the
@@ -545,10 +516,7 @@ impl NetworkTier for PeerFleet {
             // A dropped offer is the same degradation a full queue
             // causes: the entry stays local and a future peer fetch
             // misses. Count it in the same place.
-            self.inner
-                .counters
-                .offers_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.fleet_offers_dropped.inc();
             return;
         }
         let guard = self.offer_tx.lock().unwrap_or_else(PoisonError::into_inner);
@@ -556,10 +524,7 @@ impl NetworkTier for PeerFleet {
         if tx.try_send((key, bytes.to_vec())).is_err() {
             // Queue full (or worker gone): drop rather than block the
             // analysis path — the entry stays available locally.
-            self.inner
-                .counters
-                .offers_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.fleet_offers_dropped.inc();
         }
     }
 }

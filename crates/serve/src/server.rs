@@ -53,7 +53,6 @@
 //! connections, and the accept loop are joined and the reuse plane is
 //! flushed to its disk tier.
 
-use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -164,10 +163,9 @@ impl ServerConfig {
 }
 
 /// The server's own counters and gauges, as returned by
-/// [`Server::stats`] and [`Server::shutdown`]. Reuse-plane, solver and
-/// classifier counters live with their owners
-/// ([`ReusePlane::stats`], [`ReusePlane::ilp_stats`],
-/// [`ReusePlane::kernel_stats`]); the metrics table carries them all.
+/// [`Server::stats`] and [`Server::shutdown`]. Reuse-plane and solver
+/// counters live with their owners ([`ReusePlane::stats`],
+/// [`ReusePlane::ilp_stats`]); the metrics table carries them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Number of worker shards.
@@ -242,11 +240,10 @@ struct Job {
 
 /// The server's telemetry plane: the span collector shared with every
 /// layer below (core pipeline, reuse plane, peer fleet) plus the
-/// metrics registry — the one home of every server-owned counter —
-/// with the hot-path instruments resolved once.
+/// server-owned instruments, registered once in the node's metrics
+/// registry ([`ReusePlane::metrics`]).
 struct Telemetry {
     tracer: Arc<Tracer>,
-    registry: Registry,
     requests: Arc<Counter>,
     request_latency_us: Arc<Histogram>,
     queue_wait_us: Arc<Histogram>,
@@ -275,32 +272,30 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(trace_out: Option<&PathBuf>) -> std::io::Result<Self> {
+    fn new(trace_out: Option<&PathBuf>, registry: &Registry) -> std::io::Result<Self> {
         let tracer = Arc::new(match trace_out {
             Some(path) => Tracer::with_sink(DEFAULT_RING_CAPACITY, path)?,
             None => Tracer::new(DEFAULT_RING_CAPACITY),
         });
-        let registry = Registry::new();
         Ok(Self {
-            requests: registry.counter("requests"),
-            request_latency_us: registry.histogram("request_latency_us"),
-            queue_wait_us: registry.histogram("queue_wait_us"),
-            service_us: registry.histogram("service_us"),
-            worker_panics: registry.counter("worker_panics"),
-            response_write_failures: registry.counter("response_write_failures"),
-            connections: registry.counter("connections"),
-            served: registry.counter("served"),
-            overloads: registry.counter("overloads"),
-            protocol_errors: registry.counter("protocol_errors"),
-            served_memory: registry.counter("served_memory"),
-            served_disk: registry.counter("served_disk"),
-            served_derived: registry.counter("served_derived"),
-            served_network: registry.counter("served_network"),
-            served_cold: registry.counter("served_cold"),
-            peer_fetches_served: registry.counter("peer_fetches_served"),
-            peer_offers_stored: registry.counter("peer_offers_stored"),
+            requests: registry.register_counter("requests"),
+            request_latency_us: registry.register_histogram("request_latency_us"),
+            queue_wait_us: registry.register_histogram("queue_wait_us"),
+            service_us: registry.register_histogram("service_us"),
+            worker_panics: registry.register_counter("worker_panics"),
+            response_write_failures: registry.register_counter("response_write_failures"),
+            connections: registry.register_counter("connections"),
+            served: registry.register_counter("served"),
+            overloads: registry.register_counter("overloads"),
+            protocol_errors: registry.register_counter("protocol_errors"),
+            served_memory: registry.register_counter("served_memory"),
+            served_disk: registry.register_counter("served_disk"),
+            served_derived: registry.register_counter("served_derived"),
+            served_network: registry.register_counter("served_network"),
+            served_cold: registry.register_counter("served_cold"),
+            peer_fetches_served: registry.register_counter("peer_fetches_served"),
+            peer_offers_stored: registry.register_counter("peer_offers_stored"),
             tracer,
-            registry,
         })
     }
 
@@ -425,76 +420,50 @@ impl Shared {
     }
 
     /// The full self-describing metrics table answered by
-    /// [`Request::Metrics`], sorted by name: the registry's instruments
-    /// (the server-owned counters, histograms expanded to exact
-    /// `_count/_sum/_mean/_p50/_p95/_p99/_max` rows), the service
-    /// gauges, the lower layers' own `entries()` enumerations (which may
-    /// grow without protocol changes), tracer health, and the fleet and
-    /// chaos counters when present. Every name is written exactly once.
+    /// [`Request::Metrics`], sorted by name: the node registry's
+    /// snapshot (histograms expanded to exact
+    /// `_count/_sum/_mean/_p50/_p95/_p99/_max` rows), the values read at
+    /// scrape time below, and the chaos counters when present.
     fn metrics_table(&self) -> Vec<(String, u64)> {
-        let mut table = BTreeMap::new();
-        let mut put = |name: String, value: u64| {
-            debug_assert!(!table.contains_key(&name), "metric {name} written twice");
-            table.insert(name, value);
-        };
-        for (name, value) in self.telemetry.registry.snapshot().table() {
-            put(name, value);
-        }
-        let stats = self.stats();
-        for (name, value) in [
-            ("shards", u64::from(stats.shards)),
-            ("queue_capacity", u64::from(stats.queue_capacity)),
-            ("queued", stats.queued),
-            ("peers", u64::from(stats.peers)),
-            ("peers_unhealthy", u64::from(stats.peers_unhealthy)),
-            ("store_bytes", stats.store_bytes),
-        ] {
-            put(name.to_string(), value);
-        }
         let plane = &self.engine.plane;
-        for (name, value) in plane.stats().entries() {
-            put(name.to_string(), value);
-        }
-        for (name, value) in plane.ilp_stats().entries() {
-            put(format!("ilp_{name}"), value);
-        }
-        for (name, value) in plane.kernel_stats().entries() {
-            put(format!("classify_{name}"), value);
-        }
-        for (name, value) in plane.template_registry().counters().entries() {
-            put(name.to_string(), value);
-        }
-        put(
-            "trace_spans_dropped".to_string(),
-            self.telemetry.tracer.dropped(),
+        let (stats, reuse) = (self.stats(), plane.stats());
+        let memory = reuse.memory;
+        let mut table = plane.metrics().snapshot().table();
+        // Live state rather than counted events: the service gauges, the
+        // memory tier (its memo counts under its own lock), the
+        // objective memo hits summed over live and retired templates,
+        // and tracer health.
+        table.extend(
+            [
+                ("shards", u64::from(stats.shards)),
+                ("queue_capacity", u64::from(stats.queue_capacity)),
+                ("queued", stats.queued),
+                ("peers", u64::from(stats.peers)),
+                ("peers_unhealthy", u64::from(stats.peers_unhealthy)),
+                ("store_bytes", stats.store_bytes),
+                ("memory_hits", memory.hits),
+                ("memory_misses", memory.misses),
+                ("memory_evictions", memory.evictions),
+                ("memory_len", memory.len as u64),
+                ("memory_capacity", memory.capacity as u64),
+                ("objective_hits", reuse.objective_hits),
+                ("trace_spans_dropped", self.telemetry.tracer.dropped()),
+            ]
+            .map(|(name, value)| (name.to_string(), value)),
         );
-        // Fleet transport counters under a `fleet_` prefix — the plane
-        // rows carry hits/misses/corrupt, these add the failure half
-        // (errors, failed and dropped offers) the chaos suite reconciles
-        // injected peer faults against.
-        if let Some(fleet) = &self.fleet {
-            let fleet_stats = fleet.stats();
-            for (name, value) in [
-                ("fleet_fetch_hits", fleet_stats.fetch_hits),
-                ("fleet_fetch_misses", fleet_stats.fetch_misses),
-                ("fleet_fetch_errors", fleet_stats.fetch_errors),
-                ("fleet_offers_sent", fleet_stats.offers_sent),
-                ("fleet_offers_failed", fleet_stats.offers_failed),
-                ("fleet_offers_dropped", fleet_stats.offers_dropped),
-            ] {
-                put(name.to_string(), value);
-            }
-        }
         // The active fault plan's per-point fired counters
         // (`chaos_fired_*`), so chaos tests reconcile injected faults
         // against the degradation counters above over one scrape.
         #[cfg(feature = "chaos")]
         if let Some(plan) = pwcet_chaos::active() {
-            for (name, value) in plan.entries() {
-                put(name, value);
-            }
+            table.extend(plan.entries());
         }
-        table.into_iter().collect()
+        table.sort_unstable();
+        debug_assert!(
+            table.windows(2).all(|pair| pair[0].0 != pair[1].0),
+            "a metric name is written twice"
+        );
+        table
     }
 }
 
@@ -546,7 +515,7 @@ impl Server {
                 .unwrap_or(1);
             shard_analysis.parallelism = Parallelism::threads((total / shards).max(1));
         }
-        let telemetry = Arc::new(Telemetry::new(config.trace_out.as_ref())?);
+        let telemetry = Arc::new(Telemetry::new(config.trace_out.as_ref(), plane.metrics())?);
         let engine = Arc::new(Engine {
             plane,
             config: shard_analysis,
@@ -606,7 +575,10 @@ impl Server {
         // network tier or none do.
         let fleet = match &config.fleet {
             Some(fleet_config) if fleet_config.has_peers() => {
-                let fleet = Arc::new(PeerFleet::start(fleet_config.clone()));
+                let fleet = Arc::new(PeerFleet::start(
+                    fleet_config.clone(),
+                    engine.plane.metrics(),
+                ));
                 engine
                     .plane
                     .set_network_tier(Arc::clone(&fleet) as Arc<dyn NetworkTier>);
@@ -617,7 +589,7 @@ impl Server {
 
         let shared = Arc::new(Shared {
             pool,
-            programs: CompileMemo::new(engine.config, &telemetry.registry),
+            programs: CompileMemo::new(engine.config, engine.plane.metrics()),
             engine,
             stop: AtomicBool::new(false),
             connections: Mutex::new(Vec::new()),

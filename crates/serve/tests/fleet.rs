@@ -2,6 +2,7 @@
 //! write back to the key's owner, and a poisoned peer entry degrades to
 //! a counted cold rebuild — never a wrong answer.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -63,6 +64,22 @@ fn peer_answers_the_duplicate_from_the_network_tier() {
             ..cold_row
         }
     );
+
+    // B's table carries the fleet's transport counters: one fetch, from
+    // A, answered with the entry.
+    let table_b: BTreeMap<String, u64> = node_b.metrics_table().into_iter().collect();
+    for name in [
+        "fleet_fetch_hits",
+        "fleet_fetch_misses",
+        "fleet_fetch_errors",
+        "fleet_offers_sent",
+        "fleet_offers_failed",
+        "fleet_offers_dropped",
+    ] {
+        assert!(table_b.contains_key(name), "node B's table lacks {name:?}");
+    }
+    assert_eq!(table_b["fleet_fetch_hits"], 1);
+    assert_eq!(table_b["fleet_fetch_errors"], 0);
 
     let plane_b = Arc::clone(node_b.reuse_plane());
     let stats_b = node_b.shutdown();

@@ -2,15 +2,18 @@
 //! restarts, bit-identical warm answers, the compile memo, deterministic
 //! backpressure, and draining shutdown.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use pwcet_cache::CacheGeometry;
-use pwcet_core::{AnalysisConfig, Protection, PwcetAnalyzer, ReuseTier};
+use pwcet_core::{
+    AnalysisConfig, ContextCacheStats, Protection, PwcetAnalyzer, ReusePlaneStats, ReuseTier,
+    SolveStats, TemplateCounters,
+};
 use pwcet_progen::{stmt, Program};
 use pwcet_serve::protocol::{ErrorCode, Request, Response};
-use pwcet_serve::{AnalysisRow, Client, Server, ServerConfig};
+use pwcet_serve::{AnalysisRow, Client, Server, ServerConfig, ServiceStats};
 
 /// The 40 counter and gauge names the retired stats verb answered.
 /// Scrapers built against it keep finding every one of them in the
@@ -852,19 +855,95 @@ fn metrics_table_keeps_every_legacy_stats_name() {
             "metrics table is missing {name:?}"
         );
     }
-    // Plane, solver, classifier and template rows come from their
-    // owners' typed snapshots, not from a copy that could drift.
+    // The whole name set of a single node is pinned: a row added,
+    // dropped or renamed shows up here.
+    let pinned: BTreeSet<&str> = include_str!("metrics_names.txt").lines().collect();
+    let served: BTreeSet<&str> = table.keys().map(String::as_str).collect();
+    assert_eq!(
+        served.symmetric_difference(&pinned).collect::<Vec<_>>(),
+        Vec::<&&str>::new(),
+        "names served but not pinned, or pinned but not served"
+    );
+
+    // Every field of the typed snapshots equals its row: each is read
+    // from the counters the table reports, not from a copy that could
+    // drift. The struct literals fail to compile when a field is added.
+    let row = |name: &str| table[name];
     let plane = server.reuse_plane();
-    let reuse = plane.stats();
-    let ilp = plane.ilp_stats();
-    let kernel = plane.kernel_stats();
-    let templates = plane.template_registry().counters();
-    assert_eq!(table["memory_hits"], reuse.memory.hits);
-    assert_eq!(table["cold_builds"], reuse.cold_builds);
-    assert_eq!(table["ilp_pivots"], ilp.pivots);
-    assert_eq!(table["classify_passes"], kernel.passes);
-    assert_eq!(table["template_hits"], templates.template_hits);
-    assert_eq!((reuse.memory.hits, reuse.cold_builds), (1, 1));
-    assert!(ilp.pivots > 0 && kernel.passes > 0);
+    assert_eq!(
+        plane.stats(),
+        ReusePlaneStats {
+            memory: ContextCacheStats {
+                hits: row("memory_hits"),
+                misses: row("memory_misses"),
+                evictions: row("memory_evictions"),
+                len: row("memory_len") as usize,
+                capacity: row("memory_capacity") as usize,
+            },
+            disk_hits: row("disk_hits"),
+            disk_misses: row("disk_misses"),
+            disk_writes: row("disk_writes"),
+            disk_corrupt: row("disk_corrupt"),
+            disk_gc_evictions: row("disk_gc_evictions"),
+            derived: row("derived"),
+            network_hits: row("network_hits"),
+            network_misses: row("network_misses"),
+            network_corrupt: row("network_corrupt"),
+            network_offers: row("network_offers"),
+            cold_builds: row("cold_builds"),
+            template_hits: row("template_hits"),
+            basis_restores: row("basis_restores"),
+            basis_rejects: row("basis_rejects"),
+            objective_hits: row("objective_hits"),
+        }
+    );
+    assert_eq!(
+        plane.ilp_stats(),
+        SolveStats {
+            pivots: row("ilp_pivots"),
+            dual_pivots: row("ilp_dual_pivots"),
+            bound_flips: row("ilp_bound_flips"),
+            bb_nodes: row("ilp_bb_nodes"),
+            warm_starts: row("ilp_warm_starts"),
+            cold_starts: row("ilp_cold_starts"),
+            cold_probes: row("ilp_cold_probes"),
+            trivial_prunes: row("ilp_trivial_prunes"),
+        }
+    );
+    assert_eq!(
+        plane.template_registry().counters(),
+        TemplateCounters {
+            template_hits: row("template_hits"),
+            template_builds: row("template_builds"),
+            basis_restores: row("basis_restores"),
+            basis_rejects: row("basis_rejects"),
+            objective_hits: row("objective_hits"),
+        }
+    );
+    assert_eq!(
+        server.stats(),
+        ServiceStats {
+            shards: row("shards") as u32,
+            queue_capacity: row("queue_capacity") as u32,
+            queued: row("queued"),
+            connections: row("connections"),
+            served: row("served"),
+            overloads: row("overloads"),
+            protocol_errors: row("protocol_errors"),
+            served_memory: row("served_memory"),
+            served_disk: row("served_disk"),
+            served_derived: row("served_derived"),
+            served_network: row("served_network"),
+            served_cold: row("served_cold"),
+            peer_fetches_served: row("peer_fetches_served"),
+            peer_offers_stored: row("peer_offers_stored"),
+            peers: row("peers") as u32,
+            peers_unhealthy: row("peers_unhealthy") as u32,
+            store_bytes: row("store_bytes"),
+            disk_writes: row("disk_writes"),
+        }
+    );
+    assert_eq!((row("memory_hits"), row("cold_builds")), (1, 1));
+    assert!(row("ilp_pivots") > 0 && row("classify_passes") > 0);
     server.shutdown();
 }

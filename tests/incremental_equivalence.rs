@@ -202,8 +202,9 @@ fn assert_geometry_derivation_matches_cold(name: &str, plane: &Arc<ReusePlane>) 
         // Classification levels of the derived context, against direct
         // cold fixpoints under the narrow geometry.
         let context = plane
-            .get_or_build(&compiled, geometry, ClassificationMode::Incremental)
-            .unwrap();
+            .get_or_build_traced(&compiled, geometry, ClassificationMode::Incremental)
+            .unwrap()
+            .0;
         let cfg = expand_compiled(&compiled).unwrap();
         for assoc in 0..=geometry.ways() {
             let reference = classify(&cfg, &geometry, assoc);
