@@ -24,7 +24,7 @@
 //! conservatively routing *every* reference through the buffer.
 //!
 //! The fixpoints run on a bit-packed word-parallel domain. The original
-//! set-based domain ([`Acs`]) stays as the oracle: [`reference`] holds
+//! set-based domain ([`Acs`]) stays as the oracle: [`reference`](mod@reference) holds
 //! the classification entry points built on it, which the equivalence
 //! suites compare the packed kernel against.
 //!

@@ -594,6 +594,11 @@ mod tests {
         let stats = plane.stats();
         assert_eq!(stats.cold_builds, 1, "only the widest point builds cold");
         assert_eq!(stats.derived, 2, "narrower points are derived");
+        assert_eq!(
+            (stats.template_builds, stats.template_hits),
+            (1, 2),
+            "the widest point builds the one IPET template; each narrower point adopts it"
+        );
 
         // A second sweep over the same plane is answered from memory.
         let again = sweep(&plane);

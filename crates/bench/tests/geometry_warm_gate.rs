@@ -3,9 +3,10 @@
 //! A widest-first associativity sweep should beat per-geometry cold
 //! analyses on **two** axes at once: the derivation tier age-truncates
 //! the one cold classification fixpoint into every narrower sibling, and
-//! the cross-geometry template registry lets every sibling re-solve its
-//! ILP objectives against the widest point's factored basis pool instead
-//! of refactoring per geometry. Both effects are *algorithmic* — they
+//! every sibling adopts the widest point's IPET template, handed over at
+//! derivation, so it re-solves its ILP objectives against that template's
+//! factored basis pool instead of refactoring per geometry. Both effects
+//! are *algorithmic* — they
 //! show up on any machine — so the gate is enforced on every runner. The
 //! floor is deliberately below the measured speedup so scheduler noise
 //! cannot flake it.
@@ -24,7 +25,7 @@ use pwcet_core::{
 
 const PROGRAM: &str = "crc";
 /// Enforced on all runners; the measured derived-sweep speedup is above
-/// this with the shared template registry (it was ~1.13 without it).
+/// this with the adopted template (it was ~1.13 without template sharing).
 const ENFORCED_SWEEP_SPEEDUP: f64 = 1.5;
 
 #[test]
@@ -58,8 +59,8 @@ fn derived_geometry_sweep_meets_the_gate_on_all_runners() {
     };
     let derived_sweep = || {
         // A fresh plane per run: one cold build (the widest point) plus
-        // genuine derivations and template-registry hits — not
-        // memory-tier hits of an already-warm plane.
+        // genuine derivations and template adoptions — not memory-tier
+        // hits of an already-warm plane.
         let plane = Arc::new(ReusePlane::in_memory());
         let rows = sweep_geometry(&bench, &warm_config, &lattice, TARGET_PROBABILITY, &plane)
             .expect("sweeps");
@@ -67,7 +68,7 @@ fn derived_geometry_sweep_meets_the_gate_on_all_runners() {
         assert_eq!(stats.derived as usize, lattice.len() - 1);
         assert!(
             stats.template_hits >= (lattice.len() - 1) as u64,
-            "every derived sibling must hit the shared template registry \
+            "every derived sibling must adopt the widest point's template \
              (got {} hits)",
             stats.template_hits
         );

@@ -131,8 +131,7 @@ impl std::error::Error for CodecError {}
 
 /// Minimal 64-bit FNV-1a — deterministic across platforms and processes,
 /// unlike `DefaultHasher`, which randomizes per process. Used for the
-/// content keys of the context cache and the CFG fingerprint of the
-/// template registry.
+/// content keys of the context cache.
 pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -272,7 +271,7 @@ impl LaneHash {
 }
 
 /// The payload checksum of `PWCX` entries: a four-lane word-wise hash
-/// ([`LaneHash`]) of the payload and its length. Every single-bit flip
+/// of the payload and its length. Every single-bit flip
 /// of a payload changes it. Exported so tests can re-seal a tampered
 /// entry and reach the structural decoder behind the checksum gate.
 pub fn entry_checksum(payload: &[u8]) -> u64 {

@@ -38,14 +38,15 @@ use pwcet_analysis::{
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
 use pwcet_ilp::SolveStats;
-use pwcet_ipet::{BasisSnapshot, IpetTemplate, TemplateRegistry};
+use pwcet_ipet::{BasisSnapshot, IpetTemplate};
+use pwcet_obs::{Counter, Registry};
 use pwcet_par::{par_for_each_index, par_join, Admission, Memo, Parallelism};
 use pwcet_prob::{DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{
-    decode_tail, encode_context, encode_tail, expander_fingerprint, CodecError, Fnv1a, Presence,
-    RawTail, SolvedEntries,
+    decode_tail, encode_context, encode_tail, expander_fingerprint, CodecError, Presence, RawTail,
+    SolvedEntries,
 };
 use crate::error::CoreError;
 use crate::estimate::Protection;
@@ -106,6 +107,39 @@ impl Solved {
     }
 }
 
+/// The node's IPET template events, each the metrics row of the same
+/// name: counted by the context that requests, builds or seeds a
+/// template, and by the template's objective memo. A reuse plane hands
+/// its set to every context it serves; a context without one counts
+/// into a private set.
+#[derive(Debug, Default)]
+pub(crate) struct TemplateEvents {
+    /// Template requests answered by adopting the template of the
+    /// context this one was derived from.
+    pub(crate) template_hits: Arc<Counter>,
+    /// Templates built by the context that asked.
+    pub(crate) template_builds: Arc<Counter>,
+    /// Persisted bases seeded into a template's workspace pool.
+    pub(crate) basis_restores: Arc<Counter>,
+    /// Persisted bases that failed validation or refactorization.
+    pub(crate) basis_rejects: Arc<Counter>,
+    /// `bound` calls answered by a template's objective memo.
+    pub(crate) objective_hits: Arc<Counter>,
+}
+
+impl TemplateEvents {
+    /// The events counted in `metrics`' rows of the same names.
+    pub(crate) fn registered(metrics: &Registry) -> Self {
+        Self {
+            template_hits: metrics.register_counter("template_hits"),
+            template_builds: metrics.register_counter("template_builds"),
+            basis_restores: metrics.register_counter("basis_restores"),
+            basis_rejects: metrics.register_counter("basis_rejects"),
+            objective_hits: metrics.register_counter("objective_hits"),
+        }
+    }
+}
+
 /// A restored entry's classification tail, still undecoded, and where
 /// to report it if it fails its decode.
 #[derive(Debug)]
@@ -148,6 +182,9 @@ pub struct AnalysisContext {
     /// [`expander_fingerprint`]): set by builds from a compiled program
     /// and by the reuse plane. A context without one is never persisted.
     fingerprint: OnceLock<u64>,
+    /// The content key a reuse plane files this context under, so
+    /// persisting it need not hash the program image again.
+    key: OnceLock<u64>,
     /// A restored entry's classification tail, decoded into `full`,
     /// `levels`, `srb` and `pending_basis` before anything reads or
     /// fills them.
@@ -174,24 +211,23 @@ pub struct AnalysisContext {
     /// the context itself — each with its penalty memo. A plain linear
     /// scan: real workloads touch one or two timings per context.
     solved: Mutex<Vec<(CacheTiming, Arc<Solved>)>>,
-    /// The registry-obtained IPET template — the shared constraint
-    /// matrix every `(set, fault)` delta ILP, SRB column ILP, and
-    /// fault-free WCET solve of this program reuses (timing only changes
-    /// objectives). The template lives in (and is deduplicated by) the
-    /// attached [`TemplateRegistry`], so sibling geometries of one CFG
-    /// memoize the *same* `Arc`; holding it here is also what keeps it
-    /// registered.
+    /// The IPET template — the shared constraint matrix every `(set,
+    /// fault)` delta ILP, SRB column ILP, and fault-free WCET solve of
+    /// this program reuses (timing only changes objectives). Built by
+    /// this context, or adopted from [`inherited`](Self::inherited).
     template: OnceLock<Arc<IpetTemplate>>,
-    /// The cross-geometry template registry, attached set-once by the
-    /// reuse plane (a plane-less context lazily creates a private one).
-    registry: OnceLock<Arc<TemplateRegistry>>,
+    /// The template of the wider context this one was derived from:
+    /// adopted by the first template request when it covers this
+    /// context's groups.
+    inherited: Option<Arc<IpetTemplate>>,
+    /// Where template events count: set-once by the reuse plane and
+    /// inherited by derivation (a plane-less context lazily creates a
+    /// private set).
+    events: OnceLock<Arc<TemplateEvents>>,
     /// A serialized factored basis restored from a disk/network entry,
     /// waiting for the first [`ipet_template`](Self::ipet_template)
     /// request to seed the template's workspace pool.
     pending_basis: Mutex<Option<BasisSnapshot>>,
-    /// Structural fingerprint of `cfg` — the registry key — computed
-    /// once on first template request (or inherited by derivation).
-    cfg_fp: OnceLock<u64>,
     /// Per-set reference index: for each cache set, the `(node,
     /// reference index)` pairs mapping to it, in graph order. Depends
     /// only on the graph, the set count, and the block size — all shared
@@ -283,6 +319,7 @@ impl AnalysisContext {
             cfg,
             source,
             fingerprint: OnceLock::new(),
+            key: OnceLock::new(),
             tail: Mutex::new(None),
             tail_pending: AtomicBool::new(false),
             geometry,
@@ -292,9 +329,9 @@ impl AnalysisContext {
             srb: OnceLock::new(),
             solved: Mutex::new(Vec::new()),
             template: OnceLock::new(),
-            registry: OnceLock::new(),
+            inherited: None,
+            events: OnceLock::new(),
             pending_basis: Mutex::new(None),
-            cfg_fp: OnceLock::new(),
             set_refs: OnceLock::new(),
             kernel_stats: KernelStatsCell::default(),
         }
@@ -341,6 +378,19 @@ impl AnalysisContext {
     /// Sets the expander fingerprint (set-once; later calls are ignored).
     pub(crate) fn set_fingerprint(&self, fingerprint: u64) {
         let _ = self.fingerprint.set(fingerprint);
+    }
+
+    /// The content key a reuse plane filed this context under.
+    pub(crate) fn key(&self) -> Option<u64> {
+        self.key.get().copied()
+    }
+
+    /// Files the context into a reuse plane: the content key it is filed
+    /// under and where its template events count. Set-once each, so a
+    /// derived sibling keeps the events its parent handed it.
+    pub(crate) fn enter_plane(&self, key: u64, events: &Arc<TemplateEvents>) {
+        let _ = self.key.set(key);
+        let _ = self.events.set(Arc::clone(events));
     }
 
     /// Decodes a restored context's pending classification tail into the
@@ -574,96 +624,53 @@ impl AnalysisContext {
         self.solved.lock().expect("solve memo lock").len()
     }
 
-    /// Attaches the cross-geometry [`TemplateRegistry`] templates are
-    /// resolved through. Set-once: later calls are ignored, so the
-    /// reuse plane can attach unconditionally on every tier path.
-    pub fn attach_registry(&self, registry: Arc<TemplateRegistry>) {
-        let _ = self.registry.set(registry);
+    /// Where this context's template events count.
+    fn events(&self) -> &Arc<TemplateEvents> {
+        self.events.get_or_init(Arc::default)
     }
 
-    /// The attached registry, or a lazily created private one for
-    /// contexts running without a reuse plane (the template path is
-    /// identical either way; a private registry just has no siblings to
-    /// share with).
-    fn registry(&self) -> &Arc<TemplateRegistry> {
-        self.registry
-            .get_or_init(|| Arc::new(TemplateRegistry::new()))
-    }
-
-    /// A process-stable structural fingerprint of the expanded graph —
-    /// the registry key. Derived siblings share the graph `Arc` and
-    /// inherit the computed value; a restored context re-expands the
-    /// identical graph from the same image, so equal programs always
-    /// present equal fingerprints and land on the same registry slot.
-    pub(crate) fn cfg_fingerprint(&self) -> u64 {
-        *self.cfg_fp.get_or_init(|| {
-            let cfg = self.cfg();
-            let mut h = Fnv1a::new();
-            h.write_u32(cfg.nodes().len() as u32);
-            for node in cfg.nodes() {
-                h.write_u32(node.addrs().len() as u32);
-                for &addr in node.addrs() {
-                    h.write_u32(addr);
-                }
-            }
-            h.write_u32(cfg.entry() as u32);
-            h.write_u32(cfg.exit() as u32);
-            for (from, to) in cfg.edges() {
-                h.write_u32(from as u32);
-                h.write_u32(to as u32);
-            }
-            h.write_u32(cfg.loops().len() as u32);
-            for l in cfg.loops() {
-                h.write_u32(l.header as u32);
-                h.write_u32(l.bound);
-                h.write_u32(l.back_edges.len() as u32);
-                for &(from, to) in &l.back_edges {
-                    h.write_u32(from as u32);
-                    h.write_u32(to as u32);
-                }
-            }
-            h.finish()
-        })
-    }
-
-    /// The factored [`IpetTemplate`] of this program, resolved through
-    /// the attached [`TemplateRegistry`] on first request and memoized
-    /// per context after that. The registry keys by CFG fingerprint, so
-    /// every sibling geometry of a lattice sweep — and a restored copy
-    /// of this program while another context still holds the template —
-    /// shares one template and its factored basis pool. The template
-    /// carries the union of first-extra groups over every classification
-    /// level `0..=W` of the *widest geometry that asked*, so it can solve
-    /// the WCET cost model, every `(set, fault)` delta model, and every
-    /// SRB column model of any covered sibling; a lookup needing more
-    /// groups triggers a counted merged-union rebuild in the registry,
-    /// never a wrong bound.
+    /// The factored [`IpetTemplate`] of this program, resolved on first
+    /// request and memoized per context after that. A context derived
+    /// from a wider sibling adopts that sibling's template when it
+    /// covers this context's groups (`template_hits`), so a geometry
+    /// sweep factors its matrix once; otherwise the context builds its
+    /// own (`template_builds`). The template carries
+    /// the union of first-extra groups over every classification level
+    /// `0..=W`, so it can solve the WCET cost model, every `(set, fault)`
+    /// delta model, and every SRB column model of this context; a
+    /// narrower sibling's union is a subset of it because a level's
+    /// classification does not depend on the way count.
     ///
     /// Building it materializes every classification level (they define
     /// the group union); under [`prewarm`](Self::prewarm) that work has
-    /// already happened.
+    /// already happened. Concurrent first requests wait for one
+    /// resolution, so each context counts one event.
     pub fn ipet_template(&self) -> Arc<IpetTemplate> {
-        if let Some(template) = self.template.get() {
-            return Arc::clone(template);
-        }
-        // A restored tail carries the basis to seed.
-        self.settle_tail();
-        // Resolved outside any lock (level materialization and model
-        // building can be expensive); the registry deduplicates racing
-        // builds globally, so racers memoize the same registry-owned
-        // template and the first one wins the slot.
-        let groups = self.first_extra_group_union();
-        let template = self
-            .registry()
-            .obtain(self.cfg_fingerprint(), self.cfg(), &groups);
-        self.seed_pending_basis(&template);
-        Arc::clone(self.template.get_or_init(|| template))
+        Arc::clone(self.template.get_or_init(|| {
+            // A restored tail carries the basis to seed.
+            self.settle_tail();
+            let groups = self.first_extra_group_union();
+            let events = self.events();
+            let template = match &self.inherited {
+                Some(template) if template.covers(&groups) => {
+                    events.template_hits.inc();
+                    Arc::clone(template)
+                }
+                _ => {
+                    events.template_builds.inc();
+                    let objective_hits = Arc::clone(&events.objective_hits);
+                    Arc::new(IpetTemplate::new(self.cfg(), groups, objective_hits))
+                }
+            };
+            self.seed_pending_basis(&template);
+            template
+        }))
     }
 
     /// Seeds a restored basis into `template`'s workspace pool, counting
-    /// the restore or rejection on the registry. A rejected basis leaves
-    /// the template cold — it costs one counted factorization on the
-    /// first solve, never a wrong bound.
+    /// the restore or rejection. A rejected basis leaves the template
+    /// cold — it costs one counted factorization on the first solve,
+    /// never a wrong bound.
     fn seed_pending_basis(&self, template: &IpetTemplate) {
         let pending = self
             .pending_basis
@@ -672,9 +679,9 @@ impl AnalysisContext {
             .take();
         if let Some(snapshot) = pending {
             if template.seed_basis(&snapshot) {
-                self.registry().record_basis_restore();
+                self.events().basis_restores.inc();
             } else {
-                self.registry().record_basis_reject();
+                self.events().basis_rejects.inc();
             }
         }
     }
@@ -851,11 +858,13 @@ impl AnalysisContext {
 
     /// Derives the context of a **narrower-way sibling geometry** from
     /// this one: the converged full-associativity states are age-truncated
-    /// into the sibling's full level ([`classify_level_from`]), so the
+    /// into the sibling's full level
+    /// ([`classify_level_from`](pwcet_analysis::classify_level_from)), so the
     /// sibling never runs a cold fixpoint — its lower levels warm-start
     /// from the derived level as usual, and the SRB map (independent of
     /// the way count) is carried over verbatim. The expanded graph is
-    /// shared, not cloned.
+    /// shared, not cloned, and so is this context's IPET template, which
+    /// derivation resolves first (building it if no solve has yet).
     ///
     /// Results are bit-identical to a cold build of the sibling;
     /// `tests/incremental_equivalence.rs` pins it per way count across
@@ -878,6 +887,13 @@ impl AnalysisContext {
             ClassificationMode::Incremental,
             "cold mode is the from-scratch reference; deriving would defeat it"
         );
+        // The sibling's solve memo starts empty, so it will ask for a
+        // template, and its group union is a subset of this context's:
+        // resolve this context's template for it to adopt. A restored
+        // context that answered from its solve memo builds it here,
+        // seeded with its restored basis, and materializes the levels
+        // carried over below.
+        let template = self.ipet_template();
         let derived_full = classify_level_from_with(
             self.cfg(),
             &geometry,
@@ -896,7 +912,7 @@ impl AnalysisContext {
         for (assoc, slot) in levels.iter_mut().enumerate().take(geometry.ways() as usize) {
             *slot = self.levels[assoc].get().cloned();
         }
-        let sibling = Self::from_parts(
+        let mut sibling = Self::from_parts(
             self.name.clone(),
             Arc::clone(self.graph().expect("expanded for the full level")),
             geometry,
@@ -909,20 +925,17 @@ impl AnalysisContext {
                     // The SRB pseudo-geometry (one set, one way) only
                     // depends on the block size, which siblings share.
                     srb: self.srb.get().cloned(),
-                    // No pending basis: the sibling shares this context's
-                    // registry and fingerprint, so its template request
-                    // lands on the already-warm shared pool directly.
+                    // No pending basis: the sibling adopts this context's
+                    // template, whose pool holds any basis it restored.
                     basis: None,
                 },
             },
         );
-        // Same graph, same registry: the sibling's template lookups hit
-        // the shared factored basis pool instead of refactoring (the
-        // plane re-attaches its own registry, which set-once ignores).
-        let _ = sibling.registry.set(Arc::clone(self.registry()));
-        if let Some(&fp) = self.cfg_fp.get() {
-            let _ = sibling.cfg_fp.set(fp);
-        }
+        // Same graph, same constraint matrix: hand over the template, and
+        // count the sibling's template events where this context counts
+        // its own.
+        sibling.inherited = Some(template);
+        sibling.events = OnceLock::from(Arc::clone(self.events()));
         // The set mapping ignores the way count; hand the index over.
         if let Some(refs) = self.set_refs.get() {
             let _ = sibling.set_refs.set(Arc::clone(refs));
@@ -1076,38 +1089,52 @@ mod tests {
         assert_send_sync::<AnalysisContext>();
     }
 
-    #[test]
-    fn template_memo_answers_repeats_without_a_second_build() {
-        let ctx = context();
-        let registry = Arc::new(TemplateRegistry::new());
-        ctx.attach_registry(Arc::clone(&registry));
-        let first = ctx.ipet_template();
-        let second = ctx.ipet_template();
-        assert!(Arc::ptr_eq(&first, &second));
-        let counters = registry.counters();
-        assert_eq!(
-            counters.template_builds, 1,
-            "the second request must hit the per-context memo"
-        );
-        assert_eq!(counters.template_hits, 0);
+    /// `(template_builds, template_hits)` of a context's events.
+    fn template_events(ctx: &AnalysisContext) -> (u64, u64) {
+        let events = ctx.events();
+        (events.template_builds.get(), events.template_hits.get())
     }
 
     #[test]
-    fn derived_sibling_shares_the_registry_template() {
+    fn template_memo_answers_repeats_without_a_second_build() {
         let ctx = context();
-        let registry = Arc::new(TemplateRegistry::new());
-        ctx.attach_registry(Arc::clone(&registry));
+        let first = ctx.ipet_template();
+        let second = ctx.ipet_template();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(
+            template_events(&ctx),
+            (1, 0),
+            "the second request must hit the per-context memo"
+        );
+    }
+
+    #[test]
+    fn derived_sibling_adopts_its_parents_template() {
+        let ctx = context();
         let wide = ctx.ipet_template();
         let sibling = ctx.derive_narrower(CacheGeometry::paper_default().with_ways(2));
         let narrow = sibling.ipet_template();
         // The narrower sibling's group union is a subset of the wide
-        // one's (level `a` is geometry-portable across siblings), so the
-        // registry answers with the *same* template — asserted, not
-        // assumed: a coverage miss would rebuild and break ptr equality.
+        // one's (level `a` is geometry-portable across siblings), so it
+        // adopts the *same* template — asserted, not assumed: a coverage
+        // miss would build its own and break ptr equality.
         assert!(Arc::ptr_eq(&wide, &narrow));
-        let counters = registry.counters();
-        assert_eq!(counters.template_builds, 1);
-        assert_eq!(counters.template_hits, 1);
+        assert_eq!(template_events(&ctx), (1, 1), "one build, one adoption");
+
+        // Deriving from a context that has not asked for its template
+        // yet (a restored one answering from its solve memo) builds the
+        // parent's once; the sibling and the parent then share it.
+        let ctx = context();
+        let sibling = ctx.derive_narrower(CacheGeometry::paper_default().with_ways(2));
+        assert_eq!(
+            template_events(&ctx),
+            (1, 0),
+            "derivation builds the parent's"
+        );
+        let narrow = sibling.ipet_template();
+        let wide = ctx.ipet_template();
+        assert!(Arc::ptr_eq(&wide, &narrow));
+        assert_eq!(template_events(&sibling), (1, 1), "one build, one adoption");
     }
 
     #[test]
@@ -1120,9 +1147,8 @@ mod tests {
         let parts = ctx.snapshot_parts();
         assert!(parts.tail.basis.is_some(), "the solved template exports");
 
-        // A "restarted process": fresh context, fresh registry, bases
-        // restored from the serialized parts.
-        let registry = Arc::new(TemplateRegistry::new());
+        // A "restarted process": fresh context, bases restored from the
+        // serialized parts.
         let restored = AnalysisContext::from_parts(
             ctx.name(),
             ctx.shared_cfg(),
@@ -1130,9 +1156,8 @@ mod tests {
             ctx.mode(),
             parts,
         );
-        restored.attach_registry(Arc::clone(&registry));
         let template = restored.ipet_template();
-        assert_eq!(registry.counters().basis_restores, 1);
+        assert_eq!(restored.events().basis_restores.get(), 1);
         assert_eq!(template.bound(&costs).unwrap(), expected);
         let stats = template.stats();
         assert_eq!(stats.cold_starts, 0, "restored basis skips phase 1");
@@ -1158,7 +1183,6 @@ mod tests {
             *tag = 0;
         }
 
-        let registry = Arc::new(TemplateRegistry::new());
         let restored = AnalysisContext::from_parts(
             ctx.name(),
             ctx.shared_cfg(),
@@ -1166,11 +1190,10 @@ mod tests {
             ctx.mode(),
             parts,
         );
-        restored.attach_registry(Arc::clone(&registry));
         let template = restored.ipet_template();
-        let counters = registry.counters();
-        assert_eq!(counters.basis_rejects, 1);
-        assert_eq!(counters.basis_restores, 0);
+        let events = restored.events();
+        assert_eq!(events.basis_rejects.get(), 1);
+        assert_eq!(events.basis_restores.get(), 0);
         // The template still answers — cold, and correctly.
         assert_eq!(template.bound(&costs).unwrap(), expected);
         assert_eq!(template.stats().cold_starts, 1);

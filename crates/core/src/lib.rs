@@ -78,7 +78,7 @@ pub use fmm::FaultMissMap;
 pub use pipeline::{delta_cost_model, expand_compiled, ProgramAnalysis, PwcetAnalyzer};
 pub use pwcet_analysis::{ClassificationMode, KernelStats};
 pub use pwcet_ilp::{BasisSnapshot, SolveStats};
-pub use pwcet_ipet::{IpetTemplate, TemplateCounters, TemplateRegistry};
+pub use pwcet_ipet::IpetTemplate;
 pub use pwcet_par::Parallelism;
 pub use reuse_plane::{
     NetworkTier, ReusePlane, ReusePlaneStats, ReuseTier, DEFAULT_DISK_CAPACITY_BYTES,

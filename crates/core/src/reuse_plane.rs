@@ -26,7 +26,9 @@
 //! every analysis over the plane) and makes *cross-process* re-runs warm;
 //! the derivation tier makes *cross-geometry* sweeps warm — within one
 //! lattice (same sets and block size, [`CacheGeometry::derivable_from`])
-//! only the widest geometry ever runs a cold classification fixpoint.
+//! only the widest geometry ever runs a cold classification fixpoint or
+//! builds an IPET template: a derived sibling adopts the template of the
+//! context it was derived from.
 //! The network tier makes *cross-machine* fleets warm: an attached
 //! [`NetworkTier`] implementation (the serve layer's peer fleet) fetches
 //! the same serialized entry encoding the disk tier uses from whichever
@@ -59,7 +61,6 @@ use pwcet_analysis::{ClassificationMode, KernelStats, KernelStatsCell};
 use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
 use pwcet_ilp::{SolveStats, SolveStatsCell};
-use pwcet_ipet::TemplateRegistry;
 use pwcet_obs::{Counter, Registry};
 use pwcet_par::{Admission, Memo};
 use pwcet_progen::CompiledProgram;
@@ -67,7 +68,7 @@ use pwcet_progen::CompiledProgram;
 use crate::codec::{
     decode_context, expander_fingerprint, validate_entry, CodecError, Hit, RawTail,
 };
-use crate::context::AnalysisContext;
+use crate::context::{AnalysisContext, TemplateEvents};
 use crate::context_cache::{ContextCache, ContextCacheStats};
 
 /// Default on-disk budget: far above a full benchmark-suite store (a few
@@ -177,11 +178,12 @@ pub struct ReusePlaneStats {
     pub network_offers: u64,
     /// Contexts built cold (no tier could answer).
     pub cold_builds: u64,
-    /// IPET template lookups answered by an already-registered covering
-    /// template of the plane's cross-geometry [`TemplateRegistry`] —
-    /// sibling geometries and repeated analyses sharing one factored
-    /// basis pool.
+    /// IPET template requests answered by adopting the template of the
+    /// wider context a sibling geometry was derived from — one factored
+    /// basis pool per geometry sweep.
     pub template_hits: u64,
+    /// IPET templates built by the context that asked for one.
+    pub template_builds: u64,
     /// Persisted factored bases successfully restored into a template's
     /// workspace pool (disk/network entries answering with warm ILPs).
     pub basis_restores: u64,
@@ -311,8 +313,11 @@ impl DiskTier {
     }
 }
 
-/// The tiered reuse store of analysis contexts. See the [module
-/// docs](self) for the tier diagram and fall-back rules.
+/// The tiered reuse store of analysis contexts:
+/// [`get_or_build_traced`](Self::get_or_build_traced) probes the memory
+/// tier, the disk tier and staged peer offers, derivation from a wider
+/// sibling, and the network tier, and builds cold only when none
+/// answers. A corrupt entry costs a rebuild, never a result.
 ///
 /// # Example
 ///
@@ -353,11 +358,9 @@ pub struct ReusePlane {
     /// See [`metrics`](Self::metrics).
     metrics: Registry,
     tiers: TierCounters,
-    /// The cross-geometry IPET template registry, attached to every
-    /// context this plane hands out (whatever tier answered) so the
-    /// resident contexts of one CFG — sibling geometries, restored
-    /// entries — share one factored basis pool.
-    registry: Arc<TemplateRegistry>,
+    /// The template events of every context this plane hands out
+    /// (whatever tier answered).
+    templates: Arc<TemplateEvents>,
     /// Solver counters of every solve stage run through this plane
     /// (recorded by the analyzer; survives context eviction), the
     /// `ilp_*` rows.
@@ -394,7 +397,7 @@ impl ReusePlane {
             network: OnceLock::new(),
             staged: Arc::new(Memo::new(MAX_STAGED_ENTRIES, Admission::FirstSighting)),
             tiers: TierCounters::registered(&metrics),
-            registry: Arc::new(TemplateRegistry::registered(&metrics)),
+            templates: Arc::new(TemplateEvents::registered(&metrics)),
             ilp: SolveStatsCell::registered(&metrics),
             kernel: KernelStatsCell::registered(&metrics),
             metrics,
@@ -404,17 +407,11 @@ impl ReusePlane {
     /// The plane's metrics registry, a service node's one registry. Every
     /// counter a node's metrics table reports is registered here by the
     /// code that increments it: the plane's tier counters, its `ilp_*`
-    /// and `classify_*` totals and its template registry's events, and
-    /// the server, compile-memo and peer-fleet counters of the service
-    /// above it.
+    /// and `classify_*` totals, its contexts' template events, and the
+    /// server, compile-memo and peer-fleet counters of the service above
+    /// it.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
-    }
-
-    /// The plane's cross-geometry IPET template registry — one factored
-    /// basis pool per CFG, shared by every resident context of it.
-    pub fn template_registry(&self) -> &Arc<TemplateRegistry> {
-        &self.registry
     }
 
     /// Attaches the network tier. Set-once: later calls are ignored, so
@@ -532,8 +529,7 @@ impl ReusePlane {
 
     /// Aggregated counters over all tiers.
     pub fn stats(&self) -> ReusePlaneStats {
-        let templates = self.registry.counters();
-        let tiers = &self.tiers;
+        let (tiers, templates) = (&self.tiers, &self.templates);
         ReusePlaneStats {
             memory: self.memory.stats(),
             disk_hits: tiers.disk_hits.get(),
@@ -547,10 +543,11 @@ impl ReusePlane {
             network_corrupt: tiers.network_corrupt.get(),
             network_offers: tiers.network_offers.get(),
             cold_builds: tiers.cold_builds.get(),
-            template_hits: templates.template_hits,
-            basis_restores: templates.basis_restores,
-            basis_rejects: templates.basis_rejects,
-            objective_hits: templates.objective_hits,
+            template_hits: templates.template_hits.get(),
+            template_builds: templates.template_builds.get(),
+            basis_restores: templates.basis_restores.get(),
+            basis_rejects: templates.basis_rejects.get(),
+            objective_hits: templates.objective_hits.get(),
         }
     }
 
@@ -573,8 +570,8 @@ impl ReusePlane {
         mode: ClassificationMode,
     ) -> Result<(Arc<AnalysisContext>, ReuseTier), CfgError> {
         let key = ContextCache::key_of(compiled, geometry, mode);
+        // Every resident context entered the plane before it was filed.
         if let Some(context) = self.memory.lookup(key) {
-            context.attach_registry(Arc::clone(&self.registry));
             return Ok((context, ReuseTier::Memory));
         }
 
@@ -606,10 +603,9 @@ impl ReusePlane {
             },
         };
 
-        // Whatever tier answered, every context this plane serves shares
-        // the plane's template registry (attach is set-once, so a derived
-        // sibling that already inherited it is a no-op).
-        context.attach_registry(Arc::clone(&self.registry));
+        // Whatever tier answered, the context carries its key and counts
+        // its template events in the plane's registry.
+        context.enter_plane(key, &self.templates);
         Ok((self.memory.file(compiled, geometry, mode, context), tier))
     }
 
@@ -618,7 +614,9 @@ impl ReusePlane {
     /// offers them to the network tier's owning peer (same richness
     /// gate, tracked separately). Returns whether a disk entry was
     /// written. IO failures are logged and counted, never raised —
-    /// persistence is an optimization.
+    /// persistence is an optimization. A context this plane handed out
+    /// is written under the key it is filed under; `compiled` is hashed
+    /// only for a context built elsewhere.
     pub fn persist(&self, compiled: &CompiledProgram, context: &AnalysisContext) -> bool {
         // Checked before keying: a plane that cannot write must not hash
         // the image on every analysis.
@@ -629,7 +627,9 @@ impl ReusePlane {
         if context.fingerprint().is_none() {
             context.set_fingerprint(expander_fingerprint(compiled, geometry, mode));
         }
-        let key = ContextCache::key_of(compiled, geometry, mode);
+        let key = context
+            .key()
+            .unwrap_or_else(|| ContextCache::key_of(compiled, geometry, mode));
         self.persist_keyed(key, context)
     }
 

@@ -1,7 +1,7 @@
 //! Disk-tier integration tests: persistence across plane instances (the
 //! in-process equivalent of separate processes — same encode/decode
 //! path), corruption robustness, and the size-capped GC — plus the
-//! template registry's release of programs the memory tier evicted.
+//! release of the IPET templates of programs the memory tier evicted.
 //!
 //! The acceptance bar for the corruption suite: a damaged entry may cost
 //! a cold rebuild, but it must never panic, never error the analysis,
@@ -225,6 +225,34 @@ fn restart_restores_factored_bases_warm() {
     assert_eq!(
         ilp.cold_starts, 0,
         "every solve starts from the restored factored basis"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn derived_siblings_of_a_restored_widest_point_adopt_its_template() {
+    // A restarted node's widest lattice point answers from its restored
+    // solve memo, so no solve asks for its template. Each narrower point
+    // of a sweep is derived from it, and derivation builds that one
+    // template (seeded with the restored basis) for every sibling to
+    // adopt: one build, three adoptions, no cold factorization.
+    let (_, dir) = populate("restored-sweep");
+    let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    for ways in [4, 3, 2, 1] {
+        let mut config = AnalysisConfig::paper_default();
+        config.geometry = config.geometry.with_ways(ways);
+        let reference = PwcetAnalyzer::new(config).analyze(&program()).unwrap();
+        let swept = analyzer_with(config, &fresh).analyze(&program()).unwrap();
+        assert_same_results(&reference, &swept);
+    }
+    let stats = fresh.stats();
+    assert_eq!((stats.disk_hits, stats.derived), (1, 3));
+    assert_eq!((stats.template_builds, stats.template_hits), (1, 3));
+    assert_eq!((stats.basis_restores, stats.basis_rejects), (1, 0));
+    assert_eq!(
+        fresh.ilp_stats().cold_starts,
+        0,
+        "the siblings' solves start from the restored basis"
     );
     let _ = fs::remove_dir_all(&dir);
 }

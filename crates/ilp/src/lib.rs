@@ -4,7 +4,7 @@
 //! (§IV-A). This crate is the self-contained substitute, structured as a
 //! production solver plus a frozen oracle:
 //!
-//! * **[`sparse`] (default)** — a sparse-matrix bounded-variable revised
+//! * **`sparse` (default)** — a sparse-matrix bounded-variable revised
 //!   simplex. Variable bounds are handled in the ratio test (a bound is
 //!   two `f64`s, never a constraint row), nonbasic variables rest at
 //!   either bound, and an [`LpWorkspace`] keeps the factored basis
@@ -16,7 +16,7 @@
 //!   nodes are `(variable, bound)` delta lists replayed onto an evolving
 //!   workspace, optionally explored by parallel workers sharing one
 //!   atomic incumbent bound ([`BranchAndBoundOptions::workers`]).
-//! * **[`reference`]** — the original dense two-phase tableau (bounds
+//! * **[`reference`](mod@reference)** — the original dense two-phase tableau (bounds
 //!   materialized as rows) and clone-per-node branch and bound, frozen
 //!   as the equivalence oracle ([`Model::solve_lp_reference`],
 //!   [`Model::solve_ilp_reference`]). The property suite in

@@ -257,8 +257,8 @@ fn upsert_delta(deltas: &mut Vec<(usize, BoundDelta)>, var: usize, delta: BoundD
 
 /// A maximization problem over non-negative variables.
 ///
-/// All variables have lower bound 0 (adjustable via [`set_lower`]
-/// (Model::set_lower)) and optional upper bounds. Constraints are linear.
+/// All variables have lower bound 0 (adjustable via
+/// [`set_lower`](Model::set_lower)) and optional upper bounds. Constraints are linear.
 /// Variables marked integer are enforced by branch and bound in
 /// [`solve_ilp`](Model::solve_ilp).
 ///

@@ -4,7 +4,7 @@
 //!
 //! This module is deliberately frozen. It is the *reference
 //! implementation* the equivalence suites compare the sparse
-//! warm-started solver ([`crate::sparse`]) against: variable bounds are
+//! warm-started solver ([`Model::solve_ilp`](crate::Model::solve_ilp)) against: variable bounds are
 //! materialized as full tableau rows, every branch-and-bound node deep-
 //! clones the model, and nothing is ever warm-started. Slow, simple,
 //! and trusted — exactly what an oracle should be.

@@ -115,8 +115,13 @@ pub(crate) fn build_ipet_model(cfg: &ExpandedCfg, groups: &[(NodeId, Scope)]) ->
 /// program scope) — the order the model builder materializes variables
 /// in, kept deterministic so repeated builds are identical.
 pub(crate) fn sort_groups(groups: &mut Vec<(NodeId, Scope)>) {
-    groups.sort_by_key(|&(n, s)| (n, scope_key(s)));
+    groups.sort_by_key(group_key);
     groups.dedup();
+}
+
+/// The key of a group's place in canonical order.
+pub(crate) fn group_key(&(node, scope): &(NodeId, Scope)) -> (NodeId, usize) {
+    (node, scope_key(scope))
 }
 
 /// The first-extra groups a cost model charges, in canonical order.

@@ -52,13 +52,11 @@
 
 mod cost;
 mod ilp_engine;
-mod registry;
 mod template;
 mod tree_engine;
 
 pub use cost::{CostModel, RefCost};
 pub use ilp_engine::{ipet_bound, ipet_bound_reference};
 pub use pwcet_ilp::BasisSnapshot;
-pub use registry::{TemplateCounters, TemplateRegistry};
 pub use template::IpetTemplate;
 pub use tree_engine::tree_bound;

@@ -13,6 +13,12 @@
 //! objective-only variant warm-started from a pooled factored basis —
 //! no model rebuild, no phase 1, typically a handful of primal pivots.
 //!
+//! Ownership: the analysis context that builds a template owns it. A
+//! narrower sibling geometry derived from that context adopts the same
+//! template when it [`covers`](IpetTemplate::covers) the sibling's
+//! groups, so a geometry sweep factors its matrix once. No map keeps a
+//! template alive: it is dropped with the last context holding it.
+//!
 //! Thread behavior: `bound` is `&self` and safe to call from the
 //! per-`(set, fault)` fan-out workers. Each call checks a workspace out
 //! of an internal pool (falling back to a clone of the first solved
@@ -20,17 +26,20 @@
 //! one basis.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use pwcet_analysis::Scope;
 use pwcet_cfg::{ExpandedCfg, NodeId};
 use pwcet_ilp::{
     BasisSnapshot, BranchAndBoundOptions, IlpError, LpWorkspace, SolveStats, SolveStatsCell,
 };
+use pwcet_obs::Counter;
 use pwcet_par::{Admission, Memo};
 
 use crate::cost::{CostModel, RefCost};
-use crate::ilp_engine::{build_ipet_model, integral_bound, objective_for, sort_groups, IpetModel};
+use crate::ilp_engine::{
+    build_ipet_model, group_key, integral_bound, objective_for, sort_groups, IpetModel,
+};
 
 /// A factored IPET instance answering many cost models over one CFG.
 #[derive(Debug)]
@@ -56,6 +65,9 @@ pub struct IpetTemplate {
     /// — is answered without touching the solver at all. Capped at
     /// [`MEMO_CAP`].
     memo: Memo<ChargedEntries, u64>,
+    /// Counts the `bound` calls the memo answers; in a reuse plane, the
+    /// node's `objective_hits` row, which all of its templates share.
+    objective_hits: Arc<Counter>,
     stats: SolveStatsCell,
 }
 
@@ -72,8 +84,13 @@ impl IpetTemplate {
     /// Builds the shared model of `cfg` with group variables for every
     /// `(node, scope)` in `groups` — the union over every cost model
     /// this template will solve. Groups are deduplicated and put in
-    /// canonical order internally.
-    pub fn new(cfg: &ExpandedCfg, groups: impl IntoIterator<Item = (NodeId, Scope)>) -> Self {
+    /// canonical order internally. Each `bound` call the objective memo
+    /// answers increments `objective_hits`.
+    pub fn new(
+        cfg: &ExpandedCfg,
+        groups: impl IntoIterator<Item = (NodeId, Scope)>,
+        objective_hits: Arc<Counter>,
+    ) -> Self {
         let mut groups: Vec<(NodeId, Scope)> = groups.into_iter().collect();
         sort_groups(&mut groups);
         let ipet = build_ipet_model(cfg, &groups);
@@ -84,14 +101,16 @@ impl IpetTemplate {
             proto: Mutex::new(None),
             pool_cap: AtomicUsize::new(usize::MAX),
             memo: Memo::new(MEMO_CAP, Admission::FirstSighting),
+            objective_hits,
             stats: SolveStatsCell::default(),
         }
     }
 
     /// As [`new`](Self::new) for cost models with no first-extra
-    /// charges (or callers that will only use such models).
+    /// charges (or callers that will only use such models), counting
+    /// objective hits privately.
     pub fn without_groups(cfg: &ExpandedCfg) -> Self {
-        Self::new(cfg, std::iter::empty())
+        Self::new(cfg, std::iter::empty(), Arc::default())
     }
 
     /// The `(node, scope)` group union the template was built with, in
@@ -100,13 +119,15 @@ impl IpetTemplate {
         &self.groups
     }
 
-    /// Whether every group in `groups` (canonically sorted — see
-    /// [`sort_groups`]) has a variable in this template, i.e. whether
-    /// this template can solve any cost model charging only those
-    /// groups.
+    /// Whether every group in `groups` (in any order, repeats allowed)
+    /// has a variable in this template, i.e. whether this template can
+    /// solve any cost model charging only those groups.
     pub fn covers(&self, groups: &[(NodeId, Scope)]) -> bool {
-        let mut have = self.groups.iter();
-        groups.iter().all(|needed| have.any(|g| g == needed))
+        groups.iter().all(|needed| {
+            self.groups
+                .binary_search_by_key(&group_key(needed), group_key)
+                .is_ok()
+        })
     }
 
     /// Caps the warm-workspace pool at `cap` (at least 1): check-ins
@@ -168,16 +189,10 @@ impl IpetTemplate {
     }
 
     /// Accumulated solver counters over every `bound` call. Memo-served
-    /// repeats contribute nothing (no pivots, no starts) — see
-    /// [`objective_hits`](Self::objective_hits).
+    /// repeats contribute nothing (no pivots, no starts); they count in
+    /// the `objective_hits` counter the template was built with.
     pub fn stats(&self) -> SolveStats {
         self.stats.snapshot()
-    }
-
-    /// How many `bound` calls were answered from the objective→bound
-    /// memo without touching the solver.
-    pub fn objective_hits(&self) -> u64 {
-        self.memo.stats().hits
     }
 
     /// The IPET bound of `costs` — identical to
@@ -218,6 +233,7 @@ impl IpetTemplate {
         // objective). The returned stats are empty — nothing was solved.
         let key = costs.charged();
         if let Some(bound) = self.memo.get(&key) {
+            self.objective_hits.inc();
             return Ok((bound, SolveStats::default()));
         }
         // An unknown first-extra group panics inside `objective_for`
@@ -303,8 +319,12 @@ mod tests {
         // Union: one loop-scoped group and one program-scoped group.
         let template = IpetTemplate::new(
             &cfg,
-            [(l.header, Scope::Loop(l.id)), (cfg.entry(), Scope::Program)],
+            [(cfg.entry(), Scope::Program), (l.header, Scope::Loop(l.id))],
+            Arc::default(),
         );
+        // Coverage is order-free and exact.
+        assert!(template.covers(&[(l.header, Scope::Loop(l.id)), (cfg.entry(), Scope::Program)]));
+        assert!(!template.covers(&[(cfg.entry(), Scope::Loop(l.id))]));
         let mut variants = Vec::new();
         // Plain unit costs (no groups charged).
         variants.push(CostModel::uniform(&cfg, 1));
@@ -369,13 +389,55 @@ mod tests {
             template.bound(&CostModel::uniform(&cfg, cost)).unwrap();
             assert!(template.memo.stats().len <= MEMO_CAP);
         }
-        let hits = template.objective_hits();
+        let hits = template.objective_hits.get();
         for cost in (0..3).flat_map(|_| 100_000..100_004) {
             let costs = CostModel::uniform(&cfg, cost);
             let cold = ipet_bound(&cfg, &costs).unwrap();
             assert_eq!(template.bound(&costs).unwrap(), cold);
         }
-        assert_eq!(template.objective_hits() - hits, 8, "stored, then hit");
+        assert_eq!(template.objective_hits.get() - hits, 8, "stored, then hit");
+    }
+
+    #[test]
+    fn corrupt_snapshot_is_rejected_and_degrades_to_cold() {
+        let cfg = looped_cfg();
+        let template = IpetTemplate::without_groups(&cfg);
+        let costs = CostModel::uniform(&cfg, 3);
+        let expected = template.bound(&costs).unwrap();
+        let good = template.export_basis().expect("solved template exports");
+
+        let mut wrong_shape = good.clone();
+        wrong_shape.m += 1;
+        let mut bad_tag = good.clone();
+        bad_tag.statuses[0] = 9;
+        let mut dup = good.clone();
+        dup.basis[0] = dup.basis[dup.basis.len() - 1];
+        let mut truncated = good.clone();
+        truncated.statuses.pop();
+        for (label, bad) in [
+            ("shape", wrong_shape),
+            ("tag", bad_tag),
+            ("duplicate", dup),
+            ("truncated", truncated),
+        ] {
+            let fresh = IpetTemplate::without_groups(&cfg);
+            assert!(!fresh.seed_basis(&bad), "{label} snapshot must be rejected");
+            // The template still answers — cold, and correctly.
+            assert_eq!(fresh.bound(&costs).unwrap(), expected, "{label}");
+        }
+    }
+
+    #[test]
+    fn pool_cap_bounds_checkins() {
+        let cfg = looped_cfg();
+        let template = IpetTemplate::without_groups(&cfg);
+        template.set_pool_cap(1);
+        let costs = CostModel::uniform(&cfg, 1);
+        for _ in 0..4 {
+            template.bound(&costs).unwrap();
+        }
+        // Cap 1: at most one pooled workspace survives all check-ins.
+        assert!(template.pool_len() <= 1);
     }
 
     #[test]

@@ -9,18 +9,17 @@
 //!   sink. A request is explainable end to end: client → server shard
 //!   (queue wait / service) → pipeline stages → fleet peer hop, all
 //!   under one [`TraceId`].
-//! - [`metrics`]: named atomic counters/gauges and log-bucketed
-//!   latency histograms with lock-free recording, mergeable snapshots,
-//!   and exact-from-buckets quantiles, rendered as a self-describing
-//!   name→value table so new instruments never require protocol
-//!   changes.
+//! - [`metrics`]: named atomic counters and log-bucketed latency
+//!   histograms with lock-free recording and exact-from-buckets
+//!   quantiles, rendered as a self-describing name→value table so new
+//!   instruments never require protocol changes.
 
 pub mod metrics;
 pub mod span;
 
 pub use metrics::{
-    bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
-    Registry, RegistrySnapshot, NUM_BUCKETS, SUB_BITS,
+    bucket_bounds, bucket_index, Counter, Histogram, HistogramSnapshot, MetricValue, Registry,
+    RegistrySnapshot, NUM_BUCKETS, SUB_BITS,
 };
 pub use span::{
     current_trace, stage_span, trace_scope, SpanRecord, Stage, StageSpan, TraceId, Tracer,

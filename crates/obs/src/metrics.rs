@@ -1,5 +1,5 @@
-//! Metrics registry: named atomic counters and gauges plus log-bucketed
-//! latency histograms with lock-free recording and mergeable snapshots.
+//! Metrics registry: named atomic counters plus log-bucketed latency
+//! histograms with lock-free recording and point-in-time snapshots.
 //!
 //! The design goal is that adding an instrument never requires wire
 //! surgery: the registry renders itself into a self-describing
@@ -81,23 +81,6 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value (queue depth, resident bytes).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Overwrites the gauge.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A lock-free log-bucketed histogram of `u64` samples.
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
@@ -162,7 +145,7 @@ impl Histogram {
     }
 }
 
-/// An owned, mergeable copy of a [`Histogram`]'s state.
+/// An owned copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples recorded.
@@ -187,19 +170,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Folds `other` into `self` (snapshots from different shards or
-    /// nodes merge losslessly — bucket counts add).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        // The recording side is an atomic fetch_add, which wraps;
-        // match it so shard merges equal one shared histogram.
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
-
     /// The quantile `q` in `[0, 1]`: the upper bound of the bucket
     /// holding the sample of rank `ceil(q * count)` (clamped to the
     /// recorded maximum), so the true sample is never underestimated
@@ -231,15 +201,12 @@ impl HistogramSnapshot {
 pub enum MetricValue {
     /// A counter's running total.
     Counter(u64),
-    /// A gauge's last-set value.
-    Gauge(u64),
     /// A histogram's full bucket state.
     Histogram(HistogramSnapshot),
 }
 
 enum Instrument {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -313,22 +280,6 @@ impl Registry {
         }
     }
 
-    /// The gauge named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already names an instrument of another kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.instruments.lock().unwrap();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::default())))
-        {
-            Instrument::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
     /// The histogram named `name`, created on first use.
     ///
     /// # Panics
@@ -353,7 +304,6 @@ impl Registry {
             .map(|(name, inst)| {
                 let value = match inst {
                     Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
                     Instrument::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 };
                 (name.clone(), value)
@@ -363,7 +313,7 @@ impl Registry {
     }
 }
 
-/// A mergeable point-in-time copy of a [`Registry`].
+/// A point-in-time copy of a [`Registry`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// Name → value, sorted by name.
@@ -371,25 +321,8 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Folds `other` into `self`: counters and histogram buckets add,
-    /// gauges take `other`'s (newer) value, names only in one side are
-    /// kept as-is. Mismatched kinds under one name keep `self`'s.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (name, theirs) in &other.entries {
-            match (self.entries.get_mut(name), theirs) {
-                (None, v) => {
-                    self.entries.insert(name.clone(), v.clone());
-                }
-                (Some(MetricValue::Counter(mine)), MetricValue::Counter(t)) => *mine += t,
-                (Some(MetricValue::Gauge(mine)), MetricValue::Gauge(t)) => *mine = *t,
-                (Some(MetricValue::Histogram(mine)), MetricValue::Histogram(t)) => mine.merge(t),
-                _ => {}
-            }
-        }
-    }
-
     /// Renders the snapshot as a flat, self-describing name→value
-    /// table: counters and gauges one row each, histograms expanded to
+    /// table: counters one row each, histograms expanded to
     /// `{name}_count` / `{name}_sum` / `{name}_mean` / `{name}_p50` /
     /// `{name}_p95` / `{name}_p99` / `{name}_max` rows with quantiles
     /// computed exactly from the buckets. This is the wire shape of the
@@ -398,7 +331,7 @@ impl RegistrySnapshot {
         let mut rows = Vec::new();
         for (name, value) in &self.entries {
             match value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => rows.push((name.clone(), *v)),
+                MetricValue::Counter(v) => rows.push((name.clone(), *v)),
                 MetricValue::Histogram(h) => {
                     rows.push((format!("{name}_count"), h.count));
                     rows.push((format!("{name}_sum"), h.sum));
@@ -444,7 +377,6 @@ mod tests {
     fn registry_table_expands_histograms() {
         let reg = Registry::new();
         reg.counter("served").add(3);
-        reg.gauge("queue_depth").set(7);
         let h = reg.histogram("latency_us");
         for v in [10, 20, 30] {
             h.record(v);
@@ -452,7 +384,6 @@ mod tests {
         let table = reg.snapshot().table();
         let get = |k: &str| table.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(get("served"), Some(3));
-        assert_eq!(get("queue_depth"), Some(7));
         assert_eq!(get("latency_us_count"), Some(3));
         assert_eq!(get("latency_us_max"), Some(30));
         assert_eq!(get("latency_us_p50"), Some(20));
@@ -465,30 +396,5 @@ mod tests {
         reg.register_counter("network_hits").add(2);
         assert_eq!(reg.counter("network_hits").get(), 2, "lookups share it");
         reg.register_counter("network_hits");
-    }
-
-    #[test]
-    fn snapshots_merge_per_kind() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("served").add(2);
-        b.counter("served").add(5);
-        a.gauge("depth").set(1);
-        b.gauge("depth").set(9);
-        a.histogram("lat").record(4);
-        b.histogram("lat").record(6);
-        b.counter("only_b").inc();
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.entries["served"], MetricValue::Counter(7));
-        assert_eq!(merged.entries["depth"], MetricValue::Gauge(9));
-        assert_eq!(merged.entries["only_b"], MetricValue::Counter(1));
-        match &merged.entries["lat"] {
-            MetricValue::Histogram(h) => {
-                assert_eq!((h.count, h.sum, h.max), (2, 10, 6));
-                assert_eq!(h.quantile(1.0), 6);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 }

@@ -1,6 +1,5 @@
 //! Property tests pinning the histogram against a sorted-vec oracle:
-//! quantiles must bracket the true order statistic within one bucket,
-//! and merging shards must equal recording into one histogram.
+//! quantiles must bracket the true order statistic within one bucket.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -57,24 +56,6 @@ proptest! {
             prop_assert!(est >= truth, "q={} est={} truth={}", q, est, truth);
             prop_assert!(est <= hi.min(snap.max), "q={} est={} bucket hi={}", q, est, hi);
         }
-    }
-
-    #[test]
-    fn merging_shards_equals_one_histogram(a in sample_strategy(), b in sample_strategy()) {
-        let ha = Histogram::new();
-        let hb = Histogram::new();
-        let whole = Histogram::new();
-        for &v in &a {
-            ha.record(v);
-            whole.record(v);
-        }
-        for &v in &b {
-            hb.record(v);
-            whole.record(v);
-        }
-        let mut merged = ha.snapshot();
-        merged.merge(&hb.snapshot());
-        prop_assert_eq!(merged, whole.snapshot());
     }
 
     #[test]

@@ -84,8 +84,10 @@ impl<K: Hash + Eq, V> Inner<K, V> {
     }
 }
 
-/// A thread-safe, count-capped, LRU-evicting memo. See the [module
-/// docs](self).
+/// A thread-safe, count-capped, LRU-evicting memo. Each call site picks
+/// when a key starts keeping its value ([`Admission`]); a missing value
+/// is computed outside the lock and offered with [`insert`](Self::insert),
+/// the first stored value winning a race.
 #[derive(Debug)]
 pub struct Memo<K, V> {
     capacity: usize,

@@ -14,7 +14,7 @@
 //!   pruning threshold and folds the mass of those products into an
 //!   unbounded tail bucket, so every exceedance value computed from the
 //!   result is a sound upper bound of the true exceedance.
-//! * [`reference`] — the frozen convolution oracle (every product formed,
+//! * [`reference`](mod@reference) — the frozen convolution oracle (every product formed,
 //!   merged points pruned) the soundness suites compare the production
 //!   kernel against.
 //!

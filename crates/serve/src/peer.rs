@@ -408,7 +408,7 @@ impl FleetInner {
 type OfferMsg = (u64, Vec<u8>);
 
 /// The running fleet client of one node. Implements
-/// [`NetworkTier`](pwcet_core::NetworkTier) so the reuse plane can be
+/// [`NetworkTier`] so the reuse plane can be
 /// pointed at it directly.
 pub struct PeerFleet {
     inner: Arc<FleetInner>,

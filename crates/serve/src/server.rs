@@ -426,13 +426,11 @@ impl Shared {
     /// scrape time below, and the chaos counters when present.
     fn metrics_table(&self) -> Vec<(String, u64)> {
         let plane = &self.engine.plane;
-        let (stats, reuse) = (self.stats(), plane.stats());
-        let memory = reuse.memory;
+        let (stats, memory) = (self.stats(), plane.stats().memory);
         let mut table = plane.metrics().snapshot().table();
         // Live state rather than counted events: the service gauges, the
-        // memory tier (its memo counts under its own lock), the
-        // objective memo hits summed over live and retired templates,
-        // and tracer health.
+        // memory tier (its memo counts under its own lock) and tracer
+        // health.
         table.extend(
             [
                 ("shards", u64::from(stats.shards)),
@@ -446,7 +444,6 @@ impl Shared {
                 ("memory_evictions", memory.evictions),
                 ("memory_len", memory.len as u64),
                 ("memory_capacity", memory.capacity as u64),
-                ("objective_hits", reuse.objective_hits),
                 ("trace_spans_dropped", self.telemetry.tracer.dropped()),
             ]
             .map(|(name, value)| (name.to_string(), value)),

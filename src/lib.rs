@@ -10,7 +10,7 @@
 //! * [`prob`] — discrete penalty distributions, fault model (Eqs. 1–3).
 //! * [`mips`] — MIPS-I subset ISA (encode/decode/assemble).
 //! * [`progen`] — structured program DSL compiled to MIPS machine code.
-//! * [`cfg`] — binary → control-flow graph reconstruction, loops, contexts.
+//! * [`cfg`](mod@cfg) — binary → control-flow graph reconstruction, loops, contexts.
 //! * [`cache`] — concrete LRU cache machines (unprotected / RW / SRB).
 //! * [`analysis`] — abstract-interpretation cache analysis (Must / May /
 //!   Persistence) and CHMC classification.

@@ -105,9 +105,9 @@ fn solve_stage_records_template_warm_starts() {
 fn derived_geometry_sweep_matches_dense_reference_per_point() {
     // A widest-first associativity sweep over one shared plane: every
     // narrower sibling derives its classification from the widest point
-    // and re-solves its ILP objectives against the *shared*
-    // cross-geometry template (same registry key, warm basis pool,
-    // objective memo). Each point's bounds must still equal the oracle
+    // and re-solves its ILP objectives against the widest point's
+    // template, adopted at derivation (warm basis pool, objective
+    // memo). Each point's bounds must still equal the oracle
     // pipeline at that geometry — the sibling path may share solver
     // state, never solver answers that differ.
     use fault_aware_pwcet::cache::GeometryLattice;
