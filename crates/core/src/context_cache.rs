@@ -21,8 +21,9 @@
 //!
 //! The cache is a [`Memo`]: least-recently-used eviction at a fixed
 //! capacity, hit/miss/eviction counters via [`ContextCache::stats`]. Each
-//! entry also carries its [family fingerprint](ContextCache::family_key_of),
-//! which the reuse plane's derivation tier matches wider siblings by.
+//! entry also carries its family fingerprint (the key without the way
+//! count), which the reuse plane's derivation tier matches wider
+//! siblings by.
 
 use std::sync::Arc;
 
@@ -107,21 +108,13 @@ impl ContextCache {
         Self::keys_of(compiled, geometry, mode).0
     }
 
-    /// The **family fingerprint**: everything [`key_of`](Self::key_of)
-    /// hashes *except* the way count. Geometries that differ only in
-    /// associativity share a family — the grouping the reuse plane's
-    /// cross-geometry derivation matches siblings by.
-    pub fn family_key_of(
-        compiled: &CompiledProgram,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
-    ) -> u64 {
-        Self::keys_of(compiled, geometry, mode).1
-    }
-
-    /// The content key and the family fingerprint, from one pass over
-    /// the image.
-    fn keys_of(
+    /// The content key and the **family fingerprint**, from one pass
+    /// over the image. The family hashes everything
+    /// [`key_of`](Self::key_of) hashes *except* the way count:
+    /// geometries that differ only in associativity share a family — the
+    /// grouping the reuse plane's cross-geometry derivation matches
+    /// siblings by.
+    pub(crate) fn keys_of(
         compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
@@ -170,31 +163,28 @@ impl ContextCache {
         self.memo.peek(&key).map(|resident| resident.context)
     }
 
-    /// Files `context`, the triple's context, under its content key and
-    /// its family. The expensive build runs outside any lock, so two
-    /// threads may race on one key: the first insert wins, and the loser
-    /// gets the winner's (possibly already warmed) context back.
+    /// Files `context` under its content key and its family (both from
+    /// [`keys_of`](Self::keys_of)). The expensive build runs outside any
+    /// lock, so two threads may race on one key: the first insert wins,
+    /// and the loser gets the winner's (possibly already warmed) context
+    /// back.
     pub(crate) fn file(
         &self,
-        compiled: &CompiledProgram,
-        geometry: CacheGeometry,
-        mode: ClassificationMode,
+        key: u64,
+        family: u64,
         context: Arc<AnalysisContext>,
     ) -> Arc<AnalysisContext> {
-        let (key, family) = Self::keys_of(compiled, geometry, mode);
         self.memo.insert(key, Resident { context, family }).context
     }
 
-    /// The resident contexts of the triple's family that are strictly
-    /// wider than `geometry`, widest first: the derivation tier's
-    /// candidate sources. Neither counts nor recency change.
+    /// The resident contexts of `family` that are strictly wider than
+    /// `geometry`, widest first: the derivation tier's candidate
+    /// sources. Neither counts nor recency change.
     pub(crate) fn wider_siblings(
         &self,
-        compiled: &CompiledProgram,
+        family: u64,
         geometry: CacheGeometry,
-        mode: ClassificationMode,
     ) -> Vec<Arc<AnalysisContext>> {
-        let family = Self::family_key_of(compiled, geometry, mode);
         let mut wider: Vec<Arc<AnalysisContext>> = self
             .memo
             .snapshot()
@@ -328,8 +318,9 @@ mod tests {
         let (mode, program) = (ClassificationMode::Incremental, compiled("p", 10));
         let build =
             || Arc::new(AnalysisContext::build_with_mode(&program, geometry(), mode).unwrap());
-        let first = cache.file(&program, geometry(), mode, build());
-        let second = cache.file(&program, geometry(), mode, build());
+        let (key, family) = ContextCache::keys_of(&program, geometry(), mode);
+        let first = cache.file(key, family, build());
+        let second = cache.file(key, family, build());
         assert!(Arc::ptr_eq(&first, &second), "a racing loser adopts it");
         let hit = get(&plane, &program);
         assert!(Arc::ptr_eq(&first, &hit));
@@ -375,6 +366,7 @@ mod tests {
     fn family_key_ignores_the_way_count_only() {
         let mode = ClassificationMode::Incremental;
         let program = compiled("p", 10);
+        let family = |geometry, mode| ContextCache::keys_of(&program, geometry, mode).1;
         let wide = geometry();
         let narrow = wide.with_ways(2);
         assert_ne!(
@@ -383,18 +375,18 @@ mod tests {
             "full keys separate per-geometry entries"
         );
         assert_eq!(
-            ContextCache::family_key_of(&program, wide, mode),
-            ContextCache::family_key_of(&program, narrow, mode),
+            family(wide, mode),
+            family(narrow, mode),
             "siblings share a family"
         );
         assert_ne!(
-            ContextCache::family_key_of(&program, wide, mode),
-            ContextCache::family_key_of(&program, CacheGeometry::new(8, 4, 16), mode),
+            family(wide, mode),
+            family(CacheGeometry::new(8, 4, 16), mode),
             "a different set count is a different family"
         );
         assert_ne!(
-            ContextCache::family_key_of(&program, wide, mode),
-            ContextCache::family_key_of(&program, wide, ClassificationMode::Cold),
+            family(wide, mode),
+            family(wide, ClassificationMode::Cold),
             "the classification mode stays part of the family"
         );
     }

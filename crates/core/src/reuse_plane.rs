@@ -569,7 +569,9 @@ impl ReusePlane {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Result<(Arc<AnalysisContext>, ReuseTier), CfgError> {
-        let key = ContextCache::key_of(compiled, geometry, mode);
+        // One pass over the image keys every tier: the content key, and
+        // the family the derivation tier matches and the memory tier files.
+        let (key, family) = ContextCache::keys_of(compiled, geometry, mode);
         // Every resident context entered the plane before it was filed.
         if let Some(context) = self.memory.lookup(key) {
             return Ok((context, ReuseTier::Memory));
@@ -586,7 +588,7 @@ impl ReusePlane {
         };
         let (context, tier) = match self.load_local(&at) {
             Some((restored, local_tier)) => (Arc::new(restored), local_tier),
-            None => match self.derive_from_family(compiled, geometry, mode) {
+            None => match self.derive_from_family(family, geometry, mode) {
                 Some(derived) => {
                     derived.set_fingerprint(at.fingerprint);
                     (derived, ReuseTier::Derived)
@@ -606,7 +608,7 @@ impl ReusePlane {
         // Whatever tier answered, the context carries its key and counts
         // its template events in the plane's registry.
         context.enter_plane(key, &self.templates);
-        Ok((self.memory.file(compiled, geometry, mode, context), tier))
+        Ok((self.memory.file(key, family, context), tier))
     }
 
     /// Writes `context`'s artifacts through to the disk tier (no-op
@@ -648,11 +650,11 @@ impl ReusePlane {
             .count()
     }
 
-    /// Derivation tier: the widest resident sibling of the same family
-    /// that is strictly wider than `geometry`, if any.
+    /// Derivation tier: the widest resident sibling of `family` that is
+    /// strictly wider than `geometry`, if any.
     fn derive_from_family(
         &self,
-        compiled: &CompiledProgram,
+        family: u64,
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Option<Arc<AnalysisContext>> {
@@ -665,7 +667,7 @@ impl ReusePlane {
         // does not expand (a forged entry) cannot derive.
         let source = self
             .memory
-            .wider_siblings(compiled, geometry, mode)
+            .wider_siblings(family, geometry)
             .into_iter()
             .find(|wider| wider.graph().is_ok())?;
         let derived = Arc::new(source.derive_narrower(geometry));

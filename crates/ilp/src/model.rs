@@ -497,8 +497,9 @@ impl Model {
         if options.max_nodes == 0 {
             return Err(IlpError::NodeLimit);
         }
-        let mut root_state = ws.state.as_ref().expect("prepare retains state").clone();
-        let mut root_branch = self.most_fractional(&root_state.values(), tol);
+        let root = ws.state.as_ref().expect("prepare retains state");
+        let mut root_branch = self.most_fractional(&root.values(), tol);
+        let mut cold_root = None;
         if root_branch.is_some() {
             // A fractional (possibly warm-started) root: probe it cold
             // once. Tie-degenerate warm bases can sit on fractional-
@@ -506,11 +507,14 @@ impl Model {
             // two-phase vertex (the dense reference's behavior) is very
             // often integral, turning a would-be search tree into a
             // single extra solve.
-            if let Ok(probe) = sparse::solve_cold(self, objective, |_| {}, &mut stats) {
-                root_branch = self.most_fractional(&probe.values(), tol);
-                root_state = probe;
+            if let Ok(cold) = sparse::solve_cold(self, objective, |_| {}, &mut stats) {
+                root_branch = self.most_fractional(&cold.values(), tol);
+                cold_root = Some(cold);
             }
         }
+        // The workspace keeps its root state; the search below only
+        // reads it (each worker clones its own).
+        let root_state = cold_root.as_ref().unwrap_or(root);
         let Some((var, value)) = root_branch else {
             return Ok((self.rounded(root_state.solution()), stats));
         };
@@ -524,7 +528,7 @@ impl Model {
         let nodes = AtomicUsize::new(1);
         let mut seed = Vec::new();
         push_children(
-            &root_state,
+            root_state,
             &BbNode { deltas: Vec::new() },
             Branching {
                 var,

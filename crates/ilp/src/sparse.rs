@@ -14,7 +14,9 @@
 //!   are two `f64`s.
 //! * **The constraint matrix is sparse.** Columns are `(row, coeff)`
 //!   lists; only the `m × m` basis inverse is dense, and `m` counts real
-//!   constraints only.
+//!   constraints only. Its pivot update and the basic-value recompute
+//!   skip the terms whose factor is an exact zero, so their cost follows
+//!   the nonzeros they touch and their results are the dense loops' bits.
 //! * **State survives across solves.** An [`LpWorkspace`] keeps the
 //!   factored basis between calls. Re-solving the same constraint matrix
 //!   under a new objective starts primal iterations from the previous
@@ -567,7 +569,9 @@ impl State {
     }
 
     /// Recomputes every basic value from the basis inverse:
-    /// `x_B = B⁻¹ (b − N x_N)`.
+    /// `x_B = B⁻¹ (b − N x_N)`. Each sum runs over the nonzeros of
+    /// `b − N x_N` only, in ascending column order: a skipped term is an
+    /// exact zero, which leaves any nonzero partial sum as it was.
     pub(crate) fn recompute_xb(&mut self) {
         let m = self.m;
         let mut effective = self.rhs.clone();
@@ -582,13 +586,14 @@ impl State {
                 }
             }
         }
+        let support: Vec<(usize, f64)> = effective
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, e)| e != 0.0)
+            .collect();
         for i in 0..m {
             let row = &self.binv[i * m..(i + 1) * m];
-            self.xb[i] = row
-                .iter()
-                .zip(&effective)
-                .map(|(&b, &e)| b * e)
-                .sum::<f64>();
+            self.xb[i] = support.iter().map(|&(k, e)| row[k] * e).sum::<f64>();
         }
     }
 
@@ -636,22 +641,29 @@ impl State {
     }
 
     /// Product-form update of the basis inverse after column `q` (with
-    /// `ftran` result `w`) replaces the basic column of row `r`.
+    /// `ftran` result `w`) replaces the basic column of row `r`. A row
+    /// with `w_i ≠ 0` is updated only at the nonzero columns of the
+    /// scaled pivot row: elsewhere the update subtracts an exact zero,
+    /// which leaves a nonzero entry as it was.
     fn pivot_binv(&mut self, r: usize, w: &[f64]) {
         let m = self.m;
         let pivot = w[r];
         debug_assert!(pivot.abs() > EPS, "pivot on a zero element");
         let (before, rest) = self.binv.split_at_mut(r * m);
         let (pivot_row, after) = rest.split_at_mut(m);
-        for v in pivot_row.iter_mut() {
+        let mut support = Vec::new();
+        for (j, v) in pivot_row.iter_mut().enumerate() {
             *v /= pivot;
+            if *v != 0.0 {
+                support.push((j, *v));
+            }
         }
         let scale_rows = |rows: &mut [f64], base: usize| {
             for (chunk_index, chunk) in rows.chunks_exact_mut(m).enumerate() {
                 let factor = w[base + chunk_index];
                 if factor != 0.0 {
-                    for (v, &p) in chunk.iter_mut().zip(pivot_row.iter()) {
-                        *v -= factor * p;
+                    for &(j, p) in &support {
+                        chunk[j] -= factor * p;
                     }
                 }
             }
@@ -1037,5 +1049,139 @@ impl State {
         let values = self.values();
         let objective = values.iter().zip(&self.obj).map(|(&x, &c)| x * c).sum();
         Solution { objective, values }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::VarId;
+
+    /// splitmix64: the test's only randomness, replayable from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random bounded LP: sparse small-integer rows under all three
+    /// operators, nonzero lower bounds, finite and infinite upper ones.
+    fn random_model(rng: &mut Rng, n: usize, m: usize) -> Model {
+        let mut model = Model::new();
+        let vars: Vec<VarId> = (0..n)
+            .map(|j| model.add_var(format!("x{j}"), rng.below(7) as f64 - 3.0))
+            .collect();
+        for &v in &vars {
+            let lower = rng.below(3) as f64;
+            model.set_lower(v, lower);
+            if rng.below(3) != 0 {
+                model.set_upper(v, lower + 1.0 + rng.below(5) as f64);
+            }
+        }
+        for _ in 0..m {
+            let mut coeffs: Vec<(VarId, f64)> = Vec::new();
+            for &v in &vars {
+                if rng.below(4) == 0 {
+                    coeffs.push((v, rng.below(9) as f64 - 4.0));
+                }
+            }
+            let op = [ConstraintOp::Le, ConstraintOp::Ge, ConstraintOp::Eq][rng.below(3)];
+            model.add_constraint(coeffs, op, rng.below(20) as f64);
+        }
+        model
+    }
+
+    /// The product-form update over all `m` columns of every row with
+    /// `w_i ≠ 0`.
+    fn dense_pivot(binv: &mut [f64], m: usize, r: usize, w: &[f64]) {
+        for j in 0..m {
+            binv[r * m + j] /= w[r];
+        }
+        for i in (0..m).filter(|&i| i != r && w[i] != 0.0) {
+            for j in 0..m {
+                binv[i * m + j] -= w[i] * binv[r * m + j];
+            }
+        }
+    }
+
+    /// `B⁻¹ (b − N x_N)`, each row summed over all `m` columns.
+    fn dense_xb(state: &State) -> Vec<f64> {
+        let m = state.m;
+        let mut effective = state.rhs.clone();
+        for j in (0..state.cols.len()).filter(|&j| state.status[j] != Status::Basic) {
+            let position = state.position(j);
+            if position != 0.0 {
+                for &(r, a) in &state.cols[j] {
+                    effective[r] -= a * position;
+                }
+            }
+        }
+        (0..m)
+            .map(|i| (0..m).map(|k| state.binv[i * m + k] * effective[k]).sum())
+            .collect()
+    }
+
+    /// Every nonzero equal by its bits, every zero a zero.
+    fn assert_same(what: &str, actual: &[f64], expected: &[f64]) {
+        assert_eq!(actual.len(), expected.len());
+        for (k, (&a, &e)) in actual.iter().zip(expected).enumerate() {
+            if e == 0.0 {
+                assert_eq!(a, 0.0, "{what}[{k}]: {a} where the dense loop reads zero");
+            } else {
+                assert_eq!(a.to_bits(), e.to_bits(), "{what}[{k}]: {a} vs {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_kernels_match_the_dense_loops_bit_for_bit() {
+        let mut rng = Rng(0x5eed_0027);
+        let mut pivots = 0;
+        for _ in 0..6 {
+            let (n, m) = (6 + rng.below(20), 4 + rng.below(16));
+            let model = random_model(&mut rng, n, m);
+            let mut state = State::build(&model, 0);
+            state.recompute_xb();
+            for _ in 0..4 * m {
+                let nonbasic: Vec<usize> = (0..state.cols.len())
+                    .filter(|&j| state.status[j] != Status::Basic)
+                    .collect();
+                let q = nonbasic[rng.below(nonbasic.len())];
+                let w = state.ftran(q);
+                let r = (0..m)
+                    .max_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs()))
+                    .expect("m > 0");
+                if w[r].abs() <= EPS {
+                    continue;
+                }
+                let mut expected = state.binv.clone();
+                dense_pivot(&mut expected, m, r, &w);
+                state.pivot_binv(r, &w);
+                assert_same("B⁻¹", &state.binv, &expected);
+
+                // The leaving column rests at one of its finite bounds.
+                let leaving = state.basis[r];
+                let (lower, upper) = (state.lower[leaving], state.upper[leaving]);
+                state.status[leaving] =
+                    if !lower.is_finite() || (upper.is_finite() && rng.below(2) == 0) {
+                        Status::AtUpper
+                    } else {
+                        Status::AtLower
+                    };
+                state.basis[r] = q;
+                state.status[q] = Status::Basic;
+                let expected = dense_xb(&state);
+                state.recompute_xb();
+                assert_same("x_B", &state.xb, &expected);
+                pivots += 1;
+            }
+        }
+        assert!(pivots >= 100, "only {pivots} pivots were driven");
     }
 }

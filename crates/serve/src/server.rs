@@ -904,11 +904,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let request = match protocol::decode_request_payload(&payload) {
                     Ok(request) => request,
                     Err(e) => {
-                        shared.telemetry.protocol_errors.inc();
-                        let _ = respond(
-                            &mut stream,
-                            &error_response(ErrorCode::Malformed, e.to_string()),
-                        );
+                        refuse_malformed(&mut stream, shared, e.to_string());
                         return;
                     }
                 };
@@ -930,11 +926,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // mismatch, truncation: answer once, then drop the
                 // connection — resynchronizing a corrupt stream is not
                 // worth guessing at frame boundaries.
-                shared.telemetry.protocol_errors.inc();
-                let _ = respond(
-                    &mut stream,
-                    &error_response(ErrorCode::Malformed, e.to_string()),
-                );
+                refuse_malformed(&mut stream, shared, e.to_string());
                 return;
             }
             // `read_frame_polled` reports stalls as `Truncated`;
@@ -942,6 +934,16 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             // reach here, but the drop is right for it regardless.
             Err(WireError::Io(_)) | Err(WireError::Timeout) => return,
         }
+    }
+}
+
+/// Answers an undecodable frame or payload with a `Malformed` error,
+/// counting the protocol error and, when the answer cannot be written,
+/// the write failure (as `dispatch`'s failed writes are counted).
+fn refuse_malformed(stream: &mut TcpStream, shared: &Shared, message: String) {
+    shared.telemetry.protocol_errors.inc();
+    if respond(stream, &error_response(ErrorCode::Malformed, message)).is_err() {
+        shared.telemetry.response_write_failures.inc();
     }
 }
 
