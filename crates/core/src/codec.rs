@@ -4,16 +4,10 @@
 //! [`AnalysisContext`](crate::AnalysisContext) — the memoized solve
 //! products, the classified CHMC levels, the converged full-associativity
 //! Must/May states, the SRB map and the factored basis — is written with
-//! explicit little-endian fields behind a fixed header:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  "PWCX"
-//! 4       4     format version (u32, currently 5)
-//! 8       8     payload length in bytes (u64)
-//! 16      8     lane checksum of the payload (u64)
-//! 24      …     payload
-//! ```
+//! the [frame](crate::frame) module's writer and read back with its
+//! bounded reader, behind its 24-byte header under the [`PWCX`]
+//! parameters: magic `"PWCX"`, version 5, the lane checksum
+//! ([`entry_checksum`]) and no payload cap.
 //!
 //! The payload carries, in this order:
 //!
@@ -44,7 +38,7 @@
 //! abstract-state dimensions, FMM dimensions) is cross-checked against the
 //! requested geometry and, for the tail, the live CFG. Any mismatch —
 //! truncation, bit flips, stale versions, or a content-hash collision —
-//! surfaces as a [`CodecError`], which the reuse plane treats as a cache
+//! surfaces as a [`FrameError`], which the reuse plane treats as a cache
 //! miss at read, or as a counted late corruption when a tail fails at
 //! first use: both recompute cold. A corrupted file can cost time, never
 //! correctness.
@@ -58,7 +52,6 @@
 //! shape checks as the guard against a content-key collision there, and
 //! the tail is still cross-checked against the live graph when decoded.
 
-use std::fmt;
 use std::sync::Arc;
 
 use pwcet_analysis::{
@@ -72,13 +65,13 @@ use pwcet_progen::CompiledProgram;
 
 use crate::context::TailParts;
 use crate::fmm::FaultMissMap;
+use crate::frame::{Envelope, FrameError, Reader, Writer, HEADER_LEN};
 use crate::pipeline::SolveArtifacts;
 
-/// File magic: "PWCX" (pWCET context).
-pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
-/// The on-disk format version. Bump on any layout change; entries at
-/// any other version decode to [`CodecError::UnsupportedVersion`] and
-/// are rebuilt cold.
+/// The `PWCX` envelope (pWCET context): the lane checksum
+/// ([`entry_checksum`]) and no payload cap beyond the file itself. Bump
+/// the version on any layout change; entries at any other version decode
+/// to [`FrameError::UnsupportedVersion`] and are rebuilt cold.
 ///
 /// History: 1 = set-based abstract states (one `u64` length plus one
 /// `u32` block id per occupied age-slot entry); 2 = bit-packed states
@@ -95,39 +88,12 @@ pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
 /// name, geometry and mode fields, and a presence summary plus the solve
 /// section ahead of a length-prefixed classification tail that is
 /// decoded on first use.
-pub(crate) const VERSION: u32 = 5;
-/// Header bytes before the payload.
-pub(crate) const HEADER_LEN: usize = 24;
-
-/// Why a stored entry could not be decoded. All variants are recoverable:
-/// the caller rebuilds the context cold.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Fewer bytes than the declared (or minimal) structure needs.
-    Truncated,
-    /// The file does not start with the `PWCX` magic.
-    BadMagic,
-    /// A format version this build does not understand.
-    UnsupportedVersion(u32),
-    /// The payload checksum does not match the header.
-    ChecksumMismatch,
-    /// Structurally invalid or inconsistent with the live CFG/geometry.
-    Malformed(&'static str),
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "entry is truncated"),
-            CodecError::BadMagic => write!(f, "bad magic (not a context entry)"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
-            CodecError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
-            CodecError::Malformed(what) => write!(f, "malformed entry: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
+pub(crate) const PWCX: Envelope = Envelope {
+    magic: *b"PWCX",
+    version: 5,
+    max_payload: u64::MAX,
+    checksum: entry_checksum,
+};
 
 /// Minimal 64-bit FNV-1a — deterministic across platforms and processes,
 /// unlike `DefaultHasher`, which randomizes per process. Used for the
@@ -324,31 +290,6 @@ fn mode_tag(mode: ClassificationMode) -> u64 {
     }
 }
 
-/// Checks an entry's envelope — magic, version, declared length and the
-/// checksum over every payload byte — and returns the payload.
-fn open(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload = &bytes[HEADER_LEN..];
-    if payload_len != payload.len() as u64 {
-        return Err(CodecError::Truncated);
-    }
-    if entry_checksum(payload) != checksum {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    Ok(payload)
-}
-
 /// Validates the *envelope* of a serialized entry — magic, version,
 /// declared length, payload checksum, and the embedded content key —
 /// without decoding anything. This is the gate a service node applies to
@@ -359,13 +300,13 @@ fn open(bytes: &[u8]) -> Result<&[u8], CodecError> {
 ///
 /// # Errors
 ///
-/// The same envelope-level [`CodecError`]s [`decode_context`] would
+/// The same envelope-level [`FrameError`]s [`decode_context`] would
 /// raise, plus a key mismatch for an entry stored under the wrong
 /// fingerprint.
-pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), CodecError> {
-    let mut dec = Dec::new(open(bytes)?);
+pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), FrameError> {
+    let mut dec = Reader::new(PWCX.open(bytes)?);
     if dec.u64()? != expected_key {
-        return Err(CodecError::Malformed("content key mismatch"));
+        return Err(FrameError::Malformed("content key mismatch"));
     }
     Ok(())
 }
@@ -434,43 +375,7 @@ pub(crate) struct Hit {
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn flag(&mut self, present: bool) {
-        self.u8(u8::from(present));
-    }
-
-    fn opt<T>(&mut self, value: Option<T>, mut write: impl FnMut(&mut Self, T)) {
-        match value {
-            Some(v) => {
-                self.u8(1);
-                write(self, v);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
-fn encode_chmc(enc: &mut Enc, map: &ChmcMap) {
+fn encode_chmc(enc: &mut Writer, map: &ChmcMap) {
     enc.u64(map.len() as u64);
     for node in 0..map.len() {
         let row = map.node(node);
@@ -494,7 +399,7 @@ fn encode_chmc(enc: &mut Enc, map: &ChmcMap) {
 /// *not* serialized: it is a deterministic function of the CFG and the
 /// `(sets, block_bytes)` of the geometry, so the decoder rebuilds it and
 /// only the fixpoint's actual bits ride on disk.
-fn encode_packed(enc: &mut Enc, acs: &PackedAcs) {
+fn encode_packed(enc: &mut Writer, acs: &PackedAcs) {
     enc.u8(match acs.kind() {
         AnalysisKind::Must => 0,
         AnalysisKind::May => 1,
@@ -508,21 +413,21 @@ fn encode_packed(enc: &mut Enc, acs: &PackedAcs) {
     }
 }
 
-fn encode_states(enc: &mut Enc, states: &[Option<PackedAcs>]) {
+fn encode_states(enc: &mut Writer, states: &[Option<PackedAcs>]) {
     enc.u64(states.len() as u64);
     for state in states {
         enc.opt(state.as_ref(), encode_packed);
     }
 }
 
-fn encode_level(enc: &mut Enc, level: &ClassifiedLevel) {
+fn encode_level(enc: &mut Writer, level: &ClassifiedLevel) {
     enc.u32(level.assoc());
     encode_chmc(enc, level.chmc());
     encode_states(enc, level.must_states());
     encode_states(enc, level.may_states());
 }
 
-fn encode_srb(enc: &mut Enc, srb: &SrbMap) {
+fn encode_srb(enc: &mut Writer, srb: &SrbMap) {
     let rows = srb.rows();
     enc.u64(rows.len() as u64);
     for row in rows {
@@ -533,7 +438,7 @@ fn encode_srb(enc: &mut Enc, srb: &SrbMap) {
     }
 }
 
-fn encode_artifacts(enc: &mut Enc, artifacts: &SolveArtifacts) {
+fn encode_artifacts(enc: &mut Writer, artifacts: &SolveArtifacts) {
     enc.u64(artifacts.fault_free_wcet);
     let fmm = &artifacts.fmm;
     enc.u32(fmm.sets());
@@ -552,11 +457,10 @@ fn encode_artifacts(enc: &mut Enc, artifacts: &SolveArtifacts) {
 /// Serializes one factored-basis snapshot: the basic-variable index set
 /// and the nonbasic bound statuses only — the `m × m` basis inverse is
 /// refactored from them on load, so it never rides on disk or the wire.
-fn encode_basis(enc: &mut Enc, snapshot: &BasisSnapshot) {
+fn encode_basis(enc: &mut Writer, snapshot: &BasisSnapshot) {
     enc.u32(snapshot.n_struct);
     enc.u32(snapshot.m);
-    enc.u64(snapshot.statuses.len() as u64);
-    enc.buf.extend_from_slice(&snapshot.statuses);
+    enc.bytes(&snapshot.statuses);
     enc.u64(snapshot.basis.len() as u64);
     for &entry in &snapshot.basis {
         enc.u32(entry);
@@ -566,7 +470,7 @@ fn encode_basis(enc: &mut Enc, snapshot: &BasisSnapshot) {
 /// Encodes a context's decoded classification tail. Absent parts are
 /// recorded in the presence summary only.
 pub(crate) fn encode_tail(parts: &TailParts) -> RawTail {
-    let mut enc = Enc::new();
+    let mut enc = Writer::new();
     if let Some(full) = &parts.full {
         encode_level(&mut enc, full);
     }
@@ -586,7 +490,7 @@ pub(crate) fn encode_tail(parts: &TailParts) -> RawTail {
             srb: parts.srb.is_some(),
             basis: parts.basis.is_some(),
         },
-        buf: enc.buf,
+        buf: enc.into_bytes(),
         start: 0,
     }
 }
@@ -598,7 +502,7 @@ pub(crate) fn encode_context(
     solved: &[(CacheTiming, &SolveArtifacts)],
     tail: &RawTail,
 ) -> Vec<u8> {
-    let mut enc = Enc::new();
+    let mut enc = Writer::new();
     enc.u64(key);
     enc.u64(fingerprint);
     let presence = &tail.presence;
@@ -615,83 +519,13 @@ pub(crate) fn encode_context(
         enc.u64(timing.miss_penalty_cycles());
         encode_artifacts(&mut enc, artifacts);
     }
-    let body = tail.bytes();
-    enc.u64(body.len() as u64);
-    enc.buf.extend_from_slice(body);
-    seal(&enc.buf)
-}
-
-/// Puts `payload` behind the entry header: magic, version, length and
-/// checksum.
-fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&entry_checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    enc.bytes(tail.bytes());
+    PWCX.seal(&enc.into_bytes())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a sequence length and guards it against allocation bombs:
-    /// each element occupies at least `min_elem_bytes`, so a length the
-    /// remaining bytes cannot possibly hold is corruption, not data.
-    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| CodecError::Truncated)?;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn present(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Malformed("presence flag")),
-        }
-    }
-}
 
 /// Per-node reference counts of the live CFG — the shape every decoded
 /// per-reference table must match.
@@ -699,16 +533,16 @@ fn ref_shape(cfg: &ExpandedCfg) -> Vec<usize> {
     cfg.nodes().iter().map(|n| n.addrs().len()).collect()
 }
 
-fn decode_chmc(dec: &mut Dec<'_>, shape: &[usize]) -> Result<ChmcMap, CodecError> {
+fn decode_chmc(dec: &mut Reader<'_>, shape: &[usize]) -> Result<ChmcMap, FrameError> {
     let nodes = dec.seq_len(8)?;
     if nodes != shape.len() {
-        return Err(CodecError::Malformed("CHMC node count"));
+        return Err(FrameError::Malformed("CHMC node count"));
     }
     let mut rows = Vec::with_capacity(nodes);
     for &expected_refs in shape {
         let refs = dec.seq_len(1)?;
         if refs != expected_refs {
-            return Err(CodecError::Malformed("CHMC reference count"));
+            return Err(FrameError::Malformed("CHMC reference count"));
         }
         let mut row = Vec::with_capacity(refs);
         for _ in 0..refs {
@@ -717,12 +551,12 @@ fn decode_chmc(dec: &mut Dec<'_>, shape: &[usize]) -> Result<ChmcMap, CodecError
                 1 => Chmc::FirstMiss(Scope::Program),
                 2 => {
                     let id = usize::try_from(dec.u64()?)
-                        .map_err(|_| CodecError::Malformed("loop id"))?;
+                        .map_err(|_| FrameError::Malformed("loop id"))?;
                     Chmc::FirstMiss(Scope::Loop(id))
                 }
                 3 => Chmc::AlwaysMiss,
                 4 => Chmc::NotClassified,
-                _ => return Err(CodecError::Malformed("CHMC tag")),
+                _ => return Err(FrameError::Malformed("CHMC tag")),
             });
         }
         rows.push(row);
@@ -737,34 +571,34 @@ fn decode_chmc(dec: &mut Dec<'_>, shape: &[usize]) -> Result<ChmcMap, CodecError
 /// fixpoint can produce, so they mark corruption that happens to pass the
 /// checksum, or a hash-collision entry of a different program.
 fn decode_packed(
-    dec: &mut Dec<'_>,
+    dec: &mut Reader<'_>,
     geometry: CacheGeometry,
     interner: &Arc<BlockInterner>,
-) -> Result<PackedAcs, CodecError> {
+) -> Result<PackedAcs, FrameError> {
     let kind = match dec.u8()? {
         0 => AnalysisKind::Must,
         1 => AnalysisKind::May,
-        _ => return Err(CodecError::Malformed("analysis kind")),
+        _ => return Err(FrameError::Malformed("analysis kind")),
     };
     let sets = dec.u32()?;
     if sets != geometry.sets() {
-        return Err(CodecError::Malformed("abstract state set count"));
+        return Err(FrameError::Malformed("abstract state set count"));
     }
     let block_bytes = dec.u32()?;
     if block_bytes != geometry.block_bytes() {
-        return Err(CodecError::Malformed("abstract state block size"));
+        return Err(FrameError::Malformed("abstract state block size"));
     }
     let assoc = dec.u32()?;
     if assoc == 0 || assoc > geometry.ways() {
-        return Err(CodecError::Malformed("abstract state associativity"));
+        return Err(FrameError::Malformed("abstract state associativity"));
     }
     let lanes = dec.u32()? as usize;
     if lanes != interner.lanes() {
-        return Err(CodecError::Malformed("abstract state lane count"));
+        return Err(FrameError::Malformed("abstract state lane count"));
     }
     let word_count = (sets * assoc) as usize * lanes;
     if dec.remaining() < word_count.saturating_mul(8) {
-        return Err(CodecError::Truncated);
+        return Err(FrameError::Truncated);
     }
     let mut words = Vec::with_capacity(word_count);
     for _ in 0..word_count {
@@ -785,10 +619,10 @@ fn decode_packed(
                 };
                 let word = words[((set * assoc as usize) + age) * lanes + lane];
                 if word & !allowed != 0 {
-                    return Err(CodecError::Malformed("bit beyond the interned universe"));
+                    return Err(FrameError::Malformed("bit beyond the interned universe"));
                 }
                 if word & seen[lane] != 0 {
-                    return Err(CodecError::Malformed("block at two ages"));
+                    return Err(FrameError::Malformed("block at two ages"));
                 }
                 seen[lane] |= word;
             }
@@ -798,35 +632,33 @@ fn decode_packed(
 }
 
 fn decode_states(
-    dec: &mut Dec<'_>,
+    dec: &mut Reader<'_>,
     geometry: CacheGeometry,
     interner: &Arc<BlockInterner>,
     nodes: usize,
-) -> Result<Vec<Option<PackedAcs>>, CodecError> {
+) -> Result<Vec<Option<PackedAcs>>, FrameError> {
     let count = dec.seq_len(1)?;
     if count != nodes {
-        return Err(CodecError::Malformed("state node count"));
+        return Err(FrameError::Malformed("state node count"));
     }
     let mut states = Vec::with_capacity(count);
     for _ in 0..count {
-        states.push(if dec.present()? {
-            Some(decode_packed(dec, geometry, interner)?)
-        } else {
-            None
-        });
+        states.push(dec.opt("presence flag", |dec| {
+            decode_packed(dec, geometry, interner)
+        })?);
     }
     Ok(states)
 }
 
 fn decode_level(
-    dec: &mut Dec<'_>,
+    dec: &mut Reader<'_>,
     geometry: CacheGeometry,
     interner: &Arc<BlockInterner>,
     shape: &[usize],
-) -> Result<ClassifiedLevel, CodecError> {
+) -> Result<ClassifiedLevel, FrameError> {
     let assoc = dec.u32()?;
     if assoc != geometry.ways() {
-        return Err(CodecError::Malformed("full level associativity"));
+        return Err(FrameError::Malformed("full level associativity"));
     }
     let chmc = decode_chmc(dec, shape)?;
     let must = decode_states(dec, geometry, interner, shape.len())?;
@@ -840,24 +672,20 @@ fn decode_level(
     ))
 }
 
-fn decode_srb(dec: &mut Dec<'_>, shape: &[usize]) -> Result<SrbMap, CodecError> {
+fn decode_srb(dec: &mut Reader<'_>, shape: &[usize]) -> Result<SrbMap, FrameError> {
     let nodes = dec.seq_len(8)?;
     if nodes != shape.len() {
-        return Err(CodecError::Malformed("SRB node count"));
+        return Err(FrameError::Malformed("SRB node count"));
     }
     let mut rows = Vec::with_capacity(nodes);
     for &expected_refs in shape {
         let refs = dec.seq_len(1)?;
         if refs != expected_refs {
-            return Err(CodecError::Malformed("SRB reference count"));
+            return Err(FrameError::Malformed("SRB reference count"));
         }
         let mut row = Vec::with_capacity(refs);
         for _ in 0..refs {
-            row.push(match dec.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(CodecError::Malformed("SRB flag")),
-            });
+            row.push(dec.flag("SRB flag")?);
         }
         rows.push(row);
     }
@@ -865,21 +693,21 @@ fn decode_srb(dec: &mut Dec<'_>, shape: &[usize]) -> Result<SrbMap, CodecError> 
 }
 
 fn decode_artifacts(
-    dec: &mut Dec<'_>,
+    dec: &mut Reader<'_>,
     geometry: CacheGeometry,
-) -> Result<SolveArtifacts, CodecError> {
+) -> Result<SolveArtifacts, FrameError> {
     let fault_free_wcet = dec.u64()?;
     let sets = dec.u32()?;
     let ways = dec.u32()?;
     if sets != geometry.sets() || ways != geometry.ways() {
-        return Err(CodecError::Malformed("FMM dimensions"));
+        return Err(FrameError::Malformed("FMM dimensions"));
     }
     if (sets as usize)
         .saturating_mul(ways as usize)
         .saturating_mul(8)
         > dec.remaining()
     {
-        return Err(CodecError::Truncated);
+        return Err(FrameError::Truncated);
     }
     let mut fmm = FaultMissMap::new(sets, ways);
     for s in 0..sets {
@@ -892,7 +720,7 @@ fn decode_artifacts(
     }
     let cols = dec.seq_len(8)?;
     if cols != sets as usize {
-        return Err(CodecError::Malformed("SRB column count"));
+        return Err(FrameError::Malformed("SRB column count"));
     }
     let mut srb_last_column = Vec::with_capacity(cols);
     for _ in 0..cols {
@@ -922,27 +750,27 @@ pub(crate) fn decode_context(
     key: u64,
     fingerprint: u64,
     geometry: CacheGeometry,
-) -> Result<Hit, CodecError> {
-    let mut dec = Dec::new(open(bytes)?);
+) -> Result<Hit, FrameError> {
+    let mut dec = Reader::new(PWCX.open(bytes)?);
     if dec.u64()? != key {
-        return Err(CodecError::Malformed("content key mismatch"));
+        return Err(FrameError::Malformed("content key mismatch"));
     }
     if dec.u64()? != fingerprint {
-        return Err(CodecError::Malformed("expander fingerprint mismatch"));
+        return Err(FrameError::Malformed("expander fingerprint mismatch"));
     }
-    let full = dec.present()?;
+    let full = dec.flag("presence flag")?;
     let level_count = dec.seq_len(1)?;
     if level_count != geometry.ways() as usize + 1 {
-        return Err(CodecError::Malformed("level count"));
+        return Err(FrameError::Malformed("level count"));
     }
     let levels = (0..level_count)
-        .map(|_| dec.present())
+        .map(|_| dec.flag("presence flag"))
         .collect::<Result<Vec<_>, _>>()?;
     let presence = Presence {
         full,
         levels,
-        srb: dec.present()?,
-        basis: dec.present()?,
+        srb: dec.flag("presence flag")?,
+        basis: dec.flag("presence flag")?,
     };
     let solved_count = dec.seq_len(16)?;
     let mut solved = Vec::with_capacity(solved_count);
@@ -951,12 +779,12 @@ pub(crate) fn decode_context(
         solved.push((timing, decode_artifacts(&mut dec, geometry)?));
     }
     if dec.seq_len(1)? != dec.remaining() {
-        return Err(CodecError::Malformed("tail length"));
+        return Err(FrameError::Malformed("tail length"));
     }
     Ok(Hit {
         solved,
         presence,
-        tail_at: HEADER_LEN + dec.pos,
+        tail_at: HEADER_LEN + dec.position(),
     })
 }
 
@@ -973,9 +801,9 @@ pub(crate) fn decode_tail(
     tail: &RawTail,
     cfg: &ExpandedCfg,
     geometry: CacheGeometry,
-) -> Result<TailParts, CodecError> {
+) -> Result<TailParts, FrameError> {
     let presence = &tail.presence;
-    let mut dec = Dec::new(tail.bytes());
+    let mut dec = Reader::new(tail.bytes());
     let shape = ref_shape(cfg);
     let full = if presence.full {
         // One interner serves every state of the level: it is a
@@ -1004,9 +832,7 @@ pub(crate) fn decode_tail(
     } else {
         None
     };
-    if dec.remaining() != 0 {
-        return Err(CodecError::Malformed("trailing bytes"));
-    }
+    dec.finish()?;
     Ok(TailParts {
         full,
         levels,
@@ -1023,26 +849,25 @@ pub(crate) fn decode_tail(
 /// seed time ([`pwcet_ipet::IpetTemplate::seed_basis`]); a snapshot that
 /// fails there degrades to a counted cold factorization, never a wrong
 /// bound.
-fn decode_basis(dec: &mut Dec<'_>) -> Result<BasisSnapshot, CodecError> {
+fn decode_basis(dec: &mut Reader<'_>) -> Result<BasisSnapshot, FrameError> {
     let n_struct = dec.u32()?;
     let m = dec.u32()?;
-    let statuses_len = dec.seq_len(1)?;
-    if statuses_len != (n_struct as usize) + (m as usize) {
-        return Err(CodecError::Malformed("basis status count"));
+    let statuses = dec.bytes()?;
+    if statuses.len() != (n_struct as usize) + (m as usize) {
+        return Err(FrameError::Malformed("basis status count"));
     }
-    let statuses = dec.take(statuses_len)?.to_vec();
     if statuses.iter().any(|&tag| tag > 2) {
-        return Err(CodecError::Malformed("basis status tag"));
+        return Err(FrameError::Malformed("basis status tag"));
     }
     let basis_len = dec.seq_len(4)?;
     if basis_len != m as usize {
-        return Err(CodecError::Malformed("basis size"));
+        return Err(FrameError::Malformed("basis size"));
     }
     let mut basis = Vec::with_capacity(basis_len);
     for _ in 0..basis_len {
         let entry = dec.u32()?;
-        if entry != BasisSnapshot::ARTIFICIAL && entry as usize >= statuses_len {
-            return Err(CodecError::Malformed("basis entry"));
+        if entry != BasisSnapshot::ARTIFICIAL && entry as usize >= statuses.len() {
+            return Err(FrameError::Malformed("basis entry"));
         }
         basis.push(entry);
     }
@@ -1108,7 +933,7 @@ mod tests {
 
     /// Reads an entry as a hit and then its first use do: the solve
     /// section, then the tail against `cfg`.
-    fn read_fully(bytes: &[u8], ids: Ids, cfg: &ExpandedCfg) -> Result<ContextParts, CodecError> {
+    fn read_fully(bytes: &[u8], ids: Ids, cfg: &ExpandedCfg) -> Result<ContextParts, FrameError> {
         let hit = decode_context(bytes, ids.key, ids.fingerprint, ids.geometry)?;
         let tail = RawTail::in_entry(bytes.to_vec(), hit.presence, hit.tail_at);
         Ok(ContextParts {
@@ -1227,7 +1052,7 @@ mod tests {
             let bytes = encode_parts(ids, &parts);
             assert_eq!(
                 read_fully(&bytes, ids, cfg),
-                Err(CodecError::Malformed(expect))
+                Err(FrameError::Malformed(expect))
             );
         };
         check(
@@ -1264,7 +1089,7 @@ mod tests {
         let cfg = context.cfg();
         let (mut canonical, mut refused_late) = (0usize, 0usize);
         let mut check = |label: &str, mutated: &[u8]| {
-            let entry = seal(mutated);
+            let entry = PWCX.seal(mutated);
             let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let hit = decode_context(&entry, ids.key, ids.fingerprint, ids.geometry)?;
                 let tail = RawTail::in_entry(entry.clone(), hit.presence, hit.tail_at);
@@ -1272,7 +1097,7 @@ mod tests {
             }))
             .unwrap_or_else(|_| panic!("{label}: the decoder panicked"));
             match read {
-                Err::<_, CodecError>(_) => {}
+                Err::<_, FrameError>(_) => {}
                 Ok((_, Err(_))) => refused_late += 1,
                 Ok((solved, Ok(tail))) => {
                     assert_eq!(
@@ -1316,17 +1141,17 @@ mod tests {
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
-        assert_eq!(read(&bad_magic), Err(CodecError::BadMagic));
+        assert_eq!(read(&bad_magic), Err(FrameError::BadMagic));
 
         // Version 4 is the retired layout; no shim reads it.
-        for version in [VERSION - 1, 99] {
+        for version in [PWCX.version - 1, 99] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
-            assert_eq!(read(&skewed), Err(CodecError::UnsupportedVersion(version)));
+            assert_eq!(read(&skewed), Err(FrameError::UnsupportedVersion(version)));
         }
 
-        assert_eq!(read(&bytes[..bytes.len() / 2]), Err(CodecError::Truncated));
-        assert_eq!(read(&bytes[..10]), Err(CodecError::Truncated));
+        assert_eq!(read(&bytes[..bytes.len() / 2]), Err(FrameError::Truncated));
+        assert_eq!(read(&bytes[..10]), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -1341,14 +1166,14 @@ mod tests {
             flipped[pos] ^= 0x01;
             assert_eq!(
                 read(&flipped),
-                Err(CodecError::ChecksumMismatch),
+                Err(FrameError::ChecksumMismatch),
                 "flip at {pos}"
             );
         }
         // Flipping a checksum byte itself must also be caught.
         let mut bad_sum = bytes.clone();
         bad_sum[16] ^= 0x01;
-        assert_eq!(read(&bad_sum), Err(CodecError::ChecksumMismatch));
+        assert_eq!(read(&bad_sum), Err(FrameError::ChecksumMismatch));
     }
 
     #[test]
@@ -1374,15 +1199,15 @@ mod tests {
         for bit in 0..entry.len() * 8 {
             let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
             entry[byte] ^= mask;
-            let refused = open(&entry);
+            let refused = PWCX.open(&entry);
             if byte >= HEADER_LEN || (16..24).contains(&byte) {
-                assert_eq!(refused, Err(CodecError::ChecksumMismatch), "bit {bit}");
+                assert_eq!(refused, Err(FrameError::ChecksumMismatch), "bit {bit}");
             } else {
                 assert!(refused.is_err(), "header bit {bit}");
             }
             entry[byte] ^= mask;
         }
-        assert!(open(&entry).is_ok());
+        assert!(PWCX.open(&entry).is_ok());
     }
 
     #[test]
@@ -1394,15 +1219,15 @@ mod tests {
         };
         assert_eq!(
             read(ids.key ^ 1, ids.fingerprint, ids.geometry),
-            Err(CodecError::Malformed("content key mismatch"))
+            Err(FrameError::Malformed("content key mismatch"))
         );
         assert_eq!(
             read(ids.key, ids.fingerprint ^ 1, ids.geometry),
-            Err(CodecError::Malformed("expander fingerprint mismatch"))
+            Err(FrameError::Malformed("expander fingerprint mismatch"))
         );
         assert_eq!(
             read(ids.key, ids.fingerprint, ids.geometry.with_ways(2)),
-            Err(CodecError::Malformed("level count"))
+            Err(FrameError::Malformed("level count"))
         );
         // The fingerprint covers the geometry and the mode as well as the
         // program's expander inputs.
@@ -1430,14 +1255,14 @@ mod tests {
             expander_fingerprint(&other, ids.geometry, ClassificationMode::Incremental);
         assert_eq!(
             read(ids.key, other_fingerprint, ids.geometry),
-            Err(CodecError::Malformed("expander fingerprint mismatch"))
+            Err(FrameError::Malformed("expander fingerprint mismatch"))
         );
         let other_ctx =
             AnalysisContext::build_with_mode(&other, ids.geometry, ClassificationMode::Incremental)
                 .unwrap();
         assert!(matches!(
             read_fully(&bytes, ids, other_ctx.cfg()),
-            Err(CodecError::Malformed(_) | CodecError::Truncated)
+            Err(FrameError::Malformed(_) | FrameError::Truncated)
         ));
     }
 

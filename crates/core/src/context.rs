@@ -45,11 +45,12 @@ use pwcet_prob::{DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{
-    decode_tail, encode_context, encode_tail, expander_fingerprint, CodecError, Presence, RawTail,
+    decode_tail, encode_context, encode_tail, expander_fingerprint, Presence, RawTail,
     SolvedEntries,
 };
 use crate::error::CoreError;
 use crate::estimate::Protection;
+use crate::frame::FrameError;
 use crate::pipeline::{expand_compiled, ExpanderInputs, SolveArtifacts};
 use crate::reuse_plane::LateCorruption;
 
@@ -408,7 +409,7 @@ impl AnalysisContext {
         if let Some(pending) = slot.take() {
             let decoded = self
                 .graph()
-                .map_err(|_| CodecError::Malformed("program does not expand"));
+                .map_err(|_| FrameError::Malformed("program does not expand"));
             let decoded = decoded.and_then(|cfg| {
                 let _span = pwcet_obs::stage_span(pwcet_obs::Stage::CodecDecode);
                 decode_tail(&pending.raw, cfg, self.geometry)

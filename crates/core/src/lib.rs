@@ -65,10 +65,11 @@ mod context_cache;
 mod error;
 mod estimate;
 mod fmm;
+pub mod frame;
 mod pipeline;
 mod reuse_plane;
 
-pub use codec::{entry_checksum, fnv1a_checksum, CodecError};
+pub use codec::{entry_checksum, fnv1a_checksum};
 pub use config::AnalysisConfig;
 pub use context::AnalysisContext;
 pub use context_cache::{ContextCache, ContextCacheStats, DEFAULT_CONTEXT_CAPACITY};

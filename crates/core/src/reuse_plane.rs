@@ -47,8 +47,10 @@
 //! decode validation is counted ([`ReusePlaneStats::network_corrupt`])
 //! and degrades to a cold build. A tail that passed the checksum but
 //! fails its deferred decode is counted the same way, its store file is
-//! deleted, and only the parts it held are recomputed cold. The disk and
-//! network tiers can cost time, never correctness —
+//! deleted, and only the parts it held are recomputed cold. A store
+//! write that fails — of a persisted, fetched or offered entry — is
+//! logged and counted in `disk_corrupt` too; the entry is simply not
+//! stored. The disk and network tiers can cost time, never correctness —
 //! `crates/core/tests/reuse_plane.rs` pins every corruption class.
 
 use std::collections::HashMap;
@@ -65,11 +67,10 @@ use pwcet_obs::{Counter, Registry};
 use pwcet_par::{Admission, Memo};
 use pwcet_progen::CompiledProgram;
 
-use crate::codec::{
-    decode_context, expander_fingerprint, validate_entry, CodecError, Hit, RawTail,
-};
+use crate::codec::{decode_context, expander_fingerprint, validate_entry, Hit, RawTail};
 use crate::context::{AnalysisContext, TemplateEvents};
 use crate::context_cache::{ContextCache, ContextCacheStats};
+use crate::frame::FrameError;
 
 /// Default on-disk budget: far above a full benchmark-suite store (a few
 /// hundred KB) while bounding runaway sweeps.
@@ -160,7 +161,9 @@ pub struct ReusePlaneStats {
     pub disk_misses: u64,
     /// Entries written (or rewritten richer) to the disk tier.
     pub disk_writes: u64,
-    /// Corrupted/unreadable disk entries that fell back to a lower tier.
+    /// Disk-tier failures: corrupt or unreadable entries that fell back
+    /// to a lower tier, and failed writes (the entry is not stored; the
+    /// answer is unaffected).
     pub disk_corrupt: u64,
     /// Disk entries removed by the size-capped GC.
     pub disk_gc_evictions: u64,
@@ -693,7 +696,7 @@ impl ReusePlane {
         at: &Lookup<'_>,
         bytes: Vec<u8>,
         tier: ReuseTier,
-    ) -> Result<AnalysisContext, CodecError> {
+    ) -> Result<AnalysisContext, FrameError> {
         let _span = pwcet_obs::stage_span(pwcet_obs::Stage::CodecDecode);
         let Hit {
             solved,
@@ -848,15 +851,7 @@ impl ReusePlane {
     fn store_entry_bytes(&self, key: u64, bytes: &[u8], richness: Richness) {
         match self.disk.as_ref() {
             Some(disk) => {
-                let path = disk.entry_path(key);
-                if write_atomically(&path, bytes).is_ok() {
-                    disk.written
-                        .lock()
-                        .expect("disk tier index")
-                        .insert(key, richness);
-                    self.tiers.disk_writes.inc();
-                    self.collect_garbage(disk, &path);
-                }
+                self.write_entry(disk, key, bytes, Some(richness));
             }
             None => {
                 self.staged.insert(key, Arc::new(bytes.to_vec()));
@@ -903,24 +898,10 @@ impl ReusePlane {
         }
         match self.disk.as_ref() {
             Some(disk) => {
-                let path = disk.entry_path(key);
-                if path.exists() {
+                if disk.entry_path(key).exists() {
                     return false;
                 }
-                match write_atomically(&path, &bytes) {
-                    Ok(()) => {
-                        self.tiers.disk_writes.inc();
-                        self.collect_garbage(disk, &path);
-                        true
-                    }
-                    Err(err) => {
-                        eprintln!(
-                            "pwcet-core: failed to store offered peer entry {} ({err})",
-                            path.display()
-                        );
-                        false
-                    }
-                }
+                self.write_entry(disk, key, &bytes, None)
             }
             None => {
                 if self.memory.peek(key).is_some() {
@@ -969,26 +950,39 @@ impl ReusePlane {
             return false;
         }
         let disk = self.disk.as_ref().expect("disk_wants implies a disk tier");
+        self.write_entry(disk, key, &bytes, Some(richness))
+    }
+
+    /// The disk tier's one write path, for a persisted context, a fetched
+    /// peer entry and an offered one alike. A written entry is indexed at
+    /// `richness` when the caller knows it, counts in `disk_writes` and
+    /// runs the GC; a failed write is logged and counts in
+    /// `disk_corrupt`. Returns whether the entry was written.
+    fn write_entry(
+        &self,
+        disk: &DiskTier,
+        key: u64,
+        bytes: &[u8],
+        richness: Option<Richness>,
+    ) -> bool {
         let path = disk.entry_path(key);
-        match write_atomically(&path, &bytes) {
-            Ok(()) => {
-                disk.written
-                    .lock()
-                    .expect("disk tier index")
-                    .insert(key, richness);
-                self.tiers.disk_writes.inc();
-                self.collect_garbage(disk, &path);
-                true
-            }
-            Err(err) => {
-                eprintln!(
-                    "pwcet-core: failed to persist context entry {} ({err})",
-                    path.display()
-                );
-                self.tiers.disk_corrupt.inc();
-                false
-            }
+        if let Err(err) = write_atomically(&path, bytes) {
+            eprintln!(
+                "pwcet-core: failed to write store entry {} ({err}); the entry is not stored",
+                path.display()
+            );
+            self.tiers.disk_corrupt.inc();
+            return false;
         }
+        if let Some(richness) = richness {
+            disk.written
+                .lock()
+                .expect("disk tier index")
+                .insert(key, richness);
+        }
+        self.tiers.disk_writes.inc();
+        self.collect_garbage(disk, &path);
+        true
     }
 
     /// Size-capped GC: while the store exceeds its budget, evict the
@@ -1081,7 +1075,7 @@ pub(crate) struct LateCorruption {
 }
 
 impl LateCorruption {
-    pub(crate) fn report(&self, err: &CodecError) {
+    pub(crate) fn report(&self, err: &FrameError) {
         eprintln!(
             "pwcet-core: discarding context entry {:016x} whose classification tail failed \
              at first use ({err}); recomputing it cold",

@@ -495,15 +495,63 @@ fn size_capped_gc_evicts_oldest_entries() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn analysis_survives_an_unwritable_store() {
-    // Persistence is an optimization: a store whose directory vanishes
-    // out from under the plane (here: replaced by a plain file, which
-    // defeats even a root test runner) must not affect results.
-    let dir = scratch_dir("unwritable");
+/// A disk-backed plane whose store directory has vanished out from
+/// under it — replaced by a plain file, which defeats even a root test
+/// runner — so every store write fails. Remove the file when done.
+fn unwritable_plane(tag: &str) -> (Arc<ReusePlane>, PathBuf) {
+    let dir = scratch_dir(tag);
     let plane = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
     fs::remove_dir_all(&dir).unwrap();
     fs::write(&dir, b"now a file, not a directory").unwrap();
+    (plane, dir)
+}
+
+/// A stored entry of `program()` and its content key.
+fn stored_entry(tag: &str) -> (u64, Vec<u8>) {
+    let (_, dir) = populate(tag);
+    let entry = fs::read(&entry_paths(&dir)[0]).unwrap();
+    let _ = fs::remove_dir_all(&dir);
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
+    (key, entry)
+}
+
+#[test]
+fn a_failed_write_of_an_offered_entry_is_counted() {
+    let (key, entry) = stored_entry("offer-source");
+    let (plane, dir) = unwritable_plane("offer-unwritable");
+    assert!(!plane.import_entry(key, entry), "nothing could be stored");
+    let stats = plane.stats();
+    assert_eq!((stats.disk_writes, stats.disk_corrupt), (0, 1));
+    let _ = fs::remove_file(&dir);
+}
+
+#[test]
+fn a_failed_write_through_of_a_fetched_entry_is_counted() {
+    // The lookup alone writes the fetched entry through; no persist
+    // follows to count a failure of its own.
+    let (key, entry) = stored_entry("fetch-source");
+    let network = Arc::new(FakeNetwork::default());
+    network.entries.lock().unwrap().insert(key, entry);
+    let (plane, dir) = unwritable_plane("fetch-unwritable");
+    plane.set_network_tier(network as Arc<dyn NetworkTier>);
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    let (_, tier) = plane
+        .get_or_build_traced(&compiled, config.geometry, config.classification)
+        .unwrap();
+    assert_eq!(tier, ReuseTier::Network);
+    let stats = plane.stats();
+    assert_eq!((stats.disk_writes, stats.disk_corrupt), (0, 1));
+    let _ = fs::remove_file(&dir);
+}
+
+#[test]
+fn analysis_survives_an_unwritable_store() {
+    // Persistence is an optimization: a store that cannot be written
+    // must not affect results.
+    let (plane, dir) = unwritable_plane("unwritable");
 
     let analysis = analyzer(&plane).analyze(&program()).unwrap();
     assert!(analysis.fault_free_wcet() > 0);

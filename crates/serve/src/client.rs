@@ -5,9 +5,10 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use pwcet_core::frame::FrameError;
 use pwcet_progen::Program;
 
-use crate::protocol::{self, ErrorCode, ProtocolError, Request, Response, WireError};
+use crate::protocol::{self, ErrorCode, Request, Response, WireError};
 use crate::server::FRAME_DEADLINE;
 
 /// Socket deadlines of a [`Client`]. Every phase of a request — connect,
@@ -119,7 +120,7 @@ impl Client {
             .map_err(classify_io)?;
         match protocol::read_frame(&mut self.stream).map_err(classify_wire)? {
             Some(payload) => Ok(protocol::decode_response_payload(&payload)?),
-            None => Err(WireError::Protocol(ProtocolError::Truncated)),
+            None => Err(WireError::Protocol(FrameError::Truncated)),
         }
     }
 
@@ -173,7 +174,7 @@ impl Client {
     pub fn fetch_entry(&mut self, key: u64, trace: u64) -> Result<Option<Vec<u8>>, WireError> {
         match self.request(&Request::FetchEntry { key, trace })? {
             Response::Entry { key: echoed, entry } if echoed == key => Ok(entry),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
+            _ => Err(WireError::Protocol(FrameError::Malformed(
                 "expected an entry response for the requested key",
             ))),
         }
@@ -192,7 +193,7 @@ impl Client {
             entry: entry.to_vec(),
         })? {
             Response::OfferAck { stored } => Ok(stored),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
+            _ => Err(WireError::Protocol(FrameError::Malformed(
                 "expected an offer acknowledgement",
             ))),
         }
@@ -210,7 +211,7 @@ impl Client {
     pub fn metrics(&mut self) -> Result<Vec<(String, u64)>, WireError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics { entries } => Ok(entries),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
+            _ => Err(WireError::Protocol(FrameError::Malformed(
                 "expected a metrics response",
             ))),
         }
@@ -225,7 +226,7 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<(), WireError> {
         match self.request(&Request::Shutdown)? {
             Response::ShutdownStarted => Ok(()),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
+            _ => Err(WireError::Protocol(FrameError::Malformed(
                 "expected a shutdown acknowledgement",
             ))),
         }
@@ -524,7 +525,7 @@ impl FleetClient {
     pub fn metrics(&mut self) -> Result<Vec<(String, u64)>, WireError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics { entries } => Ok(entries),
-            _ => Err(WireError::Protocol(ProtocolError::Malformed(
+            _ => Err(WireError::Protocol(FrameError::Malformed(
                 "expected a metrics response",
             ))),
         }

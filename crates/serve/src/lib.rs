@@ -64,8 +64,8 @@ pub mod shard;
 pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryStats};
 pub use peer::{FleetConfig, PeerFleet, PeerRing};
 pub use protocol::{
-    AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response, ServedFrom,
-    StageTiming, WireError,
+    AnalysisRow, ErrorCode, GeometryRow, PfailRow, Request, Response, ServedFrom, StageTiming,
+    WireError,
 };
 pub use server::{Server, ServerConfig, ServiceStats, FRAME_DEADLINE};
 pub use shard::{ShardPool, SubmitError};

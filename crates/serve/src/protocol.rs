@@ -1,28 +1,22 @@
 //! The `PWCQ` wire protocol of the analysis service.
 //!
-//! Every message — request or response — travels as one length-prefixed,
-//! versioned, checksummed frame, following the codec conventions of the
-//! reuse plane's on-disk entries (`crates/core/src/codec.rs`):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  "PWCQ"
-//! 4       4     protocol version (u32, = [`VERSION`])
-//! 8       8     payload length in bytes (u64, ≤ MAX_PAYLOAD_BYTES)
-//! 16      8     FNV-1a checksum of the payload (u64)
-//! 24      …     payload (tag byte + body)
-//! ```
+//! Every message — request or response — travels as one frame of
+//! `pwcet-core`'s [`frame`] codec, the one the reuse plane's `PWCX`
+//! entries use, under the [`PWCQ`] parameters: magic `"PWCQ"`, version
+//! [`VERSION`], an FNV-1a checksum and a payload cap of
+//! [`MAX_PAYLOAD_BYTES`]. The payload is a tag byte and the message body.
 //!
 //! Decoding is **paranoid by construction**: the length prefix is bounded
 //! before any allocation, every sequence length is checked against the
 //! remaining bytes, every enum tag is validated, and statement nesting is
 //! depth-limited, so a corrupted or adversarial frame surfaces as a
-//! [`ProtocolError`] the server answers with a clean
+//! [`FrameError`] the server answers with a clean
 //! [`Response::Error`] — never a panic, hang, or unbounded allocation.
 //! `tests/protocol_robustness.rs` drives every corruption class against a
 //! live server; the round-trip property
 //! (`decode(encode(m)) == m` for every message variant) is pinned by
-//! `tests/protocol_roundtrip.rs`.
+//! `tests/protocol_roundtrip.rs`, and `tests/protocol_mutations.rs`
+//! re-seals every truncation and byte flip of every variant's payload.
 //!
 //! Programs ride the wire as their structured-DSL form (name, functions,
 //! statement trees), not as machine code: the server compiles them with
@@ -32,14 +26,15 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use pwcet_core::ReuseTier;
+use pwcet_core::frame::{self, Envelope, FrameError, Reader, Writer};
+use pwcet_core::{fnv1a_checksum, ReuseTier};
 use pwcet_obs::Stage;
 use pwcet_progen::{Program, Stmt};
 
 /// Frame magic: "PWCQ" (pWCET query).
 pub const MAGIC: [u8; 4] = *b"PWCQ";
 /// The protocol version. Bump on any layout change; a frame at any
-/// other version fails cleanly with [`ProtocolError::UnsupportedVersion`].
+/// other version fails cleanly with [`FrameError::UnsupportedVersion`].
 /// Version history: 1 = initial; 2, 3 and 5 = counters appended to the
 /// since-retired stats response; 4 = fleet verbs ([`Request::FetchEntry`]
 /// / [`Request::OfferEntry`], the `network` served-from tier); 6 =
@@ -53,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"PWCQ";
 /// retry hint carried as a presence-flagged field.
 pub const VERSION: u32 = 8;
 /// Header bytes before the payload.
-pub const HEADER_LEN: usize = 24;
+pub const HEADER_LEN: usize = frame::HEADER_LEN;
 /// Upper bound on a frame payload. Far above any real request (a whole
 /// 25-benchmark batch is a few hundred KB) while keeping a corrupted
 /// length prefix from provoking a multi-gigabyte allocation.
@@ -63,48 +58,14 @@ pub const MAX_PAYLOAD_BYTES: u64 = 16 * 1024 * 1024;
 /// protects the decoder's stack from adversarial frames.
 pub const MAX_STMT_DEPTH: usize = 64;
 
-/// Why a frame could not be decoded. All variants are recoverable: the
-/// server answers with [`Response::Error`] and closes the connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// Fewer bytes than the declared (or minimal) structure needs.
-    Truncated,
-    /// The frame does not start with the `PWCQ` magic.
-    BadMagic,
-    /// A protocol version this build does not speak.
-    UnsupportedVersion(u32),
-    /// The length prefix exceeds [`MAX_PAYLOAD_BYTES`].
-    Oversized(u64),
-    /// The payload checksum does not match the header.
-    ChecksumMismatch,
-    /// Structurally invalid payload (bad tag, bad length, bad nesting).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::Truncated => write!(f, "frame is truncated"),
-            ProtocolError::BadMagic => write!(f, "bad magic (not a PWCQ frame)"),
-            ProtocolError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (this build speaks {VERSION})"
-                )
-            }
-            ProtocolError::Oversized(len) => {
-                write!(
-                    f,
-                    "length prefix {len} exceeds the {MAX_PAYLOAD_BYTES}-byte frame cap"
-                )
-            }
-            ProtocolError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
-            ProtocolError::Malformed(what) => write!(f, "malformed payload: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
+/// The `PWCQ` envelope: [`MAGIC`], [`VERSION`], [`MAX_PAYLOAD_BYTES`]
+/// and an FNV-1a payload checksum.
+pub const PWCQ: Envelope = Envelope {
+    magic: MAGIC,
+    version: VERSION,
+    max_payload: MAX_PAYLOAD_BYTES,
+    checksum: fnv1a_checksum,
+};
 
 /// A frame-level failure while reading from or writing to a stream.
 #[derive(Debug)]
@@ -112,7 +73,7 @@ pub enum WireError {
     /// The underlying socket failed (including mid-frame disconnects).
     Io(std::io::Error),
     /// The bytes arrived but do not form a valid frame.
-    Protocol(ProtocolError),
+    Protocol(FrameError),
     /// The peer did not answer within the configured deadline. The
     /// connection may merely be slow, but callers treat it as
     /// unavailable — the peer layer marks the node unhealthy instead of
@@ -138,16 +99,10 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-impl From<ProtocolError> for WireError {
-    fn from(e: ProtocolError) -> Self {
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
         WireError::Protocol(e)
     }
-}
-
-/// FNV-1a over the payload — shared with the disk-tier codec so the two
-/// formats cannot drift; deterministic across platforms and processes.
-fn checksum(bytes: &[u8]) -> u64 {
-    pwcet_core::fnv1a_checksum(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -451,54 +406,7 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// A presence flag (0 = absent, 1 = present) followed by the value.
-    fn opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Self, T)) {
-        match value {
-            Some(v) => {
-                self.u8(1);
-                write(self, v);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
-fn encode_stmt(enc: &mut Enc, stmt: &Stmt) {
+fn encode_stmt(enc: &mut Writer, stmt: &Stmt) {
     match stmt {
         Stmt::Compute(count) => {
             enc.u8(0);
@@ -531,7 +439,7 @@ fn encode_stmt(enc: &mut Enc, stmt: &Stmt) {
     }
 }
 
-fn encode_program(enc: &mut Enc, program: &Program) {
+fn encode_program(enc: &mut Writer, program: &Program) {
     enc.str(program.name());
     enc.u64(program.functions().len() as u64);
     for function in program.functions() {
@@ -560,7 +468,7 @@ fn error_code_tag(code: ErrorCode) -> u8 {
     }
 }
 
-fn encode_stage_timings(enc: &mut Enc, stages: &[StageTiming]) {
+fn encode_stage_timings(enc: &mut Writer, stages: &[StageTiming]) {
     enc.u64(stages.len() as u64);
     for timing in stages {
         enc.u8(timing.stage.tag());
@@ -569,7 +477,7 @@ fn encode_stage_timings(enc: &mut Enc, stages: &[StageTiming]) {
     }
 }
 
-fn encode_analysis_row(enc: &mut Enc, row: &AnalysisRow) {
+fn encode_analysis_row(enc: &mut Writer, row: &AnalysisRow) {
     enc.str(&row.name);
     enc.u64(row.fault_free_wcet);
     enc.u64(row.pwcet_none);
@@ -578,20 +486,9 @@ fn encode_analysis_row(enc: &mut Enc, row: &AnalysisRow) {
     enc.u8(tier_tag(row.served_from));
 }
 
-/// Wraps a finished payload in the `PWCQ` header.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
 /// Serializes one request as a complete frame (header + payload).
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut enc = Enc::new();
+    let mut enc = Writer::new();
     match request {
         Request::Analyze {
             program,
@@ -667,12 +564,12 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
         }
         Request::Metrics => enc.u8(9),
     }
-    frame(enc.buf)
+    PWCQ.seal(&enc.into_bytes())
 }
 
 /// Serializes one response as a complete frame (header + payload).
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut enc = Enc::new();
+    let mut enc = Writer::new();
     match response {
         Response::Analysis {
             row,
@@ -753,17 +650,17 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             enc.u8(6);
             enc.u8(error_code_tag(*code));
             enc.str(message);
-            enc.opt(*retry_after_ms, Enc::u64);
+            enc.opt(*retry_after_ms, Writer::u64);
         }
         Response::ShutdownStarted => enc.u8(7),
         Response::Entry { key, entry } => {
             enc.u8(8);
             enc.u64(*key);
-            enc.opt(entry.as_deref(), Enc::bytes);
+            enc.opt(entry.as_deref(), Writer::bytes);
         }
         Response::OfferAck { stored } => {
             enc.u8(9);
-            enc.u8(u8::from(*stored));
+            enc.flag(*stored);
         }
         Response::Metrics { entries } => {
             enc.u8(10);
@@ -774,92 +671,16 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             }
         }
     }
-    frame(enc.buf)
+    PWCQ.seal(&enc.into_bytes())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a sequence length and guards it against allocation bombs:
-    /// each element occupies at least `min_elem_bytes`, so a length the
-    /// remaining bytes cannot possibly hold is corruption, not data.
-    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, ProtocolError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| ProtocolError::Truncated)?;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(ProtocolError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, ProtocolError> {
-        let len = self.seq_len(1)?;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| ProtocolError::Malformed("non-UTF-8 string"))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtocolError> {
-        let len = self.seq_len(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Reads the presence flag written by `Enc::opt`, then the value.
-    fn opt<T>(
-        &mut self,
-        what: &'static str,
-        read: impl FnOnce(&mut Self) -> Result<T, ProtocolError>,
-    ) -> Result<Option<T>, ProtocolError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => read(self).map(Some),
-            _ => Err(ProtocolError::Malformed(what)),
-        }
-    }
-}
-
-fn decode_stmt(dec: &mut Dec<'_>, depth: usize) -> Result<Stmt, ProtocolError> {
+fn decode_stmt(dec: &mut Reader<'_>, depth: usize) -> Result<Stmt, FrameError> {
     if depth > MAX_STMT_DEPTH {
-        return Err(ProtocolError::Malformed("statement nesting too deep"));
+        return Err(FrameError::Malformed("statement nesting too deep"));
     }
     Ok(match dec.u8()? {
         0 => Stmt::Compute(dec.u32()?),
@@ -883,11 +704,11 @@ fn decode_stmt(dec: &mut Dec<'_>, depth: usize) -> Result<Stmt, ProtocolError> {
             else_branch: Box::new(decode_stmt(dec, depth + 1)?),
         },
         4 => Stmt::Call(dec.str()?),
-        _ => return Err(ProtocolError::Malformed("statement tag")),
+        _ => return Err(FrameError::Malformed("statement tag")),
     })
 }
 
-fn decode_program(dec: &mut Dec<'_>) -> Result<Program, ProtocolError> {
+fn decode_program(dec: &mut Reader<'_>) -> Result<Program, FrameError> {
     let name = dec.str()?;
     let functions = dec.seq_len(9)?; // name length prefix + stmt tag
     let mut program = Program::new(name);
@@ -899,34 +720,33 @@ fn decode_program(dec: &mut Dec<'_>) -> Result<Program, ProtocolError> {
     Ok(program)
 }
 
-fn decode_tier(dec: &mut Dec<'_>) -> Result<ServedFrom, ProtocolError> {
+fn decode_tier(dec: &mut Reader<'_>) -> Result<ServedFrom, FrameError> {
     Ok(match dec.u8()? {
         0 => ReuseTier::Memory,
         1 => ReuseTier::Disk,
         2 => ReuseTier::Derived,
         3 => ReuseTier::Cold,
         4 => ReuseTier::Network,
-        _ => return Err(ProtocolError::Malformed("tier tag")),
+        _ => return Err(FrameError::Malformed("tier tag")),
     })
 }
 
-fn decode_error_code(dec: &mut Dec<'_>) -> Result<ErrorCode, ProtocolError> {
+fn decode_error_code(dec: &mut Reader<'_>) -> Result<ErrorCode, FrameError> {
     Ok(match dec.u8()? {
         0 => ErrorCode::Malformed,
         1 => ErrorCode::InvalidRequest,
         2 => ErrorCode::Overloaded,
         3 => ErrorCode::Analysis,
         4 => ErrorCode::ShuttingDown,
-        _ => return Err(ProtocolError::Malformed("error code tag")),
+        _ => return Err(FrameError::Malformed("error code tag")),
     })
 }
 
-fn decode_stage_timings(dec: &mut Dec<'_>) -> Result<Vec<StageTiming>, ProtocolError> {
+fn decode_stage_timings(dec: &mut Reader<'_>) -> Result<Vec<StageTiming>, FrameError> {
     let count = dec.seq_len(13)?; // stage tag + micros + count
     let mut stages = Vec::with_capacity(count);
     for _ in 0..count {
-        let stage =
-            Stage::from_tag(dec.u8()?).ok_or(ProtocolError::Malformed("stage timing tag"))?;
+        let stage = Stage::from_tag(dec.u8()?).ok_or(FrameError::Malformed("stage timing tag"))?;
         stages.push(StageTiming {
             stage,
             micros: dec.u64()?,
@@ -936,7 +756,7 @@ fn decode_stage_timings(dec: &mut Dec<'_>) -> Result<Vec<StageTiming>, ProtocolE
     Ok(stages)
 }
 
-fn decode_analysis_row(dec: &mut Dec<'_>) -> Result<AnalysisRow, ProtocolError> {
+fn decode_analysis_row(dec: &mut Reader<'_>) -> Result<AnalysisRow, FrameError> {
     Ok(AnalysisRow {
         name: dec.str()?,
         fault_free_wcet: dec.u64()?,
@@ -947,64 +767,14 @@ fn decode_analysis_row(dec: &mut Dec<'_>) -> Result<AnalysisRow, ProtocolError> 
     })
 }
 
-/// Validates a raw header and returns `(payload_len, checksum)`.
-///
-/// # Errors
-///
-/// [`ProtocolError`] on bad magic, version skew, or an oversized length
-/// prefix — all detected **before** any payload allocation.
-pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u64, u64), ProtocolError> {
-    if header[..4] != MAGIC {
-        return Err(ProtocolError::BadMagic);
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if version != VERSION {
-        return Err(ProtocolError::UnsupportedVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(ProtocolError::Oversized(payload_len));
-    }
-    let sum = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    Ok((payload_len, sum))
-}
-
-/// Splits a complete frame into its validated payload.
-fn unframe(bytes: &[u8]) -> Result<&[u8], ProtocolError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ProtocolError::Truncated);
-    }
-    let header: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
-    let (payload_len, sum) = parse_header(header)?;
-    let payload = &bytes[HEADER_LEN..];
-    if payload_len != payload.len() as u64 {
-        return Err(ProtocolError::Truncated);
-    }
-    verify_payload(payload, sum)?;
-    Ok(payload)
-}
-
-/// Checks a payload against the checksum its header declared.
-///
-/// # Errors
-///
-/// [`ProtocolError::ChecksumMismatch`] when the bytes were corrupted in
-/// flight.
-pub fn verify_payload(payload: &[u8], declared: u64) -> Result<(), ProtocolError> {
-    if checksum(payload) != declared {
-        return Err(ProtocolError::ChecksumMismatch);
-    }
-    Ok(())
-}
-
 /// Decodes a request from a validated payload (the body after the
 /// header, as returned by [`read_frame`]).
 ///
 /// # Errors
 ///
-/// [`ProtocolError`] on any structural fault.
-pub fn decode_request_payload(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut dec = Dec::new(payload);
+/// [`FrameError`] on any structural fault.
+pub fn decode_request_payload(payload: &[u8]) -> Result<Request, FrameError> {
+    let mut dec = Reader::new(payload);
     let request = match dec.u8()? {
         1 => Request::Analyze {
             program: decode_program(&mut dec)?,
@@ -1067,11 +837,9 @@ pub fn decode_request_payload(payload: &[u8]) -> Result<Request, ProtocolError> 
             entry: dec.bytes()?,
         },
         9 => Request::Metrics,
-        _ => return Err(ProtocolError::Malformed("request tag")),
+        _ => return Err(FrameError::Malformed("request tag")),
     };
-    if dec.remaining() != 0 {
-        return Err(ProtocolError::Malformed("trailing bytes"));
-    }
+    dec.finish()?;
     Ok(request)
 }
 
@@ -1079,9 +847,9 @@ pub fn decode_request_payload(payload: &[u8]) -> Result<Request, ProtocolError> 
 ///
 /// # Errors
 ///
-/// [`ProtocolError`] on any structural fault.
-pub fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError> {
-    let mut dec = Dec::new(payload);
+/// [`FrameError`] on any structural fault.
+pub fn decode_response_payload(payload: &[u8]) -> Result<Response, FrameError> {
+    let mut dec = Reader::new(payload);
     let response = match dec.u8()? {
         1 => Response::Analysis {
             row: decode_analysis_row(&mut dec)?,
@@ -1149,19 +917,15 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError
         6 => Response::Error {
             code: decode_error_code(&mut dec)?,
             message: dec.str()?,
-            retry_after_ms: dec.opt("retry hint presence flag", Dec::u64)?,
+            retry_after_ms: dec.opt("retry hint presence flag", Reader::u64)?,
         },
         7 => Response::ShutdownStarted,
         8 => Response::Entry {
             key: dec.u64()?,
-            entry: dec.opt("entry presence flag", Dec::bytes)?,
+            entry: dec.opt("entry presence flag", Reader::bytes)?,
         },
         9 => Response::OfferAck {
-            stored: match dec.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(ProtocolError::Malformed("offer ack flag")),
-            },
+            stored: dec.flag("offer ack flag")?,
         },
         10 => {
             let count = dec.seq_len(16)?; // name length prefix + value
@@ -1172,11 +936,9 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError
             }
             Response::Metrics { entries }
         }
-        _ => return Err(ProtocolError::Malformed("response tag")),
+        _ => return Err(FrameError::Malformed("response tag")),
     };
-    if dec.remaining() != 0 {
-        return Err(ProtocolError::Malformed("trailing bytes"));
-    }
+    dec.finish()?;
     Ok(response)
 }
 
@@ -1185,18 +947,18 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError
 ///
 /// # Errors
 ///
-/// [`ProtocolError`] on any header, checksum, or structural fault.
-pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtocolError> {
-    decode_request_payload(unframe(bytes)?)
+/// [`FrameError`] on any header, checksum, or structural fault.
+pub fn decode_request(bytes: &[u8]) -> Result<Request, FrameError> {
+    decode_request_payload(PWCQ.open(bytes)?)
 }
 
 /// Decodes a complete response frame (header + payload).
 ///
 /// # Errors
 ///
-/// [`ProtocolError`] on any header, checksum, or structural fault.
-pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtocolError> {
-    decode_response_payload(unframe(bytes)?)
+/// [`FrameError`] on any header, checksum, or structural fault.
+pub fn decode_response(bytes: &[u8]) -> Result<Response, FrameError> {
+    decode_response_payload(PWCQ.open(bytes)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1221,14 +983,14 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> 
     while filled < HEADER_LEN {
         match reader.read(&mut header[filled..])? {
             0 if filled == 0 => return Ok(None),
-            0 => return Err(ProtocolError::Truncated.into()),
+            0 => return Err(FrameError::Truncated.into()),
             n => filled += n,
         }
     }
-    let (payload_len, sum) = parse_header(&header)?;
+    let (payload_len, sum) = PWCQ.parse_header(&header)?;
     let mut payload = vec![0u8; payload_len as usize];
     reader.read_exact(&mut payload)?;
-    verify_payload(&payload, sum)?;
+    PWCQ.verify(&payload, sum)?;
     Ok(Some(payload))
 }
 
@@ -1428,14 +1190,14 @@ mod tests {
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
-        assert_eq!(decode_request(&bad_magic), Err(ProtocolError::BadMagic));
+        assert_eq!(decode_request(&bad_magic), Err(FrameError::BadMagic));
 
         for version in [VERSION - 1, 99] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_request(&skewed),
-                Err(ProtocolError::UnsupportedVersion(version))
+                Err(FrameError::UnsupportedVersion(version))
             );
         }
 
@@ -1443,14 +1205,14 @@ mod tests {
         oversized[8..16].copy_from_slice(&(MAX_PAYLOAD_BYTES + 1).to_le_bytes());
         assert_eq!(
             decode_request(&oversized),
-            Err(ProtocolError::Oversized(MAX_PAYLOAD_BYTES + 1))
+            Err(FrameError::Oversized(MAX_PAYLOAD_BYTES + 1))
         );
 
         assert_eq!(
             decode_request(&bytes[..bytes.len() - 3]),
-            Err(ProtocolError::Truncated)
+            Err(FrameError::Truncated)
         );
-        assert_eq!(decode_request(&bytes[..7]), Err(ProtocolError::Truncated));
+        assert_eq!(decode_request(&bytes[..7]), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -1461,7 +1223,7 @@ mod tests {
             flipped[pos] ^= 0x01;
             assert_eq!(
                 decode_request(&flipped),
-                Err(ProtocolError::ChecksumMismatch),
+                Err(FrameError::ChecksumMismatch),
                 "flip at {pos}"
             );
         }
@@ -1469,19 +1231,19 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_malformed() {
-        let mut enc = Enc::new();
+        let mut enc = Writer::new();
         enc.u8(200);
-        let framed = frame(enc.buf);
+        let framed = PWCQ.seal(&enc.into_bytes());
         assert!(matches!(
             decode_request(&framed),
-            Err(ProtocolError::Malformed("request tag"))
+            Err(FrameError::Malformed("request tag"))
         ));
-        let mut enc = Enc::new();
+        let mut enc = Writer::new();
         enc.u8(200);
-        let framed = frame(enc.buf);
+        let framed = PWCQ.seal(&enc.into_bytes());
         assert!(matches!(
             decode_response(&framed),
-            Err(ProtocolError::Malformed("response tag"))
+            Err(FrameError::Malformed("response tag"))
         ));
     }
 
@@ -1503,7 +1265,7 @@ mod tests {
         let bytes = encode_request(&request);
         assert_eq!(
             decode_request(&bytes),
-            Err(ProtocolError::Malformed("statement nesting too deep"))
+            Err(FrameError::Malformed("statement nesting too deep"))
         );
     }
 
@@ -1511,22 +1273,22 @@ mod tests {
     fn absurd_sequence_lengths_are_truncation_not_allocation() {
         // A batch claiming 2^60 programs in a 40-byte payload must fail
         // fast without attempting the allocation.
-        let mut enc = Enc::new();
+        let mut enc = Writer::new();
         enc.u8(2);
         enc.u64(1u64 << 60);
-        let framed = frame(enc.buf);
-        assert_eq!(decode_request(&framed), Err(ProtocolError::Truncated));
+        let framed = PWCQ.seal(&enc.into_bytes());
+        assert_eq!(decode_request(&framed), Err(FrameError::Truncated));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut enc = Enc::new();
+        let mut enc = Writer::new();
         enc.u8(9);
         enc.u8(0xaa);
-        let framed = frame(enc.buf);
+        let framed = PWCQ.seal(&enc.into_bytes());
         assert_eq!(
             decode_request(&framed),
-            Err(ProtocolError::Malformed("trailing bytes"))
+            Err(FrameError::Malformed("trailing bytes"))
         );
     }
 
@@ -1542,7 +1304,7 @@ mod tests {
         let mut partial = std::io::Cursor::new(bytes[..10].to_vec());
         assert!(matches!(
             read_frame(&mut partial),
-            Err(WireError::Protocol(ProtocolError::Truncated))
+            Err(WireError::Protocol(FrameError::Truncated))
         ));
         // Mid-payload EOF surfaces as an IO error (a Metrics frame's
         // payload is a single byte, so use a request with a real body).

@@ -63,6 +63,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pwcet_cache::GeometryLattice;
+use pwcet_core::frame::FrameError;
 use pwcet_core::{
     AnalysisConfig, ContextCache, NetworkTier, Parallelism, ProgramAnalysis, Protection,
     PwcetAnalyzer, ReusePlane, ReuseTier,
@@ -76,8 +77,7 @@ use pwcet_progen::{CompiledProgram, Program};
 use crate::compile_memo::{CompileMemo, Prepared};
 use crate::peer::{FleetConfig, PeerFleet};
 use crate::protocol::{
-    self, AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response,
-    StageTiming, WireError,
+    self, AnalysisRow, ErrorCode, GeometryRow, PfailRow, Request, Response, StageTiming, WireError,
 };
 use crate::shard::{ShardPool, SubmitError};
 
@@ -783,12 +783,12 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> Result<PolledRe
     while filled < protocol::HEADER_LEN {
         match stream.read(&mut header[filled..]) {
             Ok(0) if filled == 0 => return Ok(PolledRead::CleanEof),
-            Ok(0) => return Err(ProtocolError::Truncated.into()),
+            Ok(0) => return Err(FrameError::Truncated.into()),
             Ok(n) => {
                 filled += n;
                 let deadline = *deadline.get_or_insert_with(|| Instant::now() + shared.deadline);
                 if filled < protocol::HEADER_LEN && Instant::now() > deadline {
-                    return Err(ProtocolError::Truncated.into());
+                    return Err(FrameError::Truncated.into());
                 }
             }
             Err(e) if is_poll_timeout(&e) => {
@@ -796,7 +796,7 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> Result<PolledRe
                     return Ok(PolledRead::Stopped);
                 }
                 if deadline.is_some_and(|d| Instant::now() > d) {
-                    return Err(ProtocolError::Truncated.into());
+                    return Err(FrameError::Truncated.into());
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -809,33 +809,33 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> Result<PolledRe
     // clean error response, and the connection is dropped.
     #[cfg(feature = "chaos")]
     if pwcet_chaos::should_fire(pwcet_chaos::FaultPoint::WireTornRead) {
-        return Err(ProtocolError::Truncated.into());
+        return Err(FrameError::Truncated.into());
     }
-    let (payload_len, sum) = protocol::parse_header(&header)?;
+    let (payload_len, sum) = protocol::PWCQ.parse_header(&header)?;
     let mut payload = vec![0u8; payload_len as usize];
     let mut filled = 0usize;
     let deadline = Instant::now() + shared.deadline;
     while filled < payload.len() {
         match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(ProtocolError::Truncated.into()),
+            Ok(0) => return Err(FrameError::Truncated.into()),
             Ok(n) => {
                 filled += n;
                 if filled < payload.len() && Instant::now() > deadline {
-                    return Err(ProtocolError::Truncated.into());
+                    return Err(FrameError::Truncated.into());
                 }
             }
             Err(e) if is_poll_timeout(&e) => {
                 // Even during a shutdown the started frame gets its
                 // deadline; an idle half-frame is cut off either way.
                 if Instant::now() > deadline || shared.stop.load(Ordering::Relaxed) {
-                    return Err(ProtocolError::Truncated.into());
+                    return Err(FrameError::Truncated.into());
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
     }
-    protocol::verify_payload(&payload, sum)?;
+    protocol::PWCQ.verify(&payload, sum)?;
     Ok(PolledRead::Payload(payload))
 }
 

@@ -330,9 +330,9 @@ fn storm_never_produces_a_wrong_answer() {
             fired(FaultPoint::ShardPanic),
         ),
         (
-            "disk bit flips -> disk_corrupt",
+            "disk bit flips + write errors -> disk_corrupt",
             summed(&storm_tables, "disk_corrupt"),
-            fired(FaultPoint::DiskBitFlip),
+            fired(FaultPoint::DiskBitFlip) + fired(FaultPoint::DiskWriteError),
         ),
         (
             "corrupt peer entries -> network_corrupt",
@@ -420,8 +420,11 @@ fn storm_never_produces_a_wrong_answer() {
     // Phase 3, disk replay: reopen A's store. Every analysis now starts
     // with a disk read, so `disk_bit_flip` finally has entries to
     // corrupt — and every corrupted read must degrade to a correct
-    // cold rebuild (the flipped entry is deleted, never trusted).
-    let flip_baseline = plan.fired(FaultPoint::DiskBitFlip);
+    // cold rebuild (the flipped entry is deleted, never trusted). The
+    // rebuilt entries are written back, where write errors fire too.
+    let disk_faults =
+        || plan.fired(FaultPoint::DiskBitFlip) + plan.fired(FaultPoint::DiskWriteError);
+    let disk_baseline = disk_faults();
     let node_d =
         Server::bind("127.0.0.1:0", ServerConfig::default().with_disk_dir(&dir_a)).expect("bind D");
     let addr_d = node_d.local_addr().to_string();
@@ -439,12 +442,12 @@ fn storm_never_produces_a_wrong_answer() {
         let context = format!("disk replay program {index}");
         assert_never_wrong(&mut client_d, index, &oracle, seed, &context);
     }
-    let flips_injected = plan.fired(FaultPoint::DiskBitFlip) - flip_baseline;
+    let disk_injected = disk_faults() - disk_baseline;
     let table_d = scrape(&addr_d, seed);
     assert!(
-        summed(&[&table_d], "disk_corrupt") >= flips_injected,
-        "disk replay: {flips_injected} bit flips injected but only {} counted \
-         (seed {seed:#018x})",
+        summed(&[&table_d], "disk_corrupt") >= disk_injected,
+        "disk replay: {disk_injected} bit flips and write errors injected but only {} \
+         counted (seed {seed:#018x})",
         summed(&[&table_d], "disk_corrupt")
     );
     let stats_d = node_d.shutdown();

@@ -3,7 +3,7 @@
 //! never a panic, a hang, or a poisoned server.
 //!
 //! Mirrors the corruption taxonomy of `crates/core/tests/reuse_plane.rs`
-//! (the disk-tier version of the same codec conventions): truncation,
+//! (the disk-tier frames of the same codec, `pwcet_core::frame`): truncation,
 //! bad magic, version skew, checksum mismatch, oversized length prefix,
 //! and mid-frame disconnect. After each abuse the server must still
 //! answer a well-formed request on a fresh connection and shut down
