@@ -529,13 +529,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Adds `other` into `self`, field by field.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.passes += other.passes;
-        self.words_touched += other.words_touched;
-        self.sets_skipped += other.sets_skipped;
-    }
-
     /// The counters accumulated since `earlier` (a previous snapshot of
     /// the same cell; saturating, so a stale snapshot cannot underflow).
     #[must_use]

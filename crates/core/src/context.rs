@@ -27,6 +27,13 @@
 //! classification tail as raw, checksum-verified bytes, and expands the
 //! CFG and decodes the tail on first use: a new cache timing, a
 //! derivation, a template request. A solved request never pays either.
+//!
+//! A context counts its work where it runs: every fixpoint records its
+//! kernel counters and every solve of its template its solver counters
+//! into the one counter set the context counts into. A reuse plane hands
+//! its node's set to every context it serves, a derived sibling counts
+//! into its parent's set, and a context without a plane counts into a
+//! private set.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -37,7 +44,7 @@ use pwcet_analysis::{
 };
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
-use pwcet_ilp::SolveStats;
+use pwcet_ilp::SolveStatsCell;
 use pwcet_ipet::{BasisSnapshot, IpetTemplate};
 use pwcet_obs::{Counter, Registry};
 use pwcet_par::{par_for_each_index, par_join, Admission, Memo, Parallelism};
@@ -108,13 +115,14 @@ impl Solved {
     }
 }
 
-/// The node's IPET template events, each the metrics row of the same
-/// name: counted by the context that requests, builds or seeds a
-/// template, and by the template's objective memo. A reuse plane hands
-/// its set to every context it serves; a context without one counts
-/// into a private set.
+/// The counters a context counts its work into, each the metrics row of
+/// the same name: the IPET template events, counted by the context that
+/// requests, builds or seeds a template and by the template's objective
+/// memo, and the totals of every fixpoint and solve run on the context.
+/// A reuse plane hands its node's set to every context it serves; a
+/// context without one counts into a private set.
 #[derive(Debug, Default)]
-pub(crate) struct TemplateEvents {
+pub(crate) struct ContextCounters {
     /// Template requests answered by adopting the template of the
     /// context this one was derived from.
     pub(crate) template_hits: Arc<Counter>,
@@ -126,10 +134,15 @@ pub(crate) struct TemplateEvents {
     pub(crate) basis_rejects: Arc<Counter>,
     /// `bound` calls answered by a template's objective memo.
     pub(crate) objective_hits: Arc<Counter>,
+    /// Classification-kernel counters of every fixpoint (the
+    /// `classify_*` rows).
+    pub(crate) kernel: KernelStatsCell,
+    /// Solver counters of every template solve (the `ilp_*` rows).
+    pub(crate) ilp: SolveStatsCell,
 }
 
-impl TemplateEvents {
-    /// The events counted in `metrics`' rows of the same names.
+impl ContextCounters {
+    /// The counters of `metrics`' rows of the same names.
     pub(crate) fn registered(metrics: &Registry) -> Self {
         Self {
             template_hits: metrics.register_counter("template_hits"),
@@ -137,6 +150,8 @@ impl TemplateEvents {
             basis_restores: metrics.register_counter("basis_restores"),
             basis_rejects: metrics.register_counter("basis_rejects"),
             objective_hits: metrics.register_counter("objective_hits"),
+            kernel: KernelStatsCell::registered(metrics),
+            ilp: SolveStatsCell::registered(metrics),
         }
     }
 }
@@ -221,10 +236,10 @@ pub struct AnalysisContext {
     /// adopted by the first template request when it covers this
     /// context's groups.
     inherited: Option<Arc<IpetTemplate>>,
-    /// Where template events count: set-once by the reuse plane and
+    /// Where this context's work counts: set-once by the reuse plane and
     /// inherited by derivation (a plane-less context lazily creates a
     /// private set).
-    events: OnceLock<Arc<TemplateEvents>>,
+    counters: OnceLock<Arc<ContextCounters>>,
     /// A serialized factored basis restored from a disk/network entry,
     /// waiting for the first [`ipet_template`](Self::ipet_template)
     /// request to seed the template's workspace pool.
@@ -235,10 +250,6 @@ pub struct AnalysisContext {
     /// across a geometry lattice — so derivation hands the `Arc` to
     /// siblings instead of rebuilding.
     set_refs: OnceLock<Arc<SetRefIndex>>,
-    /// Cumulative classification-kernel counters (worklist passes, slot
-    /// words touched, dirty-skipped sets) of every fixpoint run over this
-    /// context.
-    kernel_stats: KernelStatsCell,
 }
 
 impl AnalysisContext {
@@ -331,10 +342,9 @@ impl AnalysisContext {
             solved: Mutex::new(Vec::new()),
             template: OnceLock::new(),
             inherited: None,
-            events: OnceLock::new(),
+            counters: OnceLock::new(),
             pending_basis: Mutex::new(None),
             set_refs: OnceLock::new(),
-            kernel_stats: KernelStatsCell::default(),
         }
     }
 
@@ -387,11 +397,11 @@ impl AnalysisContext {
     }
 
     /// Files the context into a reuse plane: the content key it is filed
-    /// under and where its template events count. Set-once each, so a
-    /// derived sibling keeps the events its parent handed it.
-    pub(crate) fn enter_plane(&self, key: u64, events: &Arc<TemplateEvents>) {
+    /// under and where its work counts. Set-once each, so a derived
+    /// sibling keeps the counters its parent handed it.
+    pub(crate) fn enter_plane(&self, key: u64, counters: &Arc<ContextCounters>) {
         let _ = self.key.set(key);
-        let _ = self.events.set(Arc::clone(events));
+        let _ = self.counters.set(Arc::clone(counters));
     }
 
     /// Decodes a restored context's pending classification tail into the
@@ -452,7 +462,7 @@ impl AnalysisContext {
                 self.cfg(),
                 &self.geometry,
                 self.geometry.ways(),
-                Some(&self.kernel_stats),
+                Some(self.kernel()),
             )
         })
     }
@@ -472,7 +482,7 @@ impl AnalysisContext {
             .unwrap_or_else(|| panic!("associativity {assoc} out of range"));
         match self.mode {
             ClassificationMode::Cold => lock.get_or_init(|| {
-                classify_level_with(self.cfg(), &self.geometry, assoc, Some(&self.kernel_stats))
+                classify_level_with(self.cfg(), &self.geometry, assoc, Some(self.kernel()))
                     .into_chmc()
             }),
             // The full level keeps its states; answer from it directly.
@@ -480,7 +490,7 @@ impl AnalysisContext {
             ClassificationMode::Incremental => lock.get_or_init(|| {
                 if assoc == 0 {
                     // Trivial: a fully disabled set always misses.
-                    classify_level_with(self.cfg(), &self.geometry, 0, Some(&self.kernel_stats))
+                    classify_level_with(self.cfg(), &self.geometry, 0, Some(self.kernel()))
                         .into_chmc()
                 } else {
                     // Warm start straight from level W (materializing it
@@ -491,7 +501,7 @@ impl AnalysisContext {
                         &self.geometry,
                         self.full_level(),
                         assoc,
-                        Some(&self.kernel_stats),
+                        Some(self.kernel()),
                     )
                     .into_chmc()
                 }
@@ -503,7 +513,7 @@ impl AnalysisContext {
     pub fn srb(&self) -> &SrbMap {
         self.settle_tail();
         self.srb
-            .get_or_init(|| classify_srb_with(self.cfg(), &self.geometry, Some(&self.kernel_stats)))
+            .get_or_init(|| classify_srb_with(self.cfg(), &self.geometry, Some(self.kernel())))
     }
 
     /// The per-set reference index, built on first use: `index[s]` lists
@@ -594,29 +604,26 @@ impl AnalysisContext {
     /// it, so every caller observes one shared value. Failures are not
     /// cached.
     ///
-    /// `compute` returns its solver counters alongside the artifacts;
-    /// they are handed back (`Some`) only when *this* call's computation
-    /// was the one installed, so memo hits — and racing losers, whose
-    /// work is discarded — record no stats.
+    /// The solves count where they run, so a memo hit counts nothing and
+    /// a racing loser's discarded solves count as the work they were.
     pub(crate) fn solve_artifacts(
         &self,
         key: CacheTiming,
-        compute: impl FnOnce() -> Result<(SolveArtifacts, SolveStats), CoreError>,
-    ) -> Result<(Arc<Solved>, Option<SolveStats>), CoreError> {
+        compute: impl FnOnce() -> Result<SolveArtifacts, CoreError>,
+    ) -> Result<Arc<Solved>, CoreError> {
         {
             let solved = self.solved.lock().expect("solve memo lock");
             if let Some((_, entry)) = solved.iter().find(|(k, _)| *k == key) {
-                return Ok((Arc::clone(entry), None));
+                return Ok(Arc::clone(entry));
             }
         }
-        let (artifacts, stats) = compute()?;
-        let entry = Arc::new(Solved::new(artifacts));
+        let entry = Arc::new(Solved::new(compute()?));
         let mut solved = self.solved.lock().expect("solve memo lock");
         if let Some((_, existing)) = solved.iter().find(|(k, _)| *k == key) {
-            return Ok((Arc::clone(existing), None));
+            return Ok(Arc::clone(existing));
         }
         solved.push((key, Arc::clone(&entry)));
-        Ok((entry, Some(stats)))
+        Ok(entry)
     }
 
     /// Number of distinct cache timings whose solve artifacts are
@@ -625,9 +632,14 @@ impl AnalysisContext {
         self.solved.lock().expect("solve memo lock").len()
     }
 
-    /// Where this context's template events count.
-    fn events(&self) -> &Arc<TemplateEvents> {
-        self.events.get_or_init(Arc::default)
+    /// Where this context's work counts.
+    fn counters(&self) -> &Arc<ContextCounters> {
+        self.counters.get_or_init(Arc::default)
+    }
+
+    /// Where this context's fixpoints count.
+    fn kernel(&self) -> &KernelStatsCell {
+        &self.counters().kernel
     }
 
     /// The factored [`IpetTemplate`] of this program, resolved on first
@@ -651,16 +663,20 @@ impl AnalysisContext {
             // A restored tail carries the basis to seed.
             self.settle_tail();
             let groups = self.first_extra_group_union();
-            let events = self.events();
+            let counters = self.counters();
             let template = match &self.inherited {
                 Some(template) if template.covers(&groups) => {
-                    events.template_hits.inc();
+                    counters.template_hits.inc();
                     Arc::clone(template)
                 }
                 _ => {
-                    events.template_builds.inc();
-                    let objective_hits = Arc::clone(&events.objective_hits);
-                    Arc::new(IpetTemplate::new(self.cfg(), groups, objective_hits))
+                    counters.template_builds.inc();
+                    Arc::new(IpetTemplate::new(
+                        self.cfg(),
+                        groups,
+                        Arc::clone(&counters.objective_hits),
+                        counters.ilp.clone(),
+                    ))
                 }
             };
             self.seed_pending_basis(&template);
@@ -680,9 +696,9 @@ impl AnalysisContext {
             .take();
         if let Some(snapshot) = pending {
             if template.seed_basis(&snapshot) {
-                self.events().basis_restores.inc();
+                self.counters().basis_restores.inc();
             } else {
-                self.events().basis_rejects.inc();
+                self.counters().basis_rejects.inc();
             }
         }
     }
@@ -736,11 +752,14 @@ impl AnalysisContext {
         groups
     }
 
-    /// Cumulative classification-kernel counters (worklist passes, slot
-    /// words touched, dirty-skipped sets) over every fixpoint run on this
-    /// context.
+    /// The classification-kernel counters (worklist passes, slot words
+    /// touched, dirty-skipped sets) this context counts into. For a
+    /// context a reuse plane handed out they are the node's `classify_*`
+    /// totals, shared by every context of the plane; otherwise they total
+    /// the fixpoints of this context and of the siblings derived from it.
+    /// Take deltas on one thread to count one context's work.
     pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel_stats.snapshot()
+        self.kernel().snapshot()
     }
 
     /// Whether the SRB map has been materialized, or is held by an
@@ -900,7 +919,7 @@ impl AnalysisContext {
             &geometry,
             self.full_level(),
             geometry.ways(),
-            Some(&self.kernel_stats),
+            Some(self.kernel()),
         );
         // Lower levels are geometry-portable: a classification at
         // effective associativity `a` depends only on the graph, the set
@@ -933,10 +952,9 @@ impl AnalysisContext {
             },
         );
         // Same graph, same constraint matrix: hand over the template, and
-        // count the sibling's template events where this context counts
-        // its own.
+        // count the sibling's work where this context counts its own.
         sibling.inherited = Some(template);
-        sibling.events = OnceLock::from(Arc::clone(self.events()));
+        sibling.counters = OnceLock::from(Arc::clone(self.counters()));
         // The set mapping ignores the way count; hand the index over.
         if let Some(refs) = self.set_refs.get() {
             let _ = sibling.set_refs.set(Arc::clone(refs));
@@ -1090,10 +1108,10 @@ mod tests {
         assert_send_sync::<AnalysisContext>();
     }
 
-    /// `(template_builds, template_hits)` of a context's events.
+    /// `(template_builds, template_hits)` of a context's counters.
     fn template_events(ctx: &AnalysisContext) -> (u64, u64) {
-        let events = ctx.events();
-        (events.template_builds.get(), events.template_hits.get())
+        let counters = ctx.counters();
+        (counters.template_builds.get(), counters.template_hits.get())
     }
 
     #[test]
@@ -1158,9 +1176,9 @@ mod tests {
             parts,
         );
         let template = restored.ipet_template();
-        assert_eq!(restored.events().basis_restores.get(), 1);
+        assert_eq!(restored.counters().basis_restores.get(), 1);
         assert_eq!(template.bound(&costs).unwrap(), expected);
-        let stats = template.stats();
+        let stats = restored.counters().ilp.snapshot();
         assert_eq!(stats.cold_starts, 0, "restored basis skips phase 1");
         assert!(stats.warm_starts >= 1);
     }
@@ -1192,12 +1210,12 @@ mod tests {
             parts,
         );
         let template = restored.ipet_template();
-        let events = restored.events();
-        assert_eq!(events.basis_rejects.get(), 1);
-        assert_eq!(events.basis_restores.get(), 0);
+        let counters = restored.counters();
+        assert_eq!(counters.basis_rejects.get(), 1);
+        assert_eq!(counters.basis_restores.get(), 0);
         // The template still answers — cold, and correctly.
         assert_eq!(template.bound(&costs).unwrap(), expected);
-        assert_eq!(template.stats().cold_starts, 1);
+        assert_eq!(counters.ilp.snapshot().cold_starts, 1);
     }
 
     /// The penalty memo of the context's one solve entry: its counters

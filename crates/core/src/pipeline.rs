@@ -18,12 +18,17 @@
 //! stages on the calling thread and produces bit-identical results — the
 //! property tests in `crates/core/tests/parallel_equivalence.rs` pin that
 //! guarantee down.
+//!
+//! The stages count their work where it runs: each classification
+//! fixpoint and each template solve records into the counters of the
+//! context it runs on, which for a context from a [`ReusePlane`] are the
+//! node's `classify_*` and `ilp_*` metrics rows. The analyzer forwards
+//! nothing.
 
 use std::sync::Arc;
 
 use pwcet_analysis::{Chmc, ChmcMap, SrbMap};
 use pwcet_cfg::{CfgError, ExpandedCfg, FunctionExtent};
-use pwcet_ilp::SolveStats;
 use pwcet_ipet::{CostModel, RefCost};
 use pwcet_mips::BinaryImage;
 use pwcet_par::{par_map, Parallelism};
@@ -220,22 +225,9 @@ impl PwcetAnalyzer {
             self.config.geometry,
             "context geometry must match the analyzer configuration"
         );
-        let kernel_before = context.kernel_stats();
-        let (solved, stats) = context.solve_artifacts(self.config.timing, || {
+        let solved = context.solve_artifacts(self.config.timing, || {
             solve_protection_independent(context, &self.config)
         })?;
-        // Solver behavior is observable per plane (the service metrics
-        // table). Stats come back only for the computation that was
-        // actually installed, so memoized re-requests — and discarded
-        // racing duplicates — record nothing.
-        if let (Some(stats), Some(plane)) = (stats, &self.reuse) {
-            plane.record_ilp_stats(&stats);
-            // Classification fixpoints recorded onto the context during
-            // this solve (the kernel counters accrue there as levels
-            // materialize); forward only the delta so a re-analyzed warm
-            // context is not double-counted.
-            plane.record_kernel_stats(&context.kernel_stats().delta_since(&kernel_before));
-        }
         Ok(ProgramAnalysis {
             config: self.config,
             name: context.name().to_string(),
@@ -308,7 +300,7 @@ pub(crate) struct SolveArtifacts {
 fn solve_protection_independent(
     context: &AnalysisContext,
     config: &AnalysisConfig,
-) -> Result<(SolveArtifacts, SolveStats), CoreError> {
+) -> Result<SolveArtifacts, CoreError> {
     let parallelism = config.parallelism;
     // A restored context expands its graph here, on its first solve; the
     // error is the one a cold build of the same program would raise.
@@ -332,16 +324,14 @@ fn solve_protection_independent(
     // more pooled bases than workers can never be checked out
     // concurrently, they would only hold memory.
     template.set_pool_cap(parallelism.worker_count(usize::MAX).max(1));
-    let mut stats = SolveStats::default();
 
     // Fault-free WCET (§II-B): the one big instance of the stage — the
     // only ILP that may split branch-and-bound subtrees across workers
     // (the fan-outs below keep the workers busy with whole jobs).
     let chmc_full = context.chmc(ways);
     let wcet_costs = CostModel::from_chmc(cfg, chmc_full, &config.timing);
-    let (fault_free_wcet, wcet_stats) =
+    let fault_free_wcet =
         template.bound_with_workers(&wcet_costs, parallelism.worker_count(usize::MAX))?;
-    stats.merge(&wcet_stats);
 
     // Stage 3 (solve): fault miss map (§II-C). Every `(set, fault)`
     // delta ILP is independent; fan them out and fold the results back
@@ -351,28 +341,23 @@ fn solve_protection_independent(
     let jobs: Vec<(u32, u32)> = (1..=ways)
         .flat_map(|f| (0..sets).map(move |s| (s, f)))
         .collect();
-    let bounds = par_map(
-        parallelism,
-        &jobs,
-        |&(s, f)| -> Result<(u64, SolveStats), CoreError> {
-            let (costs, has_delta) = delta_cost_model_indexed(
-                cfg,
-                &set_refs[s as usize],
-                chmc_full,
-                context.chmc(ways - f),
-                None,
-            );
-            if has_delta {
-                Ok(template.bound_with_workers(&costs, 1)?)
-            } else {
-                Ok((0, SolveStats::default()))
-            }
-        },
-    );
+    let bounds = par_map(parallelism, &jobs, |&(s, f)| -> Result<u64, CoreError> {
+        let (costs, has_delta) = delta_cost_model_indexed(
+            cfg,
+            &set_refs[s as usize],
+            chmc_full,
+            context.chmc(ways - f),
+            None,
+        );
+        Ok(if has_delta {
+            template.bound(&costs)?
+        } else {
+            0
+        })
+    });
     let mut fmm = FaultMissMap::new(sets, ways);
     for (&(s, f), outcome) in jobs.iter().zip(bounds) {
-        let (bound, job_stats) = outcome?;
-        stats.merge(&job_stats);
+        let bound = outcome?;
         if bound > 0 {
             fmm.set(s, f, bound);
         }
@@ -396,42 +381,34 @@ fn solve_protection_independent(
     let srb_map = context.srb();
     let chmc_zero = context.chmc(0);
     let srb_jobs: Vec<u32> = (0..sets).collect();
-    let srb_bounds = par_map(
-        parallelism,
-        &srb_jobs,
-        |&s| -> Result<(u64, SolveStats), CoreError> {
-            let (costs, has_delta) = delta_cost_model_indexed(
-                cfg,
-                &set_refs[s as usize],
-                chmc_full,
-                chmc_zero,
-                Some(srb_map),
-            );
-            if has_delta {
-                Ok(template.bound_with_workers(&costs, 1)?)
-            } else {
-                Ok((0, SolveStats::default()))
-            }
-        },
-    );
+    let srb_bounds = par_map(parallelism, &srb_jobs, |&s| -> Result<u64, CoreError> {
+        let (costs, has_delta) = delta_cost_model_indexed(
+            cfg,
+            &set_refs[s as usize],
+            chmc_full,
+            chmc_zero,
+            Some(srb_map),
+        );
+        Ok(if has_delta {
+            template.bound(&costs)?
+        } else {
+            0
+        })
+    });
     let mut srb_last_column = vec![0u64; sets as usize];
     for (s, outcome) in srb_bounds.into_iter().enumerate() {
-        let (bound, job_stats) = outcome?;
-        stats.merge(&job_stats);
+        let bound = outcome?;
         // The SRB never outperforms a surviving way (an SRB hit is a
         // guaranteed hit at associativity 1 too), so the column
         // dominates the f = W − 1 column; enforce it defensively.
         srb_last_column[s] = bound.max(fmm.get(s as u32, ways - 1));
     }
 
-    Ok((
-        SolveArtifacts {
-            fault_free_wcet,
-            fmm,
-            srb_last_column,
-        },
-        stats,
-    ))
+    Ok(SolveArtifacts {
+        fault_free_wcet,
+        fmm,
+        srb_last_column,
+    })
 }
 
 /// The protection-independent analysis results of one program, from which

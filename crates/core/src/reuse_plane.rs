@@ -59,16 +59,16 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pwcet_analysis::{ClassificationMode, KernelStats, KernelStatsCell};
+use pwcet_analysis::ClassificationMode;
 use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
-use pwcet_ilp::{SolveStats, SolveStatsCell};
+use pwcet_ilp::SolveStats;
 use pwcet_obs::{Counter, Registry};
 use pwcet_par::{Admission, Memo};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{decode_context, expander_fingerprint, validate_entry, Hit, RawTail};
-use crate::context::{AnalysisContext, TemplateEvents};
+use crate::context::{AnalysisContext, ContextCounters};
 use crate::context_cache::{ContextCache, ContextCacheStats};
 use crate::frame::FrameError;
 
@@ -361,18 +361,11 @@ pub struct ReusePlane {
     /// See [`metrics`](Self::metrics).
     metrics: Registry,
     tiers: TierCounters,
-    /// The template events of every context this plane hands out
-    /// (whatever tier answered).
-    templates: Arc<TemplateEvents>,
-    /// Solver counters of every solve stage run through this plane
-    /// (recorded by the analyzer; survives context eviction), the
-    /// `ilp_*` rows.
-    ilp: SolveStatsCell,
-    /// Classification-kernel counters of every fresh fixpoint run
-    /// through this plane (recorded by the analyzer alongside the
-    /// solver counters; survives context eviction), the `classify_*`
-    /// rows.
-    kernel: KernelStatsCell,
+    /// What every context this plane hands out (whatever tier
+    /// answered) counts into: its template events and the `classify_*`
+    /// and `ilp_*` totals of its fixpoints and solves. They survive
+    /// context eviction.
+    counters: Arc<ContextCounters>,
 }
 
 impl Default for ReusePlane {
@@ -400,17 +393,15 @@ impl ReusePlane {
             network: OnceLock::new(),
             staged: Arc::new(Memo::new(MAX_STAGED_ENTRIES, Admission::FirstSighting)),
             tiers: TierCounters::registered(&metrics),
-            templates: Arc::new(TemplateEvents::registered(&metrics)),
-            ilp: SolveStatsCell::registered(&metrics),
-            kernel: KernelStatsCell::registered(&metrics),
+            counters: Arc::new(ContextCounters::registered(&metrics)),
             metrics,
         }
     }
 
     /// The plane's metrics registry, a service node's one registry. Every
     /// counter a node's metrics table reports is registered here by the
-    /// code that increments it: the plane's tier counters, its `ilp_*`
-    /// and `classify_*` totals, its contexts' template events, and the
+    /// code that increments it: the plane's tier counters, its contexts'
+    /// template events and `classify_*` and `ilp_*` totals, and the
     /// server, compile-memo and peer-fleet counters of the service above
     /// it.
     pub fn metrics(&self) -> &Registry {
@@ -428,26 +419,12 @@ impl ReusePlane {
         self.network.get().is_some()
     }
 
-    /// Adds one solve stage's solver counters to the plane's total (the
-    /// analyzer calls this after every non-memoized solve stage).
-    pub fn record_ilp_stats(&self, stats: &SolveStats) {
-        self.ilp.record(stats);
-    }
-
     /// Cumulative solver counters (pivots, branch-and-bound nodes,
-    /// warm-start hits…) across every analysis served through this
-    /// plane. Unlike per-context counters these survive cache eviction,
-    /// so a long-lived service reports totals, not residue.
+    /// warm-start hits…) of every solve run on a context this plane
+    /// handed out: the `ilp_*` rows. They survive cache eviction, so a
+    /// long-lived service reports totals, not residue.
     pub fn ilp_stats(&self) -> SolveStats {
-        self.ilp.snapshot()
-    }
-
-    /// Adds one analysis's classification-kernel counters (worklist
-    /// passes, slot words touched, dirty-skipped sets) to the plane's
-    /// total (the analyzer calls this after every fresh solve). Like
-    /// [`ilp_stats`](Self::ilp_stats) these survive cache eviction.
-    pub fn record_kernel_stats(&self, stats: &KernelStats) {
-        self.kernel.record(stats);
+        self.counters.ilp.snapshot()
     }
 
     /// Total size in bytes of the on-disk store (`None` without a disk
@@ -532,7 +509,7 @@ impl ReusePlane {
 
     /// Aggregated counters over all tiers.
     pub fn stats(&self) -> ReusePlaneStats {
-        let (tiers, templates) = (&self.tiers, &self.templates);
+        let (tiers, counters) = (&self.tiers, &self.counters);
         ReusePlaneStats {
             memory: self.memory.stats(),
             disk_hits: tiers.disk_hits.get(),
@@ -546,11 +523,11 @@ impl ReusePlane {
             network_corrupt: tiers.network_corrupt.get(),
             network_offers: tiers.network_offers.get(),
             cold_builds: tiers.cold_builds.get(),
-            template_hits: templates.template_hits.get(),
-            template_builds: templates.template_builds.get(),
-            basis_restores: templates.basis_restores.get(),
-            basis_rejects: templates.basis_rejects.get(),
-            objective_hits: templates.objective_hits.get(),
+            template_hits: counters.template_hits.get(),
+            template_builds: counters.template_builds.get(),
+            basis_restores: counters.basis_restores.get(),
+            basis_rejects: counters.basis_rejects.get(),
+            objective_hits: counters.objective_hits.get(),
         }
     }
 
@@ -609,8 +586,8 @@ impl ReusePlane {
         };
 
         // Whatever tier answered, the context carries its key and counts
-        // its template events in the plane's registry.
-        context.enter_plane(key, &self.templates);
+        // its work in the plane's registry.
+        context.enter_plane(key, &self.counters);
         Ok((self.memory.file(key, family, context), tier))
     }
 

@@ -11,6 +11,10 @@
 //! laziness — a solved answer expands no CFG and decodes no tail — and
 //! the late path: a tail that passes the checksum but fails its decode
 //! at first use is counted, discarded and recomputed cold.
+//!
+//! The node's `classify_*` rows count every fixpoint run on a context
+//! the plane handed out, wherever it runs: in a derivation, or in a
+//! prewarm before the analysis.
 
 use std::collections::HashMap;
 use std::fs;
@@ -18,8 +22,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 
 use pwcet_core::{
-    entry_checksum, AnalysisConfig, ContextCache, IpetTemplate, NetworkTier, ProgramAnalysis,
-    Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
+    entry_checksum, AnalysisConfig, AnalysisContext, ContextCache, IpetTemplate, NetworkTier,
+    ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
 };
 use pwcet_obs::{trace_scope, Stage, TraceId, Tracer};
 use pwcet_progen::{stmt, Program};
@@ -591,4 +595,57 @@ fn evicted_programs_release_their_ipet_templates() {
         "{live} of {} templates outlived their evicted programs",
         templates.len()
     );
+}
+
+#[test]
+fn a_derivation_counts_its_fixpoint_in_the_nodes_classify_rows() {
+    // Deriving a 2-way sibling runs one warm fixpoint on its 4-way
+    // parent. It counts in the node's rows although the sibling's own
+    // analysis then runs none.
+    let config = AnalysisConfig::paper_default();
+    let mut narrow = config;
+    narrow.geometry = config.geometry.with_ways(2);
+    let compiled = program().compile(config.code_base).unwrap();
+    let plane = Arc::new(ReusePlane::in_memory());
+    let passes = plane.metrics().counter("classify_passes");
+    analyzer(&plane).analyze_compiled(&compiled).unwrap();
+    let widest = passes.get();
+    assert!(widest > 0, "the widest point ran its fixpoints");
+    let (_, tier) = analyzer_with(narrow, &plane)
+        .analyze_compiled(&compiled)
+        .unwrap();
+    assert_eq!(tier, ReuseTier::Derived);
+
+    // The same two analyses without a plane count into the parent's
+    // private counters, which its derived sibling shares.
+    let parent = AnalysisContext::build(&compiled, config.geometry).unwrap();
+    PwcetAnalyzer::new(config)
+        .analyze_with_context(&parent)
+        .unwrap();
+    let before = parent.kernel_stats();
+    let sibling = parent.derive_narrower(narrow.geometry);
+    PwcetAnalyzer::new(narrow)
+        .analyze_with_context(&sibling)
+        .unwrap();
+    let derived = parent.kernel_stats().delta_since(&before).passes;
+    assert!(derived > 0, "the derivation ran a fixpoint");
+    assert_eq!(passes.get() - widest, derived);
+}
+
+#[test]
+fn a_prewarm_before_the_analysis_counts_in_the_nodes_classify_rows() {
+    // The traced benchmark replay prewarms a context the plane handed
+    // out before it analyzes it; every fixpoint of that prewarm counts.
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    let plane = Arc::new(ReusePlane::in_memory());
+    let (context, tier) = plane
+        .get_or_build_traced(&compiled, config.geometry, config.classification)
+        .unwrap();
+    assert_eq!(tier, ReuseTier::Cold);
+    context.prewarm(config.parallelism);
+    analyzer(&plane).analyze_with_context(&context).unwrap();
+    let passes = plane.metrics().counter("classify_passes").get();
+    assert!(passes > 0, "the prewarm ran the fixpoints");
+    assert_eq!(passes, context.kernel_stats().passes);
 }

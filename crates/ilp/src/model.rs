@@ -106,8 +106,8 @@ impl SolveStats {
 /// Thread-safe accumulator of [`SolveStats`] (plain relaxed counters —
 /// solver workers record concurrently, readers snapshot). A
 /// [`registered`](Self::registered) cell counts straight into a metrics
-/// registry's rows.
-#[derive(Debug, Default)]
+/// registry's rows. A clone shares the original's counters.
+#[derive(Debug, Default, Clone)]
 pub struct SolveStatsCell {
     pivots: Arc<Counter>,
     dual_pivots: Arc<Counter>,

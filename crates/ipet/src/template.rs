@@ -30,9 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use pwcet_analysis::Scope;
 use pwcet_cfg::{ExpandedCfg, NodeId};
-use pwcet_ilp::{
-    BasisSnapshot, BranchAndBoundOptions, IlpError, LpWorkspace, SolveStats, SolveStatsCell,
-};
+use pwcet_ilp::{BasisSnapshot, BranchAndBoundOptions, IlpError, LpWorkspace, SolveStatsCell};
 use pwcet_obs::Counter;
 use pwcet_par::{Admission, Memo};
 
@@ -68,6 +66,8 @@ pub struct IpetTemplate {
     /// Counts the `bound` calls the memo answers; in a reuse plane, the
     /// node's `objective_hits` row, which all of its templates share.
     objective_hits: Arc<Counter>,
+    /// Where every solve records its counters; in a reuse plane, the
+    /// node's `ilp_*` rows.
     stats: SolveStatsCell,
 }
 
@@ -85,11 +85,13 @@ impl IpetTemplate {
     /// `(node, scope)` in `groups` — the union over every cost model
     /// this template will solve. Groups are deduplicated and put in
     /// canonical order internally. Each `bound` call the objective memo
-    /// answers increments `objective_hits`.
+    /// answers increments `objective_hits`; each call the solver answers
+    /// records its counters into `stats`.
     pub fn new(
         cfg: &ExpandedCfg,
         groups: impl IntoIterator<Item = (NodeId, Scope)>,
         objective_hits: Arc<Counter>,
+        stats: SolveStatsCell,
     ) -> Self {
         let mut groups: Vec<(NodeId, Scope)> = groups.into_iter().collect();
         sort_groups(&mut groups);
@@ -102,15 +104,20 @@ impl IpetTemplate {
             pool_cap: AtomicUsize::new(usize::MAX),
             memo: Memo::new(MEMO_CAP, Admission::FirstSighting),
             objective_hits,
-            stats: SolveStatsCell::default(),
+            stats,
         }
     }
 
     /// As [`new`](Self::new) for cost models with no first-extra
     /// charges (or callers that will only use such models), counting
-    /// objective hits privately.
+    /// objective hits and solves privately.
     pub fn without_groups(cfg: &ExpandedCfg) -> Self {
-        Self::new(cfg, std::iter::empty(), Arc::default())
+        Self::new(
+            cfg,
+            std::iter::empty(),
+            Arc::default(),
+            SolveStatsCell::default(),
+        )
     }
 
     /// The `(node, scope)` group union the template was built with, in
@@ -188,13 +195,6 @@ impl IpetTemplate {
         self.proto.lock().expect("template proto").is_some()
     }
 
-    /// Accumulated solver counters over every `bound` call. Memo-served
-    /// repeats contribute nothing (no pivots, no starts); they count in
-    /// the `objective_hits` counter the template was built with.
-    pub fn stats(&self) -> SolveStats {
-        self.stats.snapshot()
-    }
-
     /// The IPET bound of `costs` — identical to
     /// [`ipet_bound`](crate::ipet_bound) on the same CFG, but
     /// warm-started from the template's factored basis.
@@ -208,7 +208,7 @@ impl IpetTemplate {
     /// Panics when `costs` charges a first-extra group the template was
     /// not built with (the builder must be given the union).
     pub fn bound(&self, costs: &CostModel) -> Result<u64, IlpError> {
-        self.bound_with_workers(costs, 1).map(|(bound, _)| bound)
+        self.bound_with_workers(costs, 1)
     }
 
     /// As [`bound`](Self::bound) with `workers` parallel
@@ -223,18 +223,14 @@ impl IpetTemplate {
     /// # Panics
     ///
     /// As for [`bound`](Self::bound).
-    pub fn bound_with_workers(
-        &self,
-        costs: &CostModel,
-        workers: usize,
-    ) -> Result<(u64, SolveStats), IlpError> {
+    pub fn bound_with_workers(&self, costs: &CostModel, workers: usize) -> Result<u64, IlpError> {
         // An identical objective has an identical optimum: answer
         // repeats from the memo without solving (or even assembling the
-        // objective). The returned stats are empty — nothing was solved.
+        // objective). Nothing was solved, so no solver counter moves.
         let key = costs.charged();
         if let Some(bound) = self.memo.get(&key) {
             self.objective_hits.inc();
-            return Ok((bound, SolveStats::default()));
+            return Ok(bound);
         }
         // An unknown first-extra group panics inside `objective_for`
         // (a wrong bound is never produced).
@@ -255,8 +251,7 @@ impl IpetTemplate {
             .solve_ilp_in(Some(&objective), &mut ws, &bb)?;
         self.stats.record(&stats);
         self.checkin(ws);
-        let bound = self.memo.insert(key, integral_bound(&solution));
-        Ok((bound, stats))
+        Ok(self.memo.insert(key, integral_bound(&solution)))
     }
 
     fn checkout(&self) -> LpWorkspace {
@@ -317,10 +312,12 @@ mod tests {
         let cfg = looped_cfg();
         let l = &cfg.loops()[0];
         // Union: one loop-scoped group and one program-scoped group.
+        let stats = SolveStatsCell::default();
         let template = IpetTemplate::new(
             &cfg,
             [(cfg.entry(), Scope::Program), (l.header, Scope::Loop(l.id))],
             Arc::default(),
+            stats.clone(),
         );
         // Coverage is order-free and exact.
         assert!(template.covers(&[(l.header, Scope::Loop(l.id)), (cfg.entry(), Scope::Program)]));
@@ -350,7 +347,7 @@ mod tests {
             let cold = ipet_bound(&cfg, costs).unwrap();
             assert_eq!(warm, cold, "variant {i}");
         }
-        let stats = template.stats();
+        let stats = stats.snapshot();
         assert_eq!(stats.cold_starts, 1, "one factored basis serves all");
         assert!(stats.warm_starts >= 2, "later variants are warm");
     }
@@ -360,8 +357,8 @@ mod tests {
         let cfg = looped_cfg();
         let template = IpetTemplate::without_groups(&cfg);
         let costs = CostModel::uniform(&cfg, 2);
-        let (sequential, _) = template.bound_with_workers(&costs, 1).unwrap();
-        let (parallel, _) = template.bound_with_workers(&costs, 4).unwrap();
+        let sequential = template.bound_with_workers(&costs, 1).unwrap();
+        let parallel = template.bound_with_workers(&costs, 4).unwrap();
         assert_eq!(sequential, parallel);
     }
 

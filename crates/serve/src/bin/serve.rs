@@ -112,7 +112,7 @@ fn main() -> ExitCode {
     let server = match Server::bind(addr.as_str(), config) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("pwcet-serve: cannot bind {addr}: {e}");
+            eprintln!("pwcet-serve: cannot start on {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };

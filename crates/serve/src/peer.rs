@@ -38,13 +38,13 @@ use crate::client::{Client, ClientConfig};
 /// Virtual nodes per peer on the ring. Enough that four peers land
 /// within ~2× of a uniform split (see the property tests below) while
 /// keeping ring construction trivial.
-pub const DEFAULT_VNODES: usize = 64;
+pub const VNODES: usize = 64;
 
-/// Default per-phase deadline for peer sockets. Deliberately much
-/// shorter than the server's frame deadline: a dead peer costs the
-/// request a couple of seconds once (then backoff makes it free), and
-/// the cold rebuild is always available as the fallback.
-pub const DEFAULT_PEER_DEADLINE: Duration = Duration::from_secs(2);
+/// Per-phase deadline for peer sockets. Deliberately much shorter than
+/// the server's frame deadline: a dead peer costs the request a couple
+/// of seconds once (then backoff makes it free), and the cold rebuild is
+/// always available as the fallback.
+pub const PEER_DEADLINE: Duration = Duration::from_secs(2);
 
 /// First backoff step after a peer failure; doubles per consecutive
 /// failure up to [`FleetConfig::backoff_max`].
@@ -55,11 +55,11 @@ pub const DEFAULT_BACKOFF_MAX: Duration = Duration::from_secs(30);
 
 /// Bound on queued write-back offers; beyond it new offers are dropped
 /// (and counted) rather than blocking the analysis path.
-pub const DEFAULT_OFFER_QUEUE: usize = 256;
+pub const OFFER_QUEUE: usize = 256;
 
 /// A consistent-hash ring over peer addresses.
 ///
-/// Each peer contributes `vnodes` points at
+/// Each peer contributes [`VNODES`] points at
 /// `fnv1a(addr_bytes ++ vnode_index_le)`; a key hashes to a point and is
 /// owned by the next peer point clockwise (wrapping). Adding or removing
 /// one peer therefore remaps only the arcs adjacent to its points —
@@ -87,14 +87,13 @@ impl PeerRing {
     /// Builds the ring. Order of `addrs` is irrelevant to ownership
     /// (only the hashed points matter); duplicates are kept verbatim and
     /// simply double that peer's share.
-    pub fn new(addrs: impl IntoIterator<Item = impl Into<String>>, vnodes: usize) -> Self {
+    pub fn new(addrs: impl IntoIterator<Item = impl Into<String>>) -> Self {
         let addrs: Vec<String> = addrs.into_iter().map(Into::into).collect();
-        let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(addrs.len() * vnodes);
+        let mut points = Vec::with_capacity(addrs.len() * VNODES);
         for (index, addr) in addrs.iter().enumerate() {
             let mut seed = Vec::with_capacity(addr.len() + 8);
             seed.extend_from_slice(addr.as_bytes());
-            for vnode in 0..vnodes {
+            for vnode in 0..VNODES {
                 seed.truncate(addr.len());
                 seed.extend_from_slice(&(vnode as u64).to_le_bytes());
                 points.push((mix_point(fnv1a_checksum(&seed)), index));
@@ -151,7 +150,9 @@ impl PeerRing {
     }
 }
 
-/// Fleet membership and tuning for one node.
+/// Fleet membership and backoff tuning for one node. The ring's
+/// [`VNODES`], the [`PEER_DEADLINE`] of every peer socket phase and the
+/// [`OFFER_QUEUE`] bound are fixed.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Full fleet membership (typically including this node itself) —
@@ -161,17 +162,10 @@ pub struct FleetConfig {
     /// This node's own address as it appears in `peers`, so the fleet
     /// never fetches from or offers to itself.
     pub self_addr: String,
-    /// Virtual nodes per peer ([`DEFAULT_VNODES`]).
-    pub vnodes: usize,
-    /// Socket deadlines for peer exchanges
-    /// ([`DEFAULT_PEER_DEADLINE`] for every phase).
-    pub client: ClientConfig,
     /// First backoff step after a peer failure.
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Bound on queued write-back offers.
-    pub offer_queue: usize,
 }
 
 impl FleetConfig {
@@ -183,11 +177,8 @@ impl FleetConfig {
         Self {
             peers: peers.into_iter().map(Into::into).collect(),
             self_addr: self_addr.into(),
-            vnodes: DEFAULT_VNODES,
-            client: ClientConfig::with_deadline(DEFAULT_PEER_DEADLINE),
             backoff_base: DEFAULT_BACKOFF_BASE,
             backoff_max: DEFAULT_BACKOFF_MAX,
-            offer_queue: DEFAULT_OFFER_QUEUE,
         }
     }
 
@@ -429,7 +420,7 @@ impl PeerFleet {
     /// Builds the ring, registers the fleet's counters in `metrics` and
     /// starts the offer worker.
     pub fn start(config: FleetConfig, metrics: &Registry) -> Self {
-        let ring = PeerRing::new(config.peers.iter().cloned(), config.vnodes);
+        let ring = PeerRing::new(config.peers.iter().cloned());
         let self_index = config.peers.iter().position(|p| *p == config.self_addr);
         let health = (0..ring.len())
             .map(|_| Mutex::new(Health::default()))
@@ -438,7 +429,7 @@ impl PeerFleet {
         let inner = Arc::new(FleetInner {
             ring,
             self_index,
-            client: config.client,
+            client: ClientConfig::with_deadline(PEER_DEADLINE),
             backoff_base: config.backoff_base,
             backoff_max: config.backoff_max,
             health,
@@ -450,7 +441,7 @@ impl PeerFleet {
             fleet_offers_failed: metrics.register_counter("fleet_offers_failed"),
             fleet_offers_dropped: metrics.register_counter("fleet_offers_dropped"),
         });
-        let (tx, rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(config.offer_queue.max(1));
+        let (tx, rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(OFFER_QUEUE);
         let worker_inner = Arc::clone(&inner);
         let worker = std::thread::Builder::new()
             .name("pwcq-offer".into())
@@ -543,7 +534,7 @@ mod tests {
 
     #[test]
     fn empty_ring_owns_nothing() {
-        let ring = PeerRing::new(Vec::<String>::new(), DEFAULT_VNODES);
+        let ring = PeerRing::new(Vec::<String>::new());
         assert!(ring.is_empty());
         assert_eq!(ring.owner(42), None);
         assert_eq!(ring.owners(42).count(), 0);
@@ -551,7 +542,7 @@ mod tests {
 
     #[test]
     fn owners_cover_every_peer_exactly_once() {
-        let ring = PeerRing::new(addrs(5), DEFAULT_VNODES);
+        let ring = PeerRing::new(addrs(5));
         for key in [0u64, 1, 0xdead_beef, u64::MAX] {
             let mut order: Vec<usize> = ring.owners(key).collect();
             assert_eq!(order.len(), 5);
@@ -564,10 +555,10 @@ mod tests {
     fn ownership_is_stable_under_membership_order() {
         // The ring hashes addresses, so two nodes configured with the
         // same membership in different order agree on every owner.
-        let forward = PeerRing::new(addrs(4), DEFAULT_VNODES);
+        let forward = PeerRing::new(addrs(4));
         let mut reversed_addrs = addrs(4);
         reversed_addrs.reverse();
-        let reversed = PeerRing::new(reversed_addrs, DEFAULT_VNODES);
+        let reversed = PeerRing::new(reversed_addrs);
         for key in 0..512u64 {
             let a = forward.addr(forward.owner(key).unwrap());
             let b = reversed.addr(reversed.owner(key).unwrap());
@@ -583,7 +574,7 @@ mod tests {
             peers in 2usize..8,
             seed in any::<u64>(),
         ) {
-            let ring = PeerRing::new(addrs(peers), DEFAULT_VNODES);
+            let ring = PeerRing::new(addrs(peers));
             let samples = 4096u64;
             let mut counts: HashMap<usize, u64> = HashMap::new();
             for i in 0..samples {
@@ -619,8 +610,8 @@ mod tests {
             let full_addrs = addrs(peers);
             let mut reduced_addrs = full_addrs.clone();
             reduced_addrs.remove(removed);
-            let full = PeerRing::new(full_addrs.clone(), DEFAULT_VNODES);
-            let reduced = PeerRing::new(reduced_addrs, DEFAULT_VNODES);
+            let full = PeerRing::new(full_addrs.clone());
+            let reduced = PeerRing::new(reduced_addrs);
 
             let samples = 2048u64;
             let mut moved = 0u64;

@@ -96,6 +96,10 @@ const MAX_SETS: u32 = 4096;
 const MAX_BLOCK_BYTES: u32 = 1024;
 const MAX_BATCH_PROGRAMS: usize = 256;
 
+/// Bound on [`ServerConfig::shards`]: each shard is an OS thread,
+/// spawned before the first request, so [`Server::bind`] refuses more.
+pub const MAX_SHARDS: usize = 256;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -103,9 +107,10 @@ pub struct ServerConfig {
     /// override the fault model per call; geometry sweeps override the
     /// geometry).
     pub analysis: AnalysisConfig,
-    /// Worker shard count; `0` picks `min(available cores, 4)`.
+    /// Worker shard count, at most [`MAX_SHARDS`]; `0` picks
+    /// `min(available cores, 4)`.
     pub shards: usize,
-    /// Bounded queue capacity per shard.
+    /// Bounded queue capacity per shard, at least 1.
     pub queue_capacity: usize,
     /// Disk tier directory of the reuse plane; `None` keeps the plane
     /// memory-only (no cross-restart warmth).
@@ -480,8 +485,22 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket-bind and disk-tier-creation failures.
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) for more than
+    /// [`MAX_SHARDS`] shards or a zero queue capacity, refused before
+    /// anything is bound or spawned; otherwise propagates socket-bind and
+    /// disk-tier-creation failures.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Self> {
+        let invalid =
+            |message: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
+        if config.shards > MAX_SHARDS {
+            return Err(invalid(format!(
+                "shards must be at most {MAX_SHARDS}, got {}",
+                config.shards
+            )));
+        }
+        if config.queue_capacity == 0 {
+            return Err(invalid("queue capacity must be at least 1".to_string()));
+        }
         // The accept loop blocks (zero accept latency — a sleep-polled
         // loop taxed every new connection, and the fleet's peer fetches
         // with it); `drain_and_join` wakes it with a dummy connection.

@@ -1,6 +1,7 @@
 //! End-to-end service tests: tier provenance across clients and
 //! restarts, bit-identical warm answers, the compile memo, deterministic
-//! backpressure, and draining shutdown.
+//! backpressure, draining shutdown, and the refusal of out-of-range
+//! pool sizes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::thread;
@@ -13,6 +14,7 @@ use pwcet_core::{
 };
 use pwcet_progen::{stmt, Program};
 use pwcet_serve::protocol::{ErrorCode, Request, Response};
+use pwcet_serve::server::MAX_SHARDS;
 use pwcet_serve::{AnalysisRow, Client, Server, ServerConfig, ServiceStats};
 
 /// The 40 counter and gauge names the retired stats verb answered.
@@ -618,6 +620,27 @@ fn target_below_the_pruning_tail_is_refused_without_a_panic() {
     let (row, _) = analyze(&mut client, bench("adpcm"));
     assert_eq!(row.served_from, ReuseTier::Memory);
     server.shutdown();
+}
+
+#[test]
+fn out_of_range_pool_sizes_are_refused_before_anything_starts() {
+    // Both are refused before the listener is bound or a shard thread
+    // spawned, so neither call starts a thread.
+    let too_many = ServerConfig {
+        shards: MAX_SHARDS + 1,
+        ..ServerConfig::default()
+    };
+    let no_queue = ServerConfig {
+        queue_capacity: 0,
+        ..ServerConfig::default()
+    };
+    for (config, names) in [(too_many, "shards"), (no_queue, "queue capacity")] {
+        let err = Server::bind("127.0.0.1:0", config)
+            .err()
+            .expect("an out-of-range pool size is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(names), "{err}");
+    }
 }
 
 #[test]
