@@ -20,10 +20,12 @@
 //! keys for geometry changes, shared keys across `pfail`).
 //!
 //! The cache is a [`Memo`]: least-recently-used eviction at a fixed
-//! capacity, hit/miss/eviction counters via [`ContextCache::stats`]. Each
-//! entry also carries its family fingerprint (the key without the way
-//! count), which the reuse plane's derivation tier matches wider
-//! siblings by.
+//! capacity, with hit/miss/eviction counters that
+//! [`ReusePlaneStats::memory`](crate::ReusePlaneStats::memory) reports.
+//! Each [`ReusePlane`](crate::ReusePlane) owns one, so a context counts
+//! its work into the one plane that filed it. Each entry also carries
+//! its family fingerprint (the key without the way count), which the
+//! reuse plane's derivation tier matches wider siblings by.
 
 use std::sync::Arc;
 
@@ -50,37 +52,13 @@ struct Resident {
 }
 
 /// A thread-safe, content-addressed, LRU-evicting store of shared
-/// [`AnalysisContext`]s.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use pwcet_core::{AnalysisConfig, ContextCache, PwcetAnalyzer, ReusePlane};
-/// use pwcet_progen::{stmt, Program};
-///
-/// # fn main() -> Result<(), pwcet_core::CoreError> {
-/// let cache = Arc::new(ContextCache::new(8));
-/// let plane = Arc::new(ReusePlane::with_memory(Arc::clone(&cache)));
-/// let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default()).with_reuse_plane(plane);
-/// let program = Program::new("p").with_function("main", stmt::loop_(10, stmt::compute(8)));
-/// analyzer.analyze(&program)?;
-/// analyzer.analyze(&program)?; // context (CFG + classifications) reused
-/// let stats = cache.stats();
-/// assert_eq!((stats.misses, stats.hits), (1, 1));
-/// # Ok(())
-/// # }
-/// ```
+/// [`AnalysisContext`]s: the memory tier of a
+/// [`ReusePlane`](crate::ReusePlane), which builds it. Outside this crate
+/// only its content fingerprint, [`key_of`](Self::key_of), is used.
 #[derive(Debug)]
 pub struct ContextCache {
     /// Keyed by [`key_of`](Self::key_of).
     memo: Memo<u64, Resident>,
-}
-
-impl Default for ContextCache {
-    fn default() -> Self {
-        Self::new(DEFAULT_CONTEXT_CAPACITY)
-    }
 }
 
 impl ContextCache {
@@ -89,7 +67,7 @@ impl ContextCache {
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             memo: Memo::new(capacity, Admission::FirstSighting),
         }
@@ -211,7 +189,7 @@ impl ContextCache {
     }
 
     /// Current counters and occupancy.
-    pub fn stats(&self) -> ContextCacheStats {
+    pub(crate) fn stats(&self) -> ContextCacheStats {
         self.memo.stats()
     }
 }
@@ -233,35 +211,44 @@ mod tests {
         CacheGeometry::paper_default()
     }
 
-    /// A plane over a fresh cache of `capacity`: the one lookup path,
-    /// which files what it builds into the cache.
-    fn plane(capacity: usize) -> (Arc<ContextCache>, ReusePlane) {
-        let cache = Arc::new(ContextCache::new(capacity));
-        (Arc::clone(&cache), ReusePlane::with_memory(cache))
-    }
+    const MODE: ClassificationMode = ClassificationMode::Incremental;
 
+    /// The one lookup path: a memory-only plane files what it builds into
+    /// its cache, whose counters its stats report.
     fn get(plane: &ReusePlane, program: &CompiledProgram) -> Arc<AnalysisContext> {
-        let mode = ClassificationMode::Incremental;
         plane
-            .get_or_build_traced(program, geometry(), mode)
+            .get_or_build_traced(program, geometry(), MODE)
             .unwrap()
             .0
     }
 
+    fn build(program: &CompiledProgram) -> Arc<AnalysisContext> {
+        Arc::new(AnalysisContext::build_with_mode(program, geometry(), MODE).unwrap())
+    }
+
+    /// The plane's memory-tier step over a cache of any capacity: a
+    /// counted lookup, and on a miss a cold build filed under its keys.
+    fn lookup_or_file(cache: &ContextCache, program: &CompiledProgram) -> Arc<AnalysisContext> {
+        let (key, family) = ContextCache::keys_of(program, geometry(), MODE);
+        cache
+            .lookup(key)
+            .unwrap_or_else(|| cache.file(key, family, build(program)))
+    }
+
     #[test]
     fn hit_returns_the_same_context() {
-        let (cache, plane) = plane(4);
+        let plane = ReusePlane::in_memory();
         let program = compiled("p", 10);
         let a = get(&plane, &program);
         let b = get(&plane, &program);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must share the context");
-        let stats = cache.stats();
+        let stats = plane.stats().memory;
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
     }
 
     #[test]
     fn hit_preserves_memoized_levels() {
-        let (_, plane) = plane(4);
+        let plane = ReusePlane::in_memory();
         let program = compiled("p", 10);
         let first = get(&plane, &program);
         first.prewarm(pwcet_par::Parallelism::Sequential);
@@ -271,20 +258,20 @@ mod tests {
 
     #[test]
     fn different_content_gets_different_entries() {
-        let (cache, plane) = plane(8);
+        let plane = ReusePlane::in_memory();
         get(&plane, &compiled("a", 10));
         get(&plane, &compiled("b", 11));
-        let stats = cache.stats();
+        let stats = plane.stats().memory;
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 2));
     }
 
     #[test]
     fn peek_does_not_touch_stats_or_recency() {
-        let (cache, plane) = plane(4);
+        let cache = ContextCache::new(4);
         let program = compiled("p", 10);
-        let key = ContextCache::key_of(&program, geometry(), ClassificationMode::Incremental);
+        let key = ContextCache::key_of(&program, geometry(), MODE);
         assert!(cache.peek(key).is_none());
-        let built = get(&plane, &program);
+        let built = lookup_or_file(&cache, &program);
         let peeked = cache.peek(key).unwrap();
         assert!(Arc::ptr_eq(&built, &peeked));
         let stats = cache.stats();
@@ -293,20 +280,20 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
-        let (cache, plane) = plane(2);
+        let cache = ContextCache::new(2);
         let a = compiled("a", 5);
         let b = compiled("b", 6);
         let c = compiled("c", 7);
-        get(&plane, &a);
-        get(&plane, &b);
+        lookup_or_file(&cache, &a);
+        lookup_or_file(&cache, &b);
         // Touch `a` so `b` is the LRU entry.
-        get(&plane, &a);
-        get(&plane, &c);
+        lookup_or_file(&cache, &a);
+        lookup_or_file(&cache, &c);
         assert_eq!(cache.stats().len, 2);
         assert_eq!(cache.stats().evictions, 1);
         // `a` survives (hit), `b` was evicted (miss).
-        get(&plane, &a);
-        get(&plane, &b);
+        lookup_or_file(&cache, &a);
+        lookup_or_file(&cache, &b);
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 4);
@@ -314,15 +301,13 @@ mod tests {
 
     #[test]
     fn a_second_filing_adopts_the_first_context() {
-        let (cache, plane) = plane(4);
-        let (mode, program) = (ClassificationMode::Incremental, compiled("p", 10));
-        let build =
-            || Arc::new(AnalysisContext::build_with_mode(&program, geometry(), mode).unwrap());
-        let (key, family) = ContextCache::keys_of(&program, geometry(), mode);
-        let first = cache.file(key, family, build());
-        let second = cache.file(key, family, build());
+        let cache = ContextCache::new(4);
+        let program = compiled("p", 10);
+        let (key, family) = ContextCache::keys_of(&program, geometry(), MODE);
+        let first = cache.file(key, family, build(&program));
+        let second = cache.file(key, family, build(&program));
         assert!(Arc::ptr_eq(&first, &second), "a racing loser adopts it");
-        let hit = get(&plane, &program);
+        let hit = lookup_or_file(&cache, &program);
         assert!(Arc::ptr_eq(&first, &hit));
     }
 
@@ -334,7 +319,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_share_one_context() {
-        let (cache, plane) = plane(4);
+        let plane = ReusePlane::in_memory();
         let program = compiled("p", 20);
         let contexts: Vec<Arc<AnalysisContext>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
@@ -343,7 +328,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         // All callers end up with the same entry, whatever the race.
-        assert_eq!(cache.stats().len, 1);
+        assert_eq!(plane.stats().memory.len, 1);
         for context in &contexts[1..] {
             assert!(Arc::ptr_eq(&contexts[0], context));
         }
@@ -353,12 +338,11 @@ mod tests {
     fn name_alone_does_not_change_the_key() {
         // Content-addressed: two identically-shaped programs with
         // different names share one image, hence one context.
-        let mode = ClassificationMode::Incremental;
         let a = compiled("first", 10);
         let b = compiled("second", 10);
         assert_eq!(
-            ContextCache::key_of(&a, geometry(), mode),
-            ContextCache::key_of(&b, geometry(), mode)
+            ContextCache::key_of(&a, geometry(), MODE),
+            ContextCache::key_of(&b, geometry(), MODE)
         );
     }
 
@@ -394,15 +378,15 @@ mod tests {
     #[test]
     fn adversarial_keys_stay_at_the_cap_and_a_new_working_set_hits() {
         let cap = 4;
-        let (cache, plane) = plane(cap);
+        let cache = ContextCache::new(cap);
         let sweep = 1..=cap as u32 + 8;
         for iterations in sweep.clone().chain(sweep) {
-            get(&plane, &compiled("p", iterations));
+            lookup_or_file(&cache, &compiled("p", iterations));
             assert!(cache.stats().len <= cap);
         }
         assert_eq!(cache.stats().hits, 0, "each key was evicted first");
         for iterations in (0..3).flat_map(|_| 100..102) {
-            get(&plane, &compiled("p", iterations));
+            lookup_or_file(&cache, &compiled("p", iterations));
         }
         assert_eq!(cache.stats().hits, 4, "admitted at once, then hit");
     }

@@ -126,9 +126,7 @@ impl PwcetAnalyzer {
     /// Attaches a [`ReusePlane`]: every analysis resolves its context
     /// through the plane's tiers (memory, disk, cross-geometry
     /// derivation) and writes newly computed artifacts through to the
-    /// disk tier when one is attached. A memory-only plane over a
-    /// caller-owned [`ContextCache`](crate::ContextCache) is
-    /// `ReusePlane::with_memory(cache)`.
+    /// disk tier when one is attached.
     #[must_use]
     pub fn with_reuse_plane(mut self, plane: Arc<ReusePlane>) -> Self {
         self.reuse = Some(plane);

@@ -69,7 +69,7 @@ use pwcet_progen::CompiledProgram;
 
 use crate::codec::{decode_context, expander_fingerprint, validate_entry, Hit, RawTail};
 use crate::context::{AnalysisContext, ContextCounters};
-use crate::context_cache::{ContextCache, ContextCacheStats};
+use crate::context_cache::{ContextCache, ContextCacheStats, DEFAULT_CONTEXT_CAPACITY};
 use crate::frame::FrameError;
 
 /// Default on-disk budget: far above a full benchmark-suite store (a few
@@ -307,12 +307,35 @@ impl DiskTier {
     fn entry_path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("ctx-{key:016x}.{ENTRY_EXT}"))
     }
+}
 
-    /// The content key a store file was written under, parsed back out
-    /// of its `ctx-<key:016x>.pwctx` name (`None` for foreign files).
-    fn key_of_path(path: &Path) -> Option<u64> {
-        let stem = path.file_stem()?.to_str()?;
-        u64::from_str_radix(stem.strip_prefix("ctx-")?, 16).ok()
+/// A file of the store directory that the plane wrote: the sizing and
+/// the GC touch these only, and leave every other file alone.
+enum StoreFile {
+    /// `ctx-<key:016x>.pwctx`: the stored entry of `key`.
+    Entry(u64),
+    /// `ctx-<key:016x>.<pid>-<seq>.tmp`: the temp file of a write in
+    /// flight, or one a crashed writer orphaned ([`write_atomically`]).
+    Temp,
+}
+
+impl StoreFile {
+    /// What the file at `path` is, from its name alone (`None` for a
+    /// foreign file). Allocates nothing: the GC asks it of every file in
+    /// the directory after each write.
+    fn of(path: &Path) -> Option<Self> {
+        let name = path.file_name()?.to_str()?;
+        let (hex, suffix) = name.strip_prefix("ctx-")?.split_at_checked(16)?;
+        if !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        let suffix = suffix.strip_prefix('.')?;
+        if suffix == ENTRY_EXT {
+            return u64::from_str_radix(hex, 16).ok().map(StoreFile::Entry);
+        }
+        let (pid, seq) = suffix.strip_suffix(".tmp")?.split_once('-')?;
+        let decimal = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        (decimal(pid) && decimal(seq)).then_some(StoreFile::Temp)
     }
 }
 
@@ -342,7 +365,10 @@ impl DiskTier {
 /// ```
 #[derive(Debug)]
 pub struct ReusePlane {
-    memory: Arc<ContextCache>,
+    /// The memory tier, built by the plane at
+    /// [`DEFAULT_CONTEXT_CAPACITY`] contexts and owned by it alone: every
+    /// resident context counts its work into this plane's rows.
+    memory: ContextCache,
     disk: Option<DiskTier>,
     /// The peer-fetch tier, attached set-once after construction (the
     /// service builds the plane first and the peer layer — which needs
@@ -355,8 +381,9 @@ pub struct ReusePlane {
     /// Richness the network tier already holds per key: skip re-offers
     /// that would not add artifacts, mirroring the disk tier's
     /// write-through index. Written only while a network tier is
-    /// attached, and capped at the memory tier's capacity: a forgotten
-    /// key costs one offer its owner refuses.
+    /// attached, and capped at the memory tier's capacity,
+    /// [`DEFAULT_CONTEXT_CAPACITY`]: a forgotten key costs one offer its
+    /// owner refuses.
     offered: Memo<u64, Richness>,
     /// See [`metrics`](Self::metrics).
     metrics: Registry,
@@ -368,30 +395,17 @@ pub struct ReusePlane {
     counters: Arc<ContextCounters>,
 }
 
-impl Default for ReusePlane {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
 impl ReusePlane {
-    /// A memory-only plane (LRU tier at the default capacity plus the
-    /// derivation tier; no persistence).
+    /// A memory-only plane (LRU tier of [`DEFAULT_CONTEXT_CAPACITY`]
+    /// contexts plus the derivation tier; no persistence).
     pub fn in_memory() -> Self {
-        Self::with_memory(Arc::new(ContextCache::default()))
-    }
-
-    /// A plane over a caller-owned memory tier. The cache may be shared
-    /// with code still using it directly; both sides observe one set of
-    /// entries and counters.
-    pub fn with_memory(memory: Arc<ContextCache>) -> Self {
         let metrics = Registry::new();
         Self {
-            offered: Memo::new(memory.stats().capacity, Admission::FirstSighting),
-            memory,
+            memory: ContextCache::new(DEFAULT_CONTEXT_CAPACITY),
             disk: None,
             network: OnceLock::new(),
             staged: Arc::new(Memo::new(MAX_STAGED_ENTRIES, Admission::FirstSighting)),
+            offered: Memo::new(DEFAULT_CONTEXT_CAPACITY, Admission::FirstSighting),
             tiers: TierCounters::registered(&metrics),
             counters: Arc::new(ContextCounters::registered(&metrics)),
             metrics,
@@ -443,9 +457,8 @@ impl ReusePlane {
 
     /// One directory scan behind [`disk_store_bytes`](Self::disk_store_bytes)
     /// and [`disk_store_entries`](Self::disk_store_entries): `(bytes,
-    /// entries)` over genuine store files only — `.pwctx` extension and a
-    /// parseable `ctx-<key>` stem — so foreign files in the directory do
-    /// not pollute the metric.
+    /// entries)` over store entries only ([`StoreFile::Entry`]), so
+    /// foreign files in the directory do not pollute the metric.
     fn disk_store_footprint(&self) -> Option<(u64, u64)> {
         let disk = self.disk.as_ref()?;
         let entries = match fs::read_dir(&disk.dir) {
@@ -455,10 +468,7 @@ impl ReusePlane {
         Some(
             entries
                 .flatten()
-                .filter(|e| {
-                    e.path().extension().and_then(|x| x.to_str()) == Some(ENTRY_EXT)
-                        && DiskTier::key_of_path(&e.path()).is_some()
-                })
+                .filter(|e| matches!(StoreFile::of(&e.path()), Some(StoreFile::Entry(_))))
                 .fold((0, 0), |(bytes, count), e| {
                     (bytes + e.metadata().map_or(0, |m| m.len()), count + 1)
                 }),
@@ -962,13 +972,14 @@ impl ReusePlane {
         true
     }
 
-    /// Size-capped GC: while the store exceeds its budget, evict the
-    /// oldest-modified entries — except the one just written, so a single
+    /// Size-capped GC over the files the plane wrote ([`StoreFile`]):
+    /// while the store entries exceed the budget, evict the
+    /// oldest-modified ones — except the one just written, so a single
     /// oversized store still makes forward progress. Evicted keys are
     /// dropped from the write-through index, so a later [`persist`]
     /// (or [`flush`](Self::flush)) re-persists them instead of believing
     /// they are still on disk. Also sweeps temp files orphaned by a
-    /// crashed writer.
+    /// crashed writer. Foreign files are neither counted nor removed.
     ///
     /// [`persist`]: Self::persist
     fn collect_garbage(&self, disk: &DiskTier, just_written: &Path) {
@@ -976,33 +987,36 @@ impl ReusePlane {
             return;
         };
         let now = std::time::SystemTime::now();
-        let mut files: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
+        let mut files: Vec<(PathBuf, u64, u64, std::time::SystemTime)> = Vec::new();
         for entry in entries.flatten() {
             let path = entry.path();
+            let Some(kind) = StoreFile::of(&path) else {
+                continue;
+            };
             let Ok(meta) = entry.metadata() else { continue };
             let Ok(mtime) = meta.modified() else { continue };
-            match path.extension().and_then(|e| e.to_str()) {
-                Some(ext) if ext == ENTRY_EXT => files.push((path, meta.len(), mtime)),
+            match kind {
+                StoreFile::Entry(key) => files.push((path, key, meta.len(), mtime)),
                 // A temp file this old cannot belong to a live write (a
                 // write lasts milliseconds): a crashed writer orphaned it.
-                Some("tmp")
+                StoreFile::Temp
                     if now
                         .duration_since(mtime)
                         .is_ok_and(|age| age.as_secs() >= STALE_TMP_SECS) =>
                 {
                     let _ = fs::remove_file(&path);
                 }
-                _ => {}
+                StoreFile::Temp => {}
             }
         }
-        let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
+        let mut total: u64 = files.iter().map(|(_, _, len, _)| len).sum();
         if total <= disk.max_bytes {
             return;
         }
-        files.sort_by_key(|(_, _, mtime)| *mtime);
+        files.sort_by_key(|(_, _, _, mtime)| *mtime);
         let mut evicted = 0;
         let mut written = disk.written.lock().expect("disk tier index");
-        for (path, len, _) in files {
+        for (path, key, len, _) in files {
             if total <= disk.max_bytes {
                 break;
             }
@@ -1010,9 +1024,7 @@ impl ReusePlane {
                 continue;
             }
             if fs::remove_file(&path).is_ok() {
-                if let Some(key) = DiskTier::key_of_path(&path) {
-                    written.remove(&key);
-                }
+                written.remove(&key);
                 total -= len;
                 evicted += 1;
             }
@@ -1344,8 +1356,8 @@ mod tests {
 
     #[test]
     fn offer_index_stays_at_the_memory_capacity_and_keeps_admitting() {
-        let cap = 4;
-        let plane = ReusePlane::with_memory(Arc::new(ContextCache::new(cap)));
+        let cap = DEFAULT_CONTEXT_CAPACITY;
+        let plane = ReusePlane::in_memory();
         plane.set_network_tier(Arc::new(FakeNetwork::default()));
         let offers = |contexts: &[(CompiledProgram, AnalysisContext)], rounds| {
             let before = plane.stats().network_offers;
@@ -1356,7 +1368,12 @@ mod tests {
             plane.stats().network_offers - before
         };
         let sweep: Vec<_> = (1..=cap as u32 + 8).map(warm).collect();
-        assert_eq!(offers(&sweep, 2), 24, "a forgotten key is offered again");
+        let forgotten = offers(&sweep, 2);
+        assert_eq!(
+            forgotten,
+            2 * sweep.len() as u64,
+            "a forgotten key is offered again"
+        );
         let working_set: Vec<_> = (100..102).map(warm).collect();
         assert_eq!(offers(&working_set, 3), 2, "recorded at once, then known");
     }

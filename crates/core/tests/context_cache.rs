@@ -41,13 +41,12 @@ fn reliable_way_count_changes_the_key() {
     assert_ne!(keys[0], keys[2]);
     assert_ne!(keys[1], keys[2]);
 
-    let cache = Arc::new(ContextCache::new(8));
-    let plane = ReusePlane::with_memory(Arc::clone(&cache));
+    let plane = ReusePlane::in_memory();
     plane
         .get_or_build_traced(&compiled, four_way, mode)
         .unwrap();
     plane.get_or_build_traced(&compiled, two_way, mode).unwrap();
-    let stats = cache.stats();
+    let stats = plane.stats().memory;
     assert_eq!(
         (stats.hits, stats.misses, stats.len),
         (0, 2, 2),
@@ -87,18 +86,17 @@ fn pfail_sweep_shares_one_entry() {
     // The fault model feeds the penalty distributions, not the CFG or
     // the CHMC — a pfail sweep must be answered by a single cached
     // context.
-    let cache = Arc::new(ContextCache::new(8));
+    let plane = Arc::new(ReusePlane::in_memory());
     let program = program();
     let base = AnalysisConfig::paper_default();
     let mut quantiles = Vec::new();
     for pfail in [1e-6, 1e-5, 1e-4, 1e-3] {
         let config = base.with_pfail(pfail).unwrap();
-        let analyzer = PwcetAnalyzer::new(config)
-            .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
+        let analyzer = PwcetAnalyzer::new(config).with_reuse_plane(Arc::clone(&plane));
         let analysis = analyzer.analyze(&program).unwrap();
         quantiles.push(analysis.estimate(Protection::None).pwcet_at(1e-15));
     }
-    let stats = cache.stats();
+    let stats = plane.stats().memory;
     assert_eq!(
         (stats.hits, stats.misses, stats.len),
         (3, 1, 1),
@@ -113,23 +111,22 @@ fn cache_hit_reports_the_callers_program_name() {
     // Content addressing is name-blind, so two identically-shaped
     // programs share one context — but each analysis must still carry
     // its own program's name.
-    let cache = Arc::new(ContextCache::new(4));
-    let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default())
-        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
+    let plane = Arc::new(ReusePlane::in_memory());
+    let analyzer =
+        PwcetAnalyzer::new(AnalysisConfig::paper_default()).with_reuse_plane(Arc::clone(&plane));
     let shape = stmt::loop_(25, stmt::compute(30));
     let first = Program::new("first").with_function("main", shape.clone());
     let second = Program::new("second").with_function("main", shape);
     let a = analyzer.analyze(&first).unwrap();
     let b = analyzer.analyze(&second).unwrap();
-    assert_eq!(cache.stats().hits, 1, "the second analysis must hit");
+    assert_eq!(plane.stats().memory.hits, 1, "the second analysis must hit");
     assert_eq!(a.name(), "first");
     assert_eq!(b.name(), "second");
 }
 
 #[test]
 fn different_images_get_different_entries() {
-    let cache = Arc::new(ContextCache::new(8));
-    let plane = ReusePlane::with_memory(Arc::clone(&cache));
+    let plane = ReusePlane::in_memory();
     let mode = ClassificationMode::Incremental;
     let geometry = CacheGeometry::paper_default();
     let a = compiled();
@@ -141,6 +138,6 @@ fn different_images_get_different_entries() {
     plane.get_or_build_traced(&a, geometry, mode).unwrap();
     plane.get_or_build_traced(&b, geometry, mode).unwrap();
     plane.get_or_build_traced(&c, geometry, mode).unwrap();
-    let stats = cache.stats();
+    let stats = plane.stats().memory;
     assert_eq!((stats.hits, stats.misses, stats.len), (0, 3, 3));
 }

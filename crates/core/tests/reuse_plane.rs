@@ -20,10 +20,11 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
+use std::time::{Duration, SystemTime};
 
 use pwcet_core::{
     entry_checksum, AnalysisConfig, AnalysisContext, ContextCache, IpetTemplate, NetworkTier,
-    ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
+    ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier, DEFAULT_CONTEXT_CAPACITY,
 };
 use pwcet_obs::{trace_scope, Stage, TraceId, Tracer};
 use pwcet_progen::{stmt, Program};
@@ -458,18 +459,23 @@ fn gc_program(i: u32) -> Program {
     Program::new(format!("gc-{i}")).with_function("main", stmt::loop_(10 + i, stmt::compute(20)))
 }
 
+/// A store budget that fits exactly one entry of the `gc_program`s,
+/// measured on one written under `tag`.
+fn one_entry_budget(tag: &str) -> u64 {
+    let dir = scratch_dir(tag);
+    let probe = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    analyzer(&probe).analyze(&gc_program(0)).unwrap();
+    let entry_size = fs::metadata(&entry_paths(&dir)[0]).unwrap().len();
+    let _ = fs::remove_dir_all(&dir);
+    entry_size + entry_size / 4
+}
+
 #[test]
 fn size_capped_gc_evicts_oldest_entries() {
-    // Measure one entry so the budget fits exactly one: every further
-    // write must then evict its predecessor.
-    let probe_dir = scratch_dir("gc-probe");
-    let probe = Arc::new(ReusePlane::in_memory().with_disk_tier(&probe_dir).unwrap());
-    analyzer(&probe).analyze(&gc_program(0)).unwrap();
-    let entry_size = fs::metadata(&entry_paths(&probe_dir)[0]).unwrap().len();
-    let _ = fs::remove_dir_all(&probe_dir);
-
+    // The budget fits exactly one entry: every further write must then
+    // evict its predecessor.
+    let budget = one_entry_budget("gc-probe");
     let dir = scratch_dir("gc");
-    let budget = entry_size + entry_size / 4;
     let plane = Arc::new(
         ReusePlane::in_memory()
             .with_disk_tier_capped(&dir, budget)
@@ -496,6 +502,65 @@ fn size_capped_gc_evicts_oldest_entries() {
         flushed >= 3,
         "evicted entries must be re-persistable after GC (flushed {flushed})"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Backdates `path`'s modification time by `secs` seconds.
+fn age(path: &Path, secs: u64) {
+    let file = fs::File::options().write(true).open(path).unwrap();
+    file.set_modified(SystemTime::now() - Duration::from_secs(secs))
+        .unwrap();
+}
+
+#[test]
+fn gc_leaves_foreign_files_alone_and_sweeps_its_own_orphans() {
+    // A store directory may hold other programs' files: the GC counts,
+    // evicts and sweeps only the names the plane writes, the
+    // `ctx-<key>.pwctx` entries and the `ctx-<key>.<pid>-<seq>.tmp`
+    // temp files of its writes.
+    let budget = one_entry_budget("gc-foreign-probe");
+    let dir = scratch_dir("gc-foreign");
+    fs::create_dir_all(&dir).unwrap();
+    let notes = dir.join("notes.pwctx");
+    let scratch = dir.join("scratch.tmp");
+    let orphan = dir.join("ctx-0123456789abcdef.4242-7.tmp");
+    let in_flight = dir.join("ctx-0123456789abcdef.4242-8.tmp");
+    for path in [&notes, &scratch, &orphan, &in_flight] {
+        fs::write(path, b"scratch bytes").unwrap();
+    }
+    // The foreign entry is the oldest file in the store; the foreign and
+    // the orphaned temp file are past the orphan age, the in-flight one
+    // is not.
+    age(&notes, 3_600);
+    age(&scratch, 120);
+    age(&orphan, 120);
+
+    let plane = Arc::new(
+        ReusePlane::in_memory()
+            .with_disk_tier_capped(&dir, budget)
+            .unwrap(),
+    );
+    let analyzer = analyzer(&plane);
+    for i in 0..2 {
+        analyzer.analyze(&gc_program(i)).unwrap();
+    }
+    let stats = plane.stats();
+    assert_eq!(stats.disk_writes, 2);
+    assert_eq!(
+        stats.disk_gc_evictions, 1,
+        "only the first store entry is evicted"
+    );
+    assert!(
+        notes.exists(),
+        "a foreign .pwctx is neither counted nor evicted"
+    );
+    assert!(scratch.exists(), "a foreign .tmp is never swept");
+    assert!(
+        !orphan.exists(),
+        "an aged orphan of the plane's writes is swept"
+    );
+    assert!(in_flight.exists(), "a young temp file may be a live write");
+    assert_eq!(plane.disk_store_entries(), Some(1));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -573,14 +638,15 @@ fn analysis_survives_an_unwritable_store() {
 fn evicted_programs_release_their_ipet_templates() {
     // A long-lived plane must not keep every program's IPET template
     // (model, workspace pool, objective memo) after its memory tier has
-    // evicted the program: with one resident context, at most that
-    // context's template may survive the suite.
-    let plane = Arc::new(ReusePlane::with_memory(Arc::new(ContextCache::new(1))));
+    // evicted the program: driving 8 programs past the tier's capacity
+    // releases exactly the templates of the 8 least recently used, and
+    // every resident context keeps its own.
+    let plane = Arc::new(ReusePlane::in_memory());
     let config = AnalysisConfig::paper_default();
-    let templates: Vec<Weak<IpetTemplate>> = pwcet_benchsuite::all()
-        .into_iter()
-        .map(|bench| {
-            let compiled = bench.program.compile(config.code_base).unwrap();
+    let overflow = 8;
+    let templates: Vec<Weak<IpetTemplate>> = (0..(DEFAULT_CONTEXT_CAPACITY + overflow) as u32)
+        .map(|i| {
+            let compiled = gc_program(i).compile(config.code_base).unwrap();
             let context = plane
                 .get_or_build_traced(&compiled, config.geometry, config.classification)
                 .unwrap()
@@ -589,12 +655,14 @@ fn evicted_programs_release_their_ipet_templates() {
             Arc::downgrade(&context.ipet_template())
         })
         .collect();
-    let live = templates.iter().filter(|t| t.upgrade().is_some()).count();
+    let live: Vec<bool> = templates.iter().map(|t| t.upgrade().is_some()).collect();
+    let evicted = &live[..overflow];
     assert!(
-        live <= 1,
-        "{live} of {} templates outlived their evicted programs",
-        templates.len()
+        evicted.iter().all(|live| !live),
+        "templates outlived their evicted programs: {evicted:?}"
     );
+    assert!(live[overflow..].iter().all(|live| *live));
+    assert_eq!(plane.stats().memory.evictions, overflow as u64);
 }
 
 #[test]

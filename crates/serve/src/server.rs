@@ -390,7 +390,6 @@ struct Shared {
     stop: AtomicBool,
     connections: Mutex<Vec<JoinHandle<()>>>,
     poll: Duration,
-    queue_capacity: usize,
     deadline: Duration,
     fleet: Option<Arc<PeerFleet>>,
     telemetry: Arc<Telemetry>,
@@ -401,7 +400,7 @@ impl Shared {
         let t = &self.telemetry;
         ServiceStats {
             shards: self.pool.shard_count() as u32,
-            queue_capacity: self.queue_capacity as u32,
+            queue_capacity: self.pool.capacity() as u32,
             queued: self.pool.queued() as u64,
             connections: t.connections.get(),
             served: t.served.get(),
@@ -610,7 +609,6 @@ impl Server {
             stop: AtomicBool::new(false),
             connections: Mutex::new(Vec::new()),
             poll: config.poll,
-            queue_capacity: config.queue_capacity,
             deadline: config.frame_deadline,
             fleet,
             telemetry,

@@ -26,7 +26,6 @@
 //! propagating the poison to innocent submitters.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
@@ -66,7 +65,6 @@ pub struct ShardPool<T: Send + 'static> {
     shards: Vec<Arc<ShardState<T>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     capacity: usize,
-    processed: Arc<AtomicU64>,
 }
 
 impl<T: Send + 'static> ShardPool<T> {
@@ -83,7 +81,6 @@ impl<T: Send + 'static> ShardPool<T> {
         assert!(shards > 0, "a pool needs at least one shard");
         assert!(capacity > 0, "a zero-capacity queue rejects everything");
         let handler = Arc::new(handler);
-        let processed = Arc::new(AtomicU64::new(0));
         let states: Vec<Arc<ShardState<T>>> = (0..shards)
             .map(|_| {
                 Arc::new(ShardState {
@@ -101,7 +98,6 @@ impl<T: Send + 'static> ShardPool<T> {
             .map(|(index, state)| {
                 let state = Arc::clone(state);
                 let handler = Arc::clone(&handler);
-                let processed = Arc::clone(&processed);
                 std::thread::spawn(move || loop {
                     let job = {
                         let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -119,10 +115,7 @@ impl<T: Send + 'static> ShardPool<T> {
                         }
                     };
                     match job {
-                        Some(job) => {
-                            handler(index, job);
-                            processed.fetch_add(1, Ordering::Relaxed);
-                        }
+                        Some(job) => handler(index, job),
                         None => return,
                     }
                 })
@@ -132,7 +125,6 @@ impl<T: Send + 'static> ShardPool<T> {
             shards: states,
             workers: Mutex::new(workers),
             capacity,
-            processed,
         }
     }
 
@@ -191,16 +183,9 @@ impl<T: Send + 'static> ShardPool<T> {
             .sum()
     }
 
-    /// Jobs completed since the pool started.
-    pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
-    }
-
     /// Drains and stops the pool: refuses new submissions, lets every
     /// queued job run to completion, and joins the workers. Idempotent.
-    /// Returns the total number of jobs processed over the pool's
-    /// lifetime.
-    pub fn shutdown(&self) -> u64 {
+    pub fn shutdown(&self) {
         for state in &self.shards {
             let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.shutdown = true;
@@ -211,7 +196,6 @@ impl<T: Send + 'static> ShardPool<T> {
         for worker in workers {
             let _ = worker.join();
         }
-        self.processed()
     }
 }
 
@@ -224,6 +208,7 @@ impl<T: Send + 'static> Drop for ShardPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -260,8 +245,11 @@ mod tests {
         // must be refused with the shard's depth.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let gate_rx = Mutex::new(gate_rx);
+        let done = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&done);
         let pool: ShardPool<u32> = ShardPool::new(1, 2, move |_, _| {
             gate_rx.lock().unwrap().recv().unwrap();
+            counted.fetch_add(1, Ordering::Relaxed);
         });
         pool.submit(0, 0).unwrap(); // picked up by the worker, blocks
                                     // Give the worker a moment to pop the first job.
@@ -281,7 +269,8 @@ mod tests {
         for _ in 0..3 {
             gate_tx.send(()).unwrap();
         }
-        assert_eq!(pool.shutdown(), 3);
+        pool.shutdown();
+        assert_eq!(done.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -302,10 +291,13 @@ mod tests {
                 gate_tx.send(()).unwrap();
             }
         });
-        let processed = pool.shutdown();
+        pool.shutdown();
         feeder.join().unwrap();
-        assert_eq!(processed, 5, "every queued job drains before exit");
-        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            rx.try_iter().collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4],
+            "every queued job drains before exit"
+        );
         match pool.submit(0, 99) {
             Err(SubmitError::ShuttingDown { job }) => assert_eq!(job, 99),
             other => panic!("expected shutdown refusal, got {other:?}"),
@@ -320,14 +312,18 @@ mod tests {
         let (tx_a, rx_a) = mpsc::channel::<()>();
         let (tx_b, rx_b) = mpsc::channel::<()>();
         let sides = Mutex::new(vec![(tx_a, rx_b), (tx_b, rx_a)]);
+        let done = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&done);
         let pool: ShardPool<()> = ShardPool::new(2, 4, move |_, ()| {
             let (tx, rx) = sides.lock().unwrap().pop().unwrap();
             tx.send(()).unwrap();
             rx.recv_timeout(Duration::from_secs(30)).unwrap();
+            counted.fetch_add(1, Ordering::Relaxed);
         });
         pool.submit(0, ()).unwrap();
         pool.submit(1, ()).unwrap();
-        assert_eq!(pool.shutdown(), 2);
+        pool.shutdown();
+        assert_eq!(done.load(Ordering::Relaxed), 2);
     }
 
     #[test]

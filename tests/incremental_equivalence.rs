@@ -29,8 +29,8 @@ use fault_aware_pwcet::analysis::{
 use fault_aware_pwcet::benchsuite;
 use fault_aware_pwcet::cache::{CacheGeometry, GeometryLattice};
 use fault_aware_pwcet::core::{
-    expand_compiled, AnalysisConfig, AnalysisContext, ClassificationMode, ContextCache,
-    Parallelism, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
+    expand_compiled, AnalysisConfig, AnalysisContext, ClassificationMode, Parallelism,
+    ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier,
 };
 use fault_aware_pwcet::prob::DiscreteDistribution;
 use fault_aware_pwcet::progen::CompiledProgram;
@@ -137,10 +137,9 @@ fn classification_is_parallelism_invariant_under_warm_start() {
 
 #[test]
 fn full_pipeline_warm_matches_cold_on_spanning_subset() {
-    let cache = Arc::new(ContextCache::default());
+    let plane = Arc::new(ReusePlane::in_memory());
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
-    let warm_analyzer = PwcetAnalyzer::new(warm_config())
-        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
+    let warm_analyzer = PwcetAnalyzer::new(warm_config()).with_reuse_plane(Arc::clone(&plane));
     for name in SPAN {
         let bench = benchsuite::by_name(name).unwrap();
         let cold = cold_analyzer.analyze(&bench.program).unwrap();
@@ -150,7 +149,7 @@ fn full_pipeline_warm_matches_cold_on_spanning_subset() {
         let cached = warm_analyzer.analyze(&bench.program).unwrap();
         assert_analyses_identical(name, &cold, &cached);
     }
-    let stats = cache.stats();
+    let stats = plane.stats().memory;
     assert_eq!(stats.misses as usize, SPAN.len());
     assert_eq!(stats.hits as usize, SPAN.len(), "re-analyses must hit");
 }
@@ -161,9 +160,8 @@ fn batch_with_cache_matches_cold_individual_analyses() {
         .iter()
         .map(|name| benchsuite::by_name(name).unwrap().program)
         .collect();
-    let cache = Arc::new(ContextCache::default());
     let batch = PwcetAnalyzer::new(warm_config())
-        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))))
+        .with_reuse_plane(Arc::new(ReusePlane::in_memory()))
         .analyze_batch(&programs)
         .unwrap();
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
@@ -312,16 +310,18 @@ fn packed_backend_matches_reference_across_the_entire_suite() {
 #[test]
 #[ignore = "runs the complete 25-benchmark suite twice (~minutes); nightly CI runs it via --include-ignored"]
 fn full_pipeline_warm_matches_cold_across_the_entire_suite() {
-    let cache = Arc::new(ContextCache::default());
+    let plane = Arc::new(ReusePlane::in_memory());
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
-    let warm_analyzer = PwcetAnalyzer::new(warm_config())
-        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))));
+    let warm_analyzer = PwcetAnalyzer::new(warm_config()).with_reuse_plane(Arc::clone(&plane));
     for bench in benchsuite::all() {
         let cold = cold_analyzer.analyze(&bench.program).unwrap();
         let warm = warm_analyzer.analyze(&bench.program).unwrap();
         assert_analyses_identical(bench.name, &cold, &warm);
     }
-    assert_eq!(cache.stats().misses as usize, benchsuite::all().len());
+    assert_eq!(
+        plane.stats().memory.misses as usize,
+        benchsuite::all().len()
+    );
 }
 
 /// The `pfail` points of the penalty-memo tests.

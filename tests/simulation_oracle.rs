@@ -15,7 +15,7 @@ use std::sync::Arc;
 use fault_aware_pwcet::benchsuite;
 use fault_aware_pwcet::cache::{FaultMap, GeometryLattice};
 use fault_aware_pwcet::core::{
-    AnalysisConfig, ContextCache, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane,
+    AnalysisConfig, ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane,
 };
 use fault_aware_pwcet::sim::{monte_carlo, simulate, validation, FetchTrace, MonteCarloConfig};
 use rand::rngs::StdRng;
@@ -31,10 +31,9 @@ const FETCH_LIMIT: u64 = 10_000_000;
 /// context cache) plus the concrete fetch trace of the same image.
 fn analyze_warm(name: &str, config: &AnalysisConfig) -> (ProgramAnalysis, FetchTrace) {
     let bench = benchsuite::by_name(name).expect("benchmark exists");
-    let cache = Arc::new(ContextCache::default());
     let compiled = bench.program.compile(config.code_base).expect("compiles");
     let analysis = PwcetAnalyzer::new(*config)
-        .with_reuse_plane(Arc::new(ReusePlane::with_memory(Arc::clone(&cache))))
+        .with_reuse_plane(Arc::new(ReusePlane::in_memory()))
         .analyze_compiled(&compiled)
         .expect("analyzes")
         .0;
