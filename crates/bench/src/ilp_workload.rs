@@ -7,7 +7,9 @@
 //! rebuilds that exact list of cost models so the `ilp_speedup_gate`
 //! measures the real workload, not a synthetic proxy.
 
-use pwcet_core::{delta_cost_model, AnalysisConfig, AnalysisContext};
+use std::sync::Arc;
+
+use pwcet_core::{delta_cost_model, AnalysisConfig, AnalysisContext, ReusePlane};
 use pwcet_ilp::{ConstraintOp, Model};
 use pwcet_ipet::CostModel;
 use pwcet_par::Parallelism;
@@ -15,8 +17,9 @@ use pwcet_par::Parallelism;
 /// The solve-stage cost models of `name` under `config`: the WCET model
 /// first, then every `(set, fault)` delta model with a positive delta
 /// (fault counts ascending, sets ascending), then every charged SRB
-/// column model. The returned context is prewarmed (all classification
-/// levels and the SRB map are materialized).
+/// column model. The returned context, built cold by a fresh in-memory
+/// plane, is prewarmed (all classification levels and the SRB map are
+/// materialized).
 ///
 /// # Panics
 ///
@@ -25,12 +28,12 @@ use pwcet_par::Parallelism;
 pub fn solve_stage_models(
     name: &str,
     config: &AnalysisConfig,
-) -> (AnalysisContext, Vec<CostModel>) {
+) -> (Arc<AnalysisContext>, Vec<CostModel>) {
     let bench = pwcet_benchsuite::by_name(name).expect("benchmark exists");
     let compiled = bench.program.compile(config.code_base).expect("compiles");
-    let context =
-        AnalysisContext::build_with_mode(&compiled, config.geometry, config.classification)
-            .expect("context builds");
+    let (context, _) = ReusePlane::in_memory()
+        .get_or_build_traced(&compiled, config.geometry, config.classification)
+        .expect("context builds");
     context.prewarm(Parallelism::Sequential);
 
     let geometry = config.geometry;

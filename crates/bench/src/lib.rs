@@ -156,9 +156,9 @@ fn result_of(name: &str, analysis: &ProgramAnalysis, target_p: f64) -> Benchmark
     }
 }
 
-/// Runs the whole suite (Figure 4's population) through
-/// [`PwcetAnalyzer::analyze_batch`] over a caller-owned [`ReusePlane`],
-/// parallelizing across benchmarks according to `config.parallelism`.
+/// Runs the whole suite (Figure 4's population) program by program
+/// through one [`PwcetAnalyzer`] over a caller-owned [`ReusePlane`]; each
+/// analysis fans its stages out according to `config.parallelism`.
 ///
 /// Pass a fresh `ReusePlane::in_memory()` for a plain run. A plane kept
 /// across runs (another target probability, another `pfail`, a re-run)
@@ -175,16 +175,14 @@ pub fn run_suite(
     target_p: f64,
     plane: &Arc<ReusePlane>,
 ) -> Result<Vec<BenchmarkResult>, CoreError> {
-    let benches = pwcet_benchsuite::all();
-    let programs: Vec<_> = benches.iter().map(|b| b.program.clone()).collect();
-    let analyses = PwcetAnalyzer::new(*config)
-        .with_reuse_plane(Arc::clone(plane))
-        .analyze_batch(&programs)?;
-    Ok(benches
+    let analyzer = PwcetAnalyzer::new(*config).with_reuse_plane(Arc::clone(plane));
+    pwcet_benchsuite::all()
         .iter()
-        .zip(&analyses)
-        .map(|(bench, analysis)| result_of(bench.name, analysis, target_p))
-        .collect())
+        .map(|bench| {
+            let analysis = analyzer.analyze(&bench.program)?;
+            Ok(result_of(bench.name, &analysis, target_p))
+        })
+        .collect()
 }
 
 /// The three exceedance curves of Figure 3 for one benchmark.

@@ -64,7 +64,7 @@ use crate::reuse_plane::LateCorruption;
 /// Per-set reference buckets: `index[s]` lists the `(node, reference
 /// index)` pairs whose address maps to cache set `s`, in graph order
 /// (see [`AnalysisContext::set_refs`]).
-pub type SetRefIndex = Vec<Vec<(NodeId, usize)>>;
+pub(crate) type SetRefIndex = Vec<Vec<(NodeId, usize)>>;
 
 /// Retention cap on one solve entry's penalty memo, counting first-seen
 /// markers and stored distributions alike: sixteen fault models under
@@ -165,19 +165,26 @@ struct PendingTail {
 }
 
 /// Immutable per-program analysis state, shared by all pipeline stages.
+/// A [`ReusePlane`](crate::ReusePlane) builds, restores or derives every
+/// context and hands it out from
+/// [`get_or_build_traced`](crate::ReusePlane::get_or_build_traced).
 ///
 /// # Example
 ///
 /// ```
 /// use pwcet_cache::CacheGeometry;
-/// use pwcet_core::AnalysisContext;
+/// use pwcet_core::{ClassificationMode, ReusePlane};
 /// use pwcet_progen::{stmt, Program};
 ///
 /// # fn main() -> Result<(), pwcet_core::CoreError> {
 /// let compiled = Program::new("demo")
 ///     .with_function("main", stmt::loop_(10, stmt::compute(8)))
 ///     .compile(0x0040_0000)?;
-/// let context = AnalysisContext::build(&compiled, CacheGeometry::paper_default())?;
+/// let (context, _) = ReusePlane::in_memory().get_or_build_traced(
+///     &compiled,
+///     CacheGeometry::paper_default(),
+///     ClassificationMode::Incremental,
+/// )?;
 /// // Classification levels are memoized: repeated queries are free.
 /// let full = context.chmc(context.geometry().ways());
 /// assert_eq!(full.len(), context.chmc(context.geometry().ways()).len());
@@ -254,22 +261,13 @@ pub struct AnalysisContext {
 
 impl AnalysisContext {
     /// Reconstructs the expanded CFG of `compiled` and wraps it in a fresh
-    /// context for `geometry` (no classification is run yet), using the
-    /// default incremental classification mode.
+    /// context for `geometry` under `mode` (no classification is run
+    /// yet): the reuse plane's cold tier.
     ///
     /// # Errors
     ///
     /// Propagates [`CfgError`] from CFG reconstruction.
-    pub fn build(compiled: &CompiledProgram, geometry: CacheGeometry) -> Result<Self, CfgError> {
-        Self::build_with_mode(compiled, geometry, ClassificationMode::default())
-    }
-
-    /// As [`build`](Self::build) with an explicit classification mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CfgError`] from CFG reconstruction.
-    pub fn build_with_mode(
+    pub(crate) fn build_with_mode(
         compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
@@ -448,7 +446,7 @@ impl AnalysisContext {
     }
 
     /// How classification levels are computed (cold vs. warm-started).
-    pub fn mode(&self) -> ClassificationMode {
+    pub(crate) fn mode(&self) -> ClassificationMode {
         self.mode
     }
 
@@ -521,7 +519,7 @@ impl AnalysisContext {
     /// set `s`, in graph order. The per-`(set, fault)` delta fan-out
     /// iterates one bucket instead of scanning every reference of the
     /// graph per job.
-    pub fn set_refs(&self) -> &Arc<SetRefIndex> {
+    pub(crate) fn set_refs(&self) -> &Arc<SetRefIndex> {
         self.set_refs.get_or_init(|| {
             let mut by_set = vec![Vec::new(); self.geometry.sets() as usize];
             for node in self.cfg().nodes() {
@@ -585,7 +583,7 @@ impl AnalysisContext {
     /// Number of classification levels already materialized, counting
     /// those an undecoded restored tail holds (test/debug introspection,
     /// and the reuse plane's write-through gate).
-    pub fn warmed_levels(&self) -> usize {
+    pub(crate) fn warmed_levels(&self) -> usize {
         // In incremental mode level W lives in `full`, not in `levels`;
         // the two stores are disjoint across modes, so the sum is exact.
         // A pending tail's levels are not in the slots yet.
@@ -628,7 +626,7 @@ impl AnalysisContext {
 
     /// Number of distinct cache timings whose solve artifacts are
     /// memoized (test/debug introspection).
-    pub fn solved_configurations(&self) -> usize {
+    pub(crate) fn solved_configurations(&self) -> usize {
         self.solved.lock().expect("solve memo lock").len()
     }
 
@@ -753,18 +751,17 @@ impl AnalysisContext {
     }
 
     /// The classification-kernel counters (worklist passes, slot words
-    /// touched, dirty-skipped sets) this context counts into. For a
-    /// context a reuse plane handed out they are the node's `classify_*`
-    /// totals, shared by every context of the plane; otherwise they total
-    /// the fixpoints of this context and of the siblings derived from it.
-    /// Take deltas on one thread to count one context's work.
+    /// touched, dirty-skipped sets) this context counts into: the
+    /// `classify_*` totals of the reuse plane that handed it out, shared
+    /// by every context of that plane. Take deltas on one thread to count
+    /// one context's work.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel().snapshot()
     }
 
     /// Whether the SRB map has been materialized, or is held by an
     /// undecoded restored tail.
-    pub fn srb_warmed(&self) -> bool {
+    pub(crate) fn srb_warmed(&self) -> bool {
         self.srb.get().is_some() || self.pending_presence(|presence| presence.srb) == Some(true)
     }
 
@@ -888,14 +885,14 @@ impl AnalysisContext {
     ///
     /// Results are bit-identical to a cold build of the sibling;
     /// `tests/incremental_equivalence.rs` pins it per way count across
-    /// the suite.
+    /// the suite. The reuse plane's derivation tier is the one caller.
     ///
     /// # Panics
     ///
     /// Panics unless `geometry` is strictly narrower and derivable from
     /// this context's geometry ([`CacheGeometry::derivable_from`]) and
     /// the context uses [`ClassificationMode::Incremental`].
-    pub fn derive_narrower(&self, geometry: CacheGeometry) -> AnalysisContext {
+    pub(crate) fn derive_narrower(&self, geometry: CacheGeometry) -> AnalysisContext {
         assert!(
             geometry.derivable_from(&self.geometry) && geometry.ways() < self.geometry.ways(),
             "derivation requires a strictly narrower sibling geometry \
@@ -1086,6 +1083,22 @@ mod tests {
             assert_eq!(restored.chmc(assoc), ctx.chmc(assoc), "level {assoc}");
         }
         assert_eq!(restored.srb(), ctx.srb());
+    }
+
+    #[test]
+    fn a_derivation_counts_its_fixpoint_into_its_parents_counters() {
+        // Without a plane, a derived sibling counts where its parent
+        // does, and the derivation itself runs a fixpoint.
+        let ctx = context();
+        ctx.prewarm(Parallelism::Sequential);
+        let before = ctx.kernel_stats();
+        let sibling = ctx.derive_narrower(CacheGeometry::paper_default().with_ways(2));
+        assert!(
+            ctx.kernel_stats().delta_since(&before).passes > 0,
+            "the derivation ran a fixpoint"
+        );
+        sibling.prewarm(Parallelism::Sequential);
+        assert!(Arc::ptr_eq(sibling.counters(), ctx.counters()));
     }
 
     #[test]

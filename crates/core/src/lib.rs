@@ -31,13 +31,16 @@
 //! the per-`(set, fault)` delta ILP solves fan out across worker threads
 //! according to [`AnalysisConfig::parallelism`]. The sequential mode
 //! ([`Parallelism::Sequential`]) produces bit-identical results — see
-//! `tests/parallel_equivalence.rs`. Use
-//! [`PwcetAnalyzer::analyze_batch`] to parallelize across whole programs,
+//! `crates/core/tests/parallel_equivalence.rs`.
+//!
+//! Every context comes from a [`ReusePlane`] — a content-addressed
+//! memory tier of contexts plus optional disk, derivation and network
+//! tiers — through [`ReusePlane::get_or_build_traced`]. A
+//! [`PwcetAnalyzer`] without an attached plane makes a private in-memory
+//! one; attach one with [`PwcetAnalyzer::with_reuse_plane`] to share
+//! contexts across analyzers, programs, sweeps and processes, and use
 //! [`PwcetAnalyzer::analyze_with_context`] to reuse a context across
-//! fault-model sweeps, and [`PwcetAnalyzer::with_reuse_plane`] to share
-//! a [`ReusePlane`] — a content-addressed [`ContextCache`] of contexts
-//! plus optional disk, derivation and network tiers — across programs,
-//! sweeps, and repeated suite runs.
+//! fault-model sweeps.
 //!
 //! # Example
 //!
@@ -78,7 +81,7 @@ pub use estimate::{Protection, PwcetEstimate};
 pub use fmm::FaultMissMap;
 pub use pipeline::{delta_cost_model, expand_compiled, ProgramAnalysis, PwcetAnalyzer};
 pub use pwcet_analysis::{ClassificationMode, KernelStats};
-pub use pwcet_ilp::{BasisSnapshot, SolveStats};
+pub use pwcet_ilp::SolveStats;
 pub use pwcet_ipet::IpetTemplate;
 pub use pwcet_par::Parallelism;
 pub use reuse_plane::{

@@ -14,24 +14,26 @@
 //!    memoized beside the solve artifacts per (fault model, protection)
 //!    from that key's second computation on.
 //!
-//! The sequential mode ([`Parallelism::Sequential`]) runs the identical
-//! stages on the calling thread and produces bit-identical results — the
-//! property tests in `crates/core/tests/parallel_equivalence.rs` pin that
-//! guarantee down.
+//! The sequential mode
+//! ([`Parallelism::Sequential`](crate::Parallelism::Sequential)) runs the
+//! identical stages on the calling thread and produces bit-identical
+//! results — the property tests in
+//! `crates/core/tests/parallel_equivalence.rs` pin that guarantee down.
 //!
+//! Every context comes from a [`ReusePlane`]: the analyzer's attached
+//! one, or the private in-memory plane an analyzer without one makes.
 //! The stages count their work where it runs: each classification
 //! fixpoint and each template solve records into the counters of the
-//! context it runs on, which for a context from a [`ReusePlane`] are the
-//! node's `classify_*` and `ilp_*` metrics rows. The analyzer forwards
-//! nothing.
+//! context it runs on, which are the plane's `classify_*` and `ilp_*`
+//! metrics rows. The analyzer forwards nothing.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pwcet_analysis::{Chmc, ChmcMap, SrbMap};
 use pwcet_cfg::{CfgError, ExpandedCfg, FunctionExtent};
 use pwcet_ipet::{CostModel, RefCost};
 use pwcet_mips::BinaryImage;
-use pwcet_par::{par_map, Parallelism};
+use pwcet_par::par_map;
 use pwcet_prob::{ConvolutionParams, DiscreteDistribution};
 use pwcet_progen::{CompiledProgram, Program};
 
@@ -106,36 +108,42 @@ impl ExpanderInputs {
 
 /// The fault-aware pWCET analyzer (the paper's tool).
 ///
+/// Every analysis resolves its context through a [`ReusePlane`]: the one
+/// attached with [`with_reuse_plane`](Self::with_reuse_plane), or a
+/// private in-memory plane the analyzer makes on its first analysis.
+///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct PwcetAnalyzer {
     config: AnalysisConfig,
-    reuse: Option<Arc<ReusePlane>>,
+    /// Set by [`with_reuse_plane`](Self::with_reuse_plane), or on the
+    /// first analysis, so an analyzer built per request over a shared
+    /// plane never makes one of its own.
+    plane: OnceLock<Arc<ReusePlane>>,
 }
 
 impl PwcetAnalyzer {
-    /// Creates an analyzer with the given configuration (no reuse plane;
-    /// every analysis builds a fresh context).
+    /// Creates an analyzer with the given configuration. Without an
+    /// attached plane its first analysis makes a private in-memory one:
+    /// a repeat on the same analyzer is answered from memory, and two
+    /// analyzers share nothing.
     pub fn new(config: AnalysisConfig) -> Self {
         Self {
             config,
-            reuse: None,
+            plane: OnceLock::new(),
         }
     }
 
     /// Attaches a [`ReusePlane`]: every analysis resolves its context
     /// through the plane's tiers (memory, disk, cross-geometry
-    /// derivation) and writes newly computed artifacts through to the
-    /// disk tier when one is attached.
+    /// derivation, network) and writes newly computed artifacts through
+    /// to the disk and network tiers when they are attached.
     #[must_use]
-    pub fn with_reuse_plane(mut self, plane: Arc<ReusePlane>) -> Self {
-        self.reuse = Some(plane);
-        self
-    }
-
-    /// The attached reuse plane, if any.
-    pub fn reuse_plane(&self) -> Option<&Arc<ReusePlane>> {
-        self.reuse.as_ref()
+    pub fn with_reuse_plane(self, plane: Arc<ReusePlane>) -> Self {
+        Self {
+            plane: OnceLock::from(plane),
+            ..self
+        }
     }
 
     /// The configuration in use.
@@ -157,11 +165,9 @@ impl PwcetAnalyzer {
 
     /// As [`analyze`](Self::analyze) for an already-compiled program,
     /// additionally reporting the [`ReuseTier`] that provided the
-    /// context. Analyzers without a plane always build (and report)
-    /// `Cold`; with one, the tier is exactly what
-    /// [`ReusePlane::get_or_build_traced`] observed for this request, so
-    /// a service can answer `served_from` per response without
-    /// re-deriving it from plane-wide stats.
+    /// context: exactly what [`ReusePlane::get_or_build_traced`] observed
+    /// for this request, so a service can answer `served_from` per
+    /// response without re-deriving it from plane-wide stats.
     ///
     /// # Errors
     ///
@@ -170,42 +176,31 @@ impl PwcetAnalyzer {
         &self,
         compiled: &CompiledProgram,
     ) -> Result<(ProgramAnalysis, ReuseTier), CoreError> {
-        match &self.reuse {
-            Some(plane) => {
-                let (context, tier) = plane.get_or_build_traced(
-                    compiled,
-                    self.config.geometry,
-                    self.config.classification,
-                )?;
-                let mut analysis = self.analyze_with_context(&context)?;
-                // The plane key is content-addressed and name-blind: a hit
-                // may hand back a context built for an identically-shaped
-                // program with another name. Report the caller's name.
-                analysis.name = compiled.name().to_string();
-                // Write the (now warmed) artifacts through to the disk
-                // tier so the next process starts warm. No-op without a
-                // disk tier; IO failures degrade to a counted stat.
-                plane.persist(compiled, &context);
-                Ok((analysis, tier))
-            }
-            None => {
-                let context = AnalysisContext::build_with_mode(
-                    compiled,
-                    self.config.geometry,
-                    self.config.classification,
-                )?;
-                Ok((self.analyze_with_context(&context)?, ReuseTier::Cold))
-            }
-        }
+        let plane = self.plane.get_or_init(|| Arc::new(ReusePlane::in_memory()));
+        let (context, tier) = plane.get_or_build_traced(
+            compiled,
+            self.config.geometry,
+            self.config.classification,
+        )?;
+        let mut analysis = self.analyze_with_context(&context)?;
+        // The plane key is content-addressed and name-blind: a hit may
+        // hand back a context built for an identically-shaped program
+        // with another name. Report the caller's name.
+        analysis.name = compiled.name().to_string();
+        // Write the (now warmed) artifacts through to the disk tier so the
+        // next process starts warm. No-op without a disk or network tier;
+        // IO failures degrade to a counted stat.
+        plane.persist(compiled, &context);
+        Ok((analysis, tier))
     }
 
-    /// As [`analyze_compiled`](Self::analyze_compiled) over a prebuilt
-    /// (and possibly already warmed) shared context. Repeated analyses of
-    /// the same program — e.g. configuration sweeps that only vary the
-    /// fault model — reuse every memoized classification level **and**
-    /// the protection-independent solve artifacts (fault-free WCET, FMM,
-    /// SRB columns), which the context memoizes per cache timing: a
-    /// `pfail` sweep pays the ILP stage exactly once.
+    /// As [`analyze_compiled`](Self::analyze_compiled) over a context a
+    /// [`ReusePlane`] handed out (and possibly already warmed). Repeated
+    /// analyses of the same program — e.g. configuration sweeps that only
+    /// vary the fault model — reuse every memoized classification level
+    /// **and** the protection-independent solve artifacts (fault-free
+    /// WCET, FMM, SRB columns), which the context memoizes per cache
+    /// timing: a `pfail` sweep pays the ILP stage exactly once.
     ///
     /// # Errors
     ///
@@ -231,45 +226,6 @@ impl PwcetAnalyzer {
             name: context.name().to_string(),
             solved,
         })
-    }
-
-    /// Analyzes a batch of programs, parallelizing **across** programs.
-    ///
-    /// Without an attached [`ReusePlane`] each program gets an
-    /// independent context and nothing but the configuration is shared;
-    /// with one ([`with_reuse_plane`](Self::with_reuse_plane)) the worker
-    /// threads share it, so duplicate images inside the batch — and
-    /// across repeated batch runs — reuse one context. With more than
-    /// one program the inner per-program fan-out runs sequentially so
-    /// the workers are not oversubscribed; the per-program results are
-    /// bit-identical to one-by-one [`analyze`](Self::analyze) calls
-    /// either way.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CoreError`] in program order, if any analysis fails.
-    pub fn analyze_batch(&self, programs: &[Program]) -> Result<Vec<ProgramAnalysis>, CoreError> {
-        let inner = if programs.len() > 1 {
-            Parallelism::Sequential
-        } else {
-            self.config.parallelism
-        };
-        let mut program_analyzer = Self::new(self.config.with_parallelism(inner));
-        program_analyzer.reuse = self.reuse.clone();
-        par_map(self.config.parallelism, programs, |program| {
-            program_analyzer.analyze(program)
-        })
-        .into_iter()
-        .map(|result| {
-            result.map(|mut analysis| {
-                // The sequential override is batch-internal scheduling; the
-                // analysis must carry (and later estimate with) the
-                // caller's configuration.
-                analysis.config = self.config;
-                analysis
-            })
-        })
-        .collect()
     }
 }
 
@@ -631,6 +587,8 @@ fn apply_ref_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwcet_analysis::ClassificationMode;
+    use pwcet_cache::CacheGeometry;
     use pwcet_progen::stmt;
 
     fn analyzer() -> PwcetAnalyzer {
@@ -755,14 +713,23 @@ mod tests {
         }
     }
 
+    /// The context of `compiled` at `geometry`, from a fresh plane.
+    fn context(compiled: &CompiledProgram, geometry: CacheGeometry) -> Arc<AnalysisContext> {
+        ReusePlane::in_memory()
+            .get_or_build_traced(compiled, geometry, ClassificationMode::default())
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn shared_context_reuse_matches_fresh_analysis() {
         let program = small_loop();
         let compiled = program.compile(0x0040_0000).unwrap();
         let config = AnalysisConfig::paper_default();
-        let context = AnalysisContext::build(&compiled, config.geometry).unwrap();
+        let context = context(&compiled, config.geometry);
 
-        // Two sweeps over the fault model reuse one context.
+        // Two sweeps over the fault model reuse one context; each fresh
+        // side gets an analyzer (and so a plane) of its own.
         for pfail in [1e-5, 1e-4] {
             let swept = config.with_pfail(pfail).unwrap();
             let via_context = PwcetAnalyzer::new(swept)
@@ -779,7 +746,7 @@ mod tests {
     fn sweep_over_one_context_solves_the_ilp_stage_once() {
         let compiled = small_loop().compile(0x0040_0000).unwrap();
         let config = AnalysisConfig::paper_default();
-        let context = AnalysisContext::build(&compiled, config.geometry).unwrap();
+        let context = context(&compiled, config.geometry);
         let mut analyses = Vec::new();
         for pfail in [1e-5, 1e-4, 1e-3] {
             let swept = config.with_pfail(pfail).unwrap();
@@ -808,7 +775,7 @@ mod tests {
     fn distinct_timings_get_distinct_solve_artifacts() {
         let compiled = small_loop().compile(0x0040_0000).unwrap();
         let config = AnalysisConfig::paper_default();
-        let context = AnalysisContext::build(&compiled, config.geometry).unwrap();
+        let context = context(&compiled, config.geometry);
         PwcetAnalyzer::new(config)
             .analyze_with_context(&context)
             .unwrap();
@@ -825,71 +792,41 @@ mod tests {
     }
 
     #[test]
-    fn analyze_batch_matches_individual_analyses() {
-        let programs = [small_loop(), streaming()];
-        let analyzer = analyzer();
-        let batch = analyzer.analyze_batch(&programs).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (program, batched) in programs.iter().zip(&batch) {
-            let single = analyzer.analyze(program).unwrap();
-            assert_eq!(batched.name(), single.name());
-            assert_eq!(batched.fault_free_wcet(), single.fault_free_wcet());
-            assert_eq!(batched.fmm(), single.fmm());
-            assert_eq!(batched.srb_last_column(), single.srb_last_column());
-        }
-    }
-
-    #[test]
-    fn analyze_batch_preserves_caller_config() {
-        let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::threads(3));
-        let batch = PwcetAnalyzer::new(config)
-            .analyze_batch(&[small_loop(), streaming()])
-            .unwrap();
-        for analysis in &batch {
-            // The batch-internal sequential override must not leak into
-            // the returned analyses.
-            assert_eq!(analysis.config().parallelism, Parallelism::threads(3));
-        }
-    }
-
-    #[test]
     fn compiled_analyses_report_tier_provenance() {
         let compiled = small_loop().compile(0x0040_0000).unwrap();
-        let plane = Arc::new(crate::ReusePlane::in_memory());
+        let plane = Arc::new(ReusePlane::in_memory());
         let planed = analyzer().with_reuse_plane(Arc::clone(&plane));
         let (first, tier) = planed.analyze_compiled(&compiled).unwrap();
         assert_eq!(tier, ReuseTier::Cold);
         let (second, tier) = planed.analyze_compiled(&compiled).unwrap();
         assert_eq!(tier, ReuseTier::Memory);
         assert_eq!(first.fmm(), second.fmm(), "tier must not change results");
-
-        // Without a plane every analysis is (and reports) a cold build.
-        let (_, tier) = analyzer().analyze_compiled(&compiled).unwrap();
-        assert_eq!(tier, ReuseTier::Cold);
-
-        // A later batch over the shared plane is answered from memory
-        // for the program it already holds, bit-identically.
-        let batch = planed.analyze_batch(&[small_loop(), streaming()]).unwrap();
-        assert_eq!(batch[0].fmm(), first.fmm());
-        assert_eq!(plane.stats().memory.hits, 2);
-        assert_eq!(plane.stats().cold_builds, 2);
+        assert_eq!(plane.stats().memory.hits, 1);
     }
 
     #[test]
-    fn analyze_batch_of_empty_and_single() {
+    fn an_analyzer_without_a_plane_answers_repeats_from_a_private_one() {
+        let compiled = small_loop().compile(0x0040_0000).unwrap();
         let analyzer = analyzer();
-        assert!(analyzer.analyze_batch(&[]).unwrap().is_empty());
-        let single = analyzer.analyze_batch(&[small_loop()]).unwrap();
-        assert_eq!(single.len(), 1);
-        assert_eq!(single[0].name(), "small_loop");
+        let (first, tier) = analyzer.analyze_compiled(&compiled).unwrap();
+        assert_eq!(tier, ReuseTier::Cold);
+        let (second, tier) = analyzer.analyze_compiled(&compiled).unwrap();
+        assert_eq!(tier, ReuseTier::Memory);
+        assert_eq!(first.fault_free_wcet(), second.fault_free_wcet());
+        assert_eq!(first.fmm(), second.fmm());
+        assert_eq!(first.srb_last_column(), second.srb_last_column());
+        // Another analyzer makes a plane of its own: nothing is shared.
+        let (_, tier) = PwcetAnalyzer::new(AnalysisConfig::paper_default())
+            .analyze_compiled(&compiled)
+            .unwrap();
+        assert_eq!(tier, ReuseTier::Cold);
     }
 
     #[test]
     #[should_panic(expected = "geometry must match")]
     fn mismatched_context_geometry_panics() {
         let compiled = small_loop().compile(0x0040_0000).unwrap();
-        let other_geometry = pwcet_cache::CacheGeometry::new(8, 2, 16);
-        let context = AnalysisContext::build(&compiled, other_geometry).unwrap();
+        let context = context(&compiled, CacheGeometry::new(8, 2, 16));
         let _ = analyzer().analyze_with_context(&context);
     }
 }

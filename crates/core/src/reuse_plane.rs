@@ -122,8 +122,7 @@ pub enum ReuseTier {
     /// Fetched from a peer process through the attached [`NetworkTier`]
     /// and decoded like a disk entry.
     Network,
-    /// No tier could answer; the context was built from scratch. Also
-    /// reported by analyzers running without a plane.
+    /// No tier could answer; the context was built from scratch.
     Cold,
 }
 
@@ -429,7 +428,7 @@ impl ReusePlane {
     }
 
     /// Whether a network tier is attached.
-    pub fn has_network_tier(&self) -> bool {
+    pub(crate) fn has_network_tier(&self) -> bool {
         self.network.get().is_some()
     }
 
@@ -541,10 +540,10 @@ impl ReusePlane {
         }
     }
 
-    /// The one entry point: the context for `(compiled, geometry, mode)`,
-    /// answered by the cheapest tier that can — memory, disk, derivation
-    /// from a wider lattice sibling, network, cold build — and filed back
-    /// into the memory tier, with **which tier answered**: the
+    /// The one way to a context: the context for `(compiled, geometry,
+    /// mode)`, answered by the cheapest tier that can — memory, disk,
+    /// derivation from a wider lattice sibling, network, cold build — and
+    /// filed back into the memory tier, with **which tier answered**: the
     /// per-request provenance a service front-end forwards to its clients
     /// as `served_from`.
     ///
@@ -1333,7 +1332,7 @@ mod tests {
     /// A prewarmed context of `compiled("p", iterations)`.
     fn warm(iterations: u32) -> (CompiledProgram, AnalysisContext) {
         let program = compiled("p", iterations);
-        let context = AnalysisContext::build(&program, geometry()).unwrap();
+        let context = AnalysisContext::build_with_mode(&program, geometry(), MODE).unwrap();
         context.prewarm(pwcet_par::Parallelism::Sequential);
         (program, context)
     }

@@ -71,21 +71,6 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn batch_matches_sequential_per_program(programs in proptest::collection::vec(arb_program(), 1..4)) {
-        let base = AnalysisConfig::paper_default();
-        let parallel = PwcetAnalyzer::new(base.with_parallelism(Parallelism::threads(4)));
-        let sequential = PwcetAnalyzer::new(base.with_parallelism(Parallelism::Sequential));
-        let batch = parallel.analyze_batch(&programs).expect("batch analyzes");
-        prop_assert_eq!(batch.len(), programs.len());
-        for (program, batched) in programs.iter().zip(&batch) {
-            let single = sequential.analyze(program).expect("analyzes");
-            prop_assert_eq!(batched.fault_free_wcet(), single.fault_free_wcet());
-            prop_assert_eq!(batched.fmm(), single.fmm());
-            prop_assert_eq!(batched.srb_last_column(), single.srb_last_column());
-        }
-    }
 }
 
 /// Deterministic (non-property) pin on a real benchmark: the benchsuite

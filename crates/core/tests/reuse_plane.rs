@@ -23,8 +23,8 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, SystemTime};
 
 use pwcet_core::{
-    entry_checksum, AnalysisConfig, AnalysisContext, ContextCache, IpetTemplate, NetworkTier,
-    ProgramAnalysis, Protection, PwcetAnalyzer, ReusePlane, ReuseTier, DEFAULT_CONTEXT_CAPACITY,
+    entry_checksum, AnalysisConfig, ContextCache, IpetTemplate, NetworkTier, ProgramAnalysis,
+    Protection, PwcetAnalyzer, ReusePlane, ReuseTier, DEFAULT_CONTEXT_CAPACITY,
 };
 use pwcet_obs::{trace_scope, Stage, TraceId, Tracer};
 use pwcet_progen::{stmt, Program};
@@ -684,20 +684,24 @@ fn a_derivation_counts_its_fixpoint_in_the_nodes_classify_rows() {
         .unwrap();
     assert_eq!(tier, ReuseTier::Derived);
 
-    // The same two analyses without a plane count into the parent's
-    // private counters, which its derived sibling shares.
-    let parent = AnalysisContext::build(&compiled, config.geometry).unwrap();
-    PwcetAnalyzer::new(config)
-        .analyze_with_context(&parent)
+    // The reference count, from a second plane: the derivation alone,
+    // before the sibling's analysis, already moves that node's row.
+    let reference = Arc::new(ReusePlane::in_memory());
+    let reference_passes = reference.metrics().counter("classify_passes");
+    analyzer(&reference).analyze_compiled(&compiled).unwrap();
+    let before = reference_passes.get();
+    let (sibling, tier) = reference
+        .get_or_build_traced(&compiled, narrow.geometry, narrow.classification)
         .unwrap();
-    let before = parent.kernel_stats();
-    let sibling = parent.derive_narrower(narrow.geometry);
-    PwcetAnalyzer::new(narrow)
+    assert_eq!(tier, ReuseTier::Derived);
+    assert!(
+        reference_passes.get() > before,
+        "the derivation ran a fixpoint"
+    );
+    analyzer_with(narrow, &reference)
         .analyze_with_context(&sibling)
         .unwrap();
-    let derived = parent.kernel_stats().delta_since(&before).passes;
-    assert!(derived > 0, "the derivation ran a fixpoint");
-    assert_eq!(passes.get() - widest, derived);
+    assert_eq!(passes.get() - widest, reference_passes.get() - before);
 }
 
 #[test]

@@ -9,8 +9,10 @@
 //! cargo run --release --example fault_sensitivity
 //! ```
 
+use std::sync::Arc;
+
 use fault_aware_pwcet::benchsuite;
-use fault_aware_pwcet::core::{AnalysisConfig, AnalysisContext, Protection, PwcetAnalyzer};
+use fault_aware_pwcet::core::{AnalysisConfig, Protection, PwcetAnalyzer, ReusePlane};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = benchsuite::by_name("crc").expect("crc is in the suite");
@@ -22,14 +24,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "pfail", "fault-free", "none", "SRB", "RW"
     );
     // The fault model never touches the CFG or the cache classifications,
-    // so the whole sweep shares one analysis context: the expanded CFG and
-    // every CHMC level are built exactly once.
+    // so every point of the sweep is answered from one analysis context in
+    // the shared plane's memory tier: the expanded CFG, every CHMC level
+    // and the ILP stage are computed exactly once.
     let base = AnalysisConfig::paper_default();
-    let compiled = bench.program.compile(base.code_base)?;
-    let context = AnalysisContext::build_with_mode(&compiled, base.geometry, base.classification)?;
+    let plane = Arc::new(ReusePlane::in_memory());
     for pfail in [1e-13, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3] {
         let config = base.with_pfail(pfail)?;
-        let analysis = PwcetAnalyzer::new(config).analyze_with_context(&context)?;
+        let analysis = PwcetAnalyzer::new(config)
+            .with_reuse_plane(Arc::clone(&plane))
+            .analyze(&bench.program)?;
         println!(
             "{:>8.0e} {:>12} {:>12} {:>12} {:>12}",
             pfail,

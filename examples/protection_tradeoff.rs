@@ -11,11 +11,16 @@
 //! cargo run --release --example protection_tradeoff
 //! ```
 
-use fault_aware_pwcet::core::{AnalysisConfig, Protection, PwcetAnalyzer};
+use std::sync::Arc;
+
+use fault_aware_pwcet::core::{AnalysisConfig, Protection, PwcetAnalyzer, ReusePlane};
 use fault_aware_pwcet::progen::{stmt, Program};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default());
+    // One analyzer over one reuse plane analyzes the contrast programs in
+    // turn; each analysis fans its own stages out across worker threads.
+    let analyzer = PwcetAnalyzer::new(AnalysisConfig::paper_default())
+        .with_reuse_plane(Arc::new(ReusePlane::in_memory()));
     let target = 1e-15;
 
     let workloads = [
@@ -41,11 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<30} {:>10} {:>8} {:>8} {:>8}",
         "workload", "fault-free", "RW", "SRB", "none"
     );
-    // One batched call analyzes the contrast programs, fanning out across
-    // worker threads (nothing but the configuration is shared).
-    let programs: Vec<_> = workloads.iter().map(|(_, p)| p.clone()).collect();
-    let analyses = analyzer.analyze_batch(&programs)?;
-    for ((label, _), analysis) in workloads.iter().zip(&analyses) {
+    for (label, program) in &workloads {
+        let analysis = analyzer.analyze(program)?;
         let none = analysis.estimate(Protection::None).pwcet_at(target) as f64;
         let rw = analysis.estimate(Protection::ReliableWay).pwcet_at(target) as f64;
         let srb = analysis

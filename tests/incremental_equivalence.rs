@@ -52,6 +52,16 @@ fn warm_config() -> AnalysisConfig {
         .with_parallelism(Parallelism::Sequential)
 }
 
+/// A fresh plane's cold-built context of `compiled` at `geometry` under
+/// the incremental classification.
+fn fresh_context(compiled: &CompiledProgram, geometry: CacheGeometry) -> Arc<AnalysisContext> {
+    let (context, tier) = ReusePlane::in_memory()
+        .get_or_build_traced(compiled, geometry, ClassificationMode::Incremental)
+        .unwrap();
+    assert_eq!(tier, ReuseTier::Cold);
+    context
+}
+
 /// Asserts every protection-independent and protection-dependent artifact
 /// of two analyses is bit-identical.
 fn assert_analyses_identical(name: &str, cold: &ProgramAnalysis, warm: &ProgramAnalysis) {
@@ -92,12 +102,7 @@ fn classification_warm_chain_matches_cold_across_the_suite() {
     let config = warm_config();
     for bench in benchsuite::all() {
         let compiled = bench.program.compile(config.code_base).unwrap();
-        let context = AnalysisContext::build_with_mode(
-            &compiled,
-            config.geometry,
-            ClassificationMode::Incremental,
-        )
-        .unwrap();
+        let context = fresh_context(&compiled, config.geometry);
         context.prewarm(Parallelism::Sequential);
         let cfg = expand_compiled(&compiled).unwrap();
         for assoc in 0..=config.geometry.ways() {
@@ -120,9 +125,9 @@ fn classification_is_parallelism_invariant_under_warm_start() {
     for name in SPAN {
         let bench = benchsuite::by_name(name).unwrap();
         let compiled = bench.program.compile(config.code_base).unwrap();
-        let sequential = AnalysisContext::build(&compiled, config.geometry).unwrap();
+        let sequential = fresh_context(&compiled, config.geometry);
         sequential.prewarm(Parallelism::Sequential);
-        let parallel = AnalysisContext::build(&compiled, config.geometry).unwrap();
+        let parallel = fresh_context(&compiled, config.geometry);
         parallel.prewarm(Parallelism::threads(4));
         for assoc in 0..=config.geometry.ways() {
             assert_eq!(
@@ -156,14 +161,24 @@ fn full_pipeline_warm_matches_cold_on_spanning_subset() {
 
 #[test]
 fn batch_with_cache_matches_cold_individual_analyses() {
+    // The batch runs concurrently, one thread per program, through one
+    // analyzer over a shared plane, as a server's shards do.
     let programs: Vec<_> = SPAN
         .iter()
         .map(|name| benchsuite::by_name(name).unwrap().program)
         .collect();
-    let batch = PwcetAnalyzer::new(warm_config())
-        .with_reuse_plane(Arc::new(ReusePlane::in_memory()))
-        .analyze_batch(&programs)
-        .unwrap();
+    let warm_analyzer =
+        PwcetAnalyzer::new(warm_config()).with_reuse_plane(Arc::new(ReusePlane::in_memory()));
+    let batch: Vec<ProgramAnalysis> = std::thread::scope(|scope| {
+        let analyses: Vec<_> = programs
+            .iter()
+            .map(|program| scope.spawn(|| warm_analyzer.analyze(program).unwrap()))
+            .collect();
+        analyses
+            .into_iter()
+            .map(|analysis| analysis.join().unwrap())
+            .collect()
+    });
     let cold_analyzer = PwcetAnalyzer::new(cold_config());
     for (program, warm) in programs.iter().zip(&batch) {
         let cold = cold_analyzer.analyze(program).unwrap();
