@@ -8,16 +8,18 @@
 //! `disk_hits > 0` and a smaller `elapsed_ms`. The CI `persistence` job
 //! asserts exactly that.
 //!
-//! A second, variant-timing pass exercises the persisted **solver
-//! state**: the context key excludes the timing model, so the variant
+//! A second, variant-timing pass solves a **new timing over restored
+//! contexts**: the context key excludes the timing model, so the variant
 //! pass hits the same contexts but misses their solved-artifact memo and
 //! must run its ILPs. The variant timing is configurable (arguments two
 //! and three, default `2 120`) because solved artifacts are persisted
 //! too: a later process must pick a timing no earlier process solved to
-//! force its ILPs to actually run. Those ILPs then start from the
-//! factored bases restored off disk — `basis_restores > 0` with
-//! `ilp_cold_starts = 0` — which the CI `persistence` job asserts by
-//! running the second process with a fresh variant timing.
+//! force its ILPs to actually run. The restored contexts answer their
+//! classification from the entries' tails and build their IPET templates
+//! as fresh contexts do, one cold root solve each — `disk_hits = 25`,
+//! `cold_builds = 0` and `disk_writes = 25` (each entry gains the new
+//! timing) — which the CI `persistence` job asserts by running a third
+//! process with a fresh variant timing.
 //!
 //! ```text
 //! cargo run --release -p pwcet-bench --bin persist_probe -- /tmp/pwcet-store
@@ -51,7 +53,7 @@ fn main() {
 
     // Variant timing: same contexts (the key is timing-blind), fresh
     // solved-artifact memo — the pass that actually runs ILPs in a
-    // second process, warm from the restored bases.
+    // second process, over the restored classification tails.
     let mut variant = config;
     variant.timing = CacheTiming::new(variant_hit, variant_miss);
     let start = Instant::now();
@@ -67,8 +69,7 @@ fn main() {
     println!(
         "benchmarks={} elapsed_ms={} variant_elapsed_ms={} disk_hits={} disk_misses={} \
          disk_writes={} flushed={} disk_corrupt={} derived={} cold_builds={} \
-         template_hits={} basis_restores={} basis_rejects={} ilp_cold_starts={} \
-         store_bytes={} store_entries={} store={}",
+         template_hits={} ilp_cold_starts={} store_bytes={} store_entries={} store={}",
         results.len(),
         elapsed.as_millis(),
         variant_elapsed.as_millis(),
@@ -80,8 +81,6 @@ fn main() {
         stats.derived,
         stats.cold_builds,
         stats.template_hits,
-        stats.basis_restores,
-        stats.basis_rejects,
         ilp.cold_starts,
         plane.disk_store_bytes().unwrap_or(0),
         plane.disk_store_entries().unwrap_or(0),

@@ -3,11 +3,12 @@
 //! The build image is offline, so no serde: every artifact of an
 //! [`AnalysisContext`](crate::AnalysisContext) — the memoized solve
 //! products, the classified CHMC levels, the converged full-associativity
-//! Must/May states, the SRB map and the factored basis — is written with
-//! the [frame](crate::frame) module's writer and read back with its
-//! bounded reader, behind its 24-byte header under the [`PWCX`]
-//! parameters: magic `"PWCX"`, version 5, the lane checksum
-//! ([`entry_checksum`]) and no payload cap.
+//! Must/May states and the SRB map — is written with the
+//! [frame](crate::frame) module's writer and read back with its bounded
+//! reader, behind its 24-byte header under the [`PWCX`] parameters: magic
+//! `"PWCX"`, version 6, the lane checksum ([`entry_checksum`]) and no
+//! payload cap. Solver state is not persisted: a restored context that
+//! needs a new solve builds its IPET template as a fresh context does.
 //!
 //! The payload carries, in this order:
 //!
@@ -17,12 +18,12 @@
 //!                              expander inputs (image, extents, loop
 //!                              bounds, geometry, mode)
 //! presence summary             full-level flag, one flag per CHMC level
-//!                              0..=W, SRB flag, basis flag
+//!                              0..=W, SRB flag
 //! solve section                per cache timing: WCET_ff, the fault miss
 //!                              map and the SRB column
 //! tail length            u64   then the classification tail: full level
 //!                              (CHMC + Must/May states), the flagged
-//!                              CHMC levels, SRB map and basis
+//!                              CHMC levels and the SRB map
 //! ```
 //!
 //! A solved answer reads only the solve section — a few hundred bytes of
@@ -60,7 +61,6 @@ use pwcet_analysis::{
 };
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::ExpandedCfg;
-use pwcet_ipet::BasisSnapshot;
 use pwcet_progen::CompiledProgram;
 
 use crate::context::TailParts;
@@ -87,10 +87,12 @@ use crate::pipeline::SolveArtifacts;
 /// instead of byte-serial FNV-1a, an expander fingerprint instead of the
 /// name, geometry and mode fields, and a presence summary plus the solve
 /// section ahead of a length-prefixed classification tail that is
-/// decoded on first use.
+/// decoded on first use; 6 = v5 without solver state: no basis flag in
+/// the presence summary and no basis section, so the tail ends with the
+/// SRB map.
 pub(crate) const PWCX: Envelope = Envelope {
     magic: *b"PWCX",
-    version: 5,
+    version: 6,
     max_payload: u64::MAX,
     checksum: entry_checksum,
 };
@@ -320,7 +322,6 @@ pub(crate) struct Presence {
     /// One flag per CHMC level `0..=W`.
     pub(crate) levels: Vec<bool>,
     pub(crate) srb: bool,
-    pub(crate) basis: bool,
 }
 
 impl Presence {
@@ -454,19 +455,6 @@ fn encode_artifacts(enc: &mut Writer, artifacts: &SolveArtifacts) {
     }
 }
 
-/// Serializes one factored-basis snapshot: the basic-variable index set
-/// and the nonbasic bound statuses only — the `m × m` basis inverse is
-/// refactored from them on load, so it never rides on disk or the wire.
-fn encode_basis(enc: &mut Writer, snapshot: &BasisSnapshot) {
-    enc.u32(snapshot.n_struct);
-    enc.u32(snapshot.m);
-    enc.bytes(&snapshot.statuses);
-    enc.u64(snapshot.basis.len() as u64);
-    for &entry in &snapshot.basis {
-        enc.u32(entry);
-    }
-}
-
 /// Encodes a context's decoded classification tail. Absent parts are
 /// recorded in the presence summary only.
 pub(crate) fn encode_tail(parts: &TailParts) -> RawTail {
@@ -480,15 +468,11 @@ pub(crate) fn encode_tail(parts: &TailParts) -> RawTail {
     if let Some(srb) = &parts.srb {
         encode_srb(&mut enc, srb);
     }
-    if let Some(basis) = &parts.basis {
-        encode_basis(&mut enc, basis);
-    }
     RawTail {
         presence: Presence {
             full: parts.full.is_some(),
             levels: parts.levels.iter().map(Option::is_some).collect(),
             srb: parts.srb.is_some(),
-            basis: parts.basis.is_some(),
         },
         buf: enc.into_bytes(),
         start: 0,
@@ -512,7 +496,6 @@ pub(crate) fn encode_context(
         enc.flag(level);
     }
     enc.flag(presence.srb);
-    enc.flag(presence.basis);
     enc.u64(solved.len() as u64);
     for (timing, artifacts) in solved {
         enc.u64(timing.hit_cycles());
@@ -770,7 +753,6 @@ pub(crate) fn decode_context(
         full,
         levels,
         srb: dec.flag("presence flag")?,
-        basis: dec.flag("presence flag")?,
     };
     let solved_count = dec.seq_len(16)?;
     let mut solved = Vec::with_capacity(solved_count);
@@ -790,9 +772,9 @@ pub(crate) fn decode_context(
 
 /// Decodes a classification tail against the live `cfg` and `geometry`:
 /// the deferred half of a hit, run when the restored context first needs
-/// a level, the SRB map or the basis. The tail passed the checksum at
-/// read, so a failure here means a checksum-consistent forgery (or a
-/// collision the expander fingerprint missed).
+/// a level or the SRB map. The tail passed the checksum at read, so a
+/// failure here means a checksum-consistent forgery (or a collision the
+/// expander fingerprint missed).
 ///
 /// # Errors
 ///
@@ -827,56 +809,8 @@ pub(crate) fn decode_tail(
     } else {
         None
     };
-    let basis = if presence.basis {
-        Some(decode_basis(&mut dec)?)
-    } else {
-        None
-    };
     dec.finish()?;
-    Ok(TailParts {
-        full,
-        levels,
-        srb,
-        basis,
-    })
-}
-
-/// Decodes one factored-basis snapshot, validating its internal shape:
-/// status bytes cover exactly the structural and slack columns, status
-/// tags are in range, the basic set has exactly `m` entries, and every
-/// entry is either a real column index or the retired-artificial
-/// sentinel. Cross-validation against the live IPET model happens at
-/// seed time ([`pwcet_ipet::IpetTemplate::seed_basis`]); a snapshot that
-/// fails there degrades to a counted cold factorization, never a wrong
-/// bound.
-fn decode_basis(dec: &mut Reader<'_>) -> Result<BasisSnapshot, FrameError> {
-    let n_struct = dec.u32()?;
-    let m = dec.u32()?;
-    let statuses = dec.bytes()?;
-    if statuses.len() != (n_struct as usize) + (m as usize) {
-        return Err(FrameError::Malformed("basis status count"));
-    }
-    if statuses.iter().any(|&tag| tag > 2) {
-        return Err(FrameError::Malformed("basis status tag"));
-    }
-    let basis_len = dec.seq_len(4)?;
-    if basis_len != m as usize {
-        return Err(FrameError::Malformed("basis size"));
-    }
-    let mut basis = Vec::with_capacity(basis_len);
-    for _ in 0..basis_len {
-        let entry = dec.u32()?;
-        if entry != BasisSnapshot::ARTIFICIAL && entry as usize >= statuses.len() {
-            return Err(FrameError::Malformed("basis entry"));
-        }
-        basis.push(entry);
-    }
-    Ok(BasisSnapshot {
-        n_struct,
-        m,
-        statuses,
-        basis,
-    })
+    Ok(TailParts { full, levels, srb })
 }
 
 #[cfg(test)]
@@ -897,6 +831,17 @@ mod tests {
         geometry: CacheGeometry,
     }
 
+    /// A cold context of `compiled`, filed under its expander
+    /// fingerprint as the reuse plane's cold tier files it.
+    fn build(
+        compiled: &CompiledProgram,
+        geometry: CacheGeometry,
+        mode: ClassificationMode,
+    ) -> AnalysisContext {
+        let fingerprint = expander_fingerprint(compiled, geometry, mode);
+        AnalysisContext::build_with_mode(compiled, geometry, mode, fingerprint).unwrap()
+    }
+
     fn warmed_entry() -> (Ids, AnalysisContext) {
         let compiled = Program::new("codec")
             .with_function("main", stmt::loop_(25, stmt::compute(30)))
@@ -904,7 +849,7 @@ mod tests {
             .unwrap();
         let geometry = CacheGeometry::paper_default();
         let mode = ClassificationMode::Incremental;
-        let context = AnalysisContext::build_with_mode(&compiled, geometry, mode).unwrap();
+        let context = build(&compiled, geometry, mode);
         context.prewarm(Parallelism::Sequential);
         let ids = Ids {
             key: ContextCache::key_of(&compiled, geometry, mode),
@@ -915,7 +860,7 @@ mod tests {
     }
 
     /// A context the analyzer has solved once, so its parts carry every
-    /// section: levels, SRB map, solve artifacts and a factored basis.
+    /// section: levels, SRB map and solve artifacts.
     fn solved_entry() -> (Ids, AnalysisContext) {
         let (ids, context) = warmed_entry();
         let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential);
@@ -1008,70 +953,16 @@ mod tests {
             .with_function("main", stmt::compute(10))
             .compile(0x0040_0000)
             .unwrap();
-        let cold = AnalysisContext::build_with_mode(
-            &compiled,
-            ids.geometry,
-            ClassificationMode::Incremental,
-        )
-        .unwrap();
+        let cold = build(&compiled, ids.geometry, ClassificationMode::Incremental);
         let bytes = encode_parts(ids, &cold.snapshot_parts());
         let hit = decode_context(&bytes, ids.key, ids.fingerprint, ids.geometry).unwrap();
         assert!(hit.solved.is_empty());
         assert_eq!(hit.presence.warmed_levels(), 0);
-        assert!(!hit.presence.srb && !hit.presence.basis);
+        assert!(!hit.presence.srb);
         let parts = read_fully(&bytes, ids, cold.cfg()).unwrap();
         assert!(parts.tail.full.is_none());
         assert!(parts.tail.srb.is_none());
         assert!(parts.tail.levels.iter().all(Option::is_none));
-        assert!(parts.tail.basis.is_none());
-    }
-
-    #[test]
-    fn basis_round_trips_bit_identically() {
-        let (ids, context) = solved_entry();
-        let parts = context.snapshot_parts();
-        assert!(parts.tail.basis.is_some(), "the solved template exports");
-        let bytes = encode_parts(ids, &parts);
-        assert_eq!(read_fully(&bytes, ids, context.cfg()).unwrap(), parts);
-    }
-
-    #[test]
-    fn malformed_basis_sections_are_rejected() {
-        let (ids, context) = solved_entry();
-        let parts = context.snapshot_parts();
-        let cfg = context.cfg();
-        let check = |tamper: fn(&mut BasisSnapshot), expect: &'static str| {
-            let mut parts = parts.clone();
-            tamper(
-                parts
-                    .tail
-                    .basis
-                    .as_mut()
-                    .expect("the solved template exports"),
-            );
-            let bytes = encode_parts(ids, &parts);
-            assert_eq!(
-                read_fully(&bytes, ids, cfg),
-                Err(FrameError::Malformed(expect))
-            );
-        };
-        check(
-            |snapshot| {
-                snapshot.statuses.pop();
-            },
-            "basis status count",
-        );
-        check(|snapshot| snapshot.statuses[0] = 9, "basis status tag");
-        check(
-            |snapshot| {
-                snapshot.basis.pop();
-            },
-            "basis size",
-        );
-        check(
-            |snapshot| snapshot.basis[0] = BasisSnapshot::ARTIFICIAL - 1,
-            "basis entry",
-        );
     }
 
     #[test]
@@ -1143,7 +1034,7 @@ mod tests {
         bad_magic[0] ^= 0xff;
         assert_eq!(read(&bad_magic), Err(FrameError::BadMagic));
 
-        // Version 4 is the retired layout; no shim reads it.
+        // Version 5 is the retired layout; no shim reads it.
         for version in [PWCX.version - 1, 99] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
@@ -1178,8 +1069,8 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_of_a_suite_entry_fails_the_checksum() {
-        // A real suite entry, solved once: levels, states, SRB map, solve
-        // section and basis. Every one of its payload bits, flipped alone,
+        // A real suite entry, solved once: levels, states, SRB map and
+        // solve section. Every one of its payload bits, flipped alone,
         // must change the checksum — and every header bit must be refused
         // by the envelope too.
         let bench = pwcet_benchsuite::all()
@@ -1188,9 +1079,7 @@ mod tests {
             .expect("crc is in the suite");
         let config = AnalysisConfig::paper_default().with_parallelism(Parallelism::Sequential);
         let compiled = bench.program.compile(config.code_base).unwrap();
-        let context =
-            AnalysisContext::build_with_mode(&compiled, config.geometry, config.classification)
-                .unwrap();
+        let context = build(&compiled, config.geometry, config.classification);
         PwcetAnalyzer::new(config)
             .analyze_with_context(&context)
             .unwrap();
@@ -1257,9 +1146,7 @@ mod tests {
             read(ids.key, other_fingerprint, ids.geometry),
             Err(FrameError::Malformed("expander fingerprint mismatch"))
         );
-        let other_ctx =
-            AnalysisContext::build_with_mode(&other, ids.geometry, ClassificationMode::Incremental)
-                .unwrap();
+        let other_ctx = build(&other, ids.geometry, ClassificationMode::Incremental);
         assert!(matches!(
             read_fully(&bytes, ids, other_ctx.cfg()),
             Err(FrameError::Malformed(_) | FrameError::Truncated)

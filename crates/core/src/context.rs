@@ -45,16 +45,13 @@ use pwcet_analysis::{
 use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::{CfgError, ExpandedCfg, NodeId};
 use pwcet_ilp::SolveStatsCell;
-use pwcet_ipet::{BasisSnapshot, IpetTemplate};
+use pwcet_ipet::IpetTemplate;
 use pwcet_obs::{Counter, Registry};
 use pwcet_par::{par_for_each_index, par_join, Admission, Memo, Parallelism};
 use pwcet_prob::{DiscreteDistribution, FaultModel};
 use pwcet_progen::CompiledProgram;
 
-use crate::codec::{
-    decode_tail, encode_context, encode_tail, expander_fingerprint, Presence, RawTail,
-    SolvedEntries,
-};
+use crate::codec::{decode_tail, encode_context, encode_tail, Presence, RawTail, SolvedEntries};
 use crate::error::CoreError;
 use crate::estimate::Protection;
 use crate::frame::FrameError;
@@ -117,8 +114,8 @@ impl Solved {
 
 /// The counters a context counts its work into, each the metrics row of
 /// the same name: the IPET template events, counted by the context that
-/// requests, builds or seeds a template and by the template's objective
-/// memo, and the totals of every fixpoint and solve run on the context.
+/// requests or builds a template and by the template's objective memo,
+/// and the totals of every fixpoint and solve run on the context.
 /// A reuse plane hands its node's set to every context it serves; a
 /// context without one counts into a private set.
 #[derive(Debug, Default)]
@@ -128,10 +125,6 @@ pub(crate) struct ContextCounters {
     pub(crate) template_hits: Arc<Counter>,
     /// Templates built by the context that asked.
     pub(crate) template_builds: Arc<Counter>,
-    /// Persisted bases seeded into a template's workspace pool.
-    pub(crate) basis_restores: Arc<Counter>,
-    /// Persisted bases that failed validation or refactorization.
-    pub(crate) basis_rejects: Arc<Counter>,
     /// `bound` calls answered by a template's objective memo.
     pub(crate) objective_hits: Arc<Counter>,
     /// Classification-kernel counters of every fixpoint (the
@@ -147,8 +140,6 @@ impl ContextCounters {
         Self {
             template_hits: metrics.register_counter("template_hits"),
             template_builds: metrics.register_counter("template_builds"),
-            basis_restores: metrics.register_counter("basis_restores"),
-            basis_rejects: metrics.register_counter("basis_rejects"),
             objective_hits: metrics.register_counter("objective_hits"),
             kernel: KernelStatsCell::registered(metrics),
             ilp: SolveStatsCell::registered(metrics),
@@ -202,15 +193,15 @@ pub struct AnalysisContext {
     /// What a restored context's graph expands from.
     source: Option<ExpanderInputs>,
     /// The expander fingerprint its disk entries carry (see
-    /// [`expander_fingerprint`]): set by builds from a compiled program
-    /// and by the reuse plane. A context without one is never persisted.
+    /// [`expander_fingerprint`](crate::codec::expander_fingerprint)):
+    /// set by the reuse plane, whichever tier answered. A context without
+    /// one is never persisted.
     fingerprint: OnceLock<u64>,
     /// The content key a reuse plane files this context under, so
     /// persisting it need not hash the program image again.
     key: OnceLock<u64>,
     /// A restored entry's classification tail, decoded into `full`,
-    /// `levels`, `srb` and `pending_basis` before anything reads or
-    /// fills them.
+    /// `levels` and `srb` before anything reads or fills them.
     tail: Mutex<Option<PendingTail>>,
     /// Whether `tail` may still hold a tail: the lock-free fast path of
     /// every level read.
@@ -247,10 +238,6 @@ pub struct AnalysisContext {
     /// inherited by derivation (a plane-less context lazily creates a
     /// private set).
     counters: OnceLock<Arc<ContextCounters>>,
-    /// A serialized factored basis restored from a disk/network entry,
-    /// waiting for the first [`ipet_template`](Self::ipet_template)
-    /// request to seed the template's workspace pool.
-    pending_basis: Mutex<Option<BasisSnapshot>>,
     /// Per-set reference index: for each cache set, the `(node,
     /// reference index)` pairs mapping to it, in graph order. Depends
     /// only on the graph, the set count, and the block size — all shared
@@ -262,7 +249,9 @@ pub struct AnalysisContext {
 impl AnalysisContext {
     /// Reconstructs the expanded CFG of `compiled` and wraps it in a fresh
     /// context for `geometry` under `mode` (no classification is run
-    /// yet): the reuse plane's cold tier.
+    /// yet): the reuse plane's cold tier. `fingerprint` is the
+    /// [`expander_fingerprint`](crate::codec::expander_fingerprint) of
+    /// the same triple, which the plane computed for its lookup.
     ///
     /// # Errors
     ///
@@ -271,10 +260,11 @@ impl AnalysisContext {
         compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
+        fingerprint: u64,
     ) -> Result<Self, CfgError> {
         let cfg = expand_compiled(compiled)?;
         let context = Self::from_shared_cfg(compiled.name(), Arc::new(cfg), geometry, mode);
-        context.set_fingerprint(expander_fingerprint(compiled, geometry, mode));
+        context.set_fingerprint(fingerprint);
         Ok(context)
     }
 
@@ -341,7 +331,6 @@ impl AnalysisContext {
             template: OnceLock::new(),
             inherited: None,
             counters: OnceLock::new(),
-            pending_basis: Mutex::new(None),
             set_refs: OnceLock::new(),
         }
     }
@@ -658,11 +647,9 @@ impl AnalysisContext {
     /// resolution, so each context counts one event.
     pub fn ipet_template(&self) -> Arc<IpetTemplate> {
         Arc::clone(self.template.get_or_init(|| {
-            // A restored tail carries the basis to seed.
-            self.settle_tail();
             let groups = self.first_extra_group_union();
             let counters = self.counters();
-            let template = match &self.inherited {
+            match &self.inherited {
                 Some(template) if template.covers(&groups) => {
                     counters.template_hits.inc();
                     Arc::clone(template)
@@ -676,58 +663,8 @@ impl AnalysisContext {
                         counters.ilp.clone(),
                     ))
                 }
-            };
-            self.seed_pending_basis(&template);
-            template
-        }))
-    }
-
-    /// Seeds a restored basis into `template`'s workspace pool, counting
-    /// the restore or rejection. A rejected basis leaves the template
-    /// cold — it costs one counted factorization on the first solve,
-    /// never a wrong bound.
-    fn seed_pending_basis(&self, template: &IpetTemplate) {
-        let pending = self
-            .pending_basis
-            .lock()
-            .expect("pending basis lock")
-            .take();
-        if let Some(snapshot) = pending {
-            if template.seed_basis(&snapshot) {
-                self.counters().basis_restores.inc();
-            } else {
-                self.counters().basis_rejects.inc();
             }
-        }
-    }
-
-    /// The factored basis to persist: the memoized template's, or a
-    /// restored one still pending because no solve asked for the
-    /// template again — dropping it would lose persistence across a
-    /// chain of restarts that only prewarm.
-    pub(crate) fn export_basis(&self) -> Option<BasisSnapshot> {
-        self.template
-            .get()
-            .and_then(|template| template.export_basis())
-            .or_else(|| {
-                self.pending_basis
-                    .lock()
-                    .expect("pending basis lock")
-                    .clone()
-            })
-    }
-
-    /// Whether the context has a basis to persist — presence only, no
-    /// snapshot clone (this feeds the reuse plane's per-persist richness
-    /// gate). An undecoded restored tail answers from its summary.
-    pub(crate) fn has_basis(&self) -> bool {
-        self.pending_presence(|presence| presence.basis) == Some(true)
-            || self.template.get().is_some_and(|t| t.has_basis())
-            || self
-                .pending_basis
-                .lock()
-                .expect("pending basis lock")
-                .is_some()
+        }))
     }
 
     /// Every `(node, scope)` first-extra group any classification level
@@ -772,14 +709,13 @@ impl AnalysisContext {
         Arc::clone(self.graph().expect("expands"))
     }
 
-    /// The decoded classification tail: every memoized level, the SRB
-    /// map and the basis to persist. Unwarmed slots stay `None`.
+    /// The decoded classification tail: every memoized level and the SRB
+    /// map. Unwarmed slots stay `None`.
     fn tail_parts(&self) -> TailParts {
         TailParts {
             full: self.full.get().cloned(),
             levels: self.levels.iter().map(|l| l.get().cloned()).collect(),
             srb: self.srb.get().cloned(),
-            basis: self.export_basis(),
         }
     }
 
@@ -825,8 +761,7 @@ impl AnalysisContext {
             .collect();
     }
 
-    /// Fills the memo slots from decoded tail parts; the basis waits for
-    /// the first template request.
+    /// Fills the memo slots from decoded tail parts.
     ///
     /// # Panics
     ///
@@ -848,7 +783,6 @@ impl AnalysisContext {
         if let Some(srb) = parts.srb {
             let _ = self.srb.set(srb);
         }
-        *self.pending_basis.lock().expect("pending basis lock") = parts.basis;
     }
 
     /// Rebuilds a context around decoded artifacts over an expanded
@@ -907,9 +841,8 @@ impl AnalysisContext {
         // The sibling's solve memo starts empty, so it will ask for a
         // template, and its group union is a subset of this context's:
         // resolve this context's template for it to adopt. A restored
-        // context that answered from its solve memo builds it here,
-        // seeded with its restored basis, and materializes the levels
-        // carried over below.
+        // context that answered from its solve memo builds it here, cold,
+        // and materializes the levels carried over below.
         let template = self.ipet_template();
         let derived_full = classify_level_from_with(
             self.cfg(),
@@ -942,9 +875,6 @@ impl AnalysisContext {
                     // The SRB pseudo-geometry (one set, one way) only
                     // depends on the block size, which siblings share.
                     srb: self.srb.get().cloned(),
-                    // No pending basis: the sibling adopts this context's
-                    // template, whose pool holds any basis it restored.
-                    basis: None,
                 },
             },
         );
@@ -967,9 +897,6 @@ pub(crate) struct TailParts {
     pub(crate) full: Option<ClassifiedLevel>,
     pub(crate) levels: Vec<Option<ChmcMap>>,
     pub(crate) srb: Option<SrbMap>,
-    /// The serialized factored basis — restored into `pending_basis`,
-    /// seeded into the shared template on its first request.
-    pub(crate) basis: Option<BasisSnapshot>,
 }
 
 /// The decoded artifact slots of one context: the solve memo and the
@@ -983,6 +910,7 @@ pub(crate) struct ContextParts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::expander_fingerprint;
     use pwcet_analysis::classify;
     use pwcet_progen::{stmt, Program};
 
@@ -995,7 +923,9 @@ mod tests {
             .with_function("main", stmt::loop_(30, stmt::compute(24)))
             .compile(0x0040_0000)
             .unwrap();
-        AnalysisContext::build_with_mode(&compiled, CacheGeometry::paper_default(), mode).unwrap()
+        let geometry = CacheGeometry::paper_default();
+        let fingerprint = expander_fingerprint(&compiled, geometry, mode);
+        AnalysisContext::build_with_mode(&compiled, geometry, mode, fingerprint).unwrap()
     }
 
     #[test]
@@ -1167,68 +1097,6 @@ mod tests {
         let wide = ctx.ipet_template();
         assert!(Arc::ptr_eq(&wide, &narrow));
         assert_eq!(template_events(&sibling), (1, 1), "one build, one adoption");
-    }
-
-    #[test]
-    fn restored_bases_answer_the_first_solve_warm() {
-        use pwcet_ipet::CostModel;
-        let ctx = context();
-        let template = ctx.ipet_template();
-        let costs = CostModel::uniform(ctx.cfg(), 2);
-        let expected = template.bound(&costs).unwrap();
-        let parts = ctx.snapshot_parts();
-        assert!(parts.tail.basis.is_some(), "the solved template exports");
-
-        // A "restarted process": fresh context, bases restored from the
-        // serialized parts.
-        let restored = AnalysisContext::from_parts(
-            ctx.name(),
-            ctx.shared_cfg(),
-            *ctx.geometry(),
-            ctx.mode(),
-            parts,
-        );
-        let template = restored.ipet_template();
-        assert_eq!(restored.counters().basis_restores.get(), 1);
-        assert_eq!(template.bound(&costs).unwrap(), expected);
-        let stats = restored.counters().ilp.snapshot();
-        assert_eq!(stats.cold_starts, 0, "restored basis skips phase 1");
-        assert!(stats.warm_starts >= 1);
-    }
-
-    #[test]
-    fn rejected_basis_degrades_to_a_counted_cold_factorization() {
-        use pwcet_ipet::CostModel;
-        let ctx = context();
-        let template = ctx.ipet_template();
-        let costs = CostModel::uniform(ctx.cfg(), 2);
-        let expected = template.bound(&costs).unwrap();
-        let mut parts = ctx.snapshot_parts();
-        // Structurally valid, semantically wrong: claim one more basic
-        // column than rows — decode would pass, hydration must not.
-        let snapshot = parts
-            .tail
-            .basis
-            .as_mut()
-            .expect("the solved template exports");
-        if let Some(tag) = snapshot.statuses.iter_mut().find(|tag| **tag != 0) {
-            *tag = 0;
-        }
-
-        let restored = AnalysisContext::from_parts(
-            ctx.name(),
-            ctx.shared_cfg(),
-            *ctx.geometry(),
-            ctx.mode(),
-            parts,
-        );
-        let template = restored.ipet_template();
-        let counters = restored.counters();
-        assert_eq!(counters.basis_rejects.get(), 1);
-        assert_eq!(counters.basis_restores.get(), 0);
-        // The template still answers — cold, and correctly.
-        assert_eq!(template.bound(&costs).unwrap(), expected);
-        assert_eq!(counters.ilp.snapshot().cold_starts, 1);
     }
 
     /// The penalty memo of the context's one solve entry: its counters

@@ -197,6 +197,7 @@ impl ContextCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::expander_fingerprint;
     use crate::ReusePlane;
     use pwcet_progen::{stmt, Program};
 
@@ -223,7 +224,8 @@ mod tests {
     }
 
     fn build(program: &CompiledProgram) -> Arc<AnalysisContext> {
-        Arc::new(AnalysisContext::build_with_mode(program, geometry(), MODE).unwrap())
+        let fingerprint = expander_fingerprint(program, geometry(), MODE);
+        Arc::new(AnalysisContext::build_with_mode(program, geometry(), MODE, fingerprint).unwrap())
     }
 
     /// The plane's memory-tier step over a cache of any capacity: a

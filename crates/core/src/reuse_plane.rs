@@ -186,12 +186,6 @@ pub struct ReusePlaneStats {
     pub template_hits: u64,
     /// IPET templates built by the context that asked for one.
     pub template_builds: u64,
-    /// Persisted factored bases successfully restored into a template's
-    /// workspace pool (disk/network entries answering with warm ILPs).
-    pub basis_restores: u64,
-    /// Persisted bases rejected by validation/refactorization; each
-    /// costs one counted cold factorization, never a wrong bound.
-    pub basis_rejects: u64,
     /// ILP bounds answered from a template's objective→bound memo — an
     /// identical cost model was already solved, typically by a sibling
     /// geometry of the same sweep whose classifications coincide on the
@@ -264,8 +258,6 @@ struct Richness {
     levels: usize,
     solved: usize,
     srb: bool,
-    /// An exportable factored basis (the PWCX solver-state section).
-    basis: bool,
 }
 
 impl Richness {
@@ -277,7 +269,6 @@ impl Richness {
             levels: context.warmed_levels(),
             solved: context.solved_configurations(),
             srb: context.srb_warmed(),
-            basis: context.has_basis(),
         }
     }
 }
@@ -534,8 +525,6 @@ impl ReusePlane {
             cold_builds: tiers.cold_builds.get(),
             template_hits: counters.template_hits.get(),
             template_builds: counters.template_builds.get(),
-            basis_restores: counters.basis_restores.get(),
-            basis_rejects: counters.basis_rejects.get(),
             objective_hits: counters.objective_hits.get(),
         }
     }
@@ -585,10 +574,14 @@ impl ReusePlane {
                 None => match self.fetch_from_network(&at) {
                     Some(fetched) => (Arc::new(fetched), ReuseTier::Network),
                     None => {
-                        let built =
-                            Arc::new(AnalysisContext::build_with_mode(compiled, geometry, mode)?);
+                        let built = AnalysisContext::build_with_mode(
+                            compiled,
+                            geometry,
+                            mode,
+                            at.fingerprint,
+                        )?;
                         self.tiers.cold_builds.inc();
-                        (built, ReuseTier::Cold)
+                        (Arc::new(built), ReuseTier::Cold)
                     }
                 },
             },
@@ -614,13 +607,9 @@ impl ReusePlane {
         if !self.can_persist() {
             return false;
         }
-        let (geometry, mode) = (*context.geometry(), context.mode());
-        if context.fingerprint().is_none() {
-            context.set_fingerprint(expander_fingerprint(compiled, geometry, mode));
-        }
         let key = context
             .key()
-            .unwrap_or_else(|| ContextCache::key_of(compiled, geometry, mode));
+            .unwrap_or_else(|| ContextCache::key_of(compiled, *context.geometry(), context.mode()));
         self.persist_keyed(key, context)
     }
 
@@ -1329,10 +1318,13 @@ mod tests {
         assert_eq!(plane.staged.stats().len, 1);
     }
 
-    /// A prewarmed context of `compiled("p", iterations)`.
+    /// A prewarmed context of `compiled("p", iterations)`, built as the
+    /// cold tier builds it but filed under no key.
     fn warm(iterations: u32) -> (CompiledProgram, AnalysisContext) {
         let program = compiled("p", iterations);
-        let context = AnalysisContext::build_with_mode(&program, geometry(), MODE).unwrap();
+        let fingerprint = expander_fingerprint(&program, geometry(), MODE);
+        let context =
+            AnalysisContext::build_with_mode(&program, geometry(), MODE, fingerprint).unwrap();
         context.prewarm(pwcet_par::Parallelism::Sequential);
         (program, context)
     }

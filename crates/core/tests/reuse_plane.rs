@@ -124,7 +124,7 @@ fn assert_falls_back_cold(tag: &str, corrupt: impl FnOnce(&PathBuf)) {
     let rewritten = fs::read(&entries[0]).unwrap();
     assert_eq!(
         u32::from_le_bytes(rewritten[4..8].try_into().unwrap()),
-        5,
+        6,
         "{tag}: the rebuild is written at the current version"
     );
     let healed = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
@@ -153,10 +153,10 @@ fn bad_magic_falls_back_cold() {
 
 #[test]
 fn wrong_version_falls_back_cold() {
-    // An unknown future version, and the retired versions 2, 3 and 4
-    // stamped on a current entry. The checksum covers the payload only,
-    // so each entry is refused for its version alone.
-    for version in [0xfe_u32, 2, 3, 4] {
+    // An unknown future version, and the retired versions 2 to 5 stamped
+    // on a current entry. The checksum covers the payload only, so each
+    // entry is refused for its version alone.
+    for version in [0xfe_u32, 2, 3, 4, 5] {
         assert_falls_back_cold(&format!("version-{version}"), |path| {
             let mut bytes = fs::read(path).unwrap();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -193,7 +193,7 @@ fn garbage_file_falls_back_cold() {
 
 /// A timing model nothing else in this suite solves under: analyses
 /// using it miss the persisted solved-artifact memo and must actually
-/// run their ILPs (the pass that exercises restored solver state).
+/// run their ILPs over the restored context.
 fn variant_config() -> AnalysisConfig {
     let mut config = AnalysisConfig::paper_default();
     config.timing = pwcet_cache::CacheTiming::new(3, 150);
@@ -201,12 +201,13 @@ fn variant_config() -> AnalysisConfig {
 }
 
 #[test]
-fn restart_restores_factored_bases_warm() {
+fn a_restarted_plane_solves_a_new_timing_from_its_restored_tail() {
     // A restarted process (fresh plane, same store) whose request misses
-    // the solved-artifact memo must still never cold-factorize: the
-    // entry's tail carries the factored basis, which seeds the template
-    // pool when the new timing first asks for the template.
-    let (_, dir) = populate("basis-restore");
+    // the solved-artifact memo keeps the restored context: its tail
+    // answers the classification, and the new timing's ILPs run on a
+    // template built as a fresh context builds one, with one cold root
+    // solve and a warm fan-out.
+    let (_, dir) = populate("new-timing");
     let reference = PwcetAnalyzer::new(variant_config())
         .analyze(&program())
         .unwrap();
@@ -220,16 +221,12 @@ fn restart_restores_factored_bases_warm() {
     let stats = fresh.stats();
     assert_eq!(stats.disk_hits, 1, "the context must come off disk");
     assert_eq!(stats.cold_builds, 0);
-    assert!(
-        stats.basis_restores >= 1,
-        "the persisted basis must seed the template pool"
-    );
-    assert_eq!(stats.basis_rejects, 0, "a faithful snapshot never rejects");
+    assert_eq!(stats.template_builds, 1);
     let ilp = fresh.ilp_stats();
-    assert!(ilp.warm_starts > 0, "the variant pass must solve ILPs");
-    assert_eq!(
-        ilp.cold_starts, 0,
-        "every solve starts from the restored factored basis"
+    assert_eq!(ilp.cold_starts, 1, "one cold root solve per template");
+    assert!(
+        ilp.warm_starts > 0,
+        "the fan-out starts from the root's basis"
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -239,8 +236,8 @@ fn derived_siblings_of_a_restored_widest_point_adopt_its_template() {
     // A restarted node's widest lattice point answers from its restored
     // solve memo, so no solve asks for its template. Each narrower point
     // of a sweep is derived from it, and derivation builds that one
-    // template (seeded with the restored basis) for every sibling to
-    // adopt: one build, three adoptions, no cold factorization.
+    // template for every sibling to adopt: one build, three adoptions,
+    // and one cold root solve for the whole family.
     let (_, dir) = populate("restored-sweep");
     let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
     for ways in [4, 3, 2, 1] {
@@ -253,20 +250,20 @@ fn derived_siblings_of_a_restored_widest_point_adopt_its_template() {
     let stats = fresh.stats();
     assert_eq!((stats.disk_hits, stats.derived), (1, 3));
     assert_eq!((stats.template_builds, stats.template_hits), (1, 3));
-    assert_eq!((stats.basis_restores, stats.basis_rejects), (1, 0));
     assert_eq!(
         fresh.ilp_stats().cold_starts,
-        0,
-        "the siblings' solves start from the restored basis"
+        1,
+        "the first sibling's root solve factors the shared template once"
     );
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Flips `mask` into the last byte of a stored entry — the end of the
-/// classification tail's basis section — and re-seals the payload with
-/// the entry checksum, so the forgery passes every read-time check and
-/// reaches the tail's own validation.
-fn forge_basis_tail(path: &Path, mask: u8) {
+/// Flips `mask` into the last byte of a stored entry — the last flag of
+/// the classification tail's SRB map — and re-seals the payload with the
+/// entry checksum, so the forgery passes every read-time check and
+/// reaches the tail's own validation, which refuses a flag other than 0
+/// or 1.
+fn forge_tail(path: &Path, mask: u8) {
     let mut bytes = fs::read(path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= mask;
@@ -276,21 +273,19 @@ fn forge_basis_tail(path: &Path, mask: u8) {
 }
 
 #[test]
-fn checksum_consistent_basis_flip_never_changes_a_bound() {
-    // Flip a byte inside the trailing solver-state section and *repair
-    // the envelope checksum*, so corruption reaches the strict basis
-    // validation itself rather than the checksum gate. The hit reads the
-    // solve section only, so the entry always hits; the variant timing
-    // then decodes the tail, which may fail (a counted late corruption),
-    // reject the snapshot, or even yield a surviving-but-different warm
-    // basis. The bounds must be bit-identical to a plane-less analysis
-    // whichever happens: warm starts change where the simplex starts,
-    // never where it ends.
-    let (_, dir) = populate("basis-flip");
+fn checksum_consistent_tail_flip_never_changes_a_bound() {
+    // Flip a byte of the classification tail and *repair the envelope
+    // checksum*, so corruption reaches the tail's strict decode itself
+    // rather than the checksum gate. The hit reads the solve section
+    // only, so the entry always hits; the variant timing then decodes
+    // the tail, which fails: one counted late corruption, and the levels
+    // recomputed cold. The bounds must be bit-identical to a plane-less
+    // analysis.
+    let (_, dir) = populate("tail-flip");
     let reference = PwcetAnalyzer::new(variant_config())
         .analyze(&program())
         .unwrap();
-    forge_basis_tail(&entry_paths(&dir)[0], 0x20);
+    forge_tail(&entry_paths(&dir)[0], 0x20);
 
     let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
     let analyzed = PwcetAnalyzer::new(variant_config())
@@ -300,8 +295,8 @@ fn checksum_consistent_basis_flip_never_changes_a_bound() {
     assert_same_results(&reference, &analyzed);
     let stats = fresh.stats();
     assert_eq!(stats.disk_hits, 1, "the checksum-consistent entry hits");
-    assert!(
-        stats.disk_corrupt <= 1,
+    assert_eq!(
+        stats.disk_corrupt, 1,
         "a tail that fails at first use is counted once"
     );
     let _ = fs::remove_dir_all(&dir);
@@ -309,14 +304,14 @@ fn checksum_consistent_basis_flip_never_changes_a_bound() {
 
 #[test]
 fn late_tail_corruption_is_counted_discarded_and_recomputed_cold() {
-    // A basis entry pushed past every column index: the read passes, the
+    // An SRB flag byte that is neither 0 nor 1: the read passes, the
     // tail decode at first use fails.
     let (solved_reference, dir) = populate("late-corrupt");
     let reference = PwcetAnalyzer::new(variant_config())
         .analyze(&program())
         .unwrap();
     let path = entry_paths(&dir)[0].clone();
-    forge_basis_tail(&path, 0x80);
+    forge_tail(&path, 0x80);
     let forged = fs::read(&path).unwrap();
 
     // A solved request never decodes the tail, so nothing is noticed.
@@ -368,7 +363,6 @@ fn late_tail_corruption_is_counted_discarded_and_recomputed_cold() {
     assert_same_results(&reference, &again);
     let stats = healed.stats();
     assert_eq!((stats.disk_hits, stats.disk_corrupt), (1, 0));
-    assert_eq!(stats.basis_rejects, 0);
 
     // The same forgery offered by a peer is counted as network
     // corruption when its tail fails.

@@ -79,7 +79,7 @@ pub use error::IlpError;
 pub use model::{
     BranchAndBoundOptions, ConstraintOp, Model, Solution, SolveStats, SolveStatsCell, VarId,
 };
-pub use sparse::{BasisSnapshot, LpWorkspace};
+pub use sparse::LpWorkspace;
 
 /// Solves the LP relaxation of `model` with the default (sparse) solver,
 /// ignoring integrality marks.

@@ -43,36 +43,6 @@ enum Status {
     AtUpper,
 }
 
-/// A compact, numerics-free serialization of a factored basis: the basic
-/// column of every row plus the resting bound of every nonbasic
-/// structural and slack column. The dense `m × m` inverse is *not*
-/// carried — [`LpWorkspace::hydrate`] refactors it from the receiving
-/// model's own constraint matrix, so a snapshot can never smuggle stale
-/// numerics across processes; only the combinatorial basis travels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasisSnapshot {
-    /// Structural variable count of the model the basis belongs to.
-    pub n_struct: u32,
-    /// Constraint (row) count of the model the basis belongs to.
-    pub m: u32,
-    /// One tag per structural and slack column, in column order:
-    /// 0 = basic, 1 = resting at lower bound, 2 = resting at upper
-    /// bound.
-    pub statuses: Vec<u8>,
-    /// Basic column index of each row. [`Self::ARTIFICIAL`] marks a row
-    /// whose basic column is a retired phase-1 artificial (a redundant
-    /// row — e.g. the rank-deficient flow-conservation system of an
-    /// IPET instance keeps one): the artificial is fixed at `[0, 0]`,
-    /// so hydration reconstructs it exactly as a fresh unit column.
-    pub basis: Vec<u32>,
-}
-
-impl BasisSnapshot {
-    /// Sentinel basis entry: the row's basic column is a retired
-    /// (zero-fixed) phase-1 artificial, reconstructed on hydration.
-    pub const ARTIFICIAL: u32 = u32::MAX;
-}
-
 /// Reusable solver state: the standard-form instance plus the factored
 /// basis of the last solve.
 ///
@@ -90,124 +60,6 @@ impl LpWorkspace {
     /// retains) solver state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Exports the retained basis as a [`BasisSnapshot`], or `None`
-    /// when the workspace is cold. Rows whose basic column is a retired
-    /// phase-1 artificial (redundant rows) are exported as
-    /// [`BasisSnapshot::ARTIFICIAL`] — the artificial is fixed at
-    /// `[0, 0]`, so it carries no numerical content to lose.
-    pub fn snapshot(&self) -> Option<BasisSnapshot> {
-        let state = self.state.as_ref()?;
-        let n_plus_m = state.n_struct + state.m;
-        let statuses = state.status[..n_plus_m]
-            .iter()
-            .map(|s| match s {
-                Status::Basic => 0u8,
-                Status::AtLower => 1,
-                Status::AtUpper => 2,
-            })
-            .collect();
-        Some(BasisSnapshot {
-            n_struct: state.n_struct as u32,
-            m: state.m as u32,
-            statuses,
-            basis: state
-                .basis
-                .iter()
-                .map(|&b| {
-                    if b >= n_plus_m {
-                        BasisSnapshot::ARTIFICIAL
-                    } else {
-                        b as u32
-                    }
-                })
-                .collect(),
-        })
-    }
-
-    /// Rebuilds solver state for `model` from a serialized basis:
-    /// validates the snapshot exhaustively against the model's shape,
-    /// refactors the `m × m` inverse from the model's own constraint
-    /// matrix, and installs the result as this workspace's warm state.
-    ///
-    /// Returns `false` — leaving the workspace cold — on *any*
-    /// inconsistency: shape mismatch, invalid or duplicated basis
-    /// entries, a nonbasic column resting at an infinite bound, or a
-    /// singular basis matrix. A rejected snapshot can therefore never
-    /// produce a wrong answer, only a counted cold factorization.
-    pub fn hydrate(&mut self, model: &Model, snapshot: &BasisSnapshot) -> bool {
-        self.state = None;
-        let n = model.num_vars();
-        let m = model.num_constraints();
-        if snapshot.n_struct as usize != n
-            || snapshot.m as usize != m
-            || snapshot.statuses.len() != n + m
-            || snapshot.basis.len() != m
-        {
-            return false;
-        }
-        let mut state = State::build(model, fingerprint(model));
-        let mut basic_count = 0usize;
-        for (j, &tag) in snapshot.statuses.iter().enumerate() {
-            state.status[j] = match tag {
-                0 => {
-                    basic_count += 1;
-                    Status::Basic
-                }
-                1 => Status::AtLower,
-                2 => Status::AtUpper,
-                _ => return false,
-            };
-        }
-        let artificial_rows = snapshot
-            .basis
-            .iter()
-            .filter(|&&b| b == BasisSnapshot::ARTIFICIAL)
-            .count();
-        if basic_count + artificial_rows != m {
-            return false;
-        }
-        // The basic tags and the non-artificial row entries must form a
-        // bijection: every entry in range, distinct, and tagged basic.
-        // Artificial rows get a fresh zero-fixed unit column each.
-        let mut seen = vec![false; n + m];
-        for (i, &b) in snapshot.basis.iter().enumerate() {
-            if b == BasisSnapshot::ARTIFICIAL {
-                let art = state.cols.len();
-                state.cols.push(vec![(i, 1.0)]);
-                state.lower.push(0.0);
-                state.upper.push(0.0);
-                state.root_lower.push(0.0);
-                state.root_upper.push(0.0);
-                state.obj.push(0.0);
-                state.status.push(Status::Basic);
-                state.basis[i] = art;
-                continue;
-            }
-            let b = b as usize;
-            if b >= n + m || seen[b] || state.status[b] != Status::Basic {
-                return false;
-            }
-            seen[b] = true;
-            state.basis[i] = b;
-        }
-        for j in 0..n + m {
-            let position = match state.status[j] {
-                Status::Basic => continue,
-                Status::AtLower => state.lower[j],
-                Status::AtUpper => state.upper[j],
-            };
-            if !position.is_finite() {
-                return false;
-            }
-        }
-        if !state.refactor() {
-            return false;
-        }
-        state.recompute_xb();
-        self.state = Some(state);
-        true
     }
 }
 
@@ -512,60 +364,6 @@ impl State {
             Status::AtLower => self.lower[j],
             Status::AtUpper => self.upper[j],
         }
-    }
-
-    /// Rebuilds the dense basis inverse from the current `basis` by
-    /// Gauss–Jordan elimination with partial pivoting (the hydration
-    /// path: a deserialized basis arrives without its inverse). Returns
-    /// `false` when the selected columns are numerically singular, in
-    /// which case the caller discards the basis and factors cold.
-    fn refactor(&mut self) -> bool {
-        let m = self.m;
-        // Dense B: column i is the constraint column of `basis[i]`.
-        let mut b = vec![0.0; m * m];
-        for (i, &col) in self.basis.iter().enumerate() {
-            for &(r, a) in &self.cols[col] {
-                b[r * m + i] = a;
-            }
-        }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        // Reduce [B | I] to [I | B⁻¹], swapping rows of both halves.
-        for col in 0..m {
-            let pivot_row = (col..m)
-                .max_by(|&x, &y| b[x * m + col].abs().total_cmp(&b[y * m + col].abs()))
-                .unwrap_or(col);
-            if b[pivot_row * m + col].abs() <= EPS {
-                return false;
-            }
-            if pivot_row != col {
-                for j in 0..m {
-                    b.swap(pivot_row * m + j, col * m + j);
-                    inv.swap(pivot_row * m + j, col * m + j);
-                }
-            }
-            let pivot = b[col * m + col];
-            for j in 0..m {
-                b[col * m + j] /= pivot;
-                inv[col * m + j] /= pivot;
-            }
-            for row in 0..m {
-                if row == col {
-                    continue;
-                }
-                let factor = b[row * m + col];
-                if factor != 0.0 {
-                    for j in 0..m {
-                        b[row * m + j] -= factor * b[col * m + j];
-                        inv[row * m + j] -= factor * inv[col * m + j];
-                    }
-                }
-            }
-        }
-        self.binv = inv;
-        true
     }
 
     /// Recomputes every basic value from the basis inverse:

@@ -57,6 +57,5 @@ mod tree_engine;
 
 pub use cost::{CostModel, RefCost};
 pub use ilp_engine::{ipet_bound, ipet_bound_reference};
-pub use pwcet_ilp::BasisSnapshot;
 pub use template::IpetTemplate;
 pub use tree_engine::tree_bound;

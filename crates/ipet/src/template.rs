@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use pwcet_analysis::Scope;
 use pwcet_cfg::{ExpandedCfg, NodeId};
-use pwcet_ilp::{BasisSnapshot, BranchAndBoundOptions, IlpError, LpWorkspace, SolveStatsCell};
+use pwcet_ilp::{BranchAndBoundOptions, IlpError, LpWorkspace, SolveStatsCell};
 use pwcet_obs::Counter;
 use pwcet_par::{Admission, Memo};
 
@@ -146,53 +146,10 @@ impl IpetTemplate {
         pool.truncate(cap.max(1));
     }
 
-    /// Exports the template's factored basis as a serializable
-    /// [`BasisSnapshot`], or `None` when no solve has completed yet (or
-    /// the basis is not representable — see [`LpWorkspace::snapshot`]).
-    pub fn export_basis(&self) -> Option<BasisSnapshot> {
-        self.proto
-            .lock()
-            .expect("template proto")
-            .as_ref()
-            .and_then(LpWorkspace::snapshot)
-    }
-
-    /// Seeds the template's workspace pool from a serialized basis (the
-    /// restore path of a disk/network-tier hit): the snapshot is
-    /// validated and refactored against this template's own model, and
-    /// on success installed as the prototype every checkout clones.
-    /// Returns `false` — leaving the template cold — on any
-    /// inconsistency; a rejected snapshot costs one counted cold
-    /// factorization later, never a wrong bound.
-    pub fn seed_basis(&self, snapshot: &BasisSnapshot) -> bool {
-        let mut ws = LpWorkspace::new();
-        if !ws.hydrate(&self.ipet.model, snapshot) {
-            return false;
-        }
-        {
-            let mut proto = self.proto.lock().expect("template proto");
-            if proto.is_none() {
-                *proto = Some(ws.clone());
-            }
-        }
-        let mut pool = self.pool.lock().expect("template pool");
-        if pool.len() < self.pool_cap.load(Ordering::Relaxed) {
-            pool.push(ws);
-        }
-        true
-    }
-
     /// The number of warm workspaces currently pooled (observability;
     /// bounded by [`set_pool_cap`](Self::set_pool_cap)).
     pub fn pool_len(&self) -> usize {
         self.pool.lock().expect("template pool").len()
-    }
-
-    /// Whether the template holds a factored prototype basis (i.e.
-    /// [`export_basis`](Self::export_basis) would return `Some`) —
-    /// cheaper than exporting when only presence matters.
-    pub fn has_basis(&self) -> bool {
-        self.proto.lock().expect("template proto").is_some()
     }
 
     /// The IPET bound of `costs` — identical to
@@ -393,35 +350,6 @@ mod tests {
             assert_eq!(template.bound(&costs).unwrap(), cold);
         }
         assert_eq!(template.objective_hits.get() - hits, 8, "stored, then hit");
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_rejected_and_degrades_to_cold() {
-        let cfg = looped_cfg();
-        let template = IpetTemplate::without_groups(&cfg);
-        let costs = CostModel::uniform(&cfg, 3);
-        let expected = template.bound(&costs).unwrap();
-        let good = template.export_basis().expect("solved template exports");
-
-        let mut wrong_shape = good.clone();
-        wrong_shape.m += 1;
-        let mut bad_tag = good.clone();
-        bad_tag.statuses[0] = 9;
-        let mut dup = good.clone();
-        dup.basis[0] = dup.basis[dup.basis.len() - 1];
-        let mut truncated = good.clone();
-        truncated.statuses.pop();
-        for (label, bad) in [
-            ("shape", wrong_shape),
-            ("tag", bad_tag),
-            ("duplicate", dup),
-            ("truncated", truncated),
-        ] {
-            let fresh = IpetTemplate::without_groups(&cfg);
-            assert!(!fresh.seed_basis(&bad), "{label} snapshot must be rejected");
-            // The template still answers — cold, and correctly.
-            assert_eq!(fresh.bound(&costs).unwrap(), expected, "{label}");
-        }
     }
 
     #[test]

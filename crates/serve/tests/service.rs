@@ -17,10 +17,11 @@ use pwcet_serve::protocol::{ErrorCode, Request, Response};
 use pwcet_serve::server::MAX_SHARDS;
 use pwcet_serve::{AnalysisRow, Client, Server, ServerConfig, ServiceStats};
 
-/// The 40 counter and gauge names the retired stats verb answered.
-/// Scrapers built against it keep finding every one of them in the
-/// metrics table.
-const LEGACY_STATS_NAMES: [&str; 40] = [
+/// The counter and gauge names the retired stats verb answered, less
+/// the two persisted-basis counters, which went with the feature they
+/// counted. Scrapers built against it keep finding every one of them in
+/// the metrics table.
+const LEGACY_STATS_NAMES: [&str; 38] = [
     "shards",
     "queue_capacity",
     "queued",
@@ -55,8 +56,6 @@ const LEGACY_STATS_NAMES: [&str; 40] = [
     "ilp_cold_starts",
     "ilp_trivial_prunes",
     "template_hits",
-    "basis_restores",
-    "basis_rejects",
     "classify_passes",
     "classify_words_touched",
     "classify_sets_skipped",
@@ -916,8 +915,6 @@ fn metrics_table_keeps_every_legacy_stats_name() {
             cold_builds: row("cold_builds"),
             template_hits: row("template_hits"),
             template_builds: row("template_builds"),
-            basis_restores: row("basis_restores"),
-            basis_rejects: row("basis_rejects"),
             objective_hits: row("objective_hits"),
         }
     );
